@@ -92,7 +92,7 @@ fn measure(config: Config, window: Duration) -> f64 {
     } else {
         // The server's per-request shape: one sampling decision, the id
         // pinned for the section, cleared after — exactly what
-        // `conn::process_frames` does around `execute_admitted`.
+        // `conn::process_frames` does around a request.
         warm_measure(1, window, |_w, _i| {
             let id = rt.tracer().begin_request();
             if id != 0 {

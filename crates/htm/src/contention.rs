@@ -97,8 +97,11 @@ fn calibrate() -> f64 {
 mod tests {
     use super::*;
 
+    /// One test, two phases: `SIM_CORES` is process-global, so the inert
+    /// and the charging phase cannot run as sibling tests on the parallel
+    /// runner. (Stop-gap; carrying the knob in `HtmConfig` is the fix.)
     #[test]
-    fn inert_at_one_core() {
+    fn inert_at_one_core_and_charges_scale_with_cores() {
         assert_eq!(sim_cores(), 1);
         let t0 = std::time::Instant::now();
         for _ in 0..10_000 {
@@ -108,10 +111,7 @@ mod tests {
             t0.elapsed().as_millis() < 50,
             "model must be free when disabled"
         );
-    }
 
-    #[test]
-    fn charges_scale_with_cores() {
         let prev = set_sim_cores(8);
         let t0 = std::time::Instant::now();
         for _ in 0..1_000 {

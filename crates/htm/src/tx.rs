@@ -360,31 +360,7 @@ impl<'a> Tx<'a> {
         self.maybe_spurious()?;
         let addr = var.addr();
         if self.mode == TxMode::Direct {
-            let stripe = self.rt.table().stripe_of_addr(addr);
-            let table = self.rt.table();
-            // Spin: stripe locks are only held across short write-backs.
-            let mut spins = 0u32;
-            let held = loop {
-                if let Some(snap) = table.try_lock_current(stripe) {
-                    break snap;
-                }
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    // A committer holding the stripe may need the CPU.
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            };
-            crate::contention::charge_shared_rmw();
-            // SAFETY: we hold the stripe lock.
-            unsafe { var.store_locked(val) };
-            // Advance the global clock and stamp the stripe with the new
-            // value: stripe versions must never exceed the clock, or
-            // speculative readers could never extend past this write and
-            // would spin to a spurious abort.
-            let wv = self.rt.clock().tick();
-            table.unlock_with_version(stripe, wv.max(held.version() + 1));
+            self.direct_store(var, |_| val);
             return Ok(());
         }
         // Values that do not fit the inline slot buffer cannot be staged:
@@ -424,6 +400,62 @@ impl<'a> Tx<'a> {
         // SAFETY: size/align checked above; the slot buffer is 8-aligned.
         unsafe { std::ptr::write(slot.buf.as_mut_ptr().cast::<T>(), val) };
         Ok(())
+    }
+
+    /// Read-modify-write of one cell, returning the new value.
+    ///
+    /// Fast path: a [`Tx::read`] then a [`Tx::write`]; commit validates
+    /// both. Direct path: the load and the store happen under **one** hold
+    /// of the cell's stripe lock, so the update is atomic even when the
+    /// guarding lock is only held *shared* — two slow-path readers bumping
+    /// a statistic inside their `RLock` sections (the `atomic.AddUint64`
+    /// in fastcache's `Get`), or one of them racing a speculative reader's
+    /// commit. A direct `read` followed by a direct `write` would lose
+    /// updates there.
+    pub fn update<T: Copy>(&mut self, var: &'a TxVar<T>, f: impl FnOnce(T) -> T) -> TxResult<T> {
+        if self.mode == TxMode::Direct {
+            self.check_doomed()?;
+            return Ok(self.direct_store(var, f));
+        }
+        let new = f(self.read(var)?);
+        self.write(var, new)?;
+        Ok(new)
+    }
+
+    /// Direct-mode store of `f(current)`, in place under the cell's stripe
+    /// lock so overlapping speculative readers observe the version change.
+    /// Returns the stored value.
+    #[inline]
+    fn direct_store<T: Copy>(&mut self, var: &'a TxVar<T>, f: impl FnOnce(T) -> T) -> T {
+        let table = self.rt.table();
+        let stripe = table.stripe_of_addr(var.addr());
+        // Spin: stripe locks are only held across short write-backs.
+        let mut spins = 0u32;
+        let held = loop {
+            if let Some(snap) = table.try_lock_current(stripe) {
+                break snap;
+            }
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                // A committer holding the stripe may need the CPU.
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        };
+        crate::contention::charge_shared_rmw();
+        // SAFETY: we hold the stripe lock, so no committer or other direct
+        // store writes the cell between this load and the store.
+        let val = f(unsafe { var.load_racy() });
+        // SAFETY: we hold the stripe lock.
+        unsafe { var.store_locked(val) };
+        // Advance the global clock and stamp the stripe with the new
+        // value: stripe versions must never exceed the clock, or
+        // speculative readers could never extend past this write and
+        // would spin to a spurious abort.
+        let wv = self.rt.clock().tick();
+        table.unlock_with_version(stripe, wv.max(held.version() + 1));
+        val
     }
 
     /// Subscribes the transaction to an elidable lock's word (§5.4): aborts
@@ -876,6 +908,27 @@ mod tests {
         slow.write(&v, 7).unwrap();
         slow.commit().unwrap();
         assert_eq!(reader.commit().unwrap_err().cause, AbortCause::Conflict);
+    }
+
+    #[test]
+    fn direct_updates_under_a_shared_lock_lose_nothing() {
+        // Two slow-path holders of the same *read* lock do not exclude each
+        // other; `update` must still be atomic between them.
+        let rt = rt();
+        let v = TxVar::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..20_000 {
+                        let mut slow = Tx::direct(&rt);
+                        slow.update(&v, |n| n + 1).unwrap();
+                        slow.commit().unwrap();
+                    }
+                });
+            }
+        });
+        let mut check = Tx::direct(&rt);
+        assert_eq!(check.read(&v).unwrap(), 80_000);
     }
 
     #[test]

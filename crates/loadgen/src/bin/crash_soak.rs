@@ -6,7 +6,7 @@
 //! different altitudes:
 //!
 //! 1. **Sim matrix** (in-process): the full write path — `Engine` →
-//!    `ShardedStore::execute_durable` → `Wal` — over the simulated
+//!    `ShardedStore::execute_batch` (batches of one) → `Wal` — over the simulated
 //!    durable-prefix backend, with concurrent writers on disjoint key
 //!    partitions and a per-key sequential oracle. Seeded crash draws
 //!    kill the log at a reproducible byte (torn records, short fsyncs
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use gocc_faultplane::{StorageFaultPlan, StorageMix};
 use gocc_loadgen::{connect_with_retry, ClientConfig};
 use gocc_optilock::{GoccConfig, GoccRuntime};
-use gocc_server::{mode_name, parse_mode, Mode, ShardedStore};
+use gocc_server::{mode_name, parse_mode, BatchScratch, Mode, ShardedStore};
 use gocc_telemetry::{JsonValue, SplitMix64};
 use gocc_wal::{SyncPolicy, Wal, WalBackend, WalConfig};
 use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
@@ -286,6 +286,7 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> Result<bool, 
                     let mut rng = SplitMix64::new(seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9));
                     let mut oracle = Oracle::new();
                     let mut crashed = false;
+                    let mut scratch = BatchScratch::default();
                     'ops: for i in 0..args.sim_ops {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -293,10 +294,20 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> Result<bool, 
                         let key = format!("t{t}-k{}", rng.below(SIM_KEYS_PER_THREAD));
                         let hist = oracle.entry(key.clone()).or_default();
                         let req = issue_op(&mut rng, &key, hist);
-                        let (resp, ticket) = store.execute_durable(&engine, &req, wal);
+                        // The server's write path: a batch of one.
+                        let routed = [store.route(&req).expect("write verbs route")];
+                        let out = &store.execute_batch(
+                            &engine,
+                            &routed,
+                            Some(wal),
+                            &mut scratch,
+                            |_, _, run| run(),
+                        )[0];
                         // Client-side Incr model must match the store's
                         // post-image exactly, or the oracle is junk.
-                        if let (Request::Incr { .. }, Response::Counter { value }) = (&req, &resp) {
+                        if let (Request::Incr { .. }, Response::Counter { value }) =
+                            (&req, &out.resp)
+                        {
                             if hist.states.last() != Some(&Some(*value)) {
                                 return Err(format!(
                                     "seed {seed} t{t} op {i}: incr oracle diverged \
@@ -305,8 +316,8 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> Result<bool, 
                                 ));
                             }
                         }
-                        match ticket {
-                            Some((ticket, _staged)) => match wal.wait(ticket) {
+                        match out.ticket {
+                            Some(ticket) => match wal.wait(ticket) {
                                 Ok(()) => hist.acked = Some(hist.states.len() - 1),
                                 Err(_) => {
                                     crashed = true;
@@ -344,15 +355,19 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> Result<bool, 
     let rt2 = GoccRuntime::new(GoccConfig::with_telemetry());
     store2.restore_all(rt2.htm(), &recovered.shards);
     let engine2 = Engine::new(&rt2, mode);
+    let mut scratch = BatchScratch::default();
     for (key, hist) in &oracle {
-        let got = match store2.execute(
-            &engine2,
-            &Request::Get {
-                key: key.as_bytes(),
-            },
-        ) {
+        let get = Request::Get {
+            key: key.as_bytes(),
+        };
+        let routed = [store2.route(&get).expect("GET routes")];
+        let got = match store2.execute_batch(&engine2, &routed, None, &mut scratch, |_, _, run| {
+            run();
+        })[0]
+            .resp
+        {
             Response::Value { found, value } => found.then_some(value),
-            other => return Err(format!("seed {seed}: GET answered {other:?}")),
+            ref other => return Err(format!("seed {seed}: GET answered {other:?}")),
         };
         if !hist.admits(got) {
             return Err(format!(

@@ -5,8 +5,8 @@
 //! same four sync configurations (no WAL baseline, `off`, `group`,
 //! `always`), each in both execution modes:
 //!
-//! * **engine** — worker threads call `ShardedStore::execute_durable`
-//!   directly (no sockets). Per-op CPU is sub-microsecond here, so this
+//! * **engine** — worker threads call `ShardedStore::execute_batch`
+//!   directly, one SET per batch (no sockets). Per-op CPU is sub-microsecond here, so this
 //!   level isolates the *fsync amortization*: `group` batches every
 //!   in-flight record behind one fsync while `always` pays one fsync
 //!   per record, and the ratio between them is the subsystem's reason
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use gocc_loadgen::{connect_with_retry, ClientConfig};
 use gocc_optilock::{GoccConfig, GoccRuntime};
-use gocc_server::{mode_name, spawn, Mode, ServerConfig, ShardedStore, SyncPolicy};
+use gocc_server::{mode_name, spawn, BatchScratch, Mode, ServerConfig, ShardedStore, SyncPolicy};
 use gocc_telemetry::{JsonWriter, SplitMix64};
 use gocc_wal::{Wal, WalBackend, WalConfig};
 use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
@@ -155,6 +155,7 @@ fn measure_engine(
                     let mut keybuf = String::new();
                     let mut ops = 0u64;
                     let mut counting = false;
+                    let mut scratch = BatchScratch::default();
                     while !stop.load(Ordering::Relaxed) {
                         use std::fmt::Write as _;
                         keybuf.clear();
@@ -164,16 +165,21 @@ fn measure_engine(
                             value: rng.next_u64() >> 1,
                             ttl: 0,
                         };
-                        match wal {
-                            Some(wal) => {
-                                let (_, ticket) = store.execute_durable(&engine, &req, wal);
-                                if let Some((ticket, _staged)) = ticket {
-                                    wal.wait(ticket).expect("wal healthy");
-                                }
-                            }
-                            None => {
-                                let _ = store.execute(&engine, &req);
-                            }
+                        // The server's write path: a batch of one, then
+                        // the ack-after-barrier wait.
+                        let routed = [store.route(&req).expect("SET routes")];
+                        let wal = wal.as_deref();
+                        let out = store.execute_batch(
+                            &engine,
+                            &routed,
+                            wal,
+                            &mut scratch,
+                            |_, _, run| {
+                                run();
+                            },
+                        );
+                        if let (Some(ticket), Some(wal)) = (out[0].ticket, wal) {
+                            wal.wait(ticket).expect("wal healthy");
                         }
                         if counting {
                             ops += 1;
@@ -376,7 +382,7 @@ fn main() -> ExitCode {
         .field_u64("window_ms", args.window.as_millis() as u64);
 
     println!(
-        "WAL engine throughput: {} closed-loop threads on execute_durable, {}ms window, SET",
+        "WAL engine throughput: {} closed-loop threads on execute_batch, {}ms window, SET",
         args.workers,
         args.window.as_millis()
     );

@@ -64,7 +64,18 @@ fn allocs_over<F: FnMut()>(iters: u64, mut section: F) -> u64 {
     allocations_on_this_thread() - before
 }
 
+/// One `#[test]` for every phase: the phases flip process-global knobs
+/// (`gosync::PROCS`, the trace `ACTIVE` flag), so as sibling tests on the
+/// parallel runner they see each other's settings. (Stop-gap; carrying
+/// the knobs in the runtime handle is the fix.)
 #[test]
+fn steady_state_sections_do_not_allocate() {
+    steady_state_fast_sections_do_not_allocate();
+    steady_state_direct_sections_do_not_allocate();
+    fully_traced_sections_do_not_allocate();
+    aborted_sections_do_not_allocate_either();
+}
+
 fn steady_state_fast_sections_do_not_allocate() {
     let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
@@ -95,7 +106,6 @@ fn steady_state_fast_sections_do_not_allocate() {
     assert!(htm.ctx_fresh <= 2, "steady state kept allocating: {htm:?}");
 }
 
-#[test]
 fn steady_state_direct_sections_do_not_allocate() {
     // procs = 1 engages the single-OS-thread bypass: every section takes
     // the real lock and runs in direct mode, which must be equally free
@@ -125,7 +135,6 @@ fn steady_state_direct_sections_do_not_allocate() {
     assert_eq!(snap.htm_attempts, 0, "speculated at procs=1: {snap:?}");
 }
 
-#[test]
 fn fully_traced_sections_do_not_allocate() {
     // The flight recorder rides the same hot path: with every request
     // sampled (N = 1), the sampling decision, the id propagation and the
@@ -168,7 +177,6 @@ fn fully_traced_sections_do_not_allocate() {
     rt.tracer().configure(0, 0);
 }
 
-#[test]
 fn aborted_sections_do_not_allocate_either() {
     // Conflict-free aborts exercise rollback + context release + retry;
     // the unfriendly abort below forces slow-path completion every time.

@@ -14,13 +14,12 @@ use gocc_wire::{
     decode_repl_request, decode_request_any, encode_response, is_repl_request, FaultyStream,
     FrameBuf, ReplRequest, Request, Response, WireError, MAX_FRAME,
 };
-use gocc_workloads::gocache::BatchOp;
 use gocc_workloads::Engine;
 
 use crate::overload::{classify, VerbClass};
 use crate::repl::{pump_repl_out, ReplSub};
 use crate::stats::verb_index;
-use crate::store::BatchOutcome;
+use crate::store::{BatchScratch, Routed};
 use crate::{ReplWaitError, ServerState, WorkerCtx};
 
 /// Cap on frames executed per pump so one pipelining client cannot starve
@@ -45,7 +44,7 @@ enum FlushState {
     Fatal,
 }
 
-/// One admitted-but-unanswered request in the connection's current decode
+/// One decoded-but-unanswered request in the connection's current decode
 /// batch. Responses for the whole batch are encoded together, in arrival
 /// order, once the batch flushes — that is what keeps the wire strictly
 /// in order even though execution is grouped by shard.
@@ -62,19 +61,28 @@ struct PendingReq {
 }
 
 enum PendingState {
-    /// Execute through the batched store path.
-    Exec {
-        /// Owning shard (routes the request into its shard-group).
-        shard: usize,
-        op: BatchOp,
-    },
+    /// Execute through the store.
+    Exec(Routed),
     /// Answer decided at admission (shed, expired deadline, fenced
     /// primary); held unencoded until the batch flushes so it occupies
     /// its in-order response slot.
     Ready(Response<'static>),
-    /// Replica write redirect — owns the hint string because
-    /// `Response::NotPrimary` borrows its payload.
-    NotPrimary(String),
+    /// Replica write redirect (the hint is read when the batch flushes).
+    NotPrimary,
+}
+
+/// The batch path's reusable buffers. Capacity persists across pump
+/// passes (every vector is drained or cleared before a pass returns), so
+/// a steady-state pass allocates nothing.
+#[derive(Default)]
+struct BatchBufs {
+    /// The current decode batch, in arrival order.
+    pending: Vec<PendingReq>,
+    /// The batch's executable subset, as handed to the store…
+    routed: Vec<Routed>,
+    /// …and each routed entry's index in `pending`.
+    exec_idx: Vec<usize>,
+    scratch: BatchScratch,
 }
 
 /// One client connection, owned by exactly one thread at a time — a
@@ -101,9 +109,7 @@ pub(crate) struct Conn {
     /// replication stream, and the pump additionally drains the feed's
     /// batches for this subscriber.
     repl: Option<ReplSub>,
-    /// Reusable scratch for the pump's decode batch (capacity persists
-    /// across pump passes; always drained empty before the pass returns).
-    batch: Vec<PendingReq>,
+    batch: BatchBufs,
 }
 
 impl Conn {
@@ -117,7 +123,7 @@ impl Conn {
             ingest_at: None,
             closing: false,
             repl: None,
-            batch: Vec::new(),
+            batch: BatchBufs::default(),
         }
     }
 
@@ -132,7 +138,8 @@ impl Conn {
 
     /// Whether this connection subscribed as a replication stream
     /// (sent REPL_HELLO). Such connections are migrated off the worker
-    /// onto the dedicated repl-out thread.
+    /// onto the dedicated repl-out thread, because a worker can block in
+    /// [`flush_batch`]'s `min_acks` wait.
     pub(crate) fn is_repl_sub(&self) -> bool {
         self.repl.is_some()
     }
@@ -239,15 +246,17 @@ impl Conn {
         }
     }
 
-    /// Decodes, admits and executes buffered frames.
+    /// Decodes, admits and executes buffered frames — the one request path.
     ///
-    /// Single-key data verbs are not executed one at a time: each is
-    /// admitted into a pending batch, and the batch executes with **one**
-    /// critical section per shard-group when it flushes — at the pump cap,
-    /// at end of buffered input, or before any frame that cannot join a
-    /// batch (control verbs, SCAN, replication verbs, framing errors).
-    /// Responses are encoded at flush time in arrival order, so the wire
-    /// ordering is identical to sequential execution.
+    /// Every request passes [`admit`] once. A rejected request's answer
+    /// and every single-key data verb (GET, SET, DEL, INCR, SET_S, GET_S)
+    /// join the pending batch, which executes with **one** critical
+    /// section per shard-group when it flushes — at the pump cap, at end
+    /// of buffered input, or before any frame that cannot join a batch
+    /// (control verbs, SCAN, replication verbs, framing errors). A lone
+    /// request is a batch of one. Responses are encoded at flush time in
+    /// arrival order, so the wire ordering is identical to executing one
+    /// frame at a time.
     ///
     /// A decode error sends one final `Error` response and marks the
     /// connection closing. An *oversized* frame is the one framing error
@@ -262,19 +271,20 @@ impl Conn {
         wctx: &mut WorkerCtx,
     ) -> bool {
         let mut progressed = false;
-        let mut batch = std::mem::take(&mut self.batch);
+        let Conn {
+            inbuf,
+            outbuf,
+            closing,
+            repl,
+            batch,
+            ingest_at,
+            ..
+        } = self;
         for _ in 0..MAX_FRAMES_PER_PUMP {
-            if self.closing {
+            if *closing {
                 break;
             }
-            let arrival = self.ingest_at.unwrap_or_else(Instant::now);
-            let Conn {
-                inbuf,
-                outbuf,
-                closing,
-                repl,
-                ..
-            } = self;
+            let arrival = ingest_at.unwrap_or_else(Instant::now);
             match inbuf.next_frame() {
                 Ok(None) => break,
                 Ok(Some(body)) => {
@@ -285,7 +295,7 @@ impl Conn {
                     // still flush the batch first — a REPL frame between
                     // two data frames must not reorder their responses.
                     if is_repl_request(body) {
-                        flush_batch(engine, state, wctx, outbuf, &mut batch);
+                        flush_batch(engine, state, wctx, outbuf, batch);
                         handle_repl_frame(engine, state, outbuf, repl, closing, body);
                         continue;
                     }
@@ -304,16 +314,16 @@ impl Conn {
                         Ok(frame) => {
                             state.counters.note_request(&frame.req);
                             let trace_id = state.rt.tracer().begin_request();
+                            let verb = verb_index(&frame.req);
                             if trace_id != 0 {
-                                let now = trace::now_ns();
-                                state.rt.tracer().push(Span {
+                                let now = span_since(
+                                    state,
                                     trace_id,
-                                    kind: SpanKind::WireDecode,
-                                    start_ns: decode_t0,
-                                    dur_ns: now.saturating_sub(decode_t0),
-                                    a: body_len,
-                                    b: verb_index(&frame.req) as u64,
-                                });
+                                    SpanKind::WireDecode,
+                                    decode_t0,
+                                    body_len,
+                                    verb as u64,
+                                );
                                 // How long the frame's bytes sat in the
                                 // input buffer before this pump pass
                                 // reached them.
@@ -327,23 +337,37 @@ impl Conn {
                                     b: 0,
                                 });
                             }
-                            match gather_pending(
+                            let pending = |decided| PendingReq {
+                                trace_id,
+                                arrival,
+                                deadline_us: frame.deadline_us,
+                                verb,
+                                state: decided,
+                            };
+                            let admitted = admit(
                                 state,
                                 wctx,
                                 arrival,
                                 &frame.req,
                                 frame.deadline_us,
                                 trace_id,
-                            ) {
-                                Some(pending) => batch.push(pending),
-                                None => {
-                                    // Control verb or SCAN: flush what is
-                                    // pending (in-order responses), then
-                                    // run it on the sequential path.
-                                    flush_batch(engine, state, wctx, outbuf, &mut batch);
-                                    if trace_id != 0 {
-                                        trace::set_current(trace_id);
-                                    }
+                            )
+                            .map(|()| state.store.route(&frame.req));
+                            match admitted {
+                                // Rejected: the answer rides the batch so
+                                // it keeps its in-order response slot.
+                                Err(resp) => {
+                                    batch.pending.push(pending(PendingState::Ready(resp)));
+                                }
+                                Ok(Some(routed)) => {
+                                    batch.pending.push(pending(role_check(state, routed)));
+                                }
+                                // Control verb or SCAN: flush what is
+                                // pending (in-order responses), then run
+                                // it on its own.
+                                Ok(None) => {
+                                    flush_batch(engine, state, wctx, outbuf, batch);
+                                    trace::set_current(trace_id);
                                     if !execute_admitted(
                                         engine,
                                         state,
@@ -355,17 +379,15 @@ impl Conn {
                                     ) {
                                         *closing = true;
                                     }
-                                    if trace_id != 0 {
-                                        trace::clear_current();
-                                    }
+                                    trace::clear_current();
                                 }
                             }
                         }
                         Err(e) => {
-                            flush_batch(engine, state, wctx, outbuf, &mut batch);
+                            flush_batch(engine, state, wctx, outbuf, batch);
                             state.counters.note_malformed();
                             let message = format!("malformed frame: {e}");
-                            encode_response(&Response::Error { message: &message }, outbuf);
+                            encode_error(&message, outbuf);
                             *closing = true;
                         }
                     }
@@ -374,27 +396,21 @@ impl Conn {
                     // Oversized frame: FrameBuf discards the body and
                     // resynchronizes, so answer and keep the connection.
                     progressed = true;
-                    flush_batch(engine, state, wctx, outbuf, &mut batch);
+                    flush_batch(engine, state, wctx, outbuf, batch);
                     state.counters.note_oversized();
-                    encode_response(
-                        &Response::Error {
-                            message: "frame exceeds size limit",
-                        },
-                        outbuf,
-                    );
+                    encode_error("frame exceeds size limit", outbuf);
                 }
                 Err(e) => {
                     // Corrupt length prefix: there is no resynchronizing.
-                    flush_batch(engine, state, wctx, outbuf, &mut batch);
+                    flush_batch(engine, state, wctx, outbuf, batch);
                     state.counters.note_malformed();
                     let message = format!("unrecoverable framing error: {e}");
-                    encode_response(&Response::Error { message: &message }, outbuf);
+                    encode_error(&message, outbuf);
                     *closing = true;
                 }
             }
         }
-        flush_batch(engine, state, wctx, &mut self.outbuf, &mut batch);
-        self.batch = batch;
+        flush_batch(engine, state, wctx, outbuf, batch);
         progressed
     }
 
@@ -423,161 +439,153 @@ impl Conn {
     }
 }
 
-/// The admit → deadline-check pipeline for one decoded request, producing
-/// a batch entry instead of executing. Returns `None` for verbs that
-/// cannot batch (control plane, SCAN) — the caller flushes and falls back
-/// to [`execute_admitted`]. For batchable verbs the per-request checks
-/// run here, at the same point in the request's life as on the sequential
-/// path: deadline pre-check, admission, replica redirect, fencing. A
-/// rejected request still returns `Some` — its decided response rides the
-/// batch as [`PendingState::Ready`] so it answers in arrival order.
-fn gather_pending(
+/// The admission prologue every decoded request passes exactly once,
+/// whatever its verb: deadline pre-check (a request whose budget expired
+/// while it queued never reaches the engine; the control plane is exempt),
+/// then the brownout decision on this pump pass's queue depth — so a batch
+/// never smuggles work past the controller. `Err` is the rejection's
+/// answer. The reject path is timed into the shed counters: the overload
+/// soak asserts its mean stays under 10 µs.
+fn admit(
     state: &ServerState,
-    wctx: &mut WorkerCtx,
+    wctx: &WorkerCtx,
     arrival: Instant,
     req: &Request<'_>,
     deadline_us: Option<u32>,
     trace_id: u64,
-) -> Option<PendingReq> {
-    let (shard, op) = state.store.batch_op_for(req)?;
-    let verb = verb_index(req);
-    let pending = |state: PendingState| PendingReq {
-        trace_id,
-        arrival,
-        deadline_us,
-        verb,
-        state,
-    };
-
-    // Deadline pre-check: a request whose budget expired while it queued
-    // is answered without ever reaching the engine. (Batchable verbs are
-    // never Control class, so no exemption applies.)
+) -> Result<(), Response<'static>> {
+    let t0 = Instant::now();
+    let t0_ns = stamp(trace_id);
+    let class = classify(req);
     if let Some(budget_us) = deadline_us {
-        if expired(arrival, budget_us) {
+        if class != VerbClass::Control && expired(arrival, budget_us) {
             state.counters.note_deadline_pre();
-            return Some(pending(PendingState::Ready(Response::DeadlineExceeded)));
+            return Err(Response::DeadlineExceeded);
         }
     }
-
-    // Admission: same brownout decision, per request, before the request
-    // can join a batch — a batch never smuggles work past the controller.
-    let t0 = Instant::now();
-    let t0_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
-    let class = classify(req);
     if let Err(cause) = state
         .brownout
         .admit(class, wctx.frames_seen, state.config.queue_limit)
     {
         let shed_ns = t0.elapsed().as_nanos() as u64;
         state.counters.note_shed(wctx.worker, cause, shed_ns);
-        if trace_id != 0 {
-            state.rt.tracer().push(Span {
-                trace_id,
-                kind: SpanKind::Shed,
-                start_ns: t0_ns,
-                dur_ns: shed_ns,
-                a: cause.index() as u64,
-                b: state.brownout.state() as u8 as u64,
-            });
-        }
-        return Some(pending(PendingState::Ready(Response::Overloaded {
-            state: state.brownout.state() as u8,
-        })));
+        let health = state.brownout.state() as u8;
+        span_since(
+            state,
+            trace_id,
+            SpanKind::Shed,
+            t0_ns,
+            cause.index() as u64,
+            u64::from(health),
+        );
+        return Err(Response::Overloaded { state: health });
     }
+    Ok(())
+}
 
-    let is_write = !matches!(op, BatchOp::Get { .. });
-    // Replicas serve reads; writes are redirected to the primary.
-    if is_write && state.is_replica() {
-        return Some(pending(PendingState::NotPrimary(state.upstream_hint())));
-    }
-    // Fencing pre-check, per request: a fenced primary must not apply new
-    // writes, including ones arriving mid-pipeline.
-    if is_write && !state.is_replica() {
+/// Role checks for an admitted data verb, per request, at the point it
+/// joins the batch. Replicas serve reads and redirect writes to the
+/// primary (the replication stream is a replica's only writer, so its
+/// shard versions stay exactly the primary's). A primary that cannot
+/// currently reach `min_acks` live replicas must not apply (much less
+/// ack) new writes, including ones arriving mid-pipeline — a partitioned
+/// old primary goes read-only instead of diverging.
+fn role_check(state: &ServerState, routed: Routed) -> PendingState {
+    if routed.is_write() {
+        if state.is_replica() {
+            return PendingState::NotPrimary;
+        }
         if let Some(feed) = state.repl_feed() {
             if feed.fenced() {
                 feed.counters().note_fenced_reject();
-                return Some(pending(PendingState::Ready(Response::Error {
+                return PendingState::Ready(Response::Error {
                     message: "primary fenced: insufficient live replicas",
-                })));
+                });
             }
         }
     }
-    Some(pending(PendingState::Exec { shard, op }))
+    PendingState::Exec(routed)
 }
 
-/// Executes and answers the pending batch: one critical section per
-/// shard-group via [`crate::ShardedStore::execute_batch`], then the WAL /
-/// replication / deadline epilogue per request, then every response
-/// encoded in arrival order. No-op on an empty batch. Mirrors the data-
-/// verb arm of [`execute_admitted`] exactly — same counters, same spans
-/// (plus a `BatchExec` span per shard-group), same error strings, same
-/// ack-after-barrier ordering per record.
+/// Takes the load plan's SlowStore draw for one executed request.
+fn draw_slow_store(state: &ServerState, wctx: &WorkerCtx) {
+    if let Some(plan) = &state.config.load_plan {
+        if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
+            std::thread::sleep(d);
+        }
+    }
+}
+
+/// Executes and answers the pending batch — the one place a data verb
+/// meets the store, the WAL and the replication gate. One critical
+/// section per shard-group via [`crate::ShardedStore::execute_batch`]
+/// (a `BatchExec` span per group, a `StoreOp` span per request), then per
+/// request, in arrival order: wait for its own WAL barrier, publish or
+/// wait out `min_acks`, re-check its deadline, encode. No-op on an empty
+/// batch.
 fn flush_batch(
     engine: &Engine<'_>,
     state: &ServerState,
     wctx: &mut WorkerCtx,
     outbuf: &mut Vec<u8>,
-    batch: &mut Vec<PendingReq>,
+    batch: &mut BatchBufs,
 ) {
-    if batch.is_empty() {
+    let BatchBufs {
+        pending,
+        routed,
+        exec_idx,
+        scratch,
+    } = batch;
+    if pending.is_empty() {
         return;
     }
     // Route the executable subset; rejected entries keep their slot in
-    // `batch` and only participate in response encoding below.
-    let mut routed: Vec<(usize, BatchOp)> = Vec::with_capacity(batch.len());
-    let mut exec_idx: Vec<usize> = Vec::with_capacity(batch.len());
-    for (i, p) in batch.iter().enumerate() {
-        if let PendingState::Exec { shard, op } = p.state {
-            routed.push((shard, op));
+    // `pending` and only participate in response encoding below.
+    routed.clear();
+    exec_idx.clear();
+    for (i, p) in pending.iter().enumerate() {
+        if let PendingState::Exec(r) = p.state {
+            routed.push(r);
             exec_idx.push(i);
         }
+    }
+    // One fault draw per executed request.
+    for _ in 0..routed.len() {
+        draw_slow_store(state, wctx);
     }
     let feed = if state.is_replica() {
         None
     } else {
         state.repl_feed()
     };
-    let mut outcomes: Vec<BatchOutcome> = Vec::new();
-    if !routed.is_empty() {
-        // One fault draw per executed request, so injected SlowStore
-        // rates match the sequential path request-for-request.
-        if let Some(plan) = &state.config.load_plan {
-            for _ in 0..routed.len() {
-                if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
-                    std::thread::sleep(d);
-                }
-            }
-        }
-        let wal = state.wal().map(|w| w.as_ref());
-        outcomes = state
+    let wal = state.wal().map(|w| w.as_ref());
+    let outcomes =
+        state
             .store
-            .execute_batch(engine, &routed, wal, |shard, positions, run| {
+            .execute_batch(engine, routed, wal, scratch, |shard, positions, run| {
                 // The group's engine section runs under the first sampled
                 // request's trace id, so Section/HtmAttempt spans attach
                 // to a real request; the BatchExec span marks the whole
                 // group and carries its size.
                 let parent = positions
                     .iter()
-                    .map(|&p| batch[exec_idx[p]].trace_id)
+                    .map(|&p| pending[exec_idx[p]].trace_id)
                     .find(|&id| id != 0)
                     .unwrap_or(0);
-                let t0_ns = if parent != 0 { trace::now_ns() } else { 0 };
+                let t0_ns = stamp(parent);
                 let group_t0 = Instant::now();
-                if parent != 0 {
-                    trace::set_current(parent);
-                }
+                trace::set_current(parent);
                 run();
-                if parent != 0 {
-                    trace::clear_current();
-                }
+                trace::clear_current();
                 let group_ns = group_t0.elapsed().as_nanos() as u64;
                 let n = positions.len() as u64;
-                // Engine latency only feeds the brownout EWMA; the group's
-                // cost is attributed evenly across its requests so the
-                // controller sees the amortized per-request load.
+                // Engine latency only feeds the brownout EWMA (the barrier
+                // waits below are deliberate batching, not overload); the
+                // group's cost is attributed evenly across its requests so
+                // the controller sees the amortized per-request load.
                 let per_req_ns = group_ns / n.max(1);
                 for &p in positions {
-                    let pr = &batch[exec_idx[p]];
+                    let pr = &pending[exec_idx[p]];
                     wctx.lat_sum_ns += per_req_ns;
                     wctx.lat_count += 1;
                     state.counters.note_executed(wctx.worker, per_req_ns);
@@ -604,100 +612,88 @@ fn flush_batch(
                 }
                 state.counters.note_batch(n);
             });
-    }
     // Epilogue + response encode, in arrival order. The WAL wait and the
-    // replication gate stay per-record: each mutation's ack still waits
-    // for exactly its own barrier, same as sequentially.
-    let mut outcome_iter = outcomes.into_iter();
-    for p in batch.drain(..) {
-        let out_start = outbuf.len();
-        match p.state {
-            PendingState::Ready(resp) => encode_response(&resp, outbuf),
-            PendingState::NotPrimary(hint) => {
+    // replication gate stay per-record: each mutation's ack waits for
+    // exactly its own barrier.
+    let mut outcomes = outcomes.iter();
+    for p in pending.drain(..) {
+        let out = match p.state {
+            PendingState::Ready(resp) => {
+                encode_response(&resp, outbuf);
+                continue;
+            }
+            PendingState::NotPrimary => {
+                let hint = state.upstream_hint();
                 encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
+                continue;
             }
-            PendingState::Exec { .. } => {
-                let BatchOutcome {
-                    mut resp,
-                    staged,
-                    ticket,
-                } = outcome_iter.next().expect("one outcome per routed entry");
-                // Ack-after-barrier: the response for a mutating verb is
-                // not encoded until its WAL record is inside an fsynced
-                // prefix.
-                if let (Some(ticket), Some(wal)) = (ticket, state.wal()) {
-                    let wait_t0 = if p.trace_id != 0 { trace::now_ns() } else { 0 };
-                    let waited = wal.wait(ticket);
-                    if p.trace_id != 0 {
-                        state.rt.tracer().push(Span {
-                            trace_id: p.trace_id,
-                            kind: SpanKind::WalCommit,
-                            start_ns: wait_t0,
-                            dur_ns: trace::now_ns().saturating_sub(wait_t0),
-                            a: ticket.number(),
-                            b: 0,
-                        });
-                    }
-                    if waited.is_err() {
-                        resp = Response::Error {
-                            message: "write-ahead log failed; write not durable",
-                        };
-                    }
-                } else if let (Some(feed), Some(staged)) = (feed, staged.as_ref()) {
-                    // No-WAL primary: the applied write is this
-                    // deployment's durable prefix, so it enters the feed
-                    // here.
-                    feed.publish(staged.shard, std::slice::from_ref(staged));
-                }
-                // Replication gate: the ack is withheld until enough
-                // replicas confirmed this record's version.
-                if let (Some(feed), Some(staged)) = (feed, staged.as_ref()) {
-                    if !matches!(resp, Response::Error { .. }) {
-                        match feed.wait_replicated(
-                            staged.shard,
-                            staged.seq,
-                            state.config.repl_ack_timeout,
-                        ) {
-                            Ok(()) => {}
-                            Err(ReplWaitError::Fenced) => {
-                                resp = Response::Error {
-                                    message: "primary fenced: write not acknowledged",
-                                };
-                            }
-                            Err(ReplWaitError::Timeout) => {
-                                resp = Response::Error {
-                                    message: "replication timed out: write not acknowledged",
-                                };
-                            }
-                        }
-                    }
-                }
-                // Deadline post-check: effects are already applied (the
-                // engine ran); only this request's response is replaced.
-                let resp_t0 = if p.trace_id != 0 { trace::now_ns() } else { 0 };
-                match p.deadline_us {
-                    Some(budget_us) if expired(p.arrival, budget_us) => {
-                        state.counters.note_deadline_post();
-                        encode_response(&Response::DeadlineExceeded, outbuf);
-                    }
-                    _ => encode_response(&resp, outbuf),
-                }
-                if p.trace_id != 0 {
-                    state.rt.tracer().push(Span {
-                        trace_id: p.trace_id,
-                        kind: SpanKind::ResponseWrite,
-                        start_ns: resp_t0,
-                        dur_ns: trace::now_ns().saturating_sub(resp_t0),
-                        a: (outbuf.len() - out_start) as u64,
-                        b: 0,
-                    });
-                }
+            PendingState::Exec(_) => outcomes.next().expect("one outcome per routed entry"),
+        };
+        let out_start = outbuf.len();
+        // Set when the write applied but must not be acknowledged.
+        let mut failure: Option<&'static str> = None;
+        // Ack-after-barrier: the response for a mutating verb is not
+        // encoded until its WAL record is inside an fsynced prefix. The
+        // in-memory effect is already applied; if the log died, say so
+        // instead of acknowledging a write that may not survive a crash.
+        if let (Some(ticket), Some(wal)) = (out.ticket, wal) {
+            let wait_t0 = stamp(p.trace_id);
+            let waited = wal.wait(ticket);
+            let number = ticket.number();
+            span_since(state, p.trace_id, SpanKind::WalCommit, wait_t0, number, 0);
+            if waited.is_err() {
+                failure = Some("write-ahead log failed; write not durable");
             }
+        } else if let (Some(feed), Some(staged)) = (feed, out.staged.as_ref()) {
+            // No-WAL primary: the applied write is this deployment's
+            // durable prefix (there is nothing stronger to wait for), so
+            // it enters the feed here.
+            feed.publish(staged.shard, std::slice::from_ref(staged));
         }
+        // Replication gate: with `min_acks` configured, the ack is
+        // withheld until enough replicas confirmed this record's version
+        // (or the primary turns out to be fenced — then the client must
+        // not treat the write as accepted, even though it applied
+        // locally: the promoted side's history wins).
+        if let (Some(feed), Some(staged), None) = (feed, out.staged.as_ref(), failure) {
+            failure =
+                match feed.wait_replicated(staged.shard, staged.seq, state.config.repl_ack_timeout)
+                {
+                    Ok(()) => None,
+                    Err(ReplWaitError::Fenced) => Some("primary fenced: write not acknowledged"),
+                    Err(ReplWaitError::Timeout) => {
+                        Some("replication timed out: write not acknowledged")
+                    }
+                };
+        }
+        // Deadline post-check: the effect is already applied (the engine
+        // ran), but the client stopped waiting — tell it so instead of
+        // shipping a result it will ignore. Documented semantics:
+        // deadlines bound *waiting*, not *effects*.
+        let resp_t0 = stamp(p.trace_id);
+        match (p.deadline_us, failure) {
+            (Some(budget_us), _) if expired(p.arrival, budget_us) => {
+                state.counters.note_deadline_post();
+                encode_response(&Response::DeadlineExceeded, outbuf);
+            }
+            (_, Some(message)) => encode_response(&Response::Error { message }, outbuf),
+            (_, None) => encode_response(&out.resp, outbuf),
+        }
+        let written = (outbuf.len() - out_start) as u64;
+        span_since(
+            state,
+            p.trace_id,
+            SpanKind::ResponseWrite,
+            resp_t0,
+            written,
+            0,
+        );
     }
 }
 
-/// The admit → deadline-check → execute pipeline for one decoded request.
+/// Executes one admitted verb that cannot join a batch: the control plane
+/// and SCAN (cross-shard, one read section per shard, no record to log or
+/// replicate).
 ///
 /// Returns `false` when the connection must start closing (SHUTDOWN).
 /// Free function (not a method) so the borrow of `outbuf` stays disjoint
@@ -711,88 +707,26 @@ fn execute_admitted(
     req: &Request<'_>,
     deadline_us: Option<u32>,
 ) -> bool {
-    let t0 = Instant::now();
-    let class = classify(req);
     let trace_id = trace::current();
-    let t0_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
     let out_start = outbuf.len();
-
-    // Deadline pre-check: a request whose budget expired while it queued
-    // is answered without ever reaching the engine.
-    if let Some(budget_us) = deadline_us {
-        if class != VerbClass::Control && expired(arrival, budget_us) {
-            state.counters.note_deadline_pre();
-            encode_response(&Response::DeadlineExceeded, outbuf);
-            return true;
-        }
-    }
-
-    // Admission: the brownout state and this pump pass's queue depth
-    // decide. The whole reject path (classify + admit + encode) is
-    // measured — the soak asserts its mean stays under 10 µs.
-    if let Err(cause) = state
-        .brownout
-        .admit(class, wctx.frames_seen, state.config.queue_limit)
-    {
-        encode_response(
-            &Response::Overloaded {
-                state: state.brownout.state() as u8,
-            },
-            outbuf,
-        );
-        let shed_ns = t0.elapsed().as_nanos() as u64;
-        state.counters.note_shed(wctx.worker, cause, shed_ns);
-        if trace_id != 0 {
-            state.rt.tracer().push(Span {
-                trace_id,
-                kind: SpanKind::Shed,
-                start_ns: t0_ns,
-                dur_ns: shed_ns,
-                a: cause.index() as u64,
-                b: state.brownout.state() as u8 as u64,
-            });
-        }
-        return true;
-    }
-
     // Start of the response-encode window: control verbs encode straight
-    // from here; data verbs reset it after the store call.
-    let mut resp_t0 = t0_ns;
+    // from here; SCAN resets it after the store call.
+    let mut resp_t0 = stamp(trace_id);
 
     let keep_open = match req {
         Request::Stats => {
             let json = state.stats_json();
-            // A stats document larger than a frame (giant telemetry
-            // event trace) would trip the encoder's frame-size assert
-            // — a network-reachable panic. Refuse it on just this
-            // connection instead.
-            if json.len() > MAX_FRAME - 8 {
-                encode_response(
-                    &Response::Error {
-                        message: "stats document exceeds frame limit",
-                    },
-                    outbuf,
-                );
-            } else {
-                encode_response(&Response::Stats { json: &json }, outbuf);
-            }
+            let resp = Response::Stats { json: &json };
+            let resp = bounded(&json, resp, "stats document exceeds frame limit");
+            encode_response(&resp, outbuf);
             true
         }
         Request::Trace { max } => {
             let cap = if *max == 0 { TRACE_DEFAULT_MAX } else { *max };
             let json = state.trace_json(cap);
-            // Same frame-size refusal as STATS: never feed the encoder a
-            // document that would trip its size assert.
-            if json.len() > MAX_FRAME - 8 {
-                encode_response(
-                    &Response::Error {
-                        message: "trace document exceeds frame limit",
-                    },
-                    outbuf,
-                );
-            } else {
-                encode_response(&Response::Trace { json: &json }, outbuf);
-            }
+            let resp = Response::Trace { json: &json };
+            let resp = bounded(&json, resp, "trace document exceeds frame limit");
+            encode_response(&resp, outbuf);
             true
         }
         Request::Health => {
@@ -819,175 +753,51 @@ fn execute_admitted(
             encode_response(&Response::Bye, outbuf);
             false
         }
-        data_verb => {
-            let is_write = matches!(
-                data_verb,
-                Request::Set { .. }
-                    | Request::Del { .. }
-                    | Request::Incr { .. }
-                    | Request::SetS { .. }
-            );
-            // Replicas serve reads; writes are redirected to the primary.
-            // The replication stream is a replica's only writer, so its
-            // shard versions stay exactly the primary's.
-            if is_write && state.is_replica() {
-                let hint = state.upstream_hint();
-                encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
-                return true;
-            }
-            let feed = if state.is_replica() {
-                None
-            } else {
-                state.repl_feed()
-            };
-            // Fencing pre-check: a primary that cannot currently reach
-            // `min_acks` live replicas must not apply (much less ack) new
-            // writes — a partitioned old primary goes read-only instead
-            // of diverging.
-            if is_write {
-                if let Some(feed) = feed {
-                    if feed.fenced() {
-                        feed.counters().note_fenced_reject();
-                        encode_response(
-                            &Response::Error {
-                                message: "primary fenced: insufficient live replicas",
-                            },
-                            outbuf,
-                        );
-                        return true;
-                    }
-                }
-            }
+        Request::Scan { limit } => {
             let exec_start = Instant::now();
-            if let Some(plan) = &state.config.load_plan {
-                if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
-                    std::thread::sleep(d);
-                }
-            }
-            let store_t0 = if trace_id != 0 { trace::now_ns() } else { 0 };
-            let (mut resp, ticket, staged) = match state.wal() {
-                Some(wal) => {
-                    let (resp, t) = state.store.execute_durable(engine, data_verb, wal);
-                    match t {
-                        Some((ticket, staged)) => (resp, Some(ticket), Some(staged)),
-                        None => (resp, None, None),
-                    }
-                }
-                // No WAL but a feed: the request path itself is the
-                // durable prefix (there is nothing stronger to wait for),
-                // so publish straight to the feed after the shard commit.
-                None if feed.is_some() => {
-                    let (resp, staged) = state.store.execute_staged(engine, data_verb);
-                    (resp, None, staged)
-                }
-                None => (state.store.execute(engine, data_verb), None, None),
-            };
+            draw_slow_store(state, wctx);
+            let pairs = state.store.scan(engine, *limit as usize);
             let exec_ns = exec_start.elapsed().as_nanos() as u64;
-            if trace_id != 0 {
-                resp_t0 = trace::now_ns();
-                state.rt.tracer().push(Span {
-                    trace_id,
-                    kind: SpanKind::StoreOp,
-                    start_ns: store_t0,
-                    dur_ns: resp_t0.saturating_sub(store_t0),
-                    a: verb_index(data_verb) as u64,
-                    b: 0,
-                });
-            }
-            // Engine latency only feeds the brownout EWMA — the group
-            // commit wait below is deliberate batching, not overload, and
-            // must not drive the controller toward shedding.
+            let verb = verb_index(req) as u64;
+            resp_t0 = span_since(state, trace_id, SpanKind::StoreOp, resp_t0, verb, 0);
             wctx.lat_sum_ns += exec_ns;
             wctx.lat_count += 1;
             state.counters.note_executed(wctx.worker, exec_ns);
-            // Ack-after-barrier: the response for a mutating verb is not
-            // encoded until its WAL record is inside an fsynced prefix.
-            // The in-memory effect is already applied; if the log died,
-            // say so instead of acknowledging a write that may not
-            // survive a crash.
-            if let (Some(ticket), Some(wal)) = (ticket, state.wal()) {
-                let wait_t0 = if trace_id != 0 { trace::now_ns() } else { 0 };
-                let waited = wal.wait(ticket);
-                if trace_id != 0 {
-                    let now = trace::now_ns();
-                    state.rt.tracer().push(Span {
-                        trace_id,
-                        kind: SpanKind::WalCommit,
-                        start_ns: wait_t0,
-                        dur_ns: now.saturating_sub(wait_t0),
-                        a: ticket.number(),
-                        b: 0,
-                    });
-                    resp_t0 = now;
-                }
-                if waited.is_err() {
-                    resp = Response::Error {
-                        message: "write-ahead log failed; write not durable",
-                    };
-                }
-            } else if let (Some(feed), Some(staged)) = (feed, staged.as_ref()) {
-                // No-WAL primary: everything applied is "durable" by this
-                // deployment's definition, so it enters the feed here.
-                feed.publish(staged.shard, std::slice::from_ref(staged));
-            }
-            // Replication gate: with `min_acks` configured, the ack is
-            // withheld until enough replicas confirmed this version (or
-            // the primary turns out to be fenced — then the client must
-            // not treat the write as accepted, even though it applied
-            // locally: the promoted side's history wins).
-            if let (Some(feed), Some(staged)) = (feed, staged.as_ref()) {
-                if !matches!(resp, Response::Error { .. }) {
-                    match feed.wait_replicated(
-                        staged.shard,
-                        staged.seq,
-                        state.config.repl_ack_timeout,
-                    ) {
-                        Ok(()) => {}
-                        Err(ReplWaitError::Fenced) => {
-                            resp = Response::Error {
-                                message: "primary fenced: write not acknowledged",
-                            };
-                        }
-                        Err(ReplWaitError::Timeout) => {
-                            resp = Response::Error {
-                                message: "replication timed out: write not acknowledged",
-                            };
-                        }
-                    }
-                }
-            }
-            // Deadline post-check: the effect is already applied (the
-            // engine ran), but the client stopped waiting — tell it so
-            // instead of shipping a result it will ignore. Documented
-            // semantics: deadlines bound *waiting*, not *effects*.
+            // Same deadline post-check as the batch path.
             match deadline_us {
                 Some(budget_us) if expired(arrival, budget_us) => {
                     state.counters.note_deadline_post();
                     encode_response(&Response::DeadlineExceeded, outbuf);
                 }
-                _ => encode_response(&resp, outbuf),
+                _ => encode_response(&Response::Entries { pairs }, outbuf),
             }
             true
         }
+        // Every other verb routes (`ShardedStore::route`) and executes in
+        // `flush_batch`; answer rather than panic if one ever lands here.
+        _ => {
+            encode_error("data verb reached the unbatched path", outbuf);
+            true
+        }
     };
-    if trace_id != 0 {
-        state.rt.tracer().push(Span {
-            trace_id,
-            kind: SpanKind::ResponseWrite,
-            start_ns: resp_t0,
-            dur_ns: trace::now_ns().saturating_sub(resp_t0),
-            a: (outbuf.len() - out_start) as u64,
-            b: 0,
-        });
-    }
+    let written = (outbuf.len() - out_start) as u64;
+    span_since(
+        state,
+        trace_id,
+        SpanKind::ResponseWrite,
+        resp_t0,
+        written,
+        0,
+    );
     keep_open
 }
 
 /// Handles one replication verb on this connection.
 ///
-/// Free function with the same disjoint-borrow shape as
-/// [`execute_admitted`]: `outbuf`, the subscription slot and the closing
-/// flag come in as separate `&mut`s from the destructured connection.
+/// Free function: `outbuf`, the subscription slot and the closing flag
+/// come in as separate `&mut`s from the connection `process_frames`
+/// destructured, so they stay disjoint from the input buffer `body`
+/// borrows.
 fn handle_repl_frame(
     engine: &Engine<'_>,
     state: &ServerState,
@@ -1006,12 +816,7 @@ fn handle_repl_frame(
                 return;
             }
             let Some(feed) = state.repl_feed() else {
-                encode_response(
-                    &Response::Error {
-                        message: "replication not enabled (start with --repl-accept)",
-                    },
-                    outbuf,
-                );
+                encode_error("replication not enabled (start with --repl-accept)", outbuf);
                 *closing = true;
                 return;
             };
@@ -1075,21 +880,14 @@ fn handle_repl_frame(
                 // would un-fence it. It stays primary-at-old-epoch, kept
                 // harmless by lease fencing (its replicas are gone) and by
                 // stale-epoch rejection on every batch it still emits.
-                encode_response(
-                    &Response::Error {
-                        message: "cannot repoint a primary; demotion is not supported",
-                    },
+                encode_error(
+                    "cannot repoint a primary; demotion is not supported",
                     outbuf,
                 );
                 return;
             }
             if epoch < state.epoch() {
-                encode_response(
-                    &Response::Error {
-                        message: "stale epoch announce",
-                    },
-                    outbuf,
-                );
+                encode_error("stale epoch announce", outbuf);
                 return;
             }
             state.observe_epoch(epoch);
@@ -1100,12 +898,7 @@ fn handle_repl_frame(
                     }
                     encode_response(&Response::Done, outbuf);
                 }
-                Err(_) => encode_response(
-                    &Response::Error {
-                        message: "primary address is not valid UTF-8",
-                    },
-                    outbuf,
-                ),
+                Err(_) => encode_error("primary address is not valid UTF-8", outbuf),
             }
         }
         Ok(ReplRequest::Promote { upstream }) => {
@@ -1122,28 +915,72 @@ fn handle_repl_frame(
                         state.set_upstream(addr.to_string());
                         encode_response(&Response::Done, outbuf);
                     }
-                    Ok(_) => encode_response(
-                        &Response::Error {
-                            message: "cannot repoint a primary; demotion is not supported",
-                        },
+                    Ok(_) => encode_error(
+                        "cannot repoint a primary; demotion is not supported",
                         outbuf,
                     ),
-                    Err(_) => encode_response(
-                        &Response::Error {
-                            message: "upstream address is not valid UTF-8",
-                        },
-                        outbuf,
-                    ),
+                    Err(_) => encode_error("upstream address is not valid UTF-8", outbuf),
                 }
             }
         }
         Err(e) => {
             state.counters.note_malformed();
             let message = format!("malformed replication frame: {e}");
-            encode_response(&Response::Error { message: &message }, outbuf);
+            encode_error(&message, outbuf);
             *closing = true;
         }
     }
+}
+
+/// Answers `message` as an `Error` response.
+fn encode_error(message: &str, outbuf: &mut Vec<u8>) {
+    encode_response(&Response::Error { message }, outbuf);
+}
+
+/// A STATS/TRACE document response, or an `Error` when the document is
+/// larger than a frame (a giant telemetry event trace): feeding it to the
+/// encoder would trip its frame-size assert — a network-reachable panic —
+/// so it is refused on just this connection instead.
+fn bounded<'a>(json: &str, resp: Response<'a>, message: &'static str) -> Response<'a> {
+    if json.len() > MAX_FRAME - 8 {
+        Response::Error { message }
+    } else {
+        resp
+    }
+}
+
+/// The trace clock for a sampled request; unsampled requests never read it.
+fn stamp(trace_id: u64) -> u64 {
+    if trace_id != 0 {
+        trace::now_ns()
+    } else {
+        0
+    }
+}
+
+/// Records a span that began at `start_ns` (a [`stamp`]) and ends now,
+/// returning now. No-op for an unsampled request.
+fn span_since(
+    state: &ServerState,
+    trace_id: u64,
+    kind: SpanKind,
+    start_ns: u64,
+    a: u64,
+    b: u64,
+) -> u64 {
+    if trace_id == 0 {
+        return 0;
+    }
+    let now = trace::now_ns();
+    state.rt.tracer().push(Span {
+        trace_id,
+        kind,
+        start_ns,
+        dur_ns: now.saturating_sub(start_ns),
+        a,
+        b,
+    });
+    now
 }
 
 /// Whether `budget_us` microseconds have fully elapsed since `arrival`.

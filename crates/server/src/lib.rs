@@ -57,6 +57,8 @@
 //! * The **HEALTH** verb reports the brownout state plus shed and
 //!   deadline-miss counters, and is never shed.
 
+#[cfg(test)]
+mod alloc_budget;
 mod conn;
 mod overload;
 mod repl;
@@ -86,7 +88,7 @@ pub use overload::{
     SHED_CAUSE_NAMES, TRANSITION_NAMES,
 };
 pub use stats::{ServerCounters, WorkerGauges};
-pub use store::{BatchOutcome, ShardedStore};
+pub use store::{BatchOutcome, BatchScratch, Routed, Session, ShardedStore};
 
 use conn::{Conn, PumpOutcome};
 

@@ -13,11 +13,44 @@ use gocc_wire::{ReplRecord, Request, Response, REPL_KIND_DEL, REPL_KIND_PUT};
 use gocc_workloads::gocache::{BatchOp, BatchReply, Cache, CacheOp};
 use gocc_workloads::Engine;
 
+/// How a routed request's reply differs from the plain verb's: the two
+/// session verbs are ordinary batch entries with a different answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Session {
+    /// GET / SET / DEL / INCR.
+    Plain,
+    /// SET_S: a `Set` whose ack carries the `(shard, seq)` it committed at.
+    Token,
+    /// GET_S: a `Get` answered `Behind` while the shard is below this
+    /// version.
+    Floor(u64),
+}
+
+/// One data request routed for [`ShardedStore::execute_batch`]: the owning
+/// shard, the pre-hashed op and the reply flavour.
+#[derive(Clone, Copy, Debug)]
+pub struct Routed {
+    /// Owning shard (places the request in its shard-group).
+    pub shard: usize,
+    /// The section-body op.
+    pub op: BatchOp,
+    /// Reply flavour.
+    pub session: Session,
+}
+
+impl Routed {
+    /// Whether the op mutates its shard.
+    #[must_use]
+    pub fn is_write(&self) -> bool {
+        !matches!(self.op, BatchOp::Get { .. })
+    }
+}
+
 /// Per-request result of [`ShardedStore::execute_batch`]: the response
 /// plus, for mutations, the committed post-image record and (when a WAL
-/// is attached) the staged ticket the connection must wait on before
-/// acknowledging — the same triple the single-request
-/// [`ShardedStore::execute_durable`] path produces.
+/// is attached) the staged ticket the caller must [`Wal::wait`] on
+/// **before** acknowledging — the ack-after-barrier ordering is the entire
+/// durability contract.
 pub struct BatchOutcome {
     /// The wire response for this request.
     pub resp: Response<'static>,
@@ -25,6 +58,20 @@ pub struct BatchOutcome {
     pub staged: Option<Staged>,
     /// WAL barrier ticket for mutations when a WAL is attached.
     pub ticket: Option<WalTicket>,
+}
+
+/// Reusable buffers for [`ShardedStore::execute_batch`]. A caller that
+/// keeps one across calls (each connection does) allocates nothing per
+/// batch once the buffers have grown to its pipeline depth.
+#[derive(Default)]
+pub struct BatchScratch {
+    /// Input positions ordered by (shard, position).
+    order: Vec<usize>,
+    /// The current shard-group's ops and replies.
+    ops: Vec<BatchOp>,
+    replies: Vec<BatchReply>,
+    /// Outcomes in input order — what `execute_batch` returns a view of.
+    outcomes: Vec<BatchOutcome>,
 }
 
 /// A fixed set of independently locked cache shards.
@@ -56,12 +103,6 @@ impl ShardedStore {
     #[must_use]
     pub fn shard_index_for(&self, h: u64) -> usize {
         (mix64(h) >> 32) as usize % self.shards.len()
-    }
-
-    /// The shard owning hashed key `h`.
-    #[must_use]
-    pub fn shard_for(&self, h: u64) -> &Cache {
-        &self.shards[self.shard_index_for(h)]
     }
 
     /// The shard at `index` — the replication paths address shards by the
@@ -99,216 +140,55 @@ impl ShardedStore {
         out
     }
 
-    /// Executes one already-decoded data-plane request. STATS and
-    /// SHUTDOWN are control-plane and handled by the connection layer.
+    /// Routes one decoded request for execution: the owning shard, the
+    /// pre-hashed [`BatchOp`] and the reply flavour. Returns `None` for
+    /// verbs that are not single-key data verbs — SCAN (cross-shard,
+    /// capacity-abort generator; see [`ShardedStore::scan`]) and the
+    /// control plane.
     #[must_use]
-    pub fn execute(&self, engine: &Engine<'_>, req: &Request<'_>) -> Response<'static> {
-        match *req {
-            Request::Get { key } => {
-                let h = fnv1a(key);
-                match self.shard_for(h).get(engine, h) {
-                    Some(value) => Response::Value { found: true, value },
-                    None => Response::Value {
-                        found: false,
-                        value: 0,
-                    },
-                }
-            }
-            Request::Set { key, value, ttl } => {
-                let h = fnv1a(key);
-                self.shard_for(h).set(engine, h, value, ttl);
-                Response::Done
-            }
-            Request::Del { key } => {
-                let h = fnv1a(key);
-                Response::Deleted {
-                    existed: self.shard_for(h).delete(engine, h),
-                }
-            }
-            Request::Incr { key, delta } => {
-                let h = fnv1a(key);
-                Response::Counter {
-                    value: self.shard_for(h).incr(engine, h, delta),
-                }
-            }
-            Request::Scan { limit } => Response::Entries {
-                pairs: self.scan(engine, limit as usize),
-            },
-            Request::SetS { key, value, ttl } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                let (seq, _) = self.shards[shard].set_seq(engine, h, value, ttl);
-                Response::DoneAt {
-                    shard: shard as u32,
-                    version: seq,
-                }
-            }
-            Request::GetS { key, min_version } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                // Version first, value second: shard versions only
-                // advance, so version >= min_version here guarantees the
-                // read below observes at least the session's write.
-                let version = self.shards[shard].version(engine);
-                if version < min_version {
-                    return Response::Behind { version };
-                }
-                match self.shards[shard].get(engine, h) {
-                    Some(value) => Response::Value { found: true, value },
-                    None => Response::Value {
-                        found: false,
-                        value: 0,
-                    },
-                }
-            }
-            Request::Stats
-            | Request::Health
-            | Request::Shutdown
-            | Request::Trace { .. }
-            | Request::Flush => Response::Error {
-                message: "control-plane verb reached the store",
-            },
-        }
-    }
-
-    /// Executes one mutating request, returning the committed post-image
-    /// record alongside the response. The shard's critical section assigns
-    /// the commit sequence number; the record is what WAL staging and the
-    /// replication feed both consume. Read and control verbs return no
-    /// record.
-    #[must_use]
-    pub fn execute_staged(
-        &self,
-        engine: &Engine<'_>,
-        req: &Request<'_>,
-    ) -> (Response<'static>, Option<Staged>) {
-        match *req {
-            Request::Set { key, value, ttl } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                let (seq, exp) = self.shards[shard].set_seq(engine, h, value, ttl);
-                (
-                    Response::Done,
-                    Some(Staged {
-                        shard: shard as u32,
-                        seq,
-                        kind: WalKind::Put,
-                        key: h,
-                        value,
-                        exp,
-                    }),
-                )
-            }
-            Request::SetS { key, value, ttl } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                let (seq, exp) = self.shards[shard].set_seq(engine, h, value, ttl);
-                (
-                    Response::DoneAt {
-                        shard: shard as u32,
-                        version: seq,
-                    },
-                    Some(Staged {
-                        shard: shard as u32,
-                        seq,
-                        kind: WalKind::Put,
-                        key: h,
-                        value,
-                        exp,
-                    }),
-                )
-            }
-            Request::Del { key } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                let (existed, seq) = self.shards[shard].delete_seq(engine, h);
-                (
-                    Response::Deleted { existed },
-                    Some(Staged {
-                        shard: shard as u32,
-                        seq,
-                        kind: WalKind::Del,
-                        key: h,
-                        value: 0,
-                        exp: 0,
-                    }),
-                )
-            }
-            Request::Incr { key, delta } => {
-                let h = fnv1a(key);
-                let shard = self.shard_index_for(h);
-                let (value, seq) = self.shards[shard].incr_seq(engine, h, delta);
-                // Post-image of the value only; replay preserves whatever
-                // expiration the key carries (`WalKind::PutVal`).
-                (
-                    Response::Counter { value },
-                    Some(Staged {
-                        shard: shard as u32,
-                        seq,
-                        kind: WalKind::PutVal,
-                        key: h,
-                        value,
-                        exp: 0,
-                    }),
-                )
-            }
-            _ => (self.execute(engine, req), None),
-        }
-    }
-
-    /// [`ShardedStore::execute_staged`] plus WAL staging: the record goes
-    /// into the shard's commit pipe, and the returned ticket is what the
-    /// connection must [`Wal::wait`] on **before** encoding the
-    /// acknowledgement — the ack-after-barrier ordering is the entire
-    /// durability contract. Read verbs return no ticket.
-    #[must_use]
-    pub fn execute_durable(
-        &self,
-        engine: &Engine<'_>,
-        req: &Request<'_>,
-        wal: &Wal,
-    ) -> (Response<'static>, Option<(WalTicket, Staged)>) {
-        let (resp, staged) = self.execute_staged(engine, req);
-        let ticket = staged.map(|record| (wal.stage(record), record));
-        (resp, ticket)
-    }
-
-    /// Routes one decoded request for batched execution: the owning shard
-    /// index plus the pre-hashed [`BatchOp`]. Returns `None` for verbs
-    /// that never batch — SCAN (cross-shard, capacity-abort generator)
-    /// and the control plane.
-    #[must_use]
-    pub fn batch_op_for(&self, req: &Request<'_>) -> Option<(usize, BatchOp)> {
-        let (h, op) = match *req {
-            Request::Get { key } => {
-                let h = fnv1a(key);
-                (h, BatchOp::Get { key: h })
-            }
-            Request::Set { key, value, ttl } => {
-                let h = fnv1a(key);
-                (h, BatchOp::Set { key: h, value, ttl })
-            }
-            Request::Del { key } => {
-                let h = fnv1a(key);
-                (h, BatchOp::Del { key: h })
-            }
-            Request::Incr { key, delta } => {
-                let h = fnv1a(key);
-                (h, BatchOp::Incr { key: h, delta })
-            }
+    pub fn route(&self, req: &Request<'_>) -> Option<Routed> {
+        let (key, session) = match *req {
+            Request::Get { key }
+            | Request::Set { key, .. }
+            | Request::Del { key }
+            | Request::Incr { key, .. } => (key, Session::Plain),
+            Request::SetS { key, .. } => (key, Session::Token),
+            Request::GetS { key, min_version } => (key, Session::Floor(min_version)),
             _ => return None,
         };
-        Some((self.shard_index_for(h), op))
+        let key = fnv1a(key);
+        let op = match *req {
+            Request::Set { value, ttl, .. } | Request::SetS { value, ttl, .. } => {
+                BatchOp::Set { key, value, ttl }
+            }
+            Request::Del { .. } => BatchOp::Del { key },
+            Request::Incr { delta, .. } => BatchOp::Incr { key, delta },
+            _ => BatchOp::Get { key },
+        };
+        Some(Routed {
+            shard: self.shard_index_for(key),
+            op,
+            session,
+        })
     }
 
-    /// Executes a decoded batch with one critical section per shard-group
-    /// instead of one per request — the server-side half of the paper's
-    /// amortization. Requests are grouped by the shard index routed in
-    /// `routed` (from [`ShardedStore::batch_op_for`]); each non-empty
-    /// group runs through [`Cache::execute_batch`], in shard order, with
+    /// The store's one data entry point: executes routed requests with
+    /// one critical section per shard-group instead of one per request —
+    /// the server-side half of the paper's amortization. A lone request is
+    /// a batch of one, and sequential execution is by definition N batches
+    /// of one. Requests are grouped by [`Routed::shard`]; each group runs
+    /// through [`Cache::execute_batch_into`], in shard order, with
     /// requests inside a group executing in arrival order (so per-shard
-    /// commit sequence numbers ascend with arrival, same as sequential
-    /// execution). Outcomes come back in input order.
+    /// commit sequence numbers ascend with arrival). Outcomes come back in
+    /// input order, borrowed from `scratch`.
+    ///
+    /// A group holding a GET_S reads the shard version in its own read
+    /// section *before* the group's section — version first, value second:
+    /// shard versions only advance, so a version at or past the floor
+    /// guarantees the read observes at least the session's write. Within
+    /// the group the known version then follows the group's own writes
+    /// (each reply carries its `seq`), which is exactly what the same
+    /// requests executed one batch at a time would have seen.
     ///
     /// Mutations are staged to `wal` immediately after their group
     /// commits, in seq order, preserving the ack-after-barrier contract
@@ -317,88 +197,105 @@ impl ShardedStore {
     /// it **must invoke exactly once**; the connection layer uses it to
     /// set the trace context and time the section without this layer
     /// knowing about tracing.
-    #[must_use]
-    pub fn execute_batch(
+    pub fn execute_batch<'s>(
         &self,
         engine: &Engine<'_>,
-        routed: &[(usize, BatchOp)],
+        routed: &[Routed],
         wal: Option<&Wal>,
+        scratch: &'s mut BatchScratch,
         mut group_scope: impl FnMut(u32, &[usize], &mut dyn FnMut()),
-    ) -> Vec<BatchOutcome> {
-        let mut outcomes: Vec<Option<BatchOutcome>> = routed.iter().map(|_| None).collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (pos, &(shard, _)) in routed.iter().enumerate() {
-            by_shard[shard].push(pos);
-        }
-        for (shard, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let ops: Vec<BatchOp> = positions.iter().map(|&p| routed[p].1).collect();
-            let mut replies = Vec::new();
+    ) -> &'s [BatchOutcome] {
+        let BatchScratch {
+            order,
+            ops,
+            replies,
+            outcomes,
+        } = scratch;
+        order.clear();
+        order.extend(0..routed.len());
+        order.sort_unstable_by_key(|&p| (routed[p].shard, p));
+        outcomes.clear();
+        outcomes.resize_with(routed.len(), || BatchOutcome {
+            resp: Response::Done,
+            staged: None,
+            ticket: None,
+        });
+        for positions in order.chunk_by(|&a, &b| routed[a].shard == routed[b].shard) {
+            let shard = routed[positions[0]].shard;
+            let cache = &self.shards[shard];
+            ops.clear();
+            ops.extend(positions.iter().map(|&p| routed[p].op));
+            let has_floor = positions
+                .iter()
+                .any(|&p| matches!(routed[p].session, Session::Floor(_)));
+            let mut version = 0;
+            replies.clear();
             group_scope(shard as u32, positions, &mut || {
-                replies = self.shards[shard].execute_batch(engine, &ops);
+                if has_floor {
+                    version = cache.version(engine);
+                }
+                cache.execute_batch_into(engine, ops, replies);
             });
             assert_eq!(
                 replies.len(),
                 ops.len(),
                 "group_scope must run its thunk exactly once"
             );
-            for (&pos, (reply, op)) in positions.iter().zip(replies.iter().zip(&ops)) {
-                let (resp, staged) = match (*reply, *op) {
-                    (BatchReply::Value { found, value }, _) => {
-                        (Response::Value { found, value }, None)
-                    }
+            for ((&pos, &reply), &op) in positions.iter().zip(replies.iter()).zip(ops.iter()) {
+                let record = |seq, kind, key, value, exp| {
+                    Some(Staged {
+                        shard: shard as u32,
+                        seq,
+                        kind,
+                        key,
+                        value,
+                        exp,
+                    })
+                };
+                let (resp, staged) = match (reply, op) {
+                    (BatchReply::Value { found, value }, _) => match routed[pos].session {
+                        Session::Floor(min) if version < min => {
+                            (Response::Behind { version }, None)
+                        }
+                        _ => (Response::Value { found, value }, None),
+                    },
                     (BatchReply::Stored { seq, exp }, BatchOp::Set { key, value, .. }) => (
-                        Response::Done,
-                        Some(Staged {
-                            shard: shard as u32,
-                            seq,
-                            kind: WalKind::Put,
-                            key,
-                            value,
-                            exp,
-                        }),
+                        match routed[pos].session {
+                            Session::Token => Response::DoneAt {
+                                shard: shard as u32,
+                                version: seq,
+                            },
+                            _ => Response::Done,
+                        },
+                        record(seq, WalKind::Put, key, value, exp),
                     ),
                     (BatchReply::Deleted { existed, seq }, BatchOp::Del { key }) => (
                         Response::Deleted { existed },
-                        Some(Staged {
-                            shard: shard as u32,
-                            seq,
-                            kind: WalKind::Del,
-                            key,
-                            value: 0,
-                            exp: 0,
-                        }),
+                        record(seq, WalKind::Del, key, 0, 0),
                     ),
+                    // Post-image of the value only; replay preserves
+                    // whatever expiration the key carries (`PutVal`).
                     (BatchReply::Counter { value, seq }, BatchOp::Incr { key, .. }) => (
                         Response::Counter { value },
-                        Some(Staged {
-                            shard: shard as u32,
-                            seq,
-                            kind: WalKind::PutVal,
-                            key,
-                            value,
-                            exp: 0,
-                        }),
+                        record(seq, WalKind::PutVal, key, value, 0),
                     ),
                     _ => unreachable!("reply kind mismatches its op"),
                 };
+                if let Some(record) = &staged {
+                    version = record.seq;
+                }
                 let ticket = match (wal, staged) {
                     (Some(w), Some(record)) => Some(w.stage(record)),
                     _ => None,
                 };
-                outcomes[pos] = Some(BatchOutcome {
+                outcomes[pos] = BatchOutcome {
                     resp,
                     staged,
                     ticket,
-                });
+                };
             }
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every routed request got an outcome"))
-            .collect()
     }
 
     /// Applies one replicated batch to the shard it addresses, with the
@@ -458,173 +355,5 @@ fn record_to_op(r: &ReplRecord) -> CacheOp {
             key: r.key,
             value: r.value,
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gocc_optilock::{GoccConfig, GoccRuntime};
-    use gocc_workloads::Mode;
-
-    #[test]
-    fn verbs_roundtrip_through_the_store() {
-        gocc_gosync::set_procs(8);
-        for mode in [Mode::Lock, Mode::Gocc] {
-            let rt = GoccRuntime::new(GoccConfig::standard());
-            let engine = Engine::new(&rt, mode);
-            let store = ShardedStore::new(4, 256);
-            assert_eq!(
-                store.execute(&engine, &Request::Get { key: b"a" }),
-                Response::Value {
-                    found: false,
-                    value: 0
-                }
-            );
-            assert_eq!(
-                store.execute(
-                    &engine,
-                    &Request::Set {
-                        key: b"a",
-                        value: 11,
-                        ttl: 0
-                    }
-                ),
-                Response::Done
-            );
-            assert_eq!(
-                store.execute(&engine, &Request::Get { key: b"a" }),
-                Response::Value {
-                    found: true,
-                    value: 11
-                }
-            );
-            assert_eq!(
-                store.execute(
-                    &engine,
-                    &Request::Incr {
-                        key: b"ctr",
-                        delta: 5
-                    }
-                ),
-                Response::Counter { value: 5 }
-            );
-            assert_eq!(store.total_entries(&engine), 2);
-            let scan = store.execute(&engine, &Request::Scan { limit: 10 });
-            let Response::Entries { pairs } = scan else {
-                panic!("scan must return entries");
-            };
-            assert_eq!(pairs.len(), 2);
-            assert_eq!(
-                store.execute(&engine, &Request::Del { key: b"a" }),
-                Response::Deleted { existed: true }
-            );
-            assert_eq!(
-                store.execute(&engine, &Request::Del { key: b"a" }),
-                Response::Deleted { existed: false }
-            );
-        }
-    }
-
-    #[test]
-    fn execute_batch_matches_staged_oracle_and_groups_by_shard() {
-        gocc_gosync::set_procs(8);
-        for mode in [Mode::Lock, Mode::Gocc] {
-            let rt = GoccRuntime::new(GoccConfig::standard());
-            let engine = Engine::new(&rt, mode);
-            let batched = ShardedStore::new(4, 256);
-            let oracle = ShardedStore::new(4, 256);
-
-            let keys: Vec<String> = (0..24).map(|i| format!("key-{i}")).collect();
-            let reqs: Vec<Request<'_>> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, k)| match i % 4 {
-                    0 => Request::Set {
-                        key: k.as_bytes(),
-                        value: i as u64 * 10,
-                        ttl: 0,
-                    },
-                    1 => Request::Get { key: k.as_bytes() },
-                    2 => Request::Incr {
-                        key: k.as_bytes(),
-                        delta: 3,
-                    },
-                    _ => Request::Del { key: k.as_bytes() },
-                })
-                .collect();
-
-            let routed: Vec<(usize, BatchOp)> = reqs
-                .iter()
-                .map(|r| batched.batch_op_for(r).expect("data verbs route"))
-                .collect();
-            let mut groups = Vec::new();
-            let outcomes = batched.execute_batch(&engine, &routed, None, |shard, pos, run| {
-                groups.push((shard, pos.len()));
-                run();
-            });
-
-            // One group per shard touched, total group sizes == requests,
-            // and all four shards see traffic with 24 spread keys.
-            assert_eq!(groups.iter().map(|&(_, n)| n).sum::<usize>(), reqs.len());
-            let mut shards_seen: Vec<u32> = groups.iter().map(|&(s, _)| s).collect();
-            shards_seen.sort_unstable();
-            shards_seen.dedup();
-            assert_eq!(shards_seen.len(), groups.len(), "one section per shard");
-
-            // The oracle executes the same requests one staged section at
-            // a time; responses and staged records must agree.
-            for (req, outcome) in reqs.iter().zip(&outcomes) {
-                let (resp, staged) = oracle.execute_staged(&engine, req);
-                assert_eq!(outcome.resp, resp);
-                assert!(outcome.ticket.is_none(), "no WAL attached");
-                match (outcome.staged, staged) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.shard, b.shard);
-                        assert_eq!(a.seq, b.seq, "per-shard seq order preserved");
-                        assert_eq!(a.kind as u8, b.kind as u8);
-                        assert_eq!((a.key, a.value, a.exp), (b.key, b.value, b.exp));
-                    }
-                    (a, b) => panic!("staged mismatch: {a:?} vs {b:?}"),
-                }
-            }
-            for k in &keys {
-                assert_eq!(
-                    batched.execute(&engine, &Request::Get { key: k.as_bytes() }),
-                    oracle.execute(&engine, &Request::Get { key: k.as_bytes() }),
-                    "end state diverged for {k} in {mode:?}"
-                );
-            }
-
-            // Control verbs and SCAN never batch.
-            assert!(batched.batch_op_for(&Request::Scan { limit: 5 }).is_none());
-            assert!(batched.batch_op_for(&Request::Stats).is_none());
-        }
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        gocc_gosync::set_procs(8);
-        let rt = GoccRuntime::new(GoccConfig::standard());
-        let engine = Engine::new(&rt, Mode::Lock);
-        let store = ShardedStore::new(4, 1024);
-        for i in 0..256u64 {
-            let key = format!("key-{i}");
-            let _ = store.execute(
-                &engine,
-                &Request::Set {
-                    key: key.as_bytes(),
-                    value: i,
-                    ttl: 0,
-                },
-            );
-        }
-        assert_eq!(store.total_entries(&engine), 256);
-        let per_shard: Vec<u64> = store.shards.iter().map(|s| s.item_count(&engine)).collect();
-        assert!(
-            per_shard.iter().all(|&n| n > 16),
-            "fnv1a+mix64 sharding badly skewed: {per_shard:?}"
-        );
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
-use gocc_server::{spawn, Mode, ServerConfig};
+use gocc_server::{spawn, Mode, ServerConfig, ShardedStore};
 use gocc_telemetry::JsonValue;
 use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
 
@@ -422,6 +422,85 @@ fn injected_transport_faults_cost_connections_not_correctness() {
         summary.malformed_frames, 0,
         "faults must never corrupt frames"
     );
+}
+
+#[test]
+fn pipelined_session_writes_on_one_shard_run_as_one_section() {
+    gocc_gosync::set_procs(8);
+    for mode in [Mode::Lock, Mode::Gocc] {
+        let handle = spawn(config(mode)).expect("spawn");
+        let mut c = Client::connect(handle.port());
+        let counters = handle.state().counters();
+        let batch_stats = || {
+            (
+                counters.batches_executed(),
+                counters.single_request_batches(),
+                counters.requests_per_batch().snapshot().sum,
+            )
+        };
+
+        // 32 keys owned by one shard (routing depends only on the shard
+        // count, so a scratch store with the server's count agrees).
+        let router = ShardedStore::new(config(mode).shards, 1);
+        let shard_of = |key: &str| {
+            let get = Request::Get {
+                key: key.as_bytes(),
+            };
+            router.route(&get).expect("GET routes").shard
+        };
+        let keys: Vec<String> = (0..)
+            .map(|i| format!("sess-{i}"))
+            .filter(|k| shard_of(k) == 0)
+            .take(32)
+            .collect();
+
+        // A lone SET_S is a batch of one.
+        let (batches0, singles0, reqs0) = batch_stats();
+        let lone = c.call(&Request::SetS {
+            key: keys[0].as_bytes(),
+            value: 1,
+            ttl: 0,
+        });
+        assert_eq!(
+            lone,
+            Response::DoneAt {
+                shard: 0,
+                version: 1
+            }
+        );
+        assert_eq!(batch_stats(), (batches0 + 1, singles0 + 1, reqs0 + 1));
+
+        // 32 SET_S written before any response is read: one shard-group,
+        // one section, tokens ascending in arrival order.
+        let mut burst = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let req = Request::SetS {
+                key: key.as_bytes(),
+                value: i as u64,
+                ttl: 0,
+            };
+            encode_request(&req, &mut burst);
+        }
+        c.stream.write_all(&burst).expect("burst send");
+        for i in 0..32u64 {
+            assert!(read_frame(&mut c.stream, &mut c.respbuf).expect("burst recv"));
+            assert_eq!(
+                decode_response(&c.respbuf).expect("decode"),
+                Response::DoneAt {
+                    shard: 0,
+                    version: 2 + i
+                },
+                "[{mode:?}] token {i}"
+            );
+        }
+        assert_eq!(
+            batch_stats(),
+            (batches0 + 2, singles0 + 1, reqs0 + 33),
+            "[{mode:?}] the burst must run as one section"
+        );
+        c.call(&Request::Shutdown);
+        let _ = handle.join();
+    }
 }
 
 #[test]

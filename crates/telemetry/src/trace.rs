@@ -54,7 +54,12 @@ pub enum SpanKind {
     /// Perceptron activity; `a` = action index per
     /// [`PERCEPTRON_ACTION_NAMES`].
     Perceptron = 5,
-    /// Store verb execution; `a` = verb opcode.
+    /// Store verb execution; `a` = verb opcode, `b` = the batched flag.
+    /// Every single-key data verb (GET, SET, DEL, INCR, SET_S, GET_S) runs
+    /// in a shard-group — a lone request is a group of one — so `b` is
+    /// always 1 for them and the span covers the whole group's section
+    /// (its [`SpanKind::BatchExec`] parent has the group size). Only SCAN,
+    /// which runs outside the batch, records `b` = 0.
     StoreOp = 6,
     /// Response encode onto the outbound buffer.
     ResponseWrite = 7,

@@ -25,11 +25,11 @@ impl TxCounter {
         tx.read(&self.value)
     }
 
-    /// Adds `delta` (wrapping), returning the new value.
+    /// Adds `delta` (wrapping), returning the new value. One atomic
+    /// update on the direct path, so a counter bumped inside a section
+    /// that only holds its lock shared stays exact ([`Tx::update`]).
     pub fn add<'a>(&'a self, tx: &mut Tx<'a>, delta: u64) -> TxResult<u64> {
-        let v = tx.read(&self.value)?.wrapping_add(delta);
-        tx.write(&self.value, v)?;
-        Ok(v)
+        tx.update(&self.value, |v| v.wrapping_add(delta))
     }
 
     /// Stores `value`.

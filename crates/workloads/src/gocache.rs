@@ -356,6 +356,20 @@ impl Cache {
     /// aborts, under the pessimistic lock), which is still a single
     /// acquisition for the group — amortization survives the fallback.
     pub fn execute_batch(&self, engine: &Engine<'_>, ops: &[BatchOp]) -> Vec<BatchReply> {
+        let mut out = Vec::with_capacity(ops.len());
+        self.execute_batch_into(engine, ops, &mut out);
+        out
+    }
+
+    /// [`Cache::execute_batch`] writing its replies into `out` (cleared
+    /// first), so a caller that keeps `out` across calls — the server's
+    /// connection pump — allocates nothing per batch.
+    pub fn execute_batch_into(
+        &self,
+        engine: &Engine<'_>,
+        ops: &[BatchOp],
+        out: &mut Vec<BatchReply>,
+    ) {
         let write = ops.iter().any(|op| !matches!(op, BatchOp::Get { .. }));
         let lock = if write {
             LockRef::Write(&self.lock)
@@ -363,10 +377,10 @@ impl Cache {
             LockRef::Read(&self.lock)
         };
         engine.section(call_site!(), lock, |tx| {
-            // Built fresh on every attempt: an aborted speculation re-runs
-            // the closure, and replies from the doomed attempt must not
-            // survive into the retry.
-            let mut out = Vec::with_capacity(ops.len());
+            // Refilled from empty on every attempt: an aborted speculation
+            // re-runs the closure, and replies from the doomed attempt
+            // must not survive into the retry.
+            out.clear();
             for op in ops {
                 let reply = match *op {
                     BatchOp::Get { key } => match self.items.get(tx, key)? {
@@ -412,8 +426,8 @@ impl Cache {
                 };
                 out.push(reply);
             }
-            Ok(out)
-        })
+            Ok(())
+        });
     }
 
     /// Consistent snapshot of the shard — `(key, value, exp)` triples plus

@@ -38,6 +38,25 @@ cargo test -q --offline --workspace
 echo "== formatting =="
 cargo fmt --check
 
+echo "== repo benchmark (offline build + smoke) =="
+# benchmark/ is a package with its own [workspace], so the workspace build
+# and tests above never compile it: removing a public API it links would
+# break only the benchmark driver, never CI. run.sh builds it offline from
+# this checkout and --smoke runs every workload, both passes, with 1 s
+# windows and all output checks. Exit 4 = an output check failed (vs 1 for
+# a broken harness or a build error).
+if bash benchmark/run.sh --smoke > /dev/null; then
+  echo "ok: benchmark builds and smokes"
+else
+  status=$?
+  if [ "$status" -eq 4 ]; then
+    echo "FAIL: a benchmark output check failed" >&2
+  else
+    echo "FAIL: benchmark build or harness error (status $status)" >&2
+  fi
+  exit "$status"
+fi
+
 echo "== goccd loopback smoke =="
 # Boot the real daemon on an ephemeral port in each mode, hit it with a
 # short loadgen burst over real sockets, and require a clean SHUTDOWN.

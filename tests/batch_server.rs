@@ -23,7 +23,7 @@ use std::time::Duration;
 use gocc_faultplane::{AbortMix, HtmFaultPlan, LoadFaultPlan, LoadMix};
 use gocc_repro::optilock::{GoccConfig, GoccRuntime};
 use gocc_repro::workloads::{Engine, Mode};
-use gocc_server::{spawn, ServerConfig, ShardedStore};
+use gocc_server::{spawn, BatchScratch, ServerConfig, ShardedStore};
 use gocc_wire::{
     decode_response, encode_request, encode_request_v2, read_frame, write_frame, Request, Response,
 };
@@ -51,13 +51,17 @@ fn connect(port: u16) -> TcpStream {
 
 /// The deterministic mixed-verb script both drivers run: every data verb,
 /// keys spread over all four shards, repeated hits on the same keys so
-/// GET/INCR/DEL observe earlier writes, and a SCAN in the middle of each
-/// round (a control verb the batch pump must flush around, in order).
+/// GET/INCR/DEL observe earlier writes, a SCAN in the middle of each
+/// round (the one data verb the batch pump must flush around, in order),
+/// and the session verbs — SET_S, a GET_S whose floor sits near the
+/// shard's version (so whether it answers the value or `Behind` depends on
+/// the writes ahead of it, including ones in its own shard-group), and a
+/// GET_S whose floor is far ahead of the shard.
 fn script() -> Vec<(String, u8)> {
     let mut ops = Vec::new();
-    for round in 0..6u64 {
+    for round in 0..10u64 {
         for k in 0..10u64 {
-            ops.push((format!("bk-{k}"), ((round + k) % 5) as u8));
+            ops.push((format!("bk-{k}"), ((round + k) % 8) as u8));
         }
     }
     ops
@@ -80,7 +84,20 @@ fn request_for(key: &str, verb: u8, round: usize) -> Request<'_> {
         3 => Request::Del {
             key: key.as_bytes(),
         },
-        _ => Request::Scan { limit: 16 },
+        4 => Request::Scan { limit: 16 },
+        5 => Request::SetS {
+            key: key.as_bytes(),
+            value: round as u64 + 5,
+            ttl: 0,
+        },
+        6 => Request::GetS {
+            key: key.as_bytes(),
+            min_version: round as u64 / 6,
+        },
+        _ => Request::GetS {
+            key: key.as_bytes(),
+            min_version: 1 << 40,
+        },
     }
 }
 
@@ -105,17 +122,17 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
         }
         drop(stream);
         oracle.request_shutdown();
-        oracle.join();
+        let _ = oracle.join();
 
-        // Pipelined run: fresh server, the same script in bursts of 16
+        // Pipelined run: fresh server, the same script in bursts of 32
         // frames written before any response is read.
         let pipelined = spawn(config(mode)).expect("spawn pipelined");
         let mut stream = connect(pipelined.port());
         let mut got: Vec<Vec<u8>> = Vec::new();
-        for (chunk_idx, chunk) in ops.chunks(16).enumerate() {
+        for (chunk_idx, chunk) in ops.chunks(32).enumerate() {
             wirebuf.clear();
             for (j, (key, verb)) in chunk.iter().enumerate() {
-                encode_request(&request_for(key, *verb, chunk_idx * 16 + j), &mut wirebuf);
+                encode_request(&request_for(key, *verb, chunk_idx * 32 + j), &mut wirebuf);
             }
             stream.write_all(&wirebuf).expect("burst send");
             for _ in chunk {
@@ -125,9 +142,22 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
         }
         drop(stream);
         pipelined.request_shutdown();
-        pipelined.join();
+        let _ = pipelined.join();
 
         assert_eq!(got.len(), expected.len());
+        // The script must actually reach every session answer: tokens, and
+        // a near-floor GET_S answering each way.
+        let behind =
+            |i: usize| matches!(decode_response(&expected[i]), Ok(Response::Behind { .. }));
+        let near_floor: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].1 == 6).collect();
+        assert!(
+            expected
+                .iter()
+                .any(|e| matches!(decode_response(e), Ok(Response::DoneAt { .. })))
+                && near_floor.iter().any(|&i| behind(i))
+                && near_floor.iter().any(|&i| !behind(i)),
+            "[{mode:?}] script misses a session answer"
+        );
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
                 g,
@@ -210,7 +240,7 @@ fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
         }
         drop(stream);
         handle.request_shutdown();
-        handle.join();
+        let _ = handle.join();
     }
 }
 
@@ -235,22 +265,35 @@ fn batched_groups_survive_injected_htm_aborts() {
     let clean_store = ShardedStore::new(4, 256);
 
     let ops = script();
+    let (mut scratch, mut clean_scratch) = (BatchScratch::default(), BatchScratch::default());
     for rep in 0..8 {
         for (chunk_idx, chunk) in ops.chunks(16).enumerate() {
             let reqs: Vec<Request<'_>> = chunk
                 .iter()
                 .enumerate()
-                .map(|(j, (key, verb))| request_for(key, verb % 4, rep * 1000 + chunk_idx * 16 + j))
+                .map(|(j, (key, verb))| {
+                    // SCAN does not route; a GET stands in for it.
+                    let verb = if *verb == 4 { 1 } else { *verb };
+                    request_for(key, verb, rep * 1000 + chunk_idx * 16 + j)
+                })
                 .collect();
             let routed: Vec<_> = reqs
                 .iter()
-                .map(|r| faulty_store.batch_op_for(r).expect("data verbs route"))
+                .map(|r| faulty_store.route(r).expect("data verbs route"))
                 .collect();
-            let outcomes = faulty_store.execute_batch(&faulty, &routed, None, |_, _, run| run());
-            for (req, outcome) in reqs.iter().zip(&outcomes) {
-                let want = clean_store.execute(&clean, req);
+            let outcomes =
+                faulty_store.execute_batch(&faulty, &routed, None, &mut scratch, |_, _, run| run());
+            // The clean store runs the same requests as batches of one.
+            for (one, outcome) in routed.iter().zip(outcomes) {
+                let want = clean_store.execute_batch(
+                    &clean,
+                    std::slice::from_ref(one),
+                    None,
+                    &mut clean_scratch,
+                    |_, _, run| run(),
+                );
                 assert_eq!(
-                    outcome.resp, want,
+                    outcome.resp, want[0].resp,
                     "injected aborts must not change batch results"
                 );
             }
