@@ -51,7 +51,7 @@ pub use runtime::{GoccConfig, GoccRuntime};
 pub use session::{
     critical, critical_mutex, critical_read, critical_write, HtmScope, LockRef, OptiLock,
 };
-pub use stats::{OptiStats, OptiStatsSnapshot};
+pub use stats::{OptiStatsSnapshot, StatsView};
 
 /// Declares a stable call-site identifier for perceptron context hashing.
 ///

@@ -60,7 +60,7 @@ pub struct Perceptron {
 
 /// A point-in-time copy of a [`Perceptron`]'s learning state (Figure 10's
 /// back-off narrative, as data): both weight tables and decay/reset
-/// events. Decision counts live in `OptiStats`
+/// events. Decision counts are in `OptiStatsSnapshot`
 /// (`perceptron_htm`/`perceptron_slow`) — the predictor itself keeps no
 /// shared counters off its lookup path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,10 +144,11 @@ impl Perceptron {
     /// The HTM branch is the steady-state hot path: it costs exactly the
     /// two weight-table reads, and only touches the streak cells when
     /// there is a nonzero streak to clear — so repeated fast predictions
-    /// never dirty a shared cache line. Decision *counting* lives with
-    /// the caller (`OptiStats::perceptron_htm`/`perceptron_slow`), not
+    /// never dirty a shared cache line. Decision *counting* is not done
     /// here: a shared counter RMW per prediction would put every core on
-    /// one cache line and cost more than the lookup it is counting.
+    /// one cache line and cost more than the lookup it is counting. The
+    /// caller counts slow predictions (`OptiStats::perceptron_slow`); an
+    /// HTM prediction starts one transaction, which the HTM domain counts.
     #[inline]
     #[must_use]
     pub fn predict(&self, features: Features) -> bool {

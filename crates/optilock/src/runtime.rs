@@ -7,7 +7,7 @@ use gocc_telemetry::{Telemetry, TraceRecorder};
 
 use crate::perceptron::{Perceptron, PerceptronConfig};
 use crate::policy::RetryPolicy;
-use crate::stats::OptiStats;
+use crate::stats::{OptiStats, StatsView};
 
 /// Configuration for a [`GoccRuntime`].
 #[derive(Clone, Debug)]
@@ -77,7 +77,7 @@ pub struct GoccRuntime {
     perceptron: Perceptron,
     policy: RetryPolicy,
     perceptron_enabled: bool,
-    stats: OptiStats,
+    pub(crate) stats: OptiStats,
     telemetry: Option<Box<Telemetry>>,
     tracer: Box<TraceRecorder>,
 }
@@ -134,10 +134,10 @@ impl GoccRuntime {
         self.perceptron_enabled
     }
 
-    /// `optiLib` statistics.
+    /// `optiLib` statistics: `stats().snapshot()` reads them.
     #[must_use]
-    pub fn stats(&self) -> &OptiStats {
-        &self.stats
+    pub fn stats(&self) -> StatsView<'_> {
+        StatsView(self)
     }
 
     /// The telemetry bundle, when [`GoccConfig::telemetry_enabled`] is set.

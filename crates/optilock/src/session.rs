@@ -378,10 +378,15 @@ impl OptiLock {
             // section's total latency, attributed to the completing path.
             self.section_start = Some(Instant::now());
         }
-        let decision = self.decide(rt, lock);
-        self.decision = Some(decision);
-        self.predicted_fast = decision == Decision::Htm;
-        if decision == Decision::Htm {
+        // One decision per execution: a speculation that aborts at its
+        // lock subscription decides again, like any other re-execution.
+        loop {
+            let decision = self.decide(rt, lock);
+            self.decision = Some(decision);
+            self.predicted_fast = decision == Decision::Htm;
+            if decision != Decision::Htm {
+                break;
+            }
             // Spin with pause until the lock looks free (Listing 19).
             let mut spins = rt.policy().lock_wait_spins;
             while !lock.available() && spins > 0 {
@@ -392,7 +397,6 @@ impl OptiLock {
                 }
                 spins -= 1;
             }
-            OptiStats::add(&rt.stats().htm_attempts);
             self.attempted_htm = true;
             if trace::current() != 0 {
                 self.trace_attempt_start = trace::now_ns();
@@ -420,11 +424,6 @@ impl OptiLock {
                     }
                     tx.rollback();
                     self.note_abort(rt, lock, &abort);
-                    // Immediately re-decide; exhausted budgets fall through
-                    // to the slow path below via `decide`.
-                    if self.decide(rt, lock) == Decision::Htm {
-                        return self.begin_section(scope, lock);
-                    }
                 }
             }
         }
@@ -443,7 +442,7 @@ impl OptiLock {
             // Bounded-retry guarantee: whatever the configured budget,
             // this section has re-executed enough. Force the lock path —
             // it cannot abort, so the section completes on this execution.
-            OptiStats::add(&rt.stats().watchdog_forced);
+            OptiStats::add(&rt.stats.watchdog_forced);
             if let Some(t) = rt.telemetry() {
                 t.note_watchdog_forced();
             }
@@ -454,7 +453,7 @@ impl OptiLock {
         }
         if procs() == 1 {
             // §5.4.2: never speculate in a single-OS-thread process.
-            OptiStats::add(&rt.stats().single_thread_bypass);
+            OptiStats::add(&rt.stats.single_thread_bypass);
             return Decision::SlowBypass;
         }
         if !rt.perceptron_enabled() {
@@ -462,11 +461,10 @@ impl OptiLock {
         }
         let features = self.section_features(rt, lock);
         if rt.perceptron().predict(features) {
-            OptiStats::add(&rt.stats().perceptron_htm);
             Self::trace_perceptron(rt, self.site, PERCEPTRON_PREDICT_HTM);
             Decision::Htm
         } else {
-            OptiStats::add(&rt.stats().perceptron_slow);
+            OptiStats::add(&rt.stats.perceptron_slow);
             Self::trace_perceptron(rt, self.site, PERCEPTRON_PREDICT_SLOW);
             Decision::SlowPerceptron
         }
@@ -522,7 +520,7 @@ impl OptiLock {
             ScopeState::Fast { mut tx, depth } => {
                 if self.lk != Some(lock.key()) {
                     // Mutex mismatch: roll everything back, enforce slow.
-                    OptiStats::add(&rt.stats().mismatch_recoveries);
+                    OptiStats::add(&rt.stats.mismatch_recoveries);
                     let abort = tx.explicit_abort(MUTEX_MISMATCH_CODE);
                     tx.rollback();
                     self.note_abort(rt, lock, &abort);
@@ -542,7 +540,6 @@ impl OptiLock {
                 }
                 match tx.commit() {
                     Ok(()) => {
-                        OptiStats::add(&rt.stats().fast_commits);
                         self.trace_attempt_outcome(rt, 0);
                         if let Some(t) = rt.telemetry() {
                             t.sites.record_commit(self.site, lock.lock_id());
@@ -581,7 +578,7 @@ impl OptiLock {
     }
 
     fn complete_section(&mut self, rt: &GoccRuntime, lock: LockRef<'_>, _on_fast: bool) {
-        OptiStats::add(&rt.stats().slow_sections);
+        OptiStats::add(&rt.stats.slow_sections);
         if let Some(t) = rt.telemetry() {
             t.sites.record_slow(self.site, lock.lock_id());
             match self.section_start.take() {

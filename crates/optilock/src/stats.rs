@@ -2,29 +2,36 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters describing `optiLib` decisions and outcomes.
+use crate::runtime::GoccRuntime;
+
+/// The rare-path counters `optiLib` keeps itself. A section that commits
+/// on the fast path writes none of them: its start and commit are counted
+/// once, by the runtime's HTM domain, and [`StatsView::snapshot`] reads
+/// them from there.
 #[derive(Debug, Default)]
-pub struct OptiStats {
-    pub(crate) htm_attempts: AtomicU64,
-    pub(crate) fast_commits: AtomicU64,
+pub(crate) struct OptiStats {
     pub(crate) slow_sections: AtomicU64,
-    pub(crate) perceptron_htm: AtomicU64,
     pub(crate) perceptron_slow: AtomicU64,
     pub(crate) single_thread_bypass: AtomicU64,
     pub(crate) mismatch_recoveries: AtomicU64,
     pub(crate) watchdog_forced: AtomicU64,
 }
 
-/// A point-in-time copy of [`OptiStats`].
+/// A point-in-time copy of a runtime's `optiLib` statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptiStatsSnapshot {
-    /// Transactions started by `FastLock`.
+    /// Transactions started by `FastLock`. Read from the runtime's HTM
+    /// domain (`HtmStats` starts), so a `Tx::fast` begun by hand on
+    /// `rt.htm()` counts too.
     pub htm_attempts: u64,
-    /// Critical sections completed on the fast path.
+    /// Critical sections completed on the fast path. Read from the
+    /// runtime's HTM domain (`HtmStats` commits).
     pub fast_commits: u64,
     /// Critical sections completed on the slow path (any reason).
     pub slow_sections: u64,
-    /// Perceptron decisions in favor of HTM.
+    /// Perceptron decisions in favor of HTM. Each one starts exactly one
+    /// transaction, so this is the HTM domain's starts when the perceptron
+    /// is enabled and 0 when it is not.
     pub perceptron_htm: u64,
     /// Perceptron decisions in favor of the lock.
     pub perceptron_slow: u64,
@@ -41,19 +48,32 @@ impl OptiStats {
     pub(crate) fn add(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
+}
 
+/// What [`GoccRuntime::stats`] returns: the runtime's own counters joined
+/// with its HTM domain's.
+pub struct StatsView<'a>(pub(crate) &'a GoccRuntime);
+
+impl StatsView<'_> {
     /// Takes a snapshot of all counters.
     #[must_use]
     pub fn snapshot(&self) -> OptiStatsSnapshot {
+        let rt = self.0;
+        let htm = rt.htm().stats().snapshot();
+        let own = &rt.stats;
         OptiStatsSnapshot {
-            htm_attempts: self.htm_attempts.load(Ordering::Relaxed),
-            fast_commits: self.fast_commits.load(Ordering::Relaxed),
-            slow_sections: self.slow_sections.load(Ordering::Relaxed),
-            perceptron_htm: self.perceptron_htm.load(Ordering::Relaxed),
-            perceptron_slow: self.perceptron_slow.load(Ordering::Relaxed),
-            single_thread_bypass: self.single_thread_bypass.load(Ordering::Relaxed),
-            mismatch_recoveries: self.mismatch_recoveries.load(Ordering::Relaxed),
-            watchdog_forced: self.watchdog_forced.load(Ordering::Relaxed),
+            htm_attempts: htm.starts,
+            fast_commits: htm.commits,
+            slow_sections: own.slow_sections.load(Ordering::Relaxed),
+            perceptron_htm: if rt.perceptron_enabled() {
+                htm.starts
+            } else {
+                0
+            },
+            perceptron_slow: own.perceptron_slow.load(Ordering::Relaxed),
+            single_thread_bypass: own.single_thread_bypass.load(Ordering::Relaxed),
+            mismatch_recoveries: own.mismatch_recoveries.load(Ordering::Relaxed),
+            watchdog_forced: own.watchdog_forced.load(Ordering::Relaxed),
         }
     }
 }
@@ -81,12 +101,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_copies_counters() {
-        let s = OptiStats::default();
-        OptiStats::add(&s.fast_commits);
-        OptiStats::add(&s.slow_sections);
-        OptiStats::add(&s.mismatch_recoveries);
-        let snap = s.snapshot();
+    fn snapshot_joins_own_counters_with_the_htm_domain() {
+        let rt = GoccRuntime::new_default();
+        gocc_htm::Tx::fast(rt.htm()).commit().unwrap();
+        OptiStats::add(&rt.stats.slow_sections);
+        OptiStats::add(&rt.stats.mismatch_recoveries);
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.htm_attempts, snap.perceptron_htm), (1, 1));
         assert_eq!(snap.fast_commits, 1);
         assert_eq!(snap.slow_sections, 1);
         assert_eq!(snap.mismatch_recoveries, 1);
@@ -97,7 +118,6 @@ mod tests {
     fn empty_fast_ratio_is_one() {
         // Same convention as StatsSnapshot::commit_ratio: no sections
         // means nothing failed, so the ratio is vacuously perfect.
-        let snap = OptiStats::default().snapshot();
-        assert_eq!(snap.fast_ratio(), 1.0);
+        assert_eq!(OptiStatsSnapshot::default().fast_ratio(), 1.0);
     }
 }

@@ -56,6 +56,9 @@ else
   fi
   exit "$status"
 fi
+# Its unit tests (metric arithmetic, schema, catalogue == BENCHMARK.json)
+# build the structs it fills from this workspace's snapshots by literal.
+(cd benchmark && CARGO_TARGET_DIR=../target cargo test --offline -q)
 
 echo "== goccd loopback smoke =="
 # Boot the real daemon on an ephemeral port in each mode, hit it with a
