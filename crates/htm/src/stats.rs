@@ -10,11 +10,17 @@ use crate::abort::AbortCause;
 /// synchronization. The paper's evaluation reasons about abort causes (e.g.
 /// Flatten at 8 cores aborts on conflicts until the perceptron backs off),
 /// and these counters are how the reproduction observes the same dynamics.
+///
+/// A fast attempt is counted exactly once, at its *outcome*: one of the two
+/// commit counters, one abort cause, or `rollbacks`. Beginning an attempt
+/// writes nothing; [`HtmStats::snapshot`] derives `starts` and `commits`.
 #[derive(Debug, Default)]
 pub struct HtmStats {
-    starts: AtomicU64,
-    commits: AtomicU64,
     read_only_commits: AtomicU64,
+    writing_commits: AtomicU64,
+    /// Live attempts dropped or rolled back before any abort doomed them.
+    /// Not in [`StatsSnapshot`]; it only completes the `starts` sum.
+    rollbacks: AtomicU64,
     aborts_explicit: AtomicU64,
     aborts_retry: AtomicU64,
     aborts_conflict: AtomicU64,
@@ -30,9 +36,14 @@ pub struct HtmStats {
 /// A point-in-time copy of [`HtmStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Transactions started (fast path attempts).
+    /// Fast-path attempts that have *finished*: committed, aborted, or
+    /// been dropped / rolled back. Derived (`commits` + total aborts +
+    /// undoomed rollbacks) — beginning an attempt records nothing, so an
+    /// attempt still in flight is not in this number yet. At quiescence it
+    /// equals the number of `Tx::fast` calls made.
     pub starts: u64,
-    /// Transactions committed.
+    /// Transactions committed. Derived: `read_only_commits` plus the
+    /// writing commits, each counted once by the committing attempt.
     pub commits: u64,
     /// Committed transactions that wrote nothing.
     pub read_only_commits: u64,
@@ -57,7 +68,9 @@ pub struct StatsSnapshot {
     pub ctx_fresh: u64,
     /// Fast-path attempts served by a cached thread-local arena. Derived:
     /// every fast start acquires exactly one context, so this is
-    /// `starts - ctx_fresh`.
+    /// `starts - ctx_fresh`. `ctx_fresh` is counted when the attempt
+    /// begins and `starts` when it finishes, so this reads low (saturating
+    /// at 0) while an attempt that allocated its arena is in flight.
     pub ctx_reused: u64,
     /// Capacity aborts caused by a *physical* arena bound (inline write
     /// table, staged-value size, read/subscription capacity) rather than
@@ -98,15 +111,19 @@ impl HtmStats {
         HtmStats::default()
     }
 
-    pub(crate) fn record_start(&self) {
-        self.starts.fetch_add(1, Ordering::Relaxed);
+    /// The one shared write of an attempt that commits.
+    pub(crate) fn record_commit(&self, read_only: bool) {
+        let counter = if read_only {
+            &self.read_only_commits
+        } else {
+            &self.writing_commits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_commit(&self, read_only: bool) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        if read_only {
-            self.read_only_commits.fetch_add(1, Ordering::Relaxed);
-        }
+    /// A live attempt was dropped or rolled back before anything doomed it.
+    pub(crate) fn record_rollback(&self) {
+        self.rollbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_direct(&self) {
@@ -135,14 +152,20 @@ impl HtmStats {
     }
 
     /// Takes a consistent-enough snapshot of the counters.
+    ///
+    /// `starts` and `commits` are sums of the outcome counters read here,
+    /// so `commits + total_aborts() <= starts` holds in every snapshot and
+    /// every field is monotone across snapshots.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        let starts = self.starts.load(Ordering::Relaxed);
+        let read_only_commits = self.read_only_commits.load(Ordering::Relaxed);
+        let commits = read_only_commits + self.writing_commits.load(Ordering::Relaxed);
         let ctx_fresh = self.ctx_fresh.load(Ordering::Relaxed);
-        StatsSnapshot {
-            starts,
-            commits: self.commits.load(Ordering::Relaxed),
-            read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
+        // `starts` and `ctx_reused` are filled in below, from the causes
+        // this literal loads (one load per counter, one place that sums).
+        let mut snap = StatsSnapshot {
+            commits,
+            read_only_commits,
             aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
             aborts_retry: self.aborts_retry.load(Ordering::Relaxed),
             aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
@@ -152,9 +175,12 @@ impl HtmStats {
             aborts_unfriendly: self.aborts_unfriendly.load(Ordering::Relaxed),
             direct_sections: self.direct_sections.load(Ordering::Relaxed),
             ctx_fresh,
-            ctx_reused: starts.saturating_sub(ctx_fresh),
             inline_overflows: self.inline_overflows.load(Ordering::Relaxed),
-        }
+            ..StatsSnapshot::default()
+        };
+        snap.starts = commits + snap.total_aborts() + self.rollbacks.load(Ordering::Relaxed);
+        snap.ctx_reused = snap.starts.saturating_sub(ctx_fresh);
+        snap
     }
 }
 
@@ -164,22 +190,70 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_records() {
+        use crate::{HtmConfig, HtmRuntime, Tx, TxVar};
+        // A dedicated thread, so the context cache starts empty and exactly
+        // the first attempt allocates its arena.
+        std::thread::spawn(|| {
+            let rt = HtmRuntime::new(HtmConfig::coffee_lake());
+            let v = TxVar::new(0u64);
+            let mut writer = Tx::fast(&rt);
+            writer.write(&v, 1).unwrap();
+            writer.commit().unwrap();
+            let mut reader = Tx::fast(&rt);
+            assert_eq!(reader.read(&v).unwrap(), 1);
+            reader.commit().unwrap();
+            let mut aborted = Tx::fast(&rt);
+            let _ = aborted.explicit_abort(7);
+            aborted.commit().unwrap_err();
+            let mut rolled_back = Tx::fast(&rt);
+            rolled_back.write(&v, 9).unwrap();
+            rolled_back.rollback();
+            drop(Tx::fast(&rt));
+            Tx::direct(&rt).commit().unwrap();
+            let snap = rt.stats().snapshot();
+            assert_eq!(
+                snap,
+                StatsSnapshot {
+                    starts: 5,
+                    commits: 2,
+                    read_only_commits: 1,
+                    aborts_explicit: 1,
+                    aborts_retry: 0,
+                    aborts_conflict: 0,
+                    aborts_capacity: 0,
+                    aborts_debug: 0,
+                    aborts_nested: 0,
+                    aborts_unfriendly: 0,
+                    direct_sections: 1,
+                    ctx_fresh: 1,
+                    ctx_reused: 4,
+                    inline_overflows: 0,
+                }
+            );
+            assert_eq!(snap.total_aborts(), 1);
+            assert!((snap.commit_ratio() - 0.4).abs() < f64::EPSILON);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn every_abort_cause_counts_as_one_finished_attempt() {
         let s = HtmStats::new();
-        s.record_start();
-        s.record_start();
-        s.record_commit(true);
-        s.record_abort(AbortCause::Conflict);
-        s.record_abort(AbortCause::Capacity);
-        s.record_direct();
+        for cause in [
+            AbortCause::Explicit(1),
+            AbortCause::Retry,
+            AbortCause::Conflict,
+            AbortCause::Capacity,
+            AbortCause::Debug,
+            AbortCause::Nested,
+            AbortCause::Unfriendly,
+        ] {
+            s.record_abort(cause);
+        }
         let snap = s.snapshot();
-        assert_eq!(snap.starts, 2);
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.read_only_commits, 1);
-        assert_eq!(snap.aborts_conflict, 1);
-        assert_eq!(snap.aborts_capacity, 1);
-        assert_eq!(snap.total_aborts(), 2);
-        assert_eq!(snap.direct_sections, 1);
-        assert!((snap.commit_ratio() - 0.5).abs() < f64::EPSILON);
+        assert_eq!(snap.total_aborts(), 7);
+        assert_eq!((snap.starts, snap.commits), (7, 0));
     }
 
     #[test]

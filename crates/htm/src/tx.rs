@@ -91,9 +91,11 @@ pub struct Tx<'a> {
 
 impl<'a> Tx<'a> {
     /// Begins a fast-path (speculative) transaction.
+    ///
+    /// Records nothing in [`crate::HtmStats`] (a fresh arena aside): the
+    /// attempt is counted once, when it commits, aborts or is dropped.
     #[must_use]
     pub fn fast(rt: &'a HtmRuntime) -> Self {
-        rt.stats().record_start();
         let rv = rt.clock().now();
         let config = rt.config();
         let rate = config.spurious_abort_rate;
@@ -574,8 +576,13 @@ impl Drop for Tx<'_> {
     fn drop(&mut self) {
         // Roll back: return the arena (reset) to the thread-local cache.
         // `commit` takes the context out first, so this only fires for
-        // dropped/rolled-back transactions.
+        // dropped/rolled-back transactions. A doomed one was counted by
+        // its abort cause; an undoomed one is counted here, which is what
+        // keeps the derived `starts` equal to the `Tx::fast` calls made.
         if let Some(ctx) = self.ctx.take() {
+            if self.doomed.is_none() {
+                self.rt.stats().record_rollback();
+            }
             ctx::release(ctx);
         }
     }

@@ -5,9 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::runtime::GoccRuntime;
 
 /// The rare-path counters `optiLib` keeps itself. A section that commits
-/// on the fast path writes none of them: its start and commit are counted
-/// once, by the runtime's HTM domain, and [`StatsView::snapshot`] reads
-/// them from there.
+/// on the fast path writes none of them: it is counted once, at its
+/// commit, by the runtime's HTM domain, and [`StatsView::snapshot`] reads
+/// the per-section figures from there.
 #[derive(Debug, Default)]
 pub(crate) struct OptiStats {
     pub(crate) slow_sections: AtomicU64,
@@ -20,9 +20,10 @@ pub(crate) struct OptiStats {
 /// A point-in-time copy of a runtime's `optiLib` statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptiStatsSnapshot {
-    /// Transactions started by `FastLock`. Read from the runtime's HTM
-    /// domain (`HtmStats` starts), so a `Tx::fast` begun by hand on
-    /// `rt.htm()` counts too.
+    /// Transactions started by `FastLock` that have *finished* (committed,
+    /// aborted or been rolled back): an attempt still in flight is not in
+    /// this number yet. Read from the runtime's HTM domain (`HtmStats`
+    /// starts), so a `Tx::fast` begun by hand on `rt.htm()` counts too.
     pub htm_attempts: u64,
     /// Critical sections completed on the fast path. Read from the
     /// runtime's HTM domain (`HtmStats` commits).
@@ -31,7 +32,8 @@ pub struct OptiStatsSnapshot {
     pub slow_sections: u64,
     /// Perceptron decisions in favor of HTM. Each one starts exactly one
     /// transaction, so this is the HTM domain's starts when the perceptron
-    /// is enabled and 0 when it is not.
+    /// is enabled and 0 when it is not — like `htm_attempts`, a decision
+    /// shows once its transaction has finished.
     pub perceptron_htm: u64,
     /// Perceptron decisions in favor of the lock.
     pub perceptron_slow: u64,

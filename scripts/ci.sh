@@ -59,6 +59,13 @@ fi
 # Its unit tests (metric arithmetic, schema, catalogue == BENCHMARK.json)
 # build the structs it fills from this workspace's snapshots by literal.
 (cd benchmark && CARGO_TARGET_DIR=../target cargo test --offline -q)
+# The paired-run tool a perf PR takes its numbers with: usage, then one
+# 1 s pair against HEAD, so the export, both builds, the result parsing
+# and the table are exercised. Exit 4 (a metric past its bound) is not a
+# failure here: one 1 s pair checks the tool, not the numbers.
+./scripts/bench_pairs.sh --help > /dev/null
+./scripts/bench_pairs.sh --seconds 1 HEAD section_r90 1 || [ $? -eq 4 ]
+echo "ok: bench_pairs dry run"
 
 echo "== goccd loopback smoke =="
 # Boot the real daemon on an ephemeral port in each mode, hit it with a
