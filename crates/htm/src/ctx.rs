@@ -39,7 +39,7 @@
 
 use std::cell::Cell;
 
-use crate::gate::LockWord;
+use crate::gate::{CommitSlot, LockWord, SLOT_WORDS};
 use crate::stripe::{StripeId, StripeSnapshot};
 
 /// log2 of [`WRITE_TABLE_SLOTS`].
@@ -52,9 +52,10 @@ pub(crate) const MAX_WRITE_ENTRIES: usize = WRITE_TABLE_SLOTS / 2;
 pub(crate) const MAX_READ_ENTRIES: usize = 4096;
 /// Hard cap on distinct written cache lines.
 pub(crate) const MAX_WRITE_LINES: usize = 512;
-/// Hard cap on lock-word subscriptions (nesting is capped at 7, so 16
-/// leaves slack for mixed read/write elision in one flat transaction).
-pub(crate) const MAX_SUBS: usize = 16;
+/// Hard cap on lock-word subscriptions: what one [`CommitSlot`] can
+/// announce (nesting is capped at 7, so 15 leaves slack for mixed
+/// read/write elision in one flat transaction).
+pub(crate) const MAX_SUBS: usize = SLOT_WORDS;
 /// Staged values are stored inline up to this many bytes…
 pub(crate) const INLINE_VALUE_BYTES: usize = 32;
 /// …with at most this alignment (the buffer is `[u64; 4]`).
@@ -125,6 +126,10 @@ pub(crate) struct TxContext {
     /// thread-owned storage and carries no lifetime; `Tx<'a>` guarantees
     /// the words outlive every dereference.
     pub(crate) subs: Vec<(*const LockWord, u64)>,
+    /// Where this arena's writing commits announce themselves to slow-path
+    /// acquirers, registered once, here. `None` when the registry is full:
+    /// such an arena cannot commit writes under a subscription.
+    slot: Option<&'static CommitSlot>,
 }
 
 impl TxContext {
@@ -147,7 +152,43 @@ impl TxContext {
             stripes: Vec::with_capacity(MAX_WRITE_LINES),
             held: Vec::with_capacity(MAX_WRITE_LINES),
             subs: Vec::with_capacity(MAX_SUBS),
+            slot: CommitSlot::claim(),
         })
+    }
+
+    /// The current generation: differs between any two attempts this arena
+    /// serves.
+    pub(crate) fn generation(&self) -> u64 {
+        self.gen
+    }
+
+    /// Announces every subscribed lock word in this arena's commit slot.
+    /// Must precede the commit's final lock-word validation. `false` when
+    /// there is something to announce and no slot to announce it in.
+    pub(crate) fn announce_commit(&self) -> bool {
+        let Some(slot) = self.slot else {
+            return self.subs.is_empty();
+        };
+        for (n, &(lock, _)) in self.subs.iter().enumerate() {
+            slot.announce(n, lock);
+        }
+        true
+    }
+
+    /// Gives the slot back early: the arena then stands for one built while
+    /// the registry was full.
+    #[cfg(test)]
+    pub(crate) fn forfeit_slot(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.release();
+        }
+    }
+
+    /// Clears what [`Self::announce_commit`] stored, after write-back.
+    pub(crate) fn retract_commit(&self) {
+        if let Some(slot) = self.slot {
+            slot.retract(self.subs.len());
+        }
     }
 
     /// O(1) wipe: bump the generation (freeing every table slot) and
@@ -279,6 +320,14 @@ impl TxContext {
     pub(crate) fn note_stripe(&mut self, stripe: StripeId) {
         if let Err(pos) = self.stripes.binary_search(&stripe) {
             self.stripes.insert(pos, stripe);
+        }
+    }
+}
+
+impl Drop for TxContext {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot {
+            slot.release();
         }
     }
 }

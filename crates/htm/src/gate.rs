@@ -4,22 +4,33 @@
 //! lock word: "the act of checking adds the lock word to the transaction
 //! read-set, and hence, if a concurrent execution on the slowpath acquires
 //! the same lock during the transaction, the fastpath immediately aborts".
+//! An elided section therefore only ever *reads* the lock's cache line; the
+//! only writers of a [`LockWord`] are the slow-path entry and exit calls.
 //!
 //! In the software simulation, a committing transaction's write-back is not
 //! instantaneous the way a hardware commit is, so in addition to the
 //! versioned lock word this module provides a *commit gate*: a slow-path
 //! acquirer (writer **or** reader) waits for in-flight fast-path write-backs
 //! on the same lock to drain before entering its critical section.
-//! Fast-path commits that start after the slow path bumped the word fail
-//! lock-word validation and abort, so slow-path owners always observe fully
-//! committed state.
+//!
+//! The gate is an announcement, not a count on the lock. Every transaction
+//! arena owns one [`CommitSlot`], a 128-byte line of its own in a
+//! process-global registry. A writing commit stores the address of every
+//! word it subscribed to into its slot *before* its final lock-word
+//! validation and clears the slot after write-back; a slow-path acquirer
+//! bumps the word and *then* scans the registry until no slot names the
+//! word. Both sides are `SeqCst`, so (Dekker) either the committer sees the
+//! bumped word and aborts, or the acquirer sees the announcement and
+//! waits: slow-path owners always observe fully committed state. Who
+//! writes which line on the fast path: the committer its own slot, nobody
+//! the lock's.
 //!
 //! The word also models `sync.RWMutex`: it carries a writer-held bit and a
 //! slow-path reader count, because eliding a *read* lock must tolerate
 //! concurrent slow readers (they do not conflict) while eliding a *write*
 //! lock must abort if any slow reader is present.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Writer-held flag (bit 0).
 const WRITER_BIT: u64 = 1;
@@ -30,7 +41,7 @@ const READER_MASK: u64 = ((1 << 20) - 1) << 1;
 /// One version increment (bits 21..).
 const VERSION_UNIT: u64 = 1 << 21;
 
-/// The elidable lock word plus its commit gate.
+/// The elidable lock word.
 ///
 /// Layout of `word`: bit 0 is the writer-held flag, bits 1..=20 count
 /// slow-path readers, bits 63:21 are a version that changes on every
@@ -40,14 +51,102 @@ const VERSION_UNIT: u64 = 1 << 21;
 #[derive(Debug, Default)]
 pub struct LockWord {
     word: AtomicU64,
-    committers: AtomicUsize,
 }
 
-/// A commit gate handle; currently an alias-like view over [`LockWord`].
-///
-/// Kept as a distinct name so call sites document *why* they touch the
-/// structure (gating write-backs vs. reading lock state).
-pub type CommitGate = LockWord;
+/// Lock-word addresses one [`CommitSlot`] can announce: with the in-use
+/// flag the slot fills its 128 bytes exactly.
+pub(crate) const SLOT_WORDS: usize = 15;
+
+/// Registry capacity. Slots are zero-initialised statics, so the ones never
+/// claimed cost no resident memory.
+const MAX_SLOTS: usize = 1024;
+
+/// One transaction arena's commit announcement: the addresses of the lock
+/// words whose write-back is in flight (0 = none), on a line no other
+/// thread writes.
+#[repr(align(128))]
+pub(crate) struct CommitSlot {
+    words: [AtomicUsize; SLOT_WORDS],
+    in_use: AtomicBool,
+}
+
+const _: () = assert!(std::mem::size_of::<CommitSlot>() == 128);
+
+/// The registry: `SLOTS[..REGISTERED]` have been handed out at least once.
+/// Append-only (`REGISTERED` only grows) and never freed; a dropped arena
+/// returns its slot through `in_use`, so the length follows the peak number
+/// of live arenas, not thread churn.
+static SLOTS: [CommitSlot; MAX_SLOTS] = [const { CommitSlot::new() }; MAX_SLOTS];
+static REGISTERED: AtomicUsize = AtomicUsize::new(0);
+
+impl CommitSlot {
+    const fn new() -> Self {
+        CommitSlot {
+            words: [const { AtomicUsize::new(0) }; SLOT_WORDS],
+            in_use: AtomicBool::new(false),
+        }
+    }
+
+    /// Claims a registered slot nobody uses, growing the registry by one
+    /// when there is none. `None` once all [`MAX_SLOTS`] are in use.
+    pub(crate) fn claim() -> Option<&'static CommitSlot> {
+        loop {
+            let len = REGISTERED.load(Ordering::SeqCst);
+            let free = SLOTS[..len].iter().find(|s| {
+                s.in_use
+                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+                    .is_ok()
+            });
+            if free.is_some() || len == MAX_SLOTS {
+                return free;
+            }
+            // Whoever wins this, the rescan sees the new slot.
+            let _ = REGISTERED.compare_exchange(len, len + 1, Ordering::SeqCst, Ordering::SeqCst);
+        }
+    }
+
+    /// Returns the slot to the registry (its arena is being dropped).
+    pub(crate) fn release(&self) {
+        debug_assert!(
+            self.words.iter().all(|w| w.load(Ordering::SeqCst) == 0),
+            "arena dropped between a commit's announcement and its retraction"
+        );
+        self.in_use.store(false, Ordering::SeqCst);
+    }
+
+    /// Announces a write-back under the `n`-th subscription of the commit;
+    /// a commit announces `0..n` in order ([`LockWord::drain`] stops at a
+    /// slot's first empty word).
+    ///
+    /// `SeqCst`, and before the commit's final [`LockWord::validate`]: the
+    /// store half of the Dekker pairing with [`LockWord::drain`].
+    #[inline]
+    pub(crate) fn announce(&self, n: usize, lock: *const LockWord) {
+        self.words[n].store(lock as usize, Ordering::SeqCst);
+    }
+
+    /// Clears the first `n` announcements, after write-back (or instead of
+    /// it). `Release` pairs with the `SeqCst` load in [`LockWord::drain`]:
+    /// an acquirer that sees the slot clear sees the write-back.
+    #[inline]
+    pub(crate) fn retract(&self, n: usize) {
+        for w in &self.words[..n] {
+            w.store(0, Ordering::Release);
+        }
+    }
+}
+
+/// `(registered, in_use)`: how many commit slots the process has ever handed
+/// out at once, and how many belong to a live transaction arena right now.
+#[must_use]
+pub fn commit_slot_usage() -> (usize, usize) {
+    let len = REGISTERED.load(Ordering::SeqCst);
+    let in_use = SLOTS[..len]
+        .iter()
+        .filter(|s| s.in_use.load(Ordering::SeqCst))
+        .count();
+    (len, in_use)
+}
 
 impl LockWord {
     /// Creates a released lock word at version 0.
@@ -129,30 +228,35 @@ impl LockWord {
     }
 
     fn drain(&self) {
-        // Wait for fast-path write-backs that validated before our bump;
-        // anything entering afterwards fails validation and aborts. Spin
+        // Wait for fast-path write-backs that validated before our bump:
+        // their announcement was stored before that validation, so one
+        // pass over the registry sees it, at a position it keeps until the
+        // write-back is done. Anything announced afterwards fails
+        // validation and retracts without writing. A commit announces from
+        // word 0 up and retracts only after its write-back, so the first
+        // empty word ends a slot: an idle slot costs one load. Spin
         // briefly, then yield — on oversubscribed machines the committer
         // needs the CPU to finish its write-back.
+        let me = std::ptr::from_ref(self) as usize;
+        let len = REGISTERED.load(Ordering::SeqCst);
         let mut spins = 0u32;
-        while self.committers.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
+        for slot in &SLOTS[..len] {
+            for w in &slot.words {
+                let mut named = w.load(Ordering::SeqCst);
+                while named == me {
+                    spins += 1;
+                    if spins.is_multiple_of(64) {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                    named = w.load(Ordering::SeqCst);
+                }
+                if named == 0 {
+                    break;
+                }
             }
         }
-    }
-
-    /// Registers an in-flight fast-path commit write-back.
-    pub fn committer_enter(&self) {
-        self.committers.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Deregisters a fast-path commit write-back.
-    pub fn committer_exit(&self) {
-        let prev = self.committers.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "committer_exit without enter");
     }
 }
 
@@ -212,24 +316,69 @@ mod tests {
         lw.clear_held();
     }
 
-    #[test]
-    fn drain_waits_for_committers() {
-        let lw = std::sync::Arc::new(LockWord::new());
-        lw.committer_enter();
-        let lw2 = lw.clone();
-        let t = std::thread::spawn(move || {
-            lw2.mark_held_and_drain();
-            true
+    /// Runs `acquire` on another thread and checks it returns only after
+    /// `slot` retracts its first `announced` words.
+    fn assert_blocks_until_retract(
+        slot: &CommitSlot,
+        announced: usize,
+        lw: &LockWord,
+        acquire: fn(&LockWord),
+    ) {
+        let seen = lw.observe();
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                acquire(lw);
+                drained.store(true, Ordering::SeqCst);
+            });
+            // The acquirer has bumped the word, so it is in (or about to
+            // enter) the drain scan; give it time to get past it wrongly.
+            while lw.validate(seen) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(
+                !drained.load(Ordering::SeqCst),
+                "drain must wait while a commit on this word is announced"
+            );
+            slot.retract(announced);
         });
-        // Give the acquirer a chance to block on the drain loop.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(
-            !t.is_finished(),
-            "drain must wait while a committer is active"
-        );
-        lw.committer_exit();
-        assert!(t.join().unwrap());
+        assert!(drained.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn drain_waits_for_an_announced_commit() {
+        let slot = CommitSlot::claim().expect("registry has room");
+        let lw = LockWord::new();
+        slot.announce(0, &lw);
+        assert_blocks_until_retract(slot, 1, &lw, LockWord::mark_held_and_drain);
         assert!(lw.is_write_held());
+        lw.clear_held();
+        // A word nobody announces drains at once, whatever else is live.
+        let other = LockWord::new();
+        slot.announce(0, &lw);
+        other.mark_held_and_drain();
+        other.clear_held();
+        slot.retract(1);
+        slot.release();
+    }
+
+    #[test]
+    fn drain_on_either_word_waits_for_a_two_subscription_commit() {
+        // Nested locks: one commit, two subscribed words, both announced.
+        let slot = CommitSlot::claim().expect("registry has room");
+        let (outer, inner) = (LockWord::new(), LockWord::new());
+        for (word, acquire) in [
+            (&outer, LockWord::mark_held_and_drain as fn(&LockWord)),
+            (&inner, LockWord::reader_enter_and_drain),
+        ] {
+            slot.announce(0, &outer);
+            slot.announce(1, &inner);
+            assert_blocks_until_retract(slot, 2, word, acquire);
+        }
+        assert!(outer.is_write_held());
+        assert_eq!(inner.slow_readers(), 1);
+        slot.release();
     }
 
     #[test]

@@ -26,10 +26,15 @@
 //!
 //! # Interoperability with lock slow paths
 //!
-//! [`CommitGate`] implements the elision hand-shake from §5.4 of the paper:
-//! a fast-path transaction subscribes to the lock word (a [`LockWord`]) so
-//! that a slow-path acquisition invalidates it, and a slow-path owner drains
-//! in-flight commit write-backs before entering its critical section.
+//! [`LockWord`] implements the elision hand-shake from §5.4 of the paper:
+//! a fast-path transaction subscribes to the lock word so that a slow-path
+//! acquisition invalidates it, and a slow-path owner drains in-flight commit
+//! write-backs before entering its critical section. The fast path only
+//! *reads* the word: a writing commit announces itself in its own arena's
+//! commit slot (one 128-byte line per thread, in a process-global registry,
+//! see [`commit_slot_usage`]) and the slow-path acquirer, after bumping the
+//! word, scans the registry for announcements naming it. On the fast path
+//! nobody writes the lock's line.
 //!
 //! # Safety model
 //!
@@ -53,7 +58,7 @@ mod txvar;
 
 pub use abort::{Abort, AbortCause, TxResult, LOCK_HELD_CODE, MUTEX_MISMATCH_CODE};
 pub use config::HtmConfig;
-pub use gate::{CommitGate, LockWord};
+pub use gate::{commit_slot_usage, LockWord};
 pub use runtime::HtmRuntime;
 pub use stats::{HtmStats, StatsSnapshot};
 pub use stripe::{StripeId, StripeTable};

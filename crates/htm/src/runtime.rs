@@ -4,6 +4,7 @@ use std::sync::OnceLock;
 
 use crate::clock::VersionClock;
 use crate::config::HtmConfig;
+use crate::ctx;
 use crate::stats::HtmStats;
 use crate::stripe::StripeTable;
 
@@ -18,23 +19,57 @@ use crate::stripe::StripeTable;
 /// Conflict detection only works between transactions that share a runtime;
 /// all `TxVar`s of one data structure must be accessed through the same
 /// runtime, which holds by construction when using [`HtmRuntime::global`].
+///
+/// `repr(C)`: declaration order is memory order, so adding a field moves
+/// none of the others. Which read-only words share a line with the clock
+/// and the counters every section writes is worth a quarter of
+/// `section_r90`'s throughput (EXPERIMENTS.md "Benchmark coupling",
+/// PR 16); left to the compiler, one new field reshuffles them all.
 #[derive(Debug)]
+#[repr(C)]
 pub struct HtmRuntime {
     table: StripeTable,
     clock: VersionClock,
     stats: HtmStats,
+    attempt: AttemptParams,
     config: HtmConfig,
+}
+
+/// What every `Tx::fast` needs from the configuration, worked out once: the
+/// configuration cannot change after [`HtmRuntime::new`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AttemptParams {
+    /// Modeled read-set bound, clamped to the arena's physical capacity.
+    pub(crate) max_reads: usize,
+    /// Modeled write-line bound, clamped to the arena's physical capacity.
+    pub(crate) max_lines: usize,
+    /// `spurious_abort_rate` scaled to the `u64` range; 0 = never.
+    pub(crate) spurious_threshold: u64,
+    /// Whether a fault plan is configured (each attempt owes it one draw).
+    pub(crate) fault_pending: bool,
 }
 
 impl HtmRuntime {
     /// Creates a new, private HTM domain.
     #[must_use]
     pub fn new(config: HtmConfig) -> Self {
+        let rate = config.spurious_abort_rate;
+        let attempt = AttemptParams {
+            max_reads: config.max_read_entries.min(ctx::MAX_READ_ENTRIES),
+            max_lines: config.max_write_lines.min(ctx::MAX_WRITE_LINES),
+            spurious_threshold: if rate > 0.0 {
+                (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64
+            } else {
+                0
+            },
+            fault_pending: config.fault_plan.is_some(),
+        };
         HtmRuntime {
             table: StripeTable::new(config.stripe_bits),
             clock: VersionClock::new(),
             stats: HtmStats::new(),
             config,
+            attempt,
         }
     }
 
@@ -75,6 +110,11 @@ impl HtmRuntime {
     #[must_use]
     pub fn config(&self) -> &HtmConfig {
         &self.config
+    }
+
+    /// The per-attempt parameters derived from the configuration.
+    pub(crate) fn attempt(&self) -> AttemptParams {
+        self.attempt
     }
 }
 

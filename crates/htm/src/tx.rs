@@ -97,17 +97,15 @@ impl<'a> Tx<'a> {
     #[must_use]
     pub fn fast(rt: &'a HtmRuntime) -> Self {
         let rv = rt.clock().now();
-        let config = rt.config();
-        let rate = config.spurious_abort_rate;
-        let spurious_threshold = if rate > 0.0 {
-            (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64
-        } else {
-            0
-        };
+        let params = rt.attempt();
         let (ctx, ctx_reused) = ctx::acquire();
         if !ctx_reused {
             rt.stats().record_ctx_fresh();
         }
+        // Seeded from the clock and the arena's generation: the clock
+        // stands still through read-only phases, and a retry must not
+        // replay the draws that aborted the attempt before it.
+        let seed = rv.wrapping_add(ctx.generation().wrapping_mul(0x9E37_79B9_7F4A_7C15));
         Tx {
             rt,
             mode: TxMode::Fast,
@@ -115,14 +113,14 @@ impl<'a> Tx<'a> {
             ctx: Some(ctx),
             ctx_reused,
             overflowed: false,
-            max_reads: config.max_read_entries.min(ctx::MAX_READ_ENTRIES),
-            max_lines: config.max_write_lines.min(ctx::MAX_WRITE_LINES),
+            max_reads: params.max_reads,
+            max_lines: params.max_lines,
             depth: 1,
             doomed: None,
-            rng: rv.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x9E37_79B9,
-            spurious_threshold,
+            rng: seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x9E37_79B9,
+            spurious_threshold: params.spurious_threshold,
             fault_site: 0,
-            fault_pending: config.fault_plan.is_some(),
+            fault_pending: params.fault_pending,
         }
     }
 
@@ -639,20 +637,15 @@ fn commit_ctx(rt: &HtmRuntime, ctx: &mut TxContext) -> Result<bool, AbortCause> 
             }
         }
     }
-    // Enter the commit gates *before* the final lock-word validation so
-    // a slow-path acquirer marking the word held either fails us here
-    // or waits for our write-back to drain.
-    for &(lock, _) in &ctx.subs {
-        // SAFETY: see the read-only path above.
-        unsafe { &*lock }.committer_enter();
-    }
+    // Announce the commit *before* the final lock-word validation so a
+    // slow-path acquirer marking the word held either fails us here or
+    // waits for our write-back to drain. An arena without a slot reports
+    // the lock held: the section then takes it.
     let mut fail: Option<AbortCause> = None;
-    for &(lock, seen) in &ctx.subs {
-        // SAFETY: see the read-only path above.
-        if !unsafe { &*lock }.validate(seen) {
-            fail = Some(AbortCause::Explicit(LOCK_HELD_CODE));
-            break;
-        }
+    // SAFETY: see the read-only path above.
+    let word_moved = |&(lock, seen): &(*const LockWord, u64)| !unsafe { &*lock }.validate(seen);
+    if !ctx.announce_commit() || ctx.subs.iter().any(word_moved) {
+        fail = Some(AbortCause::Explicit(LOCK_HELD_CODE));
     }
     if fail.is_none() {
         // Validate the read set: untouched stripes must match their
@@ -671,7 +664,7 @@ fn commit_ctx(rt: &HtmRuntime, ctx: &mut TxContext) -> Result<bool, AbortCause> 
         }
     }
     if let Some(cause) = fail {
-        exit_gates(ctx);
+        ctx.retract_commit();
         release_held(rt, &ctx.held, None);
         ctx.held.clear();
         return Err(cause);
@@ -691,15 +684,8 @@ fn commit_ctx(rt: &HtmRuntime, ctx: &mut TxContext) -> Result<bool, AbortCause> 
     }
     release_held(rt, &ctx.held, Some(wv));
     ctx.held.clear();
-    exit_gates(ctx);
+    ctx.retract_commit();
     Ok(false)
-}
-
-fn exit_gates(ctx: &TxContext) {
-    for &(lock, _) in &ctx.subs {
-        // SAFETY: see `commit_ctx`.
-        unsafe { &*lock }.committer_exit();
-    }
 }
 
 fn release_held(rt: &HtmRuntime, held: &[(StripeId, StripeSnapshot)], new_version: Option<u64>) {
@@ -890,6 +876,30 @@ mod tests {
     }
 
     #[test]
+    fn an_arena_without_a_commit_slot_sends_its_writing_sections_to_the_lock() {
+        let rt = rt();
+        let lw = LockWord::new();
+        let v = TxVar::new(0u64);
+        let mut tx = Tx::fast(&rt);
+        tx.ctx.as_mut().unwrap().forfeit_slot();
+        tx.subscribe_lock(&lw, Elision::Write).unwrap();
+        tx.write(&v, 1).unwrap();
+        let err = tx.commit().unwrap_err();
+        assert_eq!(err.cause, AbortCause::Explicit(LOCK_HELD_CODE));
+        // Nothing was published and the stripe is free again; what the
+        // arena cannot announce it does not need to: no subscription, or no
+        // write.
+        let mut free = Tx::fast(&rt);
+        assert_eq!(free.read(&v).unwrap(), 0);
+        free.write(&v, 2).unwrap();
+        free.commit().unwrap();
+        let mut ro = Tx::fast(&rt);
+        ro.subscribe_lock(&lw, Elision::Read).unwrap();
+        assert_eq!(ro.read(&v).unwrap(), 2);
+        ro.commit().unwrap();
+    }
+
+    #[test]
     fn subscription_capacity_overflows() {
         let rt = rt();
         let words: Vec<Box<LockWord>> = (0..32).map(|_| Box::new(LockWord::new())).collect();
@@ -956,6 +966,30 @@ mod tests {
         let v = TxVar::new(0u64);
         let mut tx = Tx::fast(&rt);
         assert_eq!(tx.read(&v).unwrap_err().cause, AbortCause::Retry);
+    }
+
+    #[test]
+    fn spurious_aborts_do_not_replay_at_the_same_operation() {
+        let mut cfg = HtmConfig::coffee_lake();
+        cfg.spurious_abort_rate = 0.5;
+        let rt = HtmRuntime::new(cfg);
+        let v = TxVar::new(0u64);
+        // Read-only attempts never tick the clock, so every retry begins at
+        // the same `rv`: the draws must differ all the same.
+        let aborted_at: Vec<usize> = (0..16)
+            .map(|_| {
+                let mut tx = Tx::fast(&rt);
+                (0..64)
+                    .position(|_| tx.read(&v).is_err())
+                    .expect("64 draws at rate 0.5 include an abort")
+            })
+            .collect();
+        assert!(
+            aborted_at.windows(2).any(|w| w[0] != w[1]),
+            "every retry aborted at operation {}",
+            aborted_at[0]
+        );
+        assert_eq!(rt.stats().snapshot().aborts_retry, 16);
     }
 
     #[test]

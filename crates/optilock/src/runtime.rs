@@ -71,15 +71,20 @@ impl GoccConfig {
 /// Production code uses [`GoccRuntime::global`]; benchmarks construct a
 /// private runtime per configuration point so learning state does not leak
 /// between runs.
+///
+/// `repr(C)`, for [`HtmRuntime`]'s reason: `htm` carries the lines every
+/// section writes, and where the read-only words around it fall must not
+/// depend on the compiler's field-ordering heuristics.
 #[derive(Debug)]
+#[repr(C)]
 pub struct GoccRuntime {
     htm: HtmRuntime,
     perceptron: Perceptron,
-    policy: RetryPolicy,
-    perceptron_enabled: bool,
+    tracer: Box<TraceRecorder>,
     pub(crate) stats: OptiStats,
     telemetry: Option<Box<Telemetry>>,
-    tracer: Box<TraceRecorder>,
+    policy: RetryPolicy,
+    perceptron_enabled: bool,
 }
 
 impl GoccRuntime {

@@ -88,15 +88,22 @@ fn steady_state_fast_sections_do_not_allocate() {
             tx.write(&v, cur + 1)
         })
     };
-    // Warmup: the first section on this thread allocates its context.
+    // Warmup: the first section on this thread allocates its context,
+    // which registers its commit slot in the same step.
     for _ in 0..64 {
         run();
     }
+    let slots = gocc_htm::commit_slot_usage();
     let allocs = allocs_over(10_000, run);
     gocc_gosync::set_procs(prev);
     assert_eq!(
         allocs, 0,
         "speculative sections must be allocation-free after warmup"
+    );
+    assert_eq!(
+        gocc_htm::commit_slot_usage(),
+        slots,
+        "a commit slot is registered once per arena, not per section"
     );
     // Sanity: the sections actually ran on the fast path and committed.
     let snap = rt.stats().snapshot();
@@ -124,6 +131,16 @@ fn steady_state_direct_sections_do_not_allocate() {
     for _ in 0..64 {
         run();
     }
+    // Every slow-path acquisition scans the commit-slot registry for
+    // in-flight write-backs. Give the scan more than this thread's own
+    // slot (from the fast phase above) to walk.
+    std::thread::spawn(|| {
+        let rt = gocc_htm::HtmRuntime::new(gocc_htm::HtmConfig::coffee_lake());
+        gocc_htm::Tx::fast(&rt).rollback();
+    })
+    .join()
+    .unwrap();
+    assert!(gocc_htm::commit_slot_usage().0 >= 2);
     let allocs = allocs_over(10_000, run);
     gocc_gosync::set_procs(prev);
     assert_eq!(

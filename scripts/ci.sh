@@ -35,6 +35,18 @@ cargo build --release --offline --workspace
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== commit gate (release) =="
+# The torn-read stress needs optimised code to land a slow-path acquire
+# inside a write-back; the workspace pass above ran it unoptimised.
+cargo test -q --release --offline -p gocc-htm --test commit_gate
+# The gate is the per-arena commit slot: an elided section never writes
+# the lock's line, so the per-lock committer count must not come back.
+if grep -rnE 'committer_enter|committer_exit|CommitGate' crates/; then
+  echo "FAIL: a per-lock committer count is back under crates/" >&2
+  exit 1
+fi
+echo "ok: commit gate holds, LockWord carries no committer count"
+
 echo "== formatting =="
 cargo fmt --check
 
