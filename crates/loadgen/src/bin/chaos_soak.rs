@@ -19,7 +19,9 @@
 //!
 //! A liveness watchdog thread aborts the process (exit 2) if no worker
 //! makes progress for `--stall-secs`, so a deadlock or livelock fails the
-//! run instead of hanging CI. Any correctness divergence exits 1.
+//! run instead of hanging CI. A broken guarantee — oracle divergence, an
+//! undetected mis-pair, a watchdog that does not engage, a replay
+//! fingerprint mismatch — exits 4; a broken harness exits 1.
 //!
 //! ```console
 //! $ chaos_soak --seed 7 --sections 300 --abort-rate 0.2 --transport-rate 0.2
@@ -28,22 +30,24 @@
 use std::collections::HashMap;
 use std::io::{Cursor, Read, Write};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gocc_faultplane::{AbortMix, FaultPlane, FaultPlaneConfig, TransportMix};
 use gocc_gosync::{lock_id, LockLedger};
 use gocc_htm::{Tx, TxVar};
+use gocc_loadgen::soak::{self, spawn_node, violation, Flags, Liveness, SoakResult};
 use gocc_loadgen::{ClientConfig, ResilientClient};
 use gocc_optilock::{
     call_site, critical_mutex, ElidableMutex, GoccConfig, GoccRuntime, HtmScope, LockRef, OptiLock,
 };
-use gocc_server::{mode_name, parse_mode, spawn, Mode, ServerConfig};
+use gocc_server::{mode_name, Mode, ServerConfig};
 use gocc_telemetry::{JsonValue, SplitMix64};
 use gocc_wire::{decode_response, FaultyStream, Request, Response};
 use gocc_workloads::gocache::Cache;
 use gocc_workloads::Engine;
+
+const NAME: &str = "chaos_soak";
 
 // ---------------------------------------------------------------- args --
 
@@ -66,14 +70,7 @@ struct Args {
     trace_out: Option<String>,
 }
 
-fn usage() -> String {
-    "usage: chaos_soak [--seed N] [--mode lock|gocc|both] [--sections N] [--threads N] \
-     [--abort-rate F] [--pairing-rate F] [--transport-rate F] \
-     [--net-keys N] [--net-clients N] [--stall-secs N] [--trace-out PREFIX|none]"
-        .to_string()
-}
-
-fn parse_args(raw: &[String]) -> Result<Args, String> {
+fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         seed: 2026,
         mode: None,
@@ -87,49 +84,19 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         stall_secs: 60,
         trace_out: Some("TRACE_chaos".to_string()),
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
-        match flag.as_str() {
-            "--seed" => args.seed = num("--seed", &value("--seed")?)?,
-            "--mode" => {
-                let v = value("--mode")?;
-                args.mode = if v == "both" {
-                    None
-                } else {
-                    Some(parse_mode(&v)?)
-                };
-            }
-            "--sections" => args.sections = num("--sections", &value("--sections")?)?,
-            "--threads" => args.threads = num("--threads", &value("--threads")?)?,
-            "--abort-rate" => args.abort_rate = num("--abort-rate", &value("--abort-rate")?)?,
-            "--pairing-rate" => {
-                args.pairing_rate = num("--pairing-rate", &value("--pairing-rate")?)?;
-            }
-            "--transport-rate" => {
-                args.transport_rate = num("--transport-rate", &value("--transport-rate")?)?;
-            }
-            "--net-keys" => args.net_keys = num("--net-keys", &value("--net-keys")?)?,
-            "--net-clients" => args.net_clients = num("--net-clients", &value("--net-clients")?)?,
-            "--stall-secs" => args.stall_secs = num("--stall-secs", &value("--stall-secs")?)?,
-            "--trace-out" => {
-                let v = value("--trace-out")?;
-                args.trace_out = (v != "none").then_some(v);
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
-    }
+    Flags::new(NAME)
+        .seed(&mut args.seed)
+        .mode(&mut args.mode)
+        .num("--sections", "N", &mut args.sections)
+        .num("--threads", "N", &mut args.threads)
+        .num("--abort-rate", "F", &mut args.abort_rate)
+        .num("--pairing-rate", "F", &mut args.pairing_rate)
+        .num("--transport-rate", "F", &mut args.transport_rate)
+        .num("--net-keys", "N", &mut args.net_keys)
+        .num("--net-clients", "N", &mut args.net_clients)
+        .stall_secs(&mut args.stall_secs)
+        .or_none("--trace-out", "PREFIX|none", &mut args.trace_out)
+        .parse(raw)?;
     if args.sections == 0 || args.threads == 0 || args.net_clients == 0 {
         return Err("--sections/--threads/--net-clients must be >= 1".into());
     }
@@ -142,56 +109,6 @@ fn plane_config(args: &Args) -> FaultPlaneConfig {
         pairing_rate: args.pairing_rate,
         transport_mix: TransportMix::uniform(args.transport_rate),
     }
-}
-
-// ---------------------------------------------------- liveness watchdog --
-
-/// Progress heartbeat shared by every worker: the monitor thread aborts
-/// the whole process if the beat counter stops moving — a deadlock or
-/// livelock becomes a fast, loud failure instead of a hung CI job.
-struct Liveness {
-    beats: AtomicU64,
-    done: AtomicBool,
-}
-
-impl Liveness {
-    fn beat(&self) {
-        self.beats.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn start_liveness_monitor(stall: Duration) -> Arc<Liveness> {
-    let live = Arc::new(Liveness {
-        beats: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-    });
-    let monitor = Arc::clone(&live);
-    std::thread::Builder::new()
-        .name("chaos-liveness".into())
-        .spawn(move || {
-            let mut last = monitor.beats.load(Ordering::Relaxed);
-            let mut last_change = Instant::now();
-            loop {
-                std::thread::sleep(Duration::from_millis(200));
-                if monitor.done.load(Ordering::Relaxed) {
-                    return;
-                }
-                let now = monitor.beats.load(Ordering::Relaxed);
-                if now != last {
-                    last = now;
-                    last_change = Instant::now();
-                } else if last_change.elapsed() > stall {
-                    eprintln!(
-                        "chaos_soak: LIVENESS WATCHDOG: no progress for {}s — \
-                         deadlock or livelock",
-                        stall.as_secs()
-                    );
-                    std::process::exit(2);
-                }
-            }
-        })
-        .expect("spawn liveness monitor");
-    live
 }
 
 // --------------------------------------------- phase 1: replay by seed --
@@ -280,19 +197,19 @@ fn replay_fingerprint(seed: u64, cfg: FaultPlaneConfig, iters: u64) -> (String, 
     (plane.report().to_json(), fp)
 }
 
-fn phase1_replay(args: &Args) -> Result<(), String> {
+fn phase1_replay(args: &Args) -> SoakResult<()> {
     let cfg = plane_config(args);
     let first = replay_fingerprint(args.seed, cfg, args.sections);
     let second = replay_fingerprint(args.seed, cfg, args.sections);
     if first != second {
-        return Err(format!(
+        return Err(violation(format!(
             "same seed produced different fault schedules:\n  {}\n  {}",
             first.0, second.0
-        ));
+        )));
     }
     let other = replay_fingerprint(args.seed ^ 0x5DEE_CE66, cfg, args.sections);
     if first == other {
-        return Err("different seeds produced identical schedules".into());
+        return Err(violation("different seeds produced identical schedules"));
     }
     println!("phase 1 replay       OK  report={}", first.0);
     Ok(())
@@ -303,7 +220,7 @@ fn phase1_replay(args: &Args) -> Result<(), String> {
 /// Multithreaded cache soak under HTM abort injection, checked op-by-op
 /// against per-thread sequential oracles over disjoint key partitions
 /// (disjointness makes the final state interleaving-independent).
-fn phase2_cache_soak(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String> {
+fn phase2_cache_soak(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     const KEYS_PER_THREAD: u64 = 32;
     let plane = FaultPlane::new(args.seed.wrapping_add(0x2A), plane_config(args));
     let mut gc = GoccConfig::with_telemetry();
@@ -312,75 +229,63 @@ fn phase2_cache_soak(args: &Args, mode: Mode, live: &Liveness) -> Result<(), Str
     let capacity = (args.threads as u64 * KEYS_PER_THREAD * 4).next_power_of_two() as usize;
     let cache = Cache::with_capacity(capacity);
 
-    let results: Vec<Result<u64, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..args.threads)
-            .map(|t| {
-                let (rt, cache, live) = (&rt, &cache, &live);
-                s.spawn(move || -> Result<u64, String> {
-                    let engine = Engine::new(rt, mode);
-                    let mut rng = SplitMix64::new(args.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                    let mut oracle: HashMap<u64, u64> = HashMap::new();
-                    let base = t as u64 * KEYS_PER_THREAD + 1;
-                    let key_of = |rng: &mut SplitMix64| base + rng.below(KEYS_PER_THREAD);
-                    let mut ops = 0u64;
-                    for _ in 0..args.sections {
-                        match rng.below(100) {
-                            0..=39 => {
-                                let (k, val) = (key_of(&mut rng), rng.next_u64() >> 1);
-                                cache.set(&engine, k, val, 0);
-                                oracle.insert(k, val);
-                            }
-                            40..=69 => {
-                                let (k, d) = (key_of(&mut rng), rng.below(1000));
-                                let new = cache.incr(&engine, k, d);
-                                let entry = oracle.entry(k).or_insert(0);
-                                *entry = entry.wrapping_add(d);
-                                if new != *entry {
-                                    return Err(format!(
-                                        "thread {t}: incr({k}) => {new}, oracle {entry}"
-                                    ));
-                                }
-                            }
-                            70..=79 => {
-                                let k = key_of(&mut rng);
-                                let existed = cache.delete(&engine, k);
-                                if existed != oracle.remove(&k).is_some() {
-                                    return Err(format!("thread {t}: delete({k}) diverged"));
-                                }
-                            }
-                            80..=94 => {
-                                let k = key_of(&mut rng);
-                                if cache.get(&engine, k) != oracle.get(&k).copied() {
-                                    return Err(format!("thread {t}: get({k}) diverged"));
-                                }
-                            }
-                            _ => {
-                                // Large read set: the capacity-abort generator.
-                                let _ = cache.scan(&engine, 16);
-                            }
-                        }
-                        ops += 1;
-                        live.beat();
+    let per_thread = soak::in_parallel(args.threads, |t| {
+        let engine = Engine::new(&rt, mode);
+        let mut rng = SplitMix64::new(args.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
+        let mut oracle: HashMap<u64, u64> = HashMap::new();
+        let base = t as u64 * KEYS_PER_THREAD + 1;
+        let key_of = |rng: &mut SplitMix64| base + rng.below(KEYS_PER_THREAD);
+        let mut ops = 0u64;
+        for _ in 0..args.sections {
+            match rng.below(100) {
+                0..=39 => {
+                    let (k, val) = (key_of(&mut rng), rng.next_u64() >> 1);
+                    cache.set(&engine, k, val, 0);
+                    oracle.insert(k, val);
+                }
+                40..=69 => {
+                    let (k, d) = (key_of(&mut rng), rng.below(1000));
+                    let new = cache.incr(&engine, k, d);
+                    let entry = oracle.entry(k).or_insert(0);
+                    *entry = entry.wrapping_add(d);
+                    if new != *entry {
+                        return Err(violation(format!(
+                            "thread {t}: incr({k}) => {new}, oracle {entry}"
+                        )));
                     }
-                    // Final readback: the whole partition must match.
-                    for k in base..base + KEYS_PER_THREAD {
-                        if cache.get(&engine, k) != oracle.get(&k).copied() {
-                            return Err(format!("thread {t}: final state of {k} diverged"));
-                        }
+                }
+                70..=79 => {
+                    let k = key_of(&mut rng);
+                    let existed = cache.delete(&engine, k);
+                    if existed != oracle.remove(&k).is_some() {
+                        return Err(violation(format!("thread {t}: delete({k}) diverged")));
                     }
-                    Ok(ops)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("worker panicked".into())))
-            .collect()
+                }
+                80..=94 => {
+                    let k = key_of(&mut rng);
+                    if cache.get(&engine, k) != oracle.get(&k).copied() {
+                        return Err(violation(format!("thread {t}: get({k}) diverged")));
+                    }
+                }
+                _ => {
+                    // Large read set: the capacity-abort generator.
+                    let _ = cache.scan(&engine, 16);
+                }
+            }
+            ops += 1;
+            live.beat();
+        }
+        // Final readback: the whole partition must match.
+        for k in base..base + KEYS_PER_THREAD {
+            if cache.get(&engine, k) != oracle.get(&k).copied() {
+                return Err(violation(format!(
+                    "thread {t}: final state of {k} diverged"
+                )));
+            }
+        }
+        Ok(ops)
     });
-    let mut total_ops = 0u64;
-    for r in results {
-        total_ops += r?;
-    }
+    let total_ops: u64 = per_thread?.iter().sum();
 
     let snap = rt.stats().snapshot();
     let injected = plane.report().htm_injected.iter().sum::<u64>();
@@ -403,7 +308,7 @@ fn phase2_cache_soak(args: &Args, mode: Mode, live: &Liveness) -> Result<(), Str
 /// A pathological retry policy (unbounded budget, 100% transient aborts)
 /// is a livelock machine; the watchdog must bound every section and the
 /// guarantee must be visible in telemetry.
-fn phase2_watchdog(args: &Args, live: &Liveness) -> Result<(), String> {
+fn phase2_watchdog(args: &Args, live: &Liveness) -> SoakResult<()> {
     const BOUND: u32 = 16;
     let plane = FaultPlane::new(
         args.seed.wrapping_add(0x77),
@@ -442,25 +347,29 @@ fn phase2_watchdog(args: &Args, live: &Liveness) -> Result<(), String> {
     let mut check = Tx::direct(rt.htm());
     let count = check.read(&v).unwrap();
     if count != total {
-        return Err(format!("watchdog run lost updates: {count} != {total}"));
+        return Err(violation(format!(
+            "watchdog run lost updates: {count} != {total}"
+        )));
     }
     let snap = rt.stats().snapshot();
     if snap.watchdog_forced != total || snap.slow_sections != total {
-        return Err(format!(
+        return Err(violation(format!(
             "watchdog must force every livelocked section to the lock: \
              forced={} slow={} of {total}",
             snap.watchdog_forced, snap.slow_sections
-        ));
+        )));
     }
     if snap.htm_attempts != total * u64::from(BOUND) {
-        return Err(format!(
+        return Err(violation(format!(
             "each section must burn exactly {BOUND} fast attempts, saw {} for {total}",
             snap.htm_attempts
-        ));
+        )));
     }
     let report = rt.telemetry().expect("telemetry on").report();
     if report.watchdog_forced != total {
-        return Err("the watchdog guarantee must be visible in telemetry".into());
+        return Err(violation(
+            "the watchdog guarantee must be visible in telemetry",
+        ));
     }
     println!(
         "phase 2 watchdog     OK  sections={total} forced={} attempts={}",
@@ -471,7 +380,7 @@ fn phase2_watchdog(args: &Args, live: &Liveness) -> Result<(), String> {
 
 /// Injected Lock/Unlock mis-pairings through the real `OptiLock`
 /// fast-path: every one must be detected, recovered, and counted.
-fn phase2_pairing(args: &Args, live: &Liveness) -> Result<(), String> {
+fn phase2_pairing(args: &Args, live: &Liveness) -> SoakResult<()> {
     // No perceptron: a trained predictor would route mispaired iterations
     // to the slow path, which has no mismatch check to exercise.
     let plane = FaultPlane::new(args.seed.wrapping_add(0x9), plane_config(args));
@@ -517,25 +426,27 @@ fn phase2_pairing(args: &Args, live: &Liveness) -> Result<(), String> {
             });
         }
         if a.is_locked() || b.is_locked() {
-            return Err("locks failed to balance after a mispaired iteration".into());
+            return Err(violation(
+                "locks failed to balance after a mispaired iteration",
+            ));
         }
         live.beat();
     }
     let injected = plane.pairing.count();
     let recovered = rt.stats().snapshot().mismatch_recoveries;
     if recovered != injected {
-        return Err(format!(
+        return Err(violation(format!(
             "every injected mispair must be detected (and nothing else): \
              injected={injected} recovered={recovered}"
-        ));
+        )));
     }
     let mut check = Tx::direct(rt.htm());
     let count = check.read(&v).unwrap();
     if count != args.sections {
-        return Err(format!(
+        return Err(violation(format!(
             "mispair recovery lost updates: {count} != {}",
             args.sections
-        ));
+        )));
     }
     println!("phase 2 pairing      OK  injected={injected} recovered={recovered}");
     Ok(())
@@ -547,122 +458,103 @@ fn phase2_pairing(args: &Args, live: &Liveness) -> Result<(), String> {
 /// driven by resilient clients over disjoint key ranges. Idempotent verbs
 /// only, so replay-on-failure is always safe; the store must end exactly
 /// correct and the server must never see a malformed frame.
-fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String> {
+fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     let plane = FaultPlane::new(args.seed.wrapping_add(0x3), plane_config(args));
-    let handle = spawn(ServerConfig {
-        mode,
-        port: 0,
-        workers: 2,
-        shards: 4,
-        capacity_per_shard: 1 << 14,
+    let config = ServerConfig {
         write_timeout: Duration::from_secs(5),
         fault_plan: (args.transport_rate > 0.0).then(|| Arc::clone(&plane.transport)),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("spawn goccd: {e}"))?;
+        ..soak::node_config(mode, 4, 1 << 14)
+    };
+    let handle = spawn_node("goccd", config)?;
     let port = handle.port();
 
-    let results: Vec<Result<(u64, u64), String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..args.net_clients)
-            .map(|t| {
-                let live = &live;
-                s.spawn(move || -> Result<(u64, u64), String> {
-                    let mut client = ResilientClient::new(
-                        port,
-                        ClientConfig::chaos(),
-                        args.seed ^ (t as u64 + 1).wrapping_mul(0xA076_1D64),
-                    );
-                    let io = |e: std::io::Error| format!("client {t}: {e}");
-                    let value_of = |i: u64| (t as u64).wrapping_mul(1_000_003) + i * 7;
-                    // Pipelined seeding: SETs go out in bursts of 8 and
-                    // the whole burst replays on an I/O fault (idempotent
-                    // verbs only, so batch replay stays safe under chaos).
-                    const BATCH: u64 = 8;
-                    let mut resps: Vec<Vec<u8>> = Vec::new();
-                    let mut start = 0u64;
-                    while start < args.net_keys {
-                        let end = (start + BATCH).min(args.net_keys);
-                        let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
-                        let reqs: Vec<Request<'_>> = keys
-                            .iter()
-                            .zip(start..end)
-                            .map(|(key, i)| Request::Set {
-                                key: key.as_bytes(),
-                                value: value_of(i),
-                                ttl: 0,
-                            })
-                            .collect();
-                        client.call_pipelined(&reqs, &mut resps).map_err(io)?;
-                        for (body, key) in resps.iter().zip(&keys) {
-                            if decode_response(body).map_err(|e| format!("client {t}: {e}"))?
-                                != Response::Done
-                            {
-                                return Err(format!("client {t}: SET {key} not acknowledged"));
-                            }
-                        }
-                        live.beat();
-                        start = end;
-                    }
-                    // Verify phase, also pipelined: each key's DEL (every
-                    // fifth) rides in the same burst as its GET; FIFO
-                    // order on one connection keeps them serialized.
-                    let mut start = 0u64;
-                    while start < args.net_keys {
-                        let end = (start + BATCH).min(args.net_keys);
-                        let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
-                        let mut reqs: Vec<Request<'_>> = Vec::new();
-                        let mut expect: Vec<Option<Response<'_>>> = Vec::new();
-                        for (key, i) in keys.iter().zip(start..end) {
-                            let deleted = i % 5 == 4;
-                            if deleted {
-                                reqs.push(Request::Del {
-                                    key: key.as_bytes(),
-                                });
-                                expect.push(None); // any Deleted shape is fine
-                            }
-                            reqs.push(Request::Get {
-                                key: key.as_bytes(),
-                            });
-                            expect.push(Some(Response::Value {
-                                found: !deleted,
-                                value: if deleted { 0 } else { value_of(i) },
-                            }));
-                        }
-                        client.call_pipelined(&reqs, &mut resps).map_err(io)?;
-                        for (body, want) in resps.iter().zip(&expect) {
-                            let got =
-                                decode_response(body).map_err(|e| format!("client {t}: {e}"))?;
-                            match want {
-                                None => {
-                                    if !matches!(got, Response::Deleted { .. }) {
-                                        return Err(format!("client {t}: DEL answered {got:?}"));
-                                    }
-                                }
-                                Some(want) => {
-                                    if got != *want {
-                                        return Err(format!(
-                                            "client {t}: key diverged under transport \
-                                             faults: got {got:?}, want {want:?}"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        live.beat();
-                        start = end;
-                    }
-                    Ok((client.reconnects(), client.replays()))
+    let per_client = soak::in_parallel(args.net_clients, |t| {
+        let mut client = ResilientClient::new(
+            port,
+            ClientConfig::chaos(),
+            args.seed ^ (t as u64 + 1).wrapping_mul(0xA076_1D64),
+        );
+        let io = |e: std::io::Error| format!("client {t}: {e}");
+        let value_of = |i: u64| (t as u64).wrapping_mul(1_000_003) + i * 7;
+        // Pipelined seeding: SETs go out in bursts of 8 and
+        // the whole burst replays on an I/O fault (idempotent
+        // verbs only, so batch replay stays safe under chaos).
+        const BATCH: u64 = 8;
+        let mut resps: Vec<Vec<u8>> = Vec::new();
+        let mut start = 0u64;
+        while start < args.net_keys {
+            let end = (start + BATCH).min(args.net_keys);
+            let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
+            let reqs: Vec<Request<'_>> = keys
+                .iter()
+                .zip(start..end)
+                .map(|(key, i)| Request::Set {
+                    key: key.as_bytes(),
+                    value: value_of(i),
+                    ttl: 0,
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())))
-            .collect()
+                .collect();
+            client.call_pipelined(&reqs, &mut resps).map_err(io)?;
+            for (body, key) in resps.iter().zip(&keys) {
+                if decode_response(body).map_err(|e| format!("client {t}: {e}"))? != Response::Done
+                {
+                    return Err(violation(format!("client {t}: SET {key} not acknowledged")));
+                }
+            }
+            live.beat();
+            start = end;
+        }
+        // Verify phase, also pipelined: each key's DEL (every
+        // fifth) rides in the same burst as its GET; FIFO
+        // order on one connection keeps them serialized.
+        let mut start = 0u64;
+        while start < args.net_keys {
+            let end = (start + BATCH).min(args.net_keys);
+            let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
+            let mut reqs: Vec<Request<'_>> = Vec::new();
+            let mut expect: Vec<Option<Response<'_>>> = Vec::new();
+            for (key, i) in keys.iter().zip(start..end) {
+                let deleted = i % 5 == 4;
+                if deleted {
+                    reqs.push(Request::Del {
+                        key: key.as_bytes(),
+                    });
+                    expect.push(None); // any Deleted shape is fine
+                }
+                reqs.push(Request::Get {
+                    key: key.as_bytes(),
+                });
+                expect.push(Some(Response::Value {
+                    found: !deleted,
+                    value: if deleted { 0 } else { value_of(i) },
+                }));
+            }
+            client.call_pipelined(&reqs, &mut resps).map_err(io)?;
+            for (body, want) in resps.iter().zip(&expect) {
+                let got = decode_response(body).map_err(|e| format!("client {t}: {e}"))?;
+                match want {
+                    None => {
+                        if !matches!(got, Response::Deleted { .. }) {
+                            return Err(violation(format!("client {t}: DEL answered {got:?}")));
+                        }
+                    }
+                    Some(want) => {
+                        if got != *want {
+                            return Err(violation(format!(
+                                "client {t}: key diverged under transport \
+                                 faults: got {got:?}, want {want:?}"
+                            )));
+                        }
+                    }
+                }
+            }
+            live.beat();
+            start = end;
+        }
+        Ok((client.reconnects(), client.replays()))
     });
     let (mut reconnects, mut replays) = (0u64, 0u64);
-    for r in results {
-        let (rc, rp) = r?;
+    for (rc, rp) in per_client? {
         reconnects += rc;
         replays += rp;
     }
@@ -681,12 +573,11 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> Result<(), Stri
     let doc = JsonValue::parse(json).map_err(|e| format!("STATS JSON must parse: {e}"))?;
     match doc.get("mode").and_then(|m| m.as_str()) {
         Some(m) if m == mode_name(mode) => {}
-        other => return Err(format!("server reports mode {other:?}")),
+        other => return Err(format!("server reports mode {other:?}").into()),
     }
 
     let state = handle.state_arc();
-    handle.request_shutdown();
-    let summary = handle.join();
+    let summary = soak::stop(handle);
     if let Some(prefix) = &args.trace_out {
         // The flight recorder's surviving spans, as a Chrome trace-event
         // document. Validated before it lands: a dump that does not parse
@@ -698,10 +589,10 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> Result<(), Stri
         println!("wrote {path}");
     }
     if summary.malformed_frames != 0 {
-        return Err(format!(
+        return Err(violation(format!(
             "transport faults must never corrupt frames: {} malformed",
             summary.malformed_frames
-        ));
+        )));
     }
     let injected = plane.transport.total_injected();
     if args.transport_rate >= 0.05 {
@@ -723,12 +614,9 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> Result<(), Stri
 
 // ---------------------------------------------------------------- main --
 
-fn run(args: &Args) -> Result<(), String> {
-    let modes: Vec<Mode> = match args.mode {
-        Some(m) => vec![m],
-        None => vec![Mode::Lock, Mode::Gocc],
-    };
-    let live = start_liveness_monitor(Duration::from_secs(args.stall_secs.max(5)));
+fn run(args: &Args) -> SoakResult<()> {
+    let modes = soak::modes(args.mode);
+    let live = Liveness::start(NAME, args.stall_secs);
     let t0 = Instant::now();
 
     phase1_replay(args)?;
@@ -741,7 +629,7 @@ fn run(args: &Args) -> Result<(), String> {
         phase3_networked(args, mode, &live)?;
     }
 
-    live.done.store(true, Ordering::Relaxed);
+    live.finish();
     println!(
         "chaos_soak PASS  seed={} sections={} threads={} rates=({:.2},{:.2},{:.2}) {:?}",
         args.seed,
@@ -756,20 +644,5 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    gocc_gosync::set_procs(8);
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("chaos_soak: FAIL: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    soak::main(NAME, parse, run)
 }

@@ -1,25 +1,27 @@
-//! `failover_soak` — kill the primary mid-load, promote a replica, and
-//! prove the replication guarantees end to end.
+//! `failover_soak` — kill the primary mid-load and prove the replication
+//! guarantees end to end, first with an operator promoting the
+//! successor, then with no operator at all.
 //!
-//! Topology per mode: one real `goccd` **child process** as the primary
-//! (WAL-backed, `--repl-accept --repl-min-acks 2`, optional seeded
-//! transport faults on the replication stream) plus two **in-process**
-//! replicas following it. Three claims are checked, each a hard failure:
+//! Topology of the two kill phases, per mode: one real `goccd` **child
+//! process** as the primary (WAL-backed, `--repl-accept --repl-min-acks
+//! 2`) plus two **in-process** replicas following it over replication
+//! streams with seeded transport faults. A sequential writer drives
+//! SET/DEL through a [`ClusterClient`] and records, per key, every issued
+//! post-state and the index of the last acknowledged one ([`KeyHist`]);
+//! mid-load the primary is SIGKILLed. (The load is SET/DEL only — their
+//! post-states are history-independent, so a write the failover window
+//! swallowed client-side cannot poison the predictions that follow,
+//! unlike INCR, whose end-to-end story `crash_soak` already covers.)
+//! Every claim below is a hard failure.
 //!
-//! 1. **No acked write is lost.** A sequential writer drives SET/DEL
-//!    through a [`ClusterClient`] and records, per key, every issued
-//!    post-state and the index of the last acknowledged one. Mid-load the
-//!    primary is SIGKILLed; by default the replicas' failure detectors
-//!    and quorum election produce the successor on their own, while
-//!    `--manual` keeps the operator path covered (the highest-version
-//!    replica is promoted over the wire with `REPL_PROMOTE` and the
-//!    other repointed at it). With `min_acks = 2` an ack means both replicas
-//!    applied the write, so whichever is promoted must still serve it:
-//!    every key read back from the new primary must be an issued state at
-//!    or after its last acked one. (The load is SET/DEL only — their
-//!    post-states are history-independent, so a write the failover window
-//!    swallowed client-side cannot poison the predictions that follow,
-//!    unlike INCR, whose end-to-end story `crash_soak` already covers.)
+//! **Manual phase** — the operator path: after a deliberate primary-less
+//! window the highest-version replica is promoted over the wire with
+//! `REPL_PROMOTE` and the other repointed at it.
+//!
+//! 1. **No acked write is lost.** With `min_acks = 2` an ack means both
+//!    replicas applied the write, so whichever is promoted must still
+//!    serve it: every key read back from the new primary must be an
+//!    issued state at or after its last acked one.
 //! 2. **Reads stay available and staleness is bounded.** Reader threads
 //!    round-robin GETs across all endpoints for the whole run; they must
 //!    keep succeeding *during* the primary outage (replicas serve reads),
@@ -29,11 +31,37 @@
 //!    land within `--recovery-deadline-ms`, via redirects alone — the
 //!    writer is never told where the new primary is.
 //!
-//! A separate fencing phase checks the split-brain guard: a
-//! `min_acks = 1` primary whose only replica is shut down must stop
-//! acknowledging within its lease (writes fail "fenced", on the
-//! primary's own clock — no coordinator tells it), and must resume once
-//! a fresh replica attaches and resyncs.
+//! **Auto phase** — the same kill with **no promote call anywhere**: the
+//! replicas (`repl_auto_promote`, each with its own data dir, so the
+//! replica-side WAL is in the acked path) must detect the silence, hold
+//! a quorum election and fence the old epoch by themselves.
+//!
+//! 1. **No acked write is lost**, as above, against the self-elected
+//!    primary.
+//! 2. **Exactly one new primary per epoch.** A monitor polls both
+//!    replicas' in-process state every few milliseconds from the kill on:
+//!    two simultaneous primaries is split brain. At the end the loser
+//!    must follow the winner at the winner's epoch.
+//! 3. **Read-your-writes is never violated.** A session writer drives
+//!    `SET_S`, pockets the `(shard, version)` tokens, and immediately
+//!    session-reads each key back through the cluster (floor-carrying
+//!    `GET_S`, `Behind` rotates). Every successful session read must
+//!    return a state at or after the session's last acked write.
+//! 4. **Detection + promotion is bounded.** From SIGKILL to the first
+//!    replica reporting role=primary must be under `--detect-deadline-ms`;
+//!    `BENCH_failover.json` records detection, promotion and
+//!    write-unavailability separately, per mode.
+//! 5. **A deposed primary's stale epoch is fenced.** The killed primary
+//!    is restarted from its own data dir (it boots believing it is a
+//!    primary, at epoch 0). It must refuse writes (lease fencing: no
+//!    live subscribers), and a replica deliberately repointed at it must
+//!    reject its stream (`stale_epoch_rejects` climbs) without applying
+//!    a single batch, then reconverge once repointed back at the winner.
+//!
+//! **Fencing phase** — the split-brain guard on the primary's own clock:
+//! a `min_acks = 1` primary whose only replica is shut down must stop
+//! acknowledging within its lease (writes fail "fenced" — no coordinator
+//! tells it), and must resume once a fresh replica attaches and resyncs.
 //!
 //! Exit codes: 1 = harness error, 2 = liveness watchdog, 4 = a
 //! replication guarantee was violated.
@@ -43,21 +71,23 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
-use gocc_loadgen::{fetch_stats, ClientConfig, ClusterClient, ResilientClient};
-use gocc_server::{mode_name, parse_mode, spawn, Mode, ServerConfig, ServerHandle};
-use gocc_telemetry::{JsonValue, SplitMix64};
-use gocc_wire::{
-    decode_response, encode_repl_request, read_frame, write_frame, ReplRequest, Request, Response,
+use gocc_loadgen::soak::{
+    self, call_once, check_oracle, get_value, issue_op, repl_call, repl_stats, spawn_node,
+    version_sum, violation, Daemon, Flags, KeyHist, Liveness, Oracle, SoakResult, TempDir,
 };
+use gocc_loadgen::{ClientConfig, ClusterClient, ResilientClient, Session};
+use gocc_server::{mode_name, Mode, ServerConfig, ServerState};
+use gocc_telemetry::{JsonValue, JsonWriter, SplitMix64};
+use gocc_wire::{decode_response, ReplRequest, Request, Response};
+
+const NAME: &str = "failover_soak";
 
 // ---------------------------------------------------------------- args --
 
@@ -65,36 +95,27 @@ struct Args {
     seed: u64,
     /// None = both modes.
     mode: Option<Mode>,
-    /// Sequential writer ops per mode (the kill fires halfway).
+    /// Sequential writer ops per kill phase (the kill fires halfway).
     load_ops: u64,
     /// Distinct keys the writer cycles over.
     keys: u64,
     /// Per-op fault probability on the replication streams (0 = off).
     fault_rate: f64,
-    /// How long the controller waits between the kill and the promotion:
-    /// a deliberate primary-less window in which replicas alone must
-    /// carry reads.
+    /// Manual phase: how long the controller waits between the kill and
+    /// the promotion, a deliberate primary-less window in which replicas
+    /// alone must carry reads.
     outage_hold: Duration,
-    /// Kill → first-acked-write bound.
+    /// Manual phase: kill → first-acked-write bound.
     recovery_deadline: Duration,
-    /// Bound on the repointed replica converging after failover.
+    /// Auto phase: SIGKILL → first replica reporting role=primary.
+    detect_deadline: Duration,
+    /// Bound on the non-promoted replica converging after failover.
     converge_deadline: Duration,
-    /// Path to the goccd binary.
     goccd: String,
     stall_secs: u64,
-    /// Promote over the wire (the operator path) instead of letting the
-    /// replicas' failure detectors elect a successor on their own.
-    manual: bool,
 }
 
-fn usage() -> String {
-    "usage: failover_soak [--seed N] [--mode lock|gocc|both] [--load-ops N] [--keys N] \
-     [--fault-rate F] [--outage-hold-ms N] [--recovery-deadline-ms N] \
-     [--converge-deadline-ms N] [--goccd PATH] [--stall-secs N] [--manual]"
-        .to_string()
-}
-
-fn parse_args(raw: &[String]) -> Result<Args, String> {
+fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         seed: 2026,
         mode: None,
@@ -103,415 +124,110 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         fault_rate: 0.02,
         outage_hold: Duration::from_millis(250),
         recovery_deadline: Duration::from_secs(5),
+        detect_deadline: Duration::from_secs(5),
         converge_deadline: Duration::from_secs(3),
         goccd: "./target/release/goccd".to_string(),
         stall_secs: 60,
-        manual: false,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
-        match flag.as_str() {
-            "--seed" => args.seed = num("--seed", &value("--seed")?)?,
-            "--mode" => {
-                let v = value("--mode")?;
-                args.mode = if v == "both" {
-                    None
-                } else {
-                    Some(parse_mode(&v)?)
-                };
-            }
-            "--load-ops" => args.load_ops = num("--load-ops", &value("--load-ops")?)?,
-            "--keys" => args.keys = num("--keys", &value("--keys")?)?,
-            "--fault-rate" => args.fault_rate = num("--fault-rate", &value("--fault-rate")?)?,
-            "--outage-hold-ms" => {
-                args.outage_hold =
-                    Duration::from_millis(num("--outage-hold-ms", &value("--outage-hold-ms")?)?);
-            }
-            "--recovery-deadline-ms" => {
-                args.recovery_deadline = Duration::from_millis(num(
-                    "--recovery-deadline-ms",
-                    &value("--recovery-deadline-ms")?,
-                )?);
-            }
-            "--converge-deadline-ms" => {
-                args.converge_deadline = Duration::from_millis(num(
-                    "--converge-deadline-ms",
-                    &value("--converge-deadline-ms")?,
-                )?);
-            }
-            "--goccd" => args.goccd = value("--goccd")?,
-            "--stall-secs" => args.stall_secs = num("--stall-secs", &value("--stall-secs")?)?,
-            "--manual" => args.manual = true,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
-    }
+    Flags::new(NAME)
+        .seed(&mut args.seed)
+        .mode(&mut args.mode)
+        .num("--load-ops", "N", &mut args.load_ops)
+        .num("--keys", "N", &mut args.keys)
+        .num("--fault-rate", "F", &mut args.fault_rate)
+        .millis("--outage-hold-ms", &mut args.outage_hold)
+        .millis("--recovery-deadline-ms", &mut args.recovery_deadline)
+        .millis("--detect-deadline-ms", &mut args.detect_deadline)
+        .millis("--converge-deadline-ms", &mut args.converge_deadline)
+        .goccd(&mut args.goccd)
+        .stall_secs(&mut args.stall_secs)
+        .parse(raw)?;
     if args.load_ops < 100 || args.keys == 0 {
         return Err("--load-ops must be >= 100 and --keys >= 1".into());
     }
     Ok(args)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gocc-failover-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+// ------------------------------------------------------------- topology --
+
+/// The child-process primary of a kill phase.
+fn spawn_primary(args: &Args, mode: Mode, dir: &Path) -> Result<Daemon, String> {
+    let mut cmd = Daemon::command(&args.goccd, mode, dir);
+    cmd.args(["--repl-accept", "--repl-min-acks", "2"]);
+    cmd.args(["--repl-lease-ms", "400", "--repl-ack-timeout-ms", "2000"]);
+    Daemon::spawn(cmd)
 }
 
-/// A guarantee violation (exit 4), distinct from a broken harness.
-fn violation(msg: String) -> String {
-    format!("VIOLATION: {msg}")
-}
-
-// ---------------------------------------------------- liveness watchdog --
-
-struct Liveness {
-    beats: AtomicU64,
-    done: AtomicBool,
-}
-
-fn start_liveness_monitor(stall: Duration) -> Arc<Liveness> {
-    let live = Arc::new(Liveness {
-        beats: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-    });
-    let monitor = Arc::clone(&live);
-    std::thread::Builder::new()
-        .name("failover-liveness".into())
-        .spawn(move || {
-            let mut last = monitor.beats.load(Ordering::Relaxed);
-            let mut last_change = Instant::now();
-            loop {
-                std::thread::sleep(Duration::from_millis(200));
-                if monitor.done.load(Ordering::Relaxed) {
-                    return;
-                }
-                let now = monitor.beats.load(Ordering::Relaxed);
-                if now != last {
-                    last = now;
-                    last_change = Instant::now();
-                } else if last_change.elapsed() > stall {
-                    eprintln!(
-                        "failover_soak: LIVENESS WATCHDOG: no progress for {}s",
-                        stall.as_secs()
-                    );
-                    std::process::exit(2);
-                }
-            }
-        })
-        .expect("spawn liveness monitor");
-    live
-}
-
-// ------------------------------------------------------- per-key oracle --
-
-/// Post-state history of one key under the sequential writer. SET/DEL
-/// only, so every predicted post-state is independent of whether earlier
-/// ops actually executed.
-#[derive(Default)]
-struct KeyHist {
-    states: Vec<Option<u64>>,
-    acked: Option<usize>,
-}
-
-impl KeyHist {
-    fn current(&self) -> Option<u64> {
-        self.states.last().copied().flatten()
-    }
-
-    /// Whether `got` is the acked state or any later issued state.
-    fn admits(&self, got: Option<u64>) -> bool {
-        match self.acked {
-            Some(ai) => self.states[ai..].contains(&got),
-            None => got.is_none() || self.states.contains(&got),
-        }
-    }
-}
-
-type Oracle = HashMap<String, KeyHist>;
-
-fn issue_op<'k>(rng: &mut SplitMix64, key: &'k str, hist: &mut KeyHist) -> Request<'k> {
-    if rng.below(100) < 85 {
-        let value = rng.next_u64() >> 1;
-        hist.states.push(Some(value));
-        Request::Set {
-            key: key.as_bytes(),
-            value,
-            ttl: 0,
-        }
-    } else {
-        hist.states.push(None);
-        Request::Del {
-            key: key.as_bytes(),
-        }
-    }
-}
-
-// --------------------------------------------------------- child primary --
-
-struct Daemon {
-    child: std::process::Child,
-    port: u16,
-}
-
-fn spawn_primary(args: &Args, mode: Mode, dir: &std::path::Path) -> Result<Daemon, String> {
-    let mut cmd = std::process::Command::new(&args.goccd);
-    cmd.args([
-        "--mode",
-        mode_name(mode),
-        "--port",
-        "0",
-        "--workers",
-        "2",
-        "--shards",
-        "2",
-        "--repl-accept",
-        "--repl-min-acks",
-        "2",
-        "--repl-lease-ms",
-        "400",
-        "--repl-ack-timeout-ms",
-        "2000",
-    ])
-    .arg("--data-dir")
-    .arg(dir)
-    .args(["--wal-sync", "group", "--fsync-wait-us", "100"])
-    .stdout(std::process::Stdio::piped())
-    .stderr(std::process::Stdio::null());
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", args.goccd))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut port = None;
-    let mut line = String::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if let Some(p) = line.strip_prefix("LISTENING ") {
-                    port = p.trim().parse().ok();
-                    break;
-                }
-            }
-            Err(e) => return Err(format!("reading goccd stdout: {e}")),
-        }
-    }
-    let Some(port) = port else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err("goccd never printed LISTENING".into());
-    };
-    // Keep the child's stdout drained so it can never block on the pipe.
-    std::thread::spawn(move || {
-        let mut sink = [0u8; 4096];
-        while matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
-    });
-    Ok(Daemon { child, port })
-}
-
-fn spawn_replica(
-    args: &Args,
-    mode: Mode,
-    primary_port: u16,
-    salt: u64,
-) -> Result<ServerHandle, String> {
-    spawn_replica_cfg(args, mode, primary_port, salt, false)
-}
-
-fn spawn_replica_cfg(
-    args: &Args,
-    mode: Mode,
-    primary_port: u16,
-    salt: u64,
-    auto_promote: bool,
-) -> Result<ServerHandle, String> {
+/// An in-process replica whose replication stream carries the seeded
+/// transport faults.
+fn replica_config(args: &Args, mode: Mode, primary_port: u16, salt: u64) -> ServerConfig {
     let fault_plan = (args.fault_rate > 0.0).then(|| {
         Arc::new(TransportFaultPlan::new(
             args.seed ^ (salt + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             TransportMix::uniform(args.fault_rate),
         ))
     });
-    spawn(ServerConfig {
-        mode,
-        port: 0,
-        workers: 2,
-        shards: 2,
-        capacity_per_shard: 4096,
-        replica_of: Some(format!("127.0.0.1:{primary_port}")),
+    ServerConfig {
         repl_fault_plan: fault_plan,
         // Distinct per-replica seed: the suspicion jitter staggers the
         // detectors so simultaneous candidacies resolve quickly.
         repl_seed: args.seed ^ salt.wrapping_mul(0xD1B5_4A32_D192_ED03),
-        repl_auto_promote: auto_promote,
         repl_suspect: Duration::from_millis(300),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("spawn replica: {e}"))
-}
-
-// --------------------------------------------------------- wire helpers --
-
-/// One REPL verb over a fresh connection; returns the decoded-and-owned
-/// outcome (`Ok` for `Done`).
-fn repl_call(port: u16, req: &ReplRequest<'_>) -> Result<(), String> {
-    let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
-        .map_err(|e| format!("connect {port}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| e.to_string())?;
-    let mut frame = Vec::new();
-    encode_repl_request(req, &mut frame);
-    write_frame(&mut stream, &frame).map_err(|e| format!("send: {e}"))?;
-    let mut resp = Vec::new();
-    if !read_frame(&mut stream, &mut resp).map_err(|e| format!("recv: {e}"))? {
-        return Err("connection closed".into());
+        ..soak::replica_config(mode, 2, 4096, primary_port)
     }
-    match decode_response(&resp).map_err(|e| format!("decode: {e}"))? {
-        Response::Done => Ok(()),
-        other => Err(format!("REPL verb answered {other:?}")),
-    }
-}
-
-/// The `repl` object from a node's STATS.
-fn repl_stats(port: u16) -> Result<JsonValue, String> {
-    let doc = fetch_stats(port)?;
-    doc.parsed
-        .get("repl")
-        .cloned()
-        .ok_or_else(|| "STATS lacks a repl object".to_string())
 }
 
 fn repl_u64(repl: &JsonValue, field: &str) -> u64 {
     repl.get(field).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64
 }
 
-/// Sum of a node's per-shard replicated versions.
-fn version_sum(repl: &JsonValue) -> u64 {
-    repl.get("versions")
-        .and_then(JsonValue::as_array)
-        .map(|a| {
-            a.iter()
-                .filter_map(JsonValue::as_f64)
-                .map(|v| v as u64)
-                .sum()
-        })
-        .unwrap_or(0)
-}
-
-/// GET through a resilient single-node client.
-fn get_value(client: &mut ResilientClient, key: &str) -> Result<Option<u64>, String> {
-    let mut resp = Vec::new();
-    client
-        .call(
-            &Request::Get {
-                key: key.as_bytes(),
-            },
-            &mut resp,
-        )
-        .map_err(|e| format!("GET {key}: {e}"))?;
-    match decode_response(&resp).map_err(|e| format!("decode GET: {e}"))? {
-        Response::Value { found, value } => Ok(found.then_some(value)),
-        other => Err(format!("GET answered {other:?}")),
+/// Whether a write's response acknowledges it. Fenced, timed-out and
+/// shed answers are honest non-acks; anything else positive is an ack.
+fn acked(sent: std::io::Result<()>, resp: &[u8]) -> Result<bool, String> {
+    if sent.is_err() {
+        return Ok(false);
+    }
+    match decode_response(resp) {
+        Ok(Response::Error { .. })
+        | Ok(Response::Overloaded { .. })
+        | Ok(Response::DeadlineExceeded) => Ok(false),
+        Ok(_) => Ok(true),
+        Err(e) => Err(format!("mis-framed write response: {e}")),
     }
 }
 
-// ------------------------------------------------------- reader threads --
+// --------------------------------------------------------- manual phase --
 
+#[derive(Default)]
 struct ReadTallies {
     ok: AtomicU64,
     err: AtomicU64,
     during_outage: AtomicU64,
 }
 
-// ------------------------------------------------------ failover phase --
-
-/// How one write attempt resolved, as far as the oracle is concerned.
-enum WriteOutcome {
-    Acked,
-    Unacked,
-}
-
-fn write_once(cluster: &mut ClusterClient, req: &Request<'_>) -> Result<WriteOutcome, String> {
-    let mut resp = Vec::new();
-    match cluster.write(req, &mut resp) {
-        Err(_) => Ok(WriteOutcome::Unacked),
-        Ok(()) => match decode_response(&resp) {
-            // Fenced/timed-out/shed answers are honest non-acks; anything
-            // else positive acknowledges the write.
-            Ok(Response::Error { .. })
-            | Ok(Response::Overloaded { .. })
-            | Ok(Response::DeadlineExceeded) => Ok(WriteOutcome::Unacked),
-            Ok(_) => Ok(WriteOutcome::Acked),
-            Err(e) => Err(format!("mis-framed write response: {e}")),
-        },
-    }
-}
-
 #[allow(clippy::too_many_lines)]
-fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String> {
-    let dir = tmp(&format!("primary-{}", mode_name(mode)));
-    let primary = spawn_primary(args, mode, &dir)?;
-    let auto = !args.manual;
-    let r1 = spawn_replica_cfg(args, mode, primary.port, 1, auto)?;
-    let r2 = spawn_replica_cfg(args, mode, primary.port, 2, auto)?;
-    if auto {
-        // Electorate per replica: the other replica plus the (doomed)
-        // primary. Majority of 3 is 2, reachable once the survivors
-        // vote for one of themselves.
-        r1.state().set_repl_peers(vec![
-            format!("127.0.0.1:{}", r2.port()),
-            format!("127.0.0.1:{}", primary.port),
-        ]);
-        r2.state().set_repl_peers(vec![
-            format!("127.0.0.1:{}", r1.port()),
-            format!("127.0.0.1:{}", primary.port),
-        ]);
-    }
+fn manual_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
+    let dir = TempDir::new(&format!("failover-primary-{}", mode_name(mode)));
+    let mut primary = spawn_primary(args, mode, dir.path())?;
+    let r1 = spawn_node("replica", replica_config(args, mode, primary.port(), 1))?;
+    let r2 = spawn_node("replica", replica_config(args, mode, primary.port(), 2))?;
     let replica_ports = [r1.port(), r2.port()];
-    let all_ports = vec![primary.port, r1.port(), r2.port()];
+    let all_ports = vec![primary.port(), r1.port(), r2.port()];
 
     // min_acks = 2: the primary is fenced until both replicas subscribe.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let repl = repl_stats(primary.port)?;
-        if repl_u64(&repl, "subscribers") >= 2 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err("replicas never subscribed to the primary".into());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+    let subscribed = || Ok(repl_u64(&repl_stats(primary.port())?, "subscribers") >= 2);
+    if !live.wait_for(Duration::from_secs(10), subscribed)? {
+        return Err("replicas never subscribed to the primary".into());
     }
 
     // Readers: round-robin GETs across every endpoint, all phases.
     let stop = AtomicBool::new(false);
     let outage = AtomicBool::new(false);
-    let tallies = ReadTallies {
-        ok: AtomicU64::new(0),
-        err: AtomicU64::new(0),
-        during_outage: AtomicU64::new(0),
-    };
+    let tallies = ReadTallies::default();
 
-    let result: Result<(Oracle, Duration, u16), String> = std::thread::scope(|s| {
+    let result: SoakResult<(Oracle, Duration, u16)> = std::thread::scope(|s| {
         for t in 0..2u64 {
-            let (stop, outage, tallies, live, ports) =
-                (&stop, &outage, &tallies, &live, &all_ports);
+            let (stop, outage, tallies, ports) = (&stop, &outage, &tallies, &all_ports);
             let seed = args.seed ^ (t + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
             s.spawn(move || {
                 let mut cluster = ClusterClient::new(ports, ClientConfig::chaos(), seed);
@@ -538,33 +254,29 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
                             tallies.err.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    live.beats.fetch_add(1, Ordering::Relaxed);
+                    live.beat();
                 }
             });
         }
 
         // The sequential oracle writer (this thread).
-        let run = || -> Result<(Oracle, Duration, u16), String> {
+        let mut run = || -> SoakResult<(Oracle, Duration, u16)> {
             let mut cluster =
                 ClusterClient::new(&all_ports, ClientConfig::chaos(), args.seed ^ 0xF417);
             let mut rng = SplitMix64::new(args.seed ^ 0xFA11_07E6);
             let mut oracle = Oracle::new();
             let kill_at = args.load_ops / 2;
-            let mut primary_corpse = Some(primary.child);
             let mut t_kill: Option<Instant> = None;
             let mut recovery: Option<Duration> = None;
             let mut new_primary_port: Option<u16> = None;
             let mut fault_evidence = 0u64;
+            let mut resp = Vec::new();
 
             for i in 0..args.load_ops {
-                live.beats.fetch_add(1, Ordering::Relaxed);
+                live.beat();
                 if i == kill_at {
                     // SIGKILL mid-load: no drain, no goodbye.
-                    primary_corpse
-                        .as_mut()
-                        .expect("child killed exactly once")
-                        .kill()
-                        .map_err(|e| format!("kill primary: {e}"))?;
+                    primary.kill()?;
                     t_kill = Some(Instant::now());
                     outage.store(true, Ordering::Relaxed);
 
@@ -574,98 +286,58 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
                     let hold_until = Instant::now() + args.outage_hold;
                     while Instant::now() < hold_until {
                         std::thread::sleep(Duration::from_millis(10));
-                        live.beats.fetch_add(1, Ordering::Relaxed);
+                        live.beat();
                     }
 
-                    for &port in &replica_ports {
+                    // Controller: promote the replica with the highest
+                    // replicated version, repoint the other.
+                    let mut best = (0usize, 0u64);
+                    for (idx, &port) in replica_ports.iter().enumerate() {
                         let repl = repl_stats(port)?;
                         fault_evidence += repl_u64(&repl, "reconnects")
                             + repl_u64(&repl, "naks_sent")
                             + repl_u64(&repl, "snap_resyncs");
-                    }
-                    if args.manual {
-                        // Controller: promote the replica with the
-                        // highest replicated version, repoint the other.
-                        let mut best = (0usize, 0u64);
-                        for (idx, &port) in replica_ports.iter().enumerate() {
-                            let sum = version_sum(&repl_stats(port)?);
-                            if sum >= best.1 {
-                                best = (idx, sum);
-                            }
+                        let sum = version_sum(&repl);
+                        if sum >= best.1 {
+                            best = (idx, sum);
                         }
-                        let winner = replica_ports[best.0];
-                        let loser = replica_ports[1 - best.0];
-                        repl_call(winner, &ReplRequest::Promote { upstream: b"" })
-                            .map_err(|e| format!("promote {winner}: {e}"))?;
-                        let upstream = format!("127.0.0.1:{winner}");
-                        repl_call(
-                            loser,
-                            &ReplRequest::Promote {
-                                upstream: upstream.as_bytes(),
-                            },
-                        )
-                        .map_err(|e| format!("repoint {loser}: {e}"))?;
-                        new_primary_port = Some(winner);
-                    } else {
-                        // No controller: the failure detectors + quorum
-                        // election must produce exactly one new primary
-                        // on their own.
-                        let deadline = Instant::now() + args.recovery_deadline;
-                        let winner = loop {
-                            let mut promoted = Vec::new();
-                            for &port in &replica_ports {
-                                let repl = repl_stats(port)?;
-                                if repl.get("role").and_then(JsonValue::as_str) == Some("primary") {
-                                    promoted.push(port);
-                                }
-                            }
-                            if promoted.len() > 1 {
-                                return Err(violation(format!(
-                                    "split brain: replicas {promoted:?} both promoted \
-                                     themselves"
-                                )));
-                            }
-                            if let Some(&w) = promoted.first() {
-                                break w;
-                            }
-                            if Instant::now() > deadline {
-                                return Err(violation(format!(
-                                    "no replica auto-promoted itself within {:?}",
-                                    args.recovery_deadline
-                                )));
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                            live.beats.fetch_add(1, Ordering::Relaxed);
-                        };
-                        new_primary_port = Some(winner);
                     }
+                    let winner = replica_ports[best.0];
+                    let loser = replica_ports[1 - best.0];
+                    repl_call(winner, &ReplRequest::Promote { upstream: b"" })
+                        .map_err(|e| format!("promote {winner}: {e}"))?;
+                    let upstream = format!("127.0.0.1:{winner}");
+                    repl_call(
+                        loser,
+                        &ReplRequest::Promote {
+                            upstream: upstream.as_bytes(),
+                        },
+                    )
+                    .map_err(|e| format!("repoint {loser}: {e}"))?;
+                    new_primary_port = Some(winner);
                 }
 
                 let key = format!("fk-{}", rng.below(args.keys));
                 let hist = oracle.entry(key.clone()).or_default();
-                let req = issue_op(&mut rng, &key, hist);
-                match write_once(&mut cluster, &req)? {
-                    WriteOutcome::Acked => {
-                        hist.acked = Some(hist.states.len() - 1);
-                        if let (Some(t0), None) = (t_kill, recovery) {
-                            recovery = Some(t0.elapsed());
-                            outage.store(false, Ordering::Relaxed);
-                        }
+                let req = issue_op(&mut rng, &key, hist, false);
+                if acked(cluster.write(&req, &mut resp), &resp)? {
+                    hist.ack_last();
+                    if let (Some(t0), None) = (t_kill, recovery) {
+                        recovery = Some(t0.elapsed());
+                        outage.store(false, Ordering::Relaxed);
                     }
-                    WriteOutcome::Unacked => {}
                 }
             }
 
             // Reap the corpse.
-            if let Some(mut child) = primary_corpse {
-                let _ = child.wait();
-            }
+            let _ = primary.wait_exit(Duration::from_secs(5));
             if args.fault_rate > 0.0 && fault_evidence == 0 {
                 return Err(format!(
                     "fault rate {} injected on the replication streams but no reconnect, \
                      NAK or snapshot resync was ever observed — the faults verified nothing",
                     args.fault_rate
-                ));
+                )
+                .into());
             }
             let recovery = recovery.ok_or_else(|| {
                 violation(format!(
@@ -693,28 +365,16 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
 
     // Claim 1: no acked write lost. Every key on the new primary must be
     // an issued state at or after its last acked one.
-    let acked_keys = oracle.values().filter(|h| h.acked.is_some()).count();
+    let acked_keys = oracle.values().filter(|h| h.is_acked()).count();
     if acked_keys == 0 {
         return Err("no key ever got an acked write — the oracle verified nothing".into());
     }
     let mut client = ResilientClient::new(new_primary, ClientConfig::default(), args.seed);
-    for (key, hist) in oracle.iter_mut() {
-        let got = get_value(&mut client, key)?;
-        if !hist.admits(got) {
-            return Err(violation(format!(
-                "mode {}: key {key} on the promoted primary is {got:?}, not an issued \
-                 state at or after acked index {:?} ({} issued)",
-                mode_name(mode),
-                hist.acked,
-                hist.states.len()
-            )));
-        }
-        // Rebaseline on what survived: it is the truth going forward.
-        *hist = KeyHist {
-            states: vec![got],
-            acked: Some(0),
-        };
-    }
+    // Rebaseline on what survived: it is the truth going forward.
+    let whence = format!("on the promoted primary ({})", mode_name(mode));
+    check_oracle(&mut oracle, &whence, true, |key| {
+        get_value(&mut client, key)
+    })?;
 
     // The new primary must identify as one, and the old role is gone.
     let repl = repl_stats(new_primary)?;
@@ -728,39 +388,34 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
     // writes on the new primary must appear on the repointed replica
     // within the convergence deadline.
     let mut rng = SplitMix64::new(args.seed ^ 0xC0_4E_56_E9);
+    let mut resp = Vec::new();
     for i in 0..64u64 {
         let key = format!("fk-{}", i % args.keys);
         let hist = oracle.entry(key.clone()).or_default();
-        let req = issue_op(&mut rng, &key, hist);
-        match write_once_single(&mut client, &req)? {
-            WriteOutcome::Acked => hist.acked = Some(hist.states.len() - 1),
-            WriteOutcome::Unacked => {
-                return Err(format!("post-failover write on {key} was not acked"))
-            }
+        let req = issue_op(&mut rng, &key, hist, false);
+        if !acked(client.call_no_replay(&req, &mut resp), &resp)? {
+            return Err(format!("post-failover write on {key} was not acked").into());
         }
-        live.beats.fetch_add(1, Ordering::Relaxed);
+        hist.ack_last();
+        live.beat();
     }
     let mut replica_client = ResilientClient::new(repointed, ClientConfig::default(), args.seed);
-    let deadline = Instant::now() + args.converge_deadline;
-    'converge: loop {
-        live.beats.fetch_add(1, Ordering::Relaxed);
-        let mut lagging = None;
+    let mut lagging = None;
+    let converged = live.wait_for(args.converge_deadline, || {
+        lagging = None;
         for (key, hist) in &oracle {
             if get_value(&mut replica_client, key)? != hist.current() {
                 lagging = Some(key.clone());
                 break;
             }
         }
-        match lagging {
-            None => break 'converge,
-            Some(key) if Instant::now() > deadline => {
-                return Err(violation(format!(
-                    "repointed replica did not converge within {:?} (key {key} still stale)",
-                    args.converge_deadline
-                )));
-            }
-            Some(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+        Ok(lagging.is_none())
+    })?;
+    if !converged {
+        return Err(violation(format!(
+            "repointed replica did not converge within {:?} (key {lagging:?} still stale)",
+            args.converge_deadline
+        )));
     }
     let repl = repl_stats(repointed)?;
     let upstream = repl.get("upstream").and_then(JsonValue::as_str);
@@ -776,8 +431,7 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
     let reads_outage = tallies.during_outage.load(Ordering::Relaxed);
     if reads_outage == 0 {
         return Err(violation(
-            "no read succeeded during the primary outage — replicas did not carry reads"
-                .to_string(),
+            "no read succeeded during the primary outage — replicas did not carry reads",
         ));
     }
     if reads_err > reads_ok / 100 {
@@ -788,11 +442,8 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
 
     // Teardown: both in-process nodes (promoted primary included) shut
     // down cleanly.
-    r1.request_shutdown();
-    r2.request_shutdown();
-    let _ = r1.join();
-    let _ = r2.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    soak::stop(r1);
+    soak::stop(r2);
     println!(
         "failover ({:<4})  OK  recovery={recovery:?} acked_keys={acked_keys} \
          reads_during_outage={reads_outage} reads={reads_ok}",
@@ -801,22 +452,377 @@ fn failover_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String
     Ok(())
 }
 
-/// `write_once` against a single node instead of a cluster view.
-fn write_once_single(
-    client: &mut ResilientClient,
-    req: &Request<'_>,
-) -> Result<WriteOutcome, String> {
-    let mut resp = Vec::new();
-    match client.call_no_replay(req, &mut resp) {
-        Err(_) => Ok(WriteOutcome::Unacked),
-        Ok(()) => match decode_response(&resp) {
-            Ok(Response::Error { .. })
-            | Ok(Response::Overloaded { .. })
-            | Ok(Response::DeadlineExceeded) => Ok(WriteOutcome::Unacked),
-            Ok(_) => Ok(WriteOutcome::Acked),
-            Err(e) => Err(format!("mis-framed write response: {e}")),
-        },
+// ----------------------------------------------------------- auto phase --
+
+/// What the in-process poller measured around the kill.
+#[derive(Default)]
+struct FailoverTimes {
+    /// SIGKILL → first suspicion counted on either replica.
+    detection: Option<Duration>,
+    /// SIGKILL → first replica holding role=primary.
+    promotion: Option<Duration>,
+    /// Both replicas primary at once (split brain) observed.
+    split_brain: bool,
+}
+
+/// Polls both replicas' in-process state every ~3 ms from the moment of
+/// the kill: first suspicion = detection, first promotion = promotion,
+/// and a continuous exactly-one-primary check.
+fn monitor_failover(
+    r1: &ServerState,
+    r2: &ServerState,
+    t_kill: Instant,
+    deadline: Duration,
+    live: &Liveness,
+) -> FailoverTimes {
+    let base = r1.repl_suspicions() + r2.repl_suspicions();
+    let mut times = FailoverTimes::default();
+    while t_kill.elapsed() < deadline {
+        if times.detection.is_none() && r1.repl_suspicions() + r2.repl_suspicions() > base {
+            times.detection = Some(t_kill.elapsed());
+        }
+        let (p1, p2) = (!r1.is_replica(), !r2.is_replica());
+        if p1 && p2 {
+            times.split_brain = true;
+            return times;
+        }
+        if times.promotion.is_none() && (p1 || p2) {
+            // A suspicion necessarily preceded the promotion; if the
+            // poll missed the counter flip, pin detection here.
+            if times.detection.is_none() {
+                times.detection = Some(t_kill.elapsed());
+            }
+            times.promotion = Some(t_kill.elapsed());
+            return times;
+        }
+        live.beat();
+        std::thread::sleep(Duration::from_millis(3));
     }
+    times
+}
+
+/// Everything the artifact wants from one mode's auto phase.
+struct AutoResult {
+    mode: Mode,
+    detection: Duration,
+    promotion: Duration,
+    unavailability: Duration,
+    epoch: u64,
+    suspicions: u64,
+    elections: u64,
+    stale_epoch_rejects: u64,
+    acked_keys: u64,
+    session_reads: u64,
+    behind_rotations: u64,
+}
+
+#[allow(clippy::too_many_lines)]
+fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<AutoResult> {
+    let pdir = TempDir::new(&format!("autofailover-primary-{}", mode_name(mode)));
+    let r1dir = TempDir::new(&format!("autofailover-replica1-{}", mode_name(mode)));
+    let r2dir = TempDir::new(&format!("autofailover-replica2-{}", mode_name(mode)));
+    let mut primary = spawn_primary(args, mode, pdir.path())?;
+    let electing_replica = |salt: u64, dir: &TempDir| {
+        let config = ServerConfig {
+            repl_auto_promote: true,
+            data_dir: Some(dir.path().to_path_buf()),
+            ..replica_config(args, mode, primary.port(), salt)
+        };
+        spawn_node("replica", config)
+    };
+    let r1 = electing_replica(1, &r1dir)?;
+    let r2 = electing_replica(2, &r2dir)?;
+    // Electorate per replica: the other replica plus the (doomed)
+    // primary. Majority of 3 is 2, reachable once the survivors vote for
+    // one of themselves.
+    for (node, other) in [(&r1, &r2), (&r2, &r1)] {
+        node.state().set_repl_peers(vec![
+            format!("127.0.0.1:{}", other.port()),
+            format!("127.0.0.1:{}", primary.port()),
+        ]);
+    }
+    let (s1, s2) = (r1.state_arc(), r2.state_arc());
+    let all_ports = vec![primary.port(), r1.port(), r2.port()];
+
+    // min_acks = 2: wait out the boot fence by probing an actual write.
+    let mut probe = ResilientClient::new(primary.port(), ClientConfig::default(), args.seed ^ 0xB0);
+    let boot_probe = Request::Set {
+        key: b"boot-probe",
+        value: 1,
+        ttl: 0,
+    };
+    let mut resp = Vec::new();
+    let unfenced = live.wait_for(Duration::from_secs(10), || {
+        Ok(probe.call(&boot_probe, &mut resp).is_ok()
+            && matches!(decode_response(&resp), Ok(Response::Done)))
+    })?;
+    if !unfenced {
+        return Err("primary never unfenced (replicas did not subscribe)".into());
+    }
+    drop(probe);
+
+    // Sequential controller: plain oracle writes + a RYW session, with
+    // the SIGKILL halfway and the in-process failover monitor at the
+    // kill. No promote call anywhere.
+    let mut cluster = ClusterClient::new(&all_ports, ClientConfig::chaos(), args.seed ^ 0xF417);
+    let mut rng = SplitMix64::new(args.seed ^ 0xFA11_07E6);
+    let mut oracle = Oracle::new();
+    let mut session = Session::new();
+    let mut session_hist: HashMap<String, KeyHist> = HashMap::new();
+    let mut session_reads = 0u64;
+    let kill_at = args.load_ops / 2;
+    let mut times = FailoverTimes::default();
+    let mut t_kill: Option<Instant> = None;
+    let mut unavailability: Option<Duration> = None;
+
+    for i in 0..args.load_ops {
+        live.beat();
+        if i == kill_at {
+            primary.kill()?;
+            let t0 = Instant::now();
+            t_kill = Some(t0);
+            times = monitor_failover(&s1, &s2, t0, args.detect_deadline, live);
+            if times.split_brain {
+                return Err(violation("split brain: both replicas promoted themselves"));
+            }
+            let Some(promotion) = times.promotion else {
+                return Err(violation(format!(
+                    "no replica auto-promoted itself within {:?} \
+                     (suspicions observed: {})",
+                    args.detect_deadline,
+                    s1.repl_suspicions() + s2.repl_suspicions(),
+                )));
+            };
+            if promotion > args.detect_deadline {
+                return Err(violation(format!(
+                    "detection+promotion took {promotion:?}, deadline {:?}",
+                    args.detect_deadline
+                )));
+            }
+        }
+
+        // Plain oracle op.
+        let key = format!("ak-{}", rng.below(args.keys));
+        let hist = oracle.entry(key.clone()).or_default();
+        let req = issue_op(&mut rng, &key, hist, false);
+        if acked(cluster.write(&req, &mut resp), &resp)? {
+            hist.ack_last();
+            if let (Some(t0), None) = (t_kill, unavailability) {
+                unavailability = Some(t0.elapsed());
+            }
+        }
+
+        // RYW session op every few iterations: write, then read back
+        // through the cluster and hold it to the session's floor.
+        if i % 4 == 0 {
+            let skey = format!("ryw-{}", i % 8);
+            let shist = session_hist.entry(skey.clone()).or_default();
+            shist.issue(Some(i));
+            let ok = cluster
+                .write_session(&mut session, skey.as_bytes(), i, 0, &mut resp)
+                .is_ok();
+            if ok && matches!(decode_response(&resp), Ok(Response::DoneAt { .. })) {
+                shist.ack_last();
+            }
+            // A session read may fail outright only while no node is
+            // reachable; with two live replicas serving floor-checked
+            // reads this must not happen.
+            if cluster
+                .read_session(&session, skey.as_bytes(), &mut resp)
+                .is_err()
+            {
+                return Err(violation(format!(
+                    "session read of {skey} found no endpoint satisfying the floor (op {i})"
+                )));
+            }
+            session_reads += 1;
+            let got = match decode_response(&resp) {
+                Ok(Response::Value { found, value }) => found.then_some(value),
+                Ok(other) => return Err(format!("session read answered {other:?}").into()),
+                Err(e) => return Err(format!("mis-framed session read: {e}").into()),
+            };
+            if !shist.admits(got) {
+                return Err(violation(format!(
+                    "read-your-writes violated on {skey}: got {got:?}, {shist} (op {i})"
+                )));
+            }
+        }
+    }
+    let _ = primary.wait_exit(Duration::from_secs(5));
+    let unavailability =
+        unavailability.ok_or_else(|| violation("no write was ever acknowledged after the kill"))?;
+
+    // Epoch oracle: exactly one primary, the loser follows it at the
+    // same epoch.
+    let (winner, loser, wstate, lstate) = if !s1.is_replica() {
+        (&r1, &r2, &s1, &s2)
+    } else if !s2.is_replica() {
+        (&r2, &r1, &s2, &s1)
+    } else {
+        return Err(violation(
+            "promotion observed during the run but no replica is primary now",
+        ));
+    };
+    if !lstate.is_replica() {
+        return Err(violation(
+            "split brain at end of load: both replicas primary",
+        ));
+    }
+    let epoch = wstate.epoch();
+    if epoch == 0 {
+        return Err(violation("promotion did not advance the epoch"));
+    }
+    let winner_addr = format!("127.0.0.1:{}", winner.port());
+    let follows = || Ok(lstate.epoch() == epoch && lstate.upstream_hint() == winner_addr);
+    if !live.wait_for(args.converge_deadline, follows)? {
+        return Err(violation(format!(
+            "loser never adopted epoch {epoch} / repointed at the winner \
+             (epoch {}, upstream {:?})",
+            lstate.epoch(),
+            lstate.upstream_hint()
+        )));
+    }
+
+    // No-acked-write-lost oracle against the self-elected primary.
+    let acked_keys = oracle.values().filter(|h| h.is_acked()).count() as u64;
+    if acked_keys == 0 {
+        return Err("no key ever got an acked write — the oracle verified nothing".into());
+    }
+    let mut wclient = ResilientClient::new(winner.port(), ClientConfig::default(), args.seed);
+    let whence = format!("on the self-elected primary ({})", mode_name(mode));
+    check_oracle(&mut oracle, &whence, false, |key| {
+        get_value(&mut wclient, key)
+    })?;
+
+    // Rejoin: the deposed primary comes back from its own data dir,
+    // believing it is a primary at epoch 0.
+    let rejoined = spawn_primary(args, mode, pdir.path())?;
+    // Lease fencing half: no live subscribers, so it must refuse writes.
+    let resp = call_once(
+        rejoined.port(),
+        &Request::Set {
+            key: b"poison",
+            value: 666,
+            ttl: 0,
+        },
+    )?;
+    match decode_response(&resp).map_err(|e| format!("decode rejoin probe: {e}"))? {
+        Response::Error { .. } => {}
+        other => {
+            return Err(violation(format!(
+                "rejoined deposed primary acked a write with no live replicas: {other:?}"
+            )));
+        }
+    }
+    // Epoch fencing half: a replica pointed at the stale primary must
+    // reject its stream without applying anything.
+    let stale_base = lstate.repl_stale_epoch_rejects();
+    let old_upstream = format!("127.0.0.1:{}", rejoined.port());
+    repl_call(
+        loser.port(),
+        &ReplRequest::Promote {
+            upstream: old_upstream.as_bytes(),
+        },
+    )
+    .map_err(|e| format!("repoint loser at deposed primary: {e}"))?;
+    let rejected = || Ok(lstate.repl_stale_epoch_rejects() > stale_base);
+    if !live.wait_for(Duration::from_secs(5), rejected)? {
+        return Err(violation(
+            "replica never rejected the deposed primary's stale epoch",
+        ));
+    }
+    if lstate.epoch() != epoch {
+        return Err(violation(format!(
+            "replica's epoch moved ({} -> {}) while following a stale primary",
+            epoch,
+            lstate.epoch()
+        )));
+    }
+    // Repoint home and prove the loser still converges to the winner.
+    repl_call(
+        loser.port(),
+        &ReplRequest::Promote {
+            upstream: winner_addr.as_bytes(),
+        },
+    )
+    .map_err(|e| format!("repoint loser at winner: {e}"))?;
+    let mut resp = Vec::new();
+    wclient
+        .call(
+            &Request::Set {
+                key: b"rejoin-sentinel",
+                value: 4242,
+                ttl: 0,
+            },
+            &mut resp,
+        )
+        .map_err(|e| format!("sentinel write: {e}"))?;
+    let mut lclient = ResilientClient::new(loser.port(), ClientConfig::default(), args.seed);
+    let reconverged = live.wait_for(args.converge_deadline, || {
+        Ok(get_value(&mut lclient, "rejoin-sentinel")? == Some(4242))
+    })?;
+    if !reconverged {
+        return Err(violation(format!(
+            "loser did not reconverge to the winner within {:?} after the rejoin detour",
+            args.converge_deadline
+        )));
+    }
+
+    // Teardown.
+    drop(rejoined);
+    let result = AutoResult {
+        mode,
+        detection: times.detection.expect("promotion implies detection"),
+        promotion: times.promotion.expect("checked at kill"),
+        unavailability,
+        epoch,
+        suspicions: s1.repl_suspicions() + s2.repl_suspicions(),
+        elections: s1.repl_elections() + s2.repl_elections(),
+        stale_epoch_rejects: s1.repl_stale_epoch_rejects() + s2.repl_stale_epoch_rejects(),
+        acked_keys,
+        session_reads,
+        behind_rotations: cluster.behind_rotations(),
+    };
+    soak::stop(r1);
+    soak::stop(r2);
+    println!(
+        "auto_failover ({:<4})  OK  detection={:?} promotion={:?} unavailability={:?} \
+         epoch={} elections={} stale_epoch_rejects={} session_reads={}",
+        mode_name(mode),
+        result.detection,
+        result.promotion,
+        result.unavailability,
+        result.epoch,
+        result.elections,
+        result.stale_epoch_rejects,
+        result.session_reads,
+    );
+    Ok(result)
+}
+
+fn render_artifact(seed: u64, results: &[AutoResult]) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field_u64("seed", seed)
+        .key("results")
+        .begin_array();
+    for r in results {
+        w.begin_object()
+            .field_str("mode", mode_name(r.mode))
+            .field_f64("detection_ms", r.detection.as_secs_f64() * 1e3)
+            .field_f64("promotion_ms", r.promotion.as_secs_f64() * 1e3)
+            .field_f64("unavailability_ms", r.unavailability.as_secs_f64() * 1e3)
+            .field_u64("epoch", r.epoch)
+            .field_u64("suspicions", r.suspicions)
+            .field_u64("elections", r.elections)
+            .field_u64("stale_epoch_rejects", r.stale_epoch_rejects)
+            .field_u64("acked_keys", r.acked_keys)
+            .field_u64("session_reads", r.session_reads)
+            .field_u64("behind_rotations", r.behind_rotations)
+            .end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
 }
 
 // -------------------------------------------------------- fencing phase --
@@ -825,21 +831,17 @@ fn write_once_single(
 /// `min_acks = 1` and its only replica gone, the primary must stop
 /// acknowledging within the lease, keep refusing while partitioned, and
 /// resume once a fresh replica attaches.
-fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String> {
+fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     const LEASE: Duration = Duration::from_millis(200);
-    let primary = spawn(ServerConfig {
-        mode,
-        port: 0,
-        workers: 2,
-        shards: 2,
-        capacity_per_shard: 4096,
-        repl_accept: true,
-        repl_min_acks: 1,
-        repl_lease: LEASE,
-        repl_ack_timeout: Duration::from_millis(500),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("spawn fencing primary: {e}"))?;
+    let primary = spawn_node(
+        "fencing primary",
+        ServerConfig {
+            repl_min_acks: 1,
+            repl_lease: LEASE,
+            repl_ack_timeout: Duration::from_millis(500),
+            ..soak::primary_config(mode, 2, 4096)
+        },
+    )?;
     let pport = primary.port();
     let mut client = ResilientClient::new(pport, ClientConfig::default(), args.seed ^ 0xFE);
 
@@ -865,21 +867,16 @@ fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String>
     // Boot state: no replica has ever acked, so the primary starts fenced.
     if !fenced_now(&mut client)? {
         return Err(violation(
-            "a min_acks=1 primary with no replica acked a write at boot".to_string(),
+            "a min_acks=1 primary with no replica acked a write at boot",
         ));
     }
 
     // Attach a replica: writes must start flowing.
-    let r1 = spawn_replica(args, mode, pport, 3)?;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while fenced_now(&mut client)? {
-        if Instant::now() > deadline {
-            return Err(violation(
-                "primary stayed fenced after its replica subscribed".to_string(),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+    let r1 = spawn_node("replica", replica_config(args, mode, pport, 3))?;
+    if !live.wait_for(Duration::from_secs(5), || Ok(!fenced_now(&mut client)?))? {
+        return Err(violation(
+            "primary stayed fenced after its replica subscribed",
+        ));
     }
     for i in 0..50u64 {
         let mut resp = Vec::new();
@@ -893,130 +890,86 @@ fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> Result<(), String>
                 &mut resp,
             )
             .map_err(|e| format!("steady write: {e}"))?;
-        live.beats.fetch_add(1, Ordering::Relaxed);
+        live.beat();
     }
 
     // Partition: the only replica goes away. The primary must fence
     // itself within the lease window — nobody tells it.
-    r1.request_shutdown();
-    let _ = r1.join();
+    soak::stop(r1);
     let t0 = Instant::now();
-    let deadline = t0 + LEASE * 10;
-    while !fenced_now(&mut client)? {
-        if Instant::now() > deadline {
-            return Err(violation(format!(
-                "primary kept acking {:?} after losing its only replica (lease {LEASE:?})",
-                t0.elapsed()
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+    if !live.wait_for(LEASE * 10, || fenced_now(&mut client))? {
+        return Err(violation(format!(
+            "primary kept acking {:?} after losing its only replica (lease {LEASE:?})",
+            t0.elapsed()
+        )));
     }
     // And it must *stay* fenced while the partition lasts.
     let hold = Instant::now() + LEASE * 3;
     while Instant::now() < hold {
         if !fenced_now(&mut client)? {
             return Err(violation(
-                "primary acked a write while partitioned from every replica".to_string(),
+                "primary acked a write while partitioned from every replica",
             ));
         }
         std::thread::sleep(Duration::from_millis(20));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+        live.beat();
     }
     let repl = repl_stats(pport)?;
     if !matches!(repl.get("fenced"), Some(JsonValue::Bool(true))) {
-        return Err(violation("STATS does not report fenced=true".to_string()));
+        return Err(violation("STATS does not report fenced=true"));
     }
     if repl_u64(&repl, "fenced_rejects") == 0 {
-        return Err(violation(
-            "no fenced_rejects counted during the partition".to_string(),
-        ));
+        return Err(violation("no fenced_rejects counted during the partition"));
     }
 
     // Heal: a fresh replica attaches, resyncs from snapshot, and the
     // primary resumes.
-    let r2 = spawn_replica(args, mode, pport, 4)?;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while fenced_now(&mut client)? {
-        if Instant::now() > deadline {
-            return Err(violation(
-                "primary stayed fenced after a fresh replica attached".to_string(),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+    let r2 = spawn_node("replica", replica_config(args, mode, pport, 4))?;
+    if !live.wait_for(Duration::from_secs(5), || Ok(!fenced_now(&mut client)?))? {
+        return Err(violation(
+            "primary stayed fenced after a fresh replica attached",
+        ));
     }
     // The late joiner must have actually resynced the pre-partition data.
     let mut rclient = ResilientClient::new(r2.port(), ClientConfig::default(), args.seed);
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while get_value(&mut rclient, "fz-7")? != Some(47) {
-        if Instant::now() > deadline {
-            return Err(violation(
-                "late replica never served the pre-partition writes".to_string(),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        live.beats.fetch_add(1, Ordering::Relaxed);
+    let resynced = live.wait_for(Duration::from_secs(3), || {
+        Ok(get_value(&mut rclient, "fz-7")? == Some(47))
+    })?;
+    if !resynced {
+        return Err(violation(
+            "late replica never served the pre-partition writes",
+        ));
     }
 
-    r2.request_shutdown();
-    let _ = r2.join();
-    primary.request_shutdown();
-    let _ = primary.join();
+    soak::stop(r2);
+    soak::stop(primary);
     println!("fencing  ({:<4})  OK  lease={LEASE:?}", mode_name(mode));
     Ok(())
 }
 
 // ---------------------------------------------------------------- main --
 
-fn run(args: &Args) -> Result<(), String> {
-    if !std::path::Path::new(&args.goccd).exists() {
-        return Err(format!(
-            "goccd binary not found at {} (build release first)",
-            args.goccd
-        ));
-    }
-    let modes: Vec<Mode> = match args.mode {
-        Some(m) => vec![m],
-        None => vec![Mode::Lock, Mode::Gocc],
-    };
-    let live = start_liveness_monitor(Duration::from_secs(args.stall_secs.max(5)));
+fn run(args: &Args) -> SoakResult<()> {
+    let live = Liveness::start(NAME, args.stall_secs);
     let t0 = Instant::now();
-    for &mode in &modes {
-        failover_phase(args, mode, &live)?;
+    let mut results = Vec::new();
+    for mode in soak::modes(args.mode) {
+        manual_phase(args, mode, &live)?;
+        results.push(auto_phase(args, mode, &live)?);
         fencing_phase(args, mode, &live)?;
     }
-    live.done.store(true, Ordering::Relaxed);
+    live.finish();
+    gocc_bench::write_artifact("failover", &render_artifact(args.seed, &results));
     println!(
-        "failover_soak PASS  seed={} load_ops={} fault_rate={} promotion={} {:?}",
+        "failover_soak PASS  seed={} load_ops={} fault_rate={} {:?}",
         args.seed,
         args.load_ops,
         args.fault_rate,
-        if args.manual { "manual" } else { "auto" },
         t0.elapsed()
     );
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    gocc_gosync::set_procs(8);
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("failover_soak: FAIL: {msg}");
-            if msg.starts_with("VIOLATION:") {
-                ExitCode::from(4)
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
+    soak::main(NAME, parse, run)
 }

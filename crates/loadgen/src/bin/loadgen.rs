@@ -16,17 +16,21 @@
 //!   by `scripts/ci.sh`. `--mode` must match the server's mode (verified
 //!   against its STATS document); `--shutdown` sends SHUTDOWN afterwards.
 //!
-//! Exit status is nonzero on any setup failure, a mode mismatch, or a
-//! window that completed zero operations.
+//! Exit status is 1 on any setup failure, a mode mismatch, or a window
+//! that completed zero operations, and 4 when `--pipeline-gate` is
+//! violated.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
+use gocc_loadgen::soak::{self, spawn_node, violation, Flags, SoakResult};
 use gocc_loadgen::{
     bench_server_json, fetch_stats, fetch_trace, run_point, send_shutdown, sweep_counts,
     LoadConfig, ModeResult, SweepRow,
 };
-use gocc_server::{mode_name, parse_mode, spawn, Mode, ServerConfig};
+use gocc_server::{mode_name, Mode, ServerConfig};
+
+const NAME: &str = "loadgen";
 
 struct Args {
     /// None = both modes.
@@ -50,15 +54,7 @@ struct Args {
     load: LoadConfig,
 }
 
-fn usage() -> String {
-    "usage: loadgen [--mode lock|gocc|both] [--workers N] [--addr 127.0.0.1:PORT] \
-     [--shutdown] [--trace N] [--pipeline N] [--pipeline-gate X] [--out PATH|none] \
-     [--server-workers N] [--shards N] [--capacity N] [--warmup-ms N] [--window-ms N] \
-     [--keyspace N] [--read-frac F] [--zipf S] [--scan-every N] [--seed N]"
-        .to_string()
-}
-
-fn parse_args(raw: &[String]) -> Result<Args, String> {
+fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         mode: None,
         workers: 4,
@@ -73,79 +69,34 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         capacity: 1 << 14,
         load: LoadConfig::default(),
     };
-    let mut out_given = false;
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
-        match flag.as_str() {
-            "--mode" => {
-                let v = value("--mode")?;
-                args.mode = if v == "both" {
-                    None
-                } else {
-                    Some(parse_mode(&v)?)
-                };
-            }
-            "--workers" => {
-                args.workers = num("--workers", &value("--workers")?)?;
-                if args.workers == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-            }
-            "--addr" => args.addr = Some(value("--addr")?),
-            "--shutdown" => args.shutdown = true,
-            "--trace" => args.trace = Some(num("--trace", &value("--trace")?)?),
-            "--pipeline" => {
-                let d: usize = num("--pipeline", &value("--pipeline")?)?;
-                if d == 0 {
-                    return Err("--pipeline must be >= 1".into());
-                }
-                args.pipeline = Some(d);
-            }
-            "--pipeline-gate" => {
-                args.pipeline_gate = Some(num("--pipeline-gate", &value("--pipeline-gate")?)?);
-            }
-            "--out" => {
-                let v = value("--out")?;
-                args.out = (v != "none").then_some(v);
-                out_given = true;
-            }
-            "--server-workers" => {
-                args.server_workers = num("--server-workers", &value("--server-workers")?)?;
-            }
-            "--shards" => args.shards = num("--shards", &value("--shards")?)?,
-            "--capacity" => args.capacity = num("--capacity", &value("--capacity")?)?,
-            "--warmup-ms" => {
-                args.load.warmup =
-                    Duration::from_millis(num("--warmup-ms", &value("--warmup-ms")?)?);
-            }
-            "--window-ms" => {
-                args.load.window =
-                    Duration::from_millis(num("--window-ms", &value("--window-ms")?)?);
-            }
-            "--keyspace" => {
-                args.load.keyspace = num("--keyspace", &value("--keyspace")?)?;
-                if args.load.keyspace == 0 {
-                    return Err("--keyspace must be >= 1".into());
-                }
-            }
-            "--read-frac" => args.load.read_frac = num("--read-frac", &value("--read-frac")?)?,
-            "--zipf" => args.load.zipf_s = num("--zipf", &value("--zipf")?)?,
-            "--scan-every" => args.load.scan_every = num("--scan-every", &value("--scan-every")?)?,
-            "--seed" => args.load.seed = num("--seed", &value("--seed")?)?,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
+    // `--out none` and no `--out` at all differ: only the latter falls
+    // back to the per-shape default below.
+    let mut out: Option<Option<String>> = None;
+    Flags::new(NAME)
+        .mode(&mut args.mode)
+        .num("--workers", "N", &mut args.workers)
+        .opt("--addr", "127.0.0.1:PORT", &mut args.addr)
+        .switch("--shutdown", &mut args.shutdown)
+        .opt("--trace", "N", &mut args.trace)
+        .opt("--pipeline", "N", &mut args.pipeline)
+        .opt("--pipeline-gate", "X", &mut args.pipeline_gate)
+        .value("--out", "PATH|none", |v| {
+            out = Some((v != "none").then(|| v.to_string()));
+            Ok(())
+        })
+        .num("--server-workers", "N", &mut args.server_workers)
+        .num("--shards", "N", &mut args.shards)
+        .num("--capacity", "N", &mut args.capacity)
+        .millis("--warmup-ms", &mut args.load.warmup)
+        .millis("--window-ms", &mut args.load.window)
+        .num("--keyspace", "N", &mut args.load.keyspace)
+        .num("--read-frac", "F", &mut args.load.read_frac)
+        .num("--zipf", "S", &mut args.load.zipf_s)
+        .num("--scan-every", "N", &mut args.load.scan_every)
+        .seed(&mut args.load.seed)
+        .parse(raw)?;
+    if args.workers == 0 || args.pipeline == Some(0) || args.load.keyspace == 0 {
+        return Err("--workers, --pipeline and --keyspace must be >= 1".into());
     }
     if args.addr.is_some() && args.mode.is_none() {
         return Err("--addr drives one server with one mode; pick --mode lock or gocc".into());
@@ -156,11 +107,9 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     if args.pipeline_gate.is_some() && args.addr.is_some() {
         return Err("--pipeline-gate compares sweep depths; it conflicts with --addr".into());
     }
-    if !out_given {
-        // Sweeps produce the artifact by default; smoke runs against an
-        // external server don't unless asked.
-        args.out = args.addr.is_none().then(|| "BENCH_server.json".to_string());
-    }
+    // Sweeps produce the artifact by default; smoke runs against an
+    // external server don't unless asked.
+    args.out = out.unwrap_or_else(|| args.addr.is_none().then(|| "BENCH_server.json".to_string()));
     Ok(args)
 }
 
@@ -230,11 +179,8 @@ fn print_row(mode: Mode, depth: usize, m: &ModeResult) {
     }
 }
 
-fn run(args: &Args) -> Result<ExitCode, String> {
-    let modes: Vec<Mode> = match args.mode {
-        Some(m) => vec![m],
-        None => vec![Mode::Lock, Mode::Gocc],
-    };
+fn run(args: &Args) -> SoakResult<()> {
+    let modes = soak::modes(args.mode);
     let depths: Vec<usize> = match args.pipeline {
         Some(d) => vec![d],
         None if args.addr.is_some() => vec![1],
@@ -286,7 +232,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                     // A fresh server per point: no cross-point warmup
                     // bleed, and each mode's telemetry covers exactly one
                     // window.
-                    let handle = spawn(ServerConfig {
+                    let config = ServerConfig {
                         mode,
                         port: 0,
                         workers: args.server_workers,
@@ -294,8 +240,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                         capacity_per_shard: args.capacity,
                         write_timeout: Duration::from_secs(5),
                         ..ServerConfig::default()
-                    })
-                    .map_err(|e| format!("spawn goccd: {e}"))?;
+                    };
+                    let handle = spawn_node("goccd", config)?;
                     let result = measure(handle.port(), mode, wc, &load);
                     let shutdown = send_shutdown(handle.port());
                     let summary = handle.join();
@@ -331,17 +277,17 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         println!("wrote {path}");
     }
 
-    if let Some(min_ratio) = args.pipeline_gate {
-        return pipeline_gate(&rows, &depths, min_ratio);
+    match args.pipeline_gate {
+        Some(min_ratio) => pipeline_gate(&rows, &depths, min_ratio),
+        None => Ok(()),
     }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Checks the pipelining payoff: at 1 worker, the deepest depth must
 /// deliver at least `min_ratio`× the ops/sec of depth 1, for every mode
-/// that was swept. Returns exit code 4 on a violation (the soak-gate
-/// convention: distinguishable from setup failures).
-fn pipeline_gate(rows: &[SweepRow], depths: &[usize], min_ratio: f64) -> Result<ExitCode, String> {
+/// that was swept. A miss is a violation (exit 4), distinguishable from a
+/// setup failure.
+fn pipeline_gate(rows: &[SweepRow], depths: &[usize], min_ratio: f64) -> SoakResult<()> {
     let deepest = *depths.iter().max().expect("at least one depth");
     if depths.len() < 2 || deepest < 2 {
         return Err("--pipeline-gate needs a sweep covering depth 1 and a deeper depth".into());
@@ -376,26 +322,13 @@ fn pipeline_gate(rows: &[SweepRow], depths: &[usize], min_ratio: f64) -> Result<
         violated |= ratio < min_ratio;
     }
     if violated {
-        return Ok(ExitCode::from(4));
+        return Err(violation(format!(
+            "pipelining amortization below {min_ratio:.1}x"
+        )));
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    gocc_gosync::set_procs(8);
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("loadgen: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    soak::main(NAME, parse, run)
 }

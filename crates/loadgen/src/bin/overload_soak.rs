@@ -21,29 +21,27 @@
 //!
 //! Everything lands in `BENCH_overload.json`. Exit codes: 0 all gates
 //! pass, 1 setup/driver failure, 4 one or more overload gates violated
-//! (distinct so CI can tell a broken harness from a broken guarantee).
+//! (distinct so CI can tell a broken harness from a broken guarantee) —
+//! the mapping every harness shares, `soak::main`.
 //!
 //! ```console
 //! $ OVERLOAD_GATE_P99_MS=150 overload_soak --quick --seed 7
 //! ```
 
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gocc_faultplane::{LoadFaultPlan, LoadMix};
+use gocc_loadgen::soak::{self, spawn_node, violation, Flags, SoakResult};
 use gocc_loadgen::{
     fetch_health, run_open_loop, run_point, LoadConfig, OpenLoopConfig, OpenLoopResult,
 };
-use gocc_server::{mode_name, parse_mode, spawn, HealthState, Mode, ServerConfig, ServerSummary};
+use gocc_server::{mode_name, HealthState, Mode, ServerConfig, ServerSummary};
 use gocc_telemetry::{JsonValue, JsonWriter};
-use gocc_wire::{decode_response, encode_request_v2, read_frame, write_frame, Request, Response};
+use gocc_wire::{decode_response, encode_request_v2, Request, Response};
 
-/// Setup/driver failure (server died, IO, malformed stats).
-const EXIT_SETUP: u8 = 1;
-/// One or more overload gates violated.
-const EXIT_GATE: u8 = 4;
+const NAME: &str = "overload_soak";
 
 /// Mean server-side cost of a shed request must stay under this.
 const SHED_COST_GATE_NS: f64 = 10_000.0;
@@ -65,21 +63,9 @@ struct Args {
     gate_p99_ms: f64,
 }
 
-fn usage() -> String {
-    "usage: overload_soak [--seed N] [--mode lock|gocc|both] [--quick] \
-     [--out PATH|none] [--conns N] [--server-workers N] [--gate-p99-ms F]\n\
-     env: OVERLOAD_GATE_P99_MS overrides the default p99 gate (ms)"
-        .to_string()
-}
-
-fn parse_args(raw: &[String]) -> Result<Args, String> {
-    let env_gate = std::env::var("OVERLOAD_GATE_P99_MS")
-        .ok()
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("OVERLOAD_GATE_P99_MS: {e}"))
-        })
-        .transpose()?;
+fn parse(raw: &[String]) -> Result<Args, String> {
+    // OVERLOAD_GATE_P99_MS overrides the default p99 gate (ms); the flag
+    // overrides both.
     let mut args = Args {
         seed: 2026,
         mode: None,
@@ -87,51 +73,19 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         out: Some("BENCH_overload.json".to_string()),
         conns: 8,
         server_workers: 2,
-        gate_p99_ms: env_gate.unwrap_or(100.0),
+        gate_p99_ms: soak::gate_env("OVERLOAD_GATE_P99_MS", 100.0)?,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
-        match flag.as_str() {
-            "--seed" => args.seed = num("--seed", &value("--seed")?)?,
-            "--mode" => {
-                let v = value("--mode")?;
-                args.mode = if v == "both" {
-                    None
-                } else {
-                    Some(parse_mode(&v)?)
-                };
-            }
-            "--quick" => args.quick = true,
-            "--out" => {
-                let v = value("--out")?;
-                args.out = (v != "none").then_some(v);
-            }
-            "--conns" => {
-                args.conns = num("--conns", &value("--conns")?)?;
-                if args.conns == 0 {
-                    return Err("--conns must be >= 1".into());
-                }
-            }
-            "--server-workers" => {
-                args.server_workers = num("--server-workers", &value("--server-workers")?)?;
-            }
-            "--gate-p99-ms" => {
-                args.gate_p99_ms = num("--gate-p99-ms", &value("--gate-p99-ms")?)?;
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
+    Flags::new(NAME)
+        .seed(&mut args.seed)
+        .mode(&mut args.mode)
+        .switch("--quick", &mut args.quick)
+        .or_none("--out", "PATH|none", &mut args.out)
+        .num("--conns", "N", &mut args.conns)
+        .num("--server-workers", "N", &mut args.server_workers)
+        .num("--gate-p99-ms", "F", &mut args.gate_p99_ms)
+        .parse(raw)?;
+    if args.conns == 0 {
+        return Err("--conns must be >= 1".into());
     }
     if args.gate_p99_ms <= 0.0 {
         return Err("the p99 gate must be positive".into());
@@ -202,21 +156,11 @@ fn parse_server_overload(stats_json: &str) -> Result<ServerOverload, String> {
 /// Proves an already-expired request never reaches the engine: a SET with
 /// a zero deadline budget must come back `DeadlineExceeded`, and the key
 /// must not exist afterwards.
-fn deadline_probe(port: u16, key: &str) -> Result<(), String> {
-    let mut stream =
-        TcpStream::connect(("127.0.0.1", port)).map_err(|e| format!("probe connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| e.to_string())?;
-    let mut call = |req: &Request<'_>, deadline: Option<u32>| -> Result<Vec<u8>, String> {
+fn deadline_probe(port: u16, key: &str) -> SoakResult<()> {
+    let call = |req: &Request<'_>, deadline: Option<u32>| -> Result<Vec<u8>, String> {
         let mut wire = Vec::new();
         encode_request_v2(req, deadline, &mut wire);
-        write_frame(&mut stream, &wire).map_err(|e| format!("probe send: {e}"))?;
-        let mut resp = Vec::new();
-        if !read_frame(&mut stream, &mut resp).map_err(|e| format!("probe recv: {e}"))? {
-            return Err("server closed on the probe connection".into());
-        }
-        Ok(resp)
+        soak::round_trip(port, &wire).map_err(|e| format!("deadline probe: {e}"))
     };
     let resp = call(
         &Request::Set {
@@ -228,7 +172,7 @@ fn deadline_probe(port: u16, key: &str) -> Result<(), String> {
     )?;
     match decode_response(&resp).map_err(|e| e.to_string())? {
         Response::DeadlineExceeded => {}
-        other => return Err(format!("zero-budget SET answered {other:?}")),
+        other => return Err(violation(format!("zero-budget SET answered {other:?}"))),
     }
     let resp = call(
         &Request::Get {
@@ -239,9 +183,9 @@ fn deadline_probe(port: u16, key: &str) -> Result<(), String> {
     match decode_response(&resp).map_err(|e| e.to_string())? {
         Response::Value { found: false, .. } => Ok(()),
         Response::Value { found: true, .. } => {
-            Err("expired SET was executed against the engine".into())
+            Err(violation("expired SET was executed against the engine"))
         }
-        other => Err(format!("probe GET answered {other:?}")),
+        other => Err(format!("probe GET answered {other:?}").into()),
     }
 }
 
@@ -258,7 +202,7 @@ struct ModeOutcome {
     chrome_trace: String,
 }
 
-fn soak_mode(args: &Args, mode: Mode) -> Result<ModeOutcome, String> {
+fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
     // Fault mix: enough slow-store draws that the latency EWMA crosses
     // the (lowered) brownout thresholds under saturation, deterministic
     // per seed so reruns see the same schedule.
@@ -290,7 +234,7 @@ fn soak_mode(args: &Args, mode: Mode) -> Result<ModeOutcome, String> {
     cfg.brownout.latency_high = Duration::from_micros(400);
     cfg.brownout.latency_low = Duration::from_micros(150);
     cfg.brownout.recover_obs = 8;
-    let handle = spawn(cfg).map_err(|e| format!("spawn goccd: {e}"))?;
+    let handle = spawn_node("goccd", cfg)?;
     let port = handle.port();
 
     // Phase 1: the deadline guarantee, proven while the server is calm.
@@ -352,8 +296,7 @@ fn soak_mode(args: &Args, mode: Mode) -> Result<ModeOutcome, String> {
     };
 
     let state = handle.state_arc();
-    handle.request_shutdown();
-    let summary = handle.join();
+    let summary = soak::stop(handle);
     let server = parse_server_overload(&summary.stats_json)?;
     let chrome_trace = state.chrome_trace_json();
     JsonValue::parse(&chrome_trace)
@@ -491,38 +434,6 @@ fn mode_json(w: &mut JsonWriter, m: &ModeOutcome) {
         .end_object();
 }
 
-fn run(args: &Args) -> Result<Vec<ModeOutcome>, String> {
-    let modes: Vec<Mode> = match args.mode {
-        Some(m) => vec![m],
-        None => vec![Mode::Lock, Mode::Gocc],
-    };
-    let mut outcomes = Vec::new();
-    for mode in modes {
-        println!("== overload soak: {} mode ==", mode_name(mode));
-        let m = soak_mode(args, mode)?;
-        println!(
-            "   capacity {:.0} ops/s, offered {:.0}/s open-loop; \
-             {} ok, {} shed, {} deadline-missed, recovered in {}ms",
-            m.capacity_ops_per_sec,
-            m.open.target_rate,
-            m.open.ok,
-            m.server.shed_total,
-            m.summary.deadline_misses,
-            m.recovery_ms,
-        );
-        for g in &m.gates {
-            println!(
-                "   [{}] {:<20} {}",
-                if g.pass { "pass" } else { "FAIL" },
-                g.name,
-                g.detail
-            );
-        }
-        outcomes.push(m);
-    }
-    Ok(outcomes)
-}
-
 fn artifact_json(args: &Args, outcomes: &[ModeOutcome]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
@@ -546,51 +457,56 @@ fn artifact_json(args: &Args, outcomes: &[ModeOutcome]) -> String {
     w.finish()
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_SETUP);
+fn run(args: &Args) -> SoakResult<()> {
+    let mut outcomes = Vec::new();
+    for mode in soak::modes(args.mode) {
+        println!("== overload soak: {} mode ==", mode_name(mode));
+        let m = soak_mode(args, mode)?;
+        println!(
+            "   capacity {:.0} ops/s, offered {:.0}/s open-loop; \
+             {} ok, {} shed, {} deadline-missed, recovered in {}ms",
+            m.capacity_ops_per_sec,
+            m.open.target_rate,
+            m.open.ok,
+            m.server.shed_total,
+            m.summary.deadline_misses,
+            m.recovery_ms,
+        );
+        for g in &m.gates {
+            println!(
+                "   [{}] {:<20} {}",
+                if g.pass { "pass" } else { "FAIL" },
+                g.name,
+                g.detail
+            );
         }
-    };
-    gocc_gosync::set_procs(8);
-    let outcomes = match run(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("overload_soak: {msg}");
-            return ExitCode::from(EXIT_SETUP);
-        }
-    };
+        outcomes.push(m);
+    }
     if let Some(path) = &args.out {
-        let json = gocc_bench::with_header("overload", &artifact_json(&args, &outcomes));
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("overload_soak: writing {path}: {e}");
-            return ExitCode::from(EXIT_SETUP);
-        }
+        let json = gocc_bench::with_header("overload", &artifact_json(args, &outcomes));
+        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
         // Each mode's flight-recorder dump rides along, loadable straight
         // into chrome://tracing or Perfetto.
         for m in &outcomes {
             let trace_path = format!("TRACE_overload_{}.json", mode_name(m.mode));
-            if let Err(e) = std::fs::write(&trace_path, &m.chrome_trace) {
-                eprintln!("overload_soak: writing {trace_path}: {e}");
-                return ExitCode::from(EXIT_SETUP);
-            }
+            std::fs::write(&trace_path, &m.chrome_trace)
+                .map_err(|e| format!("writing {trace_path}: {e}"))?;
             println!("wrote {trace_path}");
         }
     }
-    let failed: Vec<&Gate> = outcomes
+    let failed = outcomes
         .iter()
         .flat_map(|m| m.gates.iter())
         .filter(|g| !g.pass)
-        .collect();
-    if failed.is_empty() {
-        println!("overload_soak: all gates passed");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("overload_soak: {} gate(s) violated", failed.len());
-        ExitCode::from(EXIT_GATE)
+        .count();
+    if failed > 0 {
+        return Err(violation(format!("{failed} gate(s) violated")));
     }
+    println!("overload_soak: all gates passed");
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    soak::main(NAME, parse, run)
 }

@@ -31,22 +31,26 @@
 //! records session kops/s, the `Behind` rotation count and the tax as a
 //! ratio against the plain 2-replica read throughput (`ryw_tax_x`).
 //!
-//! Emits `BENCH_replication.json` (common artifact header).
+//! Emits `BENCH_replication.json` (common artifact header). Exit codes:
+//! 1 = harness error, 4 = an enforced gate failed.
 //!
 //! ```console
 //! $ repl_bench --window-ms 300 --gate
 //! ```
 
-use std::net::TcpStream;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use gocc_loadgen::{connect_with_retry, fetch_stats, ClientConfig, ClusterClient, Session};
-use gocc_server::{mode_name, spawn, Mode, ServerConfig, ServerHandle};
-use gocc_telemetry::{JsonValue, JsonWriter, SplitMix64};
-use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
+use gocc_loadgen::soak::{
+    self, closed_loop, gate_env, primary_config, repl_stats, replica_config, spawn_node,
+    version_sum, violation, Conn, Flags, SoakResult,
+};
+use gocc_loadgen::{ClientConfig, ClusterClient, Session};
+use gocc_server::{mode_name, Mode, ServerHandle};
+use gocc_telemetry::{JsonWriter, SplitMix64};
+use gocc_wire::{decode_response, Request, Response};
 
+const NAME: &str = "repl_bench";
 const KEYS: u64 = 2048;
 const SHARDS: usize = 4;
 const REPLICA_COUNTS: [usize; 3] = [0, 1, 2];
@@ -65,52 +69,21 @@ struct Args {
     gate: bool,
 }
 
-fn usage() -> String {
-    "usage: repl_bench [--window-ms N] [--clients N] [--repeats N] [--gate]".to_string()
-}
-
-fn parse_args(raw: &[String]) -> Result<Args, String> {
+fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         window: Duration::from_millis(300),
         clients: 6,
         repeats: 2,
         gate: false,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        match flag.as_str() {
-            "--window-ms" => {
-                args.window = Duration::from_millis(
-                    value("--window-ms")?
-                        .parse()
-                        .map_err(|e| format!("--window-ms: {e}"))?,
-                );
-            }
-            "--clients" => {
-                args.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?;
-                if args.clients == 0 {
-                    return Err("--clients must be >= 1".into());
-                }
-            }
-            "--repeats" => {
-                args.repeats = value("--repeats")?
-                    .parse()
-                    .map_err(|e| format!("--repeats: {e}"))?;
-                if args.repeats == 0 {
-                    return Err("--repeats must be >= 1".into());
-                }
-            }
-            "--gate" => args.gate = true,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
+    Flags::new(NAME)
+        .millis("--window-ms", &mut args.window)
+        .num("--clients", "N", &mut args.clients)
+        .num("--repeats", "N", &mut args.repeats)
+        .switch("--gate", &mut args.gate)
+        .parse(raw)?;
+    if args.clients == 0 || args.repeats == 0 {
+        return Err("--clients and --repeats must be >= 1".into());
     }
     Ok(args)
 }
@@ -132,111 +105,57 @@ impl CellResult {
     }
 }
 
-fn version_sum(port: u16) -> Result<u64, String> {
-    let doc = fetch_stats(port)?;
-    let repl = doc
-        .get_repl()
-        .ok_or_else(|| format!("node {port} STATS lacks a repl object"))?;
-    Ok(repl
-        .get("versions")
-        .and_then(JsonValue::as_array)
-        .map(|a| {
-            a.iter()
-                .filter_map(JsonValue::as_f64)
-                .map(|v| v as u64)
-                .sum()
-        })
-        .unwrap_or(0))
-}
-
-/// A plain blocking call over an existing stream.
-fn call<'b>(
-    stream: &mut TcpStream,
-    req: &Request<'_>,
-    wirebuf: &mut Vec<u8>,
-    respbuf: &'b mut Vec<u8>,
-) -> Result<Response<'b>, String> {
-    wirebuf.clear();
-    encode_request(req, wirebuf);
-    write_frame(stream, wirebuf).map_err(|e| format!("send: {e}"))?;
-    if !read_frame(stream, respbuf).map_err(|e| format!("recv: {e}"))? {
-        return Err("connection closed".into());
+/// An in-process primary (asynchronous replication, `min_acks = 0`)
+/// plus `replicas` followers. Returns the nodes, primary first, and
+/// their ports in the same order.
+fn spawn_cluster(mode: Mode, replicas: usize) -> Result<(Vec<ServerHandle>, Vec<u16>), String> {
+    let capacity = (KEYS * 4) as usize;
+    let primary = spawn_node("primary", primary_config(mode, SHARDS, capacity))?;
+    let mut nodes = vec![primary];
+    for _ in 0..replicas {
+        let follower = replica_config(mode, SHARDS, capacity, nodes[0].port());
+        nodes.push(spawn_node("replica", follower)?);
     }
-    decode_response(respbuf).map_err(|e| format!("decode: {e}"))
+    let ports = nodes.iter().map(ServerHandle::port).collect();
+    Ok((nodes, ports))
 }
 
-fn connect(port: u16) -> Result<TcpStream, String> {
-    // connect_with_retry sets nodelay + read timeout; the in-process
-    // server is already listening, so the default bounded schedule is
-    // plenty.
-    let cfg = ClientConfig {
-        read_timeout: Duration::from_secs(10),
-        ..ClientConfig::default()
-    };
-    let mut rng = SplitMix64::new(0x5EED_C0DE ^ u64::from(port));
-    connect_with_retry(port, &cfg, &mut rng).map_err(|e| e.to_string())
+/// Followers first, the primary last.
+fn stop_cluster(nodes: Vec<ServerHandle>) {
+    for node in nodes.into_iter().rev() {
+        soak::stop(node);
+    }
 }
 
 /// One measured cell: primary + `replicas` followers, preloaded and
 /// caught up, then `clients` closed-loop GET threads.
 fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, String> {
-    let primary = spawn(ServerConfig {
-        mode,
-        port: 0,
-        workers: 2,
-        shards: SHARDS,
-        capacity_per_shard: (KEYS * 4) as usize,
-        repl_accept: true,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("spawn primary: {e}"))?;
-    let followers: Vec<ServerHandle> = (0..replicas)
-        .map(|_| {
-            spawn(ServerConfig {
-                mode,
-                port: 0,
-                workers: 2,
-                shards: SHARDS,
-                capacity_per_shard: (KEYS * 4) as usize,
-                replica_of: Some(format!("127.0.0.1:{}", primary.port())),
-                ..ServerConfig::default()
-            })
-            .map_err(|e| format!("spawn replica: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut ports = vec![primary.port()];
-    ports.extend(followers.iter().map(ServerHandle::port));
+    let (nodes, ports) = spawn_cluster(mode, replicas)?;
 
     // Preload every key, then wait for the replicas to catch up to the
     // primary's replicated version so the measurement reads warm copies.
     {
-        let mut stream = connect(primary.port())?;
-        let (mut wirebuf, mut respbuf) = (Vec::new(), Vec::new());
+        let mut conn = Conn::connect(ports[0])?;
         let mut rng = SplitMix64::new(0xBE4C);
         let mut keybuf = String::new();
         for k in 0..KEYS {
             use std::fmt::Write as _;
             keybuf.clear();
             let _ = write!(keybuf, "k{k}");
-            let resp = call(
-                &mut stream,
-                &Request::Set {
-                    key: keybuf.as_bytes(),
-                    value: rng.next_u64() >> 1,
-                    ttl: 0,
-                },
-                &mut wirebuf,
-                &mut respbuf,
-            )?;
+            let resp = conn.call(&Request::Set {
+                key: keybuf.as_bytes(),
+                value: rng.next_u64() >> 1,
+                ttl: 0,
+            })?;
             if resp != Response::Done {
                 return Err(format!("preload SET answered {resp:?}"));
             }
         }
     }
-    let want = version_sum(primary.port())?;
+    let want = version_sum(&repl_stats(ports[0])?);
     let deadline = Instant::now() + Duration::from_secs(10);
     for &port in &ports[1..] {
-        while version_sum(port)? < want {
+        while version_sum(&repl_stats(port)?) < want {
             if Instant::now() > deadline {
                 return Err(format!(
                     "replica {port} never caught up to version sum {want}"
@@ -246,62 +165,30 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
         }
     }
 
-    let warmup = args.window / 8;
-    let stop = AtomicBool::new(false);
-    let started = Instant::now();
-    let per_client: Vec<(usize, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..args.clients)
-            .map(|t| {
-                let (stop, ports) = (&stop, &ports);
-                s.spawn(move || {
-                    let endpoint = t % ports.len();
-                    let mut stream = connect(ports[endpoint]).expect("connect endpoint");
-                    let mut rng = SplitMix64::new(0x6E7 ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9));
-                    let (mut wirebuf, mut respbuf) = (Vec::new(), Vec::new());
-                    let mut keybuf = String::new();
-                    let mut ops = 0u64;
-                    let mut counting = false;
-                    while !stop.load(Ordering::Relaxed) {
-                        use std::fmt::Write as _;
-                        keybuf.clear();
-                        let _ = write!(keybuf, "k{}", rng.below(KEYS));
-                        let got = call(
-                            &mut stream,
-                            &Request::Get {
-                                key: keybuf.as_bytes(),
-                            },
-                            &mut wirebuf,
-                            &mut respbuf,
-                        )
-                        .expect("GET");
-                        assert!(
-                            matches!(got, Response::Value { found: true, .. }),
-                            "warm key missing: {got:?}"
-                        );
-                        if counting {
-                            ops += 1;
-                        } else if started.elapsed() >= warmup {
-                            counting = true;
-                        }
-                    }
-                    (endpoint, ops)
+    let per_client = closed_loop(args.clients, args.window, |t, meter| {
+        let endpoint = t % ports.len();
+        let mut conn = Conn::connect(ports[endpoint]).expect("connect endpoint");
+        let mut rng = SplitMix64::new(0x6E7 ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9));
+        let mut keybuf = String::new();
+        while meter.running() {
+            use std::fmt::Write as _;
+            keybuf.clear();
+            let _ = write!(keybuf, "k{}", rng.below(KEYS));
+            let got = conn
+                .call(&Request::Get {
+                    key: keybuf.as_bytes(),
                 })
-            })
-            .collect();
-        std::thread::sleep(warmup + args.window);
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
+                .expect("GET");
+            assert!(
+                matches!(got, Response::Value { found: true, .. }),
+                "warm key missing: {got:?}"
+            );
+            meter.done();
+        }
+        endpoint
     });
 
-    for f in followers {
-        f.request_shutdown();
-        let _ = f.join();
-    }
-    primary.request_shutdown();
-    let _ = primary.join();
+    stop_cluster(nodes);
 
     let total: u64 = per_client.iter().map(|&(_, ops)| ops).sum();
     let primary_reads: u64 = per_client
@@ -310,7 +197,7 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
         .map(|&(_, ops)| ops)
         .sum();
     Ok(CellResult {
-        kops: total as f64 / args.window.as_secs_f64() / 1e3,
+        kops: soak::kops(&per_client, args.window),
         primary_reads,
         replica_reads: total - primary_reads,
     })
@@ -323,137 +210,56 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
 /// per [`SESSION_WRITE_EVERY`] ops. Returns `(session read kops/s,
 /// Behind rotations observed)` — the rotations are the tax made visible.
 fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
-    let primary = spawn(ServerConfig {
-        mode,
-        port: 0,
-        workers: 2,
-        shards: SHARDS,
-        capacity_per_shard: (KEYS * 4) as usize,
-        repl_accept: true,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("spawn primary: {e}"))?;
-    let followers: Vec<ServerHandle> = (0..2)
-        .map(|_| {
-            spawn(ServerConfig {
-                mode,
-                port: 0,
-                workers: 2,
-                shards: SHARDS,
-                capacity_per_shard: (KEYS * 4) as usize,
-                replica_of: Some(format!("127.0.0.1:{}", primary.port())),
-                ..ServerConfig::default()
-            })
-            .map_err(|e| format!("spawn replica: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut ports = vec![primary.port()];
-    ports.extend(followers.iter().map(ServerHandle::port));
+    let (nodes, ports) = spawn_cluster(mode, 2)?;
 
-    let warmup = args.window / 8;
-    let stop = AtomicBool::new(false);
-    let started = Instant::now();
-    let per_client: Vec<(u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..args.clients)
-            .map(|t| {
-                let (stop, ports) = (&stop, &ports);
-                s.spawn(move || {
-                    let seed = 0xC11E ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let mut cluster = ClusterClient::new(ports, ClientConfig::default(), seed);
-                    let mut session = Session::new();
-                    let mut rng = SplitMix64::new(seed ^ 0x5E55);
-                    let mut resp = Vec::new();
-                    let mut keybuf = String::new();
-                    let seed_key = |keybuf: &mut String, k: u64| {
-                        use std::fmt::Write as _;
-                        keybuf.clear();
-                        let _ = write!(keybuf, "s{t}-{k}");
-                    };
-                    for k in 0..SESSION_KEYS {
-                        seed_key(&mut keybuf, k);
-                        cluster
-                            .write_session(&mut session, keybuf.as_bytes(), k, 0, &mut resp)
-                            .expect("seed session write");
-                    }
-                    let mut reads = 0u64;
-                    let mut op = 0u64;
-                    let mut counting = false;
-                    while !stop.load(Ordering::Relaxed) {
-                        op += 1;
-                        seed_key(&mut keybuf, rng.below(SESSION_KEYS));
-                        if op % SESSION_WRITE_EVERY == 0 {
-                            cluster
-                                .write_session(&mut session, keybuf.as_bytes(), op, 0, &mut resp)
-                                .expect("session refresh write");
-                            continue;
-                        }
-                        cluster
-                            .read_session(&session, keybuf.as_bytes(), &mut resp)
-                            .expect("session read");
-                        let got = decode_response(&resp).expect("decode session read");
-                        assert!(
-                            matches!(got, Response::Value { found: true, .. }),
-                            "session read answered {got:?}"
-                        );
-                        if counting {
-                            reads += 1;
-                        } else if started.elapsed() >= warmup {
-                            counting = true;
-                        }
-                    }
-                    (reads, cluster.behind_rotations())
-                })
-            })
-            .collect();
-        std::thread::sleep(warmup + args.window);
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session client"))
-            .collect()
+    let per_client = closed_loop(args.clients, args.window, |t, meter| {
+        let seed = 0xC11E ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut cluster = ClusterClient::new(&ports, ClientConfig::default(), seed);
+        let mut session = Session::new();
+        let mut rng = SplitMix64::new(seed ^ 0x5E55);
+        let mut resp = Vec::new();
+        let mut keybuf = String::new();
+        let seed_key = |keybuf: &mut String, k: u64| {
+            use std::fmt::Write as _;
+            keybuf.clear();
+            let _ = write!(keybuf, "s{t}-{k}");
+        };
+        for k in 0..SESSION_KEYS {
+            seed_key(&mut keybuf, k);
+            cluster
+                .write_session(&mut session, keybuf.as_bytes(), k, 0, &mut resp)
+                .expect("seed session write");
+        }
+        let mut op = 0u64;
+        while meter.running() {
+            op += 1;
+            seed_key(&mut keybuf, rng.below(SESSION_KEYS));
+            if op % SESSION_WRITE_EVERY == 0 {
+                cluster
+                    .write_session(&mut session, keybuf.as_bytes(), op, 0, &mut resp)
+                    .expect("session refresh write");
+                continue;
+            }
+            cluster
+                .read_session(&session, keybuf.as_bytes(), &mut resp)
+                .expect("session read");
+            let got = decode_response(&resp).expect("decode session read");
+            assert!(
+                matches!(got, Response::Value { found: true, .. }),
+                "session read answered {got:?}"
+            );
+            meter.done();
+        }
+        cluster.behind_rotations()
     });
 
-    for f in followers {
-        f.request_shutdown();
-        let _ = f.join();
-    }
-    primary.request_shutdown();
-    let _ = primary.join();
+    stop_cluster(nodes);
 
-    let reads: u64 = per_client.iter().map(|&(r, _)| r).sum();
-    let behind: u64 = per_client.iter().map(|&(_, b)| b).sum();
-    Ok((reads as f64 / args.window.as_secs_f64() / 1e3, behind))
+    let behind: u64 = per_client.iter().map(|&(b, _)| b).sum();
+    Ok((soak::kops(&per_client, args.window), behind))
 }
 
-fn gate_env(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `fetch_stats` returns a parsed document; pull its `repl` object.
-trait ReplDoc {
-    fn get_repl(&self) -> Option<&JsonValue>;
-}
-
-impl ReplDoc for gocc_loadgen::StatsDoc {
-    fn get_repl(&self) -> Option<&JsonValue> {
-        self.parsed.get("repl")
-    }
-}
-
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    gocc_gosync::set_procs(8);
-
+fn run(args: &Args) -> SoakResult<()> {
     let mut w = JsonWriter::new();
     w.begin_object()
         .field_u64("clients", args.clients as u64)
@@ -474,13 +280,7 @@ fn main() -> ExitCode {
         for &replicas in &REPLICA_COUNTS {
             let mut best: Option<CellResult> = None;
             for _ in 0..args.repeats {
-                let r = match measure_cell(mode, replicas, &args) {
-                    Ok(r) => r,
-                    Err(msg) => {
-                        eprintln!("repl_bench: FAIL: {msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let r = measure_cell(mode, replicas, args)?;
                 if best.as_ref().is_none_or(|b| r.kops > b.kops) {
                     best = Some(r);
                 }
@@ -509,13 +309,7 @@ fn main() -> ExitCode {
 
         // Session-read cell: same 2-replica topology, floor-carrying
         // reads. The tax ratio compares against the plain cell above.
-        let (session_kops, behind) = match measure_session_cell(mode, &args) {
-            Ok(v) => v,
-            Err(msg) => {
-                eprintln!("repl_bench: FAIL: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let (session_kops, behind) = measure_session_cell(mode, args)?;
         let ryw_tax = if plain_two_kops > 0.0 {
             session_kops / plain_two_kops
         } else {
@@ -540,8 +334,8 @@ fn main() -> ExitCode {
     // tax bound sits at ~2x the measured cost (0.67–0.76x across runs
     // on this one-core box); a real regression — replicas serializing
     // the primary — lands under 0.4x.
-    let scale_x = gate_env("REPL_GATE_SCALE_X", 0.55);
-    let share_pct = gate_env("REPL_GATE_SHARE_PCT", 25.0);
+    let scale_x = gate_env("REPL_GATE_SCALE_X", 0.55)?;
+    let share_pct = gate_env("REPL_GATE_SHARE_PCT", 25.0)?;
     let baseline = gocc_cells[0].kops;
     let two = &gocc_cells[REPLICA_COUNTS.len() - 1];
     let scale_ratio = if baseline > 0.0 {
@@ -569,21 +363,25 @@ fn main() -> ExitCode {
          (need >= {scale_x:.2}x)  replica share = {share:.1}% (need >= {share_pct:.1}%)"
     );
 
-    if args.gate && !(scale_ok && share_ok) {
-        if !scale_ok {
-            eprintln!(
-                "repl_bench: GATE FAIL: read throughput with 2 replicas is only \
-                 {scale_ratio:.2}x the replica-free baseline (need {scale_x:.2}x; \
-                 override REPL_GATE_SCALE_X)"
-            );
-        }
-        if !share_ok {
-            eprintln!(
-                "repl_bench: GATE FAIL: replicas served only {share:.1}% of reads \
-                 (need {share_pct:.1}%; override REPL_GATE_SHARE_PCT)"
-            );
-        }
-        return ExitCode::FAILURE;
+    let mut failed = Vec::new();
+    if !scale_ok {
+        failed.push(format!(
+            "read throughput with 2 replicas is only {scale_ratio:.2}x the replica-free \
+             baseline (need {scale_x:.2}x; override REPL_GATE_SCALE_X)"
+        ));
     }
-    ExitCode::SUCCESS
+    if !share_ok {
+        failed.push(format!(
+            "replicas served only {share:.1}% of reads (need {share_pct:.1}%; override \
+             REPL_GATE_SHARE_PCT)"
+        ));
+    }
+    if args.gate && !failed.is_empty() {
+        return Err(violation(format!("GATE FAIL: {}", failed.join("; "))));
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    soak::main(NAME, parse, run)
 }

@@ -17,6 +17,7 @@
 pub mod cluster;
 pub mod openloop;
 pub mod resilient;
+pub mod soak;
 pub mod zipf;
 
 use std::io;

@@ -68,10 +68,11 @@ run_step wal_bench ./target/release/wal_bench --window-ms 500 --gate
 # tax and replica-read-share gates.
 run_step repl_bench ./target/release/repl_bench --window-ms 500 --gate
 
-# Self-healing failover: SIGKILL the primary with no operator promote;
-# the replicas detect, elect and promote on their own. Produces
+# Failover: SIGKILL the primary, once with an operator promote and once
+# with none (the replicas detect, elect and promote on their own), then
+# the lease-fencing phase. The self-healing phase produces
 # BENCH_failover.json with detection/promotion/unavailability times.
-run_step auto_failover_soak ./target/release/auto_failover_soak --seed 2026 --mode both
+run_step failover_soak ./target/release/failover_soak --seed 2026 --mode both
 
 # Schema gate before the artifacts move: every BENCH_*.json must parse
 # and carry the common header, or the sweep fails. The --expect list

@@ -6,6 +6,31 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Runs one harness and tells its ways of failing apart, by the exit-code
+# convention loadgen::soak::main gives every binary under
+# crates/loadgen/src/bin: 4 = a guarantee or gate it checks was violated,
+# 2 = its liveness watchdog saw no progress, anything else = the harness
+# itself broke.
+#   run_soak LABEL VIOLATION_MSG CMD...
+run_soak() {
+  label=$1
+  violated=$2
+  shift 2
+  if "$@"; then
+    echo "ok: $label"
+  else
+    status=$?
+    case "$status" in
+      4) echo "FAIL: $violated" >&2 ;;
+      2) echo "FAIL: $label: liveness watchdog saw no progress (deadlock or livelock)" >&2 ;;
+      *) echo "FAIL: $label harness error (status $status)" >&2 ;;
+    esac
+    exit "$status"
+  fi
+}
+
+quietly() { "$@" > /dev/null; }
+
 echo "== dependency guard =="
 bad=0
 for manifest in Cargo.toml crates/*/Cargo.toml; do
@@ -47,6 +72,17 @@ if grep -rnE 'committer_enter|committer_exit|CommitGate' crates/; then
 fi
 echo "ok: commit gate holds, LockWord carries no committer count"
 
+echo "== one soak kit =="
+# Argument tables, the liveness watchdog, daemon/temp-dir guards, gate
+# thresholds and the per-key oracle live in crates/loadgen/src/soak.rs;
+# a harness binary that grows its own copy has forked the kit.
+if grep -rnE 'struct Liveness|struct KeyHist|struct Daemon|fn parse_args|fn gate_env|fn tmp\(' \
+  crates/loadgen/src/bin/; then
+  echo "FAIL: a harness binary carries its own copy of loadgen::soak scaffolding" >&2
+  exit 1
+fi
+echo "ok: harness binaries stand on loadgen::soak"
+
 echo "== formatting =="
 cargo fmt --check
 
@@ -57,17 +93,8 @@ echo "== repo benchmark (offline build + smoke) =="
 # this checkout and --smoke runs every workload, both passes, with 1 s
 # windows and all output checks. Exit 4 = an output check failed (vs 1 for
 # a broken harness or a build error).
-if bash benchmark/run.sh --smoke > /dev/null; then
-  echo "ok: benchmark builds and smokes"
-else
-  status=$?
-  if [ "$status" -eq 4 ]; then
-    echo "FAIL: a benchmark output check failed" >&2
-  else
-    echo "FAIL: benchmark build or harness error (status $status)" >&2
-  fi
-  exit "$status"
-fi
+run_soak "benchmark builds and smokes" "a benchmark output check failed" \
+  quietly bash benchmark/run.sh --smoke
 # Its unit tests (metric arithmetic, schema, catalogue == BENCHMARK.json)
 # build the structs it fills from this workspace's snapshots by literal.
 (cd benchmark && CARGO_TARGET_DIR=../target cargo test --offline -q)
@@ -133,18 +160,10 @@ echo "== pipelining gate (batched section execution payoff) =="
 # full [1, 8, 32] depth axis for the schema pin below. Exit 4 means the
 # amortization gate was violated (vs exit 1 for a broken harness).
 pipeline_gate=${PIPELINE_GATE_X:-5}
-if ./target/release/loadgen --mode both --workers 1 \
-  --warmup-ms 100 --window-ms 400 --pipeline-gate "$pipeline_gate"; then
-  echo "ok: pipeline gate (>= ${pipeline_gate}x at depth 32)"
-else
-  status=$?
-  if [ "$status" -eq 4 ]; then
-    echo "FAIL: pipelining amortization below ${pipeline_gate}x" >&2
-  else
-    echo "FAIL: pipeline gate harness error (status $status)" >&2
-  fi
-  exit "$status"
-fi
+run_soak "pipeline gate (>= ${pipeline_gate}x at depth 32)" \
+  "pipelining amortization below ${pipeline_gate}x" \
+  ./target/release/loadgen --mode both --workers 1 \
+  --warmup-ms 100 --window-ms 400 --pipeline-gate "$pipeline_gate"
 
 echo "== hot-path perf smoke =="
 # Loose order-of-magnitude gate on uncontended section cost: the
@@ -170,10 +189,11 @@ echo "ok: trace overhead gate"
 echo "== chaos soak (fixed seed, both modes) =="
 # Short combined-fault run at elevated rates: HTM abort injection,
 # Lock/Unlock mis-pairing and transport faults, all from one seed.
-# chaos_soak exits nonzero on any oracle divergence, undetected mispair
-# or watchdog starvation, and exit 2 if its liveness monitor sees no
-# progress (deadlock/livelock) — any of which fails CI here.
-./target/release/chaos_soak --seed 2026 --mode both \
+# chaos_soak exits 4 on any oracle divergence, undetected mispair,
+# watchdog that does not engage or replay mismatch, and exit 2 if its
+# liveness monitor sees no progress (deadlock/livelock).
+run_soak "chaos soak phases" "a degradation guarantee was violated under injected faults" \
+  ./target/release/chaos_soak --seed 2026 --mode both \
   --sections 200 --threads 4 \
   --abort-rate 0.25 --pairing-rate 0.25 --transport-rate 0.2 \
   --net-keys 32 --net-clients 3 --stall-secs 60
@@ -197,18 +217,9 @@ echo "== overload soak (open-loop saturation, both modes) =="
 # 5s of load removal. Exit 4 means a guarantee was violated (vs exit 1
 # for a broken harness) so the two fail differently here.
 overload_gate=${OVERLOAD_GATE_P99_MS:-100}
-if OVERLOAD_GATE_P99_MS="$overload_gate" \
-  ./target/release/overload_soak --quick --seed 2026 --out none; then
-  echo "ok: overload soak (p99 gate ${overload_gate}ms)"
-else
-  status=$?
-  if [ "$status" -eq 4 ]; then
-    echo "FAIL: overload guarantee violated (gate ${overload_gate}ms)" >&2
-  else
-    echo "FAIL: overload soak harness error (status $status)" >&2
-  fi
-  exit "$status"
-fi
+run_soak "overload soak (p99 gate ${overload_gate}ms)" \
+  "overload guarantee violated (gate ${overload_gate}ms)" \
+  ./target/release/overload_soak --quick --seed 2026 --out none
 
 echo "== crash soak (seeded kill/recover, both modes) =="
 # Durability oracle check end to end. Phase 1 replays seeded torn-write
@@ -217,67 +228,51 @@ echo "== crash soak (seeded kill/recover, both modes) =="
 # injection, drives writes until the seeded crash point aborts the
 # process mid-load, restarts it on the same data dir, and checks every
 # key against a per-key oracle: no acked write lost, no unacked write
-# half-applied, in both execution modes. Exit 2 means the liveness
-# watchdog saw no progress (hung recovery or stuck barrier).
-./target/release/crash_soak --seed 2026 --mode both \
+# half-applied, in both execution modes. Exit 4 = the oracle was
+# violated; exit 2 = the liveness watchdog saw no progress (hung recovery
+# or stuck barrier).
+run_soak "crash soak" "durability violated: lost ack, invented write or recovery mismatch" \
+  ./target/release/crash_soak --seed 2026 --mode both \
   --sim-runs 6 --sim-ops 400 --kill-cycles 2 --cycle-ops 3000 \
   --crash-rate 0.004 --stall-secs 60
-echo "ok: crash soak"
 
-echo "== failover soak (kill primary, promote replica, both modes) =="
+echo "== failover soak (kill primary: operator promote, then self-healing; both modes) =="
 # Replication guarantees end to end under seeded transport faults on the
-# replication streams: boots a goccd primary with two in-process
-# replicas, SIGKILLs the primary mid-load, holds a deliberate
-# primary-less window (replicas alone must carry reads), promotes the
-# replica with the highest replicated version and repoints the other.
-# Checks: no acked write lost (per-key oracle against the new primary),
-# reads stay available during the outage, bounded staleness on the
-# repointed replica, recovery within deadline, and lease-based fencing
-# (a primary below min-acks rejects writes). Exit 4 = guarantee
-# violated, exit 2 = liveness watchdog, exit 1 = harness error.
-if ./target/release/failover_soak --seed 2026 --mode both --load-ops 1200 --manual; then
-  echo "ok: failover soak (manual promotion)"
-else
-  status=$?
-  if [ "$status" -eq 4 ]; then
-    echo "FAIL: replication guarantee violated" >&2
-  else
-    echo "FAIL: failover soak harness error (status $status)" >&2
-  fi
-  exit "$status"
-fi
-
-echo "== auto failover soak (self-healing: no operator promote) =="
-# Same kill, zero operator involvement: the replicas' failure detectors
-# must notice the silence, hold a quorum election (highest replicated
-# version wins, one vote per epoch), and the winner must promote itself
-# within the detection deadline. Checks everything the manual soak does
-# plus: exactly one primary per epoch (continuous split-brain poll),
-# read-your-writes sessions never violated across the failover, and a
-# deposed-primary rejoin phase proving its stale epoch is fenced (the
+# replication streams, three phases per mode in one binary.
+# Manual: boots a goccd primary with two in-process replicas, SIGKILLs
+# the primary mid-load, holds a deliberate primary-less window (replicas
+# alone must carry reads), promotes the replica with the highest
+# replicated version and repoints the other. Checks: no acked write lost
+# (per-key oracle against the new primary), reads stay available during
+# the outage, bounded staleness on the repointed replica, recovery within
+# deadline.
+# Auto: same kill, zero operator involvement: the replicas' failure
+# detectors must notice the silence, hold a quorum election (highest
+# replicated version wins, one vote per epoch), and the winner must
+# promote itself within the detection deadline. Checks the no-lost-ack
+# oracle plus: exactly one primary per epoch (continuous split-brain
+# poll), read-your-writes sessions never violated across the failover,
+# and a deposed-primary rejoin proving its stale epoch is fenced (the
 # repointed replica rejects the old stream without applying a batch).
 # Produces BENCH_failover.json with detection/promotion/unavailability
-# times. Exit codes as above.
-if ./target/release/auto_failover_soak --seed 2026 --mode both --load-ops 1200; then
-  echo "ok: auto failover soak (automatic promotion)"
-else
-  status=$?
-  if [ "$status" -eq 4 ]; then
-    echo "FAIL: self-healing replication guarantee violated" >&2
-  else
-    echo "FAIL: auto failover soak harness error (status $status)" >&2
-  fi
-  exit "$status"
-fi
+# times.
+# Fencing: a primary below min-acks rejects writes within its lease and
+# resumes once a fresh replica attaches.
+run_soak "failover soak (manual promotion, automatic promotion, fencing)" \
+  "replication guarantee violated" \
+  ./target/release/failover_soak --seed 2026 --mode both --load-ops 1200
 
 echo "== WAL throughput gates (group commit amortization) =="
-# Two bounds from BENCH_wal.json, on the gocc numbers: engine-level
-# group commit must amortize to >= 5x the one-fsync-per-record floor
-# (WAL_GATE_GROUP_X), and service-level sync=off must stay within 10%
-# of the in-memory daemon (WAL_GATE_OFF_PCT). Overridable like the
-# other perf gates on noisy boxes.
-./target/release/wal_bench --window-ms 300 --gate
-echo "ok: WAL gates (group amortization, off tax)"
+# Two bounds from BENCH_wal.json, on the gocc numbers. Engine-level
+# group commit must amortize, judged on counts the disk's speed of the
+# day cannot move: >= 3 records behind each fsync under `group` against
+# <= 1.05 under `always` (the group/always throughput ratio is printed
+# and recorded, not gated: it read 2.7-5.1x here with the counts
+# unmoved). Service-level sync=off must stay within 10% of the in-memory
+# daemon (WAL_GATE_OFF_PCT, overridable like the other perf gates on
+# noisy boxes).
+run_soak "WAL gates (group amortization, off tax)" "a WAL gate failed" \
+  ./target/release/wal_bench --window-ms 300 --gate
 
 echo "== replication read gates (replica fan-out) =="
 # Read throughput vs replica count from BENCH_replication.json, on the
@@ -287,8 +282,8 @@ echo "== replication read gates (replica fan-out) =="
 # (replica read share >= REPL_GATE_SHARE_PCT). On multi-core boxes the
 # recorded scale ratio shows real fan-out. Overridable like the other
 # perf gates on noisy boxes.
-./target/release/repl_bench --window-ms 300 --gate
-echo "ok: replication gates (tax bound, replica share)"
+run_soak "replication gates (tax bound, replica share)" "a replication read gate failed" \
+  ./target/release/repl_bench --window-ms 300 --gate
 
 echo "== bench artifact schema =="
 # Every BENCH_*.json emitted above must parse and carry the common
