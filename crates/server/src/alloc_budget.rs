@@ -8,7 +8,8 @@
 //! `optilock/tests/alloc_budget.rs`: the test thread plays the worker
 //! (it owns the `Conn` and calls `pump` + `finish_pump` exactly as
 //! `worker_loop` does), so the count is the worker thread's and nothing
-//! another test thread allocates can perturb it.
+//! another test thread allocates can perturb it. Each burst ends with the
+//! idle pass and the poll-set refill an idle worker makes before it blocks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +20,7 @@ use gocc_wire::{encode_request, encode_response, Request, Response};
 use gocc_workloads::Engine;
 
 use crate::conn::{Conn, PumpOutcome};
-use crate::{ServerConfig, ServerState, WorkerCtx};
+use crate::{idle, watch, ServerConfig, ServerState, WorkerCtx};
 
 struct CountingAllocator;
 
@@ -60,12 +61,13 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 fn serve_burst(
     client: &mut TcpStream,
     conn: &mut Conn,
-    engine: &Engine<'_>,
     state: &ServerState,
     wctx: &mut WorkerCtx,
+    set: &mut idle::PollSet,
     burst: &[u8],
     resp: &mut [u8],
 ) -> u64 {
+    let engine = &Engine::new(&state.rt, state.config.mode);
     client.write_all(burst).expect("client send");
     let (mut got, mut passes) = (0, 0);
     while got < resp.len() {
@@ -82,7 +84,20 @@ fn serve_burst(
         }
         assert!(passes < 1_000_000, "burst never completed");
     }
-    passes
+    // The pass after the burst finds nothing to do, and the worker's idle
+    // decision refills the poll set and waits on it (here: not at all).
+    let idle_pass = conn.pump(engine, state, wctx);
+    assert!(matches!(
+        idle_pass,
+        PumpOutcome::Alive {
+            made_progress: false
+        }
+    ));
+    state.finish_pump(wctx);
+    let conns = std::slice::from_ref(&*conn);
+    assert_eq!(watch(conns, set, &state.config), None);
+    idle::wait(&state.wakers[0], set, Some(std::time::Duration::ZERO));
+    passes + 1
 }
 
 #[test]
@@ -93,7 +108,6 @@ fn steady_state_pump_passes_do_not_allocate() {
         ..ServerConfig::default()
     })
     .expect("state");
-    let engine = Engine::new(&state.rt, state.config.mode);
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
     let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
     let (stream, _) = listener.accept().expect("accept");
@@ -108,6 +122,7 @@ fn steady_state_pump_passes_do_not_allocate() {
         lat_sum_ns: 0,
         lat_count: 0,
     };
+    let mut set = idle::PollSet::default();
 
     // 32 frames, GET and SET alternating over 16 keys (all four shards),
     // so every pass runs read groups' neighbours and write groups alike.
@@ -144,9 +159,9 @@ fn steady_state_pump_passes_do_not_allocate() {
         serve_burst(
             &mut client,
             &mut conn,
-            &engine,
             &state,
             &mut wctx,
+            &mut set,
             &burst,
             &mut resp,
         );
@@ -158,9 +173,9 @@ fn steady_state_pump_passes_do_not_allocate() {
         passes += serve_burst(
             &mut client,
             &mut conn,
-            &engine,
             &state,
             &mut wctx,
+            &mut set,
             &burst,
             &mut resp,
         );

@@ -2,8 +2,10 @@
 //! execute → non-blocking write, with error isolation, deadline
 //! enforcement and slow-client eviction.
 
+use std::ffi::c_short;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,6 +18,7 @@ use gocc_wire::{
 };
 use gocc_workloads::Engine;
 
+use crate::idle::{POLLIN, POLLOUT};
 use crate::overload::{classify, VerbClass};
 use crate::repl::{pump_repl_out, ReplSub};
 use crate::stats::verb_index;
@@ -146,6 +149,38 @@ impl Conn {
 
     pub(crate) fn has_pending_output(&self) -> bool {
         self.outpos < self.outbuf.len()
+    }
+
+    pub(crate) fn raw_fd(&self) -> RawFd {
+        self.stream.get_ref().as_raw_fd()
+    }
+
+    /// What an idle wait must watch on this connection's socket: exactly
+    /// what the next [`Conn::pump`] would act on, under `pump`'s own
+    /// conditions — readable only while it still reads (step 2), writable
+    /// only while response bytes are queued (steps 1 and 4). Anything
+    /// more and a level-triggered wait returns at once for an event the
+    /// pump will not clear; anything less and it sleeps through work.
+    ///
+    /// Not enough for a replication subscriber ([`Conn::is_repl_sub`]):
+    /// its heartbeats and feed drain (step 3b) run on a clock no
+    /// descriptor signals, so its owner must keep pumping it.
+    pub(crate) fn interest(&self, recv_high_water: usize) -> c_short {
+        let mut events = 0;
+        if !self.closing && self.inbuf.pending() < recv_high_water {
+            events |= POLLIN;
+        }
+        if self.has_pending_output() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// When [`Conn::pump`] evicts this connection as a slow client if its
+    /// queued bytes make no progress until then.
+    pub(crate) fn write_deadline(&self, write_timeout: Duration) -> Option<Instant> {
+        self.has_pending_output()
+            .then(|| self.last_write_progress + write_timeout)
     }
 
     /// Shutdown-drain helper: push pending bytes, ignore errors.
@@ -988,4 +1023,60 @@ fn span_since(
 /// the pre-check without a race.
 fn expired(arrival: Instant, budget_us: u32) -> bool {
     arrival.elapsed() >= Duration::from_micros(u64::from(budget_us))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Ipv4Addr, TcpListener};
+
+    /// Every combination of the four facts [`Conn::interest`] reads,
+    /// against the events [`Conn::pump`] would act on in that state.
+    #[test]
+    fn interest_is_what_the_next_pump_would_touch() {
+        const HIGH_WATER: usize = 64;
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = Conn::new(stream, None);
+        let feed = crate::ReplFeed::new(crate::ReplConfig::default(), &[0]);
+        let sub = feed.subscribe(&[0]);
+        for case in 0..16u32 {
+            let [closing, at_high_water, pending_output, repl_sub] =
+                [0, 1, 2, 3].map(|bit| case & (1 << bit) != 0);
+            conn.closing = closing;
+            conn.inbuf = FrameBuf::new();
+            if at_high_water {
+                conn.inbuf.extend(&[0; HIGH_WATER]);
+            }
+            conn.outbuf.clear();
+            conn.outpos = 0;
+            if pending_output {
+                conn.outbuf.push(0);
+            }
+            conn.repl = repl_sub.then(|| ReplSub::new(sub));
+
+            let read = if closing || at_high_water { 0 } else { POLLIN };
+            let write = if pending_output { POLLOUT } else { 0 };
+            assert_eq!(
+                conn.interest(HIGH_WATER),
+                read | write,
+                "closing={closing} high_water={at_high_water} \
+                 pending_output={pending_output} repl_sub={repl_sub}"
+            );
+            // What keeps a subscriber's owner from waiting on it at all.
+            assert_eq!(conn.is_repl_sub(), repl_sub);
+            assert_eq!(
+                conn.write_deadline(Duration::from_secs(5)).is_some(),
+                pending_output
+            );
+        }
+        // One byte under the mark still reads, as `pump` step 2 does.
+        conn.closing = false;
+        conn.repl = None;
+        conn.outbuf.clear();
+        conn.inbuf = FrameBuf::new();
+        conn.inbuf.extend(&[0; HIGH_WATER - 1]);
+        assert_eq!(conn.interest(HIGH_WATER), POLLIN);
+    }
 }

@@ -11,15 +11,20 @@
 //!
 //! # Threading and ownership model
 //!
-//! * One **acceptor** thread owns the listener (non-blocking, polled so it
-//!   can observe shutdown) and deals accepted connections round-robin onto
-//!   per-worker channels — the sharded connection dispatcher.
+//! * One **acceptor** thread owns the listener (non-blocking; it blocks
+//!   in `idle::wait` on the listener and its waker, so shutdown reaches
+//!   it) and deals accepted connections round-robin onto per-worker
+//!   channels — the sharded connection dispatcher — waking the worker it
+//!   dealt to.
 //! * `workers` **worker** threads each own a disjoint set of connections
 //!   outright (no connection is ever touched by two threads), pumping them
-//!   with non-blocking reads/writes in a poll loop. Worker state is plain
-//!   `&mut`; the only cross-thread state is the [`ServerState`] behind an
-//!   `Arc` — the store (whose interior synchronization *is* the system
-//!   under test), atomic counters, and the shutdown flag.
+//!   with non-blocking reads/writes. A worker with nothing to do blocks on
+//!   its connections' readiness (`idle::wait`) unless its peers pipeline
+//!   or an idle-pass duty runs on a clock — see `worker_loop`. Worker
+//!   state is plain `&mut`; the only cross-thread state is the
+//!   [`ServerState`] behind an `Arc` — the store (whose interior
+//!   synchronization *is* the system under test), atomic counters, the
+//!   shutdown flag and the wakers.
 //! * Connections that subscribe as replication streams (REPL_HELLO) are
 //!   handed off to one dedicated **repl-out** thread: a worker may block
 //!   in `wait_replicated` for a `min_acks` write, and the subscriber
@@ -60,6 +65,7 @@
 #[cfg(test)]
 mod alloc_budget;
 mod conn;
+mod idle;
 mod overload;
 mod repl;
 mod stats;
@@ -67,6 +73,7 @@ mod store;
 
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -256,6 +263,10 @@ pub struct ServerState {
     /// Build identity echoed in the boot line and STATS header (the
     /// `BENCH_GIT_REV` convention the bench artifacts already use).
     git_rev: String,
+    /// One per worker, by index, then the acceptor's: what ends their
+    /// idle wait when work arrives that no socket of theirs signals (a
+    /// dispatched connection, shutdown).
+    wakers: Vec<idle::Waker>,
 }
 
 impl ServerState {
@@ -297,9 +308,13 @@ impl ServerState {
         } else {
             None
         };
+        let wakers = (0..=config.workers)
+            .map(|_| idle::Waker::new())
+            .collect::<io::Result<_>>()?;
         Ok(ServerState {
             rt,
             store,
+            wakers,
             shutdown: AtomicBool::new(false),
             counters: ServerCounters::new(config.workers),
             brownout: BrownoutController::new(config.brownout),
@@ -505,6 +520,21 @@ impl ServerState {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        for w in &self.wakers {
+            w.wake();
+        }
+    }
+
+    /// Whether a worker's idle pass has work that runs on a clock, so the
+    /// worker must keep taking passes at today's cadence instead of
+    /// blocking: a brownout state that only idle observations walk back
+    /// to `Healthy`, or a seeded plan whose draws are defined per pass
+    /// (load faults in [`ServerState::finish_pump`], transport faults
+    /// that make a ready socket read as not ready).
+    fn idle_pass_is_clocked(&self) -> bool {
+        self.brownout.state() != HealthState::Healthy
+            || self.config.load_plan.is_some()
+            || self.config.fault_plan.is_some()
     }
 
     /// The brownout controller (state, transition counters).
@@ -887,33 +917,76 @@ fn checkpoint_loop(state: &ServerState, wal: &Wal) {
     }
 }
 
+/// How long a worker sleeps between passes when it keeps the cadence
+/// instead of blocking, and so what one idle pass is worth in time.
+const IDLE_PASS: Duration = Duration::from_micros(200);
+
+/// Pause after a failed `accept()`: this at first, doubling on each
+/// consecutive failure up to the cap.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 fn acceptor_loop(
     listener: &TcpListener,
     senders: Vec<Sender<std::net::TcpStream>>,
     state: &ServerState,
 ) {
+    let waker = &state.wakers[senders.len()];
+    let mut set = idle::PollSet::default();
     let mut next = 0usize;
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     while !state.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                backoff = ACCEPT_BACKOFF_MIN;
                 let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
+                    state.counters.note_accept_error();
                     continue;
                 }
                 state.counters.note_accept();
                 // Shard the connection onto a worker; a dead worker (only
                 // possible on panic) just drops the stream.
-                let _ = senders[next % senders.len()].send(stream);
+                let worker = next % senders.len();
+                let _ = senders[worker].send(stream);
+                state.wakers[worker].wake();
                 next += 1;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                set.clear();
+                set.push(listener.as_raw_fd(), idle::POLLIN);
+                idle::wait(waker, &mut set, None);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            // EMFILE, ENFILE, ECONNABORTED…: the pending connection is
+            // still queued, so the listener stays readable — pause on
+            // the waker alone (shutdown still gets through), longer each
+            // time, instead of failing in a hot loop.
+            Err(_) => {
+                state.counters.note_accept_error();
+                set.clear();
+                idle::wait(waker, &mut set, Some(backoff));
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+            }
         }
     }
     // Dropping the senders tells each worker no more connections are
     // coming.
+}
+
+/// Refills `set` with what an idle worker's connections wait for, and
+/// returns the instant the wait must end by — the nearest slow-client
+/// eviction — if there is one.
+fn watch(conns: &[Conn], set: &mut idle::PollSet, config: &ServerConfig) -> Option<Instant> {
+    set.clear();
+    let mut deadline = None;
+    for c in conns {
+        set.push(c.raw_fd(), c.interest(config.recv_high_water));
+        deadline = [deadline, c.write_deadline(config.write_timeout)]
+            .into_iter()
+            .flatten()
+            .min();
+    }
+    deadline
 }
 
 fn worker_loop(
@@ -931,6 +1004,10 @@ fn worker_loop(
         lat_sum_ns: 0,
         lat_count: 0,
     };
+    let mut set = idle::PollSet::default();
+    // Frames in the last pass that handled any, until an idle decision
+    // has used it.
+    let mut last_frames = 0u64;
     loop {
         // Adopt newly dispatched connections.
         loop {
@@ -976,6 +1053,9 @@ fn worker_loop(
                 }
             }
         }
+        if wctx.frames_seen > 0 {
+            last_frames = wctx.frames_seen;
+        }
         state.finish_pump(&mut wctx);
 
         if state.shutting_down() {
@@ -985,8 +1065,38 @@ fn worker_loop(
         if dispatcher_gone && conns.is_empty() {
             return;
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+        if progressed {
+            continue;
+        }
+        // The one idle decision. Two or more frames in one pass mean a
+        // peer that pipelines (or several peers in step): the next burst
+        // is due, and taking it after one fixed sleep keeps the batches
+        // and the wake-ups per request where they were. So does a duty
+        // that runs on a clock: the controller's, a seeded plan's, or a
+        // replication subscriber's before the adoption loop hands it to
+        // repl-out. Otherwise — a lone request, or nothing since the last
+        // decision — block until a connection is ready, a connection is
+        // dispatched or shutdown is requested, so the next request is
+        // served when it arrives.
+        let block = last_frames < 2
+            && !state.idle_pass_is_clocked()
+            && !conns.iter().any(Conn::is_repl_sub);
+        last_frames = 0;
+        state.counters.note_idle(worker, block);
+        if block {
+            let deadline = watch(&conns, &mut set, &state.config);
+            let t0 = Instant::now();
+            let timeout = deadline.map(|d| d.saturating_duration_since(t0));
+            idle::wait(&state.wakers[worker], &mut set, timeout);
+            // The controller's averages decay per idle pass; hand it the
+            // passes this wait stood in for, or sparse traffic would read
+            // as one unbroken load.
+            let passes = t0.elapsed().as_micros() / IDLE_PASS.as_micros();
+            state.brownout.observe_idle(passes as u64);
+        } else {
+            // The coalescing arm: ROADMAP 2(b) deletes it once responses
+            // park instead of workers (it is what paces `serve_d32`).
+            std::thread::sleep(IDLE_PASS);
         }
     }
 }

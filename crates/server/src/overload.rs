@@ -291,6 +291,20 @@ impl BrownoutController {
         }
     }
 
+    /// Feeds the `passes` idle passes a worker did not take because it
+    /// was blocked on its sockets: both averages decay as if each had
+    /// been observed, so what an arriving request is averaged against
+    /// does not depend on how its worker waited. A worker blocks only
+    /// while `Healthy`, and zeros cannot escalate, so the state stands.
+    pub fn observe_idle(&self, passes: u64) {
+        if passes == 0 {
+            return;
+        }
+        let mut sig = self.signals.lock().unwrap();
+        sig.depth.observe_zeros(passes);
+        sig.latency_ns.observe_zeros(passes);
+    }
+
     /// The admission decision for one request.
     ///
     /// `depth` is the requester's current queue depth (frames already

@@ -42,6 +42,10 @@ pub struct WorkerGauges {
     shed_total: AtomicU64,
     /// Requests this worker executed against the engine.
     executed: AtomicU64,
+    /// Idle decisions that blocked on the worker's sockets.
+    idle_blocks: AtomicU64,
+    /// Idle decisions that slept out the fixed coalescing interval.
+    coalesce_sleeps: AtomicU64,
 }
 
 impl WorkerGauges {
@@ -68,6 +72,22 @@ impl WorkerGauges {
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
     }
+
+    /// Times this worker, finding nothing to do, blocked until a socket
+    /// of its connections was ready (or it was woken): the decision for a
+    /// lone request, which is then served the moment it arrives.
+    #[must_use]
+    pub fn idle_blocks(&self) -> u64 {
+        self.idle_blocks.load(Ordering::Relaxed)
+    }
+
+    /// Times this worker, finding nothing to do, slept 200 µs instead:
+    /// its peers pipeline, or an idle-pass duty runs on a clock. A
+    /// request arriving meanwhile waits out the rest of the sleep.
+    #[must_use]
+    pub fn coalesce_sleeps(&self) -> u64 {
+        self.coalesce_sleeps.load(Ordering::Relaxed)
+    }
 }
 
 /// Relaxed atomic counters for everything the data plane touches.
@@ -75,6 +95,9 @@ impl WorkerGauges {
 pub struct ServerCounters {
     accepted: AtomicU64,
     closed: AtomicU64,
+    /// Connections lost at the door: `accept()` failed, or the accepted
+    /// stream could not be made non-blocking.
+    accept_errors: AtomicU64,
     by_verb: [AtomicU64; 12],
     malformed: AtomicU64,
     /// Oversized frames skipped (connection survived and resynchronized).
@@ -121,6 +144,7 @@ impl ServerCounters {
         ServerCounters {
             accepted: AtomicU64::new(0),
             closed: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             by_verb: Default::default(),
             malformed: AtomicU64::new(0),
             oversized: AtomicU64::new(0),
@@ -146,6 +170,10 @@ impl ServerCounters {
 
     pub(crate) fn note_close(&self) {
         self.closed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_request(&self, req: &Request<'_>) {
@@ -200,6 +228,18 @@ impl ServerCounters {
         self.requests_per_batch.record(len);
     }
 
+    /// Accounts one idle decision of `worker`: it blocked on its sockets,
+    /// or slept the coalescing interval.
+    pub(crate) fn note_idle(&self, worker: usize, blocked: bool) {
+        let g = &self.per_worker[worker % self.per_worker.len()];
+        let counter = if blocked {
+            &g.idle_blocks
+        } else {
+            &g.coalesce_sleeps
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn set_queue_depth(&self, worker: usize, depth: u64) {
         let g = &self.per_worker[worker % self.per_worker.len()];
         g.queue_depth.store(depth, Ordering::Relaxed);
@@ -216,6 +256,12 @@ impl ServerCounters {
     #[must_use]
     pub fn closed(&self) -> u64 {
         self.closed.load(Ordering::Relaxed)
+    }
+
+    /// Connections lost to a failed `accept()` or socket set-up.
+    #[must_use]
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
     }
 
     /// Requests served across all verbs.
@@ -357,6 +403,7 @@ impl ServerCounters {
             .field_u64("shards", shards)
             .field_u64("conns_accepted", self.accepted())
             .field_u64("conns_closed", self.closed())
+            .field_u64("accept_errors", self.accept_errors())
             .key("requests")
             .begin_object()
             .field_u64("total", self.total_requests());
@@ -417,6 +464,8 @@ impl ServerCounters {
                 .field_u64("queue_depth_max", g.queue_depth_max())
                 .field_u64("shed_total", g.shed_total())
                 .field_u64("executed", g.executed())
+                .field_u64("idle_blocks", g.idle_blocks())
+                .field_u64("coalesce_sleeps", g.coalesce_sleeps())
                 .end_object();
         }
         w.end_array()
@@ -527,6 +576,10 @@ mod tests {
         c.set_queue_depth(0, 12);
         c.set_queue_depth(0, 3);
         c.note_executed(1, 2_000);
+        c.note_accept_error();
+        c.note_idle(1, true);
+        c.note_idle(1, false);
+        c.note_idle(1, false);
         assert_eq!(c.shed_total(), 3);
         assert_eq!(c.shed_by_cause(), [1, 0, 0, 0, 2]);
         assert_eq!(c.shed_ns_total(), 3_000);
@@ -574,6 +627,10 @@ mod tests {
         let w1 = &workers[1];
         assert_eq!(w1.get("shed_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(w1.get("executed").unwrap().as_f64(), Some(1.0));
+        assert_eq!(w1.get("idle_blocks").unwrap().as_f64(), Some(1.0));
+        assert_eq!(w1.get("coalesce_sleeps").unwrap().as_f64(), Some(2.0));
+        assert_eq!(w0.get("idle_blocks").unwrap().as_f64(), Some(0.0));
+        assert_eq!(v.get("accept_errors").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("oversized_frames").unwrap().as_f64(), Some(1.0));
         let lat = v.get("request_latency").unwrap();
         assert_eq!(lat.get("count").unwrap().as_f64(), Some(1.0));

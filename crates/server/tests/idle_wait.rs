@@ -1,0 +1,506 @@
+//! The idle wait, end to end: a worker or acceptor with nothing to do
+//! blocks on its sockets and its waker, and everything that used to be
+//! noticed by waking every 200 µs — a request, a dispatched connection,
+//! shutdown, a slow client's eviction deadline, brownout recovery — is
+//! still noticed.
+//!
+//! Thread accounting comes from `/proc/self/task/*` by thread name, as
+//! `benchmark/src/procfs.rs` reads it, so the tests take turns: two live
+//! servers in this process would both own a `goccd-worker-0`.
+
+use std::fs;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use gocc_server::{spawn, BrownoutConfig, HealthState, ServerConfig, ServerHandle};
+use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
+
+static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> MutexGuard<'static, ()> {
+    gocc_gosync::set_procs(8);
+    ONE_SERVER_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn config(workers: usize) -> ServerConfig {
+    ServerConfig {
+        workers,
+        shards: 2,
+        capacity_per_shard: 1024,
+        ..ServerConfig::default()
+    }
+}
+
+/// Blocking request/response helper over one client connection.
+struct Client {
+    stream: TcpStream,
+    wirebuf: Vec<u8>,
+    respbuf: Vec<u8>,
+}
+
+impl Client {
+    fn connect(port: u16) -> Client {
+        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        // A lost wake-up shows as this timeout, not as a hung test run.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        Client {
+            stream,
+            wirebuf: Vec::new(),
+            respbuf: Vec::new(),
+        }
+    }
+
+    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
+        self.wirebuf.clear();
+        encode_request(req, &mut self.wirebuf);
+        write_frame(&mut self.stream, &self.wirebuf).expect("send");
+        self.recv()
+    }
+
+    fn recv(&mut self) -> Response<'_> {
+        assert!(
+            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
+            "server closed mid-conversation"
+        );
+        decode_response(&self.respbuf).expect("well-formed response")
+    }
+
+    fn set(&mut self, key: &[u8], value: u64) {
+        let req = Request::Set { key, value, ttl: 0 };
+        assert_eq!(self.call(&req), Response::Done);
+    }
+
+    fn get(&mut self, key: &[u8]) -> Response<'_> {
+        self.call(&Request::Get { key })
+    }
+}
+
+/// Voluntary context switches and CPU nanoseconds, summed over this
+/// process's threads whose name starts with one of `prefixes`.
+fn thread_use(prefixes: &[&str]) -> (u64, u64) {
+    let (mut switches, mut cpu_ns) = (0, 0);
+    for task in fs::read_dir("/proc/self/task").expect("procfs").flatten() {
+        let dir = task.path();
+        let comm = fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if !prefixes.iter().any(|p| comm.starts_with(p)) {
+            continue;
+        }
+        let status = fs::read_to_string(dir.join("status")).unwrap_or_default();
+        switches += status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .expect("voluntary_ctxt_switches");
+        let schedstat = fs::read_to_string(dir.join("schedstat")).unwrap_or_default();
+        cpu_ns += schedstat
+            .split_whitespace()
+            .next()
+            .and_then(|v| v.parse::<u64>().ok())
+            .expect("schedstat");
+    }
+    (switches, cpu_ns)
+}
+
+const SERVING_THREADS: [&str; 2] = ["goccd-worker-", "goccd-acceptor"];
+
+/// `(idle_blocks, coalesce_sleeps)` of worker 0 once it has stopped
+/// taking passes, i.e. once it blocks: neither count moved in 10 ms, and
+/// no serving thread ran in them (one long pass moves no count either).
+fn settled_idle_counts(handle: &ServerHandle) -> (u64, u64) {
+    let read = || {
+        let g = &handle.state().counters().per_worker()[0];
+        let cpu_ns = thread_use(&SERVING_THREADS).1;
+        ((g.idle_blocks(), g.coalesce_sleeps()), cpu_ns)
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut last = read();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = read();
+        if now == last {
+            return now.0;
+        }
+        assert!(Instant::now() < deadline, "worker 0 never came to rest");
+        last = now;
+    }
+}
+
+fn shut_down(handle: ServerHandle) -> gocc_server::ServerSummary {
+    handle.request_shutdown();
+    handle.join()
+}
+
+#[test]
+fn an_idle_server_with_an_open_connection_stays_asleep() {
+    let _turn = take_turn();
+    let handle = spawn(config(1)).expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+    settled_idle_counts(&handle);
+    let (switches0, cpu0) = thread_use(&SERVING_THREADS);
+    std::thread::sleep(Duration::from_millis(300));
+    let (switches1, cpu1) = thread_use(&SERVING_THREADS);
+    // The 200 µs poll-and-sleep made about 1 400 here.
+    assert!(
+        switches1 - switches0 < 20,
+        "worker + acceptor made {} voluntary switches in 300 ms of idleness",
+        switches1 - switches0
+    );
+    assert!(cpu1 - cpu0 < 20_000_000, "idle threads burned CPU");
+    // Still there, still serving.
+    assert_eq!(
+        c.get(b"k"),
+        Response::Value {
+            found: true,
+            value: 1
+        }
+    );
+    shut_down(handle);
+}
+
+#[test]
+fn a_request_and_a_new_connection_wake_blocked_workers() {
+    let _turn = take_turn();
+    let handle = spawn(config(2)).expect("spawn");
+    let mut first = Client::connect(handle.port());
+    first.set(b"k", 7);
+    std::thread::sleep(Duration::from_millis(100));
+    let workers = handle.state().counters().per_worker();
+    assert!(workers[0].idle_blocks() >= 1, "worker 0 is not blocked");
+    assert!(workers[1].idle_blocks() >= 1, "worker 1 is not blocked");
+    assert_eq!(workers[1].executed(), 0);
+
+    // Worker 0 is woken by its socket…
+    let t0 = Instant::now();
+    assert_eq!(
+        first.get(b"k"),
+        Response::Value {
+            found: true,
+            value: 7
+        }
+    );
+    // …the acceptor by its listener, and worker 1 — which owns no socket
+    // at all yet — by the acceptor.
+    let mut second = Client::connect(handle.port());
+    assert_eq!(
+        second.get(b"k"),
+        Response::Value {
+            found: true,
+            value: 7
+        }
+    );
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert_eq!(workers[1].executed(), 1, "round-robin dispatch");
+    let summary = shut_down(handle);
+    assert_eq!(summary.conns_accepted, 2);
+}
+
+extern "C" {
+    fn setsockopt(
+        fd: std::ffi::c_int,
+        level: std::ffi::c_int,
+        name: std::ffi::c_int,
+        value: *const std::ffi::c_void,
+        len: u32,
+    ) -> std::ffi::c_int;
+}
+
+/// A client connection whose receive buffer stays at 64 KiB. Left alone,
+/// Linux grows the buffer of a socket nobody reads towards `tcp_rmem`'s
+/// 32 MiB a window probe at a time, and each such trickle counts as write
+/// progress on the server: the client would be slow, but not stalled.
+fn connect_with_fixed_receive_buffer(port: u16) -> TcpStream {
+    use std::os::fd::AsRawFd;
+    const SOL_SOCKET: std::ffi::c_int = 1;
+    const SO_RCVBUF: std::ffi::c_int = 8;
+    let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let bytes: std::ffi::c_int = 32 * 1024; // the kernel doubles it
+                                            // SAFETY: `stream` is an open socket for the whole call, and `value`
+                                            // points to a live `c_int` of the length passed.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVBUF,
+            std::ptr::from_ref(&bytes).cast(),
+            std::mem::size_of_val(&bytes) as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+    stream
+}
+
+/// Joins `handle` and returns how long that took.
+fn timed_join(handle: ServerHandle) -> Duration {
+    let t0 = Instant::now();
+    let summary = handle.join();
+    assert_eq!(summary.conns_closed, summary.conns_accepted);
+    t0.elapsed()
+}
+
+#[test]
+fn shutdown_reaches_every_blocked_thread_by_handle_and_by_verb() {
+    let _turn = take_turn();
+    let drain_timeout = ServerConfig::default().drain_timeout;
+
+    let handle = spawn(config(2)).expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+    settled_idle_counts(&handle);
+    handle.request_shutdown();
+    let took = timed_join(handle);
+    assert!(
+        took < drain_timeout,
+        "join after request_shutdown: {took:?}"
+    );
+
+    // The verb is handled by worker 0; worker 1 and the acceptor own no
+    // socket the client touched and have to be woken.
+    let handle = spawn(config(2)).expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+    settled_idle_counts(&handle);
+    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    let took = timed_join(handle);
+    assert!(took < drain_timeout, "join after SHUTDOWN: {took:?}");
+}
+
+#[test]
+fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
+    let _turn = take_turn();
+    let write_timeout = Duration::from_millis(400);
+    let handle = spawn(ServerConfig {
+        write_timeout,
+        capacity_per_shard: 1 << 14,
+        // Expensive verbs are shed past half of this in one pump pass.
+        queue_limit: 1024,
+        ..config(1)
+    })
+    .expect("spawn");
+    let port = handle.port();
+
+    // A SCAN answers at most 4 096 entries of 16 bytes: 64 KiB.
+    const KEYS: u32 = gocc_wire::MAX_SCAN;
+    let mut loader = Client::connect(port);
+    let mut sets = Vec::new();
+    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(100) {
+        sets.clear();
+        for i in chunk {
+            let key = format!("key-{i}");
+            let req = Request::Set {
+                key: key.as_bytes(),
+                value: u64::from(*i),
+                ttl: 0,
+            };
+            encode_request(&req, &mut sets);
+        }
+        loader.stream.write_all(&sets).expect("send");
+        for _ in chunk {
+            assert_eq!(loader.recv(), Response::Done);
+        }
+    }
+    drop(loader);
+
+    // 80 of them, never read: 5 MiB against a send buffer of at most 4.
+    let mut scans = Vec::new();
+    for _ in 0..80 {
+        encode_request(&Request::Scan { limit: KEYS }, &mut scans);
+    }
+    // `stalled` just stops reading. `closing` also sends a frame that
+    // costs it the connection and then more bytes: the server stops
+    // reading it, so its socket stays readable for as long as its queued
+    // answers cannot be flushed.
+    let mut stalled = connect_with_fixed_receive_buffer(port);
+    stalled.write_all(&scans).expect("send");
+    let mut closing = connect_with_fixed_receive_buffer(port);
+    closing.write_all(&scans).expect("send");
+    let mut garbage = 5u32.to_le_bytes().to_vec();
+    garbage.extend_from_slice(&[0x7E, 1, 2, 3, 4]); // unknown opcode
+    closing.write_all(&garbage).expect("send");
+    closing.write_all(&scans).expect("send");
+    let sent = Instant::now();
+
+    // No other traffic from here on. Once the worker has executed the
+    // SCANs and queued what the sockets take, it must sleep until the
+    // first eviction deadline, not poll for it.
+    let counters = handle.state().counters();
+    let worker = &counters.per_worker()[0];
+    while counters.malformed() < 1 || worker.executed() < u64::from(KEYS) + 160 {
+        assert!(sent.elapsed() < Duration::from_secs(5), "SCANs never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    settled_idle_counts(&handle);
+    let queued = Instant::now();
+    let (switches0, cpu0) = thread_use(&SERVING_THREADS);
+    std::thread::sleep(Duration::from_millis(200));
+    let (switches1, cpu1) = thread_use(&SERVING_THREADS);
+    assert!(
+        cpu1 - cpu0 < 20_000_000 && switches1 - switches0 < 20,
+        "waiting out two stalled clients took {} µs CPU and {} wake-ups in 200 ms",
+        (cpu1 - cpu0) / 1000,
+        switches1 - switches0
+    );
+    // Neither socket has taken a byte since before `queued`, and both
+    // were opened after `sent`.
+    if sent.elapsed() < write_timeout {
+        assert_eq!(counters.slow_drops(), 0, "evicted early");
+    }
+    // A stalled client goes `write_timeout` after its last byte went out.
+    // That byte can be later than `queued`: a send buffer the kernel grew
+    // a little takes bytes without ever polling writable, the worker finds
+    // out when it looks at a deadline, and that connection's clock rightly
+    // restarts there. The buffer has a limit, so this happens a few times
+    // at most; what must not happen is a worker asleep with no deadline.
+    let limit = 4 * write_timeout + Duration::from_millis(500);
+    while counters.slow_drops() < 2 {
+        assert!(
+            queued.elapsed() < limit,
+            "{} of 2 stalled clients evicted after {:?}",
+            counters.slow_drops(),
+            queued.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let summary = shut_down(handle);
+    assert_eq!(summary.slow_client_drops, 2);
+}
+
+#[test]
+fn brownout_recovers_without_traffic() {
+    let _turn = take_turn();
+    let handle = spawn(ServerConfig {
+        brownout: BrownoutConfig {
+            alpha: 0.5,
+            depth_high: 8.0,
+            depth_low: 2.0,
+            recover_obs: 3,
+            ..BrownoutConfig::default()
+        },
+        ..config(1)
+    })
+    .expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+    settled_idle_counts(&handle);
+
+    // One 64-deep burst is two hot observations (64, then 32 from the
+    // idle pass behind it): Healthy → Degraded → Shedding.
+    let mut burst = Vec::new();
+    for _ in 0..64 {
+        encode_request(&Request::Get { key: b"k" }, &mut burst);
+    }
+    c.stream.write_all(&burst).expect("send");
+    for _ in 0..64 {
+        c.recv();
+    }
+    // Nothing is sent from here on: only the worker's own idle passes can
+    // decay the averages, so it must keep taking them until Healthy.
+    let brownout = handle.state().brownout();
+    let t0 = Instant::now();
+    let shedding_seen = |b: &gocc_server::BrownoutController| b.transitions()[1] >= 1;
+    while !shedding_seen(brownout) || brownout.state() != HealthState::Healthy {
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?} with edges {:?} after {:?} (the poll-and-sleep loop took ~5 ms)",
+            brownout.state(),
+            brownout.transitions(),
+            t0.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let edges = brownout.transitions();
+    assert!(
+        edges.iter().all(|&n| n >= 1),
+        "the burst must reach Shedding and walk all the way back: {edges:?}"
+    );
+    // Healthy again, it goes back to sleep.
+    let (blocks, _) = settled_idle_counts(&handle);
+    assert!(blocks >= 2);
+    shut_down(handle);
+}
+
+#[test]
+fn sparse_bursts_do_not_add_up_to_overload() {
+    let _turn = take_turn();
+    let handle = spawn(ServerConfig {
+        brownout: BrownoutConfig {
+            depth_high: 8.0,
+            depth_low: 2.0,
+            ..BrownoutConfig::default()
+        },
+        ..config(1)
+    })
+    .expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+
+    // A 32-deep burst lifts a settled depth average to 0.2 × 32 = 6.4,
+    // under the bar of 8. Polling every 200 µs, the worker fed the
+    // controller ~100 zeros in the 30 ms to the next burst; blocked, it
+    // must hand them over when it wakes. With only the two zeros of the
+    // passes it does take, the second burst would read 9.7 and escalate.
+    let mut burst = Vec::new();
+    for _ in 0..32 {
+        encode_request(&Request::Get { key: b"k" }, &mut burst);
+    }
+    let (blocks0, _) = settled_idle_counts(&handle);
+    for _ in 0..6 {
+        c.stream.write_all(&burst).expect("send");
+        for _ in 0..32 {
+            c.recv();
+        }
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let (blocks1, _) = settled_idle_counts(&handle);
+    assert!(blocks1 - blocks0 >= 6, "the worker blocked between bursts");
+    let brownout = handle.state().brownout();
+    assert_eq!(
+        (brownout.state(), brownout.transitions()),
+        (HealthState::Healthy, [0; 4])
+    );
+    shut_down(handle);
+}
+
+#[test]
+fn a_lone_request_blocks_and_a_pipelined_burst_coalesces() {
+    let _turn = take_turn();
+    let handle = spawn(config(1)).expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+
+    // Depth 1: the worker is woken by each request and blocks again
+    // behind it — one block per request, no sleep.
+    let (blocks0, sleeps0) = settled_idle_counts(&handle);
+    for _ in 0..10 {
+        c.get(b"k");
+        settled_idle_counts(&handle);
+    }
+    let (blocks1, sleeps1) = settled_idle_counts(&handle);
+    assert_eq!((blocks1 - blocks0, sleeps1 - sleeps0), (10, 0));
+
+    // Depth 32: the idle decision behind each burst is the coalescing
+    // sleep. The worker blocks only when that sleep turned up nothing —
+    // which a client that keeps its pipeline full never lets happen, and
+    // this one, pausing between bursts, lets happen once per burst.
+    let mut burst = Vec::new();
+    for _ in 0..32 {
+        encode_request(&Request::Get { key: b"k" }, &mut burst);
+    }
+    for _ in 0..10 {
+        c.stream.write_all(&burst).expect("send");
+        for _ in 0..32 {
+            c.recv();
+        }
+        settled_idle_counts(&handle);
+    }
+    let (blocks2, sleeps2) = settled_idle_counts(&handle);
+    assert_eq!((blocks2 - blocks1, sleeps2 - sleeps1), (10, 10));
+    shut_down(handle);
+}

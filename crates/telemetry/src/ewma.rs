@@ -42,6 +42,16 @@ impl Ewma {
         self.value
     }
 
+    /// Feeds `n` zero samples at once (`value ← value · (1 − alpha)ⁿ`)
+    /// and returns the updated average.
+    pub fn observe_zeros(&mut self, n: u64) -> f64 {
+        if n > 0 {
+            self.value *= (1.0 - self.alpha).powf(n as f64);
+            self.primed = true;
+        }
+        self.value
+    }
+
     /// The current average (0.0 before any sample).
     #[must_use]
     pub fn value(&self) -> f64 {
@@ -92,6 +102,22 @@ mod tests {
         assert!((e.value() - 500.0).abs() < 1e-9);
         e.observe(0.0);
         assert!((e.value() - 250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zeros_at_once_match_zeros_one_by_one() {
+        let (mut a, mut b) = (Ewma::new(0.2), Ewma::new(0.2));
+        a.observe(1000.0);
+        b.observe(1000.0);
+        for _ in 0..7 {
+            a.observe(0.0);
+        }
+        assert!((b.observe_zeros(7) - a.value()).abs() < 1e-9);
+        assert!((b.observe_zeros(0) - a.value()).abs() < 1e-9);
+        // An unprimed filter is primed by them, as by any sample.
+        let mut c = Ewma::new(0.2);
+        c.observe_zeros(3);
+        assert!((c.observe(10.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
