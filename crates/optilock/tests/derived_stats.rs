@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use gocc_faultplane::{AbortMix, HtmFaultPlan};
 use gocc_htm::TxVar;
-use gocc_optilock::{call_site, critical_mutex, ElidableMutex, GoccConfig, GoccRuntime};
+use gocc_optilock::{critical_mutex, ElidableMutex, GoccConfig, GoccRuntime};
 use gocc_telemetry::trace::{self, PERCEPTRON_PREDICT_HTM, PERCEPTRON_PREDICT_SLOW};
 use gocc_telemetry::{EventOutcome, SpanKind};
 
@@ -17,6 +17,10 @@ fn runtime_with(mut cfg: GoccConfig, plan: HtmFaultPlan) -> (GoccRuntime, Arc<Ht
     cfg.htm.fault_plan = Some(Arc::clone(&plan));
     (GoccRuntime::new(cfg), plan)
 }
+
+/// A fixed site, so the plan's per-site schedule does not depend on where
+/// the loader put a `call_site!()` static.
+const SITE: usize = 0x60CC;
 
 #[test]
 fn per_section_counts_are_the_htm_domains() {
@@ -41,7 +45,7 @@ fn per_section_counts_are_the_htm_domains() {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     for _ in 0..SECTIONS {
-                        critical_mutex(&rt, call_site!(), &m, |tx| {
+                        critical_mutex(&rt, SITE, &m, |tx| {
                             let cur = tx.read(&v)?;
                             tx.write(&v, cur + 1)
                         });
@@ -61,10 +65,6 @@ fn per_section_counts_are_the_htm_domains() {
         );
     }
 }
-
-/// A fixed site, so the plan's per-site schedule does not depend on where
-/// the loader put a `call_site!()` static.
-const SITE: usize = 0x60CC;
 
 /// A seed whose schedule at [`SITE`] under `mix` injects into the first
 /// attempt and lets the second run clean.

@@ -229,6 +229,14 @@ impl Conn {
                         }
                         self.inbuf.extend(&chunk[..n]);
                         progressed = true;
+                        // A short read emptied the socket: asking again
+                        // would only buy the `WouldBlock`. What a seeded
+                        // split left behind is read by the next pass,
+                        // which follows at once because this one
+                        // progressed.
+                        if n < chunk.len() {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1078,5 +1086,93 @@ mod tests {
         conn.inbuf = FrameBuf::new();
         conn.inbuf.extend(&[0; HIGH_WATER - 1]);
         assert_eq!(conn.interest(HIGH_WATER), POLLIN);
+    }
+
+    /// `pump` stops reading at the first short read. Neither the rest of
+    /// a frame a seeded plan split nor the EOF behind a client's last
+    /// frame may be lost to that: the next pass reads them.
+    #[test]
+    fn a_short_read_ends_the_pass_and_the_next_one_reads_on() {
+        use gocc_faultplane::TransportMix;
+        use gocc_wire::encode_request;
+
+        gocc_gosync::set_procs(8);
+        let mut frame = Vec::new();
+        encode_request(&Request::Get { key: b"absent" }, &mut frame);
+        let mut expected = Vec::new();
+        let miss = Response::Value {
+            found: false,
+            value: 0,
+        };
+        encode_response(&miss, &mut expected);
+
+        // Every read is cut short; the seed is the first whose cut of the
+        // connection's first read lands inside the frame.
+        let mix = TransportMix {
+            short_read: 1.0,
+            ..TransportMix::default()
+        };
+        let splits_the_frame = |seed: &u64| {
+            let plan = TransportFaultPlan::new(*seed, mix);
+            plan.draw_read(0);
+            plan.chop(0, 4096) < frame.len()
+        };
+        let seed = (0..1 << 20).find(splits_the_frame).expect("a seed");
+        let plan = Arc::new(TransportFaultPlan::new(seed, mix));
+
+        let state = ServerState::new(crate::ServerConfig {
+            workers: 1,
+            ..crate::ServerConfig::default()
+        })
+        .expect("state");
+        let engine = &Engine::new(&state.rt, state.config.mode);
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut conn = Conn::new(stream, Some(Arc::clone(&plan)));
+        let mut wctx = WorkerCtx {
+            worker: 0,
+            frames_seen: 0,
+            lat_sum_ns: 0,
+            lat_count: 0,
+        };
+
+        client.write_all(&frame).expect("send");
+        let mut passes = 0;
+        while state.counters.total_requests() < 1 {
+            passes += 1;
+            assert!(passes < 10_000, "the split frame was never completed");
+            let outcome = conn.pump(engine, &state, &mut wctx);
+            assert!(matches!(outcome, PumpOutcome::Alive { .. }));
+            assert_eq!(plan.counts()[0], passes, "one read per short pass");
+        }
+        assert!(passes >= 2, "the plan did not split the frame");
+        let mut got = vec![0; expected.len()];
+        client.read_exact(&mut got).expect("recv");
+        assert_eq!(got, expected);
+
+        // A last frame with EOF right behind it: the short read that
+        // takes the frame must not hide the EOF from the pass after.
+        client.write_all(&frame).expect("send");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let mut passes = 0;
+        while matches!(
+            conn.pump(engine, &state, &mut wctx),
+            PumpOutcome::Alive { .. }
+        ) {
+            passes += 1;
+            assert!(passes < 10_000, "EOF after a short read was never seen");
+        }
+        assert_eq!(state.counters.total_requests(), 2);
+        drop(conn);
+        got.clear();
+        client.read_to_end(&mut got).expect("recv");
+        assert_eq!(got, expected);
     }
 }

@@ -1,10 +1,13 @@
-//! The readiness wait an idle worker or acceptor blocks in: `poll(2)` on
-//! the sockets its owner would touch next, plus a [`Waker`] other threads
-//! write to. No registration state — a worker owns a handful of
-//! connections, and the set is refilled from their current
-//! [`interest`](crate::conn::Conn::interest) before every wait.
+//! The wait an idle worker or acceptor blocks in: `ppoll(2)` on the
+//! sockets its owner would touch next, plus a [`Waker`] other threads
+//! write to, for at most a timeout kept to the nanosecond. No
+//! registration state — a worker owns a handful of connections, and the
+//! set is refilled from their current `Conn::interest` before every wait.
+//!
+//! Public for `tests/idle_wait.rs`, which times the wait itself; the
+//! server is its only other caller.
 
-use std::ffi::{c_int, c_short, c_ulong};
+use std::ffi::{c_int, c_short, c_ulong, c_void};
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -18,25 +21,64 @@ struct PollFd {
     revents: c_short,
 }
 
+/// `struct timespec` as Linux lays it out on 64-bit targets.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
 /// Readable (or the peer hung up: the next read says which).
 pub(crate) const POLLIN: c_short = 0x001;
 /// Writable.
 pub(crate) const POLLOUT: c_short = 0x004;
 
+/// `prctl(2)` option: the calling thread's timer slack, in nanoseconds.
+const PR_SET_TIMERSLACK: c_int = 29;
+
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
+}
+
+/// How long a worker's timed pass waits — after the pass before it, not
+/// once per this long — and so what one idle pass is worth in time.
+pub const IDLE_PASS: Duration = Duration::from_micros(200);
+
+/// Makes the calling thread's timed waits end when they are due. A thread
+/// starts with 50 µs of timer slack: the kernel may fire its timers that
+/// much late to batch wake-ups, and a [`wait`] of [`IDLE_PASS`] lasted a
+/// quarter longer than it said. A serving thread calls this once, when it
+/// starts, and asks for the minimum, 1 ns. A kernel that refuses leaves
+/// the waits late, not wrong, so the result is not looked at.
+pub fn exact_timers() {
+    let slack_ns: c_ulong = 1;
+    // SAFETY: PR_SET_TIMERSLACK takes its one argument by value, touches
+    // no memory of this process and changes only the calling thread.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, slack_ns);
+    }
 }
 
 /// Ends a [`wait`] from another thread. A non-blocking socket pair: the
 /// pending byte is level-triggered, so a wake that lands between the
 /// owner's last look at its work and its `poll` is not lost.
-pub(crate) struct Waker {
+pub struct Waker {
     tx: UnixStream,
     rx: UnixStream,
 }
 
 impl Waker {
-    pub(crate) fn new() -> io::Result<Waker> {
+    /// A waker nobody has woken.
+    ///
+    /// # Errors
+    /// Whatever `socketpair(2)` reports: out of descriptors, mostly.
+    pub fn new() -> io::Result<Waker> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -58,7 +100,7 @@ impl Waker {
 /// The descriptors one [`wait`] watches. Capacity persists across waits,
 /// so a steady connection set refills it without allocating.
 #[derive(Default)]
-pub(crate) struct PollSet {
+pub struct PollSet {
     fds: Vec<PollFd>,
 }
 
@@ -84,22 +126,32 @@ impl PollSet {
 
 /// Blocks until a descriptor in `set` is ready, `waker` is woken or
 /// `timeout` passes (`None`: no limit). Which of them it was is not
-/// reported: the caller looks at all of its work again, exactly as after
-/// the sleep this replaces. A signal ends the wait early, which is safe
-/// for the same reason.
-pub(crate) fn wait(waker: &Waker, set: &mut PollSet, timeout: Option<Duration>) {
-    // Rounded up, so a deadline the caller computed has passed on return.
-    let timeout_ms = timeout.map_or(-1, |t| {
-        c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+/// reported: the caller looks at all of its work again. A signal ends the
+/// wait early, which is safe for the same reason. The timeout is exact to
+/// the nanosecond as far as the kernel is asked; how late it fires is the
+/// thread's timer slack, see [`exact_timers`].
+pub fn wait(waker: &Waker, set: &mut PollSet, timeout: Option<Duration>) {
+    let timeout = timeout.map(|t| Timespec {
+        tv_sec: i64::try_from(t.as_secs()).unwrap_or(i64::MAX),
+        tv_nsec: i64::from(t.subsec_nanos()),
     });
     set.push(waker.rx.as_raw_fd(), POLLIN);
     // SAFETY: `set.fds` points to `len()` initialised `pollfd` structures
-    // that outlive the call, and `poll` writes only their `revents`. Each
-    // descriptor is an open socket: the waker's is owned by `waker`, the
-    // rest by the caller's connections or listener, which it keeps
-    // borrowed or owned across this call.
+    // and `timeout`, when not null, to a valid `timespec`, all outliving
+    // the call; `ppoll` writes only the `revents` fields, and a null
+    // signal mask leaves the mask alone. Each descriptor is an open
+    // socket: the waker's is owned by `waker`, the rest by the caller's
+    // connections or listener, which it keeps borrowed or owned across
+    // this call.
     unsafe {
-        poll(set.fds.as_mut_ptr(), set.fds.len() as c_ulong, timeout_ms);
+        ppoll(
+            set.fds.as_mut_ptr(),
+            set.fds.len() as c_ulong,
+            timeout
+                .as_ref()
+                .map_or(std::ptr::null(), std::ptr::from_ref),
+            std::ptr::null(),
+        );
     }
     if set.fds.pop().is_some_and(|w| w.revents != 0) {
         waker.drain();

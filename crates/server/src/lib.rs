@@ -18,9 +18,10 @@
 //!   dealt to.
 //! * `workers` **worker** threads each own a disjoint set of connections
 //!   outright (no connection is ever touched by two threads), pumping them
-//!   with non-blocking reads/writes. A worker with nothing to do blocks on
-//!   its connections' readiness (`idle::wait`) unless its peers pipeline
-//!   or an idle-pass duty runs on a clock — see `worker_loop`. Worker
+//!   with non-blocking reads/writes. A worker with nothing to do waits in
+//!   `idle::wait`: on its connections' readiness, or — when its peers
+//!   pipeline or an idle-pass duty runs on a clock — for one `IDLE_PASS`
+//!   on its waker alone; see `worker_loop`. Worker
 //!   state is plain `&mut`; the only cross-thread state is the
 //!   [`ServerState`] behind an `Arc` — the store (whose interior
 //!   synchronization *is* the system under test), atomic counters, the
@@ -65,7 +66,7 @@
 #[cfg(test)]
 mod alloc_budget;
 mod conn;
-mod idle;
+pub mod idle;
 mod overload;
 mod repl;
 mod stats;
@@ -98,6 +99,7 @@ pub use stats::{ServerCounters, WorkerGauges};
 pub use store::{BatchOutcome, BatchScratch, Routed, Session, ShardedStore};
 
 use conn::{Conn, PumpOutcome};
+use idle::IDLE_PASS;
 
 /// Deployment knobs for one [`spawn`]ed server.
 #[derive(Clone, Debug)]
@@ -526,7 +528,7 @@ impl ServerState {
     }
 
     /// Whether a worker's idle pass has work that runs on a clock, so the
-    /// worker must keep taking passes at today's cadence instead of
+    /// worker must keep taking a pass every `IDLE_PASS` instead of
     /// blocking: a brownout state that only idle observations walk back
     /// to `Healthy`, or a seeded plan whose draws are defined per pass
     /// (load faults in [`ServerState::finish_pump`], transport faults
@@ -917,10 +919,6 @@ fn checkpoint_loop(state: &ServerState, wal: &Wal) {
     }
 }
 
-/// How long a worker sleeps between passes when it keeps the cadence
-/// instead of blocking, and so what one idle pass is worth in time.
-const IDLE_PASS: Duration = Duration::from_micros(200);
-
 /// Pause after a failed `accept()`: this at first, doubling on each
 /// consecutive failure up to the cap.
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
@@ -1004,6 +1002,7 @@ fn worker_loop(
         lat_sum_ns: 0,
         lat_count: 0,
     };
+    idle::exact_timers();
     let mut set = idle::PollSet::default();
     // Frames in the last pass that handled any, until an idle decision
     // has used it.
@@ -1068,35 +1067,40 @@ fn worker_loop(
         if progressed {
             continue;
         }
-        // The one idle decision. Two or more frames in one pass mean a
-        // peer that pipelines (or several peers in step): the next burst
-        // is due, and taking it after one fixed sleep keeps the batches
-        // and the wake-ups per request where they were. So does a duty
-        // that runs on a clock: the controller's, a seeded plan's, or a
-        // replication subscriber's before the adoption loop hands it to
-        // repl-out. Otherwise — a lone request, or nothing since the last
-        // decision — block until a connection is ready, a connection is
-        // dispatched or shutdown is requested, so the next request is
-        // served when it arrives.
+        // The one idle decision: what to wait on, and for how long at
+        // most. Two or more frames in one pass mean a peer that pipelines
+        // (or several peers in step): the next burst is due, and taking
+        // it one `IDLE_PASS` from now keeps the batches and the wake-ups
+        // per request where they were. So does a duty that runs on a
+        // clock: the controller's, a seeded plan's, or a replication
+        // subscriber's before the adoption loop hands it to repl-out.
+        // That timed pass watches the waker alone — a dispatched
+        // connection or shutdown ends it, a ready socket does not; ROADMAP
+        // 2(b) puts the sockets in its set once responses park instead of
+        // workers (the blind wait is what paces `serve_d32`). Otherwise —
+        // a lone request, or nothing since the last decision — block
+        // until a connection is ready too, for as long as no slow client
+        // is due for eviction, so the next request is served when it
+        // arrives.
         let block = last_frames < 2
             && !state.idle_pass_is_clocked()
             && !conns.iter().any(Conn::is_repl_sub);
         last_frames = 0;
         state.counters.note_idle(worker, block);
+        let t0 = Instant::now();
+        let timeout = if block {
+            watch(&conns, &mut set, &state.config).map(|d| d.saturating_duration_since(t0))
+        } else {
+            set.clear();
+            Some(IDLE_PASS)
+        };
+        idle::wait(&state.wakers[worker], &mut set, timeout);
         if block {
-            let deadline = watch(&conns, &mut set, &state.config);
-            let t0 = Instant::now();
-            let timeout = deadline.map(|d| d.saturating_duration_since(t0));
-            idle::wait(&state.wakers[worker], &mut set, timeout);
             // The controller's averages decay per idle pass; hand it the
-            // passes this wait stood in for, or sparse traffic would read
-            // as one unbroken load.
+            // timed passes this wait stood in for, or sparse traffic
+            // would read as one unbroken load.
             let passes = t0.elapsed().as_micros() / IDLE_PASS.as_micros();
             state.brownout.observe_idle(passes as u64);
-        } else {
-            // The coalescing arm: ROADMAP 2(b) deletes it once responses
-            // park instead of workers (it is what paces `serve_d32`).
-            std::thread::sleep(IDLE_PASS);
         }
     }
 }
@@ -1108,6 +1112,7 @@ fn worker_loop(
 /// the workers deadlocked every `min_acks` write whenever the writing
 /// client and the subscription shared a worker.
 fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
+    idle::exact_timers();
     let engine = Engine::new(&state.rt, state.config.mode);
     let mut conns: Vec<Conn> = Vec::new();
     let mut senders_gone = false;
@@ -1157,7 +1162,7 @@ fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
             return;
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+            std::thread::sleep(IDLE_PASS);
         }
     }
 }

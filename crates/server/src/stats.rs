@@ -44,7 +44,8 @@ pub struct WorkerGauges {
     executed: AtomicU64,
     /// Idle decisions that blocked on the worker's sockets.
     idle_blocks: AtomicU64,
-    /// Idle decisions that slept out the fixed coalescing interval.
+    /// Idle decisions that took a timed pass (the key predates the one
+    /// wait: the pass was a sleep).
     coalesce_sleeps: AtomicU64,
 }
 
@@ -81,9 +82,10 @@ impl WorkerGauges {
         self.idle_blocks.load(Ordering::Relaxed)
     }
 
-    /// Times this worker, finding nothing to do, slept 200 µs instead:
-    /// its peers pipeline, or an idle-pass duty runs on a clock. A
-    /// request arriving meanwhile waits out the rest of the sleep.
+    /// Times this worker, finding nothing to do, took a timed pass
+    /// instead — `IDLE_PASS` on its waker alone: its peers pipeline, or
+    /// an idle-pass duty runs on a clock. A request arriving meanwhile
+    /// waits out the rest of the pass.
     #[must_use]
     pub fn coalesce_sleeps(&self) -> u64 {
         self.coalesce_sleeps.load(Ordering::Relaxed)
@@ -229,7 +231,7 @@ impl ServerCounters {
     }
 
     /// Accounts one idle decision of `worker`: it blocked on its sockets,
-    /// or slept the coalescing interval.
+    /// or took a timed pass.
     pub(crate) fn note_idle(&self, worker: usize, blocked: bool) {
         let g = &self.per_worker[worker % self.per_worker.len()];
         let counter = if blocked {

@@ -210,6 +210,11 @@ struct WalCounters {
     appended: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
+    /// `WalFile::append` calls: one `write(2)` each on a real file.
+    writes: AtomicU64,
+    /// Times the syncer slept and woke again: parked idle, lingering for
+    /// a fuller group, or pacing itself under `off`.
+    syncer_wakeups: AtomicU64,
     /// Group-commit batches written (one append each).
     batches: AtomicU64,
     flushes: AtomicU64,
@@ -569,6 +574,20 @@ impl Wal {
         self.counters.fsyncs.load(Ordering::Relaxed)
     }
 
+    /// `write(2)` calls the syncer made (appends to the active segment).
+    #[must_use]
+    pub fn writes(&self) -> u64 {
+        self.counters.writes.load(Ordering::Relaxed)
+    }
+
+    /// Times the syncer thread slept and woke again: parked with every
+    /// pipe empty, lingering for a fuller group, or pacing itself under
+    /// `off`.
+    #[must_use]
+    pub fn syncer_wakeups(&self) -> u64 {
+        self.counters.syncer_wakeups.load(Ordering::Relaxed)
+    }
+
     /// LSN high-water mark covered by a durability barrier.
     #[must_use]
     pub fn durable_lsn(&self) -> u64 {
@@ -603,6 +622,8 @@ impl Wal {
                     appended as f64 / fsyncs as f64
                 },
             )
+            .field_u64("writes", c.writes.load(Ordering::Relaxed))
+            .field_u64("syncer_wakeups", c.syncer_wakeups.load(Ordering::Relaxed))
             .field_u64("batches", c.batches.load(Ordering::Relaxed))
             .field_u64("flushes", c.flushes.load(Ordering::Relaxed))
             .field_u64("durable_lsn", c.durable_lsn.load(Ordering::Relaxed))
@@ -686,6 +707,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                     let mut guard = if *guard {
                         guard
                     } else {
+                        wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
                         wal.wake_cv
                             .wait_timeout(guard, Duration::from_micros(500))
                             .unwrap_or_else(PoisonError::into_inner)
@@ -717,6 +739,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                         break;
                     }
                     let wait = (deadline - now).min(Duration::from_micros(50));
+                    wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
                     let guard = lock_unpoisoned(&wal.wake_mu);
                     let mut guard = wal
                         .wake_cv
@@ -739,6 +762,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                                 encode_buf.clear();
                                 let lsn = wal.counters.next_lsn.fetch_add(1, Ordering::Relaxed);
                                 encode_record(&to_record(&rec, lsn), &mut encode_buf);
+                                wal.counters.writes.fetch_add(1, Ordering::Relaxed);
                                 file.append(lsn, &encode_buf)?;
                                 file_bytes += encode_buf.len() as u64;
                                 barrier(wal, &mut file, file_bytes)?;
@@ -762,6 +786,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                                 lsn += 1;
                             }
                         }
+                        wal.counters.writes.fetch_add(1, Ordering::Relaxed);
                         file.append(first_lsn, &encode_buf)?;
                         file_bytes += encode_buf.len() as u64;
                         wal.counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -848,6 +873,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
             // pass into one big append. Group/Always are paced by the
             // fsync itself. FLUSH pays at most this much extra latency.
             if wal.cfg.sync == SyncPolicy::Off && total > 0 {
+                wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
                 thread::sleep(Duration::from_micros(50));
             }
         }

@@ -110,6 +110,46 @@ fn group_commit_batches_many_records_per_fsync() {
         fsyncs < 1600 / 2,
         "group commit must amortize: {fsyncs} fsyncs for 1600 records"
     );
+    // One append per batch, and every batch is fsynced at least once.
+    assert!((1..=fsyncs).contains(&wal.writes()));
+    wal.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writes_and_wakeups_are_counted_where_the_syncer_makes_them() {
+    // `always`: one append per record, by definition of the policy.
+    let dir = tmp("counts-always");
+    let (wal, _) = Wal::open(&dir, 1, cfg(SyncPolicy::Always, WalBackend::Real)).unwrap();
+    for i in 0..40u64 {
+        let t = wal.stage(put(0, i + 1, i, i));
+        wal.wait(t).unwrap();
+    }
+    assert_eq!((wal.appended(), wal.writes()), (40, 40));
+    wal.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // `off`: a pass appends whatever it drained in one write (so writes
+    // cannot pass records) and sleeps once behind it.
+    let dir = tmp("counts-off");
+    let (wal, _) = Wal::open(&dir, 1, cfg(SyncPolicy::Off, WalBackend::Real)).unwrap();
+    for i in 0..1000u64 {
+        wal.stage(put(0, i + 1, i, i));
+    }
+    wal.flush().unwrap();
+    assert_eq!(wal.appended(), 1000);
+    assert!((1..=1000).contains(&wal.writes()), "{}", wal.writes());
+    // The sleep behind that write comes after the flush is answered; an
+    // idle syncer then parks, and counts it, every 500 µs.
+    let t0 = std::time::Instant::now();
+    while wal.syncer_wakeups() == 0 {
+        assert!(t0.elapsed().as_secs() < 5, "the syncer never slept");
+        std::thread::yield_now();
+    }
+    let stats = wal.stats_json();
+    for key in ["\"writes\":", "\"syncer_wakeups\":"] {
+        assert!(stats.contains(key), "{key} missing from {stats}");
+    }
     wal.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -84,22 +84,29 @@ fi
 echo "ok: harness binaries stand on loadgen::soak"
 
 echo "== one idle decision =="
-# An idle worker or acceptor blocks in idle::wait; the worker's only
-# sleep is the coalescing arm ROADMAP 2(b) deletes. A second sleep in
-# either loop is the 200 us poll-and-sleep coming back
-# (crates/server/tests/idle_wait.rs, in the workspace stage above, pins
-# the behaviour).
+# Every wait of worker_loop is the one idle::wait behind its idle
+# decision, which only picks the set and the timeout; acceptor_loop waits
+# the same way. A thread::sleep in either loop is the 200 us
+# poll-and-sleep, or the coalescing sleep with its timer slack, coming
+# back (crates/server/tests/idle_wait.rs, in the workspace stage above,
+# pins the behaviour).
 fn_body() { awk -v f="fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^}/ { exit }' \
   crates/server/src/lib.rs; }
 worker_sleeps=$(fn_body worker_loop | grep -c 'thread::sleep' || true)
 worker_waits=$(fn_body worker_loop | grep -c 'idle::wait' || true)
 acceptor_sleeps=$(fn_body acceptor_loop | grep -c 'thread::sleep' || true)
-if [ "$worker_sleeps" -ne 1 ] || [ "$worker_waits" -ne 1 ] || [ "$acceptor_sleeps" -ne 0 ]; then
-  echo "FAIL: worker_loop has $worker_sleeps thread::sleep (want 1) and $worker_waits idle::wait (want 1)," \
+if [ "$worker_sleeps" -ne 0 ] || [ "$worker_waits" -ne 1 ] || [ "$acceptor_sleeps" -ne 0 ]; then
+  echo "FAIL: worker_loop has $worker_sleeps thread::sleep (want 0) and $worker_waits idle::wait (want 1)," \
     "acceptor_loop $acceptor_sleeps thread::sleep (want 0)" >&2
   exit 1
 fi
-echo "ok: worker_loop sleeps in one arm and waits in one, acceptor_loop never sleeps"
+# The wait's system calls are declared once.
+ffi_files=$(grep -rlE 'fn (ppoll|prctl)\(' crates src tests examples --include='*.rs' || true)
+if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
+  echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
+  exit 1
+fi
+echo "ok: worker_loop waits in one place and never sleeps, acceptor_loop never sleeps"
 
 echo "== formatting =="
 cargo fmt --check
@@ -291,9 +298,10 @@ echo "== WAL throughput gates (group commit amortization) =="
 # day cannot move: >= 3 records behind each fsync under `group` against
 # <= 1.05 under `always` (the group/always throughput ratio is printed
 # and recorded, not gated: it read 2.7-5.1x here with the counts
-# unmoved). Service-level sync=off must stay within 10% of the in-memory
-# daemon (WAL_GATE_OFF_PCT, overridable like the other perf gates on
-# noisy boxes).
+# unmoved). Service-level sync=off must stay a batched log, on counts
+# too: <= 0.5 write(2) calls and <= 0.5 syncer wake-ups per record (read
+# 0.04-0.06 of each; the throughput lost against the in-memory daemon is
+# printed and recorded, not gated: it read -14...+39% at unchanged code).
 run_soak "WAL gates (group amortization, off tax)" "a WAL gate failed" \
   ./target/release/wal_bench --window-ms 300 --gate
 
