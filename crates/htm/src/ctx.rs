@@ -57,9 +57,9 @@ pub(crate) const MAX_WRITE_LINES: usize = 512;
 /// read/write elision in one flat transaction).
 pub(crate) const MAX_SUBS: usize = SLOT_WORDS;
 /// Staged values are stored inline up to this many bytes…
-pub(crate) const INLINE_VALUE_BYTES: usize = 32;
+pub const INLINE_VALUE_BYTES: usize = 32;
 /// …with at most this alignment (the buffer is `[u64; 4]`).
-pub(crate) const INLINE_VALUE_ALIGN: usize = 8;
+pub const INLINE_VALUE_ALIGN: usize = 8;
 const INLINE_VALUE_WORDS: usize = INLINE_VALUE_BYTES / 8;
 /// Write sets at or below this size are probed by linear scan over the
 /// insertion order instead of hashing.

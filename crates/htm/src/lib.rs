@@ -58,9 +58,10 @@ mod txvar;
 
 pub use abort::{Abort, AbortCause, TxResult, LOCK_HELD_CODE, MUTEX_MISMATCH_CODE};
 pub use config::HtmConfig;
+pub use ctx::{INLINE_VALUE_ALIGN, INLINE_VALUE_BYTES};
 pub use gate::{commit_slot_usage, LockWord};
 pub use runtime::HtmRuntime;
 pub use stats::{HtmStats, StatsSnapshot};
-pub use stripe::{StripeId, StripeTable};
+pub use stripe::{StripeId, StripeTable, CACHE_LINE};
 pub use tx::{Elision, Tx, TxMode};
 pub use txvar::{Padded, TxVar};

@@ -397,19 +397,53 @@ impl ServerState {
         self.epoch.fetch_max(epoch, Ordering::SeqCst).max(epoch)
     }
 
-    /// Grants at most one vote per epoch: true exactly when `epoch` is
-    /// higher than every epoch this node has voted in before.
+    /// Grants at most one vote per epoch, and none once this node is a
+    /// primary: true exactly when it is a replica and `epoch` is higher
+    /// than every epoch it has voted in before. The role is read under the
+    /// vote lock, which [`ServerState::promote_elected`] holds across the
+    /// role flip, so a grant and this node's own promotion cannot
+    /// interleave.
     pub(crate) fn try_vote(&self, epoch: u64) -> bool {
         let mut last = self
             .last_voted_epoch
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if epoch > *last {
+        if self.is_replica() && epoch > *last {
             *last = epoch;
             true
         } else {
             false
         }
+    }
+
+    /// Promotes this node as the winner of the election it stood in at
+    /// `epoch` — unless it has voted in a later epoch since (a request its
+    /// worker granted while the candidacy was still canvassing). That vote
+    /// may be the one that elects the later candidate, so the candidacy it
+    /// was cast during is void: without this check both would promote,
+    /// one epoch apart. Returns whether the node promoted.
+    pub(crate) fn promote_elected(&self, engine: &Engine<'_>, epoch: u64) -> bool {
+        let last = self
+            .last_voted_epoch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if *last != epoch {
+            return false;
+        }
+        self.promote_with_epoch(engine, epoch);
+        true
+    }
+
+    /// The epoch this node would stand in next: above every epoch it has
+    /// seen and every epoch it has voted in. A lost candidacy used its
+    /// epoch up — this node's vote in it went to itself — so the next one
+    /// stands higher instead of asking for the same epoch's votes again.
+    pub(crate) fn candidacy_epoch(&self) -> u64 {
+        let last = self
+            .last_voted_epoch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.epoch().max(*last).saturating_add(1)
     }
 
     /// The election electorate besides this node.

@@ -290,16 +290,27 @@ enum SessionEnd {
     Suspect,
 }
 
-/// Deterministic per-node jitter in `[0, base)` derived from the backoff
-/// seed (SplitMix64 finalizer): two replicas with different seeds suspect
-/// — and stand as candidates — at staggered times, so a dual candidacy in
-/// the same epoch (both self-voted, both losing) resolves on the retry.
-fn suspect_jitter(seed: u64, base: Duration) -> Duration {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// Deterministic jitter in `[0, base)` derived from the backoff seed and
+/// the epoch the node would stand in (SplitMix64 finalizer): two replicas
+/// with different seeds suspect — and stand as candidates — at staggered
+/// times, and the stagger is drawn again for every epoch. A constant per
+/// node would not do: two candidates whose draws put them in the same
+/// epoch together (both self-voted, both denied) would wait the same
+/// delays and meet again in the next epoch, and the one after.
+fn suspect_jitter(seed: u64, epoch: u64, base: Duration) -> Duration {
+    let mut z =
+        (seed ^ epoch.wrapping_mul(0xd1b5_4a32_d192_ed03)).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     base.mul_f64((z >> 11) as f64 / (1u64 << 53) as f64)
+}
+
+/// How long the upstream must stay silent before this node suspects it:
+/// `repl_suspect` plus the stagger of the node's next candidacy.
+fn suspect_window(state: &ServerState) -> Duration {
+    let base = state.config.repl_suspect;
+    base + suspect_jitter(state.config.repl_seed, state.candidacy_epoch(), base)
 }
 
 /// The replica's sink thread: dial the upstream, announce our versions,
@@ -319,8 +330,6 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
     // below turns "can't reach it" into "dead" only after the suspicion
     // timeout, same bar as the in-session detector.
     let mut last_contact = Instant::now();
-    let suspect_after = state.config.repl_suspect
-        + suspect_jitter(state.config.repl_seed, state.config.repl_suspect);
     while !state.shutting_down() && state.is_replica() {
         let mut suspected = false;
         match run_session(state, &engine, &mut last_contact) {
@@ -332,7 +341,8 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
                     .replica_stats
                     .reconnects
                     .fetch_add(1, Ordering::Relaxed);
-                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_after {
+                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_window(state)
+                {
                     state
                         .replica_stats
                         .suspicions
@@ -385,14 +395,28 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
 /// documented single-replica deployment caveat (no quorum exists to
 /// protect against a partitioned false positive).
 fn run_election(state: &Arc<ServerState>, engine: &Engine<'_>) -> bool {
-    let epoch = state.epoch().saturating_add(1);
+    let Some(epoch) = stand(state) else {
+        return false; // a peer's candidacy took our vote meanwhile
+    };
+    canvass(state, engine, epoch)
+}
+
+/// Opens a candidacy: this node's own vote, in its candidacy epoch.
+fn stand(state: &ServerState) -> Option<u64> {
+    let epoch = state.candidacy_epoch();
     if !state.try_vote(epoch) {
-        return false; // already voted in this epoch (a peer beat us to it)
+        return None;
     }
     state
         .replica_stats
         .elections
         .fetch_add(1, Ordering::Relaxed);
+    Some(epoch)
+}
+
+/// The rest of a candidacy opened by [`stand`]: asks every peer for its
+/// vote in `epoch` and promotes this node on a majority.
+fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
     let versions = state.store.versions(engine);
     let peers = state.repl_peers();
     let electorate = peers.len() + 1;
@@ -421,7 +445,9 @@ fn run_election(state: &Arc<ServerState>, engine: &Engine<'_>) -> bool {
     if votes < majority {
         return false;
     }
-    state.promote_with_epoch(engine, epoch);
+    if !state.promote_elected(engine, epoch) {
+        return false; // voted in a later epoch while canvassing this one
+    }
     // Tell the losers where the new primary lives. Best effort: a peer
     // that misses the announce still learns the epoch from the next
     // welcome/batch it sees, or from a NotPrimary hint.
@@ -520,10 +546,6 @@ fn run_session(
     engine: &Engine<'_>,
     last_contact: &mut Instant,
 ) -> SessionEnd {
-    // Same window as the dial-failure path in `replica_loop`: silence
-    // past `repl_suspect` plus this node's deterministic jitter.
-    let suspect_after = state.config.repl_suspect
-        + suspect_jitter(state.config.repl_seed, state.config.repl_suspect);
     let upstream = state.upstream_hint();
     let Some(addr) = upstream.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
         return SessionEnd::Failed;
@@ -578,8 +600,10 @@ fn run_session(
                 // The detector: a connected-but-silent upstream (frozen
                 // process, dead NIC, partition) never returns `Ok(0)`;
                 // it just stops producing frames. Declare it suspect
-                // once the silence outlives the window.
-                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_after {
+                // once the silence outlives the window — the same one as
+                // the dial-failure path in `replica_loop`.
+                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_window(state)
+                {
                     return SessionEnd::Suspect;
                 }
                 continue;
@@ -800,5 +824,156 @@ fn run_session(
                 _ => return SessionEnd::Failed,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{spawn, Mode, ServerConfig, ServerHandle};
+
+    /// Two candidacies closer together than this are one collision: both
+    /// nodes have voted for themselves before either hears from the other.
+    const COLLISION_GAP: Duration = Duration::from_millis(2);
+    const BASE: Duration = Duration::from_millis(200);
+
+    /// Two seeds whose staggers put them in epoch 1 together.
+    fn colliding_seeds() -> (u64, u64) {
+        let first = suspect_jitter(1, 1, BASE);
+        let other = (2..100_000u64)
+            .find(|&s| suspect_jitter(s, 1, BASE).abs_diff(first) < COLLISION_GAP)
+            .expect("some seed draws within 2 ms of seed 1 in epoch 1");
+        (1, other)
+    }
+
+    /// Two replicas of a primary that is gone, each with the other and the
+    /// dead address as its electorate, and neither standing on its own
+    /// (`repl_auto_promote` is off): the tests drive the candidacies.
+    fn two_orphans(seeds: (u64, u64)) -> [ServerHandle; 2] {
+        gocc_gosync::set_procs(8);
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            format!("127.0.0.1:{}", l.local_addr().expect("addr").port())
+        };
+        let pair = [seeds.0, seeds.1].map(|seed| {
+            spawn(ServerConfig {
+                mode: Mode::Gocc,
+                port: 0,
+                workers: 1,
+                shards: 2,
+                capacity_per_shard: 256,
+                replica_of: Some(dead.clone()),
+                repl_seed: seed,
+                repl_suspect: BASE,
+                ..ServerConfig::default()
+            })
+            .expect("spawn replica")
+        });
+        for (node, other) in [(&pair[0], &pair[1]), (&pair[1], &pair[0])] {
+            node.state()
+                .set_repl_peers(vec![format!("127.0.0.1:{}", other.port()), dead.clone()]);
+        }
+        pair
+    }
+
+    fn shut_down(pair: [ServerHandle; 2]) {
+        for h in pair {
+            h.request_shutdown();
+            let _ = h.join();
+        }
+    }
+
+    #[test]
+    fn the_stagger_is_drawn_again_in_every_epoch() {
+        let (a, b) = colliding_seeds();
+        let apart = (2..10u64)
+            .filter(|&e| {
+                suspect_jitter(a, e, BASE).abs_diff(suspect_jitter(b, e, BASE)) >= COLLISION_GAP
+            })
+            .count();
+        assert!(
+            apart >= 6,
+            "seeds {a} and {b} stay in step: {apart} of 8 epochs apart"
+        );
+        for e in 1..64 {
+            assert!(suspect_jitter(a, e, BASE) < BASE);
+        }
+    }
+
+    /// Two replicas of a dead primary whose staggers coincide in the first
+    /// epoch: both vote for themselves, both are denied. Every round after
+    /// that each waits out its window and stands again; a pair that waits
+    /// the same windows every time (a stagger that is a constant per node)
+    /// never elects anyone, nor does a loser that asks again for the votes
+    /// of the epoch it lost.
+    #[test]
+    fn a_collided_election_resolves_within_a_few_rounds() {
+        let pair = two_orphans(colliding_seeds());
+        let (sa, sb) = (pair[0].state_arc(), pair[1].state_arc());
+        let engine_a = Engine::new(&sa.rt, sa.config.mode);
+        let engine_b = Engine::new(&sb.rt, sb.config.mode);
+
+        let mut collisions = 0;
+        let mut rounds = 0;
+        while sa.is_replica() && sb.is_replica() {
+            rounds += 1;
+            assert!(
+                rounds <= 8,
+                "no winner in 8 rounds ({collisions} collisions)"
+            );
+            let (wa, wb) = (suspect_window(&sa), suspect_window(&sb));
+            if wa.abs_diff(wb) < COLLISION_GAP {
+                collisions += 1;
+                let (ea, eb) = (stand(&sa), stand(&sb));
+                let won_a = ea.is_some_and(|e| canvass(&sa, &engine_a, e));
+                let won_b = eb.is_some_and(|e| canvass(&sb, &engine_b, e));
+                assert!(!won_a && !won_b, "a collision elects nobody");
+            } else {
+                // The shorter window stands first; the other only if that
+                // candidacy failed.
+                let mut order = [(wa, &sa, &engine_a), (wb, &sb, &engine_b)];
+                order.sort_by_key(|&(window, ..)| window);
+                let _ = order
+                    .iter()
+                    .any(|(_, node, engine)| run_election(node, engine));
+            }
+            if rounds == 1 {
+                assert_eq!(collisions, 1, "the seeds were chosen to collide first");
+            }
+        }
+        assert!(sa.is_replica() != sb.is_replica(), "exactly one winner");
+        let winner = if sa.is_replica() { &sb } else { &sa };
+        assert!(
+            winner.epoch() >= 2,
+            "the winning epoch is past the collided one"
+        );
+        shut_down(pair);
+    }
+
+    /// A candidate whose worker grants a later epoch's vote while its own
+    /// candidacy is still canvassing must not promote on the majority it
+    /// then reaches: the vote it gave may be the one that elects the other
+    /// candidate, and both would be primaries, one epoch apart.
+    #[test]
+    fn a_candidacy_is_void_once_the_node_votes_in_a_later_epoch() {
+        let pair = two_orphans((1, 2));
+        let (sa, sb) = (pair[0].state_arc(), pair[1].state_arc());
+        let engine_a = Engine::new(&sa.rt, sa.config.mode);
+        let engine_b = Engine::new(&sb.rt, sb.config.mode);
+        let epoch = stand(&sa).expect("first candidacy");
+        // What the `REPL_CANDIDATE` handler does for a peer standing one
+        // epoch higher, between this node's `stand` and its promotion.
+        assert!(sa.try_vote(epoch + 1));
+        assert!(
+            !canvass(&sa, &engine_a, epoch),
+            "promoted on a void candidacy"
+        );
+        assert!(sa.is_replica() && sb.is_replica());
+        // The peer it voted for is elected by that vote, and as a primary
+        // grants nothing afterwards.
+        assert!(sb.try_vote(epoch + 1));
+        assert!(sb.promote_elected(&engine_b, epoch + 1));
+        assert!(!sb.try_vote(epoch + 5), "a primary votes nobody in");
+        shut_down(pair);
     }
 }

@@ -568,6 +568,51 @@ fn sparse_bursts_do_not_add_up_to_overload() {
 }
 
 #[test]
+fn a_slow_request_every_100_ms_is_not_an_overload() {
+    let _turn = take_turn();
+    let handle = spawn(config(1)).expect("spawn");
+    let mut c = Client::connect(handle.port());
+    c.set(b"k", 1);
+    let brownout = handle.state().brownout();
+    // 20 ms in the engine. One such request lifts a settled latency
+    // average to 0.2 × 20 = 4 ms, under the bar of 5; the bar is 25 ms a
+    // request for traffic this sparse. A controller that sees only the
+    // passes a worker takes around a request — the request's own and the
+    // empty one behind it — never settles in between, and trips from
+    // ≈ 9 ms a request: `control` below, fed exactly that.
+    let slow_ns = 20e6;
+    let control = gocc_server::BrownoutController::new(*brownout.config());
+    let (blocks0, _) = settled_idle_counts(&handle);
+    for _ in 0..8 {
+        // The request wakes the worker, which first hands the controller
+        // the ≈ 500 passes it was blocked for (`observe_idle`), then
+        // serves it and blocks again…
+        c.get(b"k");
+        settled_idle_counts(&handle);
+        // …and this is what its pass reports when the store took 20 ms.
+        brownout.observe(1.0, slow_ns);
+        control.observe(1.0, slow_ns);
+        control.observe(0.0, 0.0);
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let (blocks1, _) = settled_idle_counts(&handle);
+    assert!(
+        blocks1 - blocks0 >= 8,
+        "the worker blocked between requests"
+    );
+    assert_eq!(
+        (brownout.state(), brownout.transitions()),
+        (HealthState::Healthy, [0; 4])
+    );
+    assert_ne!(
+        control.state(),
+        HealthState::Healthy,
+        "without the handed-over passes these requests do add up"
+    );
+    shut_down(handle);
+}
+
+#[test]
 fn a_lone_request_blocks_and_a_pipelined_burst_coalesces() {
     let _turn = take_turn();
     let handle = spawn(config(1)).expect("spawn");

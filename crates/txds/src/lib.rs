@@ -6,7 +6,8 @@
 //! crate provides the word-oriented building blocks the paper's evaluation
 //! subjects (maps, sets, caches, metric registries) are assembled from:
 //!
-//! * [`TxMap`] — fixed-capacity open-addressing hash map (`u64 → u64`);
+//! * [`TxMap`] — fixed-capacity open-addressing hash map (`u64 → u64`, or
+//!   `u64 →` any `Copy` value of up to two words);
 //! * [`TxSet`] — a set over [`TxMap`];
 //! * [`TxVec`] — fixed-capacity vector with a transactional length;
 //! * [`TxCounter`] — a counter cell;

@@ -21,6 +21,7 @@ fn commit<'e, R>(rt: &'e HtmRuntime, f: impl FnOnce(&mut Tx<'e>) -> TxResult<R>)
 #[derive(Clone, Debug)]
 enum MapOp {
     Insert(u64, u64),
+    Upsert(u64, u64),
     Remove(u64),
     Get(u64),
     Len,
@@ -29,18 +30,72 @@ enum MapOp {
 
 fn random_map_op(rng: &mut SplitMix64) -> MapOp {
     // Keys from a small domain so operations actually collide; weights
-    // mirror the old proptest strategy (4:2:4:1:1).
-    match rng.below(12) {
+    // mirror the old proptest strategy (4:2:4:1:1), plus upserts.
+    match rng.below(14) {
         0..=3 => MapOp::Insert(rng.below(32), rng.next_u64()),
         4..=5 => MapOp::Remove(rng.below(32)),
         6..=9 => MapOp::Get(rng.below(32)),
         10 => MapOp::Len,
-        _ => MapOp::Clear,
+        11 => MapOp::Clear,
+        _ => MapOp::Upsert(rng.below(32), rng.next_u64()),
     }
 }
 
-#[test]
-fn txmap_matches_hashmap_model() {
+/// A value the model tests can run `TxMap` over: built from the op's
+/// word, and merged with it the way a read-modify-write would.
+trait ModelValue: Copy + Default + Ord + std::fmt::Debug {
+    fn from_word(w: u64) -> Self;
+    fn merged(prev: Option<Self>, w: u64) -> Self;
+}
+
+impl ModelValue for u64 {
+    fn from_word(w: u64) -> Self {
+        w
+    }
+    fn merged(prev: Option<Self>, w: u64) -> Self {
+        prev.unwrap_or(0).wrapping_add(w)
+    }
+}
+
+/// Two words, as the go-cache model's item: the slot is then 32 B, the
+/// widest a transaction stages inline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Pair {
+    value: u64,
+    stamp: u64,
+}
+
+impl ModelValue for Pair {
+    fn from_word(w: u64) -> Self {
+        Pair {
+            value: w,
+            stamp: !w.rotate_left(17),
+        }
+    }
+    /// Adds to the first word and keeps the second, like an INCR.
+    fn merged(prev: Option<Self>, w: u64) -> Self {
+        let prev = prev.unwrap_or_default();
+        Pair {
+            value: prev.value.wrapping_add(w),
+            ..prev
+        }
+    }
+}
+
+fn sorted_contents<V: ModelValue>(rt: &HtmRuntime, map: &TxMap<V>) -> Vec<(u64, V)> {
+    let mut contents = Vec::new();
+    commit(rt, |tx| map.for_each(tx, |k, v| contents.push((k, v))));
+    contents.sort_unstable();
+    contents
+}
+
+fn sorted_model<V: ModelValue>(model: HashMap<u64, V>) -> Vec<(u64, V)> {
+    let mut expected: Vec<(u64, V)> = model.into_iter().collect();
+    expected.sort_unstable();
+    expected
+}
+
+fn check_txmap_against_hashmap<V: ModelValue>() {
     for case in 0..64u64 {
         let mut rng = SplitMix64::new(0x7A9_4A9 + case);
         let ops: Vec<MapOp> = (0..rng.range(1, 200))
@@ -48,14 +103,22 @@ fn txmap_matches_hashmap_model() {
             .collect();
 
         let rt = HtmRuntime::new(HtmConfig::coffee_lake());
-        let map = TxMap::with_capacity(128);
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let map = TxMap::<V>::with_capacity(128);
+        let mut model: HashMap<u64, V> = HashMap::new();
         for op in ops {
             match op {
-                MapOp::Insert(k, v) => {
+                MapOp::Insert(k, w) => {
+                    let v = V::from_word(w);
                     let out = commit(&rt, |tx| map.insert(tx, k, v));
                     assert!(out.inserted);
                     assert_eq!(out.previous, model.insert(k, v));
+                }
+                MapOp::Upsert(k, w) => {
+                    let out = commit(&rt, |tx| map.upsert(tx, k, |prev| V::merged(prev, w)));
+                    assert!(out.inserted);
+                    let prev = model.get(&k).copied();
+                    assert_eq!(out.previous, prev);
+                    model.insert(k, V::merged(prev, w));
                 }
                 MapOp::Remove(k) => {
                     let got = commit(&rt, |tx| map.remove(tx, k));
@@ -76,13 +139,26 @@ fn txmap_matches_hashmap_model() {
             }
         }
         // Final full-content check.
-        let mut contents = Vec::new();
-        commit(&rt, |tx| map.for_each(tx, |k, v| contents.push((k, v))));
-        contents.sort_unstable();
-        let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
-        expected.sort_unstable();
-        assert_eq!(contents, expected, "case {case}");
+        assert_eq!(
+            sorted_contents(&rt, &map),
+            sorted_model(model),
+            "case {case}"
+        );
+        // Every write above was staged inline: no value took the arena's
+        // overflow path.
+        assert_eq!(rt.stats().snapshot().inline_overflows, 0);
     }
+}
+
+#[test]
+fn txmap_matches_hashmap_model() {
+    check_txmap_against_hashmap::<u64>();
+}
+
+#[test]
+fn txmap_matches_hashmap_model_with_two_word_values() {
+    assert_eq!(TxMap::<Pair>::SLOT_BYTES, 32);
+    check_txmap_against_hashmap::<Pair>();
 }
 
 #[test]
@@ -122,8 +198,7 @@ fn txvec_matches_vec_model() {
     }
 }
 
-#[test]
-fn rolled_back_ops_leave_no_trace() {
+fn check_rollback_leaves_no_trace<V: ModelValue>() {
     for case in 0..64u64 {
         let mut rng = SplitMix64::new(0x20_11BAC + case);
         let committed: Vec<(u64, u64)> = (0..rng.range(1, 50))
@@ -134,25 +209,32 @@ fn rolled_back_ops_leave_no_trace() {
             .collect();
 
         let rt = HtmRuntime::new(HtmConfig::coffee_lake());
-        let map = TxMap::with_capacity(64);
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for (k, v) in committed {
-            commit(&rt, |tx| map.insert(tx, k, v));
-            model.insert(k, v);
+        let map = TxMap::<V>::with_capacity(64);
+        let mut model: HashMap<u64, V> = HashMap::new();
+        for (k, w) in committed {
+            commit(&rt, |tx| map.insert(tx, k, V::from_word(w)));
+            model.insert(k, V::from_word(w));
         }
         // Perform a batch of inserts/removes and roll the whole thing back.
         let mut tx = Tx::fast(&rt);
-        for (k, v) in &aborted {
-            map.insert(&mut tx, *k, *v).unwrap();
+        for (k, w) in &aborted {
+            map.insert(&mut tx, *k, V::from_word(*w)).unwrap();
+            map.upsert(&mut tx, k.wrapping_add(2) % 16, |prev| V::merged(prev, *w))
+                .unwrap();
             map.remove(&mut tx, k.wrapping_add(1) % 16).unwrap();
         }
         tx.rollback();
         // The map must exactly match the pre-abort model.
-        let mut contents = Vec::new();
-        commit(&rt, |tx| map.for_each(tx, |k, v| contents.push((k, v))));
-        contents.sort_unstable();
-        let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
-        expected.sort_unstable();
-        assert_eq!(contents, expected, "case {case}");
+        assert_eq!(
+            sorted_contents(&rt, &map),
+            sorted_model(model),
+            "case {case}"
+        );
     }
+}
+
+#[test]
+fn rolled_back_ops_leave_no_trace() {
+    check_rollback_leaves_no_trace::<u64>();
+    check_rollback_leaves_no_trace::<Pair>();
 }

@@ -3,10 +3,10 @@
 //! Two layers, exactly like the original benchmarks: direct map access
 //! guarded by an `RWMutex` (the group that speeds up by >100% under GOCC
 //! because elision removes the contended reader-count RMWs), and the cache
-//! layer that adds expiration bookkeeping on top (mildly improved, never
-//! degraded).
+//! layer that keeps an expiration beside each value — one map of items, as
+//! go-cache's `map[string]Item` (mildly improved, never degraded).
 
-use gocc_htm::Tx;
+use gocc_htm::{Tx, TxResult};
 use gocc_optilock::{call_site, ElidableRwMutex, LockRef};
 use gocc_txds::{fnv1a, TxMap};
 
@@ -163,12 +163,25 @@ pub enum BatchReply {
     },
 }
 
+/// What the cache keeps under a key — go-cache's `Item{Object,
+/// Expiration}`, the value of its one `map[string]Item`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Item {
+    value: u64,
+    /// Absolute expiration tick (0 = never expires).
+    exp: u64,
+}
+
+// State, generation, key, value and expiration are one 32 B slot: two to a
+// cache line, and exactly what a transaction stages inline, so a SET writes
+// one line and nothing takes the arena's overflow path.
+const _: () = assert!(TxMap::<Item>::SLOT_BYTES == 32 && gocc_htm::INLINE_VALUE_BYTES == 32);
+
 /// The cache layer of go-cache: values carry an expiration stamp.
 pub struct Cache {
     lock: ElidableRwMutex,
-    /// key → value; a parallel map holds expirations.
-    items: TxMap,
-    expirations: TxMap,
+    /// key → (value, expiration): one map of items, as go-cache's.
+    items: TxMap<Item>,
     /// Logical clock standing in for `time.Now()` (advanced by the
     /// harness; reading wall-clock time inside a transaction would be an
     /// HTM-unfriendly operation on real hardware too).
@@ -189,7 +202,6 @@ impl Cache {
         Cache {
             lock: ElidableRwMutex::new(),
             items: TxMap::with_capacity(capacity),
-            expirations: TxMap::with_capacity(capacity),
             now: gocc_txds::TxCounter::new(1),
             seq: gocc_txds::TxCounter::new(0),
         }
@@ -201,40 +213,84 @@ impl Cache {
         let c = Cache::with_capacity(preload * 4);
         let mut tx = Tx::direct(rt);
         for i in 0..preload {
+            let item = Item {
+                value: i as u64,
+                exp: 0,
+            };
             c.items
-                .insert(&mut tx, RwMap::key(i), i as u64)
-                .expect("preload");
-            c.expirations
-                .insert(&mut tx, RwMap::key(i), 0)
+                .insert(&mut tx, RwMap::key(i), item)
                 .expect("preload");
         }
         tx.commit().expect("direct commit");
         c
     }
 
+    // ------------------------------------------------------------------
+    // The verb bodies: one probe of `items` per key. Every section below
+    // — single-op, `_seq`, batched, replicated — is built from these, so
+    // the paths cannot drift apart.
+    // ------------------------------------------------------------------
+
+    /// GET: the value under `key` unless absent or expired.
+    #[inline]
+    fn get_in<'a>(&'a self, tx: &mut Tx<'a>, key: u64) -> TxResult<Option<u64>> {
+        let Some(item) = self.items.get(tx, key)? else {
+            return Ok(None);
+        };
+        if item.exp != 0 && item.exp < self.now.get(tx)? {
+            return Ok(None);
+        }
+        Ok(Some(item.value))
+    }
+
+    /// SET: stores `value` and returns the absolute expiration `ttl`
+    /// resolves to (0 for `ttl == 0`, which also clears an earlier one).
+    #[inline]
+    fn set_in<'a>(&'a self, tx: &mut Tx<'a>, key: u64, value: u64, ttl: u64) -> TxResult<u64> {
+        let exp = if ttl == 0 { 0 } else { self.now.get(tx)? + ttl };
+        self.items.insert(tx, key, Item { value, exp })?;
+        Ok(exp)
+    }
+
+    /// DEL: whether the key existed.
+    #[inline]
+    fn del_in<'a>(&'a self, tx: &mut Tx<'a>, key: u64) -> TxResult<bool> {
+        Ok(self.items.remove(tx, key)?.is_some())
+    }
+
+    /// Stores `f(previous value)` — 0 for a missing key — under `key` and
+    /// returns it, keeping the expiration the slot already holds: INCR and
+    /// the replicated `PutVal`.
+    #[inline]
+    fn put_val_in<'a>(
+        &'a self,
+        tx: &mut Tx<'a>,
+        key: u64,
+        f: impl FnOnce(u64) -> u64,
+    ) -> TxResult<u64> {
+        let mut new = 0;
+        self.items.upsert(tx, key, |prev| {
+            let prev = prev.unwrap_or_default();
+            new = f(prev.value);
+            Item {
+                value: new,
+                exp: prev.exp,
+            }
+        })?;
+        Ok(new)
+    }
+
     /// `CacheGet(NotExpiring)`: lookup + expiration check under `RLock`.
     pub fn get(&self, engine: &Engine<'_>, key: u64) -> Option<u64> {
         engine.section(call_site!(), LockRef::Read(&self.lock), |tx| {
-            let Some(v) = self.items.get(tx, key)? else {
-                return Ok(None);
-            };
-            let exp = self.expirations.get(tx, key)?.unwrap_or(0);
-            if exp != 0 {
-                let now = self.now.get(tx)?;
-                if exp < now {
-                    return Ok(None);
-                }
-            }
-            Ok(Some(v))
+            self.get_in(tx, key)
         })
     }
 
     /// `CacheSet`: store with expiration under `Lock`.
     pub fn set(&self, engine: &Engine<'_>, key: u64, value: u64, ttl: u64) {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let exp = if ttl == 0 { 0 } else { self.now.get(tx)? + ttl };
-            self.items.insert(tx, key, value)?;
-            self.expirations.insert(tx, key, exp)?;
+            self.set_in(tx, key, value, ttl)?;
             Ok(())
         });
     }
@@ -242,9 +298,7 @@ impl Cache {
     /// `CacheDelete`. Returns whether the key existed.
     pub fn delete(&self, engine: &Engine<'_>, key: u64) -> bool {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let existed = self.items.remove(tx, key)?.is_some();
-            self.expirations.remove(tx, key)?;
-            Ok(existed)
+            self.del_in(tx, key)
         })
     }
 
@@ -254,10 +308,7 @@ impl Cache {
     /// updates in either mode.
     pub fn incr(&self, engine: &Engine<'_>, key: u64, delta: u64) -> u64 {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let cur = self.items.get(tx, key)?.unwrap_or(0);
-            let new = cur.wrapping_add(delta);
-            self.items.insert(tx, key, new)?;
-            Ok(new)
+            self.put_val_in(tx, key, |cur| cur.wrapping_add(delta))
         })
     }
 
@@ -272,9 +323,9 @@ impl Cache {
             // the closure, and entries from the doomed attempt must not
             // survive into the retry.
             let mut out = Vec::new();
-            self.items.for_each(tx, |k, v| {
+            self.items.for_each(tx, |k, item| {
                 if out.len() < limit {
-                    out.push((k, v));
+                    out.push((k, item.value));
                 }
             })?;
             Ok(out)
@@ -310,9 +361,7 @@ impl Cache {
     /// absolute expiration is what replay must restore, not the ttl).
     pub fn set_seq(&self, engine: &Engine<'_>, key: u64, value: u64, ttl: u64) -> (u64, u64) {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let exp = if ttl == 0 { 0 } else { self.now.get(tx)? + ttl };
-            self.items.insert(tx, key, value)?;
-            self.expirations.insert(tx, key, exp)?;
+            let exp = self.set_in(tx, key, value, ttl)?;
             let seq = self.seq.add(tx, 1)?;
             Ok((seq, exp))
         })
@@ -321,8 +370,7 @@ impl Cache {
     /// [`Cache::delete`] returning `(existed, seq)` for WAL staging.
     pub fn delete_seq(&self, engine: &Engine<'_>, key: u64) -> (bool, u64) {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let existed = self.items.remove(tx, key)?.is_some();
-            self.expirations.remove(tx, key)?;
+            let existed = self.del_in(tx, key)?;
             let seq = self.seq.add(tx, 1)?;
             Ok((existed, seq))
         })
@@ -333,9 +381,7 @@ impl Cache {
     /// replaying any suffix of the log is idempotent per key.
     pub fn incr_seq(&self, engine: &Engine<'_>, key: u64, delta: u64) -> (u64, u64) {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            let cur = self.items.get(tx, key)?.unwrap_or(0);
-            let new = cur.wrapping_add(delta);
-            self.items.insert(tx, key, new)?;
+            let new = self.put_val_in(tx, key, |cur| cur.wrapping_add(delta))?;
             let seq = self.seq.add(tx, 1)?;
             Ok((new, seq))
         })
@@ -383,45 +429,27 @@ impl Cache {
             out.clear();
             for op in ops {
                 let reply = match *op {
-                    BatchOp::Get { key } => match self.items.get(tx, key)? {
-                        None => BatchReply::Value {
-                            found: false,
-                            value: 0,
-                        },
-                        Some(v) => {
-                            let exp = self.expirations.get(tx, key)?.unwrap_or(0);
-                            if exp != 0 && exp < self.now.get(tx)? {
-                                BatchReply::Value {
-                                    found: false,
-                                    value: 0,
-                                }
-                            } else {
-                                BatchReply::Value {
-                                    found: true,
-                                    value: v,
-                                }
-                            }
+                    BatchOp::Get { key } => {
+                        let hit = self.get_in(tx, key)?;
+                        BatchReply::Value {
+                            found: hit.is_some(),
+                            value: hit.unwrap_or(0),
                         }
-                    },
+                    }
                     BatchOp::Set { key, value, ttl } => {
-                        let exp = if ttl == 0 { 0 } else { self.now.get(tx)? + ttl };
-                        self.items.insert(tx, key, value)?;
-                        self.expirations.insert(tx, key, exp)?;
+                        let exp = self.set_in(tx, key, value, ttl)?;
                         let seq = self.seq.add(tx, 1)?;
                         BatchReply::Stored { seq, exp }
                     }
                     BatchOp::Del { key } => {
-                        let existed = self.items.remove(tx, key)?.is_some();
-                        self.expirations.remove(tx, key)?;
+                        let existed = self.del_in(tx, key)?;
                         let seq = self.seq.add(tx, 1)?;
                         BatchReply::Deleted { existed, seq }
                     }
                     BatchOp::Incr { key, delta } => {
-                        let cur = self.items.get(tx, key)?.unwrap_or(0);
-                        let new = cur.wrapping_add(delta);
-                        self.items.insert(tx, key, new)?;
+                        let value = self.put_val_in(tx, key, |cur| cur.wrapping_add(delta))?;
                         let seq = self.seq.add(tx, 1)?;
-                        BatchReply::Counter { value: new, seq }
+                        BatchReply::Counter { value, seq }
                     }
                 };
                 out.push(reply);
@@ -438,13 +466,9 @@ impl Cache {
         engine.section(call_site!(), LockRef::Read(&self.lock), |tx| {
             // Built fresh per attempt: an aborted speculation must not
             // leak doomed entries into the retry.
-            let mut pairs = Vec::new();
-            self.items.for_each(tx, |k, v| pairs.push((k, v)))?;
-            let mut entries = Vec::with_capacity(pairs.len());
-            for (k, v) in pairs {
-                let exp = self.expirations.get(tx, k)?.unwrap_or(0);
-                entries.push((k, v, exp));
-            }
+            let mut entries = Vec::new();
+            self.items
+                .for_each(tx, |k, item| entries.push((k, item.value, item.exp)))?;
             let seq = self.seq.get(tx)?;
             let now = self.now.get(tx)?;
             Ok((entries, seq, now))
@@ -482,15 +506,13 @@ impl Cache {
             for op in ops {
                 match *op {
                     CacheOp::Put { key, value, exp } => {
-                        self.items.insert(tx, key, value)?;
-                        self.expirations.insert(tx, key, exp)?;
+                        self.items.insert(tx, key, Item { value, exp })?;
                     }
                     CacheOp::Del { key } => {
-                        self.items.remove(tx, key)?;
-                        self.expirations.remove(tx, key)?;
+                        self.del_in(tx, key)?;
                     }
                     CacheOp::PutVal { key, value } => {
-                        self.items.insert(tx, key, value)?;
+                        self.put_val_in(tx, key, |_| value)?;
                     }
                 }
             }
@@ -508,20 +530,14 @@ impl Cache {
     /// [`Cache::restore`] this runs on a **live** shard through the
     /// engine, in one write section, so concurrent readers see either the
     /// old state or the new one, never a half-loaded mix. (The write set
-    /// is the whole table; under GOCC this aborts for capacity and takes
-    /// the pessimistic path, which is exactly right for a rare bulk op.)
+    /// is the image; past 510 entries it aborts for capacity under GOCC
+    /// and takes the pessimistic path, which is exactly right for a rare
+    /// bulk op.)
     pub fn replace(&self, engine: &Engine<'_>, entries: &[(u64, u64, u64)], seq: u64, now: u64) {
         engine.section(call_site!(), LockRef::Write(&self.lock), |tx| {
-            // Built fresh per attempt (abort-safe, like `scan`).
-            let mut stale = Vec::new();
-            self.items.for_each(tx, |k, _| stale.push(k))?;
-            for k in stale {
-                self.items.remove(tx, k)?;
-                self.expirations.remove(tx, k)?;
-            }
-            for &(k, v, exp) in entries {
-                self.items.insert(tx, k, v)?;
-                self.expirations.insert(tx, k, exp)?;
+            self.items.clear(tx)?;
+            for &(key, value, exp) in entries {
+                self.items.insert(tx, key, Item { value, exp })?;
             }
             self.seq.set(tx, seq)?;
             self.now.set(tx, now.max(1))?;
@@ -540,11 +556,10 @@ impl Cache {
         now: u64,
     ) {
         let mut tx = Tx::direct(rt);
-        for &(k, v, exp) in entries {
-            self.items.insert(&mut tx, k, v).expect("restore insert");
-            self.expirations
-                .insert(&mut tx, k, exp)
-                .expect("restore exp");
+        for &(key, value, exp) in entries {
+            self.items
+                .insert(&mut tx, key, Item { value, exp })
+                .expect("restore insert");
         }
         self.seq.set(&mut tx, seq).expect("restore seq");
         self.now.set(&mut tx, now.max(1)).expect("restore now");
@@ -913,6 +928,203 @@ mod tests {
             assert_eq!(sorted, (0..16).collect::<Vec<u64>>());
             assert_eq!(c.scan(&engine, 3).len(), 3, "limit respected");
             assert_eq!(c.scan(&engine, 0).len(), 0);
+        }
+    }
+
+    /// The footprint the one-map layout buys, by count: a GET validates
+    /// the map's generation and one slot (the two-map layout read both of
+    /// each), and a SET of an existing key stages one line (it staged one
+    /// per map).
+    #[test]
+    fn a_get_reads_two_words_and_a_set_writes_one_line() {
+        let rt = GoccRuntime::new_default();
+        let c = Cache::with_capacity(256);
+        // Alone in the table, the key sits in its home slot.
+        c.restore(rt.htm(), &[(7, 70, 0)], 1, 1);
+
+        let mut tx = Tx::fast(rt.htm());
+        assert_eq!(c.get_in(&mut tx, 7).unwrap(), Some(70));
+        assert_eq!(tx.read_set_len(), 2, "gen + slot");
+        assert_eq!(tx.write_set_lines(), 0);
+        tx.commit().unwrap();
+
+        let mut tx = Tx::fast(rt.htm());
+        assert_eq!(c.set_in(&mut tx, 7, 71, 0).unwrap(), 0);
+        assert_eq!(tx.write_set_lines(), 1, "the slot's line, nothing else");
+        assert_eq!(tx.read_set_len(), 2);
+        tx.commit().unwrap();
+
+        // An expiring key costs the GET one more word: the clock.
+        let mut tx = Tx::fast(rt.htm());
+        c.set_in(&mut tx, 7, 72, 5).unwrap();
+        tx.commit().unwrap();
+        let mut tx = Tx::fast(rt.htm());
+        assert_eq!(c.get_in(&mut tx, 7).unwrap(), Some(72));
+        assert_eq!(tx.read_set_len(), 3, "gen + slot + now");
+        tx.commit().unwrap();
+        assert_eq!(rt.htm().stats().snapshot().inline_overflows, 0);
+    }
+
+    /// `section_w50`'s shape — two threads, 16 keys, half the calls
+    /// writes: every staged slot fits the arena's inline buffer, so no
+    /// attempt is lost to the overflow path.
+    #[test]
+    fn a_contended_write_mix_stages_every_slot_inline() {
+        gocc_gosync::set_procs(8);
+        let rt = GoccRuntime::new_default();
+        let c = Cache::new(rt.htm(), 16);
+        let engine = Engine::new(&rt, Mode::Gocc);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (engine, c) = (&engine, &c);
+                s.spawn(move || {
+                    for i in 0..4000u64 {
+                        let key = RwMap::key(((i * 7 + t) % 16) as usize);
+                        match i % 8 {
+                            0 | 2 | 4 => c.set(engine, key, i, i % 3),
+                            6 => drop(c.incr(engine, key, 1)),
+                            7 => drop(c.delete(engine, key)),
+                            _ => drop(c.get(engine, key)),
+                        }
+                    }
+                });
+            }
+        });
+        let snap = rt.htm().stats().snapshot();
+        assert!(snap.commits > 4000, "the mix ran elided: {snap:?}");
+        assert_eq!(snap.inline_overflows, 0);
+        assert_eq!(snap.aborts_capacity, 0);
+    }
+
+    fn sorted(mut entries: Vec<(u64, u64, u64)>) -> Vec<(u64, u64, u64)> {
+        entries.sort_unstable();
+        entries
+    }
+
+    #[test]
+    fn value_only_writes_keep_the_expiration_and_set_replaces_it() {
+        gocc_gosync::set_procs(8);
+        for mode in [Mode::Lock, Mode::Gocc] {
+            let rt = GoccRuntime::new_default();
+            let c = Cache::with_capacity(256);
+            let engine = Engine::new(&rt, mode);
+            let (_, exp) = c.set_seq(&engine, 1, 10, 4);
+            assert_eq!(exp, 5);
+            // INCR, single and batched, and a replicated PutVal.
+            assert_eq!(c.incr(&engine, 1, 1), 11);
+            assert_eq!(c.incr_seq(&engine, 1, 1).0, 12);
+            c.execute_batch(&engine, &[BatchOp::Incr { key: 1, delta: 1 }]);
+            let v = c.version(&engine);
+            let put_val = [CacheOp::PutVal { key: 1, value: 20 }];
+            assert_eq!(c.apply_versioned(&engine, v, 1, &put_val), Ok(v + 1));
+            assert_eq!(c.snapshot(&engine).0, vec![(1, 20, 5)], "mode {mode:?}");
+            // INCR and PutVal of a missing key create it without one.
+            c.incr(&engine, 2, 3);
+            let put_new = [CacheOp::PutVal { key: 3, value: 30 }];
+            assert_eq!(c.apply_versioned(&engine, v + 1, 1, &put_new), Ok(v + 2));
+            assert_eq!(
+                sorted(c.snapshot(&engine).0),
+                vec![(1, 20, 5), (2, 3, 0), (3, 30, 0)]
+            );
+            // SET with ttl 0 clears the expiration; a new ttl replaces it.
+            c.set(&engine, 1, 21, 0);
+            c.set(&engine, 2, 4, 9);
+            assert_eq!(
+                sorted(c.snapshot(&engine).0),
+                vec![(1, 21, 0), (2, 4, 10), (3, 30, 0)]
+            );
+            // DEL then SET: nothing of the old item survives.
+            assert!(c.delete(&engine, 2));
+            c.set(&engine, 2, 5, 0);
+            for _ in 0..20 {
+                c.tick(&engine);
+            }
+            assert_eq!(c.get(&engine, 2), Some(5), "mode {mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_expired_key_is_a_miss_single_and_batched() {
+        gocc_gosync::set_procs(8);
+        for mode in [Mode::Lock, Mode::Gocc] {
+            let rt = GoccRuntime::new_default();
+            let c = Cache::with_capacity(256);
+            let engine = Engine::new(&rt, mode);
+            c.set(&engine, 1, 10, 1); // expires after tick 2
+            c.set(&engine, 2, 20, 0);
+            let gets = [BatchOp::Get { key: 1 }, BatchOp::Get { key: 2 }];
+            let hit = |value| BatchReply::Value { found: true, value };
+            let miss = BatchReply::Value {
+                found: false,
+                value: 0,
+            };
+            c.tick(&engine);
+            assert_eq!(c.get(&engine, 1), Some(10), "exp == now is still live");
+            assert_eq!(c.execute_batch(&engine, &gets), vec![hit(10), hit(20)]);
+            c.tick(&engine);
+            assert_eq!(c.get(&engine, 1), None);
+            assert_eq!(c.execute_batch(&engine, &gets), vec![miss, hit(20)]);
+            // Expired, not gone: still counted, still dumped, and an INCR
+            // adds to the stored value under the expiration that hides it.
+            assert_eq!(c.item_count(&engine), 2);
+            assert_eq!(c.incr(&engine, 1, 1), 11);
+            assert_eq!(c.get(&engine, 1), None, "mode {mode:?}");
+        }
+    }
+
+    #[test]
+    fn triples_roundtrip_through_snapshot_restore_replace_and_apply() {
+        gocc_gosync::set_procs(8);
+        for mode in [Mode::Lock, Mode::Gocc] {
+            let rt = GoccRuntime::new_default();
+            let engine = Engine::new(&rt, mode);
+            let image = vec![(1u64, 10u64, 0u64), (2, 20, 7), (3, u64::MAX, u64::MAX)];
+
+            let restored = Cache::with_capacity(64);
+            restored.restore(rt.htm(), &image, 9, 4);
+            let (entries, seq, now) = restored.snapshot(&engine);
+            assert_eq!((sorted(entries), seq, now), (image.clone(), 9, 4));
+
+            let replaced = Cache::with_capacity(64);
+            replaced.set(&engine, 2, 99, 99);
+            replaced.set(&engine, 50, 5, 5);
+            replaced.replace(&engine, &image, 9, 4);
+            let (entries, seq, now) = replaced.snapshot(&engine);
+            assert_eq!((sorted(entries), seq, now), (image.clone(), 9, 4));
+
+            let applied = Cache::with_capacity(64);
+            let ops = [
+                CacheOp::Put {
+                    key: 1,
+                    value: 11,
+                    exp: 3,
+                },
+                CacheOp::Put {
+                    key: 2,
+                    value: 20,
+                    exp: 7,
+                },
+                CacheOp::Put {
+                    key: 4,
+                    value: 40,
+                    exp: 8,
+                },
+                CacheOp::Put {
+                    key: 1,
+                    value: 12,
+                    exp: 0,
+                },
+                CacheOp::Del { key: 4 },
+                CacheOp::PutVal { key: 1, value: 10 },
+                CacheOp::Put {
+                    key: 3,
+                    value: u64::MAX,
+                    exp: u64::MAX,
+                },
+            ];
+            assert_eq!(applied.apply_versioned(&engine, 0, 4, &ops), Ok(7));
+            let (entries, seq, now) = applied.snapshot(&engine);
+            assert_eq!((sorted(entries), seq, now), (image, 7, 4), "mode {mode:?}");
         }
     }
 }

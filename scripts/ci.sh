@@ -72,6 +72,16 @@ if grep -rnE 'committer_enter|committer_exit|CommitGate' crates/; then
 fi
 echo "ok: commit gate holds, LockWord carries no committer count"
 
+echo "== one map of items =="
+# The go-cache model keeps value and expiration in one TxMap entry, as
+# go-cache's map[string]Item: a parallel expirations map coming back
+# doubles every section's footprint.
+if grep -nE '\bexpirations\b' crates/workloads/src/gocache.rs; then
+  echo "FAIL: crates/workloads/src/gocache.rs names an expirations map again" >&2
+  exit 1
+fi
+echo "ok: Cache holds one map"
+
 echo "== one soak kit =="
 # Argument tables, the liveness watchdog, daemon/temp-dir guards, gate
 # thresholds and the per-key oracle live in crates/loadgen/src/soak.rs;

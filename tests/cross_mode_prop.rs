@@ -6,7 +6,9 @@
 
 use gocc_repro::optilock::GoccRuntime;
 use gocc_repro::telemetry::SplitMix64;
-use gocc_repro::workloads::gocache::{Cache, RwMap};
+use std::collections::HashMap;
+
+use gocc_repro::workloads::gocache::{BatchOp, BatchReply, Cache, RwMap};
 use gocc_repro::workloads::set::Set;
 use gocc_repro::workloads::{Engine, Mode};
 
@@ -132,5 +134,146 @@ fn set_modes_agree() {
             run_set(Mode::Gocc, &ops),
             "case {case}"
         );
+    }
+}
+
+/// A verb stream with expirations in it: ttls of 0–3 ticks over 8 keys,
+/// so entries expire, get overwritten with and without a ttl, deleted and
+/// re-created, and incremented while live and while expired.
+fn random_ttl_stream(rng: &mut SplitMix64) -> Vec<Option<BatchOp>> {
+    (0..rng.range(1, 120))
+        .map(|_| {
+            let key = rng.below(8);
+            match rng.below(12) {
+                0..=3 => Some(BatchOp::Set {
+                    key,
+                    value: rng.below(1000),
+                    ttl: rng.below(4),
+                }),
+                4..=6 => Some(BatchOp::Get { key }),
+                7..=8 => Some(BatchOp::Incr {
+                    key,
+                    delta: rng.below(5),
+                }),
+                9 => Some(BatchOp::Del { key }),
+                _ => None, // advance the clock
+            }
+        })
+        .collect()
+}
+
+type Triples = Vec<(u64, u64, u64)>;
+
+/// Runs the stream through `Cache`, one section per verb or one per run of
+/// verbs between two ticks cut into groups of up to `group`.
+fn run_ttl_stream(
+    mode: Mode,
+    stream: &[Option<BatchOp>],
+    group: usize,
+) -> (Vec<BatchReply>, Triples) {
+    gocc_repro::gosync::set_procs(8);
+    let rt = GoccRuntime::new_default();
+    let cache = Cache::with_capacity(64);
+    let engine = Engine::new(&rt, mode);
+    let mut replies = Vec::new();
+    for run in stream.split(Option::is_none) {
+        let ops: Vec<BatchOp> = run.iter().flatten().copied().collect();
+        if group == 0 {
+            for op in ops {
+                replies.push(match op {
+                    BatchOp::Get { key } => {
+                        let hit = cache.get(&engine, key);
+                        BatchReply::Value {
+                            found: hit.is_some(),
+                            value: hit.unwrap_or(0),
+                        }
+                    }
+                    BatchOp::Set { key, value, ttl } => {
+                        let (seq, exp) = cache.set_seq(&engine, key, value, ttl);
+                        BatchReply::Stored { seq, exp }
+                    }
+                    BatchOp::Del { key } => {
+                        let (existed, seq) = cache.delete_seq(&engine, key);
+                        BatchReply::Deleted { existed, seq }
+                    }
+                    BatchOp::Incr { key, delta } => {
+                        let (value, seq) = cache.incr_seq(&engine, key, delta);
+                        BatchReply::Counter { value, seq }
+                    }
+                });
+            }
+        } else {
+            for chunk in ops.chunks(group) {
+                replies.extend(cache.execute_batch(&engine, chunk));
+            }
+        }
+        cache.tick(&engine);
+    }
+    let mut entries = cache.snapshot(&engine).0;
+    entries.sort_unstable();
+    (replies, entries)
+}
+
+/// What the verbs mean, independent of `Cache`: one item per key, value
+/// and absolute expiration together.
+fn model_ttl_stream(stream: &[Option<BatchOp>]) -> (Vec<BatchReply>, Triples) {
+    let mut items: HashMap<u64, (u64, u64)> = HashMap::new();
+    let (mut now, mut seq) = (1u64, 0u64);
+    let mut replies = Vec::new();
+    for step in stream.split(Option::is_none) {
+        for op in step.iter().flatten() {
+            replies.push(match *op {
+                BatchOp::Get { key } => match items.get(&key) {
+                    Some(&(value, exp)) if exp == 0 || exp >= now => {
+                        BatchReply::Value { found: true, value }
+                    }
+                    _ => BatchReply::Value {
+                        found: false,
+                        value: 0,
+                    },
+                },
+                BatchOp::Set { key, value, ttl } => {
+                    let exp = if ttl == 0 { 0 } else { now + ttl };
+                    items.insert(key, (value, exp));
+                    seq += 1;
+                    BatchReply::Stored { seq, exp }
+                }
+                BatchOp::Del { key } => {
+                    seq += 1;
+                    BatchReply::Deleted {
+                        existed: items.remove(&key).is_some(),
+                        seq,
+                    }
+                }
+                BatchOp::Incr { key, delta } => {
+                    let item = items.entry(key).or_insert((0, 0));
+                    item.0 = item.0.wrapping_add(delta);
+                    seq += 1;
+                    BatchReply::Counter { value: item.0, seq }
+                }
+            });
+        }
+        now += 1;
+    }
+    let mut entries: Triples = items.into_iter().map(|(k, (v, e))| (k, v, e)).collect();
+    entries.sort_unstable();
+    (replies, entries)
+}
+
+#[test]
+fn batched_and_sequential_cache_agree_with_the_item_model_under_ttls() {
+    for case in 0..24u64 {
+        let mut rng = SplitMix64::new(0x77_1CAC4E + case);
+        let stream = random_ttl_stream(&mut rng);
+        let want = model_ttl_stream(&stream);
+        for mode in [Mode::Lock, Mode::Gocc] {
+            for group in [0, 1, 5, 256] {
+                assert_eq!(
+                    run_ttl_stream(mode, &stream, group),
+                    want,
+                    "case {case}, {mode:?}, groups of {group}"
+                );
+            }
+        }
     }
 }
