@@ -1,8 +1,10 @@
-//! The wait an idle worker or acceptor blocks in: `ppoll(2)` on the
-//! sockets its owner would touch next, plus a [`Waker`] other threads
-//! write to, for at most a timeout kept to the nanosecond. No
-//! registration state — a worker owns a handful of connections, and the
+//! The wait an idle worker, acceptor or repl-out thread blocks in:
+//! `ppoll(2)` on the sockets its owner would touch next, plus a [`Waker`]
+//! other threads write to, for at most a timeout kept to the nanosecond.
+//! No registration state — a worker owns a handful of connections, and the
 //! set is refilled from their current `Conn::interest` before every wait.
+//! A thread that takes timed passes asks a [`Tick`] for each timeout, so
+//! the passes come one per [`IDLE_PASS`] however long each one took.
 //!
 //! Public for `tests/idle_wait.rs`, which times the wait itself; the
 //! server is its only other caller.
@@ -11,7 +13,7 @@ use std::ffi::{c_int, c_short, c_ulong, c_void};
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `struct pollfd` of `poll(2)`.
 #[repr(C)]
@@ -46,9 +48,50 @@ extern "C" {
     fn prctl(option: c_int, ...) -> c_int;
 }
 
-/// How long a worker's timed pass waits — after the pass before it, not
-/// once per this long — and so what one idle pass is worth in time.
+/// The period of a thread's timed passes — a [`Tick`] makes each wait end
+/// this long after the one before it was due — and so what one idle pass
+/// is worth in time.
 pub const IDLE_PASS: Duration = Duration::from_micros(200);
+
+/// The cadence of one thread's timed passes: the instant its last timed
+/// [`wait`] was due. Its only job is to turn "now" into the next wait's
+/// timeout, so that a wake-up's lateness and the pass's own work come out
+/// of the next wait instead of being added to every period.
+#[derive(Default)]
+pub struct Tick {
+    due: Option<Instant>,
+}
+
+impl Tick {
+    /// The timeout of a timed wait that starts at `now`, never longer
+    /// than [`IDLE_PASS`]. It ends one `IDLE_PASS` after the tick before
+    /// it — at that tick itself when the waker cut the last wait short,
+    /// so an early wake never lengthens the next wait — or, when that
+    /// instant has passed (a pass overran a whole period, or there is no
+    /// tick before it), one `IDLE_PASS` from now: a late cadence starts
+    /// over, it is not caught up in a burst.
+    pub fn timeout(&mut self, now: Instant) -> Duration {
+        let due = next_due(self.due, now);
+        self.due = Some(due);
+        due.saturating_duration_since(now)
+    }
+
+    /// Forgets the cadence: the thread blocked, and its next timed wait
+    /// is the first of a new one.
+    pub fn forget(&mut self) {
+        self.due = None;
+    }
+}
+
+/// When a timed wait that starts at `now` is due, `last` being when the
+/// one before it was.
+fn next_due(last: Option<Instant>, now: Instant) -> Instant {
+    match last {
+        Some(last) if now < last => last,
+        Some(last) if now < last + IDLE_PASS => last + IDLE_PASS,
+        _ => now + IDLE_PASS,
+    }
+}
 
 /// Makes the calling thread's timed waits end when they are due. A thread
 /// starts with 50 µs of timer slack: the kernel may fire its timers that
@@ -161,7 +204,82 @@ pub fn wait(waker: &Waker, set: &mut PollSet, timeout: Option<Duration>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+
+    const US: Duration = Duration::from_micros(1);
+
+    #[test]
+    fn a_tick_is_due_one_period_after_the_tick_before_it() {
+        let last = Instant::now();
+        // On time: woken 40 µs late, the pass took 5 more.
+        assert_eq!(next_due(Some(last), last + 45 * US), last + IDLE_PASS);
+        assert_eq!(next_due(Some(last), last), last + IDLE_PASS);
+        // Woken early by the waker: the tick it was owed, not a later one.
+        assert_eq!(next_due(Some(last), last - 150 * US), last);
+        assert_eq!(next_due(Some(last), last - US), last);
+        // Overran by a period or more: from now, no catch-up.
+        let late = last + IDLE_PASS;
+        assert_eq!(next_due(Some(last), late), late + IDLE_PASS);
+        let late = last + 7 * IDLE_PASS + 13 * US;
+        assert_eq!(next_due(Some(last), late), late + IDLE_PASS);
+        // No tick before it.
+        assert_eq!(next_due(None, last), last + IDLE_PASS);
+    }
+
+    #[test]
+    fn no_timed_wait_is_longer_than_a_period_and_a_block_forgets_the_cadence() {
+        let t0 = Instant::now();
+        let mut tick = Tick::default();
+        assert_eq!(tick.timeout(t0), IDLE_PASS);
+        // Whatever "now" is against the tick owed (t0 + 200 µs), in 7 µs
+        // steps from 150 µs before it to two periods after it.
+        for step in 0..80 {
+            let mut t = Tick {
+                due: Some(t0 + IDLE_PASS),
+            };
+            let now = t0 + 50 * US + step * 7 * US;
+            let timeout = t.timeout(now);
+            assert!(timeout <= IDLE_PASS, "{timeout:?} at step {step}");
+            assert!(t.due >= Some(now), "due in the past at step {step}");
+        }
+        // A run of passes that each take 45 µs: one per period, exactly.
+        let mut now = t0;
+        for pass in 1..=50 {
+            now += tick.timeout(now);
+            assert_eq!(now, t0 + pass * IDLE_PASS);
+            now += 45 * US;
+        }
+        // The waker ends a wait 150 µs early; the wait behind that wake is
+        // the 150 µs still owed, not a full period on top of them.
+        let owed = now - 45 * US + IDLE_PASS;
+        assert_eq!(tick.timeout(now), 155 * US);
+        assert_eq!(tick.timeout(owed - 150 * US), 150 * US);
+        assert_eq!(tick.timeout(owed + 10 * US), 190 * US);
+        // After a block the old cadence is gone, however recent.
+        tick.forget();
+        assert_eq!(tick.timeout(owed + 20 * US), IDLE_PASS);
+    }
+
+    #[test]
+    fn the_wait_behind_an_early_wake_is_shorter_than_a_period() {
+        let waker = Waker::new().expect("socket pair");
+        let mut set = PollSet::default();
+        // A thread descheduled for a whole period between two lines here
+        // restarts the cadence, rightly; such a round is taken again.
+        let mut rounds = Vec::new();
+        let won = (0..5).any(|_| {
+            let mut tick = Tick::default();
+            let t0 = Instant::now();
+            let first = tick.timeout(t0);
+            waker.wake();
+            wait(&waker, &mut set, Some(first));
+            let woken = Instant::now();
+            let second = tick.timeout(woken);
+            rounds.push((woken - t0, second));
+            assert!(second <= IDLE_PASS, "a wait of {second:?}");
+            woken + second == t0 + IDLE_PASS && second < IDLE_PASS
+        });
+        assert!(won, "(woken after, then waits): {rounds:?}");
+    }
 
     #[test]
     fn a_wake_before_the_wait_is_not_lost_and_is_consumed_once() {

@@ -20,8 +20,8 @@
 //!   outright (no connection is ever touched by two threads), pumping them
 //!   with non-blocking reads/writes. A worker with nothing to do waits in
 //!   `idle::wait`: on its connections' readiness, or — when its peers
-//!   pipeline or an idle-pass duty runs on a clock — for one `IDLE_PASS`
-//!   on its waker alone; see `worker_loop`. Worker
+//!   pipeline or an idle-pass duty runs on a clock — on its waker alone
+//!   until the next tick of an `IDLE_PASS` cadence; see `worker_loop`. Worker
 //!   state is plain `&mut`; the only cross-thread state is the
 //!   [`ServerState`] behind an `Arc` — the store (whose interior
 //!   synchronization *is* the system under test), atomic counters, the
@@ -29,7 +29,9 @@
 //! * Connections that subscribe as replication streams (REPL_HELLO) are
 //!   handed off to one dedicated **repl-out** thread: a worker may block
 //!   in `wait_replicated` for a `min_acks` write, and the subscriber
-//!   stream that ack rides on must keep pumping while it does.
+//!   stream that ack rides on must keep pumping while it does. It waits
+//!   in `idle::wait` too: on its waker alone, blocked while it owns no
+//!   subscriber and on the same cadence while it owns one.
 //! * A **malformed frame kills its connection, never the server**: framing
 //!   or decode errors send a final `Error` response and close that one
 //!   connection. IO errors likewise. A worker never panics on input.
@@ -265,9 +267,10 @@ pub struct ServerState {
     /// Build identity echoed in the boot line and STATS header (the
     /// `BENCH_GIT_REV` convention the bench artifacts already use).
     git_rev: String,
-    /// One per worker, by index, then the acceptor's: what ends their
-    /// idle wait when work arrives that no socket of theirs signals (a
-    /// dispatched connection, shutdown).
+    /// One per worker, by index, then the acceptor's, then repl-out's:
+    /// what ends their idle wait when work arrives that no socket of
+    /// theirs signals (a dispatched connection, a subscriber handed
+    /// over, shutdown).
     wakers: Vec<idle::Waker>,
 }
 
@@ -310,7 +313,7 @@ impl ServerState {
         } else {
             None
         };
-        let wakers = (0..=config.workers)
+        let wakers = (0..config.workers + 2)
             .map(|_| idle::Waker::new())
             .collect::<io::Result<_>>()?;
         Ok(ServerState {
@@ -559,6 +562,12 @@ impl ServerState {
         for w in &self.wakers {
             w.wake();
         }
+    }
+
+    /// What `goccd-repl-out` waits on, and a worker wakes after handing
+    /// it a subscriber.
+    fn repl_out_waker(&self) -> &idle::Waker {
+        &self.wakers[self.config.workers + 1]
     }
 
     /// Whether a worker's idle pass has work that runs on a clock, so the
@@ -1038,6 +1047,7 @@ fn worker_loop(
     };
     idle::exact_timers();
     let mut set = idle::PollSet::default();
+    let mut tick = idle::Tick::default();
     // Frames in the last pass that handled any, until an idle decision
     // has used it.
     let mut last_frames = 0u64;
@@ -1068,11 +1078,14 @@ fn worker_loop(
                     if conns[i].is_repl_sub() {
                         if let Some(tx) = &repl_tx {
                             let c = conns.swap_remove(i);
-                            if let Err(send_err) = tx.send(c) {
+                            match tx.send(c) {
+                                Ok(()) => state.repl_out_waker().wake(),
                                 // Repl thread already gone (shutdown):
                                 // close the stream here.
-                                send_err.0.on_close(state);
-                                state.counters.note_close();
+                                Err(send_err) => {
+                                    send_err.0.on_close(state);
+                                    state.counters.note_close();
+                                }
                             }
                             continue;
                         }
@@ -1104,8 +1117,10 @@ fn worker_loop(
         // The one idle decision: what to wait on, and for how long at
         // most. Two or more frames in one pass mean a peer that pipelines
         // (or several peers in step): the next burst is due, and taking
-        // it one `IDLE_PASS` from now keeps the batches and the wake-ups
-        // per request where they were. So does a duty that runs on a
+        // it at the next tick — one `IDLE_PASS` after the last, however
+        // late that wake-up came and however long this pass took — keeps
+        // the batches and the wake-ups per request where they were and
+        // serves a window per period. So does a duty that runs on a
         // clock: the controller's, a seeded plan's, or a replication
         // subscriber's before the adoption loop hands it to repl-out.
         // That timed pass watches the waker alone — a dispatched
@@ -1123,10 +1138,11 @@ fn worker_loop(
         state.counters.note_idle(worker, block);
         let t0 = Instant::now();
         let timeout = if block {
+            tick.forget();
             watch(&conns, &mut set, &state.config).map(|d| d.saturating_duration_since(t0))
         } else {
             set.clear();
-            Some(IDLE_PASS)
+            Some(tick.timeout(t0))
         };
         idle::wait(&state.wakers[worker], &mut set, timeout);
         if block {
@@ -1147,6 +1163,9 @@ fn worker_loop(
 /// client and the subscription shared a worker.
 fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
     idle::exact_timers();
+    // Never filled: this thread waits on its waker alone.
+    let mut set = idle::PollSet::default();
+    let mut tick = idle::Tick::default();
     let engine = Engine::new(&state.rt, state.config.mode);
     let mut conns: Vec<Conn> = Vec::new();
     let mut senders_gone = false;
@@ -1195,9 +1214,20 @@ fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
         if senders_gone && conns.is_empty() {
             return;
         }
-        if !progressed {
-            std::thread::sleep(IDLE_PASS);
+        if progressed {
+            continue;
         }
+        // A subscriber's heartbeats and feed drain are signalled by no
+        // descriptor, so while there is one the passes keep the workers'
+        // cadence on the waker alone; with none there is nothing to pump
+        // until a worker hands one over and wakes this thread.
+        let timeout = if conns.is_empty() {
+            tick.forget();
+            None
+        } else {
+            Some(tick.timeout(Instant::now()))
+        };
+        idle::wait(state.repl_out_waker(), &mut set, timeout);
     }
 }
 

@@ -83,9 +83,9 @@ impl WorkerGauges {
     }
 
     /// Times this worker, finding nothing to do, took a timed pass
-    /// instead — `IDLE_PASS` on its waker alone: its peers pipeline, or
-    /// an idle-pass duty runs on a clock. A request arriving meanwhile
-    /// waits out the rest of the pass.
+    /// instead — on its waker alone until the next tick, one per
+    /// `IDLE_PASS`: its peers pipeline, or an idle-pass duty runs on a
+    /// clock. A request arriving meanwhile waits for that tick.
     #[must_use]
     pub fn coalesce_sleeps(&self) -> u64 {
         self.coalesce_sleeps.load(Ordering::Relaxed)

@@ -94,20 +94,26 @@ fi
 echo "ok: harness binaries stand on loadgen::soak"
 
 echo "== one idle decision =="
-# Every wait of worker_loop is the one idle::wait behind its idle
-# decision, which only picks the set and the timeout; acceptor_loop waits
-# the same way. A thread::sleep in either loop is the 200 us
-# poll-and-sleep, or the coalescing sleep with its timer slack, coming
-# back (crates/server/tests/idle_wait.rs, in the workspace stage above,
-# pins the behaviour).
+# Every wait of worker_loop and of repl_out_loop is the one idle::wait
+# behind its idle decision, which only picks the set and the timeout (a
+# timed one from idle::Tick); acceptor_loop waits the same way. A
+# thread::sleep in any of them is the 200 us poll-and-sleep, or the
+# coalescing sleep with its timer slack, coming back
+# (crates/server/tests/idle_wait.rs, in the workspace stage above, pins
+# the behaviour).
 fn_body() { awk -v f="fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^}/ { exit }' \
   crates/server/src/lib.rs; }
-worker_sleeps=$(fn_body worker_loop | grep -c 'thread::sleep' || true)
-worker_waits=$(fn_body worker_loop | grep -c 'idle::wait' || true)
+for f in worker_loop repl_out_loop; do
+  sleeps=$(fn_body "$f" | grep -c 'thread::sleep' || true)
+  waits=$(fn_body "$f" | grep -c 'idle::wait' || true)
+  if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
+    echo "FAIL: $f has $sleeps thread::sleep (want 0) and $waits idle::wait (want 1)" >&2
+    exit 1
+  fi
+done
 acceptor_sleeps=$(fn_body acceptor_loop | grep -c 'thread::sleep' || true)
-if [ "$worker_sleeps" -ne 0 ] || [ "$worker_waits" -ne 1 ] || [ "$acceptor_sleeps" -ne 0 ]; then
-  echo "FAIL: worker_loop has $worker_sleeps thread::sleep (want 0) and $worker_waits idle::wait (want 1)," \
-    "acceptor_loop $acceptor_sleeps thread::sleep (want 0)" >&2
+if [ "$acceptor_sleeps" -ne 0 ]; then
+  echo "FAIL: acceptor_loop has $acceptor_sleeps thread::sleep (want 0)" >&2
   exit 1
 fi
 # The wait's system calls are declared once.
@@ -116,7 +122,7 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop waits in one place and never sleeps, acceptor_loop never sleeps"
+echo "ok: worker_loop and repl_out_loop wait in one place and never sleep, acceptor_loop never sleeps"
 
 echo "== formatting =="
 cargo fmt --check
