@@ -21,15 +21,15 @@
 //! constant overhead, not scaling.
 //!
 //! Flags: `--window-ms N` shrinks the measurement window (CI uses this),
-//! `--gate RATIO` exits nonzero if any section's speculating-gocc cost
-//! exceeds `RATIO ×` the lock baseline — a loose order-of-magnitude
-//! regression gate, not a benchmark assertion.
+//! `--gate RATIO` exits 4 if any section's speculating-gocc cost exceeds
+//! `RATIO ×` the lock baseline — a loose order-of-magnitude regression
+//! gate, not a benchmark assertion. A bad command line exits 1. The table
+//! and the verdict go to stdout; nothing is written to disk.
 
 use std::time::Duration;
 
-use gocc_bench::{stats_fields, warm_measure, write_artifact, Measured};
+use gocc_bench::warm_measure;
 use gocc_optilock::{call_site, GoccRuntime, LockRef};
-use gocc_telemetry::JsonWriter;
 use gocc_txds::TxCounter;
 use gocc_workloads::{Engine, Mode};
 
@@ -50,7 +50,8 @@ impl Shape {
     }
 }
 
-fn measure(shape: Shape, mode: Mode, procs: usize, window: Duration) -> Measured {
+/// Nanoseconds per section of `shape` in `mode` at `procs` modelled procs.
+fn measure(shape: Shape, mode: Mode, procs: usize, window: Duration) -> f64 {
     let prev = gocc_gosync::set_procs(procs);
     let rt = GoccRuntime::new_default();
     let engine = Engine::new(&rt, mode);
@@ -63,25 +64,19 @@ fn measure(shape: Shape, mode: Mode, procs: usize, window: Duration) -> Measured
             Shape::Write1 => c.add(tx, 1).map(|_| ()),
         });
     });
-    let out = Measured::with_runtime(ns, &rt);
     gocc_gosync::set_procs(prev);
-    out
+    ns
 }
 
-struct Row {
-    shape: Shape,
-    lock: Measured,
-    spec: Measured,
-    bypass: Measured,
+/// A bad command line is a harness error: exit 1, never the gate's 4.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("hotpath: {msg}\nusage: hotpath [--window-ms N] [--gate RATIO]");
+    std::process::exit(1);
 }
 
-impl Row {
-    fn spec_ratio(&self) -> f64 {
-        self.spec.ns_per_op / self.lock.ns_per_op
-    }
-    fn bypass_ratio(&self) -> f64 {
-        self.bypass.ns_per_op / self.lock.ns_per_op
-    }
+fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
+    v.and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a number")))
 }
 
 fn main() {
@@ -90,18 +85,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--window-ms" => {
-                let v = args.next().expect("--window-ms needs a value");
-                window = Duration::from_millis(v.parse().expect("--window-ms: integer"));
-            }
-            "--gate" => {
-                let v = args.next().expect("--gate needs a value");
-                gate = Some(v.parse().expect("--gate: float"));
-            }
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
+            "--window-ms" => window = Duration::from_millis(value(&arg, args.next())),
+            "--gate" => gate = Some(value(&arg, args.next())),
+            other => usage_error(&format!("unknown flag: {other}")),
         }
     }
 
@@ -111,59 +97,28 @@ fn main() {
         "section", "lock ns/op", "gocc ns/op", "gocc/lock", "bypass ns/op", "bypass/lock"
     );
 
-    let mut rows = Vec::new();
+    let mut worst = 0.0f64;
     for shape in [Shape::Empty, Shape::Read1, Shape::Write1] {
         let lock = measure(shape, Mode::Lock, 8, window);
         let spec = measure(shape, Mode::Gocc, 8, window);
         let bypass = measure(shape, Mode::Gocc, 1, window);
-        let row = Row {
-            shape,
-            lock,
-            spec,
-            bypass,
-        };
         println!(
             "{:<8} {:>12.1} {:>14.1} {:>11.2}x {:>16.1} {:>13.2}x",
             shape.name(),
-            row.lock.ns_per_op,
-            row.spec.ns_per_op,
-            row.spec_ratio(),
-            row.bypass.ns_per_op,
-            row.bypass_ratio(),
+            lock,
+            spec,
+            spec / lock,
+            bypass,
+            bypass / lock,
         );
-        rows.push(row);
+        worst = worst.max(spec / lock);
     }
-
-    let worst = rows.iter().map(Row::spec_ratio).fold(0.0f64, f64::max);
     println!("worst speculating gocc/lock ratio: {worst:.2}x");
-
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("figure", "hotpath")
-        .field_u64("window_ms", window.as_millis() as u64)
-        .field_f64("worst_spec_ratio", worst)
-        .key("sections")
-        .begin_array();
-    for row in &rows {
-        w.begin_object()
-            .field_str("name", row.shape.name())
-            .field_f64("lock_ns_per_op", row.lock.ns_per_op)
-            .field_f64("gocc_ns_per_op", row.spec.ns_per_op)
-            .field_f64("gocc_bypass_ns_per_op", row.bypass.ns_per_op)
-            .field_f64("spec_ratio", row.spec_ratio())
-            .field_f64("bypass_ratio", row.bypass_ratio());
-        stats_fields(&mut w, &row.spec.htm, &row.spec.opti);
-        w.key("bypass_stats").begin_object();
-        stats_fields(&mut w, &row.bypass.htm, &row.bypass.opti);
-        w.end_object().end_object();
-    }
-    w.end_array().end_object();
-    write_artifact("hotpath", &w.finish());
 
     if let Some(gate) = gate {
         if worst > gate {
             eprintln!("GATE FAILED: worst gocc/lock ratio {worst:.2}x exceeds gate {gate:.2}x");
-            std::process::exit(1);
+            std::process::exit(4);
         }
         println!("gate ok: {worst:.2}x <= {gate:.2}x");
     }

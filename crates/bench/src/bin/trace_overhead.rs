@@ -22,8 +22,9 @@
 //! drift hits all of them equally) and scored min-of-K — the floor is the
 //! honest cost, everything above it is scheduler noise. Gates:
 //! `disabled` ≤ 5% over baseline, `sampled` ≤ 10%, overridable via
-//! `TRACE_GATE_DISABLED_PCT` / `TRACE_GATE_SAMPLED_PCT`. Everything lands
-//! in `BENCH_trace.json`; exit 1 on a violated gate.
+//! `TRACE_GATE_DISABLED_PCT` / `TRACE_GATE_SAMPLED_PCT`. The table and
+//! each verdict go to stdout and nothing is written to disk; exit 4 on a
+//! violated gate, 1 on a bad command line or override.
 //!
 //! The thresholds carry deliberate margin over the measured cost. The
 //! sampled configuration's true tax is the full-trace cost amortized
@@ -39,9 +40,9 @@
 
 use std::time::Duration;
 
-use gocc_bench::{warm_measure, write_artifact};
+use gocc_bench::warm_measure;
 use gocc_optilock::{call_site, GoccRuntime, LockRef};
-use gocc_telemetry::{trace, JsonWriter};
+use gocc_telemetry::trace;
 use gocc_txds::TxCounter;
 use gocc_workloads::{Engine, Mode};
 
@@ -108,11 +109,18 @@ fn measure(config: Config, window: Duration) -> f64 {
     ns
 }
 
+/// A bad command line or override is a harness error: exit 1, never
+/// the gate's 4.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("trace_overhead: {msg}\nusage: trace_overhead [--window-ms N]");
+    std::process::exit(1);
+}
+
 fn gate_from_env(var: &str, default: f64) -> f64 {
     match std::env::var(var) {
         Ok(v) => v
             .parse()
-            .unwrap_or_else(|e| panic!("{var} must be a float: {e}")),
+            .unwrap_or_else(|e| usage_error(&format!("{var} must be a float: {e}"))),
         Err(_) => default,
     }
 }
@@ -122,14 +130,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--window-ms" => {
-                let v = args.next().expect("--window-ms needs a value");
-                window = Duration::from_millis(v.parse().expect("--window-ms: integer"));
-            }
-            other => {
-                eprintln!("unknown flag: {other}\nusage: trace_overhead [--window-ms N]");
-                std::process::exit(2);
-            }
+            "--window-ms" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(ms) => window = Duration::from_millis(ms),
+                None => usage_error("--window-ms needs a number"),
+            },
+            other => usage_error(&format!("unknown flag: {other}")),
         }
     }
     let gate_disabled = gate_from_env("TRACE_GATE_DISABLED_PCT", 5.0);
@@ -166,26 +171,6 @@ fn main() {
         );
     }
 
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("figure", "trace")
-        .field_u64("window_ms", window.as_millis() as u64)
-        .field_u64("repeats", REPEATS as u64)
-        .field_f64("gate_disabled_pct", gate_disabled)
-        .field_f64("gate_sampled_pct", gate_sampled)
-        .key("configs")
-        .begin_array();
-    for (i, &config) in CONFIGS.iter().enumerate() {
-        w.begin_object()
-            .field_str("name", config.name())
-            .field_u64("sample_n", config.sample_n())
-            .field_f64("ns_per_op", best[i])
-            .field_f64("overhead_pct", overhead_pct(best[i]))
-            .end_object();
-    }
-    w.end_array().end_object();
-    write_artifact("trace", &w.finish());
-
     let mut failed = false;
     for (config, pct, gate) in [
         (Config::Disabled, overhead_pct(best[1]), gate_disabled),
@@ -202,6 +187,6 @@ fn main() {
         }
     }
     if failed {
-        std::process::exit(1);
+        std::process::exit(4);
     }
 }

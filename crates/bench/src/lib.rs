@@ -8,10 +8,11 @@
 //! rows.
 //!
 //! Every measured GOCC point also captures the runtime's statistics
-//! ([`Measured`]), and each binary writes a machine-readable
+//! ([`Measured`]), and each reproduction binary writes a machine-readable
 //! `BENCH_<figure>.json` artifact next to the text output — ns/op,
 //! speedup percentages, commit ratios and abort-cause breakdowns — via
-//! [`write_bench_json`].
+//! [`write_bench_json`]. The two gate binaries, `hotpath` and
+//! `trace_overhead`, print their verdict and write nothing.
 //!
 //! A note on this reproduction's hardware: the container has **one** CPU,
 //! so "cores" are oversubscribed workers. Contention *shapes* (lock-word
@@ -373,52 +374,11 @@ pub fn write_bench_json(figure: &str, results: &[SweepResult]) {
     write_artifact(figure, &bench_json(figure, results));
 }
 
-/// Renders the common artifact header every `BENCH_*.json` carries: the
-/// bench name, the execution-mode list, the git revision and wall-clock
-/// budget the driving script exported (`BENCH_GIT_REV` / `BENCH_TIMEOUT`,
-/// `"unknown"` / 0 when run standalone).
-#[must_use]
-pub fn artifact_header(figure: &str) -> String {
-    let git_rev = std::env::var("BENCH_GIT_REV").unwrap_or_else(|_| "unknown".to_string());
-    let budget_secs = std::env::var("BENCH_TIMEOUT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0u64);
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("name", figure)
-        .key("modes")
-        .begin_array()
-        .string("lock")
-        .string("gocc")
-        .end_array()
-        .field_str("git_rev", &git_rev)
-        .field_u64("budget_secs", budget_secs)
-        .end_object();
-    w.finish()
-}
-
-/// Splices [`artifact_header`] into a rendered top-level JSON object as
-/// its first `"header"` field.
-#[must_use]
-pub fn with_header(figure: &str, json: &str) -> String {
-    let rest = json
-        .strip_prefix('{')
-        .unwrap_or_else(|| panic!("artifact {figure} is not a JSON object: {json:.40}"));
-    let header = artifact_header(figure);
-    if rest.trim_start().starts_with('}') {
-        format!("{{\"header\":{header}{rest}")
-    } else {
-        format!("{{\"header\":{header},{rest}")
-    }
-}
-
-/// Writes an already-rendered JSON document as `BENCH_<figure>.json`,
-/// splicing in the common `"header"` object first.
+/// Writes an already-rendered JSON document as `BENCH_<figure>.json` in
+/// the current directory. Only the paper's reproduction bins write one.
 pub fn write_artifact(figure: &str, json: &str) {
     let path = format!("BENCH_{figure}.json");
-    std::fs::write(&path, with_header(figure, json))
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
 }
 
@@ -525,21 +485,6 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-    }
-
-    #[test]
-    fn artifacts_carry_the_common_header() {
-        let json = with_header("test", r#"{"figure":"test"}"#);
-        let v = JsonValue::parse(&json).expect("headered artifact parses");
-        let h = v.get("header").unwrap();
-        assert_eq!(h.get("name").unwrap().as_str(), Some("test"));
-        let modes = h.get("modes").unwrap().as_array().unwrap();
-        assert_eq!(modes.len(), 2);
-        assert!(h.get("git_rev").unwrap().as_str().is_some());
-        assert!(h.get("budget_secs").unwrap().as_f64().is_some());
-        assert_eq!(v.get("figure").unwrap().as_str(), Some("test"));
-        let empty = with_header("e", "{}");
-        JsonValue::parse(&empty).expect("empty object splices cleanly");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! registers, and the cache itself is the read/write set. The first
 //! version of this engine paid a `HashMap` + `HashSet` + `Vec` heap
 //! allocation per attempt instead, which dominated every uncontended
-//! section (see `BENCH_hotpath.json`). This module replaces those with a
+//! section (the `hotpath` bin prints it). This module replaces those with a
 //! [`TxContext`]: one preallocated arena per OS thread, checked out by
 //! [`acquire`] at `Tx::fast` and returned by [`release`] at
 //! commit/rollback, so a steady-state section allocates nothing.

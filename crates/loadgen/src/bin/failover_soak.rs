@@ -49,8 +49,8 @@
 //!    return a state at or after the session's last acked write.
 //! 4. **Detection + promotion is bounded.** From SIGKILL to the first
 //!    replica reporting role=primary must be under `--detect-deadline-ms`;
-//!    `BENCH_failover.json` records detection, promotion and
-//!    write-unavailability separately, per mode.
+//!    the phase line prints detection, promotion and write-unavailability
+//!    separately, per mode.
 //! 5. **A deposed primary's stale epoch is fenced.** The killed primary
 //!    is restarted from its own data dir (it boots believing it is a
 //!    primary, at epoch 0). It must refuse writes (lease fencing: no
@@ -84,7 +84,7 @@ use gocc_loadgen::soak::{
 };
 use gocc_loadgen::{ClientConfig, ClusterClient, ResilientClient, Session};
 use gocc_server::{mode_name, Mode, ServerConfig, ServerState};
-use gocc_telemetry::{JsonValue, JsonWriter, SplitMix64};
+use gocc_telemetry::{JsonValue, SplitMix64};
 use gocc_wire::{decode_response, ReplRequest, Request, Response};
 
 const NAME: &str = "failover_soak";
@@ -501,23 +501,8 @@ fn monitor_failover(
     times
 }
 
-/// Everything the artifact wants from one mode's auto phase.
-struct AutoResult {
-    mode: Mode,
-    detection: Duration,
-    promotion: Duration,
-    unavailability: Duration,
-    epoch: u64,
-    suspicions: u64,
-    elections: u64,
-    stale_epoch_rejects: u64,
-    acked_keys: u64,
-    session_reads: u64,
-    behind_rotations: u64,
-}
-
 #[allow(clippy::too_many_lines)]
-fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<AutoResult> {
+fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     let pdir = TempDir::new(&format!("autofailover-primary-{}", mode_name(mode)));
     let r1dir = TempDir::new(&format!("autofailover-replica1-{}", mode_name(mode)));
     let r2dir = TempDir::new(&format!("autofailover-replica2-{}", mode_name(mode)));
@@ -684,8 +669,7 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<AutoResult
     }
 
     // No-acked-write-lost oracle against the self-elected primary.
-    let acked_keys = oracle.values().filter(|h| h.is_acked()).count() as u64;
-    if acked_keys == 0 {
+    if !oracle.values().any(|h| h.is_acked()) {
         return Err("no key ever got an acked write — the oracle verified nothing".into());
     }
     let mut wclient = ResilientClient::new(winner.port(), ClientConfig::default(), args.seed);
@@ -770,59 +754,19 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<AutoResult
 
     // Teardown.
     drop(rejoined);
-    let result = AutoResult {
-        mode,
-        detection: times.detection.expect("promotion implies detection"),
-        promotion: times.promotion.expect("checked at kill"),
-        unavailability,
-        epoch,
-        suspicions: s1.repl_suspicions() + s2.repl_suspicions(),
-        elections: s1.repl_elections() + s2.repl_elections(),
-        stale_epoch_rejects: s1.repl_stale_epoch_rejects() + s2.repl_stale_epoch_rejects(),
-        acked_keys,
-        session_reads,
-        behind_rotations: cluster.behind_rotations(),
-    };
+    let detection = times.detection.expect("promotion implies detection");
+    let promotion = times.promotion.expect("checked at kill");
+    let elections = s1.repl_elections() + s2.repl_elections();
+    let stale_epoch_rejects = s1.repl_stale_epoch_rejects() + s2.repl_stale_epoch_rejects();
     soak::stop(r1);
     soak::stop(r2);
     println!(
-        "auto_failover ({:<4})  OK  detection={:?} promotion={:?} unavailability={:?} \
-         epoch={} elections={} stale_epoch_rejects={} session_reads={}",
+        "auto_failover ({:<4})  OK  detection={detection:?} promotion={promotion:?} \
+         unavailability={unavailability:?} epoch={epoch} elections={elections} \
+         stale_epoch_rejects={stale_epoch_rejects} session_reads={session_reads}",
         mode_name(mode),
-        result.detection,
-        result.promotion,
-        result.unavailability,
-        result.epoch,
-        result.elections,
-        result.stale_epoch_rejects,
-        result.session_reads,
     );
-    Ok(result)
-}
-
-fn render_artifact(seed: u64, results: &[AutoResult]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_u64("seed", seed)
-        .key("results")
-        .begin_array();
-    for r in results {
-        w.begin_object()
-            .field_str("mode", mode_name(r.mode))
-            .field_f64("detection_ms", r.detection.as_secs_f64() * 1e3)
-            .field_f64("promotion_ms", r.promotion.as_secs_f64() * 1e3)
-            .field_f64("unavailability_ms", r.unavailability.as_secs_f64() * 1e3)
-            .field_u64("epoch", r.epoch)
-            .field_u64("suspicions", r.suspicions)
-            .field_u64("elections", r.elections)
-            .field_u64("stale_epoch_rejects", r.stale_epoch_rejects)
-            .field_u64("acked_keys", r.acked_keys)
-            .field_u64("session_reads", r.session_reads)
-            .field_u64("behind_rotations", r.behind_rotations)
-            .end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
+    Ok(())
 }
 
 // -------------------------------------------------------- fencing phase --
@@ -952,14 +896,12 @@ fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
 fn run(args: &Args) -> SoakResult<()> {
     let live = Liveness::start(NAME, args.stall_secs);
     let t0 = Instant::now();
-    let mut results = Vec::new();
     for mode in soak::modes(args.mode) {
         manual_phase(args, mode, &live)?;
-        results.push(auto_phase(args, mode, &live)?);
+        auto_phase(args, mode, &live)?;
         fencing_phase(args, mode, &live)?;
     }
     live.finish();
-    gocc_bench::write_artifact("failover", &render_artifact(args.seed, &results));
     println!(
         "failover_soak PASS  seed={} load_ops={} fault_rate={} {:?}",
         args.seed,

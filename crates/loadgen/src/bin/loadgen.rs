@@ -4,8 +4,8 @@
 //!
 //! * **Self-hosted sweep** (default): for each worker count in a
 //!   power-of-two sweep up to `--workers`, spawn a fresh in-process
-//!   `goccd` on an ephemeral loopback port per mode, drive it, capture
-//!   client and server metrics, and write `BENCH_server.json`.
+//!   `goccd` on an ephemeral loopback port per mode, drive it, and print
+//!   one row per point. Nothing is written to disk.
 //!
 //!   ```console
 //!   $ loadgen --mode both --workers 4
@@ -25,8 +25,8 @@ use std::time::Duration;
 
 use gocc_loadgen::soak::{self, spawn_node, violation, Flags, SoakResult};
 use gocc_loadgen::{
-    bench_server_json, fetch_stats, fetch_trace, run_point, send_shutdown, sweep_counts,
-    LoadConfig, ModeResult, SweepRow,
+    fetch_stats, fetch_trace, run_point, send_shutdown, sweep_counts, LoadConfig, ModeResult,
+    SweepRow,
 };
 use gocc_server::{mode_name, Mode, ServerConfig};
 use gocc_telemetry::JsonValue;
@@ -50,7 +50,6 @@ struct Args {
     /// the depth-proportional ops/sec between the two deepest depths;
     /// violation exits with code 4.
     pipeline_gate: Option<f64>,
-    out: Option<String>,
     server_workers: usize,
     shards: usize,
     capacity: usize,
@@ -66,15 +65,11 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         trace: None,
         pipeline: None,
         pipeline_gate: None,
-        out: None,
         server_workers: 2,
         shards: 4,
         capacity: 1 << 14,
         load: LoadConfig::default(),
     };
-    // `--out none` and no `--out` at all differ: only the latter falls
-    // back to the per-shape default below.
-    let mut out: Option<Option<String>> = None;
     Flags::new(NAME)
         .mode(&mut args.mode)
         .num("--workers", "N", &mut args.workers)
@@ -83,10 +78,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         .opt("--trace", "N", &mut args.trace)
         .opt("--pipeline", "N", &mut args.pipeline)
         .opt("--pipeline-gate", "X", &mut args.pipeline_gate)
-        .value("--out", "PATH|none", |v| {
-            out = Some((v != "none").then(|| v.to_string()));
-            Ok(())
-        })
         .num("--server-workers", "N", &mut args.server_workers)
         .num("--shards", "N", &mut args.shards)
         .num("--capacity", "N", &mut args.capacity)
@@ -110,9 +101,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     if args.pipeline_gate.is_some() && args.addr.is_some() {
         return Err("--pipeline-gate compares sweep depths; it conflicts with --addr".into());
     }
-    // Sweeps produce the artifact by default; smoke runs against an
-    // external server don't unless asked.
-    args.out = out.unwrap_or_else(|| args.addr.is_none().then(|| "BENCH_server.json".to_string()));
     Ok(args)
 }
 
@@ -201,18 +189,7 @@ fn run(args: &Args) -> SoakResult<()> {
         let mode = args.mode.expect("checked in parse_args");
         let mut load = args.load.clone();
         load.pipeline = depths[0];
-        let m = measure(port, mode, args.workers, &load)?;
-        print_row(mode, depths[0], &m);
-        let mut row = SweepRow {
-            workers: args.workers,
-            pipeline: depths[0],
-            ..SweepRow::default()
-        };
-        match mode {
-            Mode::Lock => row.lock = Some(m),
-            Mode::Gocc => row.gocc = Some(m),
-        }
-        rows.push(row);
+        print_row(mode, depths[0], &measure(port, mode, args.workers, &load)?);
         if let Some(max) = args.trace {
             // Drained before SHUTDOWN: TRACE against a dead server is
             // just a connection error.
@@ -271,13 +248,6 @@ fn run(args: &Args) -> SoakResult<()> {
                 rows.push(row);
             }
         }
-    }
-
-    if let Some(path) = &args.out {
-        let json =
-            gocc_bench::with_header("server", &bench_server_json(&args.load, &depths, &rows));
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
     }
 
     match args.pipeline_gate {

@@ -19,10 +19,11 @@
 //!    shed cost < 10 µs server-side, bounded per-worker queue depth, at
 //!    least one brownout escalation, zero executed-but-expired requests.
 //!
-//! Everything lands in `BENCH_overload.json`. Exit codes: 0 all gates
-//! pass, 1 setup/driver failure, 4 one or more overload gates violated
-//! (distinct so CI can tell a broken harness from a broken guarantee) —
-//! the mapping every harness shares, `soak::main`.
+//! Each gate's verdict is printed; the soak writes no file (the flight
+//! recorder's Chrome trace dump is drained and must parse, then dropped).
+//! Exit codes: 0 all gates pass, 1 setup/driver failure, 4 one or more
+//! overload gates violated (distinct so CI can tell a broken harness from
+//! a broken guarantee) — the mapping every harness shares, `soak::main`.
 //!
 //! ```console
 //! $ OVERLOAD_GATE_P99_MS=150 overload_soak --quick --seed 7
@@ -38,7 +39,7 @@ use gocc_loadgen::{
     fetch_health, run_open_loop, run_point, LoadConfig, OpenLoopConfig, OpenLoopResult,
 };
 use gocc_server::{mode_name, HealthState, Mode, ServerConfig, ServerSummary};
-use gocc_telemetry::{JsonValue, JsonWriter};
+use gocc_telemetry::JsonValue;
 use gocc_wire::{decode_response, encode_request_v2, Request, Response};
 
 const NAME: &str = "overload_soak";
@@ -57,7 +58,6 @@ struct Args {
     /// None = both modes.
     mode: Option<Mode>,
     quick: bool,
-    out: Option<String>,
     conns: usize,
     server_workers: usize,
     gate_p99_ms: f64,
@@ -70,7 +70,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         seed: 2026,
         mode: None,
         quick: false,
-        out: Some("BENCH_overload.json".to_string()),
         conns: 8,
         server_workers: 2,
         gate_p99_ms: soak::gate_env("OVERLOAD_GATE_P99_MS", 100.0)?,
@@ -79,7 +78,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         .seed(&mut args.seed)
         .mode(&mut args.mode)
         .switch("--quick", &mut args.quick)
-        .or_none("--out", "PATH|none", &mut args.out)
         .num("--conns", "N", &mut args.conns)
         .num("--server-workers", "N", &mut args.server_workers)
         .num("--gate-p99-ms", "F", &mut args.gate_p99_ms)
@@ -93,7 +91,7 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// One gate's verdict, reported in the artifact and on stderr.
+/// One gate's verdict, printed on stdout.
 struct Gate {
     name: &'static str,
     pass: bool,
@@ -190,16 +188,12 @@ fn deadline_probe(port: u16, key: &str) -> SoakResult<()> {
 }
 
 struct ModeOutcome {
-    mode: Mode,
     capacity_ops_per_sec: f64,
     open: OpenLoopResult,
     recovery_ms: u64,
     server: ServerOverload,
     summary: ServerSummary,
     gates: Vec<Gate>,
-    /// Chrome trace-event dump of the flight recorder's surviving spans,
-    /// drained after shutdown.
-    chrome_trace: String,
 }
 
 fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
@@ -290,7 +284,7 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
             break t0.elapsed().as_millis() as u64;
         }
         if t0.elapsed() > RECOVERY_GATE + Duration::from_secs(1) {
-            break u64::MAX; // recorded; the gate below fails loudly
+            break u64::MAX; // the gate below fails loudly
         }
         std::thread::sleep(Duration::from_millis(25));
     };
@@ -298,11 +292,12 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
     let state = handle.state_arc();
     let summary = soak::stop(handle);
     let server = parse_server_overload(&summary.stats_json)?;
-    let chrome_trace = state.chrome_trace_json();
-    JsonValue::parse(&chrome_trace)
+    // The flight recorder's surviving spans, drained after shutdown, must
+    // still render as a Chrome trace-event document.
+    JsonValue::parse(&state.chrome_trace_json())
         .map_err(|e| format!("chrome trace dump does not parse: {e}"))?;
 
-    // The gates, each verified from the artifact's own counters.
+    // The gates, each verified from the server's own counters.
     let p99_ns = open.latency.quantile(0.99);
     let gate_ns = (args.gate_p99_ms * 1e6) as u64;
     let shed_mean_ns = if server.shed_total > 0 {
@@ -379,86 +374,17 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
     ];
 
     Ok(ModeOutcome {
-        mode,
         capacity_ops_per_sec: capacity,
         open,
         recovery_ms,
         server,
         summary,
         gates,
-        chrome_trace,
     })
 }
 
-fn mode_json(w: &mut JsonWriter, m: &ModeOutcome) {
-    let o = &m.open;
-    let h = &o.latency;
-    w.begin_object()
-        .field_f64("capacity_ops_per_sec", m.capacity_ops_per_sec)
-        .field_f64("target_rate", o.target_rate)
-        .key("open_loop")
-        .begin_object()
-        .field_u64("offered", o.offered)
-        .field_u64("sent", o.sent)
-        .field_u64("completed", o.completed)
-        .field_u64("ok", o.ok)
-        .field_u64("overloaded", o.overloaded)
-        .field_u64("deadline_exceeded", o.deadline_exceeded)
-        .field_u64("server_errors", o.server_errors)
-        .field_u64("client_errors", o.client_errors)
-        .field_u64("dropped_inflight", o.dropped_inflight)
-        .field_f64("goodput_ops_per_sec", o.goodput())
-        .key("admitted_latency")
-        .begin_object()
-        .field_f64("mean_ns", h.mean())
-        .field_u64("p50_ns", h.quantile(0.5))
-        .field_u64("p99_ns", h.quantile(0.99))
-        .field_u64("max_ns", h.max)
-        .field_u64("samples", h.count)
-        .end_object()
-        .end_object()
-        .field_u64("recovery_ms", m.recovery_ms)
-        .field_u64("shed_total", m.server.shed_total)
-        .field_u64("deadline_misses", m.summary.deadline_misses)
-        .key("gates")
-        .begin_array();
-    for g in &m.gates {
-        w.begin_object()
-            .field_str("name", g.name)
-            .field_bool("pass", g.pass)
-            .field_str("detail", &g.detail)
-            .end_object();
-    }
-    w.end_array()
-        .field_raw("server_stats", &m.summary.stats_json)
-        .end_object();
-}
-
-fn artifact_json(args: &Args, outcomes: &[ModeOutcome]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("figure", "overload")
-        .key("config")
-        .begin_object()
-        .field_u64("seed", args.seed)
-        .field_bool("quick", args.quick)
-        .field_f64("gate_p99_ms", args.gate_p99_ms)
-        .field_u64("conns", args.conns as u64)
-        .field_u64("server_workers", args.server_workers as u64)
-        .field_f64("overload_factor", 2.0)
-        .end_object()
-        .key("modes")
-        .begin_object();
-    for m in outcomes {
-        w.key(mode_name(m.mode));
-        mode_json(&mut w, m);
-    }
-    w.end_object().end_object();
-    w.finish()
-}
-
 fn run(args: &Args) -> SoakResult<()> {
-    let mut outcomes = Vec::new();
+    let mut failed = 0;
     for mode in soak::modes(args.mode) {
         println!("== overload soak: {} mode ==", mode_name(mode));
         let m = soak_mode(args, mode)?;
@@ -480,26 +406,8 @@ fn run(args: &Args) -> SoakResult<()> {
                 g.detail
             );
         }
-        outcomes.push(m);
+        failed += m.gates.iter().filter(|g| !g.pass).count();
     }
-    if let Some(path) = &args.out {
-        let json = gocc_bench::with_header("overload", &artifact_json(args, &outcomes));
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-        // Each mode's flight-recorder dump rides along, loadable straight
-        // into chrome://tracing or Perfetto.
-        for m in &outcomes {
-            let trace_path = format!("TRACE_overload_{}.json", mode_name(m.mode));
-            std::fs::write(&trace_path, &m.chrome_trace)
-                .map_err(|e| format!("writing {trace_path}: {e}"))?;
-            println!("wrote {trace_path}");
-        }
-    }
-    let failed = outcomes
-        .iter()
-        .flat_map(|m| m.gates.iter())
-        .filter(|g| !g.pass)
-        .count();
     if failed > 0 {
         return Err(violation(format!("{failed} gate(s) violated")));
     }

@@ -12,9 +12,9 @@
 //! **A 1-CPU caveat**, same as the other benches (see EXPERIMENTS.md):
 //! this container gives every node the same single core, so replicas add
 //! *serving endpoints* but no compute — wall-clock scaling appears on
-//! real hardware, not here. The artifact still records the scaling ratio
-//! for machines that have cores to show it; the `--gate` bounds enforce
-//! what is meaningful on any box:
+//! real hardware, not here. The scaling ratio is still printed for
+//! machines that have cores to show it; the `--gate` bounds enforce what
+//! is meaningful on any box:
 //!
 //! * the **replication tax** — aggregate read throughput with two
 //!   replicas attached (and the primary streaming to them) must stay
@@ -27,12 +27,12 @@
 //! same topology as the 2-replica cell, but every client drives
 //! floor-carrying session reads (`GET_S` via [`ClusterClient`]) against
 //! a private [`Session`] it keeps fresh with periodic `SET_S` writes, so
-//! replicas genuinely answer `Behind` and force rotations. The artifact
-//! records session kops/s, the `Behind` rotation count and the tax as a
-//! ratio against the plain 2-replica read throughput (`ryw_tax_x`).
+//! replicas genuinely answer `Behind` and force rotations. Its row
+//! prints session kops/s, the `Behind` rotation count and the tax as a
+//! ratio against the plain 2-replica read throughput (`ryw_tax`).
 //!
-//! Emits `BENCH_replication.json` (common artifact header). Exit codes:
-//! 1 = harness error, 4 = an enforced gate failed.
+//! Writes no file. Exit codes: 1 = harness error, 4 = an enforced gate
+//! failed.
 //!
 //! ```console
 //! $ repl_bench --window-ms 300 --gate
@@ -47,7 +47,7 @@ use gocc_loadgen::soak::{
 };
 use gocc_loadgen::{ClientConfig, ClusterClient, Session};
 use gocc_server::{mode_name, Mode, ServerHandle};
-use gocc_telemetry::{JsonWriter, SplitMix64};
+use gocc_telemetry::SplitMix64;
 use gocc_wire::{decode_response, Request, Response};
 
 const NAME: &str = "repl_bench";
@@ -260,12 +260,6 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
 }
 
 fn run(args: &Args) -> SoakResult<()> {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_u64("clients", args.clients as u64)
-        .field_u64("window_ms", args.window.as_millis() as u64)
-        .field_u64("keys", KEYS);
-
     println!(
         "replication read throughput: {} closed-loop GET clients round-robined over \
          primary + replicas, {}ms window",
@@ -276,7 +270,6 @@ fn run(args: &Args) -> SoakResult<()> {
     for mode in [Mode::Lock, Mode::Gocc] {
         println!("  {}:", mode_name(mode));
         let mut plain_two_kops = 0.0;
-        w.key(mode_name(mode)).begin_array();
         for &replicas in &REPLICA_COUNTS {
             let mut best: Option<CellResult> = None;
             for _ in 0..args.repeats {
@@ -291,13 +284,6 @@ fn run(args: &Args) -> SoakResult<()> {
                 r.kops,
                 r.replica_share_pct()
             );
-            w.begin_object()
-                .field_u64("replicas", replicas as u64)
-                .field_f64("kops", r.kops)
-                .field_u64("primary_reads", r.primary_reads)
-                .field_u64("replica_reads", r.replica_reads)
-                .field_f64("replica_share_pct", r.replica_share_pct())
-                .end_object();
             if replicas == *REPLICA_COUNTS.last().expect("non-empty") {
                 plain_two_kops = r.kops;
             }
@@ -305,7 +291,6 @@ fn run(args: &Args) -> SoakResult<()> {
                 gocc_cells.push(r);
             }
         }
-        w.end_array();
 
         // Session-read cell: same 2-replica topology, floor-carrying
         // reads. The tax ratio compares against the plain cell above.
@@ -319,18 +304,11 @@ fn run(args: &Args) -> SoakResult<()> {
             "    session reads  {session_kops:>9.1} kops/s  ryw_tax={ryw_tax:.2}x \
              behind_rotations={behind}"
         );
-        w.key(&format!("{}_session", mode_name(mode)))
-            .begin_object()
-            .field_f64("kops", session_kops)
-            .field_f64("ryw_tax_x", ryw_tax)
-            .field_u64("behind_rotations", behind)
-            .field_u64("write_every", SESSION_WRITE_EVERY)
-            .end_object();
     }
 
     // Gates on the gocc cells (the paper's execution mode): bounded
     // replication tax and genuine read distribution. The raw scaling
-    // ratio is recorded for machines with cores to exercise it. The
+    // ratio is printed for machines with cores to exercise it. The
     // tax bound sits at ~2x the measured cost (0.67–0.76x across runs
     // on this one-core box); a real regression — replicas serializing
     // the primary — lands under 0.4x.
@@ -346,18 +324,6 @@ fn run(args: &Args) -> SoakResult<()> {
     let share = two.replica_share_pct();
     let scale_ok = scale_ratio >= scale_x;
     let share_ok = share >= share_pct;
-    w.key("gates")
-        .begin_object()
-        .field_bool("enforced", args.gate)
-        .field_f64("scale_ratio_2_replicas", scale_ratio)
-        .field_f64("scale_ratio_min", scale_x)
-        .field_bool("scale_ok", scale_ok)
-        .field_f64("replica_share_pct", share)
-        .field_f64("replica_share_min_pct", share_pct)
-        .field_bool("share_ok", share_ok)
-        .end_object()
-        .end_object();
-    gocc_bench::write_artifact("replication", &w.finish());
     println!(
         "gates (gocc): 2-replica/0-replica read throughput = {scale_ratio:.2}x \
          (need >= {scale_x:.2}x)  replica share = {share:.1}% (need >= {share_pct:.1}%)"

@@ -18,24 +18,24 @@
 //!   measures the *WAL tax on the service*: what `--wal-sync off`
 //!   costs relative to running with no `--data-dir` at all.
 //!
-//! Emits `BENCH_wal.json` (common artifact header) and, with `--gate`,
-//! enforces the durability subsystem's two acceptance bounds on the
-//! gocc-mode numbers, each at the level where it is meaningful. At the
-//! engine level group commit must *amortize*: at least
-//! [`GROUP_RECORDS_PER_FSYNC_MIN`] records behind each fsync under
-//! `group`, and no more than [`ALWAYS_RECORDS_PER_FSYNC_MAX`] under
-//! `always` (the floor it is compared against really is one fsync per
-//! record). Those are counts, so they hold whatever the disk's fsync
-//! speed is today; the group/always throughput ratio they produce is
-//! printed and recorded, not gated — on a shared disk it read 2.7–5.1×
-//! with the counts unmoved. At the service level a log that is never
-//! synced must stay a *batched* log: under `off` the syncer makes at most
-//! [`OFF_PER_RECORD_MAX`] `write(2)` calls and as many wake-ups per
-//! record (`Wal::writes` / `Wal::syncer_wakeups` over `Wal::appended`),
-//! the two things a record costs beyond its staging. Counts again: the
-//! throughput lost against the in-memory daemon is printed and recorded,
-//! not gated — it read −14 … +39 % at unchanged code. Exit codes: 1 =
-//! harness error, 4 = an enforced gate failed.
+//! Prints one row per cell and, with `--gate`, enforces the durability
+//! subsystem's two acceptance bounds on the gocc-mode numbers, each at
+//! the level where it is meaningful. At the engine level group commit
+//! must *amortize*: at least [`GROUP_RECORDS_PER_FSYNC_MIN`] records
+//! behind each fsync under `group`, and no more than
+//! [`ALWAYS_RECORDS_PER_FSYNC_MAX`] under `always` (the floor it is
+//! compared against really is one fsync per record). Those are counts,
+//! so they hold whatever the disk's fsync speed is today; the
+//! group/always throughput ratio they produce is printed, not gated — on
+//! a shared disk it read 2.7–5.1× with the counts unmoved. At the
+//! service level a log that is never synced must stay a *batched* log:
+//! under `off` the syncer makes at most [`OFF_PER_RECORD_MAX`] `write(2)`
+//! calls and as many wake-ups per record (`Wal::writes` /
+//! `Wal::syncer_wakeups` over `Wal::appended`), the two things a record
+//! costs beyond its staging. Counts again: the throughput lost against
+//! the in-memory daemon is printed, not gated — it read −14 … +39 % at
+//! unchanged code. Nothing is written to disk but the log under test.
+//! Exit codes: 1 = harness error, 4 = an enforced gate failed.
 //!
 //! ```console
 //! $ wal_bench --window-ms 400 --gate
@@ -50,7 +50,7 @@ use gocc_loadgen::soak::{
 };
 use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_server::{mode_name, BatchScratch, Mode, ServerConfig, ShardedStore, SyncPolicy};
-use gocc_telemetry::{JsonWriter, SplitMix64};
+use gocc_telemetry::SplitMix64;
 use gocc_wal::{Wal, WalBackend, WalConfig};
 use gocc_wire::{Request, Response};
 use gocc_workloads::Engine;
@@ -256,8 +256,8 @@ fn measure_service(
     }
 }
 
-/// Runs all four policies for one (level, mode) cell, prints the rows,
-/// writes them under `w`, and returns the four results in
+/// Runs all four policies for one (level, mode) cell, prints the rows
+/// and returns the four results in
 /// [baseline, off, group, always] order.
 ///
 /// With `repeats > 1` the whole policy loop runs that many times
@@ -266,7 +266,6 @@ fn measure_service(
 /// only ever slows a run down), so best-of-N converges on the true
 /// figure — the same reasoning as `trace_overhead`'s min-of-5.
 fn sweep(
-    w: &mut JsonWriter,
     args: &Args,
     dir: &Path,
     mode: Mode,
@@ -279,7 +278,6 @@ fn sweep(
         Some(SyncPolicy::Group),
         Some(SyncPolicy::Always),
     ];
-    w.key(mode_name(mode)).begin_object();
     println!("  {}:", mode_name(mode));
     let mut best: [Option<PolicyResult>; 4] = [None, None, None, None];
     for _ in 0..repeats {
@@ -302,17 +300,7 @@ fn sweep(
             r.log.writes,
             r.log.syncer_wakeups
         );
-        w.key(name)
-            .begin_object()
-            .field_f64("kops", r.kops)
-            .field_u64("fsyncs", r.log.fsyncs)
-            .field_u64("records", r.log.records)
-            .field_f64("records_per_fsync", r.log.records_per_fsync())
-            .field_u64("writes", r.log.writes)
-            .field_u64("syncer_wakeups", r.log.syncer_wakeups)
-            .end_object();
     }
-    w.end_object();
     best
 }
 
@@ -321,20 +309,13 @@ fn run(args: &Args) -> SoakResult<()> {
     // flatten exactly the amortization this bench exists to measure.
     let dir = TempDir::at(PathBuf::from(format!(".wal_bench-{}", std::process::id())));
 
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_u64("workers", args.workers as u64)
-        .field_u64("window_ms", args.window.as_millis() as u64);
-
     println!(
         "WAL engine throughput: {} closed-loop threads on execute_batch, {}ms window, SET",
         args.workers,
         args.window.as_millis()
     );
-    w.key("engine").begin_object();
-    sweep(&mut w, args, dir.path(), Mode::Lock, 1, measure_engine);
-    let [_, _, group, always] = sweep(&mut w, args, dir.path(), Mode::Gocc, 1, measure_engine);
-    w.end_object();
+    sweep(args, dir.path(), Mode::Lock, 1, measure_engine);
+    let [_, _, group, always] = sweep(args, dir.path(), Mode::Gocc, 1, measure_engine);
 
     println!(
         "WAL service throughput: goccd loopback, {} closed-loop clients, {}ms window, SET",
@@ -343,10 +324,8 @@ fn run(args: &Args) -> SoakResult<()> {
     );
     // Service runs are where box noise bites (sockets + scheduling on
     // top of everything else), so each cell is the best of three.
-    w.key("service").begin_object();
-    sweep(&mut w, args, dir.path(), Mode::Lock, 3, measure_service);
-    let [baseline, off, _, _] = sweep(&mut w, args, dir.path(), Mode::Gocc, 3, measure_service);
-    w.end_object();
+    sweep(args, dir.path(), Mode::Lock, 3, measure_service);
+    let [baseline, off, _, _] = sweep(args, dir.path(), Mode::Gocc, 3, measure_service);
 
     // Gates on the gocc numbers: the subsystem exists to make durability
     // cheap for the paper's execution mode. Amortization is an engine
@@ -372,29 +351,6 @@ fn run(args: &Args) -> SoakResult<()> {
     let off_writes = off.log.per_record(off.log.writes);
     let off_wakeups = off.log.per_record(off.log.syncer_wakeups);
     let off_ok = off_writes <= OFF_PER_RECORD_MAX && off_wakeups <= OFF_PER_RECORD_MAX;
-    w.key("gates")
-        .begin_object()
-        .field_bool("enforced", args.gate)
-        .field_f64("engine_group_over_always", group_ratio)
-        .field_f64("engine_group_records_per_fsync", group_rpf)
-        .field_f64(
-            "engine_group_records_per_fsync_min",
-            GROUP_RECORDS_PER_FSYNC_MIN,
-        )
-        .field_f64("engine_always_records_per_fsync", always_rpf)
-        .field_f64(
-            "engine_always_records_per_fsync_max",
-            ALWAYS_RECORDS_PER_FSYNC_MAX,
-        )
-        .field_bool("group_ok", group_ok)
-        .field_f64("service_off_loss_pct", off_loss_pct)
-        .field_f64("service_off_writes_per_record", off_writes)
-        .field_f64("service_off_wakeups_per_record", off_wakeups)
-        .field_f64("service_off_per_record_max", OFF_PER_RECORD_MAX)
-        .field_bool("off_ok", off_ok)
-        .end_object()
-        .end_object();
-    gocc_bench::write_artifact("wal", &w.finish());
     println!(
         "gates (gocc): engine records/fsync group = {group_rpf:.1} (need >= \
          {GROUP_RECORDS_PER_FSYNC_MIN:.1}) always = {always_rpf:.2} (allow <= \

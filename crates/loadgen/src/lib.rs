@@ -24,7 +24,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-use gocc_telemetry::{HistogramSnapshot, JsonValue, JsonWriter, LatencyHistogram, SplitMix64};
+use gocc_telemetry::{HistogramSnapshot, JsonValue, LatencyHistogram, SplitMix64};
 use gocc_wire::{decode_response, Request, Response};
 
 pub use cluster::{ClusterClient, Session};
@@ -98,15 +98,6 @@ pub struct PointResult {
     pub client_errors: u64,
     /// `Response::Error` frames received.
     pub server_errors: u64,
-    /// Connections re-established after I/O failures.
-    pub reconnects: u64,
-    /// Requests re-sent over a fresh connection (idempotent verbs only).
-    pub replays: u64,
-    /// `Response::Overloaded` frames received (server-side admission
-    /// shed — retriable, not an error).
-    pub sheds: u64,
-    /// `Response::DeadlineExceeded` frames received.
-    pub deadline_exceeded: u64,
 }
 
 impl PointResult {
@@ -114,16 +105,6 @@ impl PointResult {
     #[must_use]
     pub fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Mean wall-clock cost per operation per connection, the closed-loop
-    /// analog of the bench harness's ns/op.
-    #[must_use]
-    pub fn ns_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            return f64::INFINITY;
-        }
-        self.elapsed.as_nanos() as f64 * self.workers as f64 / self.ops as f64
     }
 }
 
@@ -137,10 +118,6 @@ struct PointTallies {
     ops: AtomicU64,
     client_errors: AtomicU64,
     server_errors: AtomicU64,
-    reconnects: AtomicU64,
-    replays: AtomicU64,
-    sheds: AtomicU64,
-    deadline_exceeded: AtomicU64,
 }
 
 /// Runs one closed-loop point against a live server.
@@ -183,10 +160,6 @@ pub fn run_point(port: u16, workers: usize, cfg: &LoadConfig) -> io::Result<Poin
         latency: hist.snapshot(),
         client_errors: tallies.client_errors.load(Ordering::SeqCst),
         server_errors: tallies.server_errors.load(Ordering::SeqCst),
-        reconnects: tallies.reconnects.load(Ordering::SeqCst),
-        replays: tallies.replays.load(Ordering::SeqCst),
-        sheds: tallies.sheds.load(Ordering::SeqCst),
-        deadline_exceeded: tallies.deadline_exceeded.load(Ordering::SeqCst),
     })
 }
 
@@ -284,13 +257,8 @@ fn drive_connection(
                 tallies.server_errors.fetch_add(1, Ordering::Relaxed);
             }
             // Overload-protection responses are valid answers to any data
-            // verb: count them, keep the loop running.
-            Ok(Response::Overloaded { .. }) => {
-                tallies.sheds.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Response::DeadlineExceeded) => {
-                tallies.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
+            // verb: keep the loop running.
+            Ok(Response::Overloaded { .. } | Response::DeadlineExceeded) => {}
             Ok(ref resp) if response_matches(&req, resp) => {}
             Ok(_) | Err(_) => {
                 // A mis-shaped response is a protocol bug, not chaos:
@@ -305,12 +273,6 @@ fn drive_connection(
         }
     }
     tallies.ops.fetch_add(local_ops, Ordering::SeqCst);
-    tallies
-        .reconnects
-        .fetch_add(client.reconnects(), Ordering::SeqCst);
-    tallies
-        .replays
-        .fetch_add(client.replays(), Ordering::SeqCst);
 }
 
 /// One outstanding pipelined request: everything needed to replay it over
@@ -453,8 +415,6 @@ fn drive_pipelined(
     let mut readbuf = [0u8; 16 * 1024];
     let mut keybuf = String::new();
     let mut local_ops = 0u64;
-    let mut local_reconnects = 0u64;
-    let mut local_replays = 0u64;
     let mut op_index = 0u64;
     let mut consecutive_failures = 0u32;
 
@@ -538,7 +498,6 @@ fn drive_pipelined(
         }
 
         if io_failed {
-            local_reconnects += 1;
             consecutive_failures += 1;
             if consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
                 tallies.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -559,7 +518,6 @@ fn drive_pipelined(
             for f in pending {
                 if f.op.idempotent() {
                     f.op.encode(&mut keybuf, &mut outbuf);
-                    local_replays += 1;
                     inflight.push_back(f);
                 } else {
                     tallies.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -577,10 +535,6 @@ fn drive_pipelined(
     }
 
     tallies.ops.fetch_add(local_ops, Ordering::SeqCst);
-    tallies
-        .reconnects
-        .fetch_add(local_reconnects, Ordering::SeqCst);
-    tallies.replays.fetch_add(local_replays, Ordering::SeqCst);
 }
 
 /// Decodes every complete frame in `framebuf`, matching FIFO against
@@ -612,12 +566,7 @@ fn match_pipe_frames(
             Response::Error { .. } => {
                 tallies.server_errors.fetch_add(1, Ordering::Relaxed);
             }
-            Response::Overloaded { .. } => {
-                tallies.sheds.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::DeadlineExceeded => {
-                tallies.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
+            Response::Overloaded { .. } | Response::DeadlineExceeded => {}
             ref r if f.op.matches(r) => {}
             _ => return Err(()),
         }
@@ -785,81 +734,6 @@ pub fn sweep_counts(max: usize) -> Vec<usize> {
     counts
 }
 
-fn mode_fields(w: &mut JsonWriter, m: &ModeResult) {
-    let p = &m.point;
-    let h = &p.latency;
-    w.begin_object()
-        .field_u64("ops", p.ops)
-        .field_f64("ops_per_sec", p.ops_per_sec())
-        .field_f64("ns_per_op", p.ns_per_op())
-        .field_u64("client_errors", p.client_errors)
-        .field_u64("server_errors", p.server_errors)
-        .field_u64("reconnects", p.reconnects)
-        .field_u64("replays", p.replays)
-        .field_u64("sheds", p.sheds)
-        .field_u64("deadline_exceeded", p.deadline_exceeded)
-        .key("latency")
-        .begin_object()
-        .field_f64("mean_ns", h.mean())
-        .field_u64("p50_ns", h.quantile(0.5))
-        .field_u64("p90_ns", h.quantile(0.9))
-        .field_u64("p99_ns", h.quantile(0.99))
-        .field_u64("max_ns", h.max)
-        .field_u64("samples", h.count)
-        .end_object()
-        .field_raw("server_stats", &m.stats_raw)
-        .end_object();
-}
-
-/// Renders the `BENCH_server.json` document (same artifact family as the
-/// figure benches: a `"figure"` tag, config echo, measured points).
-#[must_use]
-pub fn bench_server_json(cfg: &LoadConfig, pipeline_depths: &[usize], rows: &[SweepRow]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("figure", "server")
-        .key("config")
-        .begin_object()
-        .field_f64("read_frac", cfg.read_frac)
-        .field_f64("zipf_s", cfg.zipf_s)
-        .field_u64("keyspace", cfg.keyspace as u64)
-        .field_u64("scan_every", cfg.scan_every)
-        .field_u64("scan_limit", u64::from(cfg.scan_limit))
-        .field_u64("warmup_ms", cfg.warmup.as_millis() as u64)
-        .field_u64("window_ms", cfg.window.as_millis() as u64)
-        .field_u64("seed", cfg.seed);
-    w.key("pipeline_depths").begin_array();
-    for d in pipeline_depths {
-        w.u64(*d as u64);
-    }
-    w.end_array().end_object();
-    w.key("worker_counts").begin_array();
-    for r in rows {
-        w.u64(r.workers as u64);
-    }
-    w.end_array();
-    w.key("points").begin_array();
-    for r in rows {
-        w.begin_object()
-            .field_u64("workers", r.workers as u64)
-            .field_u64("pipeline", r.pipeline.max(1) as u64);
-        if let Some(l) = &r.lock {
-            w.key("lock");
-            mode_fields(&mut w, l);
-        }
-        if let Some(g) = &r.gocc {
-            w.key("gocc");
-            mode_fields(&mut w, g);
-        }
-        if let Some(s) = r.speedup_pct() {
-            w.field_f64("speedup_pct", s);
-        }
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,10 +751,6 @@ mod tests {
                 latency: hist.snapshot(),
                 client_errors: 0,
                 server_errors: 1,
-                reconnects: 3,
-                replays: 2,
-                sheds: 0,
-                deadline_exceeded: 0,
             },
             stats_raw: r#"{"server":"goccd","mode":"gocc","telemetry":null}"#.to_string(),
         }
@@ -910,44 +780,6 @@ mod tests {
             gocc: Some(fake_mode_result(1500, 1000)),
         };
         assert!(partial.speedup_pct().is_none());
-    }
-
-    #[test]
-    fn artifact_parses_and_nests_server_stats() {
-        let cfg = LoadConfig::default();
-        let rows = vec![SweepRow {
-            workers: 2,
-            pipeline: 8,
-            lock: Some(fake_mode_result(1000, 1000)),
-            gocc: Some(fake_mode_result(2000, 1000)),
-        }];
-        let json = bench_server_json(&cfg, &[1, 8], &rows);
-        let v = JsonValue::parse(&json).expect("artifact parses");
-        assert_eq!(v.get("figure").unwrap().as_str(), Some("server"));
-        let depths = v.get("config").unwrap().get("pipeline_depths").unwrap();
-        assert_eq!(depths.as_array().unwrap().len(), 2);
-        let p = &v.get("points").unwrap().as_array().unwrap()[0];
-        assert_eq!(p.get("pipeline").unwrap().as_f64(), Some(8.0));
-        assert!((p.get("speedup_pct").unwrap().as_f64().unwrap() - 100.0).abs() < 1e-6);
-        let gocc = p.get("gocc").unwrap();
-        assert_eq!(gocc.get("ops").unwrap().as_f64(), Some(2000.0));
-        assert_eq!(
-            gocc.get("server_stats")
-                .unwrap()
-                .get("server")
-                .unwrap()
-                .as_str(),
-            Some("goccd")
-        );
-        assert!(
-            gocc.get("latency")
-                .unwrap()
-                .get("p99_ns")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
     }
 
     #[test]

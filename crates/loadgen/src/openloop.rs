@@ -127,12 +127,6 @@ pub struct OpenLoopResult {
 }
 
 impl OpenLoopResult {
-    /// Completed-OK throughput over the measured window.
-    #[must_use]
-    pub fn goodput(&self) -> f64 {
-        self.ok as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
     /// Fraction of measured arrivals the server shed.
     #[must_use]
     pub fn shed_frac(&self) -> f64 {

@@ -27,7 +27,7 @@ struct Parsed {
     mode: Option<Mode>,
     rate: f64,
     hold: Duration,
-    out: Option<String>,
+    trace_out: Option<String>,
     quick: bool,
 }
 
@@ -37,7 +37,7 @@ fn parse(raw: &[&str]) -> Result<Parsed, String> {
         mode: Some(Mode::Gocc),
         rate: 0.5,
         hold: Duration::from_millis(250),
-        out: Some("BENCH_x.json".to_string()),
+        trace_out: Some("TRACE_x".to_string()),
         quick: false,
     };
     Flags::new("kit_test")
@@ -45,7 +45,7 @@ fn parse(raw: &[&str]) -> Result<Parsed, String> {
         .mode(&mut p.mode)
         .num("--rate", "F", &mut p.rate)
         .millis("--hold-ms", &mut p.hold)
-        .or_none("--out", "PATH|none", &mut p.out)
+        .or_none("--trace-out", "PREFIX|none", &mut p.trace_out)
         .switch("--quick", &mut p.quick)
         .parse(&strings(raw))?;
     Ok(p)
@@ -62,7 +62,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
         "0.25",
         "--hold-ms",
         "40",
-        "--out",
+        "--trace-out",
         "none",
         "--quick",
     ])
@@ -74,7 +74,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
             mode: None,
             rate: 0.25,
             hold: Duration::from_millis(40),
-            out: None,
+            trace_out: None,
             quick: true,
         }
     );
@@ -82,7 +82,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
     assert_eq!(parse(&[]).unwrap().seed, 2026, "defaults survive");
 
     let usage = "usage: kit_test [--seed N] [--mode lock|gocc|both] [--rate F] [--hold-ms N] \
-                 [--out PATH|none] [--quick]";
+                 [--trace-out PREFIX|none] [--quick]";
     assert_eq!(parse(&["--help"]).unwrap_err(), usage);
     assert_eq!(parse(&["-h"]).unwrap_err(), usage);
     assert_eq!(

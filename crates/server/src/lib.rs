@@ -264,8 +264,8 @@ pub struct ServerState {
     advertised: Mutex<String>,
     /// Replica-side apply counters for the STATS `repl` object.
     replica_stats: repl::ReplicaCounters,
-    /// Build identity echoed in the boot line and STATS header (the
-    /// `BENCH_GIT_REV` convention the bench artifacts already use).
+    /// Build identity echoed in the boot line and STATS header, from
+    /// `BENCH_GIT_REV`.
     git_rev: String,
     /// One per worker, by index, then the acceptor's, then repl-out's:
     /// what ends their idle wait when work arrives that no socket of

@@ -18,8 +18,8 @@
 //!   STATS; `Shedding` additionally rejects all writes, keeping only GETs
 //!   and the control plane.
 //! * **Shed accounting**: every rejection carries a [`ShedCause`] so the
-//!   STATS document and `BENCH_overload.json` can attribute load shedding
-//!   to its mechanism.
+//!   STATS document (and `overload_soak`, which reads it) can attribute
+//!   load shedding to its mechanism.
 //!
 //! The controller is deliberately cheap on the admit path: the state is
 //! one `AtomicU8` load, and the EWMAs behind the mutex are touched only

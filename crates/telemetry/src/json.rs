@@ -1,10 +1,10 @@
 //! A hand-rolled JSON emitter and a small parser.
 //!
-//! The workspace is offline (no serde); telemetry reports and the
-//! `BENCH_*.json` artifacts are written through [`JsonWriter`], which
-//! preserves insertion order so output is byte-stable for golden tests,
-//! and read back through [`JsonValue::parse`] in round-trip tests and any
-//! downstream tooling that wants to consume the artifacts in-tree.
+//! The workspace is offline (no serde); telemetry reports, STATS and
+//! TRACE documents and the figure bins' `BENCH_<figure>.json` are written
+//! through [`JsonWriter`], which preserves insertion order so output is
+//! byte-stable for golden tests, and read back through
+//! [`JsonValue::parse`] in round-trip tests and by the in-tree clients.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
