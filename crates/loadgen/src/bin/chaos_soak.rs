@@ -43,7 +43,7 @@ use gocc_optilock::{
 };
 use gocc_server::{mode_name, Mode, ServerConfig};
 use gocc_telemetry::{JsonValue, SplitMix64};
-use gocc_wire::{decode_response, FaultyStream, Request, Response};
+use gocc_wire::{FaultyStream, Request, Response};
 use gocc_workloads::gocache::Cache;
 use gocc_workloads::Engine;
 
@@ -474,82 +474,59 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> 
             ClientConfig::chaos(),
             args.seed ^ (t as u64 + 1).wrapping_mul(0xA076_1D64),
         );
-        let io = |e: std::io::Error| format!("client {t}: {e}");
         let value_of = |i: u64| (t as u64).wrapping_mul(1_000_003) + i * 7;
-        // Pipelined seeding: SETs go out in bursts of 8 and
-        // the whole burst replays on an I/O fault (idempotent
-        // verbs only, so batch replay stays safe under chaos).
-        const BATCH: u64 = 8;
-        let mut resps: Vec<Vec<u8>> = Vec::new();
-        let mut start = 0u64;
-        while start < args.net_keys {
-            let end = (start + BATCH).min(args.net_keys);
-            let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
-            let reqs: Vec<Request<'_>> = keys
-                .iter()
-                .zip(start..end)
-                .map(|(key, i)| Request::Set {
-                    key: key.as_bytes(),
-                    value: value_of(i),
-                    ttl: 0,
-                })
-                .collect();
-            client.call_pipelined(&reqs, &mut resps).map_err(io)?;
-            for (body, key) in resps.iter().zip(&keys) {
-                if decode_response(body).map_err(|e| format!("client {t}: {e}"))? != Response::Done
-                {
-                    return Err(violation(format!("client {t}: SET {key} not acknowledged")));
-                }
-            }
-            live.beat();
-            start = end;
-        }
-        // Verify phase, also pipelined: each key's DEL (every
-        // fifth) rides in the same burst as its GET; FIFO
-        // order on one connection keeps them serialized.
-        let mut start = 0u64;
-        while start < args.net_keys {
-            let end = (start + BATCH).min(args.net_keys);
-            let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
-            let mut reqs: Vec<Request<'_>> = Vec::new();
-            let mut expect: Vec<Option<Response<'_>>> = Vec::new();
-            for (key, i) in keys.iter().zip(start..end) {
-                let deleted = i % 5 == 4;
-                if deleted {
-                    reqs.push(Request::Del {
-                        key: key.as_bytes(),
-                    });
-                    expect.push(None); // any Deleted shape is fine
-                }
-                reqs.push(Request::Get {
-                    key: key.as_bytes(),
-                });
-                expect.push(Some(Response::Value {
-                    found: !deleted,
-                    value: if deleted { 0 } else { value_of(i) },
-                }));
-            }
-            client.call_pipelined(&reqs, &mut resps).map_err(io)?;
-            for (body, want) in resps.iter().zip(&expect) {
-                let got = decode_response(body).map_err(|e| format!("client {t}: {e}"))?;
-                match want {
-                    None => {
-                        if !matches!(got, Response::Deleted { .. }) {
-                            return Err(violation(format!("client {t}: DEL answered {got:?}")));
-                        }
+        // Pipelined bursts over 8 keys at a time: first each key's SET,
+        // then each key's GET, with a DEL (every fifth key) ahead of it in
+        // the same burst — FIFO order on one connection keeps them
+        // serialized. Every answer must be the expected one (`None`: any
+        // DEL answer). After an I/O fault the pipe re-sends the burst's
+        // unanswered requests (idempotent verbs only, so replay stays safe
+        // under chaos).
+        const BATCH: usize = 8;
+        for verify in [false, true] {
+            for start in (0..args.net_keys).step_by(BATCH) {
+                let end = (start + BATCH as u64).min(args.net_keys);
+                let keys: Vec<String> = (start..end).map(|i| format!("c{t}-{i}")).collect();
+                let (mut reqs, mut expect) = (Vec::new(), Vec::new());
+                for (key, i) in keys.iter().map(String::as_bytes).zip(start..end) {
+                    let deleted = verify && i % 5 == 4;
+                    if deleted {
+                        reqs.push(Request::Del { key });
+                        expect.push(None);
                     }
-                    Some(want) => {
-                        if got != *want {
-                            return Err(violation(format!(
-                                "client {t}: key diverged under transport \
-                                 faults: got {got:?}, want {want:?}"
-                            )));
-                        }
+                    if verify {
+                        reqs.push(Request::Get { key });
+                        expect.push(Some(Response::Value {
+                            found: !deleted,
+                            value: if deleted { 0 } else { value_of(i) },
+                        }));
+                    } else {
+                        let value = value_of(i);
+                        reqs.push(Request::Set { key, value, ttl: 0 });
+                        expect.push(Some(Response::Done));
                     }
                 }
+                let mut wrong = None;
+                let mut at = 0;
+                client
+                    .call_each(&reqs, |got| {
+                        let fits = match &expect[at] {
+                            None => matches!(got, Response::Deleted { .. }),
+                            Some(want) => got == *want,
+                        };
+                        if !fits && wrong.is_none() {
+                            wrong = Some(format!("{:?} answered {got:?}", reqs[at]));
+                        }
+                        at += 1;
+                    })
+                    .map_err(|e| format!("client {t}: {e}"))?;
+                if let Some(what) = wrong {
+                    return Err(violation(format!(
+                        "client {t}: key diverged under transport faults: {what}"
+                    )));
+                }
+                live.beat();
             }
-            live.beat();
-            start = end;
         }
         Ok((client.reconnects(), client.replays()))
     });
@@ -561,13 +538,10 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> 
 
     // STATS must stay serveable under faults (replay-safe verb).
     let mut control = ResilientClient::new(port, ClientConfig::chaos(), args.seed ^ 0x57A7);
-    let mut resp = Vec::new();
-    control
-        .call(&Request::Stats, &mut resp)
+    let stats = control
+        .call(&Request::Stats)
         .map_err(|e| format!("STATS under faults: {e}"))?;
-    let Response::Stats { json } =
-        decode_response(&resp).map_err(|e| format!("bad stats response: {e}"))?
-    else {
+    let Response::Stats { json } = stats else {
         return Err("STATS returned a non-stats response".into());
     };
     let doc = JsonValue::parse(json).map_err(|e| format!("STATS JSON must parse: {e}"))?;

@@ -35,6 +35,7 @@
 //! $ crash_soak --seed 2026 --mode both --sim-runs 6 --kill-cycles 2
 //! ```
 
+use std::net::TcpStream;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,14 +44,13 @@ use std::time::{Duration, Instant};
 
 use gocc_faultplane::{StorageFaultPlan, StorageMix};
 use gocc_loadgen::soak::{
-    self, check_oracle, issue_op, violation, Conn, Daemon, Flags, Liveness, Oracle, SoakResult,
-    TempDir,
+    self, check_oracle, issue_op, violation, Daemon, Flags, Liveness, Oracle, SoakResult, TempDir,
 };
 use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_server::{mode_name, BatchScratch, Mode, ShardedStore};
 use gocc_telemetry::{JsonValue, SplitMix64};
 use gocc_wal::{SyncPolicy, Wal, WalBackend, WalConfig};
-use gocc_wire::{Request, Response};
+use gocc_wire::{Pipe, Request, Response};
 use gocc_workloads::Engine;
 
 const NAME: &str = "crash_soak";
@@ -276,18 +276,11 @@ fn verify_recovery(
     dir: &Path,
     oracle: &mut Oracle,
     after: &str,
-) -> SoakResult<(Daemon, Conn)> {
+) -> SoakResult<(Daemon, Pipe<TcpStream>)> {
     let daemon = spawn_goccd(bin, mode, dir, None)?;
-    let mut client = Conn::connect(daemon.port())?;
+    let mut client = soak::connect(daemon.port())?;
     let whence = format!("recovered after {after} ({})", mode_name(mode));
-    check_oracle(oracle, &whence, true, |key| {
-        match client.call(&Request::Get {
-            key: key.as_bytes(),
-        })? {
-            Response::Value { found, value } => Ok(found.then_some(value)),
-            other => Err(format!("GET after {after}: {other:?}")),
-        }
-    })?;
+    check_oracle(oracle, &whence, true, |key| get(&mut client, key))?;
     // The recovery counters must be visible to operators, not only to
     // this harness.
     let Response::Stats { json } = client.call(&Request::Stats)? else {
@@ -314,8 +307,18 @@ fn verify_recovery(
     Ok((daemon, client))
 }
 
-fn shutdown_daemon(mut daemon: Daemon, client: &mut Conn) -> Result<(), String> {
-    match client.call(&Request::Shutdown)? {
+fn get(client: &mut Pipe<TcpStream>, key: &str) -> Result<Option<u64>, String> {
+    let get = Request::Get {
+        key: key.as_bytes(),
+    };
+    match client.call(&get).map_err(|e| format!("GET {key}: {e}"))? {
+        Response::Value { found, value } => Ok(found.then_some(value)),
+        other => Err(format!("GET {key} answered {other:?}")),
+    }
+}
+
+fn shutdown_daemon(mut daemon: Daemon, client: &mut Pipe<TcpStream>) -> Result<(), String> {
+    match client.call(&Request::Shutdown).map_err(|e| e.to_string())? {
         Response::Bye => {}
         other => return Err(format!("SHUTDOWN answered {other:?}")),
     }
@@ -336,7 +339,7 @@ fn phase2_kill(args: &Args, bin: &str, mode: Mode, live: &Liveness) -> SoakResul
     for cycle in 0..args.kill_cycles {
         let fault_seed = args.seed.wrapping_add(cycle).wrapping_mul(0x2545_F491);
         let mut daemon = spawn_goccd(bin, mode, dir, Some((fault_seed, args.crash_rate)))?;
-        let mut client = Conn::connect(daemon.port())?;
+        let mut client = soak::connect(daemon.port())?;
         let mut died = false;
         for _ in 0..args.cycle_ops {
             let key = format!("bk-{}", rng.below(24));
@@ -400,14 +403,9 @@ fn phase2_kill(args: &Args, bin: &str, mode: Mode, live: &Liveness) -> SoakResul
     }
     shutdown_daemon(daemon, &mut client)?;
     let daemon = spawn_goccd(bin, mode, dir, None)?;
-    let mut client = Conn::connect(daemon.port())?;
+    let mut client = soak::connect(daemon.port())?;
     for (key, hist) in &oracle {
-        let got = match client.call(&Request::Get {
-            key: key.as_bytes(),
-        })? {
-            Response::Value { found, value } => found.then_some(value),
-            other => return Err(format!("final GET: {other:?}").into()),
-        };
+        let got = get(&mut client, key)?;
         if got != hist.current() {
             return Err(violation(format!(
                 "mode {}: graceful restart diverged on {key}: got {got:?}, want {:?}",

@@ -79,13 +79,13 @@ use std::time::{Duration, Instant};
 
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
 use gocc_loadgen::soak::{
-    self, call_once, check_oracle, get_value, issue_op, repl_call, repl_stats, spawn_node,
-    version_sum, violation, Daemon, Flags, KeyHist, Liveness, Oracle, SoakResult, TempDir,
+    self, check_oracle, get_value, issue_op, repl_call, repl_stats, spawn_node, version_sum,
+    violation, Daemon, Flags, KeyHist, Liveness, Oracle, SoakResult, TempDir,
 };
 use gocc_loadgen::{ClientConfig, ClusterClient, ResilientClient, Session};
 use gocc_server::{mode_name, Mode, ServerConfig, ServerState};
 use gocc_telemetry::{JsonValue, SplitMix64};
-use gocc_wire::{decode_response, ReplRequest, Request, Response};
+use gocc_wire::{ReplRequest, Request, Response};
 
 const NAME: &str = "failover_soak";
 
@@ -181,19 +181,15 @@ fn repl_u64(repl: &JsonValue, field: &str) -> u64 {
     repl.get(field).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64
 }
 
-/// Whether a write's response acknowledges it. Fenced, timed-out and
-/// shed answers are honest non-acks; anything else positive is an ack.
-fn acked(sent: std::io::Result<()>, resp: &[u8]) -> Result<bool, String> {
-    if sent.is_err() {
-        return Ok(false);
-    }
-    match decode_response(resp) {
-        Ok(Response::Error { .. })
-        | Ok(Response::Overloaded { .. })
-        | Ok(Response::DeadlineExceeded) => Ok(false),
-        Ok(_) => Ok(true),
-        Err(e) => Err(format!("mis-framed write response: {e}")),
-    }
+/// Whether a write's answer acknowledges it. A failed call and fenced,
+/// timed-out and shed answers are honest non-acks; anything else is an
+/// ack.
+fn acked(answer: std::io::Result<Response<'_>>) -> bool {
+    !matches!(
+        answer,
+        Err(_)
+            | Ok(Response::Error { .. } | Response::Overloaded { .. } | Response::DeadlineExceeded)
+    )
 }
 
 // --------------------------------------------------------- manual phase --
@@ -232,19 +228,16 @@ fn manual_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
             s.spawn(move || {
                 let mut cluster = ClusterClient::new(ports, ClientConfig::chaos(), seed);
                 let mut rng = SplitMix64::new(seed);
-                let mut resp = Vec::new();
                 let mut keybuf = String::new();
                 while !stop.load(Ordering::Relaxed) {
                     use std::fmt::Write as _;
                     keybuf.clear();
                     let _ = write!(keybuf, "fk-{}", rng.below(64));
-                    match cluster.read(
-                        &Request::Get {
-                            key: keybuf.as_bytes(),
-                        },
-                        &mut resp,
-                    ) {
-                        Ok(()) => {
+                    let get = Request::Get {
+                        key: keybuf.as_bytes(),
+                    };
+                    match cluster.read(&get) {
+                        Ok(_) => {
                             tallies.ok.fetch_add(1, Ordering::Relaxed);
                             if outage.load(Ordering::Relaxed) {
                                 tallies.during_outage.fetch_add(1, Ordering::Relaxed);
@@ -270,7 +263,6 @@ fn manual_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
             let mut recovery: Option<Duration> = None;
             let mut new_primary_port: Option<u16> = None;
             let mut fault_evidence = 0u64;
-            let mut resp = Vec::new();
 
             for i in 0..args.load_ops {
                 live.beat();
@@ -320,7 +312,7 @@ fn manual_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
                 let key = format!("fk-{}", rng.below(args.keys));
                 let hist = oracle.entry(key.clone()).or_default();
                 let req = issue_op(&mut rng, &key, hist, false);
-                if acked(cluster.write(&req, &mut resp), &resp)? {
+                if acked(cluster.write(&req)) {
                     hist.ack_last();
                     if let (Some(t0), None) = (t_kill, recovery) {
                         recovery = Some(t0.elapsed());
@@ -388,12 +380,11 @@ fn manual_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     // writes on the new primary must appear on the repointed replica
     // within the convergence deadline.
     let mut rng = SplitMix64::new(args.seed ^ 0xC0_4E_56_E9);
-    let mut resp = Vec::new();
     for i in 0..64u64 {
         let key = format!("fk-{}", i % args.keys);
         let hist = oracle.entry(key.clone()).or_default();
         let req = issue_op(&mut rng, &key, hist, false);
-        if !acked(client.call_no_replay(&req, &mut resp), &resp)? {
+        if !acked(client.call(&req)) {
             return Err(format!("post-failover write on {key} was not acked").into());
         }
         hist.ack_last();
@@ -536,10 +527,8 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
         value: 1,
         ttl: 0,
     };
-    let mut resp = Vec::new();
     let unfenced = live.wait_for(Duration::from_secs(10), || {
-        Ok(probe.call(&boot_probe, &mut resp).is_ok()
-            && matches!(decode_response(&resp), Ok(Response::Done)))
+        Ok(matches!(probe.call(&boot_probe), Ok(Response::Done)))
     })?;
     if !unfenced {
         return Err("primary never unfenced (replicas did not subscribe)".into());
@@ -590,7 +579,7 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
         let key = format!("ak-{}", rng.below(args.keys));
         let hist = oracle.entry(key.clone()).or_default();
         let req = issue_op(&mut rng, &key, hist, false);
-        if acked(cluster.write(&req, &mut resp), &resp)? {
+        if acked(cluster.write(&req)) {
             hist.ack_last();
             if let (Some(t0), None) = (t_kill, unavailability) {
                 unavailability = Some(t0.elapsed());
@@ -603,29 +592,23 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
             let skey = format!("ryw-{}", i % 8);
             let shist = session_hist.entry(skey.clone()).or_default();
             shist.issue(Some(i));
-            let ok = cluster
-                .write_session(&mut session, skey.as_bytes(), i, 0, &mut resp)
-                .is_ok();
-            if ok && matches!(decode_response(&resp), Ok(Response::DoneAt { .. })) {
+            let written = cluster.write_session(&mut session, skey.as_bytes(), i, 0);
+            if matches!(written, Ok(Response::DoneAt { .. })) {
                 shist.ack_last();
             }
             // A session read may fail outright only while no node is
             // reachable; with two live replicas serving floor-checked
             // reads this must not happen.
-            if cluster
-                .read_session(&session, skey.as_bytes(), &mut resp)
-                .is_err()
-            {
-                return Err(violation(format!(
-                    "session read of {skey} found no endpoint satisfying the floor (op {i})"
-                )));
-            }
-            session_reads += 1;
-            let got = match decode_response(&resp) {
+            let got = match cluster.read_session(&session, skey.as_bytes()) {
                 Ok(Response::Value { found, value }) => found.then_some(value),
                 Ok(other) => return Err(format!("session read answered {other:?}").into()),
-                Err(e) => return Err(format!("mis-framed session read: {e}").into()),
+                Err(_) => {
+                    return Err(violation(format!(
+                        "session read of {skey} found no endpoint satisfying the floor (op {i})"
+                    )))
+                }
             };
+            session_reads += 1;
             if !shist.admits(got) {
                 return Err(violation(format!(
                     "read-your-writes violated on {skey}: got {got:?}, {shist} (op {i})"
@@ -682,15 +665,12 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     // believing it is a primary at epoch 0.
     let rejoined = spawn_primary(args, mode, pdir.path())?;
     // Lease fencing half: no live subscribers, so it must refuse writes.
-    let resp = call_once(
-        rejoined.port(),
-        &Request::Set {
-            key: b"poison",
-            value: 666,
-            ttl: 0,
-        },
-    )?;
-    match decode_response(&resp).map_err(|e| format!("decode rejoin probe: {e}"))? {
+    let poison = Request::Set {
+        key: b"poison",
+        value: 666,
+        ttl: 0,
+    };
+    match soak::connect(rejoined.port())?.call(&poison)? {
         Response::Error { .. } => {}
         other => {
             return Err(violation(format!(
@@ -730,16 +710,12 @@ fn auto_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
         },
     )
     .map_err(|e| format!("repoint loser at winner: {e}"))?;
-    let mut resp = Vec::new();
     wclient
-        .call(
-            &Request::Set {
-                key: b"rejoin-sentinel",
-                value: 4242,
-                ttl: 0,
-            },
-            &mut resp,
-        )
+        .call(&Request::Set {
+            key: b"rejoin-sentinel",
+            value: 4242,
+            ttl: 0,
+        })
         .map_err(|e| format!("sentinel write: {e}"))?;
     let mut lclient = ResilientClient::new(loser.port(), ClientConfig::default(), args.seed);
     let reconverged = live.wait_for(args.converge_deadline, || {
@@ -790,18 +766,15 @@ fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
     let mut client = ResilientClient::new(pport, ClientConfig::default(), args.seed ^ 0xFE);
 
     let fenced_now = |client: &mut ResilientClient| -> Result<bool, String> {
-        let mut resp = Vec::new();
-        client
-            .call(
-                &Request::Set {
-                    key: b"fence-probe",
-                    value: 7,
-                    ttl: 0,
-                },
-                &mut resp,
-            )
-            .map_err(|e| format!("fence probe: {e}"))?;
-        match decode_response(&resp).map_err(|e| format!("decode: {e}"))? {
+        let probe = Request::Set {
+            key: b"fence-probe",
+            value: 7,
+            ttl: 0,
+        };
+        match client
+            .call(&probe)
+            .map_err(|e| format!("fence probe: {e}"))?
+        {
             Response::Error { message } if message.contains("fenced") => Ok(true),
             Response::Done => Ok(false),
             other => Err(format!("fence probe answered {other:?}")),
@@ -823,16 +796,12 @@ fn fencing_phase(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> {
         ));
     }
     for i in 0..50u64 {
-        let mut resp = Vec::new();
         client
-            .call(
-                &Request::Set {
-                    key: format!("fz-{}", i % 8).as_bytes(),
-                    value: i,
-                    ttl: 0,
-                },
-                &mut resp,
-            )
+            .call(&Request::Set {
+                key: format!("fz-{}", i % 8).as_bytes(),
+                value: i,
+                ttl: 0,
+            })
             .map_err(|e| format!("steady write: {e}"))?;
         live.beat();
     }

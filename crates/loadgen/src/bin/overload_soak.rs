@@ -40,7 +40,7 @@ use gocc_loadgen::{
 };
 use gocc_server::{mode_name, HealthState, Mode, ServerConfig, ServerSummary};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{decode_response, encode_request_v2, Request, Response};
+use gocc_wire::{Request, Response};
 
 const NAME: &str = "overload_soak";
 
@@ -155,30 +155,22 @@ fn parse_server_overload(stats_json: &str) -> Result<ServerOverload, String> {
 /// a zero deadline budget must come back `DeadlineExceeded`, and the key
 /// must not exist afterwards.
 fn deadline_probe(port: u16, key: &str) -> SoakResult<()> {
-    let call = |req: &Request<'_>, deadline: Option<u32>| -> Result<Vec<u8>, String> {
-        let mut wire = Vec::new();
-        encode_request_v2(req, deadline, &mut wire);
-        soak::round_trip(port, &wire).map_err(|e| format!("deadline probe: {e}"))
+    let mut conn = soak::connect(port)?;
+    let set = Request::Set {
+        key: key.as_bytes(),
+        value: 0xDEAD,
+        ttl: 0,
     };
-    let resp = call(
-        &Request::Set {
-            key: key.as_bytes(),
-            value: 0xDEAD,
-            ttl: 0,
-        },
-        Some(0),
-    )?;
-    match decode_response(&resp).map_err(|e| e.to_string())? {
+    conn.submit(&set, Some(0));
+    conn.wait()?;
+    match conn.answer()?.ok_or("no answer")?.1 {
         Response::DeadlineExceeded => {}
         other => return Err(violation(format!("zero-budget SET answered {other:?}"))),
     }
-    let resp = call(
-        &Request::Get {
-            key: key.as_bytes(),
-        },
-        None,
-    )?;
-    match decode_response(&resp).map_err(|e| e.to_string())? {
+    let get = Request::Get {
+        key: key.as_bytes(),
+    };
+    match conn.call(&get)? {
         Response::Value { found: false, .. } => Ok(()),
         Response::Value { found: true, .. } => {
             Err(violation("expired SET was executed against the engine"))

@@ -43,12 +43,12 @@ use std::time::{Duration, Instant};
 
 use gocc_loadgen::soak::{
     self, closed_loop, gate_env, primary_config, repl_stats, replica_config, spawn_node,
-    version_sum, violation, Conn, Flags, SoakResult,
+    version_sum, violation, Flags, SoakResult,
 };
 use gocc_loadgen::{ClientConfig, ClusterClient, Session};
 use gocc_server::{mode_name, Mode, ServerHandle};
 use gocc_telemetry::SplitMix64;
-use gocc_wire::{decode_response, Request, Response};
+use gocc_wire::{Request, Response};
 
 const NAME: &str = "repl_bench";
 const KEYS: u64 = 2048;
@@ -135,18 +135,19 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
     // Preload every key, then wait for the replicas to catch up to the
     // primary's replicated version so the measurement reads warm copies.
     {
-        let mut conn = Conn::connect(ports[0])?;
+        let mut conn = soak::connect(ports[0])?;
         let mut rng = SplitMix64::new(0xBE4C);
         let mut keybuf = String::new();
         for k in 0..KEYS {
             use std::fmt::Write as _;
             keybuf.clear();
             let _ = write!(keybuf, "k{k}");
-            let resp = conn.call(&Request::Set {
+            let set = Request::Set {
                 key: keybuf.as_bytes(),
                 value: rng.next_u64() >> 1,
                 ttl: 0,
-            })?;
+            };
+            let resp = conn.call(&set).map_err(|e| format!("preload: {e}"))?;
             if resp != Response::Done {
                 return Err(format!("preload SET answered {resp:?}"));
             }
@@ -167,18 +168,17 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
 
     let per_client = closed_loop(args.clients, args.window, |t, meter| {
         let endpoint = t % ports.len();
-        let mut conn = Conn::connect(ports[endpoint]).expect("connect endpoint");
+        let mut conn = soak::connect(ports[endpoint]).expect("connect endpoint");
         let mut rng = SplitMix64::new(0x6E7 ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9));
         let mut keybuf = String::new();
         while meter.running() {
             use std::fmt::Write as _;
             keybuf.clear();
             let _ = write!(keybuf, "k{}", rng.below(KEYS));
-            let got = conn
-                .call(&Request::Get {
-                    key: keybuf.as_bytes(),
-                })
-                .expect("GET");
+            let get = Request::Get {
+                key: keybuf.as_bytes(),
+            };
+            let got = conn.call(&get).expect("GET");
             assert!(
                 matches!(got, Response::Value { found: true, .. }),
                 "warm key missing: {got:?}"
@@ -217,7 +217,6 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
         let mut cluster = ClusterClient::new(&ports, ClientConfig::default(), seed);
         let mut session = Session::new();
         let mut rng = SplitMix64::new(seed ^ 0x5E55);
-        let mut resp = Vec::new();
         let mut keybuf = String::new();
         let seed_key = |keybuf: &mut String, k: u64| {
             use std::fmt::Write as _;
@@ -227,7 +226,7 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
         for k in 0..SESSION_KEYS {
             seed_key(&mut keybuf, k);
             cluster
-                .write_session(&mut session, keybuf.as_bytes(), k, 0, &mut resp)
+                .write_session(&mut session, keybuf.as_bytes(), k, 0)
                 .expect("seed session write");
         }
         let mut op = 0u64;
@@ -236,14 +235,13 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
             seed_key(&mut keybuf, rng.below(SESSION_KEYS));
             if op % SESSION_WRITE_EVERY == 0 {
                 cluster
-                    .write_session(&mut session, keybuf.as_bytes(), op, 0, &mut resp)
+                    .write_session(&mut session, keybuf.as_bytes(), op, 0)
                     .expect("session refresh write");
                 continue;
             }
-            cluster
-                .read_session(&session, keybuf.as_bytes(), &mut resp)
+            let got = cluster
+                .read_session(&session, keybuf.as_bytes())
                 .expect("session read");
-            let got = decode_response(&resp).expect("decode session read");
             assert!(
                 matches!(got, Response::Value { found: true, .. }),
                 "session read answered {got:?}"

@@ -45,9 +45,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use gocc_loadgen::soak::{
-    self, closed_loop, spawn_node, violation, Conn, Flags, SoakResult, TempDir,
-};
+use gocc_loadgen::soak::{self, closed_loop, spawn_node, violation, Flags, SoakResult, TempDir};
 use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_server::{mode_name, BatchScratch, Mode, ServerConfig, ShardedStore, SyncPolicy};
 use gocc_telemetry::SplitMix64;
@@ -230,18 +228,18 @@ fn measure_service(
     let port = handle.port();
     let clients = closed_loop(args.workers, args.window, |t, meter| {
         let mut rng = SplitMix64::new(0x5EED ^ (t as u64 + 1).wrapping_mul(0x9E37));
-        let mut conn = Conn::connect(port).expect("connect");
+        let mut conn = soak::connect(port).expect("connect");
         let mut keybuf = String::new();
         while meter.running() {
             use std::fmt::Write as _;
             keybuf.clear();
             let _ = write!(keybuf, "k{}", rng.below(KEYS));
-            let resp = conn.call(&Request::Set {
+            let set = Request::Set {
                 key: keybuf.as_bytes(),
                 value: rng.next_u64() >> 1,
                 ttl: 0,
-            });
-            assert_eq!(resp, Ok(Response::Done));
+            };
+            assert_eq!(conn.call(&set).expect("SET"), Response::Done);
             meter.done();
         }
     });

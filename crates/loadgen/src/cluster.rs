@@ -10,7 +10,8 @@
 //!   client treats a dead endpoint like any other failed attempt and
 //!   rotates to the next known node, so it converges on the promoted
 //!   replica as soon as promotion lands, without any out-of-band
-//!   coordination.
+//!   coordination. Only a write whose verb may be replayed goes on to
+//!   the next node after its answer was lost; a lost INCR fails the call.
 //! * **Reads may go anywhere.** Replicas serve GET/SCAN/STATS from
 //!   their version-checked copy, so reads round-robin across the whole
 //!   endpoint set and keep succeeding while the primary is down — that
@@ -24,9 +25,9 @@ use std::io;
 use std::time::Duration;
 
 use gocc_telemetry::SplitMix64;
-use gocc_wire::{decode_response, Request, Response};
+use gocc_wire::{decode_response, encode_response, Request, Response};
 
-use crate::resilient::{ClientConfig, ResilientClient};
+use crate::resilient::{is_lost, ClientConfig, ResilientClient};
 
 /// Total write attempts (across redirects, rotations and replays) before
 /// a write call reports failure to the caller.
@@ -74,18 +75,6 @@ impl Session {
     pub fn floor(&self, key: &[u8]) -> u64 {
         self.tokens.get(key).map_or(0, |&(_, v)| v)
     }
-
-    /// Number of keys this session holds tokens for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether the session holds no tokens.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
 }
 
 struct Endpoint {
@@ -111,6 +100,8 @@ pub struct ClusterClient {
     /// `Behind` answers session reads rotated past (replica lag made
     /// visible — the price and the proof of read-your-writes).
     behind_rotations: u64,
+    /// The last answer returned, as a frame (see [`keep`]).
+    answer: Vec<u8>,
 }
 
 impl ClusterClient {
@@ -120,30 +111,22 @@ impl ClusterClient {
     #[must_use]
     pub fn new(ports: &[u16], cfg: ClientConfig, seed: u64) -> Self {
         assert!(!ports.is_empty(), "a cluster needs at least one endpoint");
-        let endpoints = ports
-            .iter()
-            .enumerate()
-            .map(|(i, &port)| Endpoint {
-                port,
-                client: ResilientClient::new(
-                    port,
-                    cfg.clone(),
-                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                reads: 0,
-            })
-            .collect();
-        ClusterClient {
+        let mut cluster = ClusterClient {
             cfg,
             seed,
-            endpoints,
+            endpoints: Vec::new(),
             primary: 0,
             rr: 0,
             rng: SplitMix64::new(seed ^ 0xC1_05_7E_12),
             redirects: 0,
             rotations: 0,
             behind_rotations: 0,
+            answer: Vec::new(),
+        };
+        for &port in ports {
+            cluster.index_of(port);
         }
+        cluster
     }
 
     /// The port currently believed to host the primary.
@@ -181,7 +164,7 @@ impl ClusterClient {
         if let Some(i) = self.endpoints.iter().position(|e| e.port == port) {
             return i;
         }
-        // A hint named a node we did not know about: adopt it.
+        // A node we did not know about (a hint named it): adopt it.
         let i = self.endpoints.len();
         self.endpoints.push(Endpoint {
             port,
@@ -197,14 +180,14 @@ impl ClusterClient {
 
     /// Sends a write to the believed primary, following `NotPrimary`
     /// hints and rotating past dead endpoints, up to a bounded number of
-    /// attempts. On `Ok` the response body is in `resp` and came from a
-    /// node that accepted the write (it may still be a server `Error`,
-    /// e.g. a fenced primary — the caller decides what that means).
+    /// attempts. On `Ok` the answer came from a node that accepted the
+    /// write (it may still be a server `Error`, e.g. a fenced primary —
+    /// the caller decides what that means).
     ///
-    /// Replay safety is the caller's contract exactly as with
-    /// [`ResilientClient`]: route INCR through a fresh key history or
-    /// accept ambiguity.
-    pub fn write(&mut self, req: &Request<'_>, resp: &mut Vec<u8>) -> io::Result<()> {
+    /// A write whose verb must not be replayed (INCR) and whose answer was
+    /// lost is never sent to another endpoint: it fails at once with an
+    /// error [`is_lost`] recognises, since it may already have applied.
+    pub fn write(&mut self, req: &Request<'_>) -> io::Result<Response<'_>> {
         let mut last: Option<io::Error> = None;
         for attempt in 0..WRITE_ATTEMPTS {
             if attempt > 0 {
@@ -213,32 +196,31 @@ impl ClusterClient {
                 std::thread::sleep(Duration::from_millis(1 + self.rng.below(4)));
             }
             let i = self.primary;
-            match self.endpoints[i].client.call_no_replay(req, resp) {
-                Ok(()) => {
-                    let hint_port = match decode_response(resp) {
-                        Ok(Response::NotPrimary { hint }) => {
-                            Some(hint.rsplit(':').next().and_then(|p| p.parse::<u16>().ok()))
-                        }
-                        _ => None,
-                    };
-                    match hint_port {
-                        None => return Ok(()), // any non-redirect answer
-                        Some(Some(port)) if port != self.endpoints[i].port => {
-                            self.primary = self.index_of(port);
-                            self.redirects += 1;
-                        }
-                        Some(_) => {
-                            // Empty, unparsable or self-referential hint:
-                            // the node knows no better primary. Rotate.
-                            self.primary = (i + 1) % self.endpoints.len();
-                            self.rotations += 1;
-                        }
-                    }
+            let redirect = match self.endpoints[i].client.call(req) {
+                Ok(Response::NotPrimary { hint }) => {
+                    hint.rsplit(':').next().and_then(|p| p.parse::<u16>().ok())
                 }
+                Ok(resp) => {
+                    keep(&mut self.answer, &resp);
+                    return Ok(self.kept());
+                }
+                Err(e) if is_lost(&e) => return Err(e),
                 Err(e) => {
+                    last = Some(e);
+                    None
+                }
+            };
+            match redirect {
+                Some(port) if port != self.endpoints[i].port => {
+                    self.primary = self.index_of(port);
+                    self.redirects += 1;
+                }
+                _ => {
+                    // A dead endpoint, or an empty, unparsable or
+                    // self-referential hint: the node knows no better
+                    // primary. Rotate.
                     self.primary = (i + 1) % self.endpoints.len();
                     self.rotations += 1;
-                    last = Some(e);
                 }
             }
         }
@@ -253,29 +235,16 @@ impl ClusterClient {
     /// Sends a read to the next endpoint in round-robin order, trying
     /// every endpoint once before giving up. Replicas and primaries both
     /// serve reads, so this succeeds as long as *any* node is alive.
-    pub fn read(&mut self, req: &Request<'_>, resp: &mut Vec<u8>) -> io::Result<()> {
-        let n = self.endpoints.len();
-        let mut last: Option<io::Error> = None;
-        for _ in 0..n {
-            let i = self.rr % n;
-            self.rr = self.rr.wrapping_add(1);
-            match self.endpoints[i].client.call(req, resp) {
-                Ok(()) => {
-                    self.endpoints[i].reads += 1;
-                    return Ok(());
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| io::Error::other("cluster has no endpoints")))
+    pub fn read(&mut self, req: &Request<'_>) -> io::Result<Response<'_>> {
+        self.read_rounds(req, 1)
     }
 
     /// A session write: `SET_S` through the primary-finding write path,
     /// recording the returned `(shard, version)` token in `session` so
     /// later session reads of the same key carry the floor.
     ///
-    /// `Ok` with a non-`DoneAt` body (a fenced primary's `Error`, say)
-    /// records nothing; the caller inspects `resp` exactly as with
+    /// `Ok` with a non-`DoneAt` answer (a fenced primary's `Error`, say)
+    /// records nothing; the caller inspects it exactly as with
     /// [`ClusterClient::write`].
     pub fn write_session(
         &mut self,
@@ -283,13 +252,12 @@ impl ClusterClient {
         key: &[u8],
         value: u64,
         ttl: u64,
-        resp: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        self.write(&Request::SetS { key, value, ttl }, resp)?;
-        if let Ok(Response::DoneAt { shard, version }) = decode_response(resp) {
+    ) -> io::Result<Response<'_>> {
+        let resp = self.write(&Request::SetS { key, value, ttl })?;
+        if let Response::DoneAt { shard, version } = resp {
             session.note(key, shard, version);
         }
-        Ok(())
+        Ok(resp)
     }
 
     /// A session read: `GET_S` carrying the session's floor for `key`,
@@ -298,19 +266,21 @@ impl ClusterClient {
     /// more reason to rotate. Bounded at [`READ_ROUNDS`] full passes:
     /// the primary always satisfies floors it acknowledged, so under any
     /// live cluster this converges long before the budget runs out.
-    pub fn read_session(
-        &mut self,
-        session: &Session,
-        key: &[u8],
-        resp: &mut Vec<u8>,
-    ) -> io::Result<()> {
+    pub fn read_session(&mut self, session: &Session, key: &[u8]) -> io::Result<Response<'_>> {
         let req = Request::GetS {
             key,
             min_version: session.floor(key),
         };
+        self.read_rounds(&req, READ_ROUNDS)
+    }
+
+    /// Round-robins `req` over every endpoint for `rounds` full passes,
+    /// rotating past dead endpoints and `Behind` answers, pausing between
+    /// passes.
+    fn read_rounds(&mut self, req: &Request<'_>, rounds: usize) -> io::Result<Response<'_>> {
         let n = self.endpoints.len();
         let mut last: Option<io::Error> = None;
-        for attempt in 0..n * READ_ROUNDS {
+        for attempt in 0..n * rounds {
             if attempt > 0 && attempt % n == 0 {
                 // A full pass of Behind/dead answers: give replication
                 // a beat to catch up instead of spinning.
@@ -318,14 +288,12 @@ impl ClusterClient {
             }
             let i = self.rr % n;
             self.rr = self.rr.wrapping_add(1);
-            match self.endpoints[i].client.call(&req, resp) {
-                Ok(()) => {
-                    if matches!(decode_response(resp), Ok(Response::Behind { .. })) {
-                        self.behind_rotations += 1;
-                        continue;
-                    }
+            match self.endpoints[i].client.call(req) {
+                Ok(Response::Behind { .. }) => self.behind_rotations += 1,
+                Ok(resp) => {
+                    keep(&mut self.answer, &resp);
                     self.endpoints[i].reads += 1;
-                    return Ok(());
+                    return Ok(self.kept());
                 }
                 Err(e) => last = Some(e),
             }
@@ -337,62 +305,61 @@ impl ClusterClient {
             )
         }))
     }
+
+    /// The answer [`keep`] stored, decoded.
+    fn kept(&self) -> Response<'_> {
+        decode_response(&self.answer[4..]).expect("a re-encoded answer decodes")
+    }
+}
+
+/// Stores `resp` as a frame in `answer`, so it outlives the endpoint call
+/// that produced it.
+fn keep(answer: &mut Vec<u8>, resp: &Response<'_>) {
+    answer.clear();
+    encode_response(resp, answer);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocc_wire::{encode_response, read_frame, Response};
-    use std::io::Write as _;
+    use gocc_wire::decode_request_any;
+    use std::io::{Read as _, Write as _};
     use std::net::{Ipv4Addr, TcpListener};
 
-    /// A one-shot server loop answering every request with `make(port)`.
-    fn answering_server(
-        total: usize,
-        make: impl Fn() -> Vec<u8> + Send + 'static,
-    ) -> (u16, std::thread::JoinHandle<()>) {
+    /// A server answering every request on its one connection with
+    /// `resp`. The client sends one frame and waits for its answer, so
+    /// each read is one request.
+    fn answering_server(resp: &Response<'_>) -> (u16, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let port = listener.local_addr().unwrap().port();
+        let mut frame = Vec::new();
+        keep(&mut frame, resp);
         let handle = std::thread::spawn(move || {
-            for _ in 0..total {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut body = Vec::new();
-                while read_frame(&mut s, &mut body).unwrap_or(false) {
-                    s.write_all(&make()).unwrap();
-                }
+            let (mut s, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            while matches!(s.read(&mut buf), Ok(n) if n > 0) {
+                s.write_all(&frame).unwrap();
             }
         });
         (port, handle)
     }
 
-    fn done_frame() -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_response(&Response::Done, &mut out);
-        out
-    }
-
     #[test]
     fn writes_follow_the_redirect_hint() {
-        let (primary_port, primary) = answering_server(1, done_frame);
+        let (primary_port, primary) = answering_server(&Response::Done);
         let hint = format!("127.0.0.1:{primary_port}");
-        let (replica_port, replica) = answering_server(1, move || {
-            let mut out = Vec::new();
-            encode_response(&Response::NotPrimary { hint: &hint }, &mut out);
-            out
-        });
+        let (replica_port, replica) = answering_server(&Response::NotPrimary { hint: &hint });
         // The client starts believing the replica is the primary.
         let mut c = ClusterClient::new(&[replica_port], ClientConfig::chaos(), 7);
-        let mut resp = Vec::new();
-        c.write(
-            &Request::Set {
-                key: b"k",
-                value: 1,
-                ttl: 0,
-            },
-            &mut resp,
-        )
-        .expect("redirect must land on the real primary");
-        assert_eq!(decode_response(&resp).unwrap(), Response::Done);
+        let resp = c.write(&Request::Set {
+            key: b"k",
+            value: 1,
+            ttl: 0,
+        });
+        assert_eq!(
+            resp.expect("redirect must land on the real primary"),
+            Response::Done
+        );
         assert_eq!(c.redirects(), 1);
         assert_eq!(c.primary_port(), primary_port, "hint endpoint adopted");
         drop(c); // close the client connections so the server loops exit
@@ -408,19 +375,17 @@ mod tests {
             .local_addr()
             .unwrap()
             .port();
-        let (live, server) = answering_server(1, done_frame);
+        let (live, server) = answering_server(&Response::Done);
         let mut c = ClusterClient::new(&[dead, live], ClientConfig::chaos(), 8);
-        let mut resp = Vec::new();
-        c.write(
-            &Request::Set {
-                key: b"k",
-                value: 2,
-                ttl: 0,
-            },
-            &mut resp,
-        )
-        .expect("rotation must find the live node");
-        assert_eq!(decode_response(&resp).unwrap(), Response::Done);
+        let resp = c.write(&Request::Set {
+            key: b"k",
+            value: 2,
+            ttl: 0,
+        });
+        assert_eq!(
+            resp.expect("rotation must find the live node"),
+            Response::Done
+        );
         assert!(c.rotations() >= 1, "the corpse cost at least one rotation");
         assert_eq!(c.primary_port(), live);
         drop(c);
@@ -428,33 +393,52 @@ mod tests {
     }
 
     #[test]
-    fn reads_round_robin_across_endpoints() {
-        let (a, sa) = answering_server(1, || {
-            let mut out = Vec::new();
-            encode_response(
-                &Response::Value {
-                    found: true,
-                    value: 1,
-                },
-                &mut out,
-            );
-            out
+    fn a_lost_incr_is_not_sent_to_the_next_endpoint() {
+        // Endpoint A reads one INCR frame and hangs up, listener and all:
+        // the increment may have applied. Endpoint B must never be asked.
+        let a = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let a_port = a.local_addr().unwrap().port();
+        let a_side = std::thread::spawn(move || {
+            let (mut s, _) = a.accept().unwrap();
+            let mut buf = [0u8; 256];
+            let n = s.read(&mut buf).unwrap();
+            let frame = decode_request_any(&buf[4..n]).expect("one whole frame");
+            assert!(matches!(frame.req, Request::Incr { .. }), "{frame:?}");
         });
-        let (b, sb) = answering_server(1, || {
-            let mut out = Vec::new();
-            encode_response(
-                &Response::Value {
-                    found: true,
-                    value: 2,
-                },
-                &mut out,
-            );
-            out
+        let b = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        b.set_nonblocking(true).unwrap();
+        let b_port = b.local_addr().unwrap().port();
+
+        let mut c = ClusterClient::new(&[a_port, b_port], ClientConfig::chaos(), 14);
+        let err = c
+            .write(&Request::Incr {
+                key: b"ctr",
+                delta: 1,
+            })
+            .expect_err("the INCR's fate is unknown");
+        assert!(is_lost(&err), "the loss must be reported as such: {err}");
+        a_side.join().unwrap();
+        assert_eq!(
+            b.accept().map(|_| ()).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "endpoint B was sent the lost INCR"
+        );
+        assert_eq!(c.primary_port(), a_port, "no rotation after the loss");
+    }
+
+    #[test]
+    fn reads_round_robin_across_endpoints() {
+        let (a, sa) = answering_server(&Response::Value {
+            found: true,
+            value: 1,
+        });
+        let (b, sb) = answering_server(&Response::Value {
+            found: true,
+            value: 2,
         });
         let mut c = ClusterClient::new(&[a, b], ClientConfig::chaos(), 9);
-        let mut resp = Vec::new();
         for _ in 0..6 {
-            c.read(&Request::Get { key: b"k" }, &mut resp).unwrap();
+            c.read(&Request::Get { key: b"k" }).unwrap();
         }
         let reads = c.reads_by_endpoint();
         assert_eq!(reads.len(), 2);
@@ -478,16 +462,12 @@ mod tests {
         };
         let (a, b) = (dead(1), dead(2));
         let mut c = ClusterClient::new(&[a, b], ClientConfig::chaos(), 11);
-        let mut resp = Vec::new();
         let err = c
-            .write(
-                &Request::Set {
-                    key: b"k",
-                    value: 3,
-                    ttl: 0,
-                },
-                &mut resp,
-            )
+            .write(&Request::Set {
+                key: b"k",
+                value: 3,
+                ttl: 0,
+            })
             .expect_err("a fully dead cluster must surface an error");
         assert_ne!(err.kind(), std::io::ErrorKind::Other, "a real I/O error");
         assert!(
@@ -503,27 +483,15 @@ mod tests {
         // the winner's port (the announce repointed it); the winner
         // answers DoneAt. The client must follow the redirect and pocket
         // the session token from the node that actually took the write.
-        let (new_primary_port, new_primary) = answering_server(1, || {
-            let mut out = Vec::new();
-            encode_response(
-                &Response::DoneAt {
-                    shard: 3,
-                    version: 17,
-                },
-                &mut out,
-            );
-            out
+        let (new_primary_port, new_primary) = answering_server(&Response::DoneAt {
+            shard: 3,
+            version: 17,
         });
         let hint = format!("127.0.0.1:{new_primary_port}");
-        let (old_port, old_primary) = answering_server(1, move || {
-            let mut out = Vec::new();
-            encode_response(&Response::NotPrimary { hint: &hint }, &mut out);
-            out
-        });
+        let (old_port, old_primary) = answering_server(&Response::NotPrimary { hint: &hint });
         let mut c = ClusterClient::new(&[old_port], ClientConfig::chaos(), 12);
         let mut session = Session::new();
-        let mut resp = Vec::new();
-        c.write_session(&mut session, b"k", 9, 0, &mut resp)
+        c.write_session(&mut session, b"k", 9, 0)
             .expect("the redirect must land on the new primary");
         assert_eq!(c.redirects(), 1);
         assert_eq!(c.primary_port(), new_primary_port);
@@ -538,32 +506,19 @@ mod tests {
         // Endpoint A is a lagging replica: every session read answers
         // Behind. Endpoint B is caught up. The session read must rotate
         // off A and return B's value, counting the Behind rotation.
-        let (lagging, sa) = answering_server(1, || {
-            let mut out = Vec::new();
-            encode_response(&Response::Behind { version: 2 }, &mut out);
-            out
-        });
-        let (caught_up, sb) = answering_server(1, || {
-            let mut out = Vec::new();
-            encode_response(
-                &Response::Value {
-                    found: true,
-                    value: 42,
-                },
-                &mut out,
-            );
-            out
+        let (lagging, sa) = answering_server(&Response::Behind { version: 2 });
+        let (caught_up, sb) = answering_server(&Response::Value {
+            found: true,
+            value: 42,
         });
         let mut c = ClusterClient::new(&[lagging, caught_up], ClientConfig::chaos(), 13);
         let mut session = Session::new();
         session.note(b"k", 0, 5);
-        let mut resp = Vec::new();
         // Several reads: whichever endpoint round-robin starts on, every
         // read must end at the caught-up node.
         for _ in 0..4 {
-            c.read_session(&session, b"k", &mut resp).unwrap();
             assert_eq!(
-                decode_response(&resp).unwrap(),
+                c.read_session(&session, b"k").unwrap(),
                 Response::Value {
                     found: true,
                     value: 42

@@ -1,8 +1,9 @@
 //! Closed-loop load generation for `goccd`.
 //!
 //! The generator opens `workers` connections, each driven by one thread in
-//! a closed loop (send one request, wait for its response, repeat), with a
-//! configurable read/write mix over a Zipf-skewed key population. After a
+//! a closed loop (keep a window of requests in flight, one by default, and
+//! send the next as each answer arrives), with a configurable read/write
+//! mix over a Zipf-skewed key population. After a
 //! warmup phase, operations completed inside the measurement window are
 //! counted and their request→response latency recorded in the shared
 //! log2 histogram from `gocc-telemetry` — the same bucketing the runtime
@@ -20,17 +21,20 @@ pub mod resilient;
 pub mod soak;
 pub mod zipf;
 
+use std::collections::VecDeque;
 use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::{HistogramSnapshot, JsonValue, LatencyHistogram, SplitMix64};
-use gocc_wire::{decode_response, Request, Response};
+use gocc_wire::{Pipe, Request, Response, Ticket};
 
 pub use cluster::{ClusterClient, Session};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopResult};
 pub use resilient::{
-    connect_with_retry, BreakerConfig, BreakerState, CircuitBreaker, ClientConfig, ResilientClient,
+    connect_with_retry, is_lost, BreakerConfig, BreakerState, CircuitBreaker, ClientConfig,
+    ResilientClient,
 };
 use zipf::Zipf;
 
@@ -132,17 +136,7 @@ pub fn run_point(port: u16, workers: usize, cfg: &LoadConfig) -> io::Result<Poin
         for w in 0..workers {
             let (zipf, phase, tallies, hist) = (&zipf, &phase, &tallies, &hist);
             let seed = cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                // Depth 1 keeps the original one-at-a-time driver byte for
-                // byte — unpipelined results stay comparable across
-                // versions of the pipelined driver.
-                if cfg.pipeline > 1 {
-                    drive_pipelined(port, &cfg, zipf, seed, phase, tallies, hist);
-                } else {
-                    drive_connection(port, &cfg, zipf, seed, phase, tallies, hist);
-                }
-            });
+            s.spawn(move || drive_window(port, cfg, zipf, seed, phase, tallies, hist));
         }
         std::thread::sleep(cfg.warmup);
         phase.store(PHASE_MEASURE, Ordering::SeqCst);
@@ -163,226 +157,49 @@ pub fn run_point(port: u16, workers: usize, cfg: &LoadConfig) -> io::Result<Poin
     })
 }
 
-/// Whether a response is the right shape for the request that elicited it.
-fn response_matches(req: &Request<'_>, resp: &Response<'_>) -> bool {
-    matches!(
-        (req, resp),
-        (Request::Get { .. }, Response::Value { .. })
-            | (Request::Set { .. }, Response::Done)
-            | (Request::Del { .. }, Response::Deleted { .. })
-            | (Request::Incr { .. }, Response::Counter { .. })
-            | (Request::Scan { .. }, Response::Entries { .. })
-            | (Request::Stats, Response::Stats { .. })
-            | (Request::Trace { .. }, Response::Trace { .. })
-            | (Request::Flush, Response::Flushed { .. })
-            | (Request::Shutdown, Response::Bye)
-    )
-}
-
-/// Give up on a connection whose failures exhaust retries this many times
-/// in a row — the server is gone, not merely faulty.
+/// Give up on a connection whose failures come this many times in a row
+/// with no answer between them — the server is gone, not merely faulty.
 const MAX_CONSECUTIVE_FAILURES: u32 = 5;
 
-fn drive_connection(
-    port: u16,
-    cfg: &LoadConfig,
+/// Draws the next workload request into `keybuf`: a key from the Zipf
+/// population, then `scan` when given, else GET with `read_frac`, else
+/// SET/DEL/INCR at 6:1:1.
+pub(crate) fn draw_request<'k>(
     zipf: &Zipf,
-    seed: u64,
-    phase: &AtomicU8,
-    tallies: &PointTallies,
-    hist: &LatencyHistogram,
-) {
-    // Independent streams for the workload draw and the backoff jitter so
-    // resilience events never perturb the request sequence.
-    let mut client = ResilientClient::new(port, cfg.client.clone(), seed ^ 0xA076_1D64_78BD_642F);
-    let mut rng = SplitMix64::new(seed);
-    let mut keybuf = String::new();
-    let mut respbuf = Vec::new();
-    let mut local_ops = 0u64;
-    let mut op_index = 0u64;
-    let mut consecutive_failures = 0u32;
-
-    loop {
-        let ph = phase.load(Ordering::Acquire);
-        if ph == PHASE_DONE {
-            break;
-        }
-        op_index += 1;
-        use std::fmt::Write as _;
-        keybuf.clear();
-        let _ = write!(keybuf, "key-{}", zipf.sample(&mut rng));
-        let req = if cfg.scan_every > 0 && op_index.is_multiple_of(cfg.scan_every) {
-            Request::Scan {
-                limit: cfg.scan_limit,
-            }
-        } else if rng.chance(cfg.read_frac) {
-            Request::Get {
-                key: keybuf.as_bytes(),
-            }
-        } else {
-            match rng.below(8) {
-                0 => Request::Del {
-                    key: keybuf.as_bytes(),
-                },
-                1 => Request::Incr {
-                    key: keybuf.as_bytes(),
-                    delta: 1,
-                },
-                _ => Request::Set {
-                    key: keybuf.as_bytes(),
-                    value: rng.next_u64(),
-                    ttl: 0,
-                },
-            }
-        };
-
-        let t0 = Instant::now();
-        // Idempotent verbs replay over fresh connections; INCR must not
-        // (a lost response leaves the increment's fate unknown).
-        let sent = match req {
-            Request::Incr { .. } => client.call_no_replay(&req, &mut respbuf),
-            _ => client.call(&req, &mut respbuf),
-        };
-        if sent.is_err() {
-            tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-            consecutive_failures += 1;
-            if consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
-                break;
-            }
-            continue;
-        }
-        consecutive_failures = 0;
-        match decode_response(&respbuf) {
-            Ok(Response::Error { .. }) => {
-                tallies.server_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            // Overload-protection responses are valid answers to any data
-            // verb: keep the loop running.
-            Ok(Response::Overloaded { .. } | Response::DeadlineExceeded) => {}
-            Ok(ref resp) if response_matches(&req, resp) => {}
-            Ok(_) | Err(_) => {
-                // A mis-shaped response is a protocol bug, not chaos:
-                // stop this connection so the point reports it.
-                tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-        if ph == PHASE_MEASURE {
-            hist.record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            local_ops += 1;
-        }
-    }
-    tallies.ops.fetch_add(local_ops, Ordering::SeqCst);
-}
-
-/// One outstanding pipelined request: everything needed to replay it over
-/// a fresh connection (the op spec, owned) plus the submit instant the
-/// latency measurement runs from.
-struct PipeInflight {
-    submitted: Instant,
-    measured: bool,
-    op: PipeOp,
-}
-
-/// Owned, replayable form of one workload op (key index instead of the
-/// formatted key string).
-#[derive(Clone, Copy)]
-enum PipeOp {
-    Get { key: usize },
-    Set { key: usize, value: u64 },
-    Del { key: usize },
-    Incr { key: usize },
-    Scan { limit: u32 },
-}
-
-impl PipeOp {
-    /// Encodes this op as a wire frame onto `outbuf`.
-    fn encode(self, keybuf: &mut String, outbuf: &mut Vec<u8>) {
-        use std::fmt::Write as _;
-        keybuf.clear();
-        let req = match self {
-            PipeOp::Get { key } => {
-                let _ = write!(keybuf, "key-{key}");
-                Request::Get {
-                    key: keybuf.as_bytes(),
-                }
-            }
-            PipeOp::Set { key, value } => {
-                let _ = write!(keybuf, "key-{key}");
-                Request::Set {
-                    key: keybuf.as_bytes(),
-                    value,
-                    ttl: 0,
-                }
-            }
-            PipeOp::Del { key } => {
-                let _ = write!(keybuf, "key-{key}");
-                Request::Del {
-                    key: keybuf.as_bytes(),
-                }
-            }
-            PipeOp::Incr { key } => {
-                let _ = write!(keybuf, "key-{key}");
-                Request::Incr {
-                    key: keybuf.as_bytes(),
-                    delta: 1,
-                }
-            }
-            PipeOp::Scan { limit } => Request::Scan { limit },
-        };
-        gocc_wire::encode_request(&req, outbuf);
-    }
-
-    /// Whether a lost response leaves the op safe to re-send. INCR is the
-    /// one non-idempotent verb: replaying it could double-count.
-    fn idempotent(self) -> bool {
-        !matches!(self, PipeOp::Incr { .. })
-    }
-
-    /// Whether `resp` is the right success shape for this op (overload /
-    /// deadline / error responses are matched separately).
-    fn matches(self, resp: &Response<'_>) -> bool {
-        matches!(
-            (self, resp),
-            (PipeOp::Get { .. }, Response::Value { .. })
-                | (PipeOp::Set { .. }, Response::Done)
-                | (PipeOp::Del { .. }, Response::Deleted { .. })
-                | (PipeOp::Incr { .. }, Response::Counter { .. })
-                | (PipeOp::Scan { .. }, Response::Entries { .. })
-        )
-    }
-}
-
-/// Draws the next workload op — the exact mix and RNG draw order of
-/// [`drive_connection`], in owned form.
-fn draw_pipe_op(cfg: &LoadConfig, zipf: &Zipf, rng: &mut SplitMix64, op_index: u64) -> PipeOp {
-    let key = zipf.sample(rng);
-    if cfg.scan_every > 0 && op_index.is_multiple_of(cfg.scan_every) {
-        PipeOp::Scan {
-            limit: cfg.scan_limit,
-        }
-    } else if rng.chance(cfg.read_frac) {
-        PipeOp::Get { key }
+    rng: &mut SplitMix64,
+    read_frac: f64,
+    scan: Option<u32>,
+    keybuf: &'k mut String,
+) -> Request<'k> {
+    use std::fmt::Write as _;
+    keybuf.clear();
+    let _ = write!(keybuf, "key-{}", zipf.sample(rng));
+    let key = keybuf.as_bytes();
+    if let Some(limit) = scan {
+        Request::Scan { limit }
+    } else if rng.chance(read_frac) {
+        Request::Get { key }
     } else {
         match rng.below(8) {
-            0 => PipeOp::Del { key },
-            1 => PipeOp::Incr { key },
-            _ => PipeOp::Set {
+            0 => Request::Del { key },
+            1 => Request::Incr { key, delta: 1 },
+            _ => Request::Set {
                 key,
                 value: rng.next_u64(),
+                ttl: 0,
             },
         }
     }
 }
 
-/// The pipelined closed loop: keep `cfg.pipeline` frames outstanding on
-/// one nonblocking socket, match responses FIFO (the server answers every
-/// admitted frame in order), measure submit→match per request. On an I/O
-/// failure the connection is rebuilt and the outstanding *idempotent*
-/// requests are replayed in order; outstanding INCRs are dropped and
-/// counted as client errors — their fate is unknown, same contract as the
-/// resilient client's no-replay rule.
-fn drive_pipelined(
+/// One connection's closed loop: a window of `cfg.pipeline` tickets kept
+/// full on one [`Pipe`], latency measured from submit to answer. At depth
+/// 1 the socket blocks with a read timeout; deeper windows poll a
+/// non-blocking socket and nap 20 µs when nothing arrived. After an I/O
+/// failure the connection is rebuilt and the pipe re-sends what its verb
+/// allows; every lost ticket (an INCR whose fate is unknown) counts as a
+/// client error.
+fn drive_window(
     port: u16,
     cfg: &LoadConfig,
     zipf: &Zipf,
@@ -391,299 +208,166 @@ fn drive_pipelined(
     tallies: &PointTallies,
     hist: &LatencyHistogram,
 ) {
-    use std::io::{Read, Write};
-
-    let depth = cfg.pipeline;
-    // Same stream split as drive_connection: workload draws never depend
-    // on resilience events.
+    let depth = cfg.pipeline.max(1);
+    // Independent streams for the workload draw and the backoff jitter so
+    // resilience events never perturb the request sequence.
     let mut rng = SplitMix64::new(seed);
     let mut backoff_rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
-    let connect = |backoff_rng: &mut SplitMix64| -> io::Result<std::net::TcpStream> {
+    let connect = |backoff_rng: &mut SplitMix64| -> io::Result<TcpStream> {
         let stream = connect_with_retry(port, &cfg.client, backoff_rng)?;
-        stream.set_nonblocking(true)?;
+        stream.set_nonblocking(depth > 1)?;
         Ok(stream)
     };
-    let Ok(mut stream) = connect(&mut backoff_rng) else {
+    let Ok(stream) = connect(&mut backoff_rng) else {
         tallies.client_errors.fetch_add(1, Ordering::Relaxed);
         return;
     };
-
-    let mut inflight: std::collections::VecDeque<PipeInflight> =
-        std::collections::VecDeque::with_capacity(depth);
-    let mut outbuf: Vec<u8> = Vec::new();
-    let mut framebuf = gocc_wire::FrameBuf::new();
-    let mut readbuf = [0u8; 16 * 1024];
+    let mut pipe = Pipe::new(stream);
+    // Per ticket in flight, oldest first: submit instant, measured.
+    let mut window: VecDeque<(Ticket, Instant, bool)> = VecDeque::with_capacity(depth);
     let mut keybuf = String::new();
     let mut local_ops = 0u64;
     let mut op_index = 0u64;
     let mut consecutive_failures = 0u32;
 
-    'outer: loop {
+    'run: loop {
         let ph = phase.load(Ordering::Acquire);
         if ph == PHASE_DONE {
             break;
         }
-
-        // Top up to the configured depth.
-        while inflight.len() < depth {
+        while window.len() < depth {
             op_index += 1;
-            let op = draw_pipe_op(cfg, zipf, &mut rng, op_index);
-            op.encode(&mut keybuf, &mut outbuf);
-            inflight.push_back(PipeInflight {
-                submitted: Instant::now(),
-                measured: ph == PHASE_MEASURE,
-                op,
-            });
+            let scan = cfg.scan_every > 0 && op_index.is_multiple_of(cfg.scan_every);
+            let scan = scan.then_some(cfg.scan_limit);
+            let req = draw_request(zipf, &mut rng, cfg.read_frac, scan, &mut keybuf);
+            let ticket = pipe.submit(&req, None);
+            window.push_back((ticket, Instant::now(), ph == PHASE_MEASURE));
         }
 
-        // Push pending frames as far as the socket allows.
-        let mut io_failed = false;
-        let mut progressed = false;
-        while !outbuf.is_empty() {
-            match stream.write(&outbuf) {
-                Ok(0) => {
-                    io_failed = true;
-                    break;
-                }
-                Ok(k) => {
-                    outbuf.drain(..k);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    io_failed = true;
-                    break;
-                }
-            }
-        }
-
-        // Drain and FIFO-match whatever responses have arrived.
-        if !io_failed {
-            loop {
-                match stream.read(&mut readbuf) {
-                    Ok(0) => {
-                        io_failed = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        framebuf.extend(&readbuf[..k]);
-                        match match_pipe_frames(
-                            &mut framebuf,
-                            &mut inflight,
-                            tallies,
-                            hist,
-                            &mut local_ops,
-                        ) {
-                            Ok(matched) => progressed |= matched,
-                            Err(()) => {
-                                // Mis-shaped response: protocol bug, not
-                                // chaos. Stop so the point reports it.
-                                tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                                break 'outer;
-                            }
-                        }
-                        if k < readbuf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        io_failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if io_failed {
-            consecutive_failures += 1;
-            if consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
-                tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            outbuf.clear();
-            framebuf = gocc_wire::FrameBuf::new();
-            let pending: Vec<PipeInflight> = inflight.drain(..).collect();
-            match connect(&mut backoff_rng) {
-                Ok(s) => stream = s,
-                Err(_) => {
-                    tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            // Replay outstanding idempotent requests in order; drop the
-            // non-idempotent ones.
-            for f in pending {
-                if f.op.idempotent() {
-                    f.op.encode(&mut keybuf, &mut outbuf);
-                    inflight.push_back(f);
-                } else {
-                    tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            continue;
-        }
-        if progressed {
-            consecutive_failures = 0;
-        } else {
-            // Nothing moved: responses are in flight. Nap briefly instead
+        match pipe.pump() {
+            Ok(true) => {}
+            // Nothing arrived: answers are in flight. Nap briefly instead
             // of spinning on the nonblocking socket.
-            std::thread::sleep(Duration::from_micros(20));
+            Ok(false) if depth > 1 => {
+                std::thread::sleep(Duration::from_micros(20));
+                continue;
+            }
+            // The blocking read timed out, or the connection failed.
+            Ok(false) | Err(_) => {
+                consecutive_failures += 1;
+                let retry = consecutive_failures < MAX_CONSECUTIVE_FAILURES;
+                let Some(stream) = retry.then(|| connect(&mut backoff_rng).ok()).flatten() else {
+                    tallies.client_errors.fetch_add(1, Ordering::Relaxed);
+                    break;
+                };
+                let lost = pipe.reset(stream);
+                tallies
+                    .client_errors
+                    .fetch_add(lost.len() as u64, Ordering::Relaxed);
+                window.retain(|(t, ..)| !lost.contains(t));
+                continue;
+            }
+        }
+        loop {
+            match pipe.answer() {
+                Ok(Some((_, resp))) => {
+                    let (_, submitted, measured) = window.pop_front().expect("answers a ticket");
+                    if matches!(resp, Response::Error { .. }) {
+                        tallies.server_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    consecutive_failures = 0;
+                    if measured {
+                        hist.record(submitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+                        local_ops += 1;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    // A mis-shaped response is a protocol bug, not chaos:
+                    // stop this connection so the point reports it.
+                    tallies.client_errors.fetch_add(1, Ordering::Relaxed);
+                    break 'run;
+                }
+            }
         }
     }
 
     tallies.ops.fetch_add(local_ops, Ordering::SeqCst);
 }
 
-/// Decodes every complete frame in `framebuf`, matching FIFO against
-/// `inflight` with the same response classification as
-/// [`drive_connection`]. `Ok(true)` when at least one frame matched;
-/// `Err(())` on a protocol violation (mis-shaped or unsolicited
-/// response).
-fn match_pipe_frames(
-    framebuf: &mut gocc_wire::FrameBuf,
-    inflight: &mut std::collections::VecDeque<PipeInflight>,
-    tallies: &PointTallies,
-    hist: &LatencyHistogram,
-    local_ops: &mut u64,
-) -> Result<bool, ()> {
-    let mut matched = false;
-    loop {
-        let frame = match framebuf.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => return Ok(matched),
-            Err(_) => return Err(()),
-        };
-        let Ok(resp) = decode_response(frame) else {
-            return Err(());
-        };
-        let Some(f) = inflight.pop_front() else {
-            return Err(());
-        };
-        match resp {
-            Response::Error { .. } => {
-                tallies.server_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::Overloaded { .. } | Response::DeadlineExceeded => {}
-            ref r if f.op.matches(r) => {}
-            _ => return Err(()),
-        }
-        matched = true;
-        if f.measured {
-            hist.record(f.submitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            *local_ops += 1;
-        }
-    }
-}
-
-/// A fetched-and-validated STATS document.
+/// A fetched STATS or TRACE document, validated by `gocc-telemetry`'s
+/// own parser (the wire-level acceptance check scripts rely on).
 #[derive(Clone, Debug)]
-pub struct StatsDoc {
+pub struct JsonDoc {
     /// The raw JSON exactly as served.
     pub raw: String,
-    /// The parse (by `gocc-telemetry`'s own parser — the acceptance check).
+    /// The parse.
     pub parsed: JsonValue,
 }
 
-impl StatsDoc {
-    /// The server's reported `"mode"`.
+impl JsonDoc {
+    /// The server's reported `"mode"` (STATS).
     #[must_use]
     pub fn mode(&self) -> Option<&str> {
         self.parsed.get("mode").and_then(JsonValue::as_str)
     }
 }
 
-fn control_call(port: u16, req: &Request<'_>) -> Result<Vec<u8>, String> {
-    // Bounded connects + timeouts: control-plane calls against a dead or
-    // wedged daemon fail in seconds, they never hang a script.
+/// One control-plane request over a fresh connection; `take` keeps what
+/// it wants of the answer. Bounded connects + timeouts: control-plane
+/// calls against a dead or wedged daemon fail in seconds, they never hang
+/// a script.
+fn control_call<T>(
+    port: u16,
+    req: &Request<'_>,
+    take: impl FnOnce(Response<'_>) -> Result<T, String>,
+) -> Result<T, String> {
     let mut client = ResilientClient::new(port, ClientConfig::default(), 0x0C07);
-    let mut respbuf = Vec::new();
-    match client.call_no_replay(req, &mut respbuf) {
-        Ok(()) => Ok(respbuf),
-        Err(e) => Err(format!("control call: {e}")),
-    }
+    take(client.call(req).map_err(|e| format!("control call: {e}"))?)
 }
 
-/// Fetches STATS and parses it with the telemetry JSON parser; any parse
-/// failure is an error (this is the wire-level acceptance check scripts
-/// rely on).
-pub fn fetch_stats(port: u16) -> Result<StatsDoc, String> {
-    let respbuf = control_call(port, &Request::Stats)?;
-    let Response::Stats { json } =
-        decode_response(&respbuf).map_err(|e| format!("bad stats response: {e}"))?
-    else {
-        return Err("STATS returned a non-stats response".into());
-    };
-    let parsed = JsonValue::parse(json).map_err(|e| format!("STATS JSON does not parse: {e}"))?;
-    Ok(StatsDoc {
-        raw: json.to_string(),
-        parsed,
-    })
+/// Fetches a STATS or TRACE document; any parse failure is an error.
+fn fetch_json(port: u16, req: &Request<'_>) -> Result<JsonDoc, String> {
+    let raw = control_call(port, req, |resp| match resp {
+        Response::Stats { json } | Response::Trace { json } => Ok(json.to_string()),
+        other => Err(format!("{req:?} answered {other:?}")),
+    })?;
+    let parsed = JsonValue::parse(&raw).map_err(|e| format!("{req:?} JSON does not parse: {e}"))?;
+    Ok(JsonDoc { raw, parsed })
 }
 
-/// A drained-and-validated TRACE document.
-#[derive(Clone, Debug)]
-pub struct TraceDoc {
-    /// The raw JSON exactly as served.
-    pub raw: String,
-    /// The parse (through `gocc-telemetry`'s own parser).
-    pub parsed: JsonValue,
-}
-
-impl TraceDoc {
-    /// The `"spans"` array.
-    #[must_use]
-    pub fn spans(&self) -> &[JsonValue] {
-        self.parsed
-            .get("spans")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&[])
-    }
+/// Fetches and parses STATS.
+pub fn fetch_stats(port: u16) -> Result<JsonDoc, String> {
+    fetch_json(port, &Request::Stats)
 }
 
 /// Drains up to `max` flight-recorder spans from a live daemon (`0` asks
 /// for the server-side default cap). TRACE is *draining* — a lost response
-/// loses spans — so this never replays over a fresh connection.
-pub fn fetch_trace(port: u16, max: u32) -> Result<TraceDoc, String> {
-    let respbuf = control_call(port, &Request::Trace { max })?;
-    let Response::Trace { json } =
-        decode_response(&respbuf).map_err(|e| format!("bad trace response: {e}"))?
-    else {
-        return Err("TRACE returned a non-trace response".into());
-    };
-    let parsed = JsonValue::parse(json).map_err(|e| format!("TRACE JSON does not parse: {e}"))?;
-    Ok(TraceDoc {
-        raw: json.to_string(),
-        parsed,
-    })
+/// loses spans — so the pipe never replays it over a fresh connection.
+pub fn fetch_trace(port: u16, max: u32) -> Result<JsonDoc, String> {
+    fetch_json(port, &Request::Trace { max })
 }
 
 /// Fetches the server's HEALTH triple `(state, shed_total,
 /// deadline_misses)` — the cheap probe scripts poll while waiting for a
 /// browned-out server to recover.
 pub fn fetch_health(port: u16) -> Result<(u8, u64, u64), String> {
-    let respbuf = control_call(port, &Request::Health)?;
-    match decode_response(&respbuf) {
-        Ok(Response::Health {
+    control_call(port, &Request::Health, |resp| match resp {
+        Response::Health {
             state,
             shed_total,
             deadline_misses,
-        }) => Ok((state, shed_total, deadline_misses)),
-        Ok(other) => Err(format!("HEALTH answered {other:?}")),
-        Err(e) => Err(format!("bad health response: {e}")),
-    }
+        } => Ok((state, shed_total, deadline_misses)),
+        other => Err(format!("HEALTH answered {other:?}")),
+    })
 }
 
 /// Sends SHUTDOWN and confirms the Bye.
 pub fn send_shutdown(port: u16) -> Result<(), String> {
-    let respbuf = control_call(port, &Request::Shutdown)?;
-    match decode_response(&respbuf) {
-        Ok(Response::Bye) => Ok(()),
-        Ok(other) => Err(format!("SHUTDOWN answered {other:?}")),
-        Err(e) => Err(format!("bad shutdown response: {e}")),
-    }
+    control_call(port, &Request::Shutdown, |resp| match resp {
+        Response::Bye => Ok(()),
+        other => Err(format!("SHUTDOWN answered {other:?}")),
+    })
 }
 
 /// One mode's measurement at a worker count, plus the server's stats.
@@ -780,28 +464,5 @@ mod tests {
             gocc: Some(fake_mode_result(1500, 1000)),
         };
         assert!(partial.speedup_pct().is_none());
-    }
-
-    #[test]
-    fn response_matching_is_strict() {
-        assert!(response_matches(
-            &Request::Get { key: b"k" },
-            &Response::Value {
-                found: true,
-                value: 1
-            }
-        ));
-        assert!(!response_matches(
-            &Request::Get { key: b"k" },
-            &Response::Done
-        ));
-        assert!(!response_matches(
-            &Request::Set {
-                key: b"k",
-                value: 1,
-                ttl: 0
-            },
-            &Response::Bye
-        ));
     }
 }

@@ -11,9 +11,8 @@
 //! delay (client- and server-side) is charged to the request.
 //!
 //! Each connection runs on one thread with a nonblocking socket: due
-//! arrivals are encoded into a pending write buffer, responses are
-//! reassembled through [`FrameBuf`] and matched FIFO against the in-flight
-//! queue (the server answers every admitted or shed frame in order).
+//! arrivals are submitted to a [`Pipe`], which answers them in submission
+//! order (the server answers every admitted or shed frame in order).
 //! Arrivals beyond [`OpenLoopConfig::max_inflight`] are dropped and
 //! counted — an open-loop client must bound its own memory too.
 //!
@@ -22,15 +21,15 @@
 //! in `DESIGN.md`.
 
 use std::collections::VecDeque;
-use std::io::{self, Read as _, Write as _};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::{HistogramSnapshot, LatencyHistogram, SplitMix64};
-use gocc_wire::{decode_response, encode_request_v2, FrameBuf, Request, Response};
+use gocc_wire::{Pipe, Response, Ticket};
 
-use crate::resilient::{BreakerConfig, CircuitBreaker};
+use crate::draw_request;
+use crate::resilient::{connect_with_retry, BreakerConfig, CircuitBreaker, ClientConfig};
 use crate::zipf::Zipf;
 
 /// Open-loop run shape.
@@ -149,21 +148,6 @@ struct Tallies {
     breaker_trips: AtomicU64,
 }
 
-/// Expected response shape per request kind, for FIFO matching.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Get,
-    Set,
-    Del,
-    Incr,
-}
-
-struct Inflight {
-    scheduled: Instant,
-    measured: bool,
-    kind: Kind,
-}
-
 /// Runs one open-loop point against a live server on loopback `port`.
 ///
 /// # Errors
@@ -208,18 +192,17 @@ pub fn run_open_loop(port: u16, cfg: &OpenLoopConfig) -> io::Result<OpenLoopResu
     })
 }
 
-fn connect(port: u16) -> io::Result<TcpStream> {
-    let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_nodelay(true)?;
+fn connect(port: u16, rng: &mut SplitMix64) -> io::Result<std::net::TcpStream> {
+    let stream = connect_with_retry(port, &ClientConfig::default(), rng)?;
     stream.set_nonblocking(true)?;
     Ok(stream)
 }
 
 /// One connection's open loop. Arrival *n* is due at
 /// `start + n / rate`; the loop never waits for a response to schedule
-/// the next arrival.
-#[allow(clippy::too_many_lines)]
+/// the next arrival. After an I/O failure the connection is rebuilt and
+/// the pipe re-sends what its verb allows; lost tickets count as client
+/// errors.
 fn drive_open(
     port: u16,
     cfg: &OpenLoopConfig,
@@ -229,10 +212,12 @@ fn drive_open(
     tallies: &Tallies,
     hist: &LatencyHistogram,
 ) {
-    let Ok(mut stream) = connect(port) else {
+    let mut backoff_rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
+    let Ok(stream) = connect(port, &mut backoff_rng) else {
         tallies.client_errors.fetch_add(1, Ordering::Relaxed);
         return;
     };
+    let mut pipe = Pipe::new(stream);
     let mut rng = SplitMix64::new(seed);
     let mut breaker = cfg.breaker.map(CircuitBreaker::new);
     let interval = Duration::from_secs_f64(1.0 / cfg.rate_per_conn);
@@ -240,10 +225,8 @@ fn drive_open(
     let last_arrival = measure_at + cfg.duration;
     let drain_by = last_arrival + cfg.drain_grace;
 
-    let mut inflight: VecDeque<Inflight> = VecDeque::new();
-    let mut outbuf: Vec<u8> = Vec::new();
-    let mut framebuf = FrameBuf::new();
-    let mut readbuf = [0u8; 16 * 1024];
+    // Per ticket in flight, oldest first: scheduled instant, measured.
+    let mut inflight: VecDeque<(Ticket, Instant, bool)> = VecDeque::new();
     let mut keybuf = String::new();
     let mut n: u64 = 0;
 
@@ -251,7 +234,7 @@ fn drive_open(
         let now = Instant::now();
         let next_due = start + interval.mul_f64(n as f64);
         let arrivals_done = next_due >= last_arrival;
-        if arrivals_done && inflight.is_empty() && outbuf.is_empty() {
+        if arrivals_done && inflight.is_empty() {
             break;
         }
         if now >= drain_by {
@@ -284,114 +267,29 @@ fn drive_open(
                 }
                 continue;
             }
-            use std::fmt::Write as _;
-            keybuf.clear();
-            let _ = write!(keybuf, "key-{}", zipf.sample(&mut rng));
-            let (req, kind) = if rng.chance(cfg.read_frac) {
-                (
-                    Request::Get {
-                        key: keybuf.as_bytes(),
-                    },
-                    Kind::Get,
-                )
-            } else {
-                match rng.below(8) {
-                    0 => (
-                        Request::Del {
-                            key: keybuf.as_bytes(),
-                        },
-                        Kind::Del,
-                    ),
-                    1 => (
-                        Request::Incr {
-                            key: keybuf.as_bytes(),
-                            delta: 1,
-                        },
-                        Kind::Incr,
-                    ),
-                    _ => (
-                        Request::Set {
-                            key: keybuf.as_bytes(),
-                            value: rng.next_u64(),
-                            ttl: 0,
-                        },
-                        Kind::Set,
-                    ),
-                }
-            };
-            encode_request_v2(&req, cfg.deadline_us, &mut outbuf);
-            inflight.push_back(Inflight {
-                scheduled: due,
-                measured,
-                kind,
-            });
+            let req = draw_request(zipf, &mut rng, cfg.read_frac, None, &mut keybuf);
+            inflight.push_back((pipe.submit(&req, cfg.deadline_us), due, measured));
             if measured {
                 tallies.sent.fetch_add(1, Ordering::Relaxed);
             }
         }
 
-        // Flush as much of the pending writes as the socket will take.
-        let mut io_failed = false;
-        while !outbuf.is_empty() {
-            match stream.write(&outbuf) {
-                Ok(0) => {
-                    io_failed = true;
-                    break;
-                }
-                Ok(k) => {
-                    outbuf.drain(..k);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    io_failed = true;
-                    break;
-                }
-            }
-        }
-
-        // Drain whatever responses have arrived.
-        if !io_failed {
-            loop {
-                match stream.read(&mut readbuf) {
-                    Ok(0) => {
-                        io_failed = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        framebuf.extend(&readbuf[..k]);
-                        if !drain_frames(&mut framebuf, &mut inflight, tallies, hist, &mut breaker)
-                        {
-                            io_failed = true;
-                        }
-                        if io_failed || k < readbuf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        io_failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if io_failed {
-            // The connection is gone: every in-flight request with it.
-            let lost = inflight.iter().filter(|f| f.measured).count() as u64;
-            tallies.client_errors.fetch_add(lost, Ordering::Relaxed);
-            inflight.clear();
-            outbuf.clear();
-            framebuf = FrameBuf::new();
-            match connect(port) {
-                Ok(s) => stream = s,
-                Err(_) => {
+        let healthy = pipe.pump().is_ok()
+            && take_answers(&mut pipe, &mut inflight, tallies, hist, &mut breaker);
+        if !healthy {
+            // The connection is gone, or it broke the protocol.
+            let Ok(stream) = connect(port, &mut backoff_rng) else {
+                tallies.client_errors.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            let lost = pipe.reset(stream);
+            inflight.retain(|&(t, _, measured)| {
+                let gone = lost.contains(&t);
+                if gone && measured {
                     tallies.client_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
                 }
-            }
+                !gone
+            });
         }
 
         // Sleep until the next scheduled arrival, but keep polling the
@@ -416,77 +314,47 @@ fn drive_open(
     }
 }
 
-/// Decodes every complete frame in `framebuf`, matching FIFO against
-/// `inflight`. Returns `false` on a protocol violation (which the caller
-/// treats like an IO failure: reconnect).
-fn drain_frames(
-    framebuf: &mut FrameBuf,
-    inflight: &mut VecDeque<Inflight>,
+/// Takes every answer that has arrived, in submission order, into the
+/// tallies and the breaker. `false` on a protocol violation (which the
+/// caller treats like an I/O failure: reconnect).
+fn take_answers(
+    pipe: &mut Pipe<std::net::TcpStream>,
+    inflight: &mut VecDeque<(Ticket, Instant, bool)>,
     tallies: &Tallies,
     hist: &LatencyHistogram,
     breaker: &mut Option<CircuitBreaker>,
 ) -> bool {
     loop {
-        let frame = match framebuf.next_frame() {
-            Ok(Some(f)) => f,
+        let resp = match pipe.answer() {
+            Ok(Some((_, resp))) => resp,
             Ok(None) => return true,
             Err(_) => return false,
         };
-        let Ok(resp) = decode_response(frame) else {
-            return false;
-        };
-        let Some(f) = inflight.pop_front() else {
-            // A response nobody asked for.
-            return false;
-        };
-        if f.measured {
-            tallies.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut success = true;
-        match resp {
-            Response::Overloaded { .. } => {
-                success = false;
-                if f.measured {
-                    tallies.overloaded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Response::DeadlineExceeded => {
-                if f.measured {
-                    tallies.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Response::Error { .. } => {
-                if f.measured {
-                    tallies.server_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            ref r if kind_matches(f.kind, r) => {
-                if f.measured {
-                    tallies.ok.fetch_add(1, Ordering::Relaxed);
-                    let ns = f.scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let (_, scheduled, measured) = inflight.pop_front().expect("answers a ticket");
+        let counter = match resp {
+            Response::Overloaded { .. } => &tallies.overloaded,
+            Response::DeadlineExceeded => &tallies.deadline_exceeded,
+            Response::Error { .. } => &tallies.server_errors,
+            _ => {
+                if measured {
+                    let ns = scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                     hist.record(ns);
                 }
+                &tallies.ok
             }
-            _ => return false,
+        };
+        if measured {
+            tallies.completed.fetch_add(1, Ordering::Relaxed);
+            counter.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(b) = breaker.as_mut() {
-            if success {
-                b.on_success();
-            } else {
+            if matches!(resp, Response::Overloaded { .. }) {
                 b.on_overloaded();
+            } else {
+                b.on_success();
             }
         }
     }
-}
-
-fn kind_matches(kind: Kind, resp: &Response<'_>) -> bool {
-    matches!(
-        (kind, resp),
-        (Kind::Get, Response::Value { .. })
-            | (Kind::Set, Response::Done)
-            | (Kind::Del, Response::Deleted { .. })
-            | (Kind::Incr, Response::Counter { .. })
-    )
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@
 //!   from a [`SplitMix64`], so a given client's retry schedule is a pure
 //!   function of its seed (replay-by-seed, same contract as the fault
 //!   plans in `gocc-faultplane`).
-//! * **Replay is caller-controlled**: [`ResilientClient::call`] replays a
-//!   request over a fresh connection after an I/O failure — safe for the
-//!   idempotent verbs (GET/SET/DEL/SCAN/STATS). INCR is *not* replay-safe
-//!   (a lost response leaves the increment's fate unknown), so callers
-//!   route it through [`ResilientClient::call_no_replay`].
+//! * **Replay is the pipe's**: [`ResilientClient::call`] reconnects after
+//!   an I/O failure and lets [`Pipe::reset`] re-send the request when its
+//!   verb is idempotent. INCR, TRACE and SHUTDOWN are never re-sent (a
+//!   lost answer leaves their effect unknown); such a call fails with an
+//!   error [`is_lost`] recognises.
 //! * **Failures are classified**: `ConnectionRefused` means nothing is
 //!   listening — the daemon is dead, not busy — so connects give up after
 //!   [`ClientConfig::refused_attempts`] instead of burning the full
@@ -33,7 +33,7 @@ use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::SplitMix64;
-use gocc_wire::{encode_request, read_frame, write_frame, Request};
+use gocc_wire::{Pipe, Request, Response};
 
 /// Resilience knobs for one client connection.
 #[derive(Clone, Debug)]
@@ -286,10 +286,12 @@ impl CircuitBreaker {
     }
 }
 
-/// A request/response client that survives connection loss.
+/// A request/response client that survives connection loss: a [`Pipe`]
+/// at depth 1 plus the reconnect policy around [`Pipe::reset`].
 ///
 /// The connection is established lazily and re-established after any I/O
-/// failure. [`ResilientClient::reconnects`] and
+/// failure; the pipe decides whether the request is sent again
+/// ([`Request::replayable`]). [`ResilientClient::reconnects`] and
 /// [`ResilientClient::replays`] expose how much resilience a run actually
 /// consumed — chaos tests assert these are nonzero (faults really landed)
 /// while correctness stays perfect.
@@ -297,10 +299,30 @@ pub struct ResilientClient {
     port: u16,
     cfg: ClientConfig,
     rng: SplitMix64,
-    stream: Option<TcpStream>,
-    wirebuf: Vec<u8>,
+    pipe: Option<Pipe<TcpStream>>,
     reconnects: u64,
     replays: u64,
+}
+
+/// Marks an error whose request may have been applied and, by its verb,
+/// must not be sent again ([`is_lost`]).
+#[derive(Debug)]
+struct Lost(io::Error);
+
+impl std::fmt::Display for Lost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "request lost, not replayed: {}", self.0)
+    }
+}
+
+impl std::error::Error for Lost {}
+
+/// Whether a [`ResilientClient::call`] failed after its request may have
+/// reached the server with a verb that must not be sent again: its effect
+/// is unknown, and no endpoint may be asked to apply it a second time.
+#[must_use]
+pub fn is_lost(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<Lost>())
 }
 
 impl ResilientClient {
@@ -311,150 +333,113 @@ impl ResilientClient {
             port,
             cfg,
             rng: SplitMix64::new(seed),
-            stream: None,
-            wirebuf: Vec::new(),
+            pipe: None,
             reconnects: 0,
             replays: 0,
         }
     }
 
-    /// Times a connection was re-established after an I/O failure.
+    /// Times a connection was abandoned after an I/O failure.
     #[must_use]
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
 
-    /// Times a request was re-sent after a failed attempt.
+    /// Requests re-sent over a fresh connection.
     #[must_use]
     pub fn replays(&self) -> u64 {
         self.replays
     }
 
-    /// Sends `req` and reads its response body into `resp`, replaying
-    /// over fresh connections on failure (up to
-    /// [`ClientConfig::replay_attempts`]). Only call this for idempotent
-    /// requests.
-    pub fn call(&mut self, req: &Request<'_>, resp: &mut Vec<u8>) -> io::Result<()> {
-        self.call_inner(req, resp, self.cfg.replay_attempts.max(1))
+    fn connect(&mut self) -> io::Result<TcpStream> {
+        connect_with_retry(self.port, &self.cfg, &mut self.rng)
     }
 
-    /// Sends `req` exactly once. On failure the connection is dropped
-    /// (the next call reconnects) and the error is returned — the verb's
-    /// effect on the server is unknown, which is why INCR goes here.
-    pub fn call_no_replay(&mut self, req: &Request<'_>, resp: &mut Vec<u8>) -> io::Result<()> {
-        self.call_inner(req, resp, 1)
+    /// Sends `req` and waits for its answer. After an I/O failure the
+    /// connection is rebuilt and the pipe re-sends the request if its verb
+    /// allows, over up to [`ClientConfig::replay_attempts`] connections in
+    /// all; a reconnect that fails its [`connect_with_retry`] schedule
+    /// ends the call, so a dead endpoint costs one schedule. A request that
+    /// may have been applied and must not be re-sent fails with an error
+    /// [`is_lost`] reports.
+    pub fn call(&mut self, req: &Request<'_>) -> io::Result<Response<'_>> {
+        self.send(std::slice::from_ref(req), |_| {})?;
+        self.answer()
     }
 
-    /// Sends every request in `reqs` as one pipelined burst (all frames
-    /// written before any response is read) and collects the response
-    /// bodies in order into `resps`.
-    ///
-    /// Replay is all-or-nothing: after an I/O failure the *whole batch*
-    /// is re-sent over a fresh connection, so a batch containing INCR is
-    /// sent exactly once (any failure surfaces as the error, same
-    /// contract as [`ResilientClient::call_no_replay`]).
-    pub fn call_pipelined(
+    /// Sends `reqs` as one burst — every frame written before any answer
+    /// is read — and hands each answer, in order, to `each`. Failures are
+    /// handled as in [`ResilientClient::call`], per request: after a lost
+    /// connection the unanswered ones are re-sent if all may be.
+    pub fn call_each(
         &mut self,
         reqs: &[Request<'_>],
-        resps: &mut Vec<Vec<u8>>,
+        mut each: impl FnMut(Response<'_>),
     ) -> io::Result<()> {
-        self.wirebuf.clear();
-        for req in reqs {
-            encode_request(req, &mut self.wirebuf);
-        }
-        let replay_safe = !reqs.iter().any(|r| matches!(r, Request::Incr { .. }));
-        let attempts = if replay_safe {
-            self.cfg.replay_attempts.max(1)
-        } else {
-            1
+        self.send(reqs, &mut each)?;
+        each(self.answer()?);
+        Ok(())
+    }
+
+    /// Submits `reqs`, hands every answer but the last to `each` and
+    /// leaves the last one ready for [`ResilientClient::answer`].
+    fn send(&mut self, reqs: &[Request<'_>], mut each: impl FnMut(Response<'_>)) -> io::Result<()> {
+        assert!(!reqs.is_empty(), "nothing to send");
+        let mut pipe = match self.pipe.take() {
+            Some(pipe) if pipe.in_flight() == 0 => pipe,
+            _ => Pipe::new(self.connect()?),
         };
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.replays += 1;
-            }
-            match self.attempt_batch(reqs.len(), resps) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if self.stream.take().is_some() {
-                        self.reconnects += 1;
+        for req in reqs {
+            pipe.submit(req, None);
+        }
+        let mut connections = 1;
+        loop {
+            let failure = match pipe.wait() {
+                Ok(()) if pipe.in_flight() == 1 => break,
+                Ok(()) => match pipe.answer() {
+                    Ok(Some((_, resp))) => {
+                        each(resp);
+                        continue;
                     }
-                    last = Some(e);
-                }
+                    Ok(None) => unreachable!("wait leaves an answer ready"),
+                    Err(e) => e,
+                },
+                Err(e) => e,
+            };
+            self.reconnects += 1;
+            // A reset would give up every unanswered ticket whose verb is
+            // not replayable: the call is lost whatever happens next.
+            let unanswered = &reqs[reqs.len() - pipe.in_flight()..];
+            if !unanswered.iter().all(Request::replayable) {
+                return Err(io::Error::new(failure.kind(), Lost(failure)));
             }
-        }
-        Err(last.unwrap_or_else(|| io::Error::other("empty batch")))
-    }
-
-    fn attempt_batch(&mut self, n: usize, resps: &mut Vec<Vec<u8>>) -> io::Result<()> {
-        resps.clear();
-        if self.stream.is_none() {
-            self.stream = Some(connect_with_retry(self.port, &self.cfg, &mut self.rng)?);
-        }
-        let stream = self.stream.as_mut().expect("just ensured");
-        write_frame(stream, &self.wirebuf)?;
-        for _ in 0..n {
-            let mut body = Vec::new();
-            if !read_frame(stream, &mut body)? {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "server closed mid-batch",
-                ));
+            if connections >= self.cfg.replay_attempts.max(1) {
+                return Err(failure);
             }
-            resps.push(body);
+            let Ok(stream) = self.connect() else {
+                return Err(failure);
+            };
+            let lost = pipe.reset(stream);
+            debug_assert!(lost.is_empty(), "every unanswered verb is replayable");
+            self.replays += unanswered.len() as u64;
+            connections += 1;
         }
+        self.pipe = Some(pipe);
         Ok(())
     }
 
-    fn call_inner(
-        &mut self,
-        req: &Request<'_>,
-        resp: &mut Vec<u8>,
-        attempts: u32,
-    ) -> io::Result<()> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.replays += 1;
-            }
-            match self.attempt_once(resp) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    // Whatever went wrong, the stream's framing state is
-                    // suspect; reconnect before any retry.
-                    if self.stream.take().is_some() {
-                        self.reconnects += 1;
-                    }
-                    last = Some(e);
-                }
-            }
+    fn answer(&mut self) -> io::Result<Response<'_>> {
+        let pipe = self.pipe.as_mut().expect("send leaves a connection");
+        match pipe.answer()? {
+            Some((_, resp)) => Ok(resp),
+            None => unreachable!("send leaves an answer ready"),
         }
-        Err(last.unwrap_or_else(|| io::Error::other("zero attempts configured")))
-    }
-
-    fn attempt_once(&mut self, resp: &mut Vec<u8>) -> io::Result<()> {
-        if self.stream.is_none() {
-            self.stream = Some(connect_with_retry(self.port, &self.cfg, &mut self.rng)?);
-        }
-        let stream = self.stream.as_mut().expect("just ensured");
-        write_frame(stream, &self.wirebuf)?;
-        if !read_frame(stream, resp)? {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "server closed before responding",
-            ));
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocc_wire::{decode_request, decode_response, encode_response, Response};
-    use std::io::Write as _;
     use std::net::TcpListener;
     use std::time::Instant;
 
@@ -504,144 +489,6 @@ mod tests {
             assert!(d >= Duration::from_millis(2), "equal jitter keeps a floor");
             assert!(d <= Duration::from_millis(40), "cap respected: {d:?}");
         }
-    }
-
-    /// A one-request server: optionally drops the first `flaky` requests
-    /// mid-exchange (read then close, no response), then serves `Done`.
-    fn flaky_server(flaky: usize, total: usize) -> (u16, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let handle = std::thread::spawn(move || {
-            for i in 0..total {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut body = Vec::new();
-                let got = read_frame(&mut s, &mut body).unwrap_or(false);
-                if i < flaky {
-                    drop(s); // mid-exchange hangup: the client must replay
-                    continue;
-                }
-                assert!(got, "request must arrive intact");
-                assert!(decode_request(&body).is_ok());
-                let mut out = Vec::new();
-                encode_response(&Response::Done, &mut out);
-                s.write_all(&out).unwrap();
-            }
-        });
-        (port, handle)
-    }
-
-    #[test]
-    fn replay_survives_midexchange_hangups() {
-        let (port, server) = flaky_server(2, 3);
-        let mut client = ResilientClient::new(port, ClientConfig::chaos(), 5);
-        let mut resp = Vec::new();
-        client
-            .call(
-                &Request::Set {
-                    key: b"k",
-                    value: 1,
-                    ttl: 0,
-                },
-                &mut resp,
-            )
-            .expect("replay must eventually land");
-        assert_eq!(decode_response(&resp).unwrap(), Response::Done);
-        assert_eq!(client.replays(), 2, "two hangups, two replays");
-        assert_eq!(client.reconnects(), 2);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn no_replay_reports_the_failure_and_recovers() {
-        let (port, server) = flaky_server(1, 2);
-        let mut client = ResilientClient::new(port, ClientConfig::chaos(), 6);
-        let mut resp = Vec::new();
-        let req = Request::Incr {
-            key: b"ctr",
-            delta: 1,
-        };
-        // First attempt dies mid-exchange; INCR must NOT be replayed.
-        assert!(client.call_no_replay(&req, &mut resp).is_err());
-        assert_eq!(client.replays(), 0, "INCR is never replayed");
-        // The client recovers on the next call over a fresh connection.
-        client.call_no_replay(&req, &mut resp).expect("recovered");
-        assert_eq!(decode_response(&resp).unwrap(), Response::Done);
-        assert_eq!(client.reconnects(), 1);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_batch_replays_whole_batch_after_hangup() {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let server = std::thread::spawn(move || {
-            // First connection: swallow one frame, then hang up mid-batch.
-            let (mut s, _) = listener.accept().unwrap();
-            let mut body = Vec::new();
-            let _ = read_frame(&mut s, &mut body);
-            drop(s);
-            // Second connection: serve the replayed batch in full.
-            let (mut s, _) = listener.accept().unwrap();
-            for _ in 0..3 {
-                assert!(read_frame(&mut s, &mut body).unwrap());
-                assert!(decode_request(&body).is_ok());
-                let mut out = Vec::new();
-                encode_response(&Response::Done, &mut out);
-                s.write_all(&out).unwrap();
-            }
-        });
-        let mut client = ResilientClient::new(port, ClientConfig::chaos(), 9);
-        let reqs = [
-            Request::Set {
-                key: b"a",
-                value: 1,
-                ttl: 0,
-            },
-            Request::Del { key: b"b" },
-            Request::Set {
-                key: b"c",
-                value: 3,
-                ttl: 0,
-            },
-        ];
-        let mut resps = Vec::new();
-        client
-            .call_pipelined(&reqs, &mut resps)
-            .expect("batch replay must land");
-        assert_eq!(resps.len(), 3, "one response per request, in order");
-        for body in &resps {
-            assert_eq!(decode_response(body).unwrap(), Response::Done);
-        }
-        assert_eq!(client.replays(), 1, "whole batch replayed once");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_batch_with_incr_is_never_replayed() {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut body = Vec::new();
-            let _ = read_frame(&mut s, &mut body);
-            drop(s); // mid-batch hangup; the INCR's fate is unknown
-        });
-        let mut client = ResilientClient::new(port, ClientConfig::chaos(), 10);
-        let reqs = [
-            Request::Set {
-                key: b"a",
-                value: 1,
-                ttl: 0,
-            },
-            Request::Incr {
-                key: b"ctr",
-                delta: 1,
-            },
-        ];
-        let mut resps = Vec::new();
-        assert!(client.call_pipelined(&reqs, &mut resps).is_err());
-        assert_eq!(client.replays(), 0, "a batch containing INCR sends once");
-        server.join().unwrap();
     }
 
     /// A fast-retry config so the classification tests measure attempts,

@@ -9,15 +9,15 @@
 //! * [`Liveness`] — the watchdog that turns a deadlock into exit 2;
 //! * [`Daemon`] and [`TempDir`] — a `goccd` child process and a scratch
 //!   directory that clean up after themselves on every exit path;
-//! * in-process node configs and one-shot wire calls for the replication
-//!   harnesses;
+//! * in-process node configs, a blocking [`connect`] for [`Pipe::call`]
+//!   and the REPL verb call for the replication harnesses;
 //! * [`KeyHist`] / [`Oracle`] / [`issue_op`] — the per-key reference
 //!   oracle the crash and failover soaks judge recovered state by.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::io::{self, BufRead, BufReader, Read};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
 use std::str::FromStr;
@@ -28,8 +28,7 @@ use std::time::{Duration, Instant};
 use gocc_server::{mode_name, parse_mode, Mode, ServerConfig, ServerHandle, ServerSummary};
 use gocc_telemetry::{JsonValue, SplitMix64};
 use gocc_wire::{
-    decode_response, encode_repl_request, encode_request, read_frame, write_frame, ReplRequest,
-    Request, Response,
+    decode_response, encode_repl_request, write_frame, Pipe, ReplRequest, Request, Response,
 };
 
 use crate::{connect_with_retry, fetch_stats, ClientConfig, ResilientClient};
@@ -61,6 +60,12 @@ impl From<String> for SoakError {
 impl From<&str> for SoakError {
     fn from(msg: &str) -> Self {
         SoakError::Harness(msg.to_string())
+    }
+}
+
+impl From<io::Error> for SoakError {
+    fn from(e: io::Error) -> Self {
+        SoakError::Harness(e.to_string())
     }
 }
 
@@ -649,96 +654,54 @@ pub fn stop(node: ServerHandle) -> ServerSummary {
 
 // --------------------------------------------------------- wire helpers --
 
-/// A plain blocking connection: one request out, its response back. An
-/// `Err` means the peer went away mid-call — exactly what a seeded abort
-/// looks like from the client side.
-pub struct Conn {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
+/// A blocking connection to a daemon that may take a beat between
+/// LISTENING and accept, for [`Pipe::call`]: one request out, its answer
+/// back. An `Err` from a call means the peer went away mid-call — exactly
+/// what a seeded abort looks like from the client side.
+pub fn connect(port: u16) -> Result<Pipe<TcpStream>, String> {
+    // Startup, not a dead daemon: the refused budget is generous.
+    let cfg = ClientConfig {
+        read_timeout: Duration::from_secs(10),
+        connect_attempts: 50,
+        refused_attempts: 50,
+        backoff_base: Duration::from_millis(10),
+        backoff_cap: Duration::from_millis(25),
+        ..ClientConfig::default()
+    };
+    let mut rng = SplitMix64::new(0xC4A5_4150 ^ u64::from(port));
+    let stream = connect_with_retry(port, &cfg, &mut rng)
+        .map_err(|e| format!("connect 127.0.0.1:{port}: {e}"))?;
+    Ok(Pipe::new(stream))
 }
 
-impl Conn {
-    pub fn connect(port: u16) -> Result<Conn, String> {
-        // A daemon may take a beat between LISTENING and accept, so the
-        // refused budget is generous — this is startup, not a dead daemon.
-        let cfg = ClientConfig {
-            read_timeout: Duration::from_secs(10),
-            connect_attempts: 50,
-            refused_attempts: 50,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(25),
-            ..ClientConfig::default()
-        };
-        let mut rng = SplitMix64::new(0xC4A5_4150 ^ u64::from(port));
-        let stream = connect_with_retry(port, &cfg, &mut rng)
-            .map_err(|e| format!("connect 127.0.0.1:{port}: {e}"))?;
-        Ok(Conn {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        })
-    }
-
-    pub fn call(&mut self, req: &Request<'_>) -> Result<Response<'_>, String> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).map_err(|e| format!("send: {e}"))?;
-        match read_frame(&mut self.stream, &mut self.respbuf) {
-            Ok(true) => decode_response(&self.respbuf).map_err(|e| format!("decode: {e}")),
-            Ok(false) => Err("connection closed".into()),
-            Err(e) => Err(format!("recv: {e}")),
-        }
-    }
-}
-
-/// One frame out, one frame back, over a fresh connection.
-pub fn round_trip(port: u16, frame: &[u8]) -> Result<Vec<u8>, String> {
+/// One REPL verb over a fresh connection; `Ok` for `Done`. REPL verbs
+/// keep their bare framing outside the pipe: the request ends the
+/// connection's input, and its one answer is all the node sends back.
+pub fn repl_call(port: u16, req: &ReplRequest<'_>) -> Result<(), String> {
     let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
         .map_err(|e| format!("connect {port}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| e.to_string())?;
-    write_frame(&mut stream, frame).map_err(|e| format!("send: {e}"))?;
-    let mut resp = Vec::new();
-    if !read_frame(&mut stream, &mut resp).map_err(|e| format!("recv: {e}"))? {
-        return Err("connection closed".into());
-    }
-    Ok(resp)
-}
-
-/// One REPL verb over a fresh connection; `Ok` for `Done`.
-pub fn repl_call(port: u16, req: &ReplRequest<'_>) -> Result<(), String> {
     let mut frame = Vec::new();
     encode_repl_request(req, &mut frame);
-    let resp = round_trip(port, &frame)?;
-    match decode_response(&resp).map_err(|e| format!("decode: {e}"))? {
-        Response::Done => Ok(()),
+    let mut answer = Vec::new();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .and_then(|()| write_frame(&mut stream, &frame))
+        .and_then(|()| stream.shutdown(Shutdown::Write))
+        .and_then(|()| stream.read_to_end(&mut answer))
+        .map_err(|e| format!("REPL verb: {e}"))?;
+    match answer.get(4..).map(decode_response) {
+        Some(Ok(Response::Done)) => Ok(()),
         other => Err(format!("REPL verb answered {other:?}")),
     }
 }
 
-/// One request over a fresh connection, no retry machinery in the way;
-/// returns the undecoded response body.
-pub fn call_once(port: u16, req: &Request<'_>) -> Result<Vec<u8>, String> {
-    let mut frame = Vec::new();
-    encode_request(req, &mut frame);
-    round_trip(port, &frame)
-}
-
 /// GET through a resilient single-node client.
 pub fn get_value(client: &mut ResilientClient, key: &str) -> Result<Option<u64>, String> {
-    let mut resp = Vec::new();
-    client
-        .call(
-            &Request::Get {
-                key: key.as_bytes(),
-            },
-            &mut resp,
-        )
-        .map_err(|e| format!("GET {key}: {e}"))?;
-    match decode_response(&resp).map_err(|e| format!("decode GET: {e}"))? {
+    let get = Request::Get {
+        key: key.as_bytes(),
+    };
+    match client.call(&get).map_err(|e| format!("GET {key}: {e}"))? {
         Response::Value { found, value } => Ok(found.then_some(value)),
         other => Err(format!("GET answered {other:?}")),
     }

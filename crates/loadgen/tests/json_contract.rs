@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use gocc_loadgen::StatsDoc;
+use gocc_loadgen::JsonDoc;
 use gocc_telemetry::{JsonValue, JsonWriter, SplitMix64};
 
 /// Characters chosen to hit every escaping branch: the two mandatory
@@ -166,7 +166,7 @@ fn stats_doc_accessors_survive_escaped_content() {
         .end_object()
         .end_object();
     let raw = w.finish();
-    let doc = StatsDoc {
+    let doc = JsonDoc {
         parsed: JsonValue::parse(&raw).expect("stats parse"),
         raw,
     };

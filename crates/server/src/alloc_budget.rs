@@ -18,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use gocc_wire::{encode_request, encode_response, Request, Response};
+use gocc_wire::{encode_request_v2, encode_response, Request, Response};
 use gocc_workloads::Engine;
 
 use crate::conn::{Conn, PumpOutcome};
@@ -146,7 +146,7 @@ fn steady_state_pump_passes_do_not_allocate() {
                 key: key.as_bytes(),
             }
         };
-        encode_request(&req, &mut burst);
+        encode_request_v2(&req, None, &mut burst);
     }
     // Response sizes are fixed per verb: 16 `Done` and 16 `Value` frames.
     let mut resp = Vec::new();

@@ -1094,11 +1094,11 @@ mod tests {
     #[test]
     fn a_short_read_ends_the_pass_and_the_next_one_reads_on() {
         use gocc_faultplane::TransportMix;
-        use gocc_wire::encode_request;
+        use gocc_wire::encode_request_v2;
 
         gocc_gosync::set_procs(8);
         let mut frame = Vec::new();
-        encode_request(&Request::Get { key: b"absent" }, &mut frame);
+        encode_request_v2(&Request::Get { key: b"absent" }, None, &mut frame);
         let mut expected = Vec::new();
         let miss = Response::Value {
             found: false,

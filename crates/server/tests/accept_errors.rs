@@ -6,12 +6,11 @@
 //! Alone in its file, and so in its process: it lowers `RLIMIT_NOFILE`.
 
 use std::fs::File;
-use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, ServerConfig};
-use gocc_wire::{decode_response, encode_request, read_frame, Request, Response};
+use gocc_wire::{Pipe, Request, Response};
 
 #[repr(C)]
 struct Rlimit {
@@ -83,10 +82,12 @@ fn accept_failures_are_counted_and_backed_off_and_the_connection_survives() {
     // handshake from the listen queue, so `connect` succeeds — and the
     // server's `accept()` has nothing left to return the peer in.
     drop(hoard.pop());
-    let mut client = TcpStream::connect(("127.0.0.1", handle.port())).expect("connect");
-    let mut wire = Vec::new();
-    encode_request(&Request::Health, &mut wire);
-    client.write_all(&wire).expect("send");
+    let stream = TcpStream::connect(("127.0.0.1", handle.port())).expect("connect");
+    // Non-blocking while nothing can answer: the pump only sends.
+    stream.set_nonblocking(true).unwrap();
+    let mut client = Pipe::new(stream);
+    client.submit(&Request::Health, None);
+    client.pump().expect("send");
 
     let t0 = Instant::now();
     std::thread::sleep(Duration::from_millis(400));
@@ -108,13 +109,14 @@ fn accept_failures_are_counted_and_backed_off_and_the_connection_survives() {
         "acceptor burned {} µs failing",
         cpu / 1000
     );
-    client
+    let stream = client.get_ref();
+    stream.set_nonblocking(false).unwrap();
+    stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let mut resp = Vec::new();
-    assert!(read_frame(&mut client, &mut resp).expect("recv"));
+    client.wait().expect("recv");
     assert!(matches!(
-        decode_response(&resp).expect("well-formed response"),
+        client.answer().expect("answer").expect("ready").1,
         Response::Health { .. }
     ));
     assert_eq!(counters.accepted(), 1);

@@ -3,46 +3,15 @@
 //! acknowledged write back. Also covers the FLUSH verb contract and the
 //! STATS `"wal"` object.
 
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use gocc_server::{spawn, Mode, ServerConfig, SyncPolicy};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
+use gocc_wire::{Request, Response};
 
-/// Blocking request/response helper over one client connection.
-struct Client {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        }
-    }
-
-    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
-}
+mod common;
+use common::connect;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gocc-e2e-{name}-{}", std::process::id()));
@@ -76,7 +45,7 @@ fn acked_writes_survive_graceful_restart() {
         for sync in [SyncPolicy::Group, SyncPolicy::Always] {
             let dir = temp_dir("restart");
             let handle = spawn(config(mode, Some(dir.clone()), sync)).expect("spawn with data dir");
-            let mut c = Client::connect(handle.port());
+            let mut c = connect(handle.port());
             for i in 0..64u64 {
                 let key = format!("key-{i}");
                 assert_eq!(
@@ -84,7 +53,8 @@ fn acked_writes_survive_graceful_restart() {
                         key: key.as_bytes(),
                         value: i * 10,
                         ttl: 0
-                    }),
+                    })
+                    .unwrap(),
                     Response::Done
                 );
             }
@@ -92,27 +62,29 @@ fn acked_writes_survive_graceful_restart() {
                 c.call(&Request::Incr {
                     key: b"ctr",
                     delta: 5
-                }),
+                })
+                .unwrap(),
                 Response::Counter { value: 5 }
             );
             assert_eq!(
                 c.call(&Request::Incr {
                     key: b"ctr",
                     delta: 37
-                }),
+                })
+                .unwrap(),
                 Response::Counter { value: 42 }
             );
             assert_eq!(
-                c.call(&Request::Del { key: b"key-13" }),
+                c.call(&Request::Del { key: b"key-13" }).unwrap(),
                 Response::Deleted { existed: true }
             );
-            assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+            assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
             let _ = handle.join();
 
             // Same directory, fresh process state: recovery must replay
             // the checkpoint-free tail before the listener opens.
             let handle = spawn(config(mode, Some(dir.clone()), sync)).expect("respawn");
-            let mut c = Client::connect(handle.port());
+            let mut c = connect(handle.port());
             for i in 0..64u64 {
                 let key = format!("key-{i}");
                 let want = if i == 13 {
@@ -129,7 +101,8 @@ fn acked_writes_survive_graceful_restart() {
                 assert_eq!(
                     c.call(&Request::Get {
                         key: key.as_bytes()
-                    }),
+                    })
+                    .unwrap(),
                     want,
                     "mode={mode:?} sync={sync:?} key-{i}"
                 );
@@ -140,13 +113,14 @@ fn acked_writes_survive_graceful_restart() {
                 c.call(&Request::Incr {
                     key: b"ctr",
                     delta: 1
-                }),
+                })
+                .unwrap(),
                 Response::Counter { value: 43 }
             );
-            let Response::Stats { json } = c.call(&Request::Stats) else {
+            let Response::Stats { json } = c.call(&Request::Stats).unwrap() else {
                 panic!("stats must answer");
             };
-            let doc = JsonValue::parse(&json).expect("stats JSON parses");
+            let doc = JsonValue::parse(json).expect("stats JSON parses");
             let wal = doc.get("wal").expect("wal object in STATS");
             assert!(matches!(wal.get("enabled"), Some(JsonValue::Bool(true))));
             let replayed = wal
@@ -155,7 +129,7 @@ fn acked_writes_survive_graceful_restart() {
                 .and_then(JsonValue::as_f64)
                 .expect("recovery_replayed counter");
             assert!(replayed >= 66.0, "expected a replayed tail, got {replayed}");
-            assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+            assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
             let _ = handle.join();
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -169,16 +143,17 @@ fn flush_returns_monotone_durable_lsn() {
     gocc_gosync::set_procs(8);
     let dir = temp_dir("flush");
     let handle = spawn(config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group)).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     assert_eq!(
         c.call(&Request::Set {
             key: b"k",
             value: 1,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
-    let Response::Flushed { durable_lsn: a } = c.call(&Request::Flush) else {
+    let Response::Flushed { durable_lsn: a } = c.call(&Request::Flush).unwrap() else {
         panic!("flush must answer Flushed");
     };
     assert!(a > 0, "a write happened, so the durable LSN must be > 0");
@@ -187,14 +162,15 @@ fn flush_returns_monotone_durable_lsn() {
             key: b"k2",
             value: 2,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
-    let Response::Flushed { durable_lsn: b } = c.call(&Request::Flush) else {
+    let Response::Flushed { durable_lsn: b } = c.call(&Request::Flush).unwrap() else {
         panic!("flush must answer Flushed");
     };
     assert!(b > a, "durable LSN must advance: {a} -> {b}");
-    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
     let _ = handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -205,20 +181,20 @@ fn flush_returns_monotone_durable_lsn() {
 fn flush_without_wal_is_vacuous() {
     gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Lock, None, SyncPolicy::Group)).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     assert_eq!(
-        c.call(&Request::Flush),
+        c.call(&Request::Flush).unwrap(),
         Response::Flushed { durable_lsn: 0 }
     );
-    let Response::Stats { json } = c.call(&Request::Stats) else {
+    let Response::Stats { json } = c.call(&Request::Stats).unwrap() else {
         panic!("stats must answer");
     };
-    let doc = JsonValue::parse(&json).expect("stats JSON parses");
+    let doc = JsonValue::parse(json).expect("stats JSON parses");
     assert!(
         matches!(doc.get("wal"), Some(JsonValue::Null)),
         "wal must be JSON null without a data dir"
     );
-    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
     let _ = handle.join();
 }
 
@@ -232,7 +208,7 @@ fn checkpoint_bounds_replay_on_restart() {
     let mut cfg = config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group);
     cfg.wal.checkpoint_every = 100;
     let handle = spawn(cfg.clone()).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     for i in 0..400u64 {
         let key = format!("k{}", i % 32);
         assert_eq!(
@@ -240,17 +216,18 @@ fn checkpoint_bounds_replay_on_restart() {
                 key: key.as_bytes(),
                 value: i,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done
         );
     }
     // Wait for the checkpoint thread to notice the trigger.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let Response::Stats { json } = c.call(&Request::Stats) else {
+        let Response::Stats { json } = c.call(&Request::Stats).unwrap() else {
             panic!("stats must answer");
         };
-        let doc = JsonValue::parse(&json).expect("stats JSON parses");
+        let doc = JsonValue::parse(json).expect("stats JSON parses");
         let ckpts = doc
             .get("wal")
             .and_then(|w| w.get("checkpoints"))
@@ -265,15 +242,15 @@ fn checkpoint_bounds_replay_on_restart() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
     let _ = handle.join();
 
     let handle = spawn(cfg).expect("respawn");
-    let mut c = Client::connect(handle.port());
-    let Response::Stats { json } = c.call(&Request::Stats) else {
+    let mut c = connect(handle.port());
+    let Response::Stats { json } = c.call(&Request::Stats).unwrap() else {
         panic!("stats must answer");
     };
-    let doc = JsonValue::parse(&json).expect("stats JSON parses");
+    let doc = JsonValue::parse(json).expect("stats JSON parses");
     let rec = doc
         .get("wal")
         .and_then(|w| w.get("recovery"))
@@ -297,14 +274,15 @@ fn checkpoint_bounds_replay_on_restart() {
         assert_eq!(
             c.call(&Request::Get {
                 key: key.as_bytes()
-            }),
+            })
+            .unwrap(),
             Response::Value {
                 found: true,
                 value: want
             }
         );
     }
-    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
     let _ = handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

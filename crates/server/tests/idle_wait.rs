@@ -19,7 +19,10 @@ use std::time::{Duration, Instant};
 
 use gocc_server::idle::{self, IDLE_PASS};
 use gocc_server::{spawn, BrownoutConfig, HealthState, ServerConfig, ServerHandle};
-use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
+use gocc_wire::{encode_request_v2, Pipe, Request, Response};
+
+mod common;
+use common::connect;
 
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -39,50 +42,23 @@ fn config(workers: usize) -> ServerConfig {
     }
 }
 
-/// Blocking request/response helper over one client connection.
-struct Client {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
+fn set(c: &mut Pipe<TcpStream>, key: &[u8], value: u64) {
+    let req = Request::Set { key, value, ttl: 0 };
+    assert_eq!(c.call(&req).expect("call"), Response::Done);
 }
 
-impl Client {
-    fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        // A lost wake-up shows as this timeout, not as a hung test run.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        }
-    }
+fn get<'c>(c: &'c mut Pipe<TcpStream>, key: &[u8]) -> Response<'c> {
+    c.call(&Request::Get { key }).expect("call")
+}
 
-    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        self.recv()
+/// Writes `reqs` in one go, then waits for every answer.
+fn burst(c: &mut Pipe<TcpStream>, reqs: &[Request<'_>]) {
+    for req in reqs {
+        c.submit(req, None);
     }
-
-    fn recv(&mut self) -> Response<'_> {
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
-
-    fn set(&mut self, key: &[u8], value: u64) {
-        let req = Request::Set { key, value, ttl: 0 };
-        assert_eq!(self.call(&req), Response::Done);
-    }
-
-    fn get(&mut self, key: &[u8]) -> Response<'_> {
-        self.call(&Request::Get { key })
+    for _ in reqs {
+        c.wait().expect("recv");
+        c.answer().expect("answer");
     }
 }
 
@@ -151,8 +127,8 @@ fn an_idle_server_with_an_open_connection_stays_asleep() {
             ..config(1)
         })
         .expect("spawn");
-        let mut c = Client::connect(handle.port());
-        c.set(b"k", 1);
+        let mut c = connect(handle.port());
+        set(&mut c, b"k", 1);
         settled_idle_counts(&handle);
         let (switches0, cpu0) = server_thread_use();
         std::thread::sleep(Duration::from_millis(300));
@@ -167,7 +143,7 @@ fn an_idle_server_with_an_open_connection_stays_asleep() {
         assert!(cpu1 - cpu0 < 20_000_000, "idle threads burned CPU");
         // Still there, still serving.
         assert_eq!(
-            c.get(b"k"),
+            get(&mut c, b"k"),
             Response::Value {
                 found: true,
                 value: 1
@@ -181,8 +157,8 @@ fn an_idle_server_with_an_open_connection_stays_asleep() {
 fn a_request_and_a_new_connection_wake_blocked_workers() {
     let _turn = take_turn();
     let handle = spawn(config(2)).expect("spawn");
-    let mut first = Client::connect(handle.port());
-    first.set(b"k", 7);
+    let mut first = connect(handle.port());
+    set(&mut first, b"k", 7);
     std::thread::sleep(Duration::from_millis(100));
     let workers = handle.state().counters().per_worker();
     assert!(workers[0].idle_blocks() >= 1, "worker 0 is not blocked");
@@ -192,7 +168,7 @@ fn a_request_and_a_new_connection_wake_blocked_workers() {
     // Worker 0 is woken by its socket…
     let t0 = Instant::now();
     assert_eq!(
-        first.get(b"k"),
+        get(&mut first, b"k"),
         Response::Value {
             found: true,
             value: 7
@@ -200,9 +176,9 @@ fn a_request_and_a_new_connection_wake_blocked_workers() {
     );
     // …the acceptor by its listener, and worker 1 — which owns no socket
     // at all yet — by the acceptor.
-    let mut second = Client::connect(handle.port());
+    let mut second = connect(handle.port());
     assert_eq!(
-        second.get(b"k"),
+        get(&mut second, b"k"),
         Response::Value {
             found: true,
             value: 7
@@ -263,8 +239,8 @@ fn shutdown_reaches_every_blocked_thread_by_handle_and_by_verb() {
     let drain_timeout = ServerConfig::default().drain_timeout;
 
     let handle = spawn(config(2)).expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
     settled_idle_counts(&handle);
     handle.request_shutdown();
     let took = timed_join(handle);
@@ -276,10 +252,10 @@ fn shutdown_reaches_every_blocked_thread_by_handle_and_by_verb() {
     // The verb is handled by worker 0; worker 1 and the acceptor own no
     // socket the client touched and have to be woken.
     let handle = spawn(config(2)).expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
     settled_idle_counts(&handle);
-    assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
     let took = timed_join(handle);
     assert!(took < drain_timeout, "join after SHUTDOWN: {took:?}");
 }
@@ -300,30 +276,26 @@ fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
 
     // A SCAN answers at most 4 096 entries of 16 bytes: 64 KiB.
     const KEYS: u32 = gocc_wire::MAX_SCAN;
-    let mut loader = Client::connect(port);
-    let mut sets = Vec::new();
+    let mut loader = connect(port);
     for chunk in (0..KEYS).collect::<Vec<_>>().chunks(100) {
-        sets.clear();
-        for i in chunk {
-            let key = format!("key-{i}");
-            let req = Request::Set {
+        let keys: Vec<String> = chunk.iter().map(|i| format!("key-{i}")).collect();
+        let sets: Vec<Request<'_>> = keys
+            .iter()
+            .zip(chunk)
+            .map(|(key, i)| Request::Set {
                 key: key.as_bytes(),
                 value: u64::from(*i),
                 ttl: 0,
-            };
-            encode_request(&req, &mut sets);
-        }
-        loader.stream.write_all(&sets).expect("send");
-        for _ in chunk {
-            assert_eq!(loader.recv(), Response::Done);
-        }
+            })
+            .collect();
+        burst(&mut loader, &sets);
     }
     drop(loader);
 
     // 80 of them, never read: 5 MiB against a send buffer of at most 4.
     let mut scans = Vec::new();
     for _ in 0..80 {
-        encode_request(&Request::Scan { limit: KEYS }, &mut scans);
+        encode_request_v2(&Request::Scan { limit: KEYS }, None, &mut scans);
     }
     // `stalled` just stops reading. `closing` also sends a frame that
     // costs it the connection and then more bytes: the server stops
@@ -496,8 +468,8 @@ fn a_timed_pass_ends_for_a_dispatched_connection_and_for_shutdown() {
         ..config(1)
     })
     .expect("spawn");
-    let mut first = Client::connect(handle.port());
-    first.set(b"k", 3);
+    let mut first = connect(handle.port());
+    set(&mut first, b"k", 3);
     let brownout = handle.state().brownout();
     brownout.observe(1e9, 0.0);
     assert_eq!(brownout.state(), HealthState::Degraded);
@@ -505,7 +477,7 @@ fn a_timed_pass_ends_for_a_dispatched_connection_and_for_shutdown() {
     // The worker blocked before the state moved; one request gets it to
     // its next idle decision, and from there it only takes timed passes
     // (which escalate once more: reads are still served).
-    first.get(b"k");
+    get(&mut first, b"k");
     let worker = &handle.state().counters().per_worker()[0];
     let (blocks0, timed0) = (worker.idle_blocks(), worker.coalesce_sleeps());
     std::thread::sleep(Duration::from_millis(20));
@@ -513,9 +485,9 @@ fn a_timed_pass_ends_for_a_dispatched_connection_and_for_shutdown() {
 
     // A timed pass watches no socket; what ends it early is the waker,
     // which is how this connection reaches the worker at all.
-    let mut second = Client::connect(handle.port());
+    let mut second = connect(handle.port());
     assert_eq!(
-        second.get(b"k"),
+        get(&mut second, b"k"),
         Response::Value {
             found: true,
             value: 3
@@ -543,20 +515,13 @@ fn brownout_recovers_without_traffic() {
         ..config(1)
     })
     .expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
     settled_idle_counts(&handle);
 
     // One 64-deep burst is two hot observations (64, then 32 from the
     // idle pass behind it): Healthy → Degraded → Shedding.
-    let mut burst = Vec::new();
-    for _ in 0..64 {
-        encode_request(&Request::Get { key: b"k" }, &mut burst);
-    }
-    c.stream.write_all(&burst).expect("send");
-    for _ in 0..64 {
-        c.recv();
-    }
+    burst(&mut c, &[Request::Get { key: b"k" }; 64]);
     // Nothing is sent from here on: only the worker's own idle passes can
     // decay the averages, so it must keep taking them until Healthy.
     let brownout = handle.state().brownout();
@@ -595,24 +560,17 @@ fn sparse_bursts_do_not_add_up_to_overload() {
         ..config(1)
     })
     .expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
 
     // A 32-deep burst lifts a settled depth average to 0.2 × 32 = 6.4,
     // under the bar of 8. Polling every 200 µs, the worker fed the
     // controller ~100 zeros in the 30 ms to the next burst; blocked, it
     // must hand them over when it wakes. With only the two zeros of the
     // passes it does take, the second burst would read 9.7 and escalate.
-    let mut burst = Vec::new();
-    for _ in 0..32 {
-        encode_request(&Request::Get { key: b"k" }, &mut burst);
-    }
     let (blocks0, _) = settled_idle_counts(&handle);
     for _ in 0..6 {
-        c.stream.write_all(&burst).expect("send");
-        for _ in 0..32 {
-            c.recv();
-        }
+        burst(&mut c, &[Request::Get { key: b"k" }; 32]);
         std::thread::sleep(Duration::from_millis(30));
     }
     let (blocks1, _) = settled_idle_counts(&handle);
@@ -629,8 +587,8 @@ fn sparse_bursts_do_not_add_up_to_overload() {
 fn a_slow_request_every_100_ms_is_not_an_overload() {
     let _turn = take_turn();
     let handle = spawn(config(1)).expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
     let brownout = handle.state().brownout();
     // 20 ms in the engine. One such request lifts a settled latency
     // average to 0.2 × 20 = 4 ms, under the bar of 5; the bar is 25 ms a
@@ -645,7 +603,7 @@ fn a_slow_request_every_100_ms_is_not_an_overload() {
         // The request wakes the worker, which first hands the controller
         // the ≈ 500 passes it was blocked for (`observe_idle`), then
         // serves it and blocks again…
-        c.get(b"k");
+        get(&mut c, b"k");
         settled_idle_counts(&handle);
         // …and this is what its pass reports when the store took 20 ms.
         brownout.observe(1.0, slow_ns);
@@ -674,14 +632,14 @@ fn a_slow_request_every_100_ms_is_not_an_overload() {
 fn a_lone_request_blocks_and_a_pipelined_burst_coalesces() {
     let _turn = take_turn();
     let handle = spawn(config(1)).expect("spawn");
-    let mut c = Client::connect(handle.port());
-    c.set(b"k", 1);
+    let mut c = connect(handle.port());
+    set(&mut c, b"k", 1);
 
     // Depth 1: the worker is woken by each request and blocks again
     // behind it — one block per request, no sleep.
     let (blocks0, sleeps0) = settled_idle_counts(&handle);
     for _ in 0..10 {
-        c.get(b"k");
+        get(&mut c, b"k");
         settled_idle_counts(&handle);
     }
     let (blocks1, sleeps1) = settled_idle_counts(&handle);
@@ -691,15 +649,8 @@ fn a_lone_request_blocks_and_a_pipelined_burst_coalesces() {
     // sleep. The worker blocks only when that sleep turned up nothing —
     // which a client that keeps its pipeline full never lets happen, and
     // this one, pausing between bursts, lets happen once per burst.
-    let mut burst = Vec::new();
-    for _ in 0..32 {
-        encode_request(&Request::Get { key: b"k" }, &mut burst);
-    }
     for _ in 0..10 {
-        c.stream.write_all(&burst).expect("send");
-        for _ in 0..32 {
-            c.recv();
-        }
+        burst(&mut c, &[Request::Get { key: b"k" }; 32]);
         settled_idle_counts(&handle);
     }
     let (blocks2, sleeps2) = settled_idle_counts(&handle);
@@ -715,18 +666,15 @@ fn a_full_pipeline_takes_one_timed_pass_per_window_and_does_not_block() {
         ..config(1)
     })
     .expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     // 32 keys, some on every shard: a window is one batch per shard.
-    let mut window = Vec::new();
-    for i in 0..32 {
-        let key = format!("key-{i}");
-        encode_request(
-            &Request::Get {
-                key: key.as_bytes(),
-            },
-            &mut window,
-        );
-    }
+    let keys: Vec<String> = (0..32).map(|i| format!("key-{i}")).collect();
+    let window: Vec<Request<'_>> = keys
+        .iter()
+        .map(|key| Request::Get {
+            key: key.as_bytes(),
+        })
+        .collect();
     let counters = handle.state().counters();
     let worker = &counters.per_worker()[0];
     // A closed loop at depth 32, as `serve_d32` settles: the worker has
@@ -744,12 +692,9 @@ fn a_full_pipeline_takes_one_timed_pass_per_window_and_does_not_block() {
     // optimised and 5–22 in a debug build in a slow phase of this box, so
     // the bar is half of them, best of three rounds.
     const WINDOWS: u64 = 300;
-    let exchange = |c: &mut Client| {
+    let exchange = |c: &mut Pipe<TcpStream>| {
         let seen = worker.coalesce_sleeps();
-        c.stream.write_all(&window).expect("send");
-        for _ in 0..32 {
-            c.recv();
-        }
+        burst(c, &window);
         let t0 = Instant::now();
         while worker.coalesce_sleeps() == seen {
             assert!(t0.elapsed() < Duration::from_secs(1), "no timed pass");

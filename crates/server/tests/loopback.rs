@@ -1,7 +1,7 @@
 //! End-to-end loopback tests: a real `goccd` instance, real sockets,
 //! both execution modes.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,39 +9,27 @@ use std::time::Duration;
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
 use gocc_server::{spawn, Mode, ServerConfig, ShardedStore};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{decode_response, encode_request, read_frame, write_frame, Request, Response};
+use gocc_wire::{decode_response, Pipe, Request, Response};
 
-/// Blocking request/response helper over one client connection.
-struct Client {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
-}
+mod common;
+use common::connect;
 
-impl Client {
-    fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        }
-    }
-
-    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
+/// Writes raw `bytes` on a fresh connection and returns the body of the
+/// one frame the server answers before closing it (`read_to_end` returns
+/// only once the server has closed).
+fn answer_then_close(port: u16, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut got = Vec::new();
+    stream
+        .read_to_end(&mut got)
+        .expect("the server closes the connection");
+    let len = u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
+    assert_eq!(got.len(), 4 + len, "one frame, then the close: {got:?}");
+    got.split_off(4)
 }
 
 fn config(mode: Mode) -> ServerConfig {
@@ -61,9 +49,9 @@ fn verbs_roundtrip_in_both_modes() {
     gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
-        let mut c = Client::connect(handle.port());
+        let mut c = connect(handle.port());
         assert_eq!(
-            c.call(&Request::Get { key: b"absent" }),
+            c.call(&Request::Get { key: b"absent" }).unwrap(),
             Response::Value {
                 found: false,
                 value: 0
@@ -74,11 +62,12 @@ fn verbs_roundtrip_in_both_modes() {
                 key: b"alpha",
                 value: 7,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done
         );
         assert_eq!(
-            c.call(&Request::Get { key: b"alpha" }),
+            c.call(&Request::Get { key: b"alpha" }).unwrap(),
             Response::Value {
                 found: true,
                 value: 7
@@ -88,25 +77,27 @@ fn verbs_roundtrip_in_both_modes() {
             c.call(&Request::Incr {
                 key: b"ctr",
                 delta: 41
-            }),
+            })
+            .unwrap(),
             Response::Counter { value: 41 }
         );
         assert_eq!(
             c.call(&Request::Incr {
                 key: b"ctr",
                 delta: 1
-            }),
+            })
+            .unwrap(),
             Response::Counter { value: 42 }
         );
-        let Response::Entries { pairs } = c.call(&Request::Scan { limit: 100 }) else {
+        let Response::Entries { pairs } = c.call(&Request::Scan { limit: 100 }).unwrap() else {
             panic!("scan must return entries");
         };
         assert_eq!(pairs.len(), 2, "alpha + ctr");
         assert_eq!(
-            c.call(&Request::Del { key: b"alpha" }),
+            c.call(&Request::Del { key: b"alpha" }).unwrap(),
             Response::Deleted { existed: true }
         );
-        assert_eq!(c.call(&Request::Shutdown), Response::Bye);
+        assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
         let summary = handle.join();
         assert_eq!(summary.malformed_frames, 0);
         assert!(summary.requests >= 8, "{summary:?}");
@@ -118,19 +109,21 @@ fn stats_json_parses_with_telemetry_parser() {
     gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
-        let mut c = Client::connect(handle.port());
+        let mut c = connect(handle.port());
         for i in 0..50u64 {
             let key = format!("key-{i}");
             c.call(&Request::Set {
                 key: key.as_bytes(),
                 value: i,
                 ttl: 0,
-            });
+            })
+            .unwrap();
             c.call(&Request::Get {
                 key: key.as_bytes(),
-            });
+            })
+            .unwrap();
         }
-        let stats = c.call(&Request::Stats);
+        let stats = c.call(&Request::Stats).unwrap();
         let Response::Stats { json } = stats else {
             panic!("stats must return the JSON document");
         };
@@ -151,7 +144,7 @@ fn stats_json_parses_with_telemetry_parser() {
             let sites = tele.get("sites").unwrap().as_array().unwrap();
             assert!(!sites.is_empty(), "gocc mode must attribute sections");
         }
-        c.call(&Request::Shutdown);
+        c.call(&Request::Shutdown).unwrap();
         let _ = handle.join();
     }
 }
@@ -162,24 +155,27 @@ fn trace_verb_returns_spans_for_sampled_requests() {
     let mut cfg = config(Mode::Gocc);
     cfg.trace_sample_n = 1; // sample every request
     let handle = spawn(cfg).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     for i in 0..32u64 {
         let key = format!("t-{i}");
         c.call(&Request::Set {
             key: key.as_bytes(),
             value: i,
             ttl: 0,
-        });
+        })
+        .unwrap();
         c.call(&Request::Get {
             key: key.as_bytes(),
-        });
+        })
+        .unwrap();
         c.call(&Request::Incr {
             key: b"ctr",
             delta: 1,
-        });
+        })
+        .unwrap();
     }
 
-    let Response::Trace { json } = c.call(&Request::Trace { max: 0 }) else {
+    let Response::Trace { json } = c.call(&Request::Trace { max: 0 }).unwrap() else {
         panic!("TRACE must return the span document");
     };
     let v = JsonValue::parse(json).expect("TRACE JSON parses");
@@ -234,7 +230,7 @@ fn trace_verb_returns_spans_for_sampled_requests() {
 
     // STATS reports the flight-recorder counters, and the drain above is
     // visible in spans_taken.
-    let Response::Stats { json } = c.call(&Request::Stats) else {
+    let Response::Stats { json } = c.call(&Request::Stats).unwrap() else {
         panic!("stats must return the JSON document");
     };
     let sv = JsonValue::parse(json).expect("STATS JSON parses");
@@ -249,7 +245,7 @@ fn trace_verb_returns_spans_for_sampled_requests() {
     let dv = JsonValue::parse(&dump).expect("chrome dump parses");
     assert!(dv.get("traceEvents").unwrap().as_array().is_some());
 
-    c.call(&Request::Shutdown);
+    c.call(&Request::Shutdown).unwrap();
     let _ = handle.join();
 }
 
@@ -259,54 +255,62 @@ fn malformed_frame_kills_the_connection_not_the_server() {
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     let port = handle.port();
 
-    // Victim connection: send garbage with a plausible header.
-    let mut bad = Client::connect(port);
+    // Victim connection: send garbage with a plausible header. The server
+    // answers with an Error frame, then closes.
     let mut frame = Vec::new();
     frame.extend_from_slice(&5u32.to_le_bytes());
     frame.extend_from_slice(&[0x7E, 1, 2, 3, 4]); // unknown opcode
-    bad.stream.write_all(&frame).unwrap();
-    bad.stream.flush().unwrap();
-    // The server answers with an Error frame, then closes.
-    assert!(read_frame(&mut bad.stream, &mut bad.respbuf).unwrap());
-    let Response::Error { message } = decode_response(&bad.respbuf).unwrap() else {
+    let body = answer_then_close(port, &frame);
+    let Response::Error { message } = decode_response(&body).unwrap() else {
         panic!("expected an error response");
     };
     assert!(message.contains("malformed"), "{message}");
-    assert!(
-        !read_frame(&mut bad.stream, &mut bad.respbuf).unwrap(),
-        "connection must be closed after a malformed frame"
-    );
 
     // A corrupt length prefix is likewise fatal for its connection only.
-    let mut corrupt = Client::connect(port);
-    corrupt.stream.write_all(&[0, 0, 0, 0]).unwrap();
-    corrupt.stream.flush().unwrap();
-    assert!(read_frame(&mut corrupt.stream, &mut corrupt.respbuf).unwrap());
+    let body = answer_then_close(port, &[0, 0, 0, 0]);
     assert!(matches!(
-        decode_response(&corrupt.respbuf).unwrap(),
+        decode_response(&body).unwrap(),
         Response::Error { .. }
     ));
 
     // The server is still fully alive for a fresh connection.
-    let mut good = Client::connect(port);
+    let mut good = connect(port);
     assert_eq!(
         good.call(&Request::Set {
             key: b"alive",
             value: 1,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     assert_eq!(
-        good.call(&Request::Get { key: b"alive" }),
+        good.call(&Request::Get { key: b"alive" }).unwrap(),
         Response::Value {
             found: true,
             value: 1
         }
     );
-    assert_eq!(good.call(&Request::Shutdown), Response::Bye);
+    assert_eq!(good.call(&Request::Shutdown).unwrap(), Response::Bye);
     let summary = handle.join();
     assert_eq!(summary.malformed_frames, 2);
+}
+
+#[test]
+fn a_protocol_v1_frame_is_answered_with_one_error_then_a_close() {
+    gocc_gosync::set_procs(8);
+    let handle = spawn(config(Mode::Gocc)).expect("spawn");
+    // A v1 GET of "key": the bare opcode (0x01) first, no v2 envelope.
+    let mut frame = 6u32.to_le_bytes().to_vec();
+    frame.extend_from_slice(&[0x01, 3, 0, b'k', b'e', b'y']);
+    let body = answer_then_close(handle.port(), &frame);
+    let resp = decode_response(&body).unwrap();
+    let Response::Error { message } = resp else {
+        panic!("a v1 frame was served: {resp:?}");
+    };
+    assert!(message.contains("no v2 envelope"), "{message}");
+    handle.request_shutdown();
+    assert_eq!(handle.join().malformed_frames, 1);
 }
 
 #[test]
@@ -318,13 +322,16 @@ fn concurrent_clients_share_the_store() {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(move || {
-                    let mut c = Client::connect(port);
+                    let mut c = connect(port);
                     let mut last = 0u64;
                     for _ in 0..100 {
-                        let Response::Counter { value } = c.call(&Request::Incr {
-                            key: b"shared",
-                            delta: 1,
-                        }) else {
+                        let Response::Counter { value } = c
+                            .call(&Request::Incr {
+                                key: b"shared",
+                                delta: 1,
+                            })
+                            .unwrap()
+                        else {
                             panic!("incr must return a counter");
                         };
                         // The counter only grows, so the values one
@@ -335,13 +342,14 @@ fn concurrent_clients_share_the_store() {
                 });
             }
         });
-        let mut c = Client::connect(port);
-        let Response::Value { found, value } = c.call(&Request::Get { key: b"shared" }) else {
+        let mut c = connect(port);
+        let Response::Value { found, value } = c.call(&Request::Get { key: b"shared" }).unwrap()
+        else {
             panic!()
         };
         assert!(found);
         assert_eq!(value, 400, "no lost increments in mode {mode:?}");
-        c.call(&Request::Shutdown);
+        c.call(&Request::Shutdown).unwrap();
         let _ = handle.join();
     }
 }
@@ -360,28 +368,22 @@ fn injected_transport_faults_cost_connections_not_correctness() {
     let handle = spawn(cfg).expect("spawn");
     let port = handle.port();
 
-    // One request on a fresh connection; any IO error is the caller's to
-    // retry (the fault plan resets connections constantly).
-    let once = |req: &Request<'_>| -> std::io::Result<Vec<u8>> {
-        let mut stream = TcpStream::connect(("127.0.0.1", port))?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        stream.set_nodelay(true)?;
-        let mut wire = Vec::new();
-        encode_request(req, &mut wire);
-        write_frame(&mut stream, &wire)?;
-        let mut resp = Vec::new();
-        if !read_frame(&mut stream, &mut resp)? {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                "server closed before responding",
-            ));
-        }
-        Ok(resp)
-    };
-    let with_retry = |req: &Request<'_>| -> Vec<u8> {
+    // One request per fresh connection, retried on any IO error (the
+    // fault plan resets connections constantly); its answer must be `want`.
+    let with_retry = |req: &Request<'_>, want: Response<'_>| {
         for _ in 0..500 {
-            if let Ok(resp) = once(req) {
-                return resp;
+            let Ok(stream) = TcpStream::connect(("127.0.0.1", port)) else {
+                continue;
+            };
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            if let Ok(resp) = Pipe::new(stream).call(req) {
+                assert_eq!(
+                    resp, want,
+                    "{req:?} lost or corrupted under transport faults"
+                );
+                return;
             }
         }
         panic!("500 attempts all failed — server degraded, not degrading");
@@ -390,26 +392,23 @@ fn injected_transport_faults_cost_connections_not_correctness() {
     const KEYS: u64 = 60;
     for i in 0..KEYS {
         let key = format!("chaos-{i}");
-        let resp = with_retry(&Request::Set {
+        let set = Request::Set {
             key: key.as_bytes(),
             value: i * 3,
             ttl: 0,
-        });
-        assert_eq!(decode_response(&resp).unwrap(), Response::Done);
+        };
+        with_retry(&set, Response::Done);
     }
     for i in 0..KEYS {
         let key = format!("chaos-{i}");
-        let resp = with_retry(&Request::Get {
+        let get = Request::Get {
             key: key.as_bytes(),
-        });
-        assert_eq!(
-            decode_response(&resp).unwrap(),
-            Response::Value {
-                found: true,
-                value: i * 3
-            },
-            "key {key} lost or corrupted under transport faults"
-        );
+        };
+        let want = Response::Value {
+            found: true,
+            value: i * 3,
+        };
+        with_retry(&get, want);
     }
 
     assert!(
@@ -429,7 +428,7 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
     gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
-        let mut c = Client::connect(handle.port());
+        let mut c = connect(handle.port());
         let counters = handle.state().counters();
         let batch_stats = || {
             (
@@ -456,11 +455,13 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
 
         // A lone SET_S is a batch of one.
         let (batches0, singles0, reqs0) = batch_stats();
-        let lone = c.call(&Request::SetS {
-            key: keys[0].as_bytes(),
-            value: 1,
-            ttl: 0,
-        });
+        let lone = c
+            .call(&Request::SetS {
+                key: keys[0].as_bytes(),
+                value: 1,
+                ttl: 0,
+            })
+            .unwrap();
         assert_eq!(
             lone,
             Response::DoneAt {
@@ -472,20 +473,18 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
 
         // 32 SET_S written before any response is read: one shard-group,
         // one section, tokens ascending in arrival order.
-        let mut burst = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             let req = Request::SetS {
                 key: key.as_bytes(),
                 value: i as u64,
                 ttl: 0,
             };
-            encode_request(&req, &mut burst);
+            c.submit(&req, None);
         }
-        c.stream.write_all(&burst).expect("burst send");
         for i in 0..32u64 {
-            assert!(read_frame(&mut c.stream, &mut c.respbuf).expect("burst recv"));
+            c.wait().expect("burst recv");
             assert_eq!(
-                decode_response(&c.respbuf).expect("decode"),
+                c.answer().expect("answer").expect("ready").1,
                 Response::DoneAt {
                     shard: 0,
                     version: 2 + i
@@ -498,7 +497,7 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
             (batches0 + 2, singles0 + 1, reqs0 + 33),
             "[{mode:?}] the burst must run as one section"
         );
-        c.call(&Request::Shutdown);
+        c.call(&Request::Shutdown).unwrap();
         let _ = handle.join();
     }
 }
@@ -507,13 +506,14 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
 fn shutdown_via_handle_terminates_workers() {
     gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     assert_eq!(
         c.call(&Request::Set {
             key: b"x",
             value: 1,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     handle.request_shutdown();

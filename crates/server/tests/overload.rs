@@ -1,58 +1,25 @@
 //! End-to-end overload tests: deadlines, HEALTH, brownout shedding and
 //! oversized-frame resynchronization against a real `goccd` over loopback.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, HealthState, Mode, ServerConfig};
-use gocc_wire::{
-    decode_response, encode_request, encode_request_v2, read_frame, write_frame, Request, Response,
-    MAX_FRAME,
-};
+use gocc_wire::{decode_response, encode_request_v2, Pipe, Request, Response, MAX_FRAME};
 
-/// Blocking request/response helper over one client connection.
-struct Client {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
-}
+mod common;
+use common::connect;
 
-impl Client {
-    fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        }
-    }
-
-    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        self.roundtrip()
-    }
-
-    /// A protocol-v2 call carrying a deadline budget.
-    fn call_v2(&mut self, req: &Request<'_>, deadline_us: Option<u32>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request_v2(req, deadline_us, &mut self.wirebuf);
-        self.roundtrip()
-    }
-
-    fn roundtrip(&mut self) -> Response<'_> {
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
+/// One round trip whose envelope carries a deadline budget.
+fn with_deadline<'c>(
+    c: &'c mut Pipe<TcpStream>,
+    req: &Request<'_>,
+    deadline_us: u32,
+) -> Response<'c> {
+    c.submit(req, Some(deadline_us));
+    c.wait().expect("recv");
+    c.answer().expect("answer").expect("ready").1
 }
 
 fn config(mode: Mode) -> ServerConfig {
@@ -71,12 +38,12 @@ fn config(mode: Mode) -> ServerConfig {
 fn health_verb_reports_state_and_counters() {
     gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     let Response::Health {
         state,
         shed_total,
         deadline_misses,
-    } = c.call(&Request::Health)
+    } = c.call(&Request::Health).unwrap()
     else {
         panic!("HEALTH must return a health response");
     };
@@ -91,22 +58,23 @@ fn health_verb_reports_state_and_counters() {
 fn expired_deadline_never_reaches_the_engine() {
     gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     // A zero budget is expired on arrival by definition: the SET must be
     // answered DeadlineExceeded and must NOT be applied.
     assert_eq!(
-        c.call_v2(
+        with_deadline(
+            &mut c,
             &Request::Set {
                 key: b"never",
                 value: 1,
                 ttl: 0
             },
-            Some(0)
+            0
         ),
         Response::DeadlineExceeded
     );
     assert_eq!(
-        c.call(&Request::Get { key: b"never" }),
+        c.call(&Request::Get { key: b"never" }).unwrap(),
         Response::Value {
             found: false,
             value: 0
@@ -115,18 +83,19 @@ fn expired_deadline_never_reaches_the_engine() {
     );
     // A generous budget executes normally through the same v2 path.
     assert_eq!(
-        c.call_v2(
+        with_deadline(
+            &mut c,
             &Request::Set {
                 key: b"soon",
                 value: 2,
                 ttl: 0
             },
-            Some(2_000_000)
+            2_000_000
         ),
         Response::Done
     );
     assert_eq!(
-        c.call(&Request::Get { key: b"soon" }),
+        c.call(&Request::Get { key: b"soon" }).unwrap(),
         Response::Value {
             found: true,
             value: 2
@@ -135,7 +104,7 @@ fn expired_deadline_never_reaches_the_engine() {
     // HEALTH (a control verb, never deadline-checked) sees the miss.
     let Response::Health {
         deadline_misses, ..
-    } = c.call_v2(&Request::Health, Some(0))
+    } = with_deadline(&mut c, &Request::Health, 0)
     else {
         panic!("health response expected");
     };
@@ -153,13 +122,14 @@ fn shedding_state_rejects_writes_and_serves_reads() {
     // unreachable recovery threshold pins whatever state the test forces.
     cfg.brownout.recover_obs = u32::MAX;
     let handle = spawn(cfg).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     assert_eq!(
         c.call(&Request::Set {
             key: b"pre",
             value: 7,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
 
@@ -169,30 +139,33 @@ fn shedding_state_rejects_writes_and_serves_reads() {
     assert_eq!(handle.state().brownout().state(), HealthState::Shedding);
 
     // Writes are shed with the retriable Overloaded response...
-    let Response::Overloaded { state } = c.call(&Request::Set {
-        key: b"shed",
-        value: 1,
-        ttl: 0,
-    }) else {
+    let Response::Overloaded { state } = c
+        .call(&Request::Set {
+            key: b"shed",
+            value: 1,
+            ttl: 0,
+        })
+        .unwrap()
+    else {
         panic!("writes must be shed while Shedding");
     };
     assert_eq!(HealthState::from_u8(state), HealthState::Shedding);
     // ... SCAN likewise ...
     assert!(matches!(
-        c.call(&Request::Scan { limit: 10 }),
+        c.call(&Request::Scan { limit: 10 }).unwrap(),
         Response::Overloaded { .. }
     ));
     // ... but reads and the control plane still work on the SAME
     // connection — shedding is per-request, not per-connection.
     assert_eq!(
-        c.call(&Request::Get { key: b"pre" }),
+        c.call(&Request::Get { key: b"pre" }).unwrap(),
         Response::Value {
             found: true,
             value: 7
         }
     );
     assert!(matches!(
-        c.call(&Request::Health),
+        c.call(&Request::Health).unwrap(),
         Response::Health { state: 2, .. }
     ));
     handle.request_shutdown();
@@ -207,7 +180,7 @@ fn brownout_recovers_to_healthy_after_load_removal() {
     cfg.brownout.alpha = 0.5;
     cfg.brownout.recover_obs = 3;
     let handle = spawn(cfg).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     handle.state().brownout().observe(1_000.0, 0.0);
     handle.state().brownout().observe(1_000.0, 0.0);
     assert_eq!(handle.state().brownout().state(), HealthState::Shedding);
@@ -215,7 +188,7 @@ fn brownout_recovers_to_healthy_after_load_removal() {
     // the server must walk back to Healthy well within 5 seconds.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if let Response::Health { state, .. } = c.call(&Request::Health) {
+        if let Response::Health { state, .. } = c.call(&Request::Health).unwrap() {
             if HealthState::from_u8(state) == HealthState::Healthy {
                 break;
             }
@@ -241,28 +214,23 @@ fn queue_limit_sheds_a_pipelined_burst() {
     let mut cfg = config(Mode::Gocc);
     cfg.queue_limit = 4;
     let handle = spawn(cfg).expect("spawn");
-    let mut c = Client::connect(handle.port());
+    let mut c = connect(handle.port());
     // One giant pipelined burst: far more frames than the queue limit
     // arrive in a single pump pass, so the tail must be shed.
     const BURST: usize = 64;
-    let mut wire = Vec::new();
     for i in 0..BURST {
         let key = format!("burst-{i}");
-        encode_request(
-            &Request::Set {
-                key: key.as_bytes(),
-                value: i as u64,
-                ttl: 0,
-            },
-            &mut wire,
-        );
+        let set = Request::Set {
+            key: key.as_bytes(),
+            value: i as u64,
+            ttl: 0,
+        };
+        c.submit(&set, None);
     }
-    c.stream.write_all(&wire).unwrap();
-    c.stream.flush().unwrap();
     let (mut done, mut overloaded) = (0, 0);
     for _ in 0..BURST {
-        assert!(read_frame(&mut c.stream, &mut c.respbuf).unwrap());
-        match decode_response(&c.respbuf).unwrap() {
+        c.wait().unwrap();
+        match c.answer().unwrap().unwrap().1 {
             Response::Done => done += 1,
             Response::Overloaded { .. } => overloaded += 1,
             other => panic!("unexpected response {other:?}"),
@@ -275,7 +243,7 @@ fn queue_limit_sheds_a_pipelined_burst() {
     );
     // The connection survived all of it.
     assert_eq!(
-        c.call(&Request::Get { key: b"burst-0" }),
+        c.call(&Request::Get { key: b"burst-0" }).unwrap(),
         Response::Value {
             found: true,
             value: 0
@@ -290,36 +258,38 @@ fn queue_limit_sheds_a_pipelined_burst() {
 fn oversized_frame_survives_and_resynchronizes_on_the_wire() {
     gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
-    let mut c = Client::connect(handle.port());
     // A frame declaring more than MAX_FRAME bytes, fully delivered, then
-    // a valid request: the server must answer an Error for the oversized
-    // frame, discard its body, and serve the valid request on the same
-    // connection.
+    // a valid request and the end of the client's input: the server must
+    // answer an Error for the oversized frame, discard its body, and serve
+    // the valid request on the same connection before closing it.
     let oversized = (MAX_FRAME + 17) as u32;
     let mut wire = Vec::new();
     wire.extend_from_slice(&oversized.to_le_bytes());
     wire.resize(wire.len() + oversized as usize, 0xEE);
-    encode_request(
-        &Request::Set {
-            key: b"after-oversize",
-            value: 9,
-            ttl: 0,
-        },
-        &mut wire,
-    );
-    c.stream.write_all(&wire).unwrap();
-    c.stream.flush().unwrap();
-    assert!(read_frame(&mut c.stream, &mut c.respbuf).unwrap());
-    let Response::Error { message } = decode_response(&c.respbuf).unwrap() else {
+    let set = Request::Set {
+        key: b"after-oversize",
+        value: 9,
+        ttl: 0,
+    };
+    encode_request_v2(&set, None, &mut wire);
+    let mut raw = TcpStream::connect(("127.0.0.1", handle.port())).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&wire).unwrap();
+    raw.shutdown(Shutdown::Write).unwrap();
+    let mut got = Vec::new();
+    raw.read_to_end(&mut got).unwrap();
+    let first = 4 + u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
+    let Response::Error { message } = decode_response(&got[4..first]).unwrap() else {
         panic!("oversized frame must be answered with an Error");
     };
     assert!(message.contains("size limit"), "{message}");
-    assert!(read_frame(&mut c.stream, &mut c.respbuf).unwrap());
-    assert_eq!(decode_response(&c.respbuf).unwrap(), Response::Done);
+    assert_eq!(decode_response(&got[first + 4..]).unwrap(), Response::Done);
+    let mut c = connect(handle.port());
     assert_eq!(
         c.call(&Request::Get {
             key: b"after-oversize"
-        }),
+        })
+        .unwrap(),
         Response::Value {
             found: true,
             value: 9

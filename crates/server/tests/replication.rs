@@ -3,67 +3,40 @@
 //! for late joiners, synchronous-ack gating, promotion, and lease-based
 //! fencing.
 
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, Mode, ServerConfig, ServerHandle};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{
-    decode_response, encode_repl_request, encode_request, read_frame, write_frame, ReplRequest,
-    Request, Response,
-};
+use gocc_wire::{decode_response, encode_repl_request, Pipe, ReplRequest, Request, Response};
 
-/// Blocking request/response helper over one client connection.
-struct Client {
-    stream: TcpStream,
-    wirebuf: Vec<u8>,
-    respbuf: Vec<u8>,
+mod common;
+use common::connect;
+
+fn stats(c: &mut Pipe<TcpStream>) -> JsonValue {
+    match c.call(&Request::Stats).expect("call") {
+        Response::Stats { json } => JsonValue::parse(json).expect("stats JSON parses"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
 }
 
-impl Client {
-    fn connect(port: u16) -> Client {
-        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            wirebuf: Vec::new(),
-            respbuf: Vec::new(),
-        }
-    }
-
-    fn call(&mut self, req: &Request<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
-
-    /// Sends a replication verb (the operator plane: REPL_PROMOTE).
-    fn repl_call(&mut self, req: &ReplRequest<'_>) -> Response<'_> {
-        self.wirebuf.clear();
-        encode_repl_request(req, &mut self.wirebuf);
-        write_frame(&mut self.stream, &self.wirebuf).expect("send");
-        assert!(
-            read_frame(&mut self.stream, &mut self.respbuf).expect("recv"),
-            "server closed mid-conversation"
-        );
-        decode_response(&self.respbuf).expect("well-formed response")
-    }
-
-    fn stats(&mut self) -> JsonValue {
-        match self.call(&Request::Stats) {
-            Response::Stats { json } => JsonValue::parse(json).expect("stats JSON parses"),
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
+/// REPL_PROMOTE over a fresh connection (REPL verbs keep their bare
+/// framing, outside the pipe): the request ends the connection's input,
+/// and its one answer must be `Done`.
+fn promote(port: u16, upstream: &[u8]) {
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frame = Vec::new();
+    encode_repl_request(&ReplRequest::Promote { upstream }, &mut frame);
+    stream.write_all(&frame).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).unwrap();
+    assert_eq!(decode_response(&answer[4..]), Ok(Response::Done));
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -98,10 +71,10 @@ fn replica_config(mode: Mode, primary_port: u16) -> ServerConfig {
 
 /// Polls the replica until `key` reads back as `want`, or panics after
 /// `deadline` — the bounded-staleness assertion.
-fn await_value(replica: &mut Client, key: &[u8], want: Response<'_>, deadline: Duration) {
+fn await_value(replica: &mut Pipe<TcpStream>, key: &[u8], want: Response<'_>, deadline: Duration) {
     let until = Instant::now() + deadline;
     loop {
-        let got = replica.call(&Request::Get { key });
+        let got = replica.call(&Request::Get { key }).unwrap();
         if got == want {
             return;
         }
@@ -129,8 +102,8 @@ fn replica_follows_the_primary_and_redirects_writes() {
     for mode in [Mode::Lock, Mode::Gocc] {
         let primary = spawn(primary_config(mode)).expect("spawn primary");
         let replica = spawn(replica_config(mode, primary.port())).expect("spawn replica");
-        let mut p = Client::connect(primary.port());
-        let mut r = Client::connect(replica.port());
+        let mut p = connect(primary.port());
+        let mut r = connect(replica.port());
 
         for i in 0..100u64 {
             let key = format!("key-{i}");
@@ -139,19 +112,21 @@ fn replica_follows_the_primary_and_redirects_writes() {
                     key: key.as_bytes(),
                     value: i * 3,
                     ttl: 0
-                }),
+                })
+                .unwrap(),
                 Response::Done
             );
         }
         assert_eq!(
-            p.call(&Request::Del { key: b"key-7" }),
+            p.call(&Request::Del { key: b"key-7" }).unwrap(),
             Response::Deleted { existed: true }
         );
         assert_eq!(
             p.call(&Request::Incr {
                 key: b"ctr",
                 delta: 9
-            }),
+            })
+            .unwrap(),
             Response::Counter { value: 9 }
         );
 
@@ -198,21 +173,22 @@ fn replica_follows_the_primary_and_redirects_writes() {
                 key: b"nope",
                 value: 1,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::NotPrimary { hint: &hint }
         );
         assert_eq!(
-            r.call(&Request::Del { key: b"nope" }),
+            r.call(&Request::Del { key: b"nope" }).unwrap(),
             Response::NotPrimary { hint: &hint }
         );
 
         // Roles and the repl object surface in STATS on both sides.
-        let ps = p.stats();
+        let ps = stats(&mut p);
         assert_eq!(ps.get("role").unwrap().as_str(), Some("primary"));
         let repl = ps.get("repl").unwrap();
         assert_eq!(repl.get("role").unwrap().as_str(), Some("primary"));
         assert!(repl.get("batches_sent").unwrap().as_f64().unwrap() >= 1.0);
-        let rs = r.stats();
+        let rs = stats(&mut r);
         assert_eq!(rs.get("role").unwrap().as_str(), Some("replica"));
         let repl = rs.get("repl").unwrap();
         assert_eq!(repl.get("upstream").unwrap().as_str(), Some(hint.as_str()));
@@ -234,7 +210,7 @@ fn late_replica_catches_up_via_snapshot_resync() {
     config.data_dir = Some(dir.clone());
     config.wal.fsync_wait_us = 50;
     let primary = spawn(config).expect("spawn primary");
-    let mut p = Client::connect(primary.port());
+    let mut p = connect(primary.port());
 
     // State exists before any replica subscribes: the subscriber starts
     // behind and must resync from a live snapshot, not the stream.
@@ -245,13 +221,14 @@ fn late_replica_catches_up_via_snapshot_resync() {
                 key: key.as_bytes(),
                 value: i,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done
         );
     }
 
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
-    let mut r = Client::connect(replica.port());
+    let mut r = connect(replica.port());
     for i in [0u64, 73, 149] {
         let key = format!("pre-{i}");
         await_value(
@@ -271,7 +248,8 @@ fn late_replica_catches_up_via_snapshot_resync() {
             key: b"post",
             value: 424_242,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     await_value(
@@ -283,7 +261,7 @@ fn late_replica_catches_up_via_snapshot_resync() {
         },
         Duration::from_secs(5),
     );
-    let rs = r.stats();
+    let rs = stats(&mut r);
     let resyncs = rs
         .get("repl")
         .unwrap()
@@ -309,15 +287,14 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
     config.repl_ack_timeout = Duration::from_secs(5);
     let primary = spawn(config).expect("spawn primary");
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
-    let mut p = Client::connect(primary.port());
-    let mut r = Client::connect(replica.port());
+    let mut p = connect(primary.port());
+    let mut r = connect(replica.port());
 
     // With `min_acks: 1` the primary is fenced until the replica's
     // subscription lands — wait for the attach before asserting acks.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let subs = p
-            .stats()
+        let subs = stats(&mut p)
             .get("repl")
             .and_then(|repl| repl.get("subscribers"))
             .and_then(|v| v.as_f64())
@@ -339,7 +316,8 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
                 key: key.as_bytes(),
                 value: i + 1,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done,
             "synchronous write must be acknowledged"
         );
@@ -347,7 +325,8 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
         assert_eq!(
             r.call(&Request::Get {
                 key: key.as_bytes()
-            }),
+            })
+            .unwrap(),
             Response::Value {
                 found: true,
                 value: i + 1
@@ -379,16 +358,18 @@ fn synchronous_acks_survive_a_single_worker() {
     let mut replica_cfg = replica_config(Mode::Gocc, primary.port());
     replica_cfg.workers = 1;
     let replica = spawn(replica_cfg).expect("spawn replica");
-    let mut p = Client::connect(primary.port());
+    let mut p = connect(primary.port());
 
     // Unfence: wait for the subscription to land and the first ack.
     let until = Instant::now() + Duration::from_secs(5);
     loop {
-        let resp = p.call(&Request::Set {
-            key: b"warm",
-            value: 1,
-            ttl: 0,
-        });
+        let resp = p
+            .call(&Request::Set {
+                key: b"warm",
+                value: 1,
+                ttl: 0,
+            })
+            .unwrap();
         if resp == Response::Done {
             break;
         }
@@ -406,7 +387,8 @@ fn synchronous_acks_survive_a_single_worker() {
                 key: key.as_bytes(),
                 value: i,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done,
             "min_acks write must be acknowledged with workers=1"
         );
@@ -427,15 +409,16 @@ fn promotion_turns_the_replica_into_a_writable_primary() {
     gocc_gosync::set_procs(8);
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
-    let mut p = Client::connect(primary.port());
-    let mut r = Client::connect(replica.port());
+    let mut p = connect(primary.port());
+    let mut r = connect(replica.port());
 
     assert_eq!(
         p.call(&Request::Set {
             key: b"before",
             value: 1,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     await_value(
@@ -454,30 +437,29 @@ fn promotion_turns_the_replica_into_a_writable_primary() {
             key: b"after",
             value: 2,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::NotPrimary { .. }
     ));
-    assert_eq!(
-        r.repl_call(&ReplRequest::Promote { upstream: b"" }),
-        Response::Done
-    );
+    promote(replica.port(), b"");
     assert_eq!(
         r.call(&Request::Set {
             key: b"after",
             value: 2,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     assert_eq!(
-        r.call(&Request::Get { key: b"before" }),
+        r.call(&Request::Get { key: b"before" }).unwrap(),
         Response::Value {
             found: true,
             value: 1
         },
         "promotion must keep the replicated state"
     );
-    assert_eq!(r.stats().get("role").unwrap().as_str(), Some("primary"));
+    assert_eq!(stats(&mut r).get("role").unwrap().as_str(), Some("primary"));
 
     shutdown(replica);
     shutdown(primary);
@@ -495,7 +477,7 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
     config.repl_lease = Duration::from_millis(200);
     config.repl_ack_timeout = Duration::from_secs(5);
     let primary = spawn(config).expect("spawn primary");
-    let mut p = Client::connect(primary.port());
+    let mut p = connect(primary.port());
 
     // No replica has ever connected: fenced from the start.
     assert!(
@@ -504,7 +486,8 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
                 key: b"k",
                 value: 1,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Error { .. }
         ),
         "write must be fenced with zero live replicas"
@@ -514,11 +497,13 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
     let until = Instant::now() + Duration::from_secs(5);
     loop {
-        let resp = p.call(&Request::Set {
-            key: b"k",
-            value: 2,
-            ttl: 0,
-        });
+        let resp = p
+            .call(&Request::Set {
+                key: b"k",
+                value: 2,
+                ttl: 0,
+            })
+            .unwrap();
         if resp == Response::Done {
             break;
         }
@@ -531,11 +516,13 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
     shutdown(replica);
     let until = Instant::now() + Duration::from_secs(5);
     loop {
-        let resp = p.call(&Request::Set {
-            key: b"k",
-            value: 3,
-            ttl: 0,
-        });
+        let resp = p
+            .call(&Request::Set {
+                key: b"k",
+                value: 3,
+                ttl: 0,
+            })
+            .unwrap();
         if matches!(resp, Response::Error { .. }) {
             break;
         }
@@ -545,8 +532,7 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let fenced = p
-        .stats()
+    let fenced = stats(&mut p)
         .get("repl")
         .unwrap()
         .get("fenced_rejects")
@@ -586,7 +572,7 @@ fn auto_promotion_elects_exactly_one_new_primary() {
         format!("127.0.0.1:{}", primary.port()),
     ]);
 
-    let mut p = Client::connect(primary.port());
+    let mut p = connect(primary.port());
     for i in 0..40u64 {
         let key = format!("pre-{i}");
         assert_eq!(
@@ -594,12 +580,13 @@ fn auto_promotion_elects_exactly_one_new_primary() {
                 key: key.as_bytes(),
                 value: i,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done
         );
     }
-    let mut ra = Client::connect(a.port());
-    let mut rb = Client::connect(b.port());
+    let mut ra = connect(a.port());
+    let mut rb = connect(b.port());
     for r in [&mut ra, &mut rb] {
         await_value(
             r,
@@ -642,17 +629,18 @@ fn auto_promotion_elects_exactly_one_new_primary() {
     );
 
     // The winner takes writes; replicated history survived.
-    let mut w = Client::connect(winner.port());
+    let mut w = connect(winner.port());
     assert_eq!(
         w.call(&Request::Set {
             key: b"post-failover",
             value: 7,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     assert_eq!(
-        w.call(&Request::Get { key: b"pre-17" }),
+        w.call(&Request::Get { key: b"pre-17" }).unwrap(),
         Response::Value {
             found: true,
             value: 17
@@ -672,7 +660,7 @@ fn auto_promotion_elects_exactly_one_new_primary() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let mut l = Client::connect(loser.port());
+    let mut l = connect(loser.port());
     await_value(
         &mut l,
         b"post-failover",
@@ -700,14 +688,17 @@ fn session_verbs_enforce_the_version_floor() {
     gocc_gosync::set_procs(8);
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
-    let mut p = Client::connect(primary.port());
-    let mut r = Client::connect(replica.port());
+    let mut p = connect(primary.port());
+    let mut r = connect(replica.port());
 
-    let version = match p.call(&Request::SetS {
-        key: b"ryw",
-        value: 11,
-        ttl: 0,
-    }) {
+    let version = match p
+        .call(&Request::SetS {
+            key: b"ryw",
+            value: 11,
+            ttl: 0,
+        })
+        .unwrap()
+    {
         Response::DoneAt { version, .. } => version,
         other => panic!("expected DoneAt, got {other:?}"),
     };
@@ -718,7 +709,8 @@ fn session_verbs_enforce_the_version_floor() {
         p.call(&Request::GetS {
             key: b"ryw",
             min_version: version
-        }),
+        })
+        .unwrap(),
         Response::Value {
             found: true,
             value: 11
@@ -731,17 +723,21 @@ fn session_verbs_enforce_the_version_floor() {
         r.call(&Request::GetS {
             key: b"ryw",
             min_version: u64::MAX
-        }),
+        })
+        .unwrap(),
         Response::Behind { .. }
     ));
 
     // The real floor converges on the replica.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        match r.call(&Request::GetS {
-            key: b"ryw",
-            min_version: version,
-        }) {
+        match r
+            .call(&Request::GetS {
+                key: b"ryw",
+                min_version: version,
+            })
+            .unwrap()
+        {
             Response::Value { found: true, value } => {
                 assert_eq!(value, 11);
                 break;
@@ -760,7 +756,8 @@ fn session_verbs_enforce_the_version_floor() {
             key: b"ryw",
             value: 12,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::NotPrimary { .. }
     ));
 
@@ -784,16 +781,18 @@ fn replica_wal_makes_acked_writes_survive_a_replica_restart() {
     let mut rc = replica_config(Mode::Gocc, primary.port());
     rc.data_dir = Some(dir.clone());
     let replica = spawn(rc).expect("spawn replica");
-    let mut p = Client::connect(primary.port());
+    let mut p = connect(primary.port());
 
     // Wait out the boot fence, then write the acked history.
     let until = Instant::now() + Duration::from_secs(5);
     loop {
-        let resp = p.call(&Request::Set {
-            key: b"durable-0",
-            value: 0,
-            ttl: 0,
-        });
+        let resp = p
+            .call(&Request::Set {
+                key: b"durable-0",
+                value: 0,
+                ttl: 0,
+            })
+            .unwrap();
         if resp == Response::Done {
             break;
         }
@@ -807,7 +806,8 @@ fn replica_wal_makes_acked_writes_survive_a_replica_restart() {
                 key: key.as_bytes(),
                 value: i * 7,
                 ttl: 0
-            }),
+            })
+            .unwrap(),
             Response::Done,
             "acked write {i}"
         );
@@ -827,13 +827,14 @@ fn replica_wal_makes_acked_writes_survive_a_replica_restart() {
         ..ServerConfig::default()
     })
     .expect("respawn from the replica's data dir");
-    let mut c = Client::connect(reborn.port());
+    let mut c = connect(reborn.port());
     for i in [0u64, 1, 59, 119] {
         let key = format!("durable-{i}");
         assert_eq!(
             c.call(&Request::Get {
                 key: key.as_bytes()
-            }),
+            })
+            .unwrap(),
             Response::Value {
                 found: true,
                 value: i * 7
@@ -868,14 +869,13 @@ fn replica_survives_mid_handshake_hangups_and_recovers() {
     });
 
     let replica = spawn(replica_config(Mode::Gocc, hangup_port)).expect("spawn replica");
-    let mut r = Client::connect(replica.port());
+    let mut r = connect(replica.port());
 
     // Let it eat several hangups, then prove it is alive and degraded,
     // not dead: reads answer, and the reconnect counter is climbing.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let reconnects = r
-            .stats()
+        let reconnects = stats(&mut r)
             .get("repl")
             .unwrap()
             .get("reconnects")
@@ -892,7 +892,7 @@ fn replica_survives_mid_handshake_hangups_and_recovers() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(
-        r.call(&Request::Get { key: b"missing" }),
+        r.call(&Request::Get { key: b"missing" }).unwrap(),
         Response::Value {
             found: false,
             value: 0
@@ -903,19 +903,15 @@ fn replica_survives_mid_handshake_hangups_and_recovers() {
     // Repoint at a real primary: the sink must recover on the next dial.
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let upstream = format!("127.0.0.1:{}", primary.port());
-    assert_eq!(
-        r.repl_call(&ReplRequest::Promote {
-            upstream: upstream.as_bytes()
-        }),
-        Response::Done
-    );
-    let mut p = Client::connect(primary.port());
+    promote(replica.port(), upstream.as_bytes());
+    let mut p = connect(primary.port());
     assert_eq!(
         p.call(&Request::Set {
             key: b"recovered",
             value: 5,
             ttl: 0
-        }),
+        })
+        .unwrap(),
         Response::Done
     );
     await_value(

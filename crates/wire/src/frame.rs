@@ -1,12 +1,12 @@
-//! Frame extraction and blocking frame IO.
+//! Frame extraction and blocking frame writes.
 //!
-//! [`FrameBuf`] is the server side's incremental reassembly buffer: bytes
-//! arrive in arbitrary chunks from a non-blocking socket, and
+//! [`FrameBuf`] is the incremental reassembly buffer of the server and of
+//! [`Pipe`](crate::Pipe): bytes arrive in arbitrary chunks, and
 //! [`FrameBuf::next_frame`] hands back complete frame bodies without
-//! copying them out. [`read_frame`]/[`write_frame`] are the blocking
-//! client-side helpers.
+//! copying them out. [`write_frame`] is the blocking write the
+//! replication streams use.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use crate::{WireError, MAX_FRAME};
 
@@ -96,6 +96,21 @@ impl FrameBuf {
         Ok(Some(&self.buf[body_start..body_start + len]))
     }
 
+    /// Whether [`FrameBuf::next_frame`] would return something other than
+    /// `Ok(None)`: a whole frame, or a header it rejects.
+    pub(crate) fn ready(&self) -> bool {
+        let Some(avail) = self.buf[self.start..].get(self.skip..) else {
+            return false;
+        };
+        match avail.get(..4) {
+            Some(header) => {
+                let len = u32::from_le_bytes(header.try_into().unwrap()) as usize;
+                len == 0 || len > MAX_FRAME || avail.len() >= 4 + len
+            }
+            None => false,
+        }
+    }
+
     fn discard_skipped(&mut self) {
         let eat = (self.buf.len() - self.start).min(self.skip);
         self.start += eat;
@@ -110,48 +125,20 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads exactly one frame body into `buf` (cleared first), blocking.
-///
-/// Returns `Ok(false)` on clean EOF at a frame boundary; mid-frame EOF and
-/// invalid headers surface as `io::Error`.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..])? {
-            0 if got == 0 => return Ok(false),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame header",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("invalid frame length {len}"),
-        ));
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_request, Request};
+    use crate::{decode_request_any, encode_request_v2, Request};
+
+    fn decode(body: &[u8]) -> Request<'_> {
+        decode_request_any(body).unwrap().req
+    }
 
     #[test]
     fn reassembles_across_arbitrary_chunking() {
         let mut wire = Vec::new();
-        encode_request(&Request::Get { key: b"chunky" }, &mut wire);
-        encode_request(&Request::Scan { limit: 5 }, &mut wire);
+        encode_request_v2(&Request::Get { key: b"chunky" }, None, &mut wire);
+        encode_request_v2(&Request::Scan { limit: 5 }, None, &mut wire);
         // Feed one byte at a time.
         let mut fb = FrameBuf::new();
         let mut seen = Vec::new();
@@ -162,14 +149,8 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 2);
-        assert_eq!(
-            crate::decode_request(&seen[0]).unwrap(),
-            Request::Get { key: b"chunky" }
-        );
-        assert_eq!(
-            crate::decode_request(&seen[1]).unwrap(),
-            Request::Scan { limit: 5 }
-        );
+        assert_eq!(decode(&seen[0]), Request::Get { key: b"chunky" });
+        assert_eq!(decode(&seen[1]), Request::Scan { limit: 5 });
         assert_eq!(fb.pending(), 0);
     }
 
@@ -194,13 +175,13 @@ mod tests {
         // discarded as it arrives (never buffered), and both valid frames
         // must decode.
         let mut before = Vec::new();
-        encode_request(&Request::Get { key: b"before" }, &mut before);
+        encode_request_v2(&Request::Get { key: b"before" }, None, &mut before);
         let oversized_len = (MAX_FRAME + 3) as u32;
         let mut wire = before.clone();
         wire.extend_from_slice(&oversized_len.to_le_bytes());
         wire.resize(wire.len() + oversized_len as usize, 0xAB);
         let after_start = wire.len();
-        encode_request(&Request::Scan { limit: 9 }, &mut wire);
+        encode_request_v2(&Request::Scan { limit: 9 }, None, &mut wire);
 
         let mut fb = FrameBuf::new();
         let mut seen = Vec::new();
@@ -224,14 +205,8 @@ mod tests {
         }
         assert_eq!(too_large, 1, "TooLarge must surface exactly once");
         assert_eq!(seen.len(), 2);
-        assert_eq!(
-            crate::decode_request(&seen[0]).unwrap(),
-            Request::Get { key: b"before" }
-        );
-        assert_eq!(
-            crate::decode_request(&seen[1]).unwrap(),
-            Request::Scan { limit: 9 }
-        );
+        assert_eq!(decode(&seen[0]), Request::Get { key: b"before" });
+        assert_eq!(decode(&seen[1]), Request::Scan { limit: 9 });
         assert_eq!(fb.pending(), 0);
     }
 
@@ -240,18 +215,19 @@ mod tests {
         // Same scenario with coarse chunks, including chunks that span the
         // oversized body's end and the next frame's header.
         let mut wire = Vec::new();
-        encode_request(
+        encode_request_v2(
             &Request::Set {
                 key: b"k",
                 value: 1,
                 ttl: 0,
             },
+            None,
             &mut wire,
         );
         let oversized_len = (MAX_FRAME + 1000) as u32;
         wire.extend_from_slice(&oversized_len.to_le_bytes());
         wire.resize(wire.len() + oversized_len as usize, 0xCD);
-        encode_request(&Request::Del { key: b"k" }, &mut wire);
+        encode_request_v2(&Request::Del { key: b"k" }, None, &mut wire);
 
         let mut fb = FrameBuf::new();
         let mut seen = Vec::new();
@@ -269,10 +245,7 @@ mod tests {
         }
         assert_eq!(too_large, 1);
         assert_eq!(seen.len(), 2);
-        assert!(matches!(
-            crate::decode_request(&seen[1]).unwrap(),
-            Request::Del { .. }
-        ));
+        assert!(matches!(decode(&seen[1]), Request::Del { .. }));
     }
 
     fn striding_prime() -> usize {
@@ -282,36 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn blocking_roundtrip_over_a_pipe() {
-        let mut wire = Vec::new();
-        encode_request(&Request::Stats, &mut wire);
-        let mut cursor = io::Cursor::new(wire);
-        let mut body = Vec::new();
-        assert!(read_frame(&mut cursor, &mut body).unwrap());
-        assert_eq!(crate::decode_request(&body).unwrap(), Request::Stats);
-        assert!(!read_frame(&mut cursor, &mut body).unwrap(), "clean EOF");
-    }
-
-    #[test]
-    fn midframe_eof_is_an_error() {
-        let mut wire = Vec::new();
-        encode_request(&Request::Get { key: b"k" }, &mut wire);
-        wire.truncate(wire.len() - 1);
-        let mut cursor = io::Cursor::new(wire);
-        let mut body = Vec::new();
-        assert!(read_frame(&mut cursor, &mut body).is_err());
-    }
-
-    #[test]
     fn compaction_preserves_partial_frames() {
         let mut wire = Vec::new();
         for i in 0..200u64 {
-            encode_request(
+            encode_request_v2(
                 &Request::Set {
                     key: b"somewhat-long-key-for-compaction",
                     value: i,
                     ttl: 0,
                 },
+                None,
                 &mut wire,
             );
         }
@@ -322,10 +275,7 @@ mod tests {
         for chunk in wire.chunks(7) {
             fb.extend(chunk);
             while let Some(body) = fb.next_frame().unwrap() {
-                assert!(matches!(
-                    crate::decode_request(body).unwrap(),
-                    Request::Set { .. }
-                ));
+                assert!(matches!(decode(body), Request::Set { .. }));
                 count += 1;
             }
         }

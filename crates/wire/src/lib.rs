@@ -4,9 +4,10 @@
 //! # Framing
 //!
 //! ```text
-//! frame   := len:u32le body            (len = |body|, 1 ..= MAX_FRAME)
-//! body    := opcode:u8 payload         (protocol v1)
-//!          | MAGIC_V2 flags:u8 [deadline_us:u32le] opcode:u8 payload
+//! frame    := len:u32le body           (len = |body|, 1 ..= MAX_FRAME)
+//! request  := MAGIC_V2 flags:u8 [deadline_us:u32le] opcode:u8 payload
+//! response := opcode:u8 payload
+//! repl     := opcode:u8 payload        (replication verbs)
 //! ```
 //!
 //! Requests and responses share the framing; opcodes with the high bit set
@@ -17,22 +18,29 @@
 //! buffer, and encoding appends to a caller-owned `Vec<u8>` so buffers are
 //! reused across frames.
 //!
-//! # Protocol v2: deadline budgets
+//! # The v2 envelope: deadline budgets
 //!
-//! A request body may be wrapped in a v2 envelope: a [`MAGIC_V2`] byte
-//! (an opcode value no v1 request uses, so the versions coexist on one
-//! connection), a flags byte, and — when flag bit 0 is set — a
+//! Every data and control request is wrapped in the v2 envelope: a
+//! [`MAGIC_V2`] byte, a flags byte, and — when flag bit 0 is set — a
 //! client-supplied **deadline budget** in microseconds. The server
 //! enforces the budget with cheap monotonic checks before and after the
 //! storage call; an expired request is answered with
 //! [`Response::DeadlineExceeded`] and is *never* executed against the
-//! engine. [`decode_request_any`] accepts both versions; v1 frames decode
-//! byte-for-byte as before.
+//! engine. The bare protocol-v1 request body (opcode first, no envelope)
+//! is gone: [`decode_request_any`] rejects it, and the server answers it
+//! with one `Error` and closes the connection. Replication verbs keep
+//! their own bare framing ([`is_repl_request`]).
+//!
+//! # Clients
+//!
+//! [`Pipe`] is the one client: tickets in submission order, one response
+//! shape check, and the rule for which verbs may be re-sent after a lost
+//! connection ([`Request::replayable`]).
 //!
 //! # Robustness contract
 //!
-//! [`decode_request`] / [`decode_response`] never panic: any input slice
-//! either decodes to a complete, well-formed message or returns a
+//! [`decode_request_any`] / [`decode_response`] never panic: any input
+//! slice either decodes to a complete, well-formed message or returns a
 //! [`WireError`]. Payloads must be *exact* — trailing bytes, out-of-range
 //! lengths, non-boolean flag bytes and invalid UTF-8 are all errors, so a
 //! corrupted frame cannot silently alias a valid one. The seeded
@@ -40,9 +48,11 @@
 
 mod fault;
 mod frame;
+mod pipe;
 
 pub use fault::FaultyStream;
-pub use frame::{read_frame, write_frame, FrameBuf};
+pub use frame::{write_frame, FrameBuf};
+pub use pipe::{Pipe, Ticket};
 
 /// Hard ceiling on the body size of a single frame (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
@@ -74,10 +84,9 @@ pub const REPL_FLAG_SNAP: u8 = 0x04;
 
 const REPL_FLAGS_ALL: u8 = REPL_FLAG_RESET | REPL_FLAG_FIN | REPL_FLAG_SNAP;
 
-/// First body byte of a protocol-v2 request envelope. Chosen outside the
-/// v1 request opcode space (0x01..=0x08) and the response space (high bit
-/// set), so a v1 decoder sees it as an unknown opcode rather than
-/// misparsing, and [`decode_request_any`] can dispatch on it.
+/// First body byte of every request envelope. Chosen outside the request
+/// opcode space and the response space (high bit set), so a bare opcode
+/// is never mistaken for an envelope.
 pub const MAGIC_V2: u8 = 0xB2;
 
 /// v2 flags bit: a `deadline_us:u32le` field follows the flags byte.
@@ -264,13 +273,13 @@ pub enum ReplRequest<'a> {
     },
 }
 
-/// A decoded request plus its v2 envelope fields (absent for v1 frames).
+/// A decoded request plus its v2 envelope fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestFrame<'a> {
     /// The request itself.
     pub req: Request<'a>,
     /// Client-supplied deadline budget in microseconds, measured from
-    /// server receipt; `None` for v1 frames or v2 frames without one.
+    /// server receipt; `None` when the envelope carries none.
     pub deadline_us: Option<u32>,
 }
 
@@ -533,21 +542,31 @@ fn put_key(out: &mut Vec<u8>, key: &[u8]) {
     out.extend_from_slice(key);
 }
 
-/// Appends a complete frame (header + opcode + payload) for `req` to
-/// `out`. The buffer is not cleared, so responses/requests can be batched.
-pub fn encode_request(req: &Request<'_>, out: &mut Vec<u8>) {
-    let header = out.len();
-    put_u32(out, 0); // patched below
-    encode_request_body(req, out);
-    patch_len(out, header);
+impl Request<'_> {
+    fn opcode(&self) -> u8 {
+        match self {
+            Request::Get { .. } => OP_GET,
+            Request::Set { .. } => OP_SET,
+            Request::Del { .. } => OP_DEL,
+            Request::Incr { .. } => OP_INCR,
+            Request::Scan { .. } => OP_SCAN,
+            Request::Stats => OP_STATS,
+            Request::Shutdown => OP_SHUTDOWN,
+            Request::Health => OP_HEALTH,
+            Request::Trace { .. } => OP_TRACE,
+            Request::Flush => OP_FLUSH,
+            Request::SetS { .. } => OP_SET_S,
+            Request::GetS { .. } => OP_GET_S,
+        }
+    }
 }
 
-/// Appends a complete protocol-v2 frame for `req`, carrying `deadline_us`
-/// when given. A `None` deadline still emits the v2 envelope (magic +
-/// flags) — use [`encode_request`] for plain v1 frames.
+/// Appends a complete request frame for `req` to `out`, its envelope
+/// carrying `deadline_us` when given. The buffer is not cleared, so
+/// requests can be batched.
 pub fn encode_request_v2(req: &Request<'_>, deadline_us: Option<u32>, out: &mut Vec<u8>) {
     let header = out.len();
-    put_u32(out, 0);
+    put_u32(out, 0); // patched below
     out.push(MAGIC_V2);
     match deadline_us {
         Some(budget) => {
@@ -556,55 +575,26 @@ pub fn encode_request_v2(req: &Request<'_>, deadline_us: Option<u32>, out: &mut 
         }
         None => out.push(0),
     }
-    encode_request_body(req, out);
-    patch_len(out, header);
-}
-
-fn encode_request_body(req: &Request<'_>, out: &mut Vec<u8>) {
+    out.push(req.opcode());
     match req {
-        Request::Get { key } => {
-            out.push(OP_GET);
-            put_key(out, key);
-        }
-        Request::Set { key, value, ttl } => {
-            out.push(OP_SET);
+        Request::Get { key } | Request::Del { key } => put_key(out, key),
+        Request::Set { key, value, ttl } | Request::SetS { key, value, ttl } => {
             put_key(out, key);
             put_u64(out, *value);
             put_u64(out, *ttl);
         }
-        Request::Del { key } => {
-            out.push(OP_DEL);
+        Request::Incr { key, delta: word }
+        | Request::GetS {
+            key,
+            min_version: word,
+        } => {
             put_key(out, key);
+            put_u64(out, *word);
         }
-        Request::Incr { key, delta } => {
-            out.push(OP_INCR);
-            put_key(out, key);
-            put_u64(out, *delta);
-        }
-        Request::Scan { limit } => {
-            out.push(OP_SCAN);
-            put_u32(out, *limit);
-        }
-        Request::Stats => out.push(OP_STATS),
-        Request::Shutdown => out.push(OP_SHUTDOWN),
-        Request::Health => out.push(OP_HEALTH),
-        Request::Trace { max } => {
-            out.push(OP_TRACE);
-            put_u32(out, *max);
-        }
-        Request::Flush => out.push(OP_FLUSH),
-        Request::SetS { key, value, ttl } => {
-            out.push(OP_SET_S);
-            put_key(out, key);
-            put_u64(out, *value);
-            put_u64(out, *ttl);
-        }
-        Request::GetS { key, min_version } => {
-            out.push(OP_GET_S);
-            put_key(out, key);
-            put_u64(out, *min_version);
-        }
+        Request::Scan { limit: word } | Request::Trace { max: word } => put_u32(out, *word),
+        Request::Stats | Request::Shutdown | Request::Health | Request::Flush => {}
     }
+    patch_len(out, header);
 }
 
 /// Appends a complete frame for a replication request to `out`.
@@ -659,8 +649,8 @@ pub fn encode_repl_request(req: &ReplRequest<'_>, out: &mut Vec<u8>) {
 }
 
 /// Whether a frame body's opcode is a replication request. Replication
-/// streams use plain v1 frames (no deadline envelope), so one leading
-/// byte decides the dispatch.
+/// verbs are framed bare (no envelope), so one leading byte decides the
+/// dispatch.
 #[must_use]
 pub fn is_repl_request(body: &[u8]) -> bool {
     matches!(
@@ -674,7 +664,7 @@ pub fn is_repl_request(body: &[u8]) -> bool {
 }
 
 /// Decodes a frame body as a replication request, with the same no-panic
-/// strictness contract as [`decode_request`].
+/// strictness contract as [`decode_request_any`].
 pub fn decode_repl_request(body: &[u8]) -> Result<ReplRequest<'_>, WireError> {
     let mut c = Cursor::new(body);
     let req = match c.u8()? {
@@ -851,39 +841,25 @@ fn patch_len(out: &mut [u8], header: usize) {
     out[header..header + 4].copy_from_slice(&(body as u32).to_le_bytes());
 }
 
-/// Decodes a frame *body* (opcode + payload, header already stripped) as
-/// a protocol-v1 request. Never panics; unknown opcodes, truncation,
-/// limit violations and trailing bytes all yield `Err`.
-pub fn decode_request(body: &[u8]) -> Result<Request<'_>, WireError> {
-    let mut c = Cursor::new(body);
-    let req = decode_request_inner(&mut c)?;
-    c.finish()?;
-    Ok(req)
-}
-
-/// Decodes a frame body as either protocol version: a leading
-/// [`MAGIC_V2`] byte selects the v2 envelope (flags + optional deadline
-/// budget), anything else decodes exactly as v1. Same no-panic contract
-/// as [`decode_request`].
+/// Decodes a frame *body* (header already stripped) as a request in its
+/// v2 envelope: [`MAGIC_V2`], flags, optional deadline budget, opcode,
+/// payload. Never panics; a body without the envelope, unknown opcodes or
+/// flag bits, truncation, limit violations and trailing bytes all yield
+/// `Err`.
 pub fn decode_request_any(body: &[u8]) -> Result<RequestFrame<'_>, WireError> {
     let mut c = Cursor::new(body);
-    let mut deadline_us = None;
-    if body.first() == Some(&MAGIC_V2) {
-        let _ = c.u8()?;
-        let flags = c.u8()?;
-        if flags & !V2_FLAG_DEADLINE != 0 {
-            return Err(WireError::Malformed("unknown v2 flag bits"));
-        }
-        if flags & V2_FLAG_DEADLINE != 0 {
-            deadline_us = Some(c.u32()?);
-        }
+    if c.u8()? != MAGIC_V2 {
+        return Err(WireError::Malformed("no v2 envelope"));
     }
-    let req = decode_request_inner(&mut c)?;
-    c.finish()?;
-    Ok(RequestFrame { req, deadline_us })
-}
-
-fn decode_request_inner<'a>(c: &mut Cursor<'a>) -> Result<Request<'a>, WireError> {
+    let flags = c.u8()?;
+    if flags & !V2_FLAG_DEADLINE != 0 {
+        return Err(WireError::Malformed("unknown v2 flag bits"));
+    }
+    let deadline_us = if flags & V2_FLAG_DEADLINE != 0 {
+        Some(c.u32()?)
+    } else {
+        None
+    };
     let req = match c.u8()? {
         OP_GET => Request::Get { key: c.key()? },
         OP_SET => Request::Set {
@@ -919,11 +895,12 @@ fn decode_request_inner<'a>(c: &mut Cursor<'a>) -> Result<Request<'a>, WireError
         },
         op => return Err(WireError::UnknownOpcode(op)),
     };
-    Ok(req)
+    c.finish()?;
+    Ok(RequestFrame { req, deadline_us })
 }
 
 /// Decodes a frame body as a response, with the same no-panic contract as
-/// [`decode_request`].
+/// [`decode_request_any`].
 pub fn decode_response(body: &[u8]) -> Result<Response<'_>, WireError> {
     let mut c = Cursor::new(body);
     let resp = match c.u8()? {
@@ -1049,56 +1026,17 @@ pub fn decode_response(body: &[u8]) -> Result<Response<'_>, WireError> {
 mod tests {
     use super::*;
 
-    fn roundtrip_request(req: Request<'_>) {
-        let mut out = Vec::new();
-        encode_request(&req, &mut out);
-        let body = &out[4..];
-        assert_eq!(
-            u32::from_le_bytes(out[..4].try_into().unwrap()) as usize,
-            body.len()
-        );
-        assert_eq!(decode_request(body).unwrap(), req);
+    /// `payload` behind an envelope without a deadline.
+    fn enveloped(payload: &[u8]) -> Vec<u8> {
+        let mut body = vec![MAGIC_V2, 0];
+        body.extend_from_slice(payload);
+        body
     }
 
     fn roundtrip_response(resp: Response<'_>) {
         let mut out = Vec::new();
         encode_response(&resp, &mut out);
         assert_eq!(decode_response(&out[4..]).unwrap(), resp);
-    }
-
-    #[test]
-    fn all_requests_roundtrip() {
-        roundtrip_request(Request::Get { key: b"alpha" });
-        roundtrip_request(Request::Set {
-            key: b"",
-            value: u64::MAX,
-            ttl: 7,
-        });
-        roundtrip_request(Request::Del { key: b"k" });
-        roundtrip_request(Request::Incr {
-            key: b"counter",
-            delta: 3,
-        });
-        roundtrip_request(Request::Scan { limit: MAX_SCAN });
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Shutdown);
-        roundtrip_request(Request::Health);
-        roundtrip_request(Request::Trace { max: 0 });
-        roundtrip_request(Request::Trace { max: u32::MAX });
-        roundtrip_request(Request::Flush);
-        roundtrip_request(Request::SetS {
-            key: b"session",
-            value: 17,
-            ttl: 0,
-        });
-        roundtrip_request(Request::GetS {
-            key: b"session",
-            min_version: u64::MAX,
-        });
-        roundtrip_request(Request::GetS {
-            key: b"",
-            min_version: 0,
-        });
     }
 
     fn roundtrip_v2(req: Request<'_>, deadline_us: Option<u32>) {
@@ -1116,46 +1054,64 @@ mod tests {
     }
 
     #[test]
-    fn v2_envelopes_roundtrip() {
+    fn all_requests_roundtrip_in_their_envelope() {
         roundtrip_v2(Request::Get { key: b"alpha" }, Some(1_500));
         roundtrip_v2(
             Request::Set {
-                key: b"k",
-                value: 7,
-                ttl: 0,
+                key: b"",
+                value: u64::MAX,
+                ttl: 7,
             },
             Some(0),
         );
-        roundtrip_v2(Request::Scan { limit: 16 }, Some(u32::MAX));
-        roundtrip_v2(Request::Health, None);
-        roundtrip_v2(Request::Trace { max: 256 }, Some(10_000));
-        roundtrip_v2(Request::Flush, Some(50_000));
-        roundtrip_v2(Request::Flush, None);
+        roundtrip_v2(Request::Del { key: b"k" }, None);
         roundtrip_v2(
             Request::Incr {
-                key: b"c",
-                delta: 2,
+                key: b"counter",
+                delta: 3,
+            },
+            None,
+        );
+        roundtrip_v2(Request::Scan { limit: MAX_SCAN }, Some(u32::MAX));
+        roundtrip_v2(Request::Stats, None);
+        roundtrip_v2(Request::Shutdown, None);
+        roundtrip_v2(Request::Health, None);
+        roundtrip_v2(Request::Trace { max: 0 }, Some(10_000));
+        roundtrip_v2(Request::Trace { max: u32::MAX }, None);
+        roundtrip_v2(Request::Flush, Some(50_000));
+        roundtrip_v2(
+            Request::SetS {
+                key: b"session",
+                value: 17,
+                ttl: 0,
+            },
+            None,
+        );
+        roundtrip_v2(
+            Request::GetS {
+                key: b"session",
+                min_version: u64::MAX,
+            },
+            Some(1),
+        );
+        roundtrip_v2(
+            Request::GetS {
+                key: b"",
+                min_version: 0,
             },
             None,
         );
     }
 
     #[test]
-    fn v1_frames_decode_unchanged_through_decode_request_any() {
-        for req in [
-            Request::Get { key: b"compat" },
-            Request::Stats,
-            Request::Shutdown,
-            Request::Health,
-        ] {
-            let mut out = Vec::new();
-            encode_request(&req, &mut out);
-            let frame = decode_request_any(&out[4..]).unwrap();
-            assert_eq!(frame.req, req);
-            assert_eq!(frame.deadline_us, None, "v1 carries no deadline");
-            // And the strict v1 decoder still accepts the same bytes.
-            assert_eq!(decode_request(&out[4..]).unwrap(), req);
+    fn bare_v1_bodies_are_rejected() {
+        for body in [&[OP_GET, 1, 0, b'k'][..], &[OP_STATS], &[OP_SHUTDOWN]] {
+            assert_eq!(
+                decode_request_any(body),
+                Err(WireError::Malformed("no v2 envelope"))
+            );
         }
+        assert_eq!(decode_request_any(&[]), Err(WireError::Truncated));
     }
 
     #[test]
@@ -1180,11 +1136,6 @@ mod tests {
         assert_eq!(
             decode_request_any(&body),
             Err(WireError::Malformed("trailing bytes"))
-        );
-        // The strict v1 decoder rejects v2 envelopes outright.
-        assert_eq!(
-            decode_request(&[MAGIC_V2, 0, OP_STATS]),
-            Err(WireError::UnknownOpcode(MAGIC_V2))
         );
     }
 
@@ -1229,7 +1180,10 @@ mod tests {
     #[test]
     fn trace_payloads_are_strict() {
         // A truncated max field is rejected.
-        assert_eq!(decode_request(&[OP_TRACE, 0x01]), Err(WireError::Truncated));
+        assert_eq!(
+            decode_request_any(&enveloped(&[OP_TRACE, 0x01])),
+            Err(WireError::Truncated)
+        );
         // A trace response whose declared length overruns the payload.
         let mut body = vec![OP_TRACE_R];
         put_u32(&mut body, 100);
@@ -1249,7 +1203,7 @@ mod tests {
     fn flush_payloads_are_strict() {
         // FLUSH carries no payload; trailing bytes are rejected.
         assert_eq!(
-            decode_request(&[OP_FLUSH, 0]),
+            decode_request_any(&enveloped(&[OP_FLUSH, 0])),
             Err(WireError::Malformed("trailing bytes"))
         );
         // A truncated durable_lsn is truncated, not zero.
@@ -1511,37 +1465,31 @@ mod tests {
     #[test]
     fn batched_frames_share_one_buffer() {
         let mut out = Vec::new();
-        encode_request(&Request::Get { key: b"a" }, &mut out);
+        encode_request_v2(&Request::Get { key: b"a" }, None, &mut out);
         let first = out.len();
-        encode_request(&Request::Stats, &mut out);
+        encode_request_v2(&Request::Stats, Some(5), &mut out);
         assert_eq!(
-            decode_request(&out[4..first]).unwrap(),
+            decode_request_any(&out[4..first]).unwrap().req,
             Request::Get { key: b"a" }
         );
-        assert_eq!(decode_request(&out[first + 4..]).unwrap(), Request::Stats);
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut out = Vec::new();
-        encode_request(&Request::Stats, &mut out);
-        let mut body = out[4..].to_vec();
-        body.push(0);
         assert_eq!(
-            decode_request(&body),
-            Err(WireError::Malformed("trailing bytes"))
+            decode_request_any(&out[first + 4..]).unwrap(),
+            RequestFrame {
+                req: Request::Stats,
+                deadline_us: Some(5)
+            }
         );
     }
 
     #[test]
     fn oversized_declarations_rejected() {
         // key_len beyond MAX_KEY with no actual bytes behind it.
-        let mut body = vec![OP_GET];
+        let mut body = enveloped(&[OP_GET]);
         put_u16(&mut body, (MAX_KEY + 1) as u16);
-        assert_eq!(decode_request(&body), Err(WireError::TooLarge));
-        let mut body = vec![OP_SCAN];
+        assert_eq!(decode_request_any(&body), Err(WireError::TooLarge));
+        let mut body = enveloped(&[OP_SCAN]);
         put_u32(&mut body, MAX_SCAN + 1);
-        assert_eq!(decode_request(&body), Err(WireError::TooLarge));
+        assert_eq!(decode_request_any(&body), Err(WireError::TooLarge));
     }
 
     #[test]
@@ -1556,11 +1504,13 @@ mod tests {
 
     #[test]
     fn unknown_opcodes_rejected() {
-        assert_eq!(decode_request(&[0x7E]), Err(WireError::UnknownOpcode(0x7E)));
+        assert_eq!(
+            decode_request_any(&enveloped(&[0x7E])),
+            Err(WireError::UnknownOpcode(0x7E))
+        );
         assert_eq!(
             decode_response(&[0x10]),
             Err(WireError::UnknownOpcode(0x10))
         );
-        assert_eq!(decode_request(&[]), Err(WireError::Truncated));
     }
 }

@@ -1,16 +1,17 @@
 //! Fuzz-style decoder suites on seeded SplitMix64 corpora.
 //!
-//! The contract under test: for *any* byte slice, `decode_request` /
+//! The contract under test: for *any* byte slice, `decode_request_any` /
 //! `decode_response` and `FrameBuf::next_frame` either produce a complete,
 //! well-formed message or return `Err` — they never panic, never loop, and
 //! never read out of bounds. Three corpora exercise it: pure random bytes,
 //! truncations of valid frames, and single-byte mutations of valid frames.
+//! A request body without the v2 envelope never decodes.
 
 use gocc_telemetry::SplitMix64;
 use gocc_wire::{
-    decode_repl_request, decode_request, decode_request_any, decode_response, encode_repl_request,
-    encode_request, encode_request_v2, encode_response, FrameBuf, ReplRecord, ReplRequest, Request,
-    Response, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_FLAG_SNAP,
+    decode_repl_request, decode_request_any, decode_response, encode_repl_request,
+    encode_request_v2, encode_response, FrameBuf, ReplRecord, ReplRequest, Request, Response,
+    MAGIC_V2, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_FLAG_SNAP,
 };
 
 /// A deterministic pool of valid requests covering every verb.
@@ -178,34 +179,11 @@ fn random_bytes_never_panic() {
         for _ in 0..len {
             buf.push(rng.next_u64() as u8);
         }
-        // Any result is acceptable; the process not panicking is the test.
-        let _ = decode_request(&buf);
+        // Any result is acceptable, except a request decoded from a body
+        // without the envelope; the process not panicking is the test.
+        let req = decode_request_any(&buf);
+        assert!(req.is_err() || buf[0] == MAGIC_V2, "{buf:?} decoded");
         let _ = decode_response(&buf);
-    }
-}
-
-#[test]
-fn truncations_of_valid_frames_always_err() {
-    let mut rng = SplitMix64::new(42);
-    let mut keybuf = Vec::new();
-    let mut wire = Vec::new();
-    for _ in 0..500 {
-        wire.clear();
-        let req = sample_request(&mut rng, &mut keybuf);
-        encode_request(&req, &mut wire);
-        let body = &wire[4..];
-        assert_eq!(
-            decode_request(body).unwrap(),
-            req,
-            "sanity: full body decodes"
-        );
-        for cut in 0..body.len() {
-            assert!(
-                decode_request(&body[..cut]).is_err(),
-                "strict truncation at {cut}/{} must not decode: {req:?}",
-                body.len()
-            );
-        }
     }
 }
 
@@ -267,27 +245,6 @@ fn repl_truncations_and_mutations_never_panic() {
 }
 
 #[test]
-fn single_byte_mutations_decode_or_err_but_never_panic() {
-    let mut rng = SplitMix64::new(7);
-    let mut keybuf = Vec::new();
-    let mut wire = Vec::new();
-    for _ in 0..300 {
-        wire.clear();
-        let req = sample_request(&mut rng, &mut keybuf);
-        encode_request(&req, &mut wire);
-        let body = wire[4..].to_vec();
-        for _ in 0..16 {
-            let mut mutated = body.clone();
-            let idx = rng.below_usize(mutated.len());
-            mutated[idx] ^= 1 << rng.below(8);
-            // Either a clean decode of *some* message or a clean error.
-            let _ = decode_request(&mutated);
-            let _ = decode_response(&mutated);
-        }
-    }
-}
-
-#[test]
 fn v2_truncations_and_mutations_never_panic() {
     let mut rng = SplitMix64::new(0xB2B2);
     let mut keybuf = Vec::new();
@@ -321,8 +278,40 @@ fn v2_truncations_and_mutations_never_panic() {
 }
 
 #[test]
+fn bodies_without_the_envelope_never_decode() {
+    // Every valid request body with its envelope stripped (the protocol-v1
+    // form) or its magic byte replaced, and seeded random bodies that do
+    // not open with the magic byte: all `Err`, none a panic.
+    let mut rng = SplitMix64::new(0x0B1D);
+    let mut keybuf = Vec::new();
+    let mut wire = Vec::new();
+    for _ in 0..500 {
+        wire.clear();
+        let req = sample_request(&mut rng, &mut keybuf);
+        encode_request_v2(&req, None, &mut wire);
+        let body = &wire[4..];
+        assert!(decode_request_any(&body[2..]).is_err(), "bare {req:?}");
+        let mut swapped = body.to_vec();
+        swapped[0] = loop {
+            let b = rng.next_u64() as u8;
+            if b != MAGIC_V2 {
+                break b;
+            }
+        };
+        assert!(decode_request_any(&swapped).is_err(), "{swapped:?}");
+        let mut random: Vec<u8> = (0..rng.below_usize(48))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        if random.first() == Some(&MAGIC_V2) {
+            random[0] = !MAGIC_V2;
+        }
+        assert!(decode_request_any(&random).is_err(), "{random:?}");
+    }
+}
+
+#[test]
 fn frame_stream_with_seeded_oversized_frames_resynchronizes() {
-    // Interleave valid v1/v2 frames with oversized frames at seeded
+    // Interleave valid frames with oversized frames at seeded
     // positions; FrameBuf must yield every valid frame, surface TooLarge
     // once per oversized frame, and never wedge or panic.
     let mut rng = SplitMix64::new(0x0512);
@@ -338,11 +327,8 @@ fn frame_stream_with_seeded_oversized_frames_resynchronizes() {
             oversized += 1;
         } else {
             let req = sample_request(&mut rng, &mut keybuf);
-            if rng.flip() {
-                encode_request(&req, &mut wire);
-            } else {
-                encode_request_v2(&req, Some(rng.next_u64() as u32), &mut wire);
-            }
+            let deadline = rng.flip().then(|| rng.next_u64() as u32);
+            encode_request_v2(&req, deadline, &mut wire);
             valid += 1;
         }
     }
@@ -377,7 +363,7 @@ fn frame_stream_with_garbage_tail_yields_frames_then_error() {
     let mut expected = 0;
     for _ in 0..20 {
         let req = sample_request(&mut rng, &mut keybuf);
-        encode_request(&req, &mut wire);
+        encode_request_v2(&req, None, &mut wire);
         expected += 1;
     }
     // A corrupt header after the valid prefix: length 0 is never legal.
@@ -388,7 +374,7 @@ fn frame_stream_with_garbage_tail_yields_frames_then_error() {
     loop {
         match fb.next_frame() {
             Ok(Some(body)) => {
-                decode_request(body).expect("prefix frames are valid");
+                decode_request_any(body).expect("prefix frames are valid");
                 seen += 1;
             }
             Ok(None) => panic!("must hit the corrupt header, not starvation"),

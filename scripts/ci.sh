@@ -94,6 +94,27 @@ if grep -rnE 'struct Liveness|struct KeyHist|struct Daemon|fn parse_args|fn gate
 fi
 echo "ok: harness binaries stand on loadgen::soak"
 
+echo "== one wire client =="
+# Every client sends through wire::Pipe, which owns the response shape
+# check and the replay rule (INCR, TRACE and SHUTDOWN are never re-sent).
+# A protocol-v1 encoder or decoder coming back, or a client reading frames
+# by hand, is a second client with its own copy of both. Exempt: wire
+# itself (the Pipe and the framing tests), crates/server/src (the server
+# reads requests, it sends none) and benchmark/ (its own workspace, with
+# its own client).
+if grep -rnE '\b(encode|decode)_request\(' crates tests examples --include='*.rs'; then
+  echo "FAIL: a protocol-v1 request encoder or decoder is back" >&2
+  exit 1
+fi
+hand_read=$(find crates/loadgen/src crates/*/tests tests -name '*.rs' \
+  ! -path 'crates/wire/*' -exec grep -nE '\b(next_frame|read_frame)\b' {} + || true)
+if [ -n "$hand_read" ]; then
+  echo "$hand_read"
+  echo "FAIL: a client reads frames by hand instead of through wire::Pipe" >&2
+  exit 1
+fi
+echo "ok: every client sends through wire::Pipe, and no v1 request codec is left"
+
 echo "== one idle decision =="
 # Every wait of worker_loop and of repl_out_loop is the one idle::wait
 # behind its idle decision, which only picks the set and the timeout (a

@@ -15,7 +15,6 @@
 //! * injected HTM aborts retry the whole shard-group (the documented
 //!   fallback unit), never yielding torn or reordered results.
 
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,9 +23,7 @@ use gocc_faultplane::{AbortMix, HtmFaultPlan, LoadFaultPlan, LoadMix};
 use gocc_repro::optilock::{GoccConfig, GoccRuntime};
 use gocc_repro::workloads::{Engine, Mode};
 use gocc_server::{spawn, BatchScratch, ServerConfig, ShardedStore};
-use gocc_wire::{
-    decode_response, encode_request, encode_request_v2, read_frame, write_frame, Request, Response,
-};
+use gocc_wire::{decode_response, encode_response, Pipe, Request, Response};
 
 fn config(mode: Mode) -> ServerConfig {
     ServerConfig {
@@ -40,13 +37,23 @@ fn config(mode: Mode) -> ServerConfig {
     }
 }
 
-fn connect(port: u16) -> TcpStream {
+fn connect(port: u16) -> Pipe<TcpStream> {
     let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     stream.set_nodelay(true).unwrap();
-    stream
+    Pipe::new(stream)
+}
+
+/// The next answer on `pipe` as the body the server sent: decoding is
+/// exact, so encoding the answer again gives back the server's bytes.
+fn answer_bytes(pipe: &mut Pipe<TcpStream>) -> Vec<u8> {
+    pipe.wait().expect("recv");
+    let (_, resp) = pipe.answer().expect("answer").expect("ready");
+    let mut frame = Vec::new();
+    encode_response(&resp, &mut frame);
+    frame.split_off(4)
 }
 
 /// The deterministic mixed-verb script both drivers run: every data verb,
@@ -109,38 +116,30 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
 
         // Sequential oracle: its own fresh server, one frame at a time.
         let oracle = spawn(config(mode)).expect("spawn oracle");
-        let mut stream = connect(oracle.port());
-        let mut wirebuf = Vec::new();
-        let mut body = Vec::new();
+        let mut pipe = connect(oracle.port());
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for (i, (key, verb)) in ops.iter().enumerate() {
-            wirebuf.clear();
-            encode_request(&request_for(key, *verb, i), &mut wirebuf);
-            write_frame(&mut stream, &wirebuf).expect("oracle send");
-            assert!(read_frame(&mut stream, &mut body).expect("oracle recv"));
-            expected.push(body.clone());
+            pipe.submit(&request_for(key, *verb, i), None);
+            expected.push(answer_bytes(&mut pipe));
         }
-        drop(stream);
+        drop(pipe);
         oracle.request_shutdown();
         let _ = oracle.join();
 
         // Pipelined run: fresh server, the same script in bursts of 32
         // frames written before any response is read.
         let pipelined = spawn(config(mode)).expect("spawn pipelined");
-        let mut stream = connect(pipelined.port());
+        let mut pipe = connect(pipelined.port());
         let mut got: Vec<Vec<u8>> = Vec::new();
         for (chunk_idx, chunk) in ops.chunks(32).enumerate() {
-            wirebuf.clear();
             for (j, (key, verb)) in chunk.iter().enumerate() {
-                encode_request(&request_for(key, *verb, chunk_idx * 32 + j), &mut wirebuf);
+                pipe.submit(&request_for(key, *verb, chunk_idx * 32 + j), None);
             }
-            stream.write_all(&wirebuf).expect("burst send");
             for _ in chunk {
-                assert!(read_frame(&mut stream, &mut body).expect("burst recv"));
-                got.push(body.clone());
+                got.push(answer_bytes(&mut pipe));
             }
         }
-        drop(stream);
+        drop(pipe);
         pipelined.request_shutdown();
         let _ = pipelined.join();
 
@@ -190,27 +189,22 @@ fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
             ..config(mode)
         })
         .expect("spawn goccd");
-        let mut stream = connect(handle.port());
+        let mut pipe = connect(handle.port());
 
         let keys = ["dl-a", "dl-b", "dl-c"];
-        let mut wirebuf = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            encode_request_v2(
+            pipe.submit(
                 &Request::Set {
                     key: key.as_bytes(),
                     value: 100 + i as u64,
                     ttl: 0,
                 },
                 Some(5_000), // 5ms budget vs 20ms injected store latency
-                &mut wirebuf,
             );
         }
-        stream.write_all(&wirebuf).expect("send batch");
-        let mut body = Vec::new();
         for key in &keys {
-            assert!(read_frame(&mut stream, &mut body).expect("recv"));
             assert_eq!(
-                decode_response(&body).expect("decode"),
+                decode_response(&answer_bytes(&mut pipe)).expect("decode"),
                 Response::DeadlineExceeded,
                 "[{mode:?}] {key}: the post-check must replace the response"
             );
@@ -220,17 +214,11 @@ fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
         // useful response, never the committed (and WAL-acknowledged)
         // effect.
         for (i, key) in keys.iter().enumerate() {
-            wirebuf.clear();
-            encode_request(
-                &Request::Get {
-                    key: key.as_bytes(),
-                },
-                &mut wirebuf,
-            );
-            write_frame(&mut stream, &wirebuf).expect("send get");
-            assert!(read_frame(&mut stream, &mut body).expect("recv get"));
+            let get = Request::Get {
+                key: key.as_bytes(),
+            };
             assert_eq!(
-                decode_response(&body).expect("decode"),
+                pipe.call(&get).expect("get"),
                 Response::Value {
                     found: true,
                     value: 100 + i as u64
@@ -238,7 +226,7 @@ fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
                 "[{mode:?}] {key}: effect must survive the expired deadline"
             );
         }
-        drop(stream);
+        drop(pipe);
         handle.request_shutdown();
         let _ = handle.join();
     }
