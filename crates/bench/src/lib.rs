@@ -11,8 +11,8 @@
 //! ([`Measured`]), and each reproduction binary writes a machine-readable
 //! `BENCH_<figure>.json` artifact next to the text output — ns/op,
 //! speedup percentages, commit ratios and abort-cause breakdowns — via
-//! [`write_bench_json`]. The two gate binaries, `hotpath` and
-//! `trace_overhead`, print their verdict and write nothing.
+//! [`write_bench_json`]. The gate binary, `hotpath`, prints its verdict
+//! and writes nothing.
 //!
 //! A note on this reproduction's hardware: the container has **one** CPU,
 //! so "cores" are oversubscribed workers. Contention *shapes* (lock-word

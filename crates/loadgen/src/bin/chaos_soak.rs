@@ -65,9 +65,6 @@ struct Args {
     net_keys: u64,
     net_clients: usize,
     stall_secs: u64,
-    /// Prefix for the per-mode Chrome trace dumps written after the
-    /// networked phase; `None` disables them.
-    trace_out: Option<String>,
 }
 
 fn parse(raw: &[String]) -> Result<Args, String> {
@@ -82,7 +79,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         net_keys: 48,
         net_clients: 3,
         stall_secs: 60,
-        trace_out: Some("TRACE_chaos".to_string()),
     };
     Flags::new(NAME)
         .seed(&mut args.seed)
@@ -95,7 +91,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         .num("--net-keys", "N", &mut args.net_keys)
         .num("--net-clients", "N", &mut args.net_clients)
         .stall_secs(&mut args.stall_secs)
-        .or_none("--trace-out", "PREFIX|none", &mut args.trace_out)
         .parse(raw)?;
     if args.sections == 0 || args.threads == 0 || args.net_clients == 0 {
         return Err("--sections/--threads/--net-clients must be >= 1".into());
@@ -552,16 +547,10 @@ fn phase3_networked(args: &Args, mode: Mode, live: &Liveness) -> SoakResult<()> 
 
     let state = handle.state_arc();
     let summary = soak::stop(handle);
-    if let Some(prefix) = &args.trace_out {
-        // The flight recorder's surviving spans, as a Chrome trace-event
-        // document. Validated before it lands: a dump that does not parse
-        // is a bug, not an artifact.
-        let dump = state.chrome_trace_json();
-        JsonValue::parse(&dump).map_err(|e| format!("chrome trace dump does not parse: {e}"))?;
-        let path = format!("{prefix}_{}.json", mode_name(mode));
-        std::fs::write(&path, &dump).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
+    // The flight recorder's surviving spans, drained after shutdown, must
+    // still render as a Chrome trace-event document.
+    JsonValue::parse(&state.chrome_trace_json())
+        .map_err(|e| format!("chrome trace dump does not parse: {e}"))?;
     if summary.malformed_frames != 0 {
         return Err(violation(format!(
             "transport faults must never corrupt frames: {} malformed",

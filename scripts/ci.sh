@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 
 # Runs one harness and tells its ways of failing apart, by the exit-code
 # convention loadgen::soak::main gives every binary under
-# crates/loadgen/src/bin (and the gate bins hotpath and trace_overhead
-# follow): 4 = a guarantee or gate it checks was violated, 2 = its
+# crates/loadgen/src/bin (and the gate bin hotpath follows): 4 = a
+# guarantee or gate it checks was violated, 2 = its
 # liveness watchdog saw no progress, anything else = the harness itself
 # broke, a bad command line included.
 #   run_soak LABEL VIOLATION_MSG CMD...
@@ -84,10 +84,10 @@ fi
 echo "ok: Cache holds one map"
 
 echo "== one soak kit =="
-# Argument tables, the liveness watchdog, daemon/temp-dir guards, gate
-# thresholds and the per-key oracle live in crates/loadgen/src/soak.rs;
-# a harness binary that grows its own copy has forked the kit.
-if grep -rnE 'struct Liveness|struct KeyHist|struct Daemon|fn parse_args|fn gate_env|fn tmp\(' \
+# Argument tables, the liveness watchdog, daemon/temp-dir guards and the
+# per-key oracle live in crates/loadgen/src/soak.rs; a harness binary that
+# grows its own copy has forked the kit.
+if grep -rnE 'struct Liveness|struct KeyHist|struct Daemon|fn parse_args|fn tmp\(' \
   crates/loadgen/src/bin/; then
   echo "FAIL: a harness binary carries its own copy of loadgen::soak scaffolding" >&2
   exit 1
@@ -149,12 +149,16 @@ echo "ok: worker_loop and repl_out_loop wait in one place and never sleep, accep
 echo "== one measurement system =="
 # benchmark/ measures, run_benches.sh reproduces the paper's figures, and
 # every gate and soak below prints its verdict and writes nothing. A
-# service harness that writes a BENCH_*.json again, or links the analyzer
-# through gocc-bench to do it, or the header schema tooling coming back,
-# is a second measurement system.
+# service harness that writes a BENCH_*.json or any other file again, or
+# links the analyzer through gocc-bench to do it, or the header schema
+# tooling coming back, is a second measurement system.
 if grep -rnE 'write_artifact|with_header|artifact_header|BENCH_' crates/loadgen/src \
-  crates/bench/src/bin/hotpath.rs crates/bench/src/bin/trace_overhead.rs; then
+  crates/bench/src/bin/hotpath.rs; then
   echo "FAIL: a gate or soak writes a bench artifact again" >&2
+  exit 1
+fi
+if grep -rn 'fs::write' crates/loadgen/src/bin; then
+  echo "FAIL: a harness binary writes a file again" >&2
   exit 1
 fi
 if grep -n 'gocc-bench' crates/loadgen/Cargo.toml; then
@@ -168,6 +172,21 @@ for f in crates/bench/src/bin/bench_schema.rs scripts/check_bench_schema.sh; do
   fi
 done
 echo "ok: gates and soaks write no artifact, loadgen links no analyzer"
+
+echo "== no gate knob =="
+# Every stop below judges a count, a ratio within one run or a structural
+# property, at a bar written where it is judged. An environment variable
+# that overrides a bar, or a shell default this script reads one through,
+# exists only to loosen a gate that fails at an unchanged tree: re-base
+# that gate instead.
+knobs=$(grep -rnE 'gate_env|"[A-Z0-9_]+_GATE_[A-Z0-9_]*"' crates --include='*.rs' || true)
+defaults=$(grep -nE '\$\{[A-Za-z_][A-Za-z0-9_]*:-' scripts/ci.sh | grep -vE '^[0-9]+:[[:space:]]*#' || true)
+if [ -n "$knobs$defaults" ]; then
+  printf '%s\n' "$knobs" "$defaults" | grep -v '^$'
+  echo "FAIL: a gate reads its bar from the environment again" >&2
+  exit 1
+fi
+echo "ok: no gate bar is read from the environment"
 
 echo "== formatting =="
 cargo fmt --check
@@ -240,41 +259,31 @@ done
 
 echo "== pipelining gate (batched section execution payoff) =="
 # Client-side pipelining + server-side batching must actually amortize:
-# at 1 worker, depth 32 has to put >= PIPELINE_GATE_X x as many requests
-# behind each elided section as depth 1 does, in BOTH modes, by the
-# server's own count (STATS batch.requests_per_batch: 8.0 against 1.0
-# with four shards), and deliver >= 2x the ops/sec of depth 8 (half of
-# the depth ratio; it reads 3.8-4.0x). The depth-32 vs depth-1 ops/sec
-# ratio this gate judged before PR 18 measured the idle worker's sleep
-# and reads ~1 now (EXPERIMENTS S1-P). Exit 4 means the amortization gate
+# at 1 worker, in BOTH modes, depths 1, 8 and 32 three times over,
+# interleaved. Depth 32 has to put >= 5x as many requests behind each
+# elided section as depth 1 does, by the server's own count (STATS
+# batch.requests_per_batch: 8.0 against 1.0 with four shards), and its
+# best ops/sec must be >= 2x depth 8's best (half of the depth ratio; it
+# reads 3.8-4.0x). At depth 1 the worker blocks at most once per request
+# (STATS per_worker idle_blocks against executed). Exit 4 means a check
 # was violated (vs exit 1 for a broken harness).
-pipeline_gate=${PIPELINE_GATE_X:-5}
-run_soak "pipeline gate (>= ${pipeline_gate}x requests per section, >= 2x depth-8 ops/sec at depth 32)" \
+run_soak "pipeline gate (requests per section, depth-32 ops/sec, depth-1 blocks)" \
   "pipelining amortization below the bar" \
   ./target/release/loadgen --mode both --workers 1 \
-  --warmup-ms 100 --window-ms 400 --pipeline-gate "$pipeline_gate"
+  --warmup-ms 100 --window-ms 400 --pipeline-gate
 
 echo "== hot-path perf smoke =="
 # Loose order-of-magnitude gate on uncontended section cost: the
-# speculating gocc fast path must stay within HOTPATH_GATE_RATIO x the
-# plain-lock baseline. The bound is deliberately generous (CI boxes are
-# noisy); it exists to catch "someone re-introduced a per-section heap
-# allocation"-class regressions, not to benchmark. Override on noisy
-# boxes: HOTPATH_GATE_RATIO=12 ./scripts/ci.sh
-hotpath_gate=${HOTPATH_GATE_RATIO:-8}
-run_soak "hot-path gate (<= ${hotpath_gate}x lock)" \
-  "speculating section cost above ${hotpath_gate}x the lock baseline" \
-  ./target/release/hotpath --window-ms 100 --gate "$hotpath_gate"
-
-echo "== flight-recorder overhead gate =="
-# The tracing tax on the same speculating-section figure: disabled
-# tracing must stay within 5% of the untraced baseline and 1-in-64
-# sampling (goccd's default) within 10%, min-of-5 interleaved repeats.
-# The margins sit well above the measured cost (per-process floors
-# drift several percent on one core); a real regression reads +220%.
-# Override on noisy boxes: TRACE_GATE_SAMPLED_PCT=15 ./scripts/ci.sh
-run_soak "trace overhead gate" "flight-recorder overhead above its gate" \
-  ./target/release/trace_overhead --window-ms 120
+# speculating gocc fast path must stay within 8x the plain-lock baseline,
+# measured in the same run. The bound is deliberately generous; it exists
+# to catch "someone re-introduced a per-section heap allocation"-class
+# regressions, not to benchmark. The flight recorder's share of that path
+# is a count, not a time: crates/optilock/tests/trace_budget.rs (in the
+# workspace stage above) pins the spans a request pushes, none with
+# sampling off.
+run_soak "hot-path gate (<= 8x lock)" \
+  "speculating section cost above 8x the lock baseline" \
+  ./target/release/hotpath --window-ms 100 --gate 8
 
 echo "== chaos soak (fixed seed, both modes) =="
 # Short combined-fault run at elevated rates: HTM abort injection,
@@ -287,28 +296,17 @@ run_soak "chaos soak phases" "a degradation guarantee was violated under injecte
   --sections 200 --threads 4 \
   --abort-rate 0.25 --pairing-rate 0.25 --transport-rate 0.2 \
   --net-keys 32 --net-clients 3 --stall-secs 60
-# The soak validates its flight-recorder dumps before writing them; here
-# we only require that they actually landed.
-for mode in lock gocc; do
-  if [ ! -s "TRACE_chaos_$mode.json" ]; then
-    echo "FAIL: chaos soak wrote no TRACE_chaos_$mode.json" >&2
-    exit 1
-  fi
-done
-rm -f TRACE_chaos_lock.json TRACE_chaos_gocc.json
-echo "ok: chaos soak"
 
 echo "== overload soak (open-loop saturation, both modes) =="
 # Drives goccd 2x past its calibrated capacity with open-loop arrivals
 # and deadline budgets, then checks the overload guarantees from the
-# server's own counters: bounded admitted p99 (gate in ms, overridable
-# via OVERLOAD_GATE_P99_MS=150 ./scripts/ci.sh), sub-10us shed cost,
-# no expired request ever executed, brownout engage + recovery within
-# 5s of load removal. Exit 4 means a guarantee was violated (vs exit 1
-# for a broken harness) so the two fail differently here.
-overload_gate=${OVERLOAD_GATE_P99_MS:-100}
-run_soak "overload soak (p99 gate ${overload_gate}ms)" \
-  "overload guarantee violated (gate ${overload_gate}ms)" \
+# server's own counters: admitted p99 within 4 full admission passes (a
+# pass: the queue limit's worth of requests at the service rate the same
+# run calibrated; it reads ~1.7), sub-10us shed cost, no expired request
+# ever executed, brownout engage + recovery within 5s of load removal.
+# Exit 4 means a guarantee was violated (vs exit 1 for a broken harness)
+# so the two fail differently here.
+run_soak "overload soak" "overload guarantee violated" \
   ./target/release/overload_soak --quick --seed 2026
 
 echo "== crash soak (seeded kill/recover, both modes) =="
@@ -363,14 +361,13 @@ echo "== WAL throughput gates (group commit amortization) =="
 run_soak "WAL gates (group amortization, off tax)" "a WAL gate failed" \
   ./target/release/wal_bench --window-ms 300 --gate
 
-echo "== replication read gates (replica fan-out) =="
-# Read throughput vs replica count, on repl_bench's gocc numbers: with
-# both endpoints on one core the gate is a bounded replication tax
-# (2-replica aggregate >= REPL_GATE_SCALE_X of the primary-only figure)
-# plus proof that replicas actually serve (replica read share >=
-# REPL_GATE_SHARE_PCT). On multi-core boxes the printed scale ratio shows
-# real fan-out. Overridable like the other perf gates on noisy boxes.
-run_soak "replication gates (tax bound, replica share)" "a replication read gate failed" \
+echo "== replication read gate (replica fan-out) =="
+# Read throughput vs replica count, on repl_bench's gocc numbers. The
+# gate is a count: replicas must answer >= 25% of the 2-replica cell's
+# reads with a value (four of six clients sit on replicas; it reads
+# ~65%). The 2-replica/0-replica throughput ratio compares two separate
+# runs and is printed, not gated; on multi-core boxes it shows fan-out.
+run_soak "replication gate (replica read share)" "a replication read gate failed" \
   ./target/release/repl_bench --window-ms 300 --gate
 
 echo "CI_OK"
