@@ -43,12 +43,10 @@ const MIN_SECTION_RATIO: f64 = 5.0;
 /// Least ops/s at depth 32 over depth 8, each its best of
 /// [`GATE_ROUNDS`]: half the depth ratio (read 3.8–4.0).
 const MIN_DEEP_SCALING: f64 = 2.0;
-/// Most idle blocks per request at depth 1 on one connection: a lone
-/// request wakes its worker once.
-const MAX_BLOCKS_PER_REQUEST: f64 = 1.0;
-/// Idle blocks of that worker that belong to no request: waiting for the
-/// connection, for its first request, and after its close.
-const CONN_BLOCKS: f64 = 3.0;
+/// Most idle blocks per request at depth 1 on one connection. A lone
+/// request wakes its worker once (read 0.93–1.0); a worker that blocks
+/// twice per request reads 2.
+const MAX_BLOCKS_PER_REQUEST: f64 = 1.5;
 
 struct Args {
     /// None = both modes.
@@ -281,8 +279,7 @@ fn run(args: &Args) -> SoakResult<()> {
 }
 
 /// `(requests per elided section, idle blocks per request executed)` from
-/// a point's STATS; the blocks are the busiest worker's, less its
-/// [`CONN_BLOCKS`].
+/// a point's STATS; the blocks are the busiest worker's.
 fn point_counts(m: &ModeResult) -> Result<(f64, f64), String> {
     let doc = JsonValue::parse(&m.stats_raw).map_err(|e| format!("STATS JSON: {e}"))?;
     let num = |v: Option<&JsonValue>, key: &str| {
@@ -302,8 +299,7 @@ fn point_counts(m: &ModeResult) -> Result<(f64, f64), String> {
             busiest = (executed, num(Some(w), "idle_blocks")?);
         }
     }
-    let blocks = f64::max(busiest.1 - CONN_BLOCKS, 0.0) / busiest.0.max(1.0);
-    Ok((per_section, blocks))
+    Ok((per_section, busiest.1 / busiest.0.max(1.0)))
 }
 
 /// The pipelining payoff at 1 worker, for every mode the rows hold: one
@@ -402,7 +398,7 @@ mod tests {
     /// A 1-worker row at `depth`, both modes alike: ops/s, requests per
     /// section and the busiest worker's idle blocks per request.
     fn row(depth: usize, ops: u64, per_section: f64, blocks_per_request: u64) -> SweepRow {
-        let blocks = blocks_per_request * 10_000 + CONN_BLOCKS as u64;
+        let blocks = blocks_per_request * 10_000;
         let point = PointResult {
             workers: 1,
             ops,

@@ -176,12 +176,12 @@ fn measure_cell(mode: Mode, replicas: usize, args: &Args) -> Result<CellResult, 
             let get = Request::Get {
                 key: keybuf.as_bytes(),
             };
-            // Only a value counts as a read served: an endpoint that
-            // refuses reads (`NotPrimary`, `Error`) serves none.
+            // A replica that refuses reads serves none, and the gate
+            // judges that; any other answer but a value is a fault.
             match conn.call(&get).expect("GET") {
                 Response::Value { found: true, .. } => meter.done(),
-                Response::Value { found: false, .. } => panic!("warm key {keybuf} missing"),
-                _ => {}
+                Response::NotPrimary { .. } => {}
+                got => panic!("warm key {keybuf} answered {got:?}"),
             }
         }
         endpoint
@@ -238,14 +238,14 @@ fn measure_session_cell(mode: Mode, args: &Args) -> Result<(f64, u64), String> {
                     .expect("session refresh write");
                 continue;
             }
-            match cluster
+            let got = cluster
                 .read_session(&session, keybuf.as_bytes())
-                .expect("session read")
-            {
-                Response::Value { found: true, .. } => meter.done(),
-                Response::Value { found: false, .. } => panic!("session key {keybuf} missing"),
-                _ => {}
-            }
+                .expect("session read");
+            assert!(
+                matches!(got, Response::Value { found: true, .. }),
+                "session read answered {got:?}"
+            );
+            meter.done();
         }
         cluster.behind_rotations()
     });
@@ -263,10 +263,11 @@ fn run(args: &Args) -> SoakResult<()> {
         args.clients,
         args.window.as_millis()
     );
+    const MODES: [Mode; 2] = [Mode::Lock, Mode::Gocc];
     let mut gocc_cells: Vec<CellResult> = Vec::new();
-    for mode in [Mode::Lock, Mode::Gocc] {
+    let mut plain_two_kops = [0.0; MODES.len()];
+    for (m, mode) in MODES.into_iter().enumerate() {
         println!("  {}:", mode_name(mode));
-        let mut plain_two_kops = 0.0;
         for &replicas in &REPLICA_COUNTS {
             let mut best: Option<CellResult> = None;
             for _ in 0..args.repeats {
@@ -282,31 +283,20 @@ fn run(args: &Args) -> SoakResult<()> {
                 r.replica_share_pct()
             );
             if replicas == *REPLICA_COUNTS.last().expect("non-empty") {
-                plain_two_kops = r.kops;
+                plain_two_kops[m] = r.kops;
             }
             if mode == Mode::Gocc {
                 gocc_cells.push(r);
             }
         }
-
-        // Session-read cell: same 2-replica topology, floor-carrying
-        // reads. The tax ratio compares against the plain cell above.
-        let (session_kops, behind) = measure_session_cell(mode, args)?;
-        let ryw_tax = if plain_two_kops > 0.0 {
-            session_kops / plain_two_kops
-        } else {
-            0.0
-        };
-        println!(
-            "    session reads  {session_kops:>9.1} kops/s  ryw_tax={ryw_tax:.2}x \
-             behind_rotations={behind}"
-        );
     }
 
     // The gate, on the gocc cells (the paper's execution mode): genuine
     // read distribution, a count. With four of six clients on replicas
     // the share reads ≈ 67 %; replicas that refuse reads serve none. The
     // scaling ratio is printed for machines with cores to exercise it.
+    // It is judged before the session cells, whose reads must all be
+    // answered with a value.
     let baseline = gocc_cells[0].kops;
     let two = &gocc_cells[REPLICA_COUNTS.len() - 1];
     let share = two.replica_share_pct();
@@ -320,6 +310,23 @@ fn run(args: &Args) -> SoakResult<()> {
             "GATE FAIL: replicas served only {share:.1}% of reads \
              (need {MIN_REPLICA_SHARE_PCT:.0}%)"
         )));
+    }
+
+    // Session-read cells: the same 2-replica topology, floor-carrying
+    // reads. The tax ratio compares against the mode's plain cell.
+    println!("  session reads, 2 replicas:");
+    for (m, mode) in MODES.into_iter().enumerate() {
+        let (session_kops, behind) = measure_session_cell(mode, args)?;
+        let ryw_tax = if plain_two_kops[m] > 0.0 {
+            session_kops / plain_two_kops[m]
+        } else {
+            0.0
+        };
+        println!(
+            "    {:<4}  {session_kops:>9.1} kops/s  ryw_tax={ryw_tax:.2}x \
+             behind_rotations={behind}",
+            mode_name(mode)
+        );
     }
     Ok(())
 }
