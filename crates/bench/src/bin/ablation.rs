@@ -67,11 +67,10 @@ fn measure(mode: Mode, config: GoccConfig, cores: usize) -> (f64, GoccRuntime) {
 }
 
 fn main() {
-    // Pinned to 8 procs for the whole sweep (unlike the figure sweeps,
+    // Default 8 procs for the whole sweep (unlike the figure sweeps,
     // which set procs per core point): this bench compares speculation
     // *configurations*, and at procs=1 the §5.4.2 bypass would route
     // every gocc variant to the identical slow path, erasing the signal.
-    gocc_gosync::set_procs(8);
     println!("== Ablation: lock / gocc / gocc-np / gocc-telemetry ==");
     println!(
         "{:<16} | per core count: ns/op  (vs-gocc %, positive = slower than gocc)",

@@ -53,10 +53,9 @@ fn measure(mode: Mode, deferred: bool, cores: usize) -> f64 {
 }
 
 fn main() {
-    // Pinned to 8 procs even for the 1-worker column: the subject is how
+    // Default 8 procs even for the 1-worker column: the subject is how
     // deferred unlock lengthens *speculative* sections, so the §5.4.2
     // single-thread bypass must not swap them for lock acquisitions.
-    gocc_gosync::set_procs(8);
     println!("== §2 synthetic: deferred unlock lengthens the critical section ==");
     println!(
         "{:<10} {:<10} | cores: tight-ns / deferred-ns   penalty (positive = defer hurts)",

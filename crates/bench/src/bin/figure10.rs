@@ -44,10 +44,9 @@ fn sanitized_allocation(engine: &Engine<'_>, scope: &Scope, worker: usize, i: u6
 }
 
 fn main() {
-    // Pinned to 8 procs for the whole sweep: this figure contrasts the
+    // Default 8 procs for the whole sweep: this figure contrasts the
     // perceptron's decisions against always-speculate, and the §5.4.2
     // bypass at procs=1 would override both sides with the lock path.
-    gocc_gosync::set_procs(8);
     println!("== Figure 10: Tally with vs without the perceptron ==");
     println!(
         "{:<26} | cores: NP-ns / P-ns  perceptron-gain (positive = perceptron rescues)",

@@ -26,7 +26,10 @@ fn tally_sweep(
     op: impl Fn(&Engine<'_>, &Scope, usize, u64) + Sync,
 ) -> SweepResult {
     sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let scope = Scope::new(rt.htm(), PRELOADED);
         let engine = Engine::new(&rt, mode);
         let ns = warm_measure(cores, window, |w, i| op(&engine, &scope, w, i));

@@ -17,7 +17,10 @@ const KEYS: usize = 256;
 
 fn map_sweep(name: &str, op: impl Fn(&Engine<'_>, &RwMap, usize, u64) + Sync) -> SweepResult {
     sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let map = RwMap::new(rt.htm(), KEYS);
         let engine = Engine::new(&rt, mode);
         let ns = warm_measure(cores, window, |w, i| op(&engine, &map, w, i));
@@ -27,7 +30,10 @@ fn map_sweep(name: &str, op: impl Fn(&Engine<'_>, &RwMap, usize, u64) + Sync) ->
 
 fn cache_sweep(name: &str, op: impl Fn(&Engine<'_>, &Cache, usize, u64) + Sync) -> SweepResult {
     sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let cache = Cache::new(rt.htm(), KEYS);
         let engine = Engine::new(&rt, mode);
         let ns = warm_measure(cores, window, |w, i| op(&engine, &cache, w, i));

@@ -20,7 +20,10 @@ fn set_sweep(
     op: impl Fn(&Engine<'_>, &Set, usize, u64) + Sync,
 ) -> SweepResult {
     sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let set = Set::new(rt.htm(), preload);
         let engine = Engine::new(&rt, mode);
         let ns = warm_measure(cores, window, |w, i| op(&engine, &set, w, i));

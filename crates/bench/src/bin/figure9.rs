@@ -24,7 +24,10 @@ fn cache_sweep(
     op: impl Fn(&Engine<'_>, &FastCache, usize, u64) + Sync,
 ) -> SweepResult {
     sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let cache = FastCache::new(KEYS * 4);
         cache.preload(rt.htm(), KEYS, b"fastcache-value-0123456789abcdef");
         let engine = Engine::new(&rt, mode);

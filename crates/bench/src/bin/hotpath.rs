@@ -29,7 +29,7 @@
 use std::time::Duration;
 
 use gocc_bench::warm_measure;
-use gocc_optilock::{call_site, GoccRuntime, LockRef};
+use gocc_optilock::{call_site, GoccConfig, GoccRuntime, LockRef};
 use gocc_txds::TxCounter;
 use gocc_workloads::{Engine, Mode};
 
@@ -52,20 +52,20 @@ impl Shape {
 
 /// Nanoseconds per section of `shape` in `mode` at `procs` modelled procs.
 fn measure(shape: Shape, mode: Mode, procs: usize, window: Duration) -> f64 {
-    let prev = gocc_gosync::set_procs(procs);
-    let rt = GoccRuntime::new_default();
+    let rt = GoccRuntime::new(GoccConfig {
+        procs,
+        ..GoccConfig::standard()
+    });
     let engine = Engine::new(&rt, mode);
     let m = gocc_optilock::ElidableMutex::new();
     let c = TxCounter::new(0);
-    let ns = warm_measure(1, window, |_w, _i| {
+    warm_measure(1, window, |_w, _i| {
         engine.section(call_site!(), LockRef::Mutex(&m), |tx| match shape {
             Shape::Empty => Ok(()),
             Shape::Read1 => c.get(tx).map(|_| ()),
             Shape::Write1 => c.add(tx, 1).map(|_| ()),
         });
-    });
-    gocc_gosync::set_procs(prev);
-    ns
+    })
 }
 
 /// A bad command line is a harness error: exit 1, never the gate's 4.

@@ -36,10 +36,9 @@ fn section_ns(config: GoccConfig) -> f64 {
 }
 
 fn main() {
-    // The section runs on one worker thread, but procs stays pinned at 8:
+    // The section runs on one worker thread, but procs stays at its default 8:
     // the measurement is the perceptron's cost *on the speculative path*,
     // which the §5.4.2 single-thread bypass would otherwise skip entirely.
-    gocc_gosync::set_procs(8);
     println!("== §6.2: perceptron overhead on a conflict-free 1000-update section ==");
 
     // Best-of-three to suppress scheduler noise on the shared container.

@@ -21,7 +21,10 @@ fn zap_sweep(
     op: impl Fn(&Engine<'_>, &Logger, usize, u64) + Sync,
 ) -> SweepResult {
     sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig::standard());
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: cores,
+            ..GoccConfig::standard()
+        });
         let log = Logger::new(rt.htm(), FIELDS);
         let engine = Engine::new(&rt, mode);
         let ns = warm_measure(cores, window, |w, i| op(&engine, &log, w, i));

@@ -181,8 +181,10 @@ pub fn geomean_pct(results: &[&SweepResult], core_idx: usize) -> Option<f64> {
 /// and window, builds a fresh runtime + world (so perceptron state and
 /// stripe versions never leak between points, like separate benchmark
 /// process runs in the paper), warms up, and returns a [`Measured`] —
-/// typically `Measured::with_runtime(warm_measure(...), &rt)`. The driver
-/// owns the sweep structure.
+/// typically `Measured::with_runtime(warm_measure(...), &rt)`. Go's
+/// harness sets GOMAXPROCS per `-cpu` point, so the runtime is built with
+/// `procs` = the worker count and the 1-core column takes the §5.4.2
+/// single-OS-thread bypass. The driver owns the sweep structure.
 pub fn sweep_driver(
     name: &str,
     sensitive: bool,
@@ -191,18 +193,12 @@ pub fn sweep_driver(
 ) -> SweepResult {
     let mut points = Vec::new();
     for &cores in &CORE_COUNTS {
-        // Go's benchmark harness sets GOMAXPROCS per `-cpu` point, so the
-        // 1-core column runs with one P and the §5.4.2 single-OS-thread
-        // bypass engages — mirror that by setting the modeled proc count
-        // per point, not once per sweep.
-        let prev_procs = gocc_gosync::set_procs(cores);
         // Engage the coherence-cost model at this sweep's core count (the
         // container has one CPU; see crate docs and DESIGN.md §7).
         let prev = gocc_htm::contention::set_sim_cores(cores);
         let lock = point(Mode::Lock, cores, window);
         let gocc = point(Mode::Gocc, cores, window);
         gocc_htm::contention::set_sim_cores(prev);
-        gocc_gosync::set_procs(prev_procs);
         points.push(Point {
             cores,
             lock_ns: lock.ns_per_op,

@@ -16,17 +16,22 @@
 //! waiter count; reader count with the `MAX_READERS` offset trick),
 //! including the runtime semaphore's LIFO/FIFO queueing and handoff.
 //!
-//! [`procs`] models `runtime.GOMAXPROCS`, which both the mutex spin
-//! heuristic and the `optiLib` single-thread bypass consult.
+//! `runtime.GOMAXPROCS` is not modelled here: the `optiLib` single-thread
+//! bypass reads it from its runtime handle (`GoccConfig::procs`), and the
+//! mutex spin heuristic keeps only its iteration bound.
 
 mod mutex;
 mod pairing;
-mod procs;
 mod rwmutex;
 mod sema;
 
 pub use mutex::{GoMutex, GoMutexGuard};
 pub use pairing::{lock_id, LockLedger};
-pub use procs::{procs, set_procs};
 pub use rwmutex::{GoRwMutex, GoRwReadGuard, GoRwWriteGuard};
 pub use sema::Semaphore;
+
+/// Does nothing. The processor count lives in each runtime handle
+/// (`GoccConfig::procs`, default 8), so there is no process-wide value to
+/// set. `benchmark/src/run.rs` is the last caller; the benchmark change of
+/// ROADMAP item 1 deletes that call and then this function.
+pub fn set_procs(_n: usize) {}

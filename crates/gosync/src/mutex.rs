@@ -3,7 +3,6 @@
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Instant;
 
-use crate::procs::procs;
 use crate::sema::Semaphore;
 
 const MUTEX_LOCKED: i32 = 1;
@@ -61,6 +60,13 @@ impl GoMutex {
         self.state.load(Ordering::Relaxed) & MUTEX_STARVING != 0
     }
 
+    /// Acquirers counted as queued on the mutex: the waiter count of the
+    /// state word. An acquirer enters it just before it parks.
+    #[must_use]
+    pub fn waiters(&self) -> usize {
+        (self.state.load(Ordering::Relaxed) >> MUTEX_WAITER_SHIFT) as usize
+    }
+
     /// Acquires the mutex, returning an RAII guard.
     pub fn lock(&self) -> GoMutexGuard<'_> {
         self.lock_raw();
@@ -110,7 +116,7 @@ impl GoMutex {
         let mut old = self.state.load(Ordering::Relaxed);
         loop {
             // Active spinning while the mutex is locked, not starving, and
-            // spinning is sensible (more than one processor).
+            // the spin budget lasts.
             if old & (MUTEX_LOCKED | MUTEX_STARVING) == MUTEX_LOCKED && can_spin(iter) {
                 if !awoke
                     && old & MUTEX_WOKEN == 0
@@ -231,7 +237,7 @@ impl GoMutex {
 }
 
 fn can_spin(iter: u32) -> bool {
-    iter < ACTIVE_SPIN && procs() > 1
+    iter < ACTIVE_SPIN
 }
 
 fn do_spin() {

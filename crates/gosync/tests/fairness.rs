@@ -5,24 +5,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gocc_gosync::{set_procs, GoMutex};
+use gocc_gosync::GoMutex;
 
 #[test]
 fn long_holds_flip_to_starvation_and_hand_off() {
-    set_procs(8);
     let m = Arc::new(GoMutex::new());
     let order = Arc::new(Mutex::new(Vec::new()));
     let holder = m.lock();
 
     let mut handles = Vec::new();
     for i in 0..3 {
-        let (m, order) = (Arc::clone(&m), Arc::clone(&order));
+        let (waiter, order) = (Arc::clone(&m), Arc::clone(&order));
         handles.push(std::thread::spawn(move || {
-            let _g = m.lock();
+            let _g = waiter.lock();
             order.lock().unwrap().push(i);
         }));
-        // Serialize arrival so queue order is deterministic.
-        std::thread::sleep(Duration::from_millis(5));
+        // Serialize arrival so queue order is deterministic: waiter i+1
+        // starts only once waiter i is counted as queued.
+        while m.waiters() <= i {
+            std::thread::yield_now();
+        }
     }
     // Hold past the 1 ms starvation threshold: all three waiters starve.
     std::thread::sleep(Duration::from_millis(10));
@@ -37,7 +39,6 @@ fn long_holds_flip_to_starvation_and_hand_off() {
 
 #[test]
 fn no_lost_wakeups_under_churn() {
-    set_procs(8);
     let m = Arc::new(GoMutex::new());
     let acquisitions = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
@@ -62,7 +63,6 @@ fn no_lost_wakeups_under_churn() {
 
 #[test]
 fn try_lock_never_steals_from_starving_queue() {
-    set_procs(8);
     let m = Arc::new(GoMutex::new());
     let holder = m.lock();
     let m2 = Arc::clone(&m);

@@ -364,7 +364,6 @@ mod tests {
 
     #[test]
     fn open_loop_completes_against_a_live_server() {
-        gocc_gosync::set_procs(8);
         let handle = spawn(ServerConfig {
             mode: Mode::Gocc,
             port: 0,
@@ -396,7 +395,6 @@ mod tests {
 
     #[test]
     fn breaker_sheds_client_side_when_server_is_pinned_shedding() {
-        gocc_gosync::set_procs(8);
         let mut scfg = ServerConfig {
             mode: Mode::Gocc,
             port: 0,

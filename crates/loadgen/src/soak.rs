@@ -93,7 +93,6 @@ pub fn exit_status<A>(
             return EXIT_HARNESS;
         }
     };
-    gocc_gosync::set_procs(8);
     match run(&args) {
         Ok(()) => 0,
         Err(SoakError::Harness(msg)) => {

@@ -26,6 +26,10 @@ pub struct GoccConfig {
     /// events. Off by default: the disabled hot path pays one branch on a
     /// `None` check and nothing else.
     pub telemetry_enabled: bool,
+    /// The modelled `GOMAXPROCS`. At 1 the §5.4.2 single-OS-thread bypass
+    /// sends every section to the lock; the figure sweeps set it to the
+    /// core count of each point, as Go's `-cpu` flag does per run.
+    pub procs: usize,
 }
 
 impl Default for GoccConfig {
@@ -44,6 +48,7 @@ impl GoccConfig {
             perceptron: PerceptronConfig::default(),
             perceptron_enabled: true,
             telemetry_enabled: false,
+            procs: 8,
         }
     }
 
@@ -85,6 +90,7 @@ pub struct GoccRuntime {
     telemetry: Option<Box<Telemetry>>,
     policy: RetryPolicy,
     perceptron_enabled: bool,
+    procs: usize,
 }
 
 impl GoccRuntime {
@@ -96,6 +102,7 @@ impl GoccRuntime {
             perceptron: Perceptron::new(config.perceptron),
             policy: config.policy,
             perceptron_enabled: config.perceptron_enabled,
+            procs: config.procs,
             stats: OptiStats::default(),
             telemetry: config.telemetry_enabled.then(|| Box::new(Telemetry::new())),
             tracer: Box::new(TraceRecorder::new()),
@@ -139,6 +146,12 @@ impl GoccRuntime {
         self.perceptron_enabled
     }
 
+    /// The modelled processor count ([`GoccConfig::procs`]).
+    #[must_use]
+    pub fn procs(&self) -> usize {
+        self.procs
+    }
+
     /// `optiLib` statistics: `stats().snapshot()` reads them.
     #[must_use]
     pub fn stats(&self) -> StatsView<'_> {
@@ -152,8 +165,9 @@ impl GoccRuntime {
     }
 
     /// The per-request flight recorder. Always present — sampling is off
-    /// (and the hot path pays one global relaxed load) until
-    /// [`TraceRecorder::configure`] enables it.
+    /// until [`TraceRecorder::configure`] enables it, and until then the
+    /// hot path pays one relaxed load of this recorder's sampling rate
+    /// ([`TraceRecorder::current`]).
     #[must_use]
     pub fn tracer(&self) -> &TraceRecorder {
         &self.tracer

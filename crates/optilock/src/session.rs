@@ -25,7 +25,6 @@
 
 use std::time::Instant;
 
-use gocc_gosync::procs;
 use gocc_htm::{Abort, Elision, LockWord, Tx, TxResult, MUTEX_MISMATCH_CODE};
 use gocc_telemetry::trace::{
     self, PERCEPTRON_PENALIZE, PERCEPTRON_PREDICT_HTM, PERCEPTRON_PREDICT_SLOW, PERCEPTRON_REWARD,
@@ -257,7 +256,7 @@ impl OptiLock {
     /// carries the TL2 version-clock snapshot the attempt resolved at.
     #[inline]
     fn trace_attempt_outcome(&mut self, rt: &GoccRuntime, outcome: u64) {
-        let id = trace::current();
+        let id = rt.tracer().current();
         if id == 0 {
             return;
         }
@@ -282,7 +281,7 @@ impl OptiLock {
     /// instant span on the current trace.
     #[inline]
     fn trace_perceptron(rt: &GoccRuntime, site: usize, action: u64) {
-        let id = trace::current();
+        let id = rt.tracer().current();
         if id == 0 {
             return;
         }
@@ -398,7 +397,7 @@ impl OptiLock {
                 spins -= 1;
             }
             self.attempted_htm = true;
-            if trace::current() != 0 {
+            if rt.tracer().current() != 0 {
                 self.trace_attempt_start = trace::now_ns();
             }
             let mut tx = Tx::fast(rt.htm());
@@ -451,7 +450,7 @@ impl OptiLock {
         if self.attempts_left == 0 {
             return Decision::SlowExhausted;
         }
-        if procs() == 1 {
+        if rt.procs() == 1 {
             // §5.4.2: never speculate in a single-OS-thread process.
             OptiStats::add(&rt.stats.single_thread_bypass);
             return Decision::SlowBypass;
@@ -685,15 +684,9 @@ mod tests {
     use crate::runtime::GoccConfig;
     use gocc_htm::TxVar;
 
-    fn rt() -> GoccRuntime {
-        // Force multi-proc so the single-thread bypass does not mask HTM.
-        gocc_gosync::set_procs(8);
-        GoccRuntime::new_default()
-    }
-
     #[test]
     fn critical_mutex_increments_on_fast_path() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         let v = TxVar::new(0u64);
         for _ in 0..10 {
@@ -711,7 +704,7 @@ mod tests {
 
     #[test]
     fn held_lock_forces_slow_path_eventually() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         let v = TxVar::new(0u64);
         // Hold the lock pessimistically from this thread?  Cannot — the
@@ -743,7 +736,7 @@ mod tests {
 
     #[test]
     fn unfriendly_section_falls_back_and_perceptron_learns() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         let site = crate::call_site!();
         let mut outputs = 0u64;
@@ -773,7 +766,6 @@ mod tests {
     #[test]
     fn np_mode_always_attempts_htm() {
         let rt = GoccRuntime::new(GoccConfig::no_perceptron());
-        gocc_gosync::set_procs(8);
         let m = ElidableMutex::new();
         let site = crate::call_site!();
         for _ in 0..20 {
@@ -786,12 +778,13 @@ mod tests {
 
     #[test]
     fn single_thread_bypass() {
-        let prev = gocc_gosync::set_procs(1);
-        let rt = GoccRuntime::new_default();
+        let rt = GoccRuntime::new(GoccConfig {
+            procs: 1,
+            ..GoccConfig::standard()
+        });
         let m = ElidableMutex::new();
         critical_mutex(&rt, crate::call_site!(), &m, |_tx| Ok(()));
         let snap = rt.stats().snapshot();
-        gocc_gosync::set_procs(if prev == 0 { 8 } else { prev });
         assert_eq!(snap.htm_attempts, 0);
         assert_eq!(snap.single_thread_bypass, 1);
         assert_eq!(snap.slow_sections, 1);
@@ -799,7 +792,7 @@ mod tests {
 
     #[test]
     fn perfectly_nested_pairs_commit_once() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let a = ElidableMutex::new();
         let b = ElidableMutex::new();
         let v = TxVar::new(0u64);
@@ -824,7 +817,7 @@ mod tests {
     fn imperfectly_nested_pairs_commit_when_both_transformed() {
         // Listing 18 with both pairs transformed: each OptiLock's lkMutex
         // matches its own pair, so no mismatch fires.
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let a = ElidableMutex::new();
         let b = ElidableMutex::new();
         let mut scope = HtmScope::new(&rt);
@@ -843,7 +836,7 @@ mod tests {
         // Listing 6: the analyzer paired b.Lock() with a.Unlock(). The
         // runtime must detect the mismatch, abort, and redo on the slow
         // path, preserving correctness.
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let a = ElidableMutex::new();
         let b = ElidableMutex::new();
         let v = TxVar::new(0u64);
@@ -897,7 +890,7 @@ mod tests {
 
     #[test]
     fn rw_read_elision_tolerates_slow_readers() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let rw = ElidableRwMutex::new();
         let v = TxVar::new(7u64);
         // A pessimistic reader is inside the lock.
@@ -914,7 +907,7 @@ mod tests {
 
     #[test]
     fn rw_write_elision_aborts_on_slow_readers() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let rw = ElidableRwMutex::new();
         let v = TxVar::new(0u64);
         rw.rlock_raw();
@@ -939,7 +932,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_sections_scale_without_aborts() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         // Each thread updates its own padded cell: conflict-free under HTM.
         let cells: Vec<gocc_htm::Padded<TxVar<u64>>> =
@@ -971,7 +964,7 @@ mod tests {
 
     #[test]
     fn conflicting_sections_remain_correct() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         let v = TxVar::new(0u64);
         std::thread::scope(|s| {
@@ -992,7 +985,7 @@ mod tests {
 
     #[test]
     fn sampled_sections_record_attempt_and_perceptron_spans() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         rt.tracer().configure(1, 7);
         let id = rt.tracer().begin_request();
         assert_ne!(id, 0, "sample-every-request must sample");
@@ -1026,7 +1019,7 @@ mod tests {
 
     #[test]
     fn traced_aborts_name_their_cause() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         rt.tracer().configure(1, 11);
         let id = rt.tracer().begin_request();
         trace::set_current(id);
@@ -1047,7 +1040,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "FastUnlock without FastLock")]
     fn unlock_without_lock_panics() {
-        let rt = rt();
+        let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();
         let mut scope = HtmScope::new(&rt);
         let mut ol = OptiLock::new(crate::call_site!());

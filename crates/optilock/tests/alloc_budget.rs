@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gocc_htm::TxVar;
-use gocc_optilock::{call_site, critical_mutex, ElidableMutex, GoccRuntime};
+use gocc_optilock::{call_site, critical_mutex, ElidableMutex, GoccConfig, GoccRuntime};
 
 struct CountingAllocator;
 
@@ -64,20 +64,8 @@ fn allocs_over<F: FnMut()>(iters: u64, mut section: F) -> u64 {
     allocations_on_this_thread() - before
 }
 
-/// One `#[test]` for every phase: the phases flip process-global knobs
-/// (`gosync::PROCS`, the trace `ACTIVE` flag), so as sibling tests on the
-/// parallel runner they see each other's settings. (Stop-gap; carrying
-/// the knobs in the runtime handle is the fix.)
 #[test]
-fn steady_state_sections_do_not_allocate() {
-    steady_state_fast_sections_do_not_allocate();
-    steady_state_direct_sections_do_not_allocate();
-    fully_traced_sections_do_not_allocate();
-    aborted_sections_do_not_allocate_either();
-}
-
 fn steady_state_fast_sections_do_not_allocate() {
-    let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let m = ElidableMutex::new();
     let v = TxVar::new(0u64);
@@ -93,19 +81,14 @@ fn steady_state_fast_sections_do_not_allocate() {
     for _ in 0..64 {
         run();
     }
-    let slots = gocc_htm::commit_slot_usage();
     let allocs = allocs_over(10_000, run);
-    gocc_gosync::set_procs(prev);
     assert_eq!(
         allocs, 0,
         "speculative sections must be allocation-free after warmup"
     );
-    assert_eq!(
-        gocc_htm::commit_slot_usage(),
-        slots,
-        "a commit slot is registered once per arena, not per section"
-    );
-    // Sanity: the sections actually ran on the fast path and committed.
+    // Sanity: the sections actually ran on the fast path and committed,
+    // all in one arena (which claimed its one commit slot when it was
+    // made).
     let snap = rt.stats().snapshot();
     assert!(snap.fast_commits >= 10_000, "not elided: {snap:?}");
     let htm = rt.htm().stats().snapshot();
@@ -113,12 +96,15 @@ fn steady_state_fast_sections_do_not_allocate() {
     assert!(htm.ctx_fresh <= 2, "steady state kept allocating: {htm:?}");
 }
 
+#[test]
 fn steady_state_direct_sections_do_not_allocate() {
     // procs = 1 engages the single-OS-thread bypass: every section takes
     // the real lock and runs in direct mode, which must be equally free
     // of allocations.
-    let prev = gocc_gosync::set_procs(1);
-    let rt = GoccRuntime::new_default();
+    let rt = GoccRuntime::new(GoccConfig {
+        procs: 1,
+        ..GoccConfig::standard()
+    });
     let m = ElidableMutex::new();
     let v = TxVar::new(0u64);
     let site = call_site!();
@@ -132,17 +118,16 @@ fn steady_state_direct_sections_do_not_allocate() {
         run();
     }
     // Every slow-path acquisition scans the commit-slot registry for
-    // in-flight write-backs. Give the scan more than this thread's own
-    // slot (from the fast phase above) to walk.
-    std::thread::spawn(|| {
+    // in-flight write-backs. Give the scan more than one slot to walk:
+    // this thread's arena holds one while another thread claims a second.
+    let claim_a_slot = || {
         let rt = gocc_htm::HtmRuntime::new(gocc_htm::HtmConfig::coffee_lake());
         gocc_htm::Tx::fast(&rt).rollback();
-    })
-    .join()
-    .unwrap();
+    };
+    claim_a_slot();
+    std::thread::spawn(claim_a_slot).join().unwrap();
     assert!(gocc_htm::commit_slot_usage().0 >= 2);
     let allocs = allocs_over(10_000, run);
-    gocc_gosync::set_procs(prev);
     assert_eq!(
         allocs, 0,
         "slow-path sections must be allocation-free after warmup"
@@ -152,12 +137,12 @@ fn steady_state_direct_sections_do_not_allocate() {
     assert_eq!(snap.htm_attempts, 0, "speculated at procs=1: {snap:?}");
 }
 
+#[test]
 fn fully_traced_sections_do_not_allocate() {
     // The flight recorder rides the same hot path: with every request
     // sampled (N = 1), the sampling decision, the id propagation and the
     // per-attempt span pushes must all stay within the zero-allocation
     // budget — the span ring is fixed-size atomics by construction.
-    let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     rt.tracer().configure(1, 0xA110_C8);
     let m = ElidableMutex::new();
@@ -180,7 +165,6 @@ fn fully_traced_sections_do_not_allocate() {
         run();
     }
     let allocs = allocs_over(10_000, run);
-    gocc_gosync::set_procs(prev);
     assert_eq!(
         allocs, 0,
         "fully-traced sections must be allocation-free after warmup"
@@ -191,14 +175,13 @@ fn fully_traced_sections_do_not_allocate() {
         "tracing was not engaged: {} spans",
         rt.tracer().pushed()
     );
-    rt.tracer().configure(0, 0);
 }
 
+#[test]
 fn aborted_sections_do_not_allocate_either() {
     // Conflict-free aborts exercise rollback + context release + retry;
     // the unfriendly abort below forces slow-path completion every time.
     // None of that machinery may allocate in steady state.
-    let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let m = ElidableMutex::new();
     let site = call_site!();
@@ -212,7 +195,6 @@ fn aborted_sections_do_not_allocate_either() {
         run();
     }
     let allocs = allocs_over(5_000, run);
-    gocc_gosync::set_procs(prev);
     assert_eq!(
         allocs, 0,
         "abort/rollback/fallback must be allocation-free after warmup"

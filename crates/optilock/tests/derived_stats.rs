@@ -12,7 +12,6 @@ use gocc_telemetry::trace::{self, PERCEPTRON_PREDICT_HTM, PERCEPTRON_PREDICT_SLO
 use gocc_telemetry::{EventOutcome, SpanKind};
 
 fn runtime_with(mut cfg: GoccConfig, plan: HtmFaultPlan) -> (GoccRuntime, Arc<HtmFaultPlan>) {
-    gocc_gosync::set_procs(8);
     let plan = Arc::new(plan);
     cfg.htm.fault_plan = Some(Arc::clone(&plan));
     (GoccRuntime::new(cfg), plan)

@@ -12,7 +12,6 @@ use gocc_optilock::{
 use gocc_telemetry::EventOutcome;
 
 fn np_runtime_with(mix: AbortMix, seed: u64) -> (GoccRuntime, Arc<HtmFaultPlan>) {
-    gocc_gosync::set_procs(8);
     let plan = Arc::new(HtmFaultPlan::new(seed, mix));
     let mut cfg = GoccConfig::no_perceptron();
     cfg.htm.fault_plan = Some(Arc::clone(&plan));
@@ -177,7 +176,6 @@ fn inline_table_overflow_aborts_with_capacity_and_completes_slow() {
     // A section writing more distinct cache lines than the arena can hold
     // must abort with Capacity (the cause the perceptron learns from),
     // count as a physical inline overflow, and complete on the lock path.
-    gocc_gosync::set_procs(8);
     let mut cfg = GoccConfig::no_perceptron();
     cfg.telemetry_enabled = true;
     let rt = GoccRuntime::new(cfg);
@@ -218,7 +216,6 @@ fn watchdog_bounds_a_pathological_retry_policy() {
     // abort rate is a livelock machine. The watchdog must cap it: each
     // section re-executes exactly `watchdog_abort_bound` times on the fast
     // path, then completes under the lock, visibly counted.
-    gocc_gosync::set_procs(8);
     let plan = Arc::new(HtmFaultPlan::new(
         15,
         AbortMix {
@@ -268,7 +265,6 @@ fn mismatch_is_reported_not_swallowed() {
     // A mis-paired unlock must surface in *every* observable channel:
     // the returned abort, OptiStats, and telemetry (site attribution +
     // event trace) — not just silently recover.
-    gocc_gosync::set_procs(8);
     let mut cfg = GoccConfig::standard();
     cfg.telemetry_enabled = true;
     let rt = GoccRuntime::new(cfg);
@@ -330,7 +326,6 @@ fn pairing_plan_drives_mismatch_detection_end_to_end() {
     // must be detected and recovered; clean iterations must elide.
     // No perceptron: a trained predictor could route a mispaired iteration
     // straight to the slow path, where no mismatch check exists to count.
-    gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new(GoccConfig::no_perceptron());
     let pairing = PairingFaultPlan::new(77, 0.4);
     let a = ElidableMutex::new();

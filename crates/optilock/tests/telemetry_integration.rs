@@ -10,7 +10,6 @@ use gocc_telemetry::ABORT_CAUSE_NAMES;
 use gocc_txds::TxCounter;
 
 fn rt_with_telemetry() -> GoccRuntime {
-    gocc_gosync::set_procs(8);
     GoccRuntime::new(GoccConfig::with_telemetry())
 }
 
@@ -101,7 +100,6 @@ fn report_json_round_trips_through_the_parser() {
 
 #[test]
 fn disabled_runtime_reports_nothing() {
-    gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new(GoccConfig::standard());
     let m = ElidableMutex::new();
     let c = TxCounter::new(0);

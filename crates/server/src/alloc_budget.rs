@@ -108,7 +108,6 @@ fn serve_burst(
 
 #[test]
 fn steady_state_pump_passes_do_not_allocate() {
-    gocc_gosync::set_procs(8);
     let state = ServerState::new(ServerConfig {
         workers: 1,
         ..ServerConfig::default()

@@ -271,7 +271,6 @@ fn main() -> ExitCode {
         stats_interval,
     } = cli;
 
-    gocc_gosync::set_procs(8);
     let mode = config.mode;
     let (workers, shards) = (config.workers, config.shards);
     let handle = match spawn(config) {

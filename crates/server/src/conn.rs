@@ -347,7 +347,7 @@ impl Conn {
                     // per request, here at frame decode, and the id rides
                     // the worker's thread-local through admission, the
                     // engine, and the HTM session until the frame is done.
-                    let decode_t0 = if trace::tracing_active() {
+                    let decode_t0 = if state.rt.tracer().sample_n() != 0 {
                         trace::now_ns()
                     } else {
                         0
@@ -750,7 +750,7 @@ fn execute_admitted(
     req: &Request<'_>,
     deadline_us: Option<u32>,
 ) -> bool {
-    let trace_id = trace::current();
+    let trace_id = state.rt.tracer().current();
     let out_start = outbuf.len();
     // Start of the response-encode window: control verbs encode straight
     // from here; SCAN resets it after the store call.
@@ -1096,7 +1096,6 @@ mod tests {
         use gocc_faultplane::TransportMix;
         use gocc_wire::encode_request_v2;
 
-        gocc_gosync::set_procs(8);
         let mut frame = Vec::new();
         encode_request_v2(&Request::Get { key: b"absent" }, None, &mut frame);
         let mut expected = Vec::new();

@@ -850,7 +850,6 @@ mod tests {
     /// dead address as its electorate, and neither standing on its own
     /// (`repl_auto_promote` is off): the tests drive the candidacies.
     fn two_orphans(seeds: (u64, u64)) -> [ServerHandle; 2] {
-        gocc_gosync::set_procs(8);
         let dead = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             format!("127.0.0.1:{}", l.local_addr().expect("addr").port())

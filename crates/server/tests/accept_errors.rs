@@ -55,7 +55,6 @@ fn acceptor_cpu_ns() -> u64 {
 
 #[test]
 fn accept_failures_are_counted_and_backed_off_and_the_connection_survives() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(ServerConfig {
         workers: 1,
         ..ServerConfig::default()

@@ -40,7 +40,6 @@ fn config(mode: Mode, data_dir: Option<PathBuf>, sync: SyncPolicy) -> ServerConf
 /// execution modes and under both ack policies.
 #[test]
 fn acked_writes_survive_graceful_restart() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         for sync in [SyncPolicy::Group, SyncPolicy::Always] {
             let dir = temp_dir("restart");
@@ -140,7 +139,6 @@ fn acked_writes_survive_graceful_restart() {
 /// LSN once writes exist, and the LSN is monotone across calls.
 #[test]
 fn flush_returns_monotone_durable_lsn() {
-    gocc_gosync::set_procs(8);
     let dir = temp_dir("flush");
     let handle = spawn(config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group)).expect("spawn");
     let mut c = connect(handle.port());
@@ -179,7 +177,6 @@ fn flush_returns_monotone_durable_lsn() {
 /// no-op answering LSN 0, and STATS reports `"wal": null`.
 #[test]
 fn flush_without_wal_is_vacuous() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Lock, None, SyncPolicy::Group)).expect("spawn");
     let mut c = connect(handle.port());
     assert_eq!(
@@ -203,7 +200,6 @@ fn flush_without_wal_is_vacuous() {
 /// replaying the whole history.
 #[test]
 fn checkpoint_bounds_replay_on_restart() {
-    gocc_gosync::set_procs(8);
     let dir = temp_dir("ckpt");
     let mut cfg = config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group);
     cfg.wal.checkpoint_every = 100;

@@ -27,7 +27,6 @@ use common::connect;
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn take_turn() -> MutexGuard<'static, ()> {
-    gocc_gosync::set_procs(8);
     ONE_SERVER_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -46,7 +46,6 @@ fn config(mode: Mode) -> ServerConfig {
 
 #[test]
 fn verbs_roundtrip_in_both_modes() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
         let mut c = connect(handle.port());
@@ -106,7 +105,6 @@ fn verbs_roundtrip_in_both_modes() {
 
 #[test]
 fn stats_json_parses_with_telemetry_parser() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
         let mut c = connect(handle.port());
@@ -151,7 +149,6 @@ fn stats_json_parses_with_telemetry_parser() {
 
 #[test]
 fn trace_verb_returns_spans_for_sampled_requests() {
-    gocc_gosync::set_procs(8);
     let mut cfg = config(Mode::Gocc);
     cfg.trace_sample_n = 1; // sample every request
     let handle = spawn(cfg).expect("spawn");
@@ -251,7 +248,6 @@ fn trace_verb_returns_spans_for_sampled_requests() {
 
 #[test]
 fn malformed_frame_kills_the_connection_not_the_server() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     let port = handle.port();
 
@@ -298,7 +294,6 @@ fn malformed_frame_kills_the_connection_not_the_server() {
 
 #[test]
 fn a_protocol_v1_frame_is_answered_with_one_error_then_a_close() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     // A v1 GET of "key": the bare opcode (0x01) first, no v2 envelope.
     let mut frame = 6u32.to_le_bytes().to_vec();
@@ -315,7 +310,6 @@ fn a_protocol_v1_frame_is_answered_with_one_error_then_a_close() {
 
 #[test]
 fn concurrent_clients_share_the_store() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
         let port = handle.port();
@@ -361,7 +355,6 @@ fn injected_transport_faults_cost_connections_not_correctness() {
     // polling, and resets by the client reconnecting. Since SET/GET are
     // idempotent, retrying over fresh connections must converge on a
     // fully correct store — faults cost connections, never data.
-    gocc_gosync::set_procs(8);
     let plan = Arc::new(TransportFaultPlan::new(2024, TransportMix::uniform(0.2)));
     let mut cfg = config(Mode::Gocc);
     cfg.fault_plan = Some(Arc::clone(&plan));
@@ -425,7 +418,6 @@ fn injected_transport_faults_cost_connections_not_correctness() {
 
 #[test]
 fn pipelined_session_writes_on_one_shard_run_as_one_section() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let handle = spawn(config(mode)).expect("spawn");
         let mut c = connect(handle.port());
@@ -504,7 +496,6 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
 
 #[test]
 fn shutdown_via_handle_terminates_workers() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     let mut c = connect(handle.port());
     assert_eq!(

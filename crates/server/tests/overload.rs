@@ -36,7 +36,6 @@ fn config(mode: Mode) -> ServerConfig {
 
 #[test]
 fn health_verb_reports_state_and_counters() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     let mut c = connect(handle.port());
     let Response::Health {
@@ -56,7 +55,6 @@ fn health_verb_reports_state_and_counters() {
 
 #[test]
 fn expired_deadline_never_reaches_the_engine() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     let mut c = connect(handle.port());
     // A zero budget is expired on arrival by definition: the SET must be
@@ -116,7 +114,6 @@ fn expired_deadline_never_reaches_the_engine() {
 
 #[test]
 fn shedding_state_rejects_writes_and_serves_reads() {
-    gocc_gosync::set_procs(8);
     let mut cfg = config(Mode::Gocc);
     // Workers feed idle observations continuously; an effectively
     // unreachable recovery threshold pins whatever state the test forces.
@@ -175,7 +172,6 @@ fn shedding_state_rejects_writes_and_serves_reads() {
 
 #[test]
 fn brownout_recovers_to_healthy_after_load_removal() {
-    gocc_gosync::set_procs(8);
     let mut cfg = config(Mode::Gocc);
     cfg.brownout.alpha = 0.5;
     cfg.brownout.recover_obs = 3;
@@ -210,7 +206,6 @@ fn brownout_recovers_to_healthy_after_load_removal() {
 
 #[test]
 fn queue_limit_sheds_a_pipelined_burst() {
-    gocc_gosync::set_procs(8);
     let mut cfg = config(Mode::Gocc);
     cfg.queue_limit = 4;
     let handle = spawn(cfg).expect("spawn");
@@ -256,7 +251,6 @@ fn queue_limit_sheds_a_pipelined_burst() {
 
 #[test]
 fn oversized_frame_survives_and_resynchronizes_on_the_wire() {
-    gocc_gosync::set_procs(8);
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     // A frame declaring more than MAX_FRAME bytes, fully delivered, then
     // a valid request and the end of the client's input: the server must

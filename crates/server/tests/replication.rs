@@ -98,7 +98,6 @@ fn shutdown(handle: ServerHandle) {
 /// redirects writes at the primary with a hint. Both execution modes.
 #[test]
 fn replica_follows_the_primary_and_redirects_writes() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let primary = spawn(primary_config(mode)).expect("spawn primary");
         let replica = spawn(replica_config(mode, primary.port())).expect("spawn replica");
@@ -204,7 +203,6 @@ fn replica_follows_the_primary_and_redirects_writes() {
 /// up via snapshot resync and then follow incrementally.
 #[test]
 fn late_replica_catches_up_via_snapshot_resync() {
-    gocc_gosync::set_procs(8);
     let dir = temp_dir("late-join");
     let mut config = primary_config(Mode::Gocc);
     config.data_dir = Some(dir.clone());
@@ -280,7 +278,6 @@ fn late_replica_catches_up_via_snapshot_resync() {
 /// replica — reading it there immediately must succeed, no polling.
 #[test]
 fn synchronous_acks_are_immediately_readable_on_the_replica() {
-    gocc_gosync::set_procs(8);
     let mut config = primary_config(Mode::Gocc);
     config.repl_min_acks = 1;
     config.repl_lease = Duration::from_millis(500);
@@ -348,7 +345,6 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
 /// falsely fenced the primary.
 #[test]
 fn synchronous_acks_survive_a_single_worker() {
-    gocc_gosync::set_procs(8);
     let mut config = primary_config(Mode::Gocc);
     config.workers = 1;
     config.repl_min_acks = 1;
@@ -406,7 +402,6 @@ fn synchronous_acks_survive_a_single_worker() {
 /// role flips, writes are accepted, and the feed is re-based.
 #[test]
 fn promotion_turns_the_replica_into_a_writable_primary() {
-    gocc_gosync::set_procs(8);
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
     let mut p = connect(primary.port());
@@ -471,7 +466,6 @@ fn promotion_turns_the_replica_into_a_writable_primary() {
 /// flow.
 #[test]
 fn fenced_primary_rejects_writes_without_live_replicas() {
-    gocc_gosync::set_procs(8);
     let mut config = primary_config(Mode::Gocc);
     config.repl_min_acks = 1;
     config.repl_lease = Duration::from_millis(200);
@@ -550,7 +544,6 @@ fn fenced_primary_rejects_writes_without_live_replicas() {
 /// repointed at the winner by the epoch announce and keeps following.
 #[test]
 fn auto_promotion_elects_exactly_one_new_primary() {
-    gocc_gosync::set_procs(8);
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let mut rc_a = replica_config(Mode::Gocc, primary.port());
     rc_a.repl_auto_promote = true;
@@ -685,7 +678,6 @@ fn auto_promotion_elects_exactly_one_new_primary() {
 /// immediately.
 #[test]
 fn session_verbs_enforce_the_version_floor() {
-    gocc_gosync::set_procs(8);
     let primary = spawn(primary_config(Mode::Gocc)).expect("spawn primary");
     let replica = spawn(replica_config(Mode::Gocc, primary.port())).expect("spawn replica");
     let mut p = connect(primary.port());
@@ -771,7 +763,6 @@ fn session_verbs_enforce_the_version_floor() {
 /// post-failover shape) serves the full acked history.
 #[test]
 fn replica_wal_makes_acked_writes_survive_a_replica_restart() {
-    gocc_gosync::set_procs(8);
     let dir = temp_dir("replica-wal");
     let mut pc = primary_config(Mode::Gocc);
     pc.repl_min_acks = 1;
@@ -851,7 +842,6 @@ fn replica_wal_makes_acked_writes_survive_a_replica_restart() {
 /// serving reads, and converges once repointed at a real primary.
 #[test]
 fn replica_survives_mid_handshake_hangups_and_recovers() {
-    gocc_gosync::set_procs(8);
     // A listener that accepts and immediately drops every connection:
     // the replica's HELLO never gets an answer.
     let hangup = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");

@@ -23,7 +23,6 @@ fn one(
 
 #[test]
 fn verbs_roundtrip_through_the_store() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let rt = GoccRuntime::new(GoccConfig::standard());
         let engine = Engine::new(&rt, mode);
@@ -104,7 +103,6 @@ fn verbs_roundtrip_through_the_store() {
 
 #[test]
 fn one_batch_matches_batches_of_one_and_groups_by_shard() {
-    gocc_gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let rt = GoccRuntime::new(GoccConfig::standard());
         let engine = Engine::new(&rt, mode);
@@ -196,7 +194,6 @@ fn one_batch_matches_batches_of_one_and_groups_by_shard() {
 
 #[test]
 fn keys_spread_across_shards() {
-    gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new(GoccConfig::standard());
     let engine = Engine::new(&rt, Mode::Lock);
     let store = ShardedStore::new(4, 1024);

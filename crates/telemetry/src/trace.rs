@@ -21,8 +21,10 @@
 //! the first request a thread sees and every N-th after (no shared
 //! counter, no division on the per-request path), and the decision is made
 //! once per request so a sampled request traces its entire attempt chain.
-//! A process-global [`tracing_active`] gate — one relaxed load — keeps the
-//! disabled path out of every hot loop.
+//! The gate is per recorder: [`TraceRecorder::current`] makes one relaxed
+//! load of the recorder's own sampling rate before it reads the thread's
+//! trace id, so a runtime with sampling off keeps the disabled path out of
+//! every hot loop whatever another runtime in the process samples.
 
 use crate::{JsonWriter, ABORT_CAUSE_NAMES};
 use std::cell::Cell;
@@ -189,11 +191,6 @@ struct Shard {
     slots: Box<[Slot]>,
 }
 
-/// Count of recorders with sampling enabled, process-wide. One relaxed
-/// load of this gates every per-operation tracing check, so a process
-/// with tracing off pays a single predictable branch.
-static ACTIVE: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// The trace id of the request this thread is currently serving
     /// (0 = unsampled / no request). Valid because the server handles
@@ -203,24 +200,6 @@ thread_local! {
     /// next sample). Tagged so a thread that moves between recorders
     /// (tests, multiple runtimes) restarts its countdown.
     static SAMPLER: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// True when any recorder in the process has sampling enabled.
-#[inline]
-#[must_use]
-pub fn tracing_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
-}
-
-/// The calling thread's current trace id; 0 when tracing is globally off
-/// or the current request is unsampled.
-#[inline]
-#[must_use]
-pub fn current() -> u64 {
-    if !tracing_active() {
-        return 0;
-    }
-    CURRENT.with(Cell::get)
 }
 
 /// Marks the calling thread as serving the given trace id.
@@ -255,7 +234,12 @@ fn mix64(mut z: u64) -> u64 {
 /// The flight recorder: a sharded bounded span ring plus the sampling
 /// configuration. One lives on every `GoccRuntime`, always present;
 /// sampling is off (`sample_n == 0`) until [`TraceRecorder::configure`].
+///
+/// Aligned to a cache line of its own: every section loads `sample_n`
+/// ([`TraceRecorder::current`]), and while sampling is off nothing writes
+/// the header's line, so a neighbouring heap object cannot make it bounce.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct TraceRecorder {
     /// 0 = disabled; N = sample one request in N per thread.
     sample_n: AtomicU64,
@@ -272,14 +256,6 @@ pub struct TraceRecorder {
 impl Default for TraceRecorder {
     fn default() -> Self {
         TraceRecorder::new()
-    }
-}
-
-impl Drop for TraceRecorder {
-    fn drop(&mut self) {
-        if self.sample_n.load(Ordering::Relaxed) != 0 {
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -311,22 +287,29 @@ impl TraceRecorder {
         }
     }
 
-    /// Sets the sampling rate (0 disables) and the trace-id seed, and
-    /// keeps the process-wide [`tracing_active`] gate in sync.
+    /// Sets the sampling rate (0 disables) and the trace-id seed.
     pub fn configure(&self, sample_n: u64, seed: u64) {
         self.seed.store(seed, Ordering::Relaxed);
-        let was = self.sample_n.swap(sample_n, Ordering::Relaxed);
-        if was == 0 && sample_n != 0 {
-            ACTIVE.fetch_add(1, Ordering::Relaxed);
-        } else if was != 0 && sample_n == 0 {
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.sample_n.store(sample_n, Ordering::Relaxed);
     }
 
     /// The configured sampling rate (0 = disabled).
     #[must_use]
     pub fn sample_n(&self) -> u64 {
         self.sample_n.load(Ordering::Relaxed)
+    }
+
+    /// The calling thread's current trace id; 0 when this recorder has
+    /// sampling off or the current request is unsampled. The untraced
+    /// path costs one relaxed load of a word nothing writes while
+    /// sampling stays off.
+    #[inline]
+    #[must_use]
+    pub fn current(&self) -> u64 {
+        if self.sample_n() == 0 {
+            return 0;
+        }
+        CURRENT.with(Cell::get)
     }
 
     /// Makes the once-per-request sampling decision. Returns the new
@@ -584,7 +567,6 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(ids, replay);
-        rec.configure(0, 0);
     }
 
     #[test]
@@ -596,29 +578,18 @@ mod tests {
     }
 
     #[test]
-    fn configure_toggles_the_global_gate() {
-        let rec = TraceRecorder::new();
-        let before = ACTIVE.load(Ordering::Relaxed);
-        rec.configure(8, 1);
-        assert_eq!(ACTIVE.load(Ordering::Relaxed), before + 1);
-        rec.configure(16, 1); // still enabled: no double count
-        assert_eq!(ACTIVE.load(Ordering::Relaxed), before + 1);
-        rec.configure(0, 0);
-        assert_eq!(ACTIVE.load(Ordering::Relaxed), before);
-        rec.configure(8, 1);
-        drop(rec); // Drop releases the gate
-        assert_eq!(ACTIVE.load(Ordering::Relaxed), before);
-    }
-
-    #[test]
-    fn current_id_follows_set_and_clear() {
-        let rec = TraceRecorder::new();
-        rec.configure(1, 42);
+    fn current_id_follows_set_and_clear_behind_the_recorders_own_gate() {
+        let (on, off) = (TraceRecorder::new(), TraceRecorder::new());
+        on.configure(1, 42);
         set_current(99);
-        assert_eq!(current(), 99);
+        assert_eq!(on.current(), 99);
+        assert_eq!(off.current(), 0, "a recorder with sampling off reads 0");
         clear_current();
-        assert_eq!(current(), 0);
-        rec.configure(0, 0);
+        assert_eq!(on.current(), 0);
+        set_current(99);
+        on.configure(0, 0);
+        assert_eq!(on.current(), 0, "turning sampling off closes the gate");
+        clear_current();
     }
 
     #[test]

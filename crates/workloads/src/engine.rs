@@ -68,7 +68,7 @@ impl<'a> Engine<'a> {
         lock: LockRef<'a>,
         body: impl FnMut(&mut Tx<'a>) -> TxResult<R>,
     ) -> R {
-        let trace_id = trace::current();
+        let trace_id = self.rt.tracer().current();
         if trace_id == 0 {
             return match self.mode {
                 Mode::Gocc => critical(self.rt, site, lock, body),
@@ -171,7 +171,6 @@ mod tests {
 
     #[test]
     fn both_modes_produce_same_result() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let engine = Engine::new(&rt, mode);
@@ -203,7 +202,6 @@ mod tests {
 
     #[test]
     fn untransformed_sections_interoperate_with_elided_ones() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let engine = Engine::new(&rt, Mode::Gocc);
         let m = ElidableMutex::new();

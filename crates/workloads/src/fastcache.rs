@@ -174,7 +174,6 @@ mod tests {
 
     #[test]
     fn set_get_roundtrip_in_both_modes() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let cache = FastCache::new(256);
@@ -204,7 +203,6 @@ mod tests {
 
     #[test]
     fn del_and_entry_count() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let cache = FastCache::new(256);
         cache.preload(rt.htm(), 20, b"v");
@@ -216,7 +214,6 @@ mod tests {
 
     #[test]
     fn concurrent_get_set_consistent() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let cache = FastCache::new(1024);
         cache.preload(rt.htm(), 64, b"init");

@@ -575,7 +575,6 @@ mod tests {
 
     #[test]
     fn rwmap_get_set_roundtrip_in_both_modes() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let m = RwMap::new(rt.htm(), 16);
@@ -589,7 +588,6 @@ mod tests {
 
     #[test]
     fn cache_expiration_semantics() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let c = Cache::new(rt.htm(), 4);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -606,7 +604,6 @@ mod tests {
 
     #[test]
     fn concurrent_readers_scale_on_fast_path() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let m = RwMap::new(rt.htm(), 64);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -626,7 +623,6 @@ mod tests {
 
     #[test]
     fn delete_then_get_misses() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let c = Cache::new(rt.htm(), 8);
         let engine = Engine::new(&rt, Mode::Lock);
@@ -639,7 +635,6 @@ mod tests {
 
     #[test]
     fn incr_treats_missing_as_zero_and_wraps() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::new(rt.htm(), 4);
@@ -655,7 +650,6 @@ mod tests {
 
     #[test]
     fn concurrent_incrs_never_lose_updates() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::new(rt.htm(), 4);
@@ -677,7 +671,6 @@ mod tests {
 
     #[test]
     fn seq_orders_writes_and_snapshot_restore_roundtrips() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(256);
@@ -712,7 +705,6 @@ mod tests {
 
     #[test]
     fn concurrent_seq_writes_are_densely_ordered() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(1024);
@@ -744,7 +736,6 @@ mod tests {
 
     #[test]
     fn apply_versioned_is_version_checked_and_atomic() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(256);
@@ -778,7 +769,6 @@ mod tests {
     }
     #[test]
     fn apply_versioned_advances_the_clock_monotonically() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let c = Cache::with_capacity(64);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -797,7 +787,6 @@ mod tests {
 
     #[test]
     fn replace_swaps_the_whole_shard_in_both_modes() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(256);
@@ -819,7 +808,6 @@ mod tests {
 
     #[test]
     fn execute_batch_matches_sequential_verbs_in_both_modes() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let engine = Engine::new(&rt, mode);
@@ -885,7 +873,6 @@ mod tests {
 
     #[test]
     fn read_only_batches_stay_on_the_read_side() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let c = Cache::new(rt.htm(), 64);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -916,7 +903,6 @@ mod tests {
 
     #[test]
     fn scan_dumps_entries_with_limit() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::new(rt.htm(), 16);
@@ -970,7 +956,6 @@ mod tests {
     /// attempt is lost to the overflow path.
     #[test]
     fn a_contended_write_mix_stages_every_slot_inline() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let c = Cache::new(rt.htm(), 16);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -1003,7 +988,6 @@ mod tests {
 
     #[test]
     fn value_only_writes_keep_the_expiration_and_set_replaces_it() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(256);
@@ -1045,7 +1029,6 @@ mod tests {
 
     #[test]
     fn an_expired_key_is_a_miss_single_and_batched() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let c = Cache::with_capacity(256);
@@ -1074,7 +1057,6 @@ mod tests {
 
     #[test]
     fn triples_roundtrip_through_snapshot_restore_replace_and_apply() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let engine = Engine::new(&rt, mode);

@@ -120,7 +120,6 @@ mod tests {
     use gocc_optilock::GoccRuntime;
 
     fn setup(mode: Mode) -> (GoccRuntime, Mode) {
-        gocc_gosync::set_procs(8);
         (GoccRuntime::new_default(), mode)
     }
 

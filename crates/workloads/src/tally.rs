@@ -161,7 +161,6 @@ mod tests {
     use gocc_optilock::GoccRuntime;
 
     fn scope_and_rt() -> (Scope, GoccRuntime) {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let scope = Scope::new(rt.htm(), 64);
         (scope, rt)

@@ -128,7 +128,6 @@ mod tests {
 
     #[test]
     fn level_gate_and_write_path() {
-        gocc_gosync::set_procs(8);
         for mode in [Mode::Lock, Mode::Gocc] {
             let rt = GoccRuntime::new_default();
             let log = Logger::new(rt.htm(), 8);
@@ -148,7 +147,6 @@ mod tests {
 
     #[test]
     fn write_path_falls_back_and_perceptron_learns() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let log = Logger::new(rt.htm(), 4);
         let engine = Engine::new(&rt, Mode::Gocc);
@@ -170,7 +168,6 @@ mod tests {
 
     #[test]
     fn concurrent_level_checks_elide() {
-        gocc_gosync::set_procs(8);
         let rt = GoccRuntime::new_default();
         let log = Logger::new(rt.htm(), 4);
         let engine = Engine::new(&rt, Mode::Gocc);

@@ -14,7 +14,6 @@ use gocc_repro::optilock::{call_site, critical_mutex, ElidableMutex, GoccRuntime
 use gocc_repro::txds::TxCounter;
 
 fn main() {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let friendly_lock = ElidableMutex::new();
     let hopeless_lock = ElidableMutex::new();

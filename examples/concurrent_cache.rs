@@ -62,7 +62,6 @@ fn run(mode: Mode) -> (f64, String) {
 }
 
 fn main() {
-    gocc_repro::gosync::set_procs(8);
     println!("read-mostly cache, {THREADS} workers, 99% reads / 1% writes\n");
     let (lock_ns, _) = run(Mode::Lock);
     println!("pessimistic locks : {lock_ns:>9.1} ns/op");

@@ -12,10 +12,8 @@ use gocc_repro::optilock::{call_site, critical_mutex, ElidableMutex, GoccRuntime
 use gocc_repro::txds::TxMap;
 
 fn main() {
-    // Pretend we have 8 hardware threads (GOMAXPROCS); with 1 the runtime
-    // would bypass HTM entirely (§5.4.2 of the paper).
-    gocc_repro::gosync::set_procs(8);
-
+    // The default runtime models 8 hardware threads (GOMAXPROCS); built
+    // with `procs: 1` it would bypass HTM entirely (§5.4.2 of the paper).
     let rt = GoccRuntime::new_default();
     let mutex = ElidableMutex::new();
     let map = TxMap::with_capacity(4096);

@@ -188,6 +188,22 @@ if [ -n "$knobs$defaults" ]; then
 fi
 echo "ok: no gate bar is read from the environment"
 
+echo "== no process knob =="
+# The modelled GOMAXPROCS (GoccConfig::procs) and the trace gate (a
+# recorder's own sample_n) live in the runtime handle, so two runtimes in
+# one process never read each other's settings. A process-wide static for
+# either, or a set_procs call outside benchmark/ (its own workspace, the
+# last caller of the no-op shim), brings back the races they had.
+proc_knobs=$(grep -rnE 'set_procs\(|static (PROCS|ACTIVE)\b|tracing_active' . \
+  --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
+  | grep -vE '^\./crates/gosync/src/lib\.rs:[0-9]+:pub fn set_procs\(' || true)
+if [ -n "$proc_knobs" ]; then
+  echo "$proc_knobs"
+  echo "FAIL: a process-wide processor count or trace gate is back" >&2
+  exit 1
+fi
+echo "ok: the processor count and the trace gate live in the runtime handle"
+
 echo "== formatting =="
 cargo fmt --check
 

@@ -110,7 +110,6 @@ fn request_for(key: &str, verb: u8, round: usize) -> Request<'_> {
 
 #[test]
 fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
-    gocc_repro::gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         let ops = script();
 
@@ -171,7 +170,6 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
 
 #[test]
 fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
-    gocc_repro::gosync::set_procs(8);
     for mode in [Mode::Lock, Mode::Gocc] {
         // Every request's storage call takes 20ms — far past the 5ms
         // budget, so each write passes the admission pre-check (it just
@@ -234,7 +232,6 @@ fn mid_batch_deadline_expiry_suppresses_the_response_not_the_effects() {
 
 #[test]
 fn batched_groups_survive_injected_htm_aborts() {
-    gocc_repro::gosync::set_procs(8);
     // 30% of fast-path attempts abort with injected causes; the batch
     // fallback unit is the whole shard-group (the engine re-runs the
     // group closure, and the pessimistic path takes the group's one lock

@@ -19,7 +19,6 @@ use gocc_wire::Request;
 /// either way.
 #[test]
 fn the_batch_site_at_the_write_set_cap() {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new(GoccConfig::no_perceptron());
     let engine = Engine::new(&rt, Mode::Gocc);
     // One shard: every request lands in one group. The table is large

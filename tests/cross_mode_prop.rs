@@ -35,7 +35,6 @@ fn random_cache_op(rng: &mut SplitMix64) -> CacheOp {
 }
 
 fn run_cache(mode: Mode, ops: &[CacheOp]) -> Vec<Option<u64>> {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let cache = Cache::new(rt.htm(), 4);
     let engine = Engine::new(&rt, mode);
@@ -84,7 +83,6 @@ fn random_set_op(rng: &mut SplitMix64) -> SetOp {
 }
 
 fn run_set(mode: Mode, ops: &[SetOp]) -> Vec<u64> {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let set = Set::new(rt.htm(), 0);
     let engine = Engine::new(&rt, mode);
@@ -171,7 +169,6 @@ fn run_ttl_stream(
     stream: &[Option<BatchOp>],
     group: usize,
 ) -> (Vec<BatchReply>, Triples) {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let cache = Cache::with_capacity(64);
     let engine = Engine::new(&rt, mode);

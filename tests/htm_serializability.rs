@@ -11,7 +11,6 @@ const INITIAL: u64 = 1_000;
 
 #[test]
 fn transfers_preserve_total_balance() {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let bank = ElidableMutex::new();
     let accounts: Vec<TxVar<u64>> = (0..ACCOUNTS).map(|_| TxVar::new(INITIAL)).collect();
@@ -90,7 +89,6 @@ fn transfers_preserve_total_balance() {
 
 #[test]
 fn mixed_slow_and_fast_paths_preserve_invariant() {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let bank = ElidableMutex::new();
     let accounts: Vec<TxVar<u64>> = (0..8).map(|_| TxVar::new(INITIAL)).collect();

@@ -57,7 +57,6 @@ fn thread_ops(t: usize, seed: u64) -> Vec<Op> {
 /// Runs all threads' streams concurrently against one shared cache and
 /// returns its final contents.
 fn run_concurrent(mode: Mode, streams: &[Vec<Op>]) -> HashMap<u64, u64> {
-    gocc_repro::gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let cache = Cache::with_capacity(2 * THREADS * KEYS_PER_THREAD);
     let engine = Engine::new(&rt, mode);

@@ -10,14 +10,9 @@ use gocc_repro::workloads::set::Set;
 use gocc_repro::workloads::tally::Scope;
 use gocc_repro::workloads::{Engine, Mode};
 
-fn procs8() {
-    gocc_repro::gosync::set_procs(8);
-}
-
 /// Runs the same seeded op mix in both modes and compares final state.
 #[test]
 fn gocache_final_state_matches_across_modes() {
-    procs8();
     const KEYS: usize = 64;
     let final_state = |mode: Mode| -> Vec<Option<u64>> {
         let rt = GoccRuntime::new_default();
@@ -54,7 +49,6 @@ fn gocache_final_state_matches_across_modes() {
 
 #[test]
 fn set_invariants_hold_under_mixed_concurrency() {
-    procs8();
     let rt = GoccRuntime::new_default();
     let set = Set::new(rt.htm(), 0);
     let engine = Engine::new(&rt, Mode::Gocc);
@@ -84,7 +78,6 @@ fn set_invariants_hold_under_mixed_concurrency() {
 
 #[test]
 fn fastcache_stats_are_exact_despite_elision() {
-    procs8();
     let rt = GoccRuntime::new_default();
     let cache = FastCache::new(512);
     cache.preload(rt.htm(), 32, b"seed");
@@ -117,7 +110,6 @@ fn fastcache_stats_are_exact_despite_elision() {
 
 #[test]
 fn tally_registry_is_exact_under_allocation_storm() {
-    procs8();
     let rt = GoccRuntime::new_default();
     let scope = Scope::new(rt.htm(), 0);
     let engine = Engine::new(&rt, Mode::Gocc);
@@ -144,7 +136,6 @@ fn tally_registry_is_exact_under_allocation_storm() {
 
 #[test]
 fn expiring_cache_equivalence() {
-    procs8();
     for mode in [Mode::Lock, Mode::Gocc] {
         let rt = GoccRuntime::new_default();
         let cache = Cache::new(rt.htm(), 8);
@@ -164,7 +155,6 @@ fn expiring_cache_equivalence() {
 
 #[test]
 fn global_runtime_stats_accumulate() {
-    procs8();
     let rt = GoccRuntime::new_default();
     let engine = Engine::new(&rt, Mode::Gocc);
     let m = gocc_repro::optilock::ElidableMutex::new();
