@@ -22,7 +22,7 @@
 
 use std::time::Duration;
 
-use gocc_bench::{run_parallel, stats_fields, write_artifact, CORE_COUNTS};
+use gocc_bench::{modelled, run_parallel, stats_fields, write_artifact, CORE_COUNTS};
 use gocc_optilock::{call_site, ElidableMutex, GoccConfig, GoccRuntime, LockRef};
 use gocc_telemetry::JsonWriter;
 use gocc_txds::TxCounter;
@@ -109,9 +109,7 @@ fn main() {
     for (ci, c) in configs.iter().enumerate() {
         let mut per_core = Vec::new();
         for (ki, &cores) in CORE_COUNTS.iter().enumerate() {
-            let prev = gocc_htm::contention::set_sim_cores(cores);
-            let (n, rt) = measure(c.mode, (c.build)(), cores);
-            gocc_htm::contention::set_sim_cores(prev);
+            let (n, rt) = measure(c.mode, modelled((c.build)(), cores), cores);
             ns[ci][ki] = n;
             per_core.push((rt.htm().stats().snapshot(), rt.stats().snapshot()));
         }
@@ -219,7 +217,7 @@ fn parameter_sweeps(w: &mut JsonWriter) {
 }
 
 fn measure_wide_writes(config: GoccConfig, cores: usize) -> f64 {
-    let rt = GoccRuntime::new(config);
+    let rt = GoccRuntime::new(modelled(config, cores));
     let engine = Engine::new(&rt, Mode::Gocc);
     let stripes: Vec<(ElidableMutex, Vec<TxCounter>)> = (0..STRIPES)
         .map(|_| {
@@ -238,9 +236,6 @@ fn measure_wide_writes(config: GoccConfig, cores: usize) -> f64 {
             Ok(())
         });
     };
-    let prev = gocc_htm::contention::set_sim_cores(cores);
     run_parallel(cores, WINDOW / 4, op);
-    let ns = run_parallel(cores, WINDOW, op);
-    gocc_htm::contention::set_sim_cores(prev);
-    ns
+    run_parallel(cores, WINDOW, op)
 }

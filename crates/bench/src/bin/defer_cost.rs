@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use gocc_bench::{run_parallel, write_artifact, CORE_COUNTS};
+use gocc_bench::{modelled, run_parallel, write_artifact, CORE_COUNTS};
 use gocc_optilock::{call_site, ElidableMutex, GoccConfig, GoccRuntime, LockRef};
 use gocc_telemetry::JsonWriter;
 use gocc_txds::TxCounter;
@@ -31,7 +31,7 @@ fn tail(mut h: u64) -> u64 {
 }
 
 fn measure(mode: Mode, deferred: bool, cores: usize) -> f64 {
-    let rt = GoccRuntime::new(GoccConfig::standard());
+    let rt = GoccRuntime::new(modelled(GoccConfig::standard(), cores));
     let engine = Engine::new(&rt, mode);
     let m = ElidableMutex::new();
     let shared = TxCounter::new(0);
@@ -70,10 +70,8 @@ fn main() {
         w.begin_object().field_str("mode", &format!("{mode:?}"));
         w.key("points").begin_array();
         for &cores in &CORE_COUNTS {
-            let prev = gocc_htm::contention::set_sim_cores(cores);
             let tight = measure(mode, false, cores);
             let deferred = measure(mode, true, cores);
-            gocc_htm::contention::set_sim_cores(prev);
             let penalty = (deferred / tight - 1.0) * 100.0;
             print!(
                 " | {:>2}c {:>8.1}/{:<8.1} {:>+7.1}%",

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use gocc_bench::{run_parallel, stats_fields, write_artifact, CORE_COUNTS};
+use gocc_bench::{modelled, run_parallel, stats_fields, write_artifact, CORE_COUNTS};
 use gocc_optilock::{GoccConfig, GoccRuntime, PerceptronSnapshot};
 use gocc_telemetry::JsonWriter;
 use gocc_workloads::tally::Scope;
@@ -87,7 +87,6 @@ fn main() {
         w.begin_object().field_str("name", b.name);
         w.key("points").begin_array();
         for &cores in &CORE_COUNTS {
-            let prev = gocc_htm::contention::set_sim_cores(cores);
             let mut ns = [0.0f64; 2];
             // Stats + perceptron introspection from the gated (P) run.
             let mut gated: Option<(gocc_htm::StatsSnapshot, _, PerceptronSnapshot)> = None;
@@ -95,7 +94,7 @@ fn main() {
                 .into_iter()
                 .enumerate()
             {
-                let rt = GoccRuntime::new(config);
+                let rt = GoccRuntime::new(modelled(config, cores));
                 let scope = Scope::new(rt.htm(), PRELOADED);
                 let engine = Engine::new(&rt, Mode::Gocc);
                 run_parallel(cores, WINDOW / 4, |w, i| (b.op)(&engine, &scope, w, i));
@@ -108,7 +107,6 @@ fn main() {
                     ));
                 }
             }
-            gocc_htm::contention::set_sim_cores(prev);
             let gain = (ns[0] / ns[1] - 1.0) * 100.0;
             print!(
                 " | {:>2}c {:>8.1}/{:<8.1} {:>+7.1}%",

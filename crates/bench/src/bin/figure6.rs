@@ -9,10 +9,9 @@
 //! must stay within noise.
 
 use gocc_bench::{
-    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, Measured,
-    SweepResult, DEFAULT_WINDOW,
+    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, SweepResult,
+    DEFAULT_WINDOW,
 };
-use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_workloads::tally::Scope;
 use gocc_workloads::Engine;
 
@@ -25,15 +24,9 @@ fn tally_sweep(
     sensitive: bool,
     op: impl Fn(&Engine<'_>, &Scope, usize, u64) + Sync,
 ) -> SweepResult {
-    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
-        let scope = Scope::new(rt.htm(), PRELOADED);
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &scope, w, i));
-        Measured::with_runtime(ns, &rt)
+    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|engine, cores, window| {
+        let scope = Scope::new(engine.runtime().htm(), PRELOADED);
+        warm_measure(cores, window, |w, i| op(engine, &scope, w, i))
     })
 }
 

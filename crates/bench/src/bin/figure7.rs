@@ -6,38 +6,25 @@
 //! > critically, never degraded.
 
 use gocc_bench::{
-    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, Measured,
-    SweepResult, DEFAULT_WINDOW,
+    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, SweepResult,
+    DEFAULT_WINDOW,
 };
-use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_workloads::gocache::{Cache, RwMap};
 use gocc_workloads::Engine;
 
 const KEYS: usize = 256;
 
 fn map_sweep(name: &str, op: impl Fn(&Engine<'_>, &RwMap, usize, u64) + Sync) -> SweepResult {
-    sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
-        let map = RwMap::new(rt.htm(), KEYS);
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &map, w, i));
-        Measured::with_runtime(ns, &rt)
+    sweep_driver(name, true, DEFAULT_WINDOW, &|engine, cores, window| {
+        let map = RwMap::new(engine.runtime().htm(), KEYS);
+        warm_measure(cores, window, |w, i| op(engine, &map, w, i))
     })
 }
 
 fn cache_sweep(name: &str, op: impl Fn(&Engine<'_>, &Cache, usize, u64) + Sync) -> SweepResult {
-    sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
-        let cache = Cache::new(rt.htm(), KEYS);
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &cache, w, i));
-        Measured::with_runtime(ns, &rt)
+    sweep_driver(name, true, DEFAULT_WINDOW, &|engine, cores, window| {
+        let cache = Cache::new(engine.runtime().htm(), KEYS);
+        warm_measure(cores, window, |w, i| op(engine, &cache, w, i))
     })
 }
 

@@ -7,10 +7,9 @@
 //! true conflicts and must show no speedup *and* no collapse.
 
 use gocc_bench::{
-    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, Measured,
-    SweepResult, DEFAULT_WINDOW,
+    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, SweepResult,
+    DEFAULT_WINDOW,
 };
-use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_workloads::set::{Set, FLATTEN_ITEMS};
 use gocc_workloads::Engine;
 
@@ -19,15 +18,9 @@ fn set_sweep(
     preload: usize,
     op: impl Fn(&Engine<'_>, &Set, usize, u64) + Sync,
 ) -> SweepResult {
-    sweep_driver(name, true, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
-        let set = Set::new(rt.htm(), preload);
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &set, w, i));
-        Measured::with_runtime(ns, &rt)
+    sweep_driver(name, true, DEFAULT_WINDOW, &|engine, cores, window| {
+        let set = Set::new(engine.runtime().htm(), preload);
+        warm_measure(cores, window, |w, i| op(engine, &set, w, i))
     })
 }
 

@@ -8,10 +8,9 @@
 //! the result.
 
 use gocc_bench::{
-    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, Measured,
-    SweepResult, DEFAULT_WINDOW,
+    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, SweepResult,
+    DEFAULT_WINDOW,
 };
-use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_workloads::fastcache::FastCache;
 use gocc_workloads::Engine;
 
@@ -23,16 +22,14 @@ fn cache_sweep(
     sensitive: bool,
     op: impl Fn(&Engine<'_>, &FastCache, usize, u64) + Sync,
 ) -> SweepResult {
-    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
+    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|engine, cores, window| {
         let cache = FastCache::new(KEYS * 4);
-        cache.preload(rt.htm(), KEYS, b"fastcache-value-0123456789abcdef");
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &cache, w, i));
-        Measured::with_runtime(ns, &rt)
+        cache.preload(
+            engine.runtime().htm(),
+            KEYS,
+            b"fastcache-value-0123456789abcdef",
+        );
+        warm_measure(cores, window, |w, i| op(engine, &cache, w, i))
     })
 }
 

@@ -6,10 +6,9 @@
 //! by the hot level-check/field-lookup paths.
 
 use gocc_bench::{
-    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, Measured,
-    SweepResult, DEFAULT_WINDOW,
+    print_geomeans, print_header, sweep_driver, warm_measure, write_bench_json, SweepResult,
+    DEFAULT_WINDOW,
 };
-use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_workloads::zaplite::{Logger, INFO};
 use gocc_workloads::Engine;
 
@@ -20,15 +19,9 @@ fn zap_sweep(
     sensitive: bool,
     op: impl Fn(&Engine<'_>, &Logger, usize, u64) + Sync,
 ) -> SweepResult {
-    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|mode, cores, window| {
-        let rt = GoccRuntime::new(GoccConfig {
-            procs: cores,
-            ..GoccConfig::standard()
-        });
-        let log = Logger::new(rt.htm(), FIELDS);
-        let engine = Engine::new(&rt, mode);
-        let ns = warm_measure(cores, window, |w, i| op(&engine, &log, w, i));
-        Measured::with_runtime(ns, &rt)
+    sweep_driver(name, sensitive, DEFAULT_WINDOW, &|engine, cores, window| {
+        let log = Logger::new(engine.runtime().htm(), FIELDS);
+        warm_measure(cores, window, |w, i| op(engine, &log, w, i))
     })
 }
 

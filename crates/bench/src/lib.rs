@@ -8,7 +8,7 @@
 //! rows.
 //!
 //! Every measured GOCC point also captures the runtime's statistics
-//! ([`Measured`]), and each reproduction binary writes a machine-readable
+//! ([`Point`]), and each reproduction binary writes a machine-readable
 //! `BENCH_<figure>.json` artifact next to the text output — ns/op,
 //! speedup percentages, commit ratios and abort-cause breakdowns — via
 //! [`write_bench_json`]. The gate binary, `hotpath`, prints its verdict
@@ -23,10 +23,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gocc_htm::StatsSnapshot;
-use gocc_optilock::{GoccRuntime, OptiStatsSnapshot};
+use gocc_htm::{HtmConfig, StatsSnapshot};
+use gocc_optilock::{GoccConfig, GoccRuntime, OptiStatsSnapshot};
 use gocc_telemetry::{JsonWriter, ABORT_CAUSE_NAMES};
-use gocc_workloads::Mode;
+use gocc_workloads::{Engine, Mode};
 
 /// Default measurement window per benchmark point.
 pub const DEFAULT_WINDOW: Duration = Duration::from_millis(200);
@@ -67,40 +67,6 @@ pub fn run_parallel(workers: usize, window: Duration, op: impl Fn(usize, u64) + 
     let elapsed = start.elapsed();
     let ops = total_ops.load(Ordering::Relaxed).max(1);
     elapsed.as_nanos() as f64 / ops as f64
-}
-
-/// One measurement plus the runtime statistics accumulated while taking
-/// it. Lock-mode points carry zeroed stats (the baseline never touches
-/// the HTM machinery).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Measured {
-    /// Nanoseconds per operation.
-    pub ns_per_op: f64,
-    /// HTM-domain counters (starts, commits, aborts by cause).
-    pub htm: StatsSnapshot,
-    /// `optiLib` counters (paths taken, perceptron decisions).
-    pub opti: OptiStatsSnapshot,
-}
-
-impl Measured {
-    /// A measurement with no runtime statistics (baseline mode).
-    #[must_use]
-    pub fn bare(ns_per_op: f64) -> Self {
-        Measured {
-            ns_per_op,
-            ..Measured::default()
-        }
-    }
-
-    /// Captures `rt`'s statistics alongside the measurement.
-    #[must_use]
-    pub fn with_runtime(ns_per_op: f64, rt: &GoccRuntime) -> Self {
-        Measured {
-            ns_per_op,
-            htm: rt.htm().stats().snapshot(),
-            opti: rt.stats().snapshot(),
-        }
-    }
 }
 
 /// One measured point.
@@ -175,36 +141,56 @@ pub fn geomean_pct(results: &[&SweepResult], core_idx: usize) -> Option<f64> {
     Some(((log_sum / results.len() as f64).exp() - 1.0) * 100.0)
 }
 
+/// `config` with the coherence-cost model engaged at `cores` simulated
+/// cores (the container has fewer CPUs than the sweep; see the crate docs
+/// and DESIGN.md §7).
+#[must_use]
+pub fn modelled(config: GoccConfig, cores: usize) -> GoccConfig {
+    GoccConfig {
+        htm: HtmConfig {
+            sim_cores: cores as u32,
+            ..config.htm
+        },
+        ..config
+    }
+}
+
 /// Runs one benchmark across modes and core counts.
 ///
-/// `point` measures one configuration: it receives the mode, worker count
-/// and window, builds a fresh runtime + world (so perceptron state and
-/// stripe versions never leak between points, like separate benchmark
-/// process runs in the paper), warms up, and returns a [`Measured`] —
-/// typically `Measured::with_runtime(warm_measure(...), &rt)`. Go's
-/// harness sets GOMAXPROCS per `-cpu` point, so the runtime is built with
-/// `procs` = the worker count and the 1-core column takes the §5.4.2
-/// single-OS-thread bypass. The driver owns the sweep structure.
+/// `point` measures one configuration: it receives an engine in the
+/// point's mode over a fresh runtime, the worker count and the window,
+/// builds its world on `engine.runtime()` (so perceptron state and stripe
+/// versions never leak between points, like separate benchmark process
+/// runs in the paper), warms up, and returns ns/op — typically through
+/// [`warm_measure`]. This function builds each runtime, so no point can
+/// miss the model: Go's harness sets GOMAXPROCS per `-cpu` point, so `procs` is
+/// the worker count and the 1-core column takes the §5.4.2
+/// single-OS-thread bypass, and the coherence model charges for as many
+/// cores ([`modelled`]).
 pub fn sweep_driver(
     name: &str,
     sensitive: bool,
     window: Duration,
-    point: &dyn Fn(Mode, usize, Duration) -> Measured,
+    point: &dyn Fn(&Engine<'_>, usize, Duration) -> f64,
 ) -> SweepResult {
     let mut points = Vec::new();
     for &cores in &CORE_COUNTS {
-        // Engage the coherence-cost model at this sweep's core count (the
-        // container has one CPU; see crate docs and DESIGN.md §7).
-        let prev = gocc_htm::contention::set_sim_cores(cores);
-        let lock = point(Mode::Lock, cores, window);
-        let gocc = point(Mode::Gocc, cores, window);
-        gocc_htm::contention::set_sim_cores(prev);
+        let measure = |mode| {
+            let rt = GoccRuntime::new(GoccConfig {
+                procs: cores,
+                ..modelled(GoccConfig::standard(), cores)
+            });
+            let ns = point(&Engine::new(&rt, mode), cores, window);
+            (ns, rt.htm().stats().snapshot(), rt.stats().snapshot())
+        };
+        let (lock_ns, _, _) = measure(Mode::Lock);
+        let (gocc_ns, htm, opti) = measure(Mode::Gocc);
         points.push(Point {
             cores,
-            lock_ns: lock.ns_per_op,
-            gocc_ns: gocc.ns_per_op,
-            htm: gocc.htm,
-            opti: gocc.opti,
+            lock_ns,
+            gocc_ns,
+            htm,
+            opti,
         });
     }
     SweepResult {

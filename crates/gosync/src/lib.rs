@@ -18,7 +18,10 @@
 //!
 //! `runtime.GOMAXPROCS` is not modelled here: the `optiLib` single-thread
 //! bypass reads it from its runtime handle (`GoccConfig::procs`), and the
-//! mutex spin heuristic keeps only its iteration bound.
+//! mutex spin heuristic keeps only its iteration bound. Nor is the cost of
+//! bouncing a state word between cores: `optilock`'s `LockRef` charges it
+//! around each acquire and release, from its runtime's
+//! `HtmConfig::sim_cores`, so these locks know nothing of the HTM.
 
 mod mutex;
 mod pairing;

@@ -95,9 +95,6 @@ impl GoMutex {
     /// Prefer [`GoMutex::lock`]; the raw form exists for `optiLib`, whose
     /// `FastLock`/`FastUnlock` calls do not nest lexically.
     pub fn lock_raw(&self) {
-        // The state word is the contended line of a real sync.Mutex; the
-        // coherence model charges each RMW on it (inert at 1 core).
-        gocc_htm::contention::charge_shared_rmw();
         if self
             .state
             .compare_exchange(0, MUTEX_LOCKED, Ordering::Acquire, Ordering::Relaxed)
@@ -196,7 +193,6 @@ impl GoMutex {
     ///
     /// Panics if the mutex is not locked, like Go's fatal error.
     pub fn unlock_raw(&self) {
-        gocc_htm::contention::charge_shared_rmw();
         let new = self.state.fetch_add(-MUTEX_LOCKED, Ordering::Release) - MUTEX_LOCKED;
         if new != 0 {
             self.unlock_slow(new);

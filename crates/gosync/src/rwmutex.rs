@@ -57,9 +57,6 @@ impl GoRwMutex {
 
     /// Raw `RLock` for non-lexical call sites (`optiLib`).
     pub fn rlock_raw(&self) {
-        // The reader-count RMW is the serialization point the paper's
-        // read benchmarks collapse on; the coherence model charges it.
-        gocc_htm::contention::charge_shared_rmw();
         if self.reader_count.fetch_add(1, Ordering::Acquire) + 1 < 0 {
             // A writer is pending; park until it finishes.
             self.reader_sem.acquire(false);
@@ -72,7 +69,6 @@ impl GoRwMutex {
     ///
     /// Panics on unlock of an unlocked RWMutex, like Go's fatal error.
     pub fn runlock_raw(&self) {
-        gocc_htm::contention::charge_shared_rmw();
         let r = self.reader_count.fetch_add(-1, Ordering::Release) - 1;
         if r < 0 {
             self.runlock_slow(r);
@@ -93,10 +89,8 @@ impl GoRwMutex {
 
     /// Raw write `Lock`.
     pub fn lock_raw(&self) {
-        // Resolve competition with other writers first (`w.lock_raw`
-        // carries its own charge).
+        // Resolve competition with other writers first.
         self.w.lock_raw();
-        gocc_htm::contention::charge_shared_rmw();
         // Announce to readers that a writer is pending.
         let r = self.reader_count.fetch_add(-MAX_READERS, Ordering::AcqRel);
         // Wait for active readers to drain.
@@ -112,7 +106,6 @@ impl GoRwMutex {
     /// Panics on unlock of an unlocked RWMutex.
     pub fn unlock_raw(&self) {
         // Announce that no writer is pending.
-        gocc_htm::contention::charge_shared_rmw();
         let r = self.reader_count.fetch_add(MAX_READERS, Ordering::Release) + MAX_READERS;
         assert!(r < MAX_READERS, "gosync: Unlock of unlocked RWMutex");
         // Unblock readers that queued behind us.

@@ -34,6 +34,13 @@ pub struct HtmConfig {
     /// cause — the seeded chaos harness uses this to force every retry /
     /// fallback branch. `None` (the default) injects nothing.
     pub fault_plan: Option<Arc<HtmFaultPlan>>,
+    /// Cores the coherence model charges for (see [`crate::contention`]):
+    /// every RMW on a shared hot line costs
+    /// `RMW_PENALTY_NS × (sim_cores − 1)` of busy-wait. `1` (the default)
+    /// leaves the model inert. A `u32`, so it fits beside `stripe_bits`
+    /// and the configuration keeps its size (see [`crate::HtmRuntime`] on
+    /// layout).
+    pub sim_cores: u32,
 }
 
 impl HtmConfig {
@@ -47,6 +54,7 @@ impl HtmConfig {
             stripe_bits: 18,
             spurious_abort_rate: 0.0,
             fault_plan: None,
+            sim_cores: 1,
         }
     }
 
@@ -61,6 +69,7 @@ impl HtmConfig {
             stripe_bits: 6,
             spurious_abort_rate: 0.0,
             fault_plan: None,
+            sim_cores: 1,
         }
     }
 }

@@ -9,62 +9,30 @@
 //! wall-clock alone cannot reproduce the figures' shapes.
 //!
 //! This module makes the modeled cost explicit, in the same spirit as the
-//! capacity model in [`HtmConfig`](crate::HtmConfig): when the benchmark
-//! harness declares `N` simulated cores, every RMW on a *shared hot line*
-//! (lock words, mutex state, committed write-backs) is charged an extra
-//! `rmw_penalty_ns × (N − 1)` of busy-wait, approximating the line
-//! transfer latency each additional contender induces. With the default
-//! `N = 1` the model is inert: unit tests and single-machine use pay
-//! nothing.
+//! capacity model in [`HtmConfig`](crate::HtmConfig): a runtime built with
+//! `N` [`sim_cores`](crate::HtmConfig::sim_cores) charges every RMW on a
+//! *shared hot line* (lock words, mutex state, committed write-backs) an
+//! extra `RMW_PENALTY_NS × (N − 1)` of busy-wait, approximating the line
+//! transfer latency each additional contender induces. The charge is
+//! worked out once per runtime ([`HtmRuntime::rmw_charge_ns`]), so two
+//! runtimes in one process can model different core counts. With the
+//! default `N = 1` the model is inert: unit tests and single-machine use
+//! pay nothing.
 //!
 //! Both executions are charged symmetrically for genuine ownership
 //! transfers: the pessimistic path for its lock-word RMWs, the HTM path
 //! for every cache line its commits write back. What the model
 //! deliberately does *not* charge is read sharing (MESI shared state) —
 //! which is precisely the asymmetry lock elision exploits.
+//!
+//! [`HtmRuntime::rmw_charge_ns`]: crate::HtmRuntime::rmw_charge_ns
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Default modeled cost of one contended line transfer, per extra core.
-/// ~60 ns approximates a cross-core L2-to-L2 transfer on the paper's
-/// Coffee Lake class of machines. Override with `set_rmw_penalty_ns`.
-pub const DEFAULT_RMW_PENALTY_NS: u64 = 60;
-
-static SIM_CORES: AtomicUsize = AtomicUsize::new(1);
-static RMW_PENALTY_NS: AtomicU64 = AtomicU64::new(DEFAULT_RMW_PENALTY_NS);
-
-/// Sets the simulated core count (the benchmark's sweep parameter).
-/// Returns the previous value. `1` disables the model.
-pub fn set_sim_cores(n: usize) -> usize {
-    SIM_CORES.swap(n.max(1), Ordering::Relaxed)
-}
-
-/// Current simulated core count.
-#[must_use]
-pub fn sim_cores() -> usize {
-    SIM_CORES.load(Ordering::Relaxed)
-}
-
-/// Overrides the per-extra-core RMW penalty (nanoseconds).
-pub fn set_rmw_penalty_ns(ns: u64) -> u64 {
-    RMW_PENALTY_NS.swap(ns, Ordering::Relaxed)
-}
-
-/// Charges one contended-RMW line transfer under the current model.
-///
-/// Call sites are the places a real machine would bounce a cache line in
-/// Modified state between cores: mutex/RWMutex state words, elidable lock
-/// words, and transactional commit write-backs.
-#[inline]
-pub fn charge_shared_rmw() {
-    let cores = SIM_CORES.load(Ordering::Relaxed);
-    if cores <= 1 {
-        return;
-    }
-    let ns = RMW_PENALTY_NS.load(Ordering::Relaxed) * (cores as u64 - 1);
-    spin_ns(ns);
-}
+/// Modeled cost of one contended line transfer, per extra core. ~60 ns
+/// approximates a cross-core L2-to-L2 transfer on the paper's Coffee Lake
+/// class of machines.
+pub const RMW_PENALTY_NS: u32 = 60;
 
 /// Busy-waits approximately `ns` nanoseconds (calibrated spin).
 pub fn spin_ns(ns: u64) {
@@ -97,28 +65,32 @@ fn calibrate() -> f64 {
 mod tests {
     use super::*;
 
-    /// One test, two phases: `SIM_CORES` is process-global, so the inert
-    /// and the charging phase cannot run as sibling tests on the parallel
-    /// runner. (Stop-gap; carrying the knob in `HtmConfig` is the fix.)
     #[test]
-    fn inert_at_one_core_and_charges_scale_with_cores() {
-        assert_eq!(sim_cores(), 1);
+    fn inert_at_one_core() {
+        let rt = crate::HtmRuntime::new(crate::HtmConfig::coffee_lake());
+        assert_eq!(rt.rmw_charge_ns(), 0);
         let t0 = std::time::Instant::now();
         for _ in 0..10_000 {
-            charge_shared_rmw();
+            rt.charge_shared_rmw();
         }
         assert!(
             t0.elapsed().as_millis() < 50,
             "model must be free when disabled"
         );
+    }
 
-        let prev = set_sim_cores(8);
+    #[test]
+    fn charges_scale_with_cores() {
+        let rt = crate::HtmRuntime::new(crate::HtmConfig {
+            sim_cores: 8,
+            ..crate::HtmConfig::coffee_lake()
+        });
+        assert_eq!(rt.rmw_charge_ns(), 7 * RMW_PENALTY_NS);
         let t0 = std::time::Instant::now();
         for _ in 0..1_000 {
-            charge_shared_rmw();
+            rt.charge_shared_rmw();
         }
         let charged = t0.elapsed();
-        set_sim_cores(prev.max(1));
         // 1000 × 60ns × 7 ≈ 420µs of modeled transfer time.
         assert!(
             charged.as_micros() >= 200,

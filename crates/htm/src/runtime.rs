@@ -4,6 +4,7 @@ use std::sync::OnceLock;
 
 use crate::clock::VersionClock;
 use crate::config::HtmConfig;
+use crate::contention;
 use crate::ctx;
 use crate::stats::HtmStats;
 use crate::stripe::StripeTable;
@@ -47,6 +48,9 @@ pub(crate) struct AttemptParams {
     pub(crate) spurious_threshold: u64,
     /// Whether a fault plan is configured (each attempt owes it one draw).
     pub(crate) fault_pending: bool,
+    /// The coherence model's charge per shared-line RMW,
+    /// `RMW_PENALTY_NS × (sim_cores − 1)`; 0 = inert.
+    pub(crate) rmw_charge_ns: u32,
 }
 
 impl HtmRuntime {
@@ -63,6 +67,8 @@ impl HtmRuntime {
                 0
             },
             fault_pending: config.fault_plan.is_some(),
+            rmw_charge_ns: contention::RMW_PENALTY_NS
+                .saturating_mul(config.sim_cores.saturating_sub(1)),
         };
         HtmRuntime {
             table: StripeTable::new(config.stripe_bits),
@@ -115,6 +121,27 @@ impl HtmRuntime {
     /// The per-attempt parameters derived from the configuration.
     pub(crate) fn attempt(&self) -> AttemptParams {
         self.attempt
+    }
+
+    /// What the coherence model charges one shared-line RMW in this
+    /// domain, in nanoseconds: `RMW_PENALTY_NS × (sim_cores − 1)`.
+    #[must_use]
+    pub fn rmw_charge_ns(&self) -> u32 {
+        self.attempt.rmw_charge_ns
+    }
+
+    /// Charges one contended-RMW line transfer under this domain's model
+    /// (nothing at one core).
+    ///
+    /// Call sites are the places a real machine would bounce a cache line
+    /// in Modified state between cores: mutex/RWMutex state words (charged
+    /// by the lock paths that hold a runtime) and transactional write-backs.
+    #[inline]
+    pub fn charge_shared_rmw(&self) {
+        let ns = self.attempt.rmw_charge_ns;
+        if ns != 0 {
+            contention::spin_ns(u64::from(ns));
+        }
     }
 }
 

@@ -443,7 +443,7 @@ impl<'a> Tx<'a> {
                 std::hint::spin_loop();
             }
         };
-        crate::contention::charge_shared_rmw();
+        self.rt.charge_shared_rmw();
         // SAFETY: we hold the stripe lock, so no committer or other direct
         // store writes the cell between this load and the store.
         let val = f(unsafe { var.load_racy() });
@@ -672,8 +672,10 @@ fn commit_ctx(rt: &HtmRuntime, ctx: &mut TxContext) -> Result<bool, AbortCause> 
     let wv = rt.clock().tick();
     // Model the coherence cost of taking ownership of each written
     // line (symmetric with the slow path's per-write charges).
-    for _ in &ctx.held {
-        crate::contention::charge_shared_rmw();
+    if rt.rmw_charge_ns() != 0 {
+        for _ in &ctx.held {
+            rt.charge_shared_rmw();
+        }
     }
     for &idx in &ctx.order {
         let slot = &ctx.slots[idx as usize];

@@ -46,9 +46,9 @@ impl ElidableMutex {
     /// the `optiLib` slow path).
     pub fn lock_raw(&self) {
         self.mutex.lock_raw();
-        // No separate coherence charge here: on hardware the subscribable
-        // word *is* the mutex's first word, so the transfer was already
-        // paid by the state RMW inside `lock_raw`.
+        // No separate coherence charge for the word: on hardware it *is*
+        // the mutex's first word, so the one transfer `LockRef::acquire`
+        // charges covers both.
         self.word.mark_held_and_drain();
     }
 
@@ -136,8 +136,8 @@ impl ElidableRwMutex {
     /// Pessimistic `RLock`.
     pub fn rlock_raw(&self) {
         self.rw.rlock_raw();
-        // Same line as the RWMutex reader count on hardware; no extra
-        // coherence charge.
+        // Same line as the RWMutex reader count on hardware; no charge of
+        // its own.
         self.word.reader_enter_and_drain();
     }
 

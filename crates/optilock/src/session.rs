@@ -78,20 +78,66 @@ impl<'a> LockRef<'a> {
         self.key().0
     }
 
-    fn slow_acquire(&self) {
-        match self {
+    /// Acquires the lock pessimistically through its word, as an
+    /// untransformed `Lock()` and the `optiLib` slow path do, and charges
+    /// `rt`'s coherence model for it.
+    pub fn acquire(&self, rt: &GoccRuntime) {
+        self.charged_acquire(rt, || match self {
             LockRef::Mutex(m) => m.lock_raw(),
             LockRef::Read(rw) => rw.rlock_raw(),
             LockRef::Write(rw) => rw.lock_raw(),
-        }
+        });
     }
 
-    fn slow_release(&self) {
-        match self {
+    /// Releases what [`LockRef::acquire`] took.
+    pub fn release(&self, rt: &GoccRuntime) {
+        self.charged_release(rt, || match self {
             LockRef::Mutex(m) => m.unlock_raw(),
             LockRef::Read(rw) => rw.runlock_raw(),
             LockRef::Write(rw) => rw.unlock_raw(),
+        });
+    }
+
+    /// Acquires the bare Go lock, bypassing the word: the untransformed
+    /// baseline program, which has no speculating peers (see
+    /// [`ElidableMutex::go_mutex`]). Charged like [`LockRef::acquire`].
+    pub fn acquire_raw(&self, rt: &GoccRuntime) {
+        self.charged_acquire(rt, || match self {
+            LockRef::Mutex(m) => m.go_mutex().lock_raw(),
+            LockRef::Read(rw) => rw.go_rwmutex().rlock_raw(),
+            LockRef::Write(rw) => rw.go_rwmutex().lock_raw(),
+        });
+    }
+
+    /// Releases what [`LockRef::acquire_raw`] took.
+    pub fn release_raw(&self, rt: &GoccRuntime) {
+        self.charged_release(rt, || match self {
+            LockRef::Mutex(m) => m.go_mutex().unlock_raw(),
+            LockRef::Read(rw) => rw.go_rwmutex().runlock_raw(),
+            LockRef::Write(rw) => rw.go_rwmutex().unlock_raw(),
+        });
+    }
+
+    /// Runs `take` with one coherence charge per RMW Go's lock makes on a
+    /// shared state word: one before it, and for an RWMutex writer a
+    /// second once it holds the inner mutex and flips the reader count.
+    fn charged_acquire(&self, rt: &GoccRuntime, take: impl FnOnce()) {
+        rt.htm().charge_shared_rmw();
+        take();
+        if let LockRef::Write(_) = self {
+            rt.htm().charge_shared_rmw();
         }
+    }
+
+    /// Runs `give` after the charges for its RMWs, paid while the lock is
+    /// still held (an RWMutex writer's two: the reader count, then the
+    /// inner mutex).
+    fn charged_release(&self, rt: &GoccRuntime, give: impl FnOnce()) {
+        rt.htm().charge_shared_rmw();
+        if let LockRef::Write(_) = self {
+            rt.htm().charge_shared_rmw();
+        }
+        give();
     }
 
     fn available(&self) -> bool {
@@ -336,7 +382,7 @@ impl OptiLock {
             }
             ScopeState::Slow { depth, .. } => {
                 // Nested pair inside a slow section: acquire pessimistically.
-                lock.slow_acquire();
+                lock.acquire(scope.rt);
                 *depth += 1;
                 self.slow_path = true;
                 self.lk = Some(lock.key());
@@ -427,7 +473,7 @@ impl OptiLock {
             }
         }
         // Slow path: the original lock.
-        lock.slow_acquire();
+        lock.acquire(rt);
         scope.state = ScopeState::Slow {
             tx: Tx::direct(rt.htm()),
             depth: 1,
@@ -504,7 +550,7 @@ impl OptiLock {
         match std::mem::replace(&mut scope.state, ScopeState::Idle) {
             ScopeState::Idle => panic!("optilock: FastUnlock without FastLock"),
             ScopeState::Slow { tx, depth } => {
-                lock.slow_release();
+                lock.release(rt);
                 if depth > 1 {
                     scope.state = ScopeState::Slow {
                         tx,

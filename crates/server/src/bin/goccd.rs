@@ -8,21 +8,18 @@
 //!
 //! The `LISTENING <port>` line is the machine-readable contract scripts
 //! use with `--port 0`. The process exits 0 after a graceful shutdown
-//! (wire SHUTDOWN verb), printing the final summary and, with
-//! `--stats-out`, the final STATS JSON document.
+//! (wire SHUTDOWN verb), printing the final summary. The STATS and TRACE
+//! verbs serve the counters and the flight recorder's spans while it runs.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use gocc_server::{mode_name, parse_mode, spawn, ServerConfig, SyncPolicy, WalBackend};
 
-use gocc_telemetry::JsonValue;
-
 fn usage() -> String {
     "usage: goccd [--mode lock|gocc] [--port N] [--workers N] [--shards N] \
      [--capacity N] [--write-timeout-ms N] [--drain-timeout-ms N] \
-     [--queue-limit N] [--stats-out PATH] [--trace-sample-n N] \
-     [--trace-out PATH] [--stats-interval-secs N] \
+     [--queue-limit N] [--trace-sample-n N] \
      [--data-dir PATH] [--wal-sync off|group|always] [--fsync-batch-size N] \
      [--fsync-wait-us N] [--checkpoint-every N] \
      [--wal-fault-seed N --wal-fault-crash P] \
@@ -33,23 +30,12 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Parsed command line: the server config plus goccd-only output knobs.
-struct Cli {
-    config: ServerConfig,
-    stats_out: Option<String>,
-    trace_out: Option<String>,
-    stats_interval: Option<u64>,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
+fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();
-    let mut stats_out = None;
-    let mut trace_out = None;
-    let mut stats_interval = None;
     let mut wal_fault_seed: Option<u64> = None;
-    let mut wal_fault_crash: f64 = 0.0;
+    let mut wal_fault_crash: Option<f64> = None;
     let mut repl_fault_seed: Option<u64> = None;
-    let mut repl_fault_rate: f64 = 0.0;
+    let mut repl_fault_rate: Option<f64> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -107,7 +93,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     return Err("--queue-limit must be >= 1".into());
                 }
             }
-            "--stats-out" => stats_out = Some(value("--stats-out")?),
             "--data-dir" => {
                 config.data_dir = Some(std::path::PathBuf::from(value("--data-dir")?));
             }
@@ -143,9 +128,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 );
             }
             "--wal-fault-crash" => {
-                wal_fault_crash = value("--wal-fault-crash")?
-                    .parse()
-                    .map_err(|e| format!("--wal-fault-crash: {e}"))?;
+                wal_fault_crash = Some(
+                    value("--wal-fault-crash")?
+                        .parse()
+                        .map_err(|e| format!("--wal-fault-crash: {e}"))?,
+                );
             }
             "--replica-of" => {
                 config.replica_of = Some(value("--replica-of")?);
@@ -195,28 +182,27 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 config.repl_seed = repl_fault_seed.unwrap_or(config.repl_seed);
             }
             "--repl-fault-rate" => {
-                repl_fault_rate = value("--repl-fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("--repl-fault-rate: {e}"))?;
+                repl_fault_rate = Some(
+                    value("--repl-fault-rate")?
+                        .parse()
+                        .map_err(|e| format!("--repl-fault-rate: {e}"))?,
+                );
             }
             "--trace-sample-n" => {
                 config.trace_sample_n = value("--trace-sample-n")?
                     .parse()
                     .map_err(|e| format!("--trace-sample-n: {e}"))?;
             }
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
-            "--stats-interval-secs" => {
-                let secs: u64 = value("--stats-interval-secs")?
-                    .parse()
-                    .map_err(|e| format!("--stats-interval-secs: {e}"))?;
-                if secs == 0 {
-                    return Err("--stats-interval-secs must be >= 1".into());
-                }
-                stats_interval = Some(secs);
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
+    }
+    // A probability with no plan to draw it would be silently ignored.
+    if wal_fault_crash.is_some() && wal_fault_seed.is_none() {
+        return Err("--wal-fault-crash needs --wal-fault-seed".into());
+    }
+    if repl_fault_rate.is_some() && repl_fault_seed.is_none() {
+        return Err("--repl-fault-rate needs --repl-fault-seed".into());
     }
     // Crash-soak hook: a seeded fault plan switches the WAL to the Abort
     // backend, which tears a seeded append onto disk and kills the process
@@ -226,7 +212,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         let plan = gocc_faultplane::StorageFaultPlan::new(
             seed,
             gocc_faultplane::StorageMix {
-                crash_per_append: wal_fault_crash,
+                crash_per_append: wal_fault_crash.unwrap_or(0.0),
                 torn_given_crash: 0.5,
                 short_fsync: 0.0,
                 ckpt_crash: 0.0,
@@ -237,39 +223,28 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     // Failover-soak hook: a seeded transport fault plan on the replication
     // stream only (client connections stay clean), driving partitions,
     // stalls and resets between primary and replica deterministically.
-    if let Some(seed) = repl_fault_seed {
-        if repl_fault_rate > 0.0 {
+    if let (Some(seed), Some(rate)) = (repl_fault_seed, repl_fault_rate) {
+        if rate > 0.0 {
             config.repl_fault_plan = Some(std::sync::Arc::new(
                 gocc_faultplane::TransportFaultPlan::new(
                     seed,
-                    gocc_faultplane::TransportMix::uniform(repl_fault_rate),
+                    gocc_faultplane::TransportMix::uniform(rate),
                 ),
             ));
         }
     }
-    Ok(Cli {
-        config,
-        stats_out,
-        trace_out,
-        stats_interval,
-    })
+    Ok(config)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(parsed) => parsed,
+    let config = match parse_args(&args) {
+        Ok(config) => config,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let Cli {
-        config,
-        stats_out,
-        trace_out,
-        stats_interval,
-    } = cli;
 
     let mode = config.mode;
     let (workers, shards) = (config.workers, config.shards);
@@ -306,40 +281,6 @@ fn main() -> ExitCode {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    // Periodic one-line operational summary, opt-in. The thread owns an
-    // Arc of the state so it can outlive the borrowed handle; it exits on
-    // the shutdown flag and is detached (join would add up to a full
-    // interval of shutdown latency for log output nobody is waiting on).
-    let state = handle.state_arc();
-    if let Some(secs) = stats_interval {
-        let state = handle.state_arc();
-        std::thread::spawn(move || {
-            let mut last_total = 0u64;
-            while !state.shutting_down() {
-                // Sleep in small steps so shutdown is observed promptly.
-                let until = std::time::Instant::now() + Duration::from_secs(secs);
-                while std::time::Instant::now() < until && !state.shutting_down() {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                if state.shutting_down() {
-                    break;
-                }
-                let c = state.counters();
-                let total = c.total_requests();
-                let p99 = c.request_latency().snapshot().quantile(0.99);
-                println!(
-                    "stats: {:.0} req/s shed={} brownout={} p99={}ns",
-                    (total - last_total) as f64 / secs as f64,
-                    c.shed_total(),
-                    state.brownout().state().name(),
-                    p99,
-                );
-                let _ = std::io::stdout().flush();
-                last_total = total;
-            }
-        });
-    }
-
     let summary = handle.join();
     println!(
         "goccd shut down: {} conns, {} requests, {} malformed frames, {} slow-client drops",
@@ -348,27 +289,166 @@ fn main() -> ExitCode {
         summary.malformed_frames,
         summary.slow_client_drops,
     );
-    if let Some(path) = stats_out {
-        if let Err(e) = std::fs::write(&path, &summary.stats_json) {
-            eprintln!("goccd: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = trace_out {
-        let dump = state.chrome_trace_json();
-        // The dump must load in a trace viewer; parsing it through the
-        // repo's own JSON reader catches a malformed document before it
-        // ships.
-        if JsonValue::parse(&dump).is_err() {
-            eprintln!("goccd: internal error: trace dump is not valid JSON");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&path, &dump) {
-            eprintln!("goccd: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gocc_server::Mode;
+
+    fn parse(args: &[&str]) -> Result<ServerConfig, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    type Check = fn(&ServerConfig) -> bool;
+
+    /// Every flag, a command line that sets it, and the field it must set
+    /// (off its default). `ci.sh` stage "every flag exercised" reads the
+    /// flag column.
+    const FLAGS: &[(&str, &[&str], Check)] = &[
+        ("--mode", &["--mode", "lock"], |c| c.mode == Mode::Lock),
+        ("--port", &["--port", "4091"], |c| c.port == 4091),
+        ("--workers", &["--workers", "3"], |c| c.workers == 3),
+        ("--shards", &["--shards", "8"], |c| c.shards == 8),
+        ("--capacity", &["--capacity", "100"], |c| {
+            c.capacity_per_shard == 100
+        }),
+        ("--write-timeout-ms", &["--write-timeout-ms", "7"], |c| {
+            c.write_timeout == Duration::from_millis(7)
+        }),
+        ("--drain-timeout-ms", &["--drain-timeout-ms", "9"], |c| {
+            c.drain_timeout == Duration::from_millis(9)
+        }),
+        ("--queue-limit", &["--queue-limit", "5"], |c| {
+            c.queue_limit == 5
+        }),
+        ("--trace-sample-n", &["--trace-sample-n", "3"], |c| {
+            c.trace_sample_n == 3
+        }),
+        ("--data-dir", &["--data-dir", "/d"], |c| {
+            c.data_dir.as_deref() == Some(std::path::Path::new("/d"))
+        }),
+        ("--wal-sync", &["--wal-sync", "always"], |c| {
+            c.wal.sync == SyncPolicy::Always
+        }),
+        ("--fsync-batch-size", &["--fsync-batch-size", "3"], |c| {
+            c.wal.fsync_batch_size == 3
+        }),
+        ("--fsync-wait-us", &["--fsync-wait-us", "11"], |c| {
+            c.wal.fsync_wait_us == 11
+        }),
+        ("--checkpoint-every", &["--checkpoint-every", "13"], |c| {
+            c.wal.checkpoint_every == 13
+        }),
+        (
+            "--wal-fault-seed",
+            &["--wal-fault-seed", "1"],
+            |c| matches!(&c.wal.backend, WalBackend::Abort(p) if p.seed() == 1),
+        ),
+        (
+            "--wal-fault-crash",
+            &["--wal-fault-seed", "1", "--wal-fault-crash", "0.25"],
+            |c| matches!(&c.wal.backend, WalBackend::Abort(p) if p.mix().crash_per_append == 0.25),
+        ),
+        ("--replica-of", &["--replica-of", "h:1"], |c| {
+            c.replica_of.as_deref() == Some("h:1")
+        }),
+        ("--repl-accept", &["--repl-accept"], |c| c.repl_accept),
+        ("--repl-min-acks", &["--repl-min-acks", "2"], |c| {
+            c.repl_min_acks == 2
+        }),
+        ("--repl-lease-ms", &["--repl-lease-ms", "3"], |c| {
+            c.repl_lease == Duration::from_millis(3)
+        }),
+        (
+            "--repl-ack-timeout-ms",
+            &["--repl-ack-timeout-ms", "4"],
+            |c| c.repl_ack_timeout == Duration::from_millis(4),
+        ),
+        ("--repl-fault-seed", &["--repl-fault-seed", "7"], |c| {
+            c.repl_seed == 7
+        }),
+        (
+            "--repl-fault-rate",
+            &["--repl-fault-seed", "7", "--repl-fault-rate", "0.5"],
+            |c| c.repl_fault_plan.is_some(),
+        ),
+        ("--repl-auto-promote", &["--repl-auto-promote"], |c| {
+            c.repl_auto_promote
+        }),
+        (
+            "--repl-peer",
+            &["--repl-peer", "a:1", "--repl-peer", "b:2"],
+            |c| c.repl_peers == ["a:1", "b:2"],
+        ),
+        ("--repl-suspect-ms", &["--repl-suspect-ms", "5"], |c| {
+            c.repl_suspect == Duration::from_millis(5)
+        }),
+    ];
+
+    #[test]
+    fn every_flag_sets_its_field() {
+        let defaults = ServerConfig::default();
+        for &(flag, args, check) in FLAGS {
+            assert!(args.contains(&flag), "{flag}'s row does not pass it");
+            let config = parse(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert!(check(&config), "{args:?} did not set {flag}'s field");
+            assert!(!check(&defaults), "{flag}'s check holds at the default");
+        }
+    }
+
+    #[test]
+    fn the_table_is_the_usage() {
+        let usage = usage();
+        let mut in_usage: Vec<&str> = usage
+            .split(|c: char| c == '[' || c == ']' || c.is_whitespace())
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        in_usage.sort_unstable();
+        in_usage.dedup();
+        let mut in_table: Vec<&str> = FLAGS.iter().map(|&(flag, _, _)| flag).collect();
+        in_table.sort_unstable();
+        assert_eq!(in_usage, in_table);
+    }
+
+    #[test]
+    fn counts_below_one_are_refused() {
+        for flag in [
+            "--workers",
+            "--shards",
+            "--queue-limit",
+            "--fsync-batch-size",
+            "--repl-lease-ms",
+            "--repl-suspect-ms",
+        ] {
+            let err = parse(&[flag, "0"]).expect_err(flag);
+            assert_eq!(err, format!("{flag} must be >= 1"));
+        }
+    }
+
+    #[test]
+    fn unknown_and_deleted_flags_are_refused() {
+        for flag in [
+            "--bogus",
+            "--stats-out",
+            "--trace-out",
+            "--stats-interval-secs",
+        ] {
+            let err = parse(&[flag, "1"]).expect_err(flag);
+            assert!(err.starts_with(&format!("unknown flag {flag:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_fault_rate_without_its_seed_is_refused() {
+        assert_eq!(
+            parse(&["--wal-fault-crash", "0.5"]).unwrap_err(),
+            "--wal-fault-crash needs --wal-fault-seed"
+        );
+        assert_eq!(
+            parse(&["--repl-fault-rate", "0.5"]).unwrap_err(),
+            "--repl-fault-rate needs --repl-fault-seed"
+        );
+    }
 }

@@ -29,6 +29,11 @@ use crate::{ReplWaitError, ServerState, WorkerCtx};
 /// a worker's other connections.
 const MAX_FRAMES_PER_PUMP: usize = 256;
 
+/// Stop reading a connection holding this many unprocessed input bytes
+/// until it drains: the kernel socket buffer fills and TCP pushes back on
+/// the client (the per-connection memory bound).
+const RECV_HIGH_WATER: usize = 256 * 1024;
+
 /// Span cap applied when a TRACE request asks for `max: 0` ("everything"):
 /// a full 8K-slot ring rendered to JSON can exceed [`MAX_FRAME`], so the
 /// open-ended form drains in bounded bites instead of erroring.
@@ -165,15 +170,21 @@ impl Conn {
     /// Not enough for a replication subscriber ([`Conn::is_repl_sub`]):
     /// its heartbeats and feed drain (step 3b) run on a clock no
     /// descriptor signals, so its owner must keep pumping it.
-    pub(crate) fn interest(&self, recv_high_water: usize) -> c_short {
+    pub(crate) fn interest(&self) -> c_short {
         let mut events = 0;
-        if !self.closing && self.inbuf.pending() < recv_high_water {
+        if self.reads() {
             events |= POLLIN;
         }
         if self.has_pending_output() {
             events |= POLLOUT;
         }
         events
+    }
+
+    /// Whether [`Conn::pump`] reads the socket (step 2): not once closing,
+    /// nor while it holds [`RECV_HIGH_WATER`] unprocessed bytes.
+    fn reads(&self) -> bool {
+        !self.closing && self.inbuf.pending() < RECV_HIGH_WATER
     }
 
     /// When [`Conn::pump`] evicts this connection as a slow client if its
@@ -215,7 +226,7 @@ impl Conn {
         //    the memory bound: the kernel socket buffer fills and TCP
         //    pushes back on the client.
         let mut peer_eof = false;
-        if !self.closing && self.inbuf.pending() < state.config.recv_high_water {
+        if self.reads() {
             let mut chunk = [0u8; 4096];
             for _ in 0..16 {
                 match self.stream.read(&mut chunk) {
@@ -1042,7 +1053,6 @@ mod tests {
     /// against the events [`Conn::pump`] would act on in that state.
     #[test]
     fn interest_is_what_the_next_pump_would_touch() {
-        const HIGH_WATER: usize = 64;
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
@@ -1055,7 +1065,7 @@ mod tests {
             conn.closing = closing;
             conn.inbuf = FrameBuf::new();
             if at_high_water {
-                conn.inbuf.extend(&[0; HIGH_WATER]);
+                conn.inbuf.extend(&vec![0; RECV_HIGH_WATER]);
             }
             conn.outbuf.clear();
             conn.outpos = 0;
@@ -1067,7 +1077,7 @@ mod tests {
             let read = if closing || at_high_water { 0 } else { POLLIN };
             let write = if pending_output { POLLOUT } else { 0 };
             assert_eq!(
-                conn.interest(HIGH_WATER),
+                conn.interest(),
                 read | write,
                 "closing={closing} high_water={at_high_water} \
                  pending_output={pending_output} repl_sub={repl_sub}"
@@ -1084,8 +1094,8 @@ mod tests {
         conn.repl = None;
         conn.outbuf.clear();
         conn.inbuf = FrameBuf::new();
-        conn.inbuf.extend(&[0; HIGH_WATER - 1]);
-        assert_eq!(conn.interest(HIGH_WATER), POLLIN);
+        conn.inbuf.extend(&vec![0; RECV_HIGH_WATER - 1]);
+        assert_eq!(conn.interest(), POLLIN);
     }
 
     /// `pump` stops reading at the first short read. Neither the rest of

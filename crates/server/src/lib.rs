@@ -59,9 +59,8 @@
 //! * **Brownout**: EWMAs of queue depth and request latency drive
 //!   `Healthy → Degraded → Shedding`; shed requests are answered with the
 //!   retriable `Overloaded` response on a connection that stays open.
-//! * **Memory bound**: a connection holding more than
-//!   [`ServerConfig::recv_high_water`] unprocessed bytes stops being read
-//!   until it drains — TCP backpressure caps per-connection memory.
+//! * **Memory bound**: a connection holding more than 256 KiB of
+//!   unprocessed bytes stops being read until it drains — TCP backpressure caps per-connection memory.
 //! * The **HEALTH** verb reports the brownout state plus shed and
 //!   deadline-miss counters, and is never shed.
 
@@ -103,6 +102,10 @@ pub use store::{BatchOutcome, BatchScratch, Routed, Session, ShardedStore};
 use conn::{Conn, PumpOutcome};
 use idle::IDLE_PASS;
 
+/// Seed mixed into flight-recorder trace ids, so two runs with the same
+/// traffic produce the same ids.
+const TRACE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Deployment knobs for one [`spawn`]ed server.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -128,9 +131,6 @@ pub struct ServerConfig {
     /// pass has seen this many frames; expensive verbs (SCAN/STATS) at
     /// half of it.
     pub queue_limit: u64,
-    /// Stop reading a connection holding this many unprocessed input
-    /// bytes until it drains (per-connection memory bound).
-    pub recv_high_water: usize,
     /// Brownout state-machine thresholds.
     pub brownout: BrownoutConfig,
     /// Seeded transport fault injection on every accepted connection's
@@ -143,9 +143,6 @@ pub struct ServerConfig {
     /// thread (`0` disables tracing entirely — the hot path then pays one
     /// relaxed atomic load per frame and nothing else).
     pub trace_sample_n: u64,
-    /// Seed mixed into flight-recorder trace ids, so two runs with the
-    /// same traffic produce the same ids.
-    pub trace_seed: u64,
     /// Durability root: the WAL segments and checkpoint live here. `None`
     /// runs purely in memory — no log, no recovery, zero overhead.
     pub data_dir: Option<std::path::PathBuf>,
@@ -201,12 +198,10 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_millis(500),
             queue_limit: 256,
-            recv_high_water: 256 * 1024,
             brownout: BrownoutConfig::default(),
             fault_plan: None,
             load_plan: None,
             trace_sample_n: 64,
-            trace_seed: 0x9e37_79b9_7f4a_7c15,
             data_dir: None,
             wal: WalConfig::default(),
             replica_of: None,
@@ -277,8 +272,7 @@ pub struct ServerState {
 impl ServerState {
     fn new(config: ServerConfig) -> io::Result<Self> {
         let rt = GoccRuntime::new(GoccConfig::with_telemetry());
-        rt.tracer()
-            .configure(config.trace_sample_n, config.trace_seed);
+        rt.tracer().configure(config.trace_sample_n, TRACE_SEED);
         let store = ShardedStore::new(config.shards, config.capacity_per_shard);
         // Recovery before the listener opens: replay checkpoint + WAL tail
         // into the store, so the first accepted connection already sees
@@ -681,8 +675,7 @@ impl ServerState {
     }
 
     /// Copies (without draining) every retained span into a Chrome
-    /// trace-event JSON document, for `goccd --trace-out` and the soak
-    /// binaries' shutdown dumps.
+    /// trace-event JSON document, for the soak binaries' shutdown dumps.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
         trace::chrome_trace_json(&self.rt.tracer().drain())
@@ -768,8 +761,7 @@ impl ServerHandle {
     }
 
     /// A cloned `Arc` of the shared state, for observers that outlive
-    /// borrows of the handle (e.g. `goccd --stats-interval-secs`'s
-    /// reporter thread).
+    /// borrows of the handle (e.g. a soak's watcher thread).
     #[must_use]
     pub fn state_arc(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
@@ -1021,7 +1013,7 @@ fn watch(conns: &[Conn], set: &mut idle::PollSet, config: &ServerConfig) -> Opti
     set.clear();
     let mut deadline = None;
     for c in conns {
-        set.push(c.raw_fd(), c.interest(config.recv_high_water));
+        set.push(c.raw_fd(), c.interest());
         deadline = [deadline, c.write_deadline(config.write_timeout)]
             .into_iter()
             .flatten()

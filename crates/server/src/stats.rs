@@ -117,8 +117,8 @@ pub struct ServerCounters {
     /// Requests whose deadline expired during execution (effect applied,
     /// response replaced with `DeadlineExceeded`).
     deadline_post: AtomicU64,
-    /// End-to-end data-verb latency (engine execution, ns) — the source of
-    /// the p99 the `--stats-interval-secs` summary line prints.
+    /// End-to-end data-verb latency (engine execution, ns) — STATS
+    /// `request_latency`.
     request_latency: LatencyHistogram,
     /// Shard-groups executed through one elided section (a batch of 1 is
     /// still one group).
@@ -340,8 +340,7 @@ impl ServerCounters {
         self.deadline_pre() + self.deadline_post()
     }
 
-    /// Data-verb execution latency (the `--stats-interval-secs` p99
-    /// source).
+    /// Data-verb execution latency (STATS `request_latency`).
     #[must_use]
     pub fn request_latency(&self) -> &LatencyHistogram {
         &self.request_latency

@@ -107,11 +107,11 @@ impl<'a> Engine<'a> {
         match self.mode {
             Mode::Lock => self.pessimistic(lock, body),
             Mode::Gocc => {
-                acquire_elidable(lock);
+                lock.acquire(self.rt);
                 let mut tx = Tx::direct(self.rt.htm());
                 let out = body(&mut tx).expect("direct sections cannot abort");
                 tx.commit().expect("direct commits succeed");
-                release_elidable(lock);
+                lock.release(self.rt);
                 out
             }
         }
@@ -122,52 +122,22 @@ impl<'a> Engine<'a> {
         lock: LockRef<'a>,
         mut body: impl FnMut(&mut Tx<'a>) -> TxResult<R>,
     ) -> R {
-        acquire_raw(lock);
+        lock.acquire_raw(self.rt);
         let mut tx = Tx::direct(self.rt.htm());
         let out = body(&mut tx).expect("direct sections cannot abort");
         tx.commit().expect("direct commits succeed");
-        release_raw(lock);
+        lock.release_raw(self.rt);
         out
-    }
-}
-
-fn acquire_raw(lock: LockRef<'_>) {
-    match lock {
-        LockRef::Mutex(m) => m.go_mutex().lock_raw(),
-        LockRef::Read(rw) => rw.go_rwmutex().rlock_raw(),
-        LockRef::Write(rw) => rw.go_rwmutex().lock_raw(),
-    }
-}
-
-fn release_raw(lock: LockRef<'_>) {
-    match lock {
-        LockRef::Mutex(m) => m.go_mutex().unlock_raw(),
-        LockRef::Read(rw) => rw.go_rwmutex().runlock_raw(),
-        LockRef::Write(rw) => rw.go_rwmutex().unlock_raw(),
-    }
-}
-
-fn acquire_elidable(lock: LockRef<'_>) {
-    match lock {
-        LockRef::Mutex(m) => m.lock_raw(),
-        LockRef::Read(rw) => rw.rlock_raw(),
-        LockRef::Write(rw) => rw.lock_raw(),
-    }
-}
-
-fn release_elidable(lock: LockRef<'_>) {
-    match lock {
-        LockRef::Mutex(m) => m.unlock_raw(),
-        LockRef::Read(rw) => rw.runlock_raw(),
-        LockRef::Write(rw) => rw.unlock_raw(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocc_htm::TxVar;
-    use gocc_optilock::ElidableMutex;
+    use gocc_htm::contention::RMW_PENALTY_NS;
+    use gocc_htm::{HtmConfig, TxVar};
+    use gocc_optilock::{ElidableMutex, GoccConfig};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn both_modes_produce_same_result() {
@@ -230,5 +200,53 @@ mod tests {
         });
         let mut check = Tx::direct(rt.htm());
         assert_eq!(check.read(&v).unwrap(), 800, "no lost updates across paths");
+    }
+
+    #[test]
+    fn two_runtimes_with_different_sim_cores_at_once() {
+        const SECTIONS: u64 = 2_000;
+        let one = GoccRuntime::new_default();
+        let eight = GoccRuntime::new(GoccConfig {
+            htm: HtmConfig {
+                sim_cores: 8,
+                ..HtmConfig::coffee_lake()
+            },
+            ..GoccConfig::standard()
+        });
+        assert_eq!(one.htm().rmw_charge_ns(), 0);
+        assert_eq!(eight.htm().rmw_charge_ns(), 7 * RMW_PENALTY_NS);
+
+        let barrier = std::sync::Barrier::new(2);
+        let run = |rt: &GoccRuntime| {
+            let engine = Engine::new(rt, Mode::Lock);
+            let m = ElidableMutex::new();
+            let v = TxVar::new(7u64);
+            // The first charge calibrates the spin; keep that out of the
+            // timed window, where it would cover for missing charges.
+            rt.htm().charge_shared_rmw();
+            barrier.wait();
+            let t0 = Instant::now();
+            for _ in 0..SECTIONS {
+                // A read alone, so the lock is the only thing charged.
+                let read = engine.section(gocc_optilock::call_site!(), LockRef::Mutex(&m), |tx| {
+                    tx.read(&v)
+                });
+                assert_eq!(read, 7);
+            }
+            t0.elapsed()
+        };
+        let eight_took = std::thread::scope(|s| {
+            let a = s.spawn(|| run(&one));
+            let b = s.spawn(|| run(&eight));
+            a.join().unwrap();
+            b.join().unwrap()
+        });
+        // A mutex section is one acquire and one release, each charged
+        // once; the other runtime's model never reaches this one.
+        let floor = Duration::from_nanos(u64::from(eight.htm().rmw_charge_ns()) * 2 * SECTIONS);
+        assert!(
+            eight_took >= floor,
+            "{SECTIONS} sections at 8 cores took {eight_took:?}, below the {floor:?} charged"
+        );
     }
 }

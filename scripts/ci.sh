@@ -58,6 +58,19 @@ echo "ok: all dependencies are path/workspace-local"
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== examples (release) =="
+# Each root example asserts what it shows and panics otherwise, so a run
+# that exits nonzero is a wrong runtime behaviour, not a cosmetic one.
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  if ! quietly "./target/release/examples/$name"; then
+    echo "FAIL: example $name exited nonzero" >&2
+    exit 1
+  fi
+done
+echo "ok: every root example ran and exited 0"
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
@@ -189,20 +202,54 @@ fi
 echo "ok: no gate bar is read from the environment"
 
 echo "== no process knob =="
-# The modelled GOMAXPROCS (GoccConfig::procs) and the trace gate (a
-# recorder's own sample_n) live in the runtime handle, so two runtimes in
+# The modelled GOMAXPROCS (GoccConfig::procs), the trace gate (a
+# recorder's own sample_n) and the coherence model's core count
+# (HtmConfig::sim_cores) live in the runtime handle, so two runtimes in
 # one process never read each other's settings. A process-wide static for
-# either, or a set_procs call outside benchmark/ (its own workspace, the
-# last caller of the no-op shim), brings back the races they had.
-proc_knobs=$(grep -rnE 'set_procs\(|static (PROCS|ACTIVE)\b|tracing_active' . \
+# any of them, a setter for the model, or a set_procs call outside
+# benchmark/ (its own workspace, the last caller of the no-op shim),
+# brings back the races they had. gosync's locks know no runtime: the
+# callers that hold one charge the model, so gosync needs no gocc-htm.
+proc_knobs=$(grep -rnE 'set_procs\(|static (PROCS|ACTIVE|SIM_CORES|RMW_PENALTY_NS)\b|tracing_active|set_sim_cores|set_rmw_penalty_ns' . \
   --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
   | grep -vE '^\./crates/gosync/src/lib\.rs:[0-9]+:pub fn set_procs\(' || true)
-if [ -n "$proc_knobs" ]; then
-  echo "$proc_knobs"
-  echo "FAIL: a process-wide processor count or trace gate is back" >&2
+gosync_htm=$(grep -n 'gocc-htm' crates/gosync/Cargo.toml || true)
+if [ -n "$proc_knobs$gosync_htm" ]; then
+  printf '%s\n' "$proc_knobs" "$gosync_htm" | grep -v '^$'
+  echo "FAIL: a process-wide processor count, trace gate or coherence model is back" >&2
   exit 1
 fi
-echo "ok: the processor count and the trace gate live in the runtime handle"
+echo "ok: the processor count, the trace gate and the coherence model live in the runtime handle"
+
+echo "== every flag exercised =="
+# A goccd flag stays only while something exercises it, and goccd's own
+# parse test sets every one and checks the field it fills. Its match arms,
+# usage(), README's flag table and that test's table must name the same
+# flags: one added, or deleted, in some of them and not the others is
+# drift.
+goccd=crates/server/src/bin/goccd.rs
+flags_of() { grep -oE -- '--[a-z][a-z-]*' | sort -u; }
+block_of() { awk -v start="$1" -v stop="$2" \
+  'index($0, start) == 1 { on = 1 } on { print } on && index($0, stop) == 1 { exit }' "$goccd"; }
+arms=$(grep -oE '"--[a-z-]+" =>' "$goccd" | flags_of)
+usage=$(block_of 'fn usage()' '}' | flags_of)
+table=$(block_of '    const FLAGS' '    ];' | grep -oE '^[[:space:]]+\(?"--[a-z-]+"' | flags_of)
+readme=$(awk '/^### goccd flags/ { on = 1; next } on && /^#/ { exit } on && /^\|/ { print }' \
+  README.md | flags_of)
+drift=0
+for source in usage table readme; do
+  eval "listed=\$$source"
+  if [ "$listed" != "$arms" ]; then
+    echo "goccd match arms: " $arms >&2
+    echo "goccd $source: " $listed >&2
+    drift=1
+  fi
+done
+if [ "$drift" -ne 0 ] || [ -z "$arms" ]; then
+  echo "FAIL: goccd's flags drifted between its arms, usage(), README and the parse test" >&2
+  exit 1
+fi
+echo "ok: $(echo "$arms" | wc -l) goccd flags, each in usage(), README and the parse test"
 
 echo "== formatting =="
 cargo fmt --check
