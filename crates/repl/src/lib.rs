@@ -18,12 +18,14 @@
 //! * **Acks, leases and fencing** — every `REPL_ACK` updates the
 //!   subscriber's per-shard watermark and its lease. With
 //!   `min_acks > 0`, a primary write is only releasable once
-//!   [`ReplFeed::wait_replicated`] observes `min_acks` subscribers at or
-//!   past the write's version; and once fewer than `min_acks`
-//!   subscribers have acked within the lease window the primary is
-//!   **fenced**: writes fail fast instead of acking into a partition.
-//!   That is the split-brain guard — a partitioned old primary stops
-//!   acknowledging on its own clock, before the other side promotes.
+//!   [`ReplFeed::ack_state`] sees `min_acks` subscribers at or past the
+//!   write's version; and once fewer than `min_acks` subscribers have
+//!   acked within the lease window the primary is **fenced**: writes fail
+//!   fast instead of acking into a partition. That is the split-brain
+//!   guard — a partitioned old primary stops acknowledging on its own
+//!   clock, before the other side promotes. The check never blocks: the
+//!   server parks the write's response and asks again, so no thread
+//!   waits on a replica.
 //! * [`SnapshotAssembler`] — replica-side accumulator for chunked
 //!   `REPL_BATCH` frames carrying `SNAP` flags; the assembled image is
 //!   applied atomically at `FIN`.
@@ -32,7 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::{JsonWriter, SplitMix64};
@@ -68,15 +70,19 @@ impl Default for ReplConfig {
     }
 }
 
-/// Why [`ReplFeed::wait_replicated`] gave up.
+/// Where one write stands against `min_acks`, as [`ReplFeed::ack_state`]
+/// finds it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplWaitError {
+pub enum AckState {
+    /// `min_acks` subscribers acked the write's version (always, with
+    /// `min_acks == 0`).
+    Acked,
     /// Fewer than `min_acks` subscribers inside the lease: the primary
     /// is fenced and must not acknowledge.
     Fenced,
-    /// Enough subscribers are live but the write did not replicate in
-    /// time.
-    Timeout,
+    /// Enough subscribers are live, but not enough have acked yet. The
+    /// caller asks again later, and decides itself when to stop.
+    Pending,
 }
 
 /// One drained batch, ready to encode as a `REPL_BATCH` frame.
@@ -196,7 +202,7 @@ impl ReplCounters {
     }
 
     /// Counts a write rejected by a fencing check done *outside*
-    /// [`ReplFeed::wait_replicated`] (the server's cheap pre-check).
+    /// [`ReplFeed::ack_state`] (the server's cheap pre-check).
     pub fn note_fenced_reject(&self) {
         self.fenced_rejects.fetch_add(1, Ordering::Relaxed);
     }
@@ -210,8 +216,6 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ReplFeed {
     cfg: ReplConfig,
     inner: Mutex<FeedInner>,
-    /// Signaled on every ack (for [`ReplFeed::wait_replicated`]).
-    ack_cv: Condvar,
     counters: ReplCounters,
 }
 
@@ -240,7 +244,6 @@ impl ReplFeed {
                 shards,
                 subs: Vec::new(),
             }),
-            ack_cv: Condvar::new(),
             counters: ReplCounters::default(),
         }
     }
@@ -324,9 +327,6 @@ impl ReplFeed {
         if let Some(slot) = inner.subs.get_mut(id.0) {
             *slot = None;
         }
-        // A departed subscriber may have been the one a waiter needed;
-        // wake waiters so they re-evaluate fencing.
-        self.ack_cv.notify_all();
     }
 
     /// Feeds released records into every live subscriber's queues.
@@ -524,8 +524,6 @@ impl ReplFeed {
             ss.acked = ss.acked.max(version);
             self.counters.acks.fetch_add(1, Ordering::Relaxed);
         }
-        drop(inner);
-        self.ack_cv.notify_all();
     }
 
     /// Shards of `id` waiting for a snapshot resync.
@@ -616,47 +614,34 @@ impl ReplFeed {
         Self::live_subs_locked(&inner, self.cfg.lease) < self.cfg.min_acks
     }
 
-    /// Blocks until `min_acks` subscribers acked shard `shard` at or
-    /// past `version`, the primary turns out fenced, or `timeout`
-    /// elapses. With `min_acks == 0` this returns immediately.
-    pub fn wait_replicated(
-        &self,
-        shard: u32,
-        version: u64,
-        timeout: Duration,
-    ) -> Result<(), ReplWaitError> {
+    /// Whether `min_acks` subscribers acked shard `shard` at or past
+    /// `version`, the primary is fenced, or neither yet. Never blocks.
+    /// A `Fenced` answer counts one fenced reject: the caller answers the
+    /// write with it.
+    #[must_use]
+    pub fn ack_state(&self, shard: u32, version: u64) -> AckState {
         if self.cfg.min_acks == 0 {
-            return Ok(());
+            return AckState::Acked;
         }
-        let deadline = Instant::now() + timeout;
-        let mut inner = lock_unpoisoned(&self.inner);
-        loop {
-            let acked = inner
-                .subs
-                .iter()
-                .flatten()
-                .filter(|sub| {
-                    sub.shards
-                        .get(shard as usize)
-                        .is_some_and(|ss| ss.acked >= version)
-                })
-                .count();
-            if acked >= self.cfg.min_acks {
-                return Ok(());
-            }
-            if Self::live_subs_locked(&inner, self.cfg.lease) < self.cfg.min_acks {
-                self.counters.fenced_rejects.fetch_add(1, Ordering::Relaxed);
-                return Err(ReplWaitError::Fenced);
-            }
-            if Instant::now() >= deadline {
-                return Err(ReplWaitError::Timeout);
-            }
-            inner = self
-                .ack_cv
-                .wait_timeout(inner, Duration::from_millis(2))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+        let inner = lock_unpoisoned(&self.inner);
+        let acked = inner
+            .subs
+            .iter()
+            .flatten()
+            .filter(|sub| {
+                sub.shards
+                    .get(shard as usize)
+                    .is_some_and(|ss| ss.acked >= version)
+            })
+            .count();
+        if acked >= self.cfg.min_acks {
+            return AckState::Acked;
         }
+        if Self::live_subs_locked(&inner, self.cfg.lease) < self.cfg.min_acks {
+            self.counters.fenced_rejects.fetch_add(1, Ordering::Relaxed);
+            return AckState::Fenced;
+        }
+        AckState::Pending
     }
 
     /// The STATS `repl` object for a primary.
@@ -936,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_replicated_gates_on_min_acks() {
+    fn ack_state_gates_on_min_acks() {
         let f = ReplFeed::new(
             ReplConfig {
                 shards: 1,
@@ -948,12 +933,12 @@ mod tests {
         );
         let sub = f.subscribe(&[0]);
         f.publish(0, &[staged(0, 1, 1, 1)]);
-        assert_eq!(
-            f.wait_replicated(0, 1, Duration::from_millis(20)),
-            Err(ReplWaitError::Timeout)
-        );
+        assert_eq!(f.ack_state(0, 1), AckState::Pending);
         f.note_ack(sub, 0, 1, false);
-        assert_eq!(f.wait_replicated(0, 1, Duration::from_millis(20)), Ok(()));
+        assert_eq!(f.ack_state(0, 1), AckState::Acked);
+        assert_eq!(f.ack_state(0, 2), AckState::Pending);
+        // Asynchronous replication gates nothing.
+        assert_eq!(feed(1).ack_state(0, 7), AckState::Acked);
     }
 
     #[test]
@@ -972,15 +957,12 @@ mod tests {
         assert!(!f.fenced(), "fresh ack holds the lease");
         std::thread::sleep(Duration::from_millis(60));
         assert!(f.fenced(), "silence past the lease fences the primary");
-        assert_eq!(
-            f.wait_replicated(0, 5, Duration::from_millis(50)),
-            Err(ReplWaitError::Fenced)
-        );
-        assert!(f.counters().fenced_rejects() >= 1);
+        assert_eq!(f.ack_state(0, 5), AckState::Fenced);
+        assert_eq!(f.counters().fenced_rejects(), 1);
         // An ack from the replica un-fences.
         f.note_ack(sub, 0, 5, false);
         assert!(!f.fenced());
-        assert_eq!(f.wait_replicated(0, 5, Duration::from_millis(20)), Ok(()));
+        assert_eq!(f.ack_state(0, 5), AckState::Acked);
     }
 
     #[test]

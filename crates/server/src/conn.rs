@@ -1,7 +1,14 @@
 //! Per-connection state machine: non-blocking read → frame → admit →
 //! execute → non-blocking write, with error isolation, deadline
 //! enforcement and slow-client eviction.
+//!
+//! Nothing here waits on a replica: a `min_acks` write *parks* its
+//! response, with every later one behind it, and later passes release
+//! them in order — on the acks, on fencing, or past `repl_ack_timeout`.
+//! Until then the connection reads nothing more; the worker's other
+//! connections, replica streams included, are served meanwhile.
 
+use std::collections::VecDeque;
 use std::ffi::c_short;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -10,6 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gocc_faultplane::{LoadFault, TransportFaultPlan};
+use gocc_repl::AckState;
 use gocc_telemetry::trace;
 use gocc_telemetry::{Span, SpanKind};
 use gocc_wire::{
@@ -23,7 +31,7 @@ use crate::overload::{classify, VerbClass};
 use crate::repl::{pump_repl_out, ReplSub};
 use crate::stats::verb_index;
 use crate::store::{BatchScratch, Routed};
-use crate::{ReplWaitError, ServerState, WorkerCtx};
+use crate::{ServerState, WorkerCtx};
 
 /// Cap on frames executed per pump so one pipelining client cannot starve
 /// a worker's other connections.
@@ -52,10 +60,10 @@ enum FlushState {
     Fatal,
 }
 
-/// One decoded-but-unanswered request in the connection's current decode
-/// batch. Responses for the whole batch are encoded together, in arrival
-/// order, once the batch flushes — that is what keeps the wire strictly
-/// in order even though execution is grouped by shard.
+/// One decoded-but-unanswered request, in the current decode batch or
+/// parked. Answers are encoded in arrival order when the batch flushes or
+/// the FIFO releases them — that is what keeps the wire strictly in order
+/// even though execution is grouped by shard.
 struct PendingReq {
     /// Flight-recorder id (0 = unsampled).
     trace_id: u64,
@@ -75,13 +83,54 @@ enum PendingState {
     /// primary); held unencoded until the batch flushes so it occupies
     /// its in-order response slot.
     Ready(Response<'static>),
-    /// Replica write redirect (the hint is read when the batch flushes).
+    /// Replica write redirect (the hint is read at encode time).
     NotPrimary,
+    /// Executed: the store's answer, or the error that replaces it when
+    /// the applied write must not be acknowledged.
+    Executed(Response<'static>),
+    /// Executed, and waiting for `min_acks` replicas to confirm `version`
+    /// of `shard`, for at most `repl_ack_timeout` from `since`.
+    Replicating {
+        resp: Response<'static>,
+        shard: u32,
+        version: u64,
+        since: Instant,
+    },
+}
+
+impl PendingReq {
+    /// Settles this answer if it can, and says whether it is final: all
+    /// are but a write whose acks are not in, until fencing,
+    /// `repl_ack_timeout` or `give_up` (the shutdown drain's deadline)
+    /// ends its wait. Never blocks.
+    fn settle(&mut self, state: &ServerState, give_up: bool) -> bool {
+        let PendingState::Replicating {
+            resp,
+            shard,
+            version,
+            since,
+        } = &self.state
+        else {
+            return true;
+        };
+        let feed = state.repl_feed().expect("only a feed's writes replicate");
+        // Applied locally but not acknowledged: not accepted, says the error.
+        let message = match feed.ack_state(*shard, *version) {
+            AckState::Acked => None,
+            AckState::Fenced => Some("primary fenced: write not acknowledged"),
+            AckState::Pending if give_up || since.elapsed() >= state.config.repl_ack_timeout => {
+                Some("replication timed out: write not acknowledged")
+            }
+            AckState::Pending => return false,
+        };
+        let resp = message.map_or_else(|| resp.clone(), |message| Response::Error { message });
+        self.state = PendingState::Executed(resp);
+        true
+    }
 }
 
 /// The batch path's reusable buffers. Capacity persists across pump
-/// passes (every vector is drained or cleared before a pass returns), so
-/// a steady-state pass allocates nothing.
+/// passes, so a steady-state pass allocates nothing.
 #[derive(Default)]
 struct BatchBufs {
     /// The current decode batch, in arrival order.
@@ -91,10 +140,15 @@ struct BatchBufs {
     /// …and each routed entry's index in `pending`.
     exec_idx: Vec<usize>,
     scratch: BatchScratch,
+    /// Answers waiting for replica acks, or behind one, in arrival order.
+    parked: VecDeque<PendingReq>,
+    /// The encoded answer of the unbatched frame whose flush parked: it
+    /// goes out once `parked` drains.
+    behind: Vec<u8>,
 }
 
-/// One client connection, owned by exactly one thread at a time — a
-/// worker, or the repl-out thread once it subscribes via REPL_HELLO.
+/// One client connection, owned for its whole life by the worker it was
+/// dealt to — a replica's stream (REPL_HELLO) included.
 ///
 /// The stream is wrapped in a [`FaultyStream`] so a configured transport
 /// fault plan can perturb this connection's reads and writes; with no plan
@@ -144,12 +198,15 @@ impl Conn {
         }
     }
 
-    /// Whether this connection subscribed as a replication stream
-    /// (sent REPL_HELLO). Such connections are migrated off the worker
-    /// onto the dedicated repl-out thread, because a worker can block in
-    /// [`flush_batch`]'s `min_acks` wait.
-    pub(crate) fn is_repl_sub(&self) -> bool {
-        self.repl.is_some()
+    /// Whether this connection has work no descriptor signals, so its
+    /// owner must take a pass every tick: a replica's heartbeats and feed
+    /// drain, or a parked answer's ack, fencing or timeout.
+    pub(crate) fn keeps_a_clock(&self) -> bool {
+        self.repl.is_some() || self.has_parked()
+    }
+
+    pub(crate) fn has_parked(&self) -> bool {
+        !self.batch.parked.is_empty()
     }
 
     pub(crate) fn has_pending_output(&self) -> bool {
@@ -167,9 +224,8 @@ impl Conn {
     /// more and a level-triggered wait returns at once for an event the
     /// pump will not clear; anything less and it sleeps through work.
     ///
-    /// Not enough for a replication subscriber ([`Conn::is_repl_sub`]):
-    /// its heartbeats and feed drain (step 3b) run on a clock no
-    /// descriptor signals, so its owner must keep pumping it.
+    /// Not enough while [`Conn::keeps_a_clock`]: that work runs on a
+    /// clock no descriptor signals, so its owner must keep pumping it.
     pub(crate) fn interest(&self) -> c_short {
         let mut events = 0;
         if self.reads() {
@@ -182,9 +238,10 @@ impl Conn {
     }
 
     /// Whether [`Conn::pump`] reads the socket (step 2): not once closing,
-    /// nor while it holds [`RECV_HIGH_WATER`] unprocessed bytes.
+    /// nor while it holds [`RECV_HIGH_WATER`] unprocessed bytes or a
+    /// parked response.
     fn reads(&self) -> bool {
-        !self.closing && self.inbuf.pending() < RECV_HIGH_WATER
+        !self.closing && self.inbuf.pending() < RECV_HIGH_WATER && !self.has_parked()
     }
 
     /// When [`Conn::pump`] evicts this connection as a slow client if its
@@ -194,9 +251,14 @@ impl Conn {
             .then(|| self.last_write_progress + write_timeout)
     }
 
-    /// Shutdown-drain helper: push pending bytes, ignore errors.
-    pub(crate) fn flush_only(&mut self) {
-        let _ = self.flush_inner();
+    /// One pass of the shutdown drain: release the parked answers it can
+    /// (all with `give_up`, the deadline), push queued bytes, and say
+    /// whether to keep waiting: not at the deadline, nor once nothing is
+    /// owed or the peer is gone.
+    pub(crate) fn drain(&mut self, state: &ServerState, give_up: bool) -> bool {
+        self.batch.release(state, &mut self.outbuf, give_up);
+        let alive = matches!(self.flush_inner(), FlushState::Clean { .. });
+        alive && !give_up && (self.has_parked() || self.has_pending_output())
     }
 
     /// One cooperative scheduling quantum for this connection.
@@ -206,10 +268,10 @@ impl Conn {
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> PumpOutcome {
-        let mut progressed = false;
-
-        // 1. Drain queued response bytes first — a slow client must not
-        //    hold buffered responses hostage while we keep reading.
+        // 1. Release the parked responses whose wait is over, then drain
+        //    queued response bytes — a slow client must not hold buffered
+        //    responses hostage while we keep reading.
+        let mut progressed = self.batch.release(state, &mut self.outbuf, false);
         match self.flush_inner() {
             FlushState::Clean { progressed: p } => progressed |= p,
             FlushState::Fatal => return PumpOutcome::Close,
@@ -288,7 +350,7 @@ impl Conn {
             FlushState::Fatal => return PumpOutcome::Close,
         }
 
-        if (self.closing || peer_eof) && !self.has_pending_output() {
+        if (self.closing || peer_eof) && !self.has_parked() && !self.has_pending_output() {
             return PumpOutcome::Close;
         }
         if peer_eof {
@@ -310,7 +372,8 @@ impl Conn {
     /// (control verbs, SCAN, replication verbs, framing errors). A lone
     /// request is a batch of one. Responses are encoded at flush time in
     /// arrival order, so the wire ordering is identical to executing one
-    /// frame at a time.
+    /// frame at a time. Decoding stops at the first flush that parks a
+    /// response; the frame that forced that flush answers behind it.
     ///
     /// A decode error sends one final `Error` response and marks the
     /// connection closing. An *oversized* frame is the one framing error
@@ -335,7 +398,7 @@ impl Conn {
             ..
         } = self;
         for _ in 0..MAX_FRAMES_PER_PUMP {
-            if *closing {
+            if *closing || !batch.parked.is_empty() {
                 break;
             }
             let arrival = ingest_at.unwrap_or_else(Instant::now);
@@ -349,8 +412,8 @@ impl Conn {
                     // still flush the batch first — a REPL frame between
                     // two data frames must not reorder their responses.
                     if is_repl_request(body) {
-                        flush_batch(engine, state, wctx, outbuf, batch);
-                        handle_repl_frame(engine, state, outbuf, repl, closing, body);
+                        let out = flush_batch(engine, state, wctx, outbuf, batch);
+                        handle_repl_frame(engine, state, wctx.worker, out, repl, closing, body);
                         continue;
                     }
                     wctx.frames_seen += 1;
@@ -420,13 +483,13 @@ impl Conn {
                                 // pending (in-order responses), then run
                                 // it on its own.
                                 Ok(None) => {
-                                    flush_batch(engine, state, wctx, outbuf, batch);
+                                    let out = flush_batch(engine, state, wctx, outbuf, batch);
                                     trace::set_current(trace_id);
                                     if !execute_admitted(
                                         engine,
                                         state,
                                         wctx,
-                                        outbuf,
+                                        out,
                                         arrival,
                                         &frame.req,
                                         frame.deadline_us,
@@ -438,10 +501,10 @@ impl Conn {
                             }
                         }
                         Err(e) => {
-                            flush_batch(engine, state, wctx, outbuf, batch);
+                            let out = flush_batch(engine, state, wctx, outbuf, batch);
                             state.counters.note_malformed();
                             let message = format!("malformed frame: {e}");
-                            encode_error(&message, outbuf);
+                            encode_error(&message, out);
                             *closing = true;
                         }
                     }
@@ -450,16 +513,16 @@ impl Conn {
                     // Oversized frame: FrameBuf discards the body and
                     // resynchronizes, so answer and keep the connection.
                     progressed = true;
-                    flush_batch(engine, state, wctx, outbuf, batch);
+                    let out = flush_batch(engine, state, wctx, outbuf, batch);
                     state.counters.note_oversized();
-                    encode_error("frame exceeds size limit", outbuf);
+                    encode_error("frame exceeds size limit", out);
                 }
                 Err(e) => {
                     // Corrupt length prefix: there is no resynchronizing.
-                    flush_batch(engine, state, wctx, outbuf, batch);
+                    let out = flush_batch(engine, state, wctx, outbuf, batch);
                     state.counters.note_malformed();
                     let message = format!("unrecoverable framing error: {e}");
-                    encode_error(&message, outbuf);
+                    encode_error(&message, out);
                     *closing = true;
                 }
             }
@@ -574,24 +637,27 @@ fn draw_slow_store(state: &ServerState, wctx: &WorkerCtx) {
 /// meets the store, the WAL and the replication gate. One critical
 /// section per shard-group via [`crate::ShardedStore::execute_batch`]
 /// (a `BatchExec` span per group, a `StoreOp` span per request), then per
-/// request, in arrival order: wait for its own WAL barrier, publish or
-/// wait out `min_acks`, re-check its deadline, encode. No-op on an empty
-/// batch.
-fn flush_batch(
+/// request, in arrival order: wait for its own WAL barrier, publish, and
+/// encode — or park, when it waits for `min_acks` or is behind an answer
+/// that does. Returns where the next answer goes: `outbuf`, or behind the
+/// parked ones. No-op on an empty batch.
+fn flush_batch<'a>(
     engine: &Engine<'_>,
     state: &ServerState,
     wctx: &mut WorkerCtx,
-    outbuf: &mut Vec<u8>,
-    batch: &mut BatchBufs,
-) {
+    outbuf: &'a mut Vec<u8>,
+    batch: &'a mut BatchBufs,
+) -> &'a mut Vec<u8> {
     let BatchBufs {
         pending,
         routed,
         exec_idx,
         scratch,
+        parked,
+        behind,
     } = batch;
     if pending.is_empty() {
-        return;
+        return if parked.is_empty() { outbuf } else { behind };
     }
     // Route the executable subset; rejected entries keep their slot in
     // `pending` and only participate in response encoding below.
@@ -607,11 +673,7 @@ fn flush_batch(
     for _ in 0..routed.len() {
         draw_slow_store(state, wctx);
     }
-    let feed = if state.is_replica() {
-        None
-    } else {
-        state.repl_feed()
-    };
+    let feed = state.repl_feed().filter(|_| !state.is_replica());
     let wal = state.wal().map(|w| w.as_ref());
     let outcomes =
         state
@@ -670,79 +732,117 @@ fn flush_batch(
     // replication gate stay per-record: each mutation's ack waits for
     // exactly its own barrier.
     let mut outcomes = outcomes.iter();
-    for p in pending.drain(..) {
-        let out = match p.state {
-            PendingState::Ready(resp) => {
-                encode_response(&resp, outbuf);
-                continue;
+    for mut p in pending.drain(..) {
+        if let PendingState::Exec(_) = p.state {
+            let out = outcomes.next().expect("one outcome per routed entry");
+            let mut resp = out.resp.clone();
+            // Ack-after-barrier: the response for a mutating verb is not
+            // encoded until its WAL record is inside an fsynced prefix.
+            // The in-memory effect is already applied; if the log died,
+            // say so instead of acknowledging a write that may not
+            // survive a crash.
+            if let (Some(ticket), Some(wal)) = (out.ticket, wal) {
+                let wait_t0 = stamp(p.trace_id);
+                let waited = wal.wait(ticket);
+                let number = ticket.number();
+                span_since(state, p.trace_id, SpanKind::WalCommit, wait_t0, number, 0);
+                if waited.is_err() {
+                    resp = Response::Error {
+                        message: "write-ahead log failed; write not durable",
+                    };
+                }
+            } else if let (Some(feed), Some(staged)) = (feed, out.staged.as_ref()) {
+                // No-WAL primary: the applied write is this deployment's
+                // durable prefix (there is nothing stronger to wait for),
+                // so it enters the feed here.
+                feed.publish(staged.shard, std::slice::from_ref(staged));
             }
-            PendingState::NotPrimary => {
-                let hint = state.upstream_hint();
-                encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
-                continue;
-            }
-            PendingState::Exec(_) => outcomes.next().expect("one outcome per routed entry"),
-        };
-        let out_start = outbuf.len();
-        // Set when the write applied but must not be acknowledged.
-        let mut failure: Option<&'static str> = None;
-        // Ack-after-barrier: the response for a mutating verb is not
-        // encoded until its WAL record is inside an fsynced prefix. The
-        // in-memory effect is already applied; if the log died, say so
-        // instead of acknowledging a write that may not survive a crash.
-        if let (Some(ticket), Some(wal)) = (out.ticket, wal) {
-            let wait_t0 = stamp(p.trace_id);
-            let waited = wal.wait(ticket);
-            let number = ticket.number();
-            span_since(state, p.trace_id, SpanKind::WalCommit, wait_t0, number, 0);
-            if waited.is_err() {
-                failure = Some("write-ahead log failed; write not durable");
-            }
-        } else if let (Some(feed), Some(staged)) = (feed, out.staged.as_ref()) {
-            // No-WAL primary: the applied write is this deployment's
-            // durable prefix (there is nothing stronger to wait for), so
-            // it enters the feed here.
-            feed.publish(staged.shard, std::slice::from_ref(staged));
-        }
-        // Replication gate: with `min_acks` configured, the ack is
-        // withheld until enough replicas confirmed this record's version
-        // (or the primary turns out to be fenced — then the client must
-        // not treat the write as accepted, even though it applied
-        // locally: the promoted side's history wins).
-        if let (Some(feed), Some(staged), None) = (feed, out.staged.as_ref(), failure) {
-            failure =
-                match feed.wait_replicated(staged.shard, staged.seq, state.config.repl_ack_timeout)
+            // Replication gate: with `min_acks` configured, a durable
+            // write's ack is withheld until enough replicas confirmed its
+            // version, or the primary turns out to be fenced.
+            p.state = match (feed, out.staged.as_ref()) {
+                (Some(feed), Some(staged))
+                    if feed.config().min_acks > 0 && !matches!(resp, Response::Error { .. }) =>
                 {
-                    Ok(()) => None,
-                    Err(ReplWaitError::Fenced) => Some("primary fenced: write not acknowledged"),
-                    Err(ReplWaitError::Timeout) => {
-                        Some("replication timed out: write not acknowledged")
+                    PendingState::Replicating {
+                        resp,
+                        shard: staged.shard,
+                        version: staged.seq,
+                        since: Instant::now(),
                     }
-                };
+                }
+                _ => PendingState::Executed(resp),
+            };
         }
-        // Deadline post-check: the effect is already applied (the engine
-        // ran), but the client stopped waiting — tell it so instead of
-        // shipping a result it will ignore. Documented semantics:
-        // deadlines bound *waiting*, not *effects*.
-        let resp_t0 = stamp(p.trace_id);
-        match (p.deadline_us, failure) {
-            (Some(budget_us), _) if expired(p.arrival, budget_us) => {
-                state.counters.note_deadline_post();
-                encode_response(&Response::DeadlineExceeded, outbuf);
-            }
-            (_, Some(message)) => encode_response(&Response::Error { message }, outbuf),
-            (_, None) => encode_response(&out.resp, outbuf),
+        // Once one answer waits, every later one waits behind it.
+        if parked.is_empty() && p.settle(state, false) {
+            encode_answer(state, p, outbuf);
+        } else {
+            parked.push_back(p);
         }
-        let written = (outbuf.len() - out_start) as u64;
-        span_since(
-            state,
-            p.trace_id,
-            SpanKind::ResponseWrite,
-            resp_t0,
-            written,
-            0,
-        );
     }
+    if parked.is_empty() {
+        outbuf
+    } else {
+        behind
+    }
+}
+
+impl BatchBufs {
+    /// Encodes the parked answers whose wait is over, head first, and once
+    /// none is left, the bytes behind them. Returns whether any went out.
+    fn release(&mut self, state: &ServerState, outbuf: &mut Vec<u8>, give_up: bool) -> bool {
+        let ready = self
+            .parked
+            .iter_mut()
+            .map(|p| p.settle(state, give_up))
+            .take_while(|&settled| settled)
+            .count();
+        for p in self.parked.drain(..ready) {
+            encode_answer(state, p, outbuf);
+        }
+        if self.parked.is_empty() {
+            outbuf.append(&mut self.behind);
+        }
+        ready > 0
+    }
+}
+
+/// Encodes one settled answer. An executed request's is re-checked
+/// against its deadline first: the effect is already applied (the engine
+/// ran), but the client stopped waiting — tell it so instead of shipping
+/// a result it will ignore. Documented semantics: deadlines bound
+/// *waiting*, not *effects*.
+fn encode_answer(state: &ServerState, p: PendingReq, outbuf: &mut Vec<u8>) {
+    let resp = match p.state {
+        PendingState::Ready(resp) => return encode_response(&resp, outbuf),
+        PendingState::NotPrimary => {
+            let hint = state.upstream_hint();
+            return encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
+        }
+        PendingState::Executed(resp) => resp,
+        PendingState::Exec(_) | PendingState::Replicating { .. } => {
+            unreachable!("only a settled answer is encoded")
+        }
+    };
+    let out_start = outbuf.len();
+    let resp_t0 = stamp(p.trace_id);
+    match p.deadline_us {
+        Some(budget_us) if expired(p.arrival, budget_us) => {
+            state.counters.note_deadline_post();
+            encode_response(&Response::DeadlineExceeded, outbuf);
+        }
+        _ => encode_response(&resp, outbuf),
+    }
+    let written = (outbuf.len() - out_start) as u64;
+    span_since(
+        state,
+        p.trace_id,
+        SpanKind::ResponseWrite,
+        resp_t0,
+        written,
+        0,
+    );
 }
 
 /// Executes one admitted verb that cannot join a batch: the control plane
@@ -855,6 +955,7 @@ fn execute_admitted(
 fn handle_repl_frame(
     engine: &Engine<'_>,
     state: &ServerState,
+    worker: usize,
     outbuf: &mut Vec<u8>,
     repl: &mut Option<ReplSub>,
     closing: &mut bool,
@@ -898,6 +999,10 @@ fn handle_repl_frame(
             // shard for snapshot resync inside the feed.
             if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
                 feed.note_ack(sub.id, shard, version, nak);
+                // It may settle an answer another worker parked.
+                if !nak && feed.config().min_acks > 0 {
+                    state.wake_other_workers(worker);
+                }
             }
         }
         Ok(ReplRequest::Candidate { epoch, versions }) => {
@@ -1049,8 +1154,9 @@ mod tests {
     use super::*;
     use std::net::{Ipv4Addr, TcpListener};
 
-    /// Every combination of the four facts [`Conn::interest`] reads,
-    /// against the events [`Conn::pump`] would act on in that state.
+    /// Every combination of the five facts [`Conn::interest`] and
+    /// [`Conn::keeps_a_clock`] read, against the events [`Conn::pump`]
+    /// would act on in that state.
     #[test]
     fn interest_is_what_the_next_pump_would_touch() {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
@@ -1059,10 +1165,20 @@ mod tests {
         let mut conn = Conn::new(stream, None);
         let feed = crate::ReplFeed::new(crate::ReplConfig::default(), &[0]);
         let sub = feed.subscribe(&[0]);
-        for case in 0..16u32 {
-            let [closing, at_high_water, pending_output, repl_sub] =
-                [0, 1, 2, 3].map(|bit| case & (1 << bit) != 0);
+        for case in 0..32u32 {
+            let [closing, at_high_water, pending_output, repl_sub, parked] =
+                [0, 1, 2, 3, 4].map(|bit| case & (1 << bit) != 0);
             conn.closing = closing;
+            conn.batch.parked.clear();
+            if parked {
+                conn.batch.parked.push_back(PendingReq {
+                    trace_id: 0,
+                    arrival: Instant::now(),
+                    deadline_us: None,
+                    verb: 0,
+                    state: PendingState::Ready(Response::Done),
+                });
+            }
             conn.inbuf = FrameBuf::new();
             if at_high_water {
                 conn.inbuf.extend(&vec![0; RECV_HIGH_WATER]);
@@ -1074,16 +1190,20 @@ mod tests {
             }
             conn.repl = repl_sub.then(|| ReplSub::new(sub));
 
-            let read = if closing || at_high_water { 0 } else { POLLIN };
+            let read = if closing || at_high_water || parked {
+                0
+            } else {
+                POLLIN
+            };
             let write = if pending_output { POLLOUT } else { 0 };
             assert_eq!(
                 conn.interest(),
                 read | write,
                 "closing={closing} high_water={at_high_water} \
-                 pending_output={pending_output} repl_sub={repl_sub}"
+                 pending_output={pending_output} repl_sub={repl_sub} parked={parked}"
             );
-            // What keeps a subscriber's owner from waiting on it at all.
-            assert_eq!(conn.is_repl_sub(), repl_sub);
+            // What keeps the owner taking a pass every tick.
+            assert_eq!(conn.keeps_a_clock(), repl_sub || parked);
             assert_eq!(
                 conn.write_deadline(Duration::from_secs(5)).is_some(),
                 pending_output
@@ -1092,6 +1212,7 @@ mod tests {
         // One byte under the mark still reads, as `pump` step 2 does.
         conn.closing = false;
         conn.repl = None;
+        conn.batch.parked.clear();
         conn.outbuf.clear();
         conn.inbuf = FrameBuf::new();
         conn.inbuf.extend(&vec![0; RECV_HIGH_WATER - 1]);

@@ -1,4 +1,5 @@
-//! The wait an idle worker, acceptor or repl-out thread blocks in:
+//! The wait every serving thread blocks in — a worker idle or draining at
+//! shutdown, the acceptor, the replica sink between reconnects:
 //! `ppoll(2)` on the sockets its owner would touch next, plus a [`Waker`]
 //! other threads write to, for at most a timeout kept to the nanosecond.
 //! No registration state — a worker owns a handful of connections, and the
@@ -305,7 +306,12 @@ mod tests {
         let waker = Waker::new().expect("socket pair");
         std::thread::scope(|s| {
             s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(20));
+                let nobody = Waker::new().expect("socket pair");
+                wait(
+                    &nobody,
+                    &mut PollSet::default(),
+                    Some(Duration::from_millis(20)),
+                );
                 waker.wake();
             });
             wait(&waker, &mut PollSet::default(), None);

@@ -17,21 +17,18 @@
 //!   channels — the sharded connection dispatcher — waking the worker it
 //!   dealt to.
 //! * `workers` **worker** threads each own a disjoint set of connections
-//!   outright (no connection is ever touched by two threads), pumping them
-//!   with non-blocking reads/writes. A worker with nothing to do waits in
-//!   `idle::wait`: on its connections' readiness, or — when its peers
-//!   pipeline or an idle-pass duty runs on a clock — on its waker alone
-//!   until the next tick of an `IDLE_PASS` cadence; see `worker_loop`. Worker
-//!   state is plain `&mut`; the only cross-thread state is the
+//!   outright, replica streams included (no connection is ever touched by
+//!   two threads), pumping them with non-blocking reads/writes. A worker
+//!   with nothing to do waits in `idle::wait`: on its connections'
+//!   readiness, or — when its peers pipeline or some work runs on a clock
+//!   — until the next tick of an `IDLE_PASS` cadence; see `worker_loop`.
+//!   Worker state is plain `&mut`; the only cross-thread state is the
 //!   [`ServerState`] behind an `Arc` — the store (whose interior
 //!   synchronization *is* the system under test), atomic counters, the
 //!   shutdown flag and the wakers.
-//! * Connections that subscribe as replication streams (REPL_HELLO) are
-//!   handed off to one dedicated **repl-out** thread: a worker may block
-//!   in `wait_replicated` for a `min_acks` write, and the subscriber
-//!   stream that ack rides on must keep pumping while it does. It waits
-//!   in `idle::wait` too: on its waker alone, blocked while it owns no
-//!   subscriber and on the same cadence while it owns one.
+//! * **No worker waits on a replica**: a `min_acks` write parks its
+//!   response (see `conn`), and the worker that records a REPL_ACK wakes
+//!   the others.
 //! * A **malformed frame kills its connection, never the server**: framing
 //!   or decode errors send a final `Error` response and close that one
 //!   connection. IO errors likewise. A worker never panics on input.
@@ -40,7 +37,7 @@
 //!   [`ServerConfig::write_timeout`].
 //! * **Graceful shutdown** (SHUTDOWN verb or
 //!   [`ServerHandle::request_shutdown`]): the acceptor stops, workers
-//!   flush pending responses (bounded drain, [`ServerConfig::drain_timeout`]),
+//!   answer what they owe (bounded drain, [`ServerConfig::drain_timeout`]),
 //!   close their connections and exit; [`ServerHandle::join`] then yields
 //!   a [`ServerSummary`].
 //!
@@ -84,7 +81,7 @@ use std::time::{Duration, Instant};
 
 use gocc_faultplane::{LoadFault, LoadFaultPlan, TransportFaultPlan};
 use gocc_optilock::{GoccConfig, GoccRuntime};
-pub use gocc_repl::{ReplConfig, ReplFeed, ReplWaitError};
+pub use gocc_repl::{ReplConfig, ReplFeed};
 use gocc_telemetry::trace;
 use gocc_wal::{CheckpointImage, DurableTap, Wal};
 pub use gocc_wal::{SyncPolicy, WalBackend, WalConfig};
@@ -262,10 +259,10 @@ pub struct ServerState {
     /// Build identity echoed in the boot line and STATS header, from
     /// `BENCH_GIT_REV`.
     git_rev: String,
-    /// One per worker, by index, then the acceptor's, then repl-out's:
-    /// what ends their idle wait when work arrives that no socket of
-    /// theirs signals (a dispatched connection, a subscriber handed
-    /// over, shutdown).
+    /// One per worker, by index, then the acceptor's, then the replica
+    /// sink's: what ends their idle wait when work arrives that no socket
+    /// of theirs signals (a dispatched connection, a replica's ack,
+    /// promotion, shutdown).
     wakers: Vec<idle::Waker>,
 }
 
@@ -510,6 +507,8 @@ impl ServerState {
             feed.reset_versions(&self.store.versions(engine));
         }
         self.set_upstream(String::new());
+        // The sink exits on promotion; end its backoff wait now.
+        self.replica_waker().wake();
     }
 
     /// Times this node's failure detector declared its upstream dead.
@@ -558,10 +557,19 @@ impl ServerState {
         }
     }
 
-    /// What `goccd-repl-out` waits on, and a worker wakes after handing
-    /// it a subscriber.
-    fn repl_out_waker(&self) -> &idle::Waker {
+    /// What the replica sink's backoff waits on.
+    fn replica_waker(&self) -> &idle::Waker {
         &self.wakers[self.config.workers + 1]
+    }
+
+    /// Wakes every worker but `worker`, which just recorded a replica's
+    /// ack: the ack may settle a response one of them parked.
+    fn wake_other_workers(&self, worker: usize) {
+        for (w, waker) in self.wakers[..self.config.workers].iter().enumerate() {
+            if w != worker {
+                waker.wake();
+            }
+        }
     }
 
     /// Whether a worker's idle pass has work that runs on a clock, so the
@@ -721,7 +729,6 @@ pub struct ServerHandle {
     workers: Vec<JoinHandle<()>>,
     checkpointer: Option<JoinHandle<()>>,
     replicator: Option<JoinHandle<()>>,
-    repl_pump: Option<JoinHandle<()>>,
 }
 
 /// Final accounting returned by [`ServerHandle::join`].
@@ -787,9 +794,6 @@ impl ServerHandle {
         if let Some(rp) = self.replicator {
             let _ = rp.join();
         }
-        if let Some(rp) = self.repl_pump {
-            let _ = rp.join();
-        }
         // Flush and close the log last — after this, everything the
         // workers acknowledged is on disk and the segments are closed.
         if let Some(wal) = &self.state.wal {
@@ -820,38 +824,15 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let state = Arc::new(ServerState::new(config)?);
     state.set_advertised(format!("127.0.0.1:{port}"));
 
-    // Subscriber (REPL_HELLO) connections are pumped by a dedicated
-    // thread, never a worker: a worker can block in `wait_replicated`
-    // for up to `repl_ack_timeout`, and if it also owned the subscriber
-    // stream the awaited batch would never be sent — with one worker (or
-    // an unlucky round-robin) every min_acks write would time out and
-    // the lease would falsely fence the primary. Workers hand
-    // subscribed connections over via this channel.
-    let (repl_tx, repl_pump) = if state.repl_feed.is_some() {
-        let (tx, rx) = std::sync::mpsc::channel::<Conn>();
-        let rp_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("goccd-repl-out".into())
-            .spawn(move || repl_out_loop(&rx, &rp_state))
-            .map_err(|e| {
-                state.request_shutdown();
-                e
-            })?;
-        (Some(tx), Some(handle))
-    } else {
-        (None, None)
-    };
-
     let mut senders: Vec<Sender<std::net::TcpStream>> = Vec::new();
     let mut workers = Vec::new();
     for w in 0..state.config.workers {
         let (tx, rx) = std::sync::mpsc::channel();
         senders.push(tx);
         let worker_state = Arc::clone(&state);
-        let worker_repl_tx = repl_tx.clone();
         match std::thread::Builder::new()
             .name(format!("goccd-worker-{w}"))
-            .spawn(move || worker_loop(w, &rx, &worker_state, worker_repl_tx))
+            .spawn(move || worker_loop(w, &rx, &worker_state))
         {
             Ok(handle) => workers.push(handle),
             Err(e) => {
@@ -924,7 +905,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         workers,
         checkpointer,
         replicator,
-        repl_pump,
     })
 }
 
@@ -1022,12 +1002,7 @@ fn watch(conns: &[Conn], set: &mut idle::PollSet, config: &ServerConfig) -> Opti
     deadline
 }
 
-fn worker_loop(
-    worker: usize,
-    rx: &Receiver<std::net::TcpStream>,
-    state: &ServerState,
-    repl_tx: Option<Sender<Conn>>,
-) {
+fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &ServerState) {
     let engine = Engine::new(&state.rt, state.config.mode);
     let mut conns: Vec<Conn> = Vec::new();
     let mut dispatcher_gone = false;
@@ -1057,47 +1032,24 @@ fn worker_loop(
         }
 
         let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match conns[i].pump(&engine, state, &mut wctx) {
-                PumpOutcome::Alive { made_progress } => {
-                    progressed |= made_progress;
-                    // A connection that subscribed as a replication
-                    // stream leaves this worker for the dedicated
-                    // repl-out thread: a worker can block in
-                    // `wait_replicated`, and the stream it waits on must
-                    // keep pumping while it does.
-                    if conns[i].is_repl_sub() {
-                        if let Some(tx) = &repl_tx {
-                            let c = conns.swap_remove(i);
-                            match tx.send(c) {
-                                Ok(()) => state.repl_out_waker().wake(),
-                                // Repl thread already gone (shutdown):
-                                // close the stream here.
-                                Err(send_err) => {
-                                    send_err.0.on_close(state);
-                                    state.counters.note_close();
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    i += 1;
-                }
-                PumpOutcome::Close => {
-                    let c = conns.swap_remove(i);
-                    c.on_close(state);
-                    state.counters.note_close();
-                }
+        conns.retain_mut(|c| match c.pump(&engine, state, &mut wctx) {
+            PumpOutcome::Alive { made_progress } => {
+                progressed |= made_progress;
+                true
             }
-        }
+            PumpOutcome::Close => {
+                c.on_close(state);
+                state.counters.note_close();
+                false
+            }
+        });
         if wctx.frames_seen > 0 {
             last_frames = wctx.frames_seen;
         }
         state.finish_pump(&mut wctx);
 
         if state.shutting_down() {
-            drain_and_close(&mut conns, state);
+            drain_and_close(&mut conns, state, &state.wakers[worker], &mut set);
             return;
         }
         if dispatcher_gone && conns.is_empty() {
@@ -1112,28 +1064,30 @@ fn worker_loop(
         // it at the next tick — one `IDLE_PASS` after the last, however
         // late that wake-up came and however long this pass took — keeps
         // the batches and the wake-ups per request where they were and
-        // serves a window per period. So does a duty that runs on a
-        // clock: the controller's, a seeded plan's, or a replication
-        // subscriber's before the adoption loop hands it to repl-out.
-        // That timed pass watches the waker alone — a dispatched
-        // connection or shutdown ends it, a ready socket does not; ROADMAP
-        // 2(b) puts the sockets in its set once responses park instead of
-        // workers (the blind wait is what paces `serve_d32`). Otherwise —
-        // a lone request, or nothing since the last decision — block
-        // until a connection is ready too, for as long as no slow client
-        // is due for eviction, so the next request is served when it
-        // arrives.
-        let block = last_frames < 2
-            && !state.idle_pass_is_clocked()
-            && !conns.iter().any(Conn::is_repl_sub);
+        // serves a window per period. So does an idle-pass duty that runs
+        // on a clock: the controller's or a seeded plan's. That timed pass
+        // is blind: it watches the waker alone — a dispatched connection
+        // or shutdown ends it, a ready socket does not (what paces
+        // `serve_d32`; ROADMAP 2(b)). A connection's own work on a clock
+        // (`Conn::keeps_a_clock`) takes the timed pass on the sockets
+        // too. Otherwise — a lone request, or nothing since the last
+        // decision — block until a connection is ready, for as long as no
+        // slow client is due for eviction.
+        let blind = last_frames >= 2 || state.idle_pass_is_clocked();
+        let block = !blind && !conns.iter().any(Conn::keeps_a_clock);
         last_frames = 0;
         state.counters.note_idle(worker, block);
         let t0 = Instant::now();
+        let eviction = if blind {
+            set.clear();
+            None
+        } else {
+            watch(&conns, &mut set, &state.config)
+        };
         let timeout = if block {
             tick.forget();
-            watch(&conns, &mut set, &state.config).map(|d| d.saturating_duration_since(t0))
+            eviction.map(|d| d.saturating_duration_since(t0))
         } else {
-            set.clear();
             Some(tick.timeout(t0))
         };
         idle::wait(&state.wakers[worker], &mut set, timeout);
@@ -1147,95 +1101,39 @@ fn worker_loop(
     }
 }
 
-/// The dedicated replication-output thread: owns every subscriber
-/// connection (the workers migrate them here right after REPL_HELLO) so
-/// the batch/heartbeat stream is pumped even while every worker sits
-/// blocked in [`ReplFeed::wait_replicated`] — pumping subscribers from
-/// the workers deadlocked every `min_acks` write whenever the writing
-/// client and the subscription shared a worker.
-fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
-    idle::exact_timers();
-    // Never filled: this thread waits on its waker alone.
-    let mut set = idle::PollSet::default();
-    let mut tick = idle::Tick::default();
-    let engine = Engine::new(&state.rt, state.config.mode);
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut senders_gone = false;
-    // Scratch only: this thread's frames must not feed the brownout
-    // controller or the per-worker gauges, so `finish_pump` is never
-    // called and the counters are cleared by hand each pass.
-    let mut wctx = WorkerCtx {
-        worker: 0,
-        frames_seen: 0,
-        lat_sum_ns: 0,
-        lat_count: 0,
-    };
+/// Bounded final flush: every connection gets up to
+/// [`ServerConfig::drain_timeout`] to answer what it parked and send what
+/// it queued, and closes once it owes nothing or its peer is gone. In
+/// between, wait for a socket to take bytes, or one `IDLE_PASS` while an
+/// answer is parked.
+fn drain_and_close(
+    conns: &mut Vec<Conn>,
+    state: &ServerState,
+    waker: &idle::Waker,
+    set: &mut idle::PollSet,
+) {
+    let deadline = Instant::now() + state.config.drain_timeout;
     loop {
-        // Adopt subscriber connections handed over by the workers.
-        loop {
-            match rx.try_recv() {
-                Ok(c) => conns.push(c),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    senders_gone = true;
-                    break;
-                }
-            }
-        }
-
-        let mut progressed = false;
-        conns.retain_mut(|c| match c.pump(&engine, state, &mut wctx) {
-            PumpOutcome::Alive { made_progress } => {
-                progressed |= made_progress;
-                true
-            }
-            PumpOutcome::Close => {
+        let now = Instant::now();
+        conns.retain_mut(|c| {
+            let owes = c.drain(state, now >= deadline);
+            if !owes {
                 c.on_close(state);
                 state.counters.note_close();
-                false
             }
+            owes
         });
-        wctx.frames_seen = 0;
-        wctx.lat_sum_ns = 0;
-        wctx.lat_count = 0;
-
-        if state.shutting_down() {
-            drain_and_close(&mut conns, state);
+        if conns.is_empty() {
             return;
         }
-        if senders_gone && conns.is_empty() {
-            return;
+        set.clear();
+        for c in conns.iter().filter(|c| c.has_pending_output()) {
+            set.push(c.raw_fd(), idle::POLLOUT);
         }
-        if progressed {
-            continue;
+        let mut timeout = deadline - now;
+        if conns.iter().any(Conn::has_parked) {
+            timeout = timeout.min(IDLE_PASS);
         }
-        // A subscriber's heartbeats and feed drain are signalled by no
-        // descriptor, so while there is one the passes keep the workers'
-        // cadence on the waker alone; with none there is nothing to pump
-        // until a worker hands one over and wakes this thread.
-        let timeout = if conns.is_empty() {
-            tick.forget();
-            None
-        } else {
-            Some(tick.timeout(Instant::now()))
-        };
-        idle::wait(state.repl_out_waker(), &mut set, timeout);
-    }
-}
-
-/// Bounded final flush: give every connection up to
-/// [`ServerConfig::drain_timeout`] to drain its pending response bytes,
-/// then close regardless.
-fn drain_and_close(conns: &mut Vec<Conn>, state: &ServerState) {
-    let deadline = Instant::now() + state.config.drain_timeout;
-    while Instant::now() < deadline && conns.iter().any(Conn::has_pending_output) {
-        for c in conns.iter_mut() {
-            c.flush_only();
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    for c in conns.drain(..) {
-        c.on_close(state);
-        state.counters.note_close();
+        idle::wait(waker, set, Some(timeout));
     }
 }

@@ -8,9 +8,8 @@
 //!   syncer's durable tap (or directly by the request path on a no-WAL
 //!   primary) and knows nothing about sockets.
 //! * This module owns the *I/O*: [`pump_repl_out`] runs inside a
-//!   subscriber connection's pump quantum — on the dedicated repl-out
-//!   thread, never a worker, so a worker blocked in `wait_replicated`
-//!   cannot starve the stream it waits on — and turns feed state into
+//!   subscriber connection's pump quantum, on the worker that accepted it
+//!   (no worker blocks on a replica), and turns feed state into
 //!   `REPL_BATCH` frames: snapshot chunks for resyncing shards,
 //!   incremental batches for streaming ones, count-0 heartbeats to keep
 //!   the lease audited; [`replica_loop`] is the replica's dedicated
@@ -34,7 +33,7 @@ use gocc_wire::{
 use gocc_workloads::Engine;
 
 use crate::store::ShardedStore;
-use crate::ServerState;
+use crate::{idle, ServerState};
 
 /// Records per incremental `REPL_BATCH` frame (and per snapshot chunk):
 /// ~100 KiB of payload, far under the 1 MiB frame cap, so one slow frame
@@ -324,6 +323,8 @@ fn suspect_window(state: &ServerState) -> Duration {
 /// triggers a quorum election via [`run_election`].
 pub(crate) fn replica_loop(state: &Arc<ServerState>) {
     let engine = Engine::new(&state.rt, state.config.mode);
+    // Never filled: the backoff waits on the sink's waker alone.
+    let mut set = idle::PollSet::default();
     let mut attempt: u32 = 0;
     // Last moment the upstream proved alive (any frame received). Dial
     // failures alone must not instantly trigger an election — the window
@@ -375,9 +376,9 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
             Duration::from_millis(10),
             Duration::from_millis(500),
         );
-        let until = Instant::now() + wait;
-        while Instant::now() < until && !state.shutting_down() && state.is_replica() {
-            std::thread::sleep(Duration::from_millis(5));
+        // Only shutdown and promotion wake the sink's waker.
+        if !state.shutting_down() && state.is_replica() {
+            idle::wait(state.replica_waker(), &mut set, Some(wait));
         }
     }
 }

@@ -61,17 +61,29 @@ fn burst(c: &mut Pipe<TcpStream>, reqs: &[Request<'_>]) {
     }
 }
 
+/// The `/proc/self/task` directories of every thread the server in this
+/// process started, with their names.
+fn server_threads() -> Vec<(String, std::path::PathBuf)> {
+    let mut threads: Vec<_> = fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .flatten()
+        .map(|task| {
+            let dir = task.path();
+            let comm = fs::read_to_string(dir.join("comm")).unwrap_or_default();
+            (comm.trim_end().to_string(), dir)
+        })
+        .filter(|(comm, _)| comm.starts_with("goccd-"))
+        .collect();
+    threads.sort();
+    threads
+}
+
 /// Voluntary context switches and CPU nanoseconds, summed over every
-/// thread the server in this process started: the workers, the acceptor,
-/// and `goccd-repl-out` when the node takes subscribers.
+/// thread the server in this process started: the workers and the
+/// acceptor.
 fn server_thread_use() -> (u64, u64) {
     let (mut switches, mut cpu_ns) = (0, 0);
-    for task in fs::read_dir("/proc/self/task").expect("procfs").flatten() {
-        let dir = task.path();
-        let comm = fs::read_to_string(dir.join("comm")).unwrap_or_default();
-        if !comm.starts_with("goccd-") {
-            continue;
-        }
+    for (_, dir) in server_threads() {
         let status = fs::read_to_string(dir.join("status")).unwrap_or_default();
         switches += status
             .lines()
@@ -118,8 +130,8 @@ fn shut_down(handle: ServerHandle) -> gocc_server::ServerSummary {
 #[test]
 fn an_idle_server_with_an_open_connection_stays_asleep() {
     let _turn = take_turn();
-    // With `repl_accept` the node also runs `goccd-repl-out`, which owns
-    // no subscriber here and has nothing to pump.
+    // `repl_accept` adds no thread: a replica's stream would be pumped by
+    // the worker that accepts it.
     for repl_accept in [false, true] {
         let handle = spawn(ServerConfig {
             repl_accept,
@@ -129,6 +141,12 @@ fn an_idle_server_with_an_open_connection_stays_asleep() {
         let mut c = connect(handle.port());
         set(&mut c, b"k", 1);
         settled_idle_counts(&handle);
+        let names: Vec<String> = server_threads().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["goccd-acceptor", "goccd-worker-0"],
+            "repl_accept={repl_accept}"
+        );
         let (switches0, cpu0) = server_thread_use();
         std::thread::sleep(Duration::from_millis(300));
         let (switches1, cpu1) = server_thread_use();
@@ -259,23 +277,19 @@ fn shutdown_reaches_every_blocked_thread_by_handle_and_by_verb() {
     assert!(took < drain_timeout, "join after SHUTDOWN: {took:?}");
 }
 
-#[test]
-fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
-    let _turn = take_turn();
-    let write_timeout = Duration::from_millis(400);
+/// A SCAN answers at most 4 096 entries of 16 bytes: 64 KiB.
+const KEYS: u32 = gocc_wire::MAX_SCAN;
+
+/// A server for clients that stop reading, loaded with `KEYS` keys.
+fn spawn_for_scans(config: ServerConfig) -> ServerHandle {
     let handle = spawn(ServerConfig {
-        write_timeout,
         capacity_per_shard: 1 << 14,
         // Expensive verbs are shed past half of this in one pump pass.
         queue_limit: 1024,
-        ..config(1)
+        ..config
     })
     .expect("spawn");
-    let port = handle.port();
-
-    // A SCAN answers at most 4 096 entries of 16 bytes: 64 KiB.
-    const KEYS: u32 = gocc_wire::MAX_SCAN;
-    let mut loader = connect(port);
+    let mut loader = connect(handle.port());
     for chunk in (0..KEYS).collect::<Vec<_>>().chunks(100) {
         let keys: Vec<String> = chunk.iter().map(|i| format!("key-{i}")).collect();
         let sets: Vec<Request<'_>> = keys
@@ -289,13 +303,28 @@ fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
             .collect();
         burst(&mut loader, &sets);
     }
-    drop(loader);
+    handle
+}
 
-    // 80 of them, never read: 5 MiB against a send buffer of at most 4.
+/// 80 full SCANs: 5 MiB of answers against a send buffer of at most 4.
+fn scans() -> Vec<u8> {
     let mut scans = Vec::new();
     for _ in 0..80 {
         encode_request_v2(&Request::Scan { limit: KEYS }, None, &mut scans);
     }
+    scans
+}
+
+#[test]
+fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
+    let _turn = take_turn();
+    let write_timeout = Duration::from_millis(400);
+    let handle = spawn_for_scans(ServerConfig {
+        write_timeout,
+        ..config(1)
+    });
+    let port = handle.port();
+    let scans = scans();
     // `stalled` just stops reading. `closing` also sends a frame that
     // costs it the connection and then more bytes: the server stops
     // reading it, so its socket stays readable for as long as its queued
@@ -353,6 +382,38 @@ fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
     }
     let summary = shut_down(handle);
     assert_eq!(summary.slow_client_drops, 2);
+}
+
+#[test]
+fn a_peer_reset_during_the_shutdown_drain_does_not_hold_up_join() {
+    let _turn = take_turn();
+    let drain_timeout = Duration::from_secs(2);
+    let handle = spawn_for_scans(ServerConfig {
+        drain_timeout,
+        ..config(1)
+    });
+    let mut stalled = connect_with_fixed_receive_buffer(handle.port());
+    stalled.write_all(&scans()).expect("send");
+    let worker = &handle.state().counters().per_worker()[0];
+    let t0 = Instant::now();
+    while worker.executed() < u64::from(KEYS) + 80 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "SCANs never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    settled_idle_counts(&handle);
+    // The worker drains the answers the client will not take… (had it
+    // not started by the reset below, its pump would close the
+    // connection instead, just as quickly)
+    handle.request_shutdown();
+    std::thread::sleep(Duration::from_millis(50));
+    // …until the client goes: closing a socket with unread bytes resets
+    // the connection, and a write to it fails from then on.
+    drop(stalled);
+    let took = timed_join(handle);
+    assert!(
+        took < drain_timeout / 4,
+        "join waited {took:?} for a peer that reset"
+    );
 }
 
 /// `n` waits of `timeout` on a waker nobody wakes, shortest first, taken

@@ -6,6 +6,9 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, Mode, ServerConfig, ServerHandle};
@@ -337,12 +340,12 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
 }
 
 /// Regression: with a single worker the writing client and the
-/// replica's subscription are forced onto the same worker. Subscriber
-/// streams are pumped by the dedicated repl-out thread, so a `min_acks`
-/// write must still be acknowledged — when the worker pumped the
-/// subscriber itself, its blocking `wait_replicated` starved the very
-/// batch it was waiting on and every write timed out until the lease
-/// falsely fenced the primary.
+/// replica's subscription are forced onto the same worker, which pumps
+/// both. A `min_acks` write must still be acknowledged promptly: a worker
+/// that blocked on the ack would starve the very batch it waits on, and
+/// every write would time out until the lease falsely fenced the primary.
+/// The write parks its response instead, and the worker goes on pumping
+/// the replica's stream.
 #[test]
 fn synchronous_acks_survive_a_single_worker() {
     let mut config = primary_config(Mode::Gocc);
@@ -396,6 +399,178 @@ fn synchronous_acks_survive_a_single_worker() {
 
     shutdown(replica);
     shutdown(primary);
+}
+
+/// One frame off a blocking stream: its length, then its body.
+fn recv(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len)?;
+    let mut body = vec![0; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body)?;
+    Ok(body)
+}
+
+fn send_ack(stream: &mut TcpStream, shard: u32, version: u64) {
+    let mut frame = Vec::new();
+    let ack = ReplRequest::Ack {
+        shard,
+        version,
+        nak: false,
+    };
+    encode_repl_request(&ack, &mut frame);
+    stream.write_all(&frame).expect("send ack");
+}
+
+/// A replica played by hand on a raw subscription to a one-shard
+/// primary. It acks every heartbeat at the version it has confirmed, and
+/// reports each data batch's version instead of acking it: the test
+/// decides when, and whether, a write replicates.
+struct HandReplica {
+    /// The stream's write half, and the version confirmed so far.
+    acks: Arc<Mutex<(TcpStream, u64)>>,
+    batches: Receiver<u64>,
+    /// Reads the stream until the primary closes it.
+    reader: JoinHandle<()>,
+}
+
+impl HandReplica {
+    fn subscribe(port: u16) -> HandReplica {
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        let mut hello = Vec::new();
+        encode_repl_request(&ReplRequest::Hello { versions: vec![0] }, &mut hello);
+        stream.write_all(&hello).unwrap();
+        let welcome = recv(&mut stream).expect("welcome");
+        assert!(matches!(
+            decode_response(&welcome),
+            Ok(Response::ReplWelcome { shards: 1, .. })
+        ));
+        let acks = Arc::new(Mutex::new((stream.try_clone().unwrap(), 0)));
+        let (tx, batches) = std::sync::mpsc::channel();
+        let heartbeat_acks = Arc::clone(&acks);
+        let reader = std::thread::spawn(move || {
+            while let Ok(body) = recv(&mut stream) {
+                if let Ok(Response::ReplBatch {
+                    shard,
+                    prev_version,
+                    records,
+                    ..
+                }) = decode_response(&body)
+                {
+                    if records.is_empty() {
+                        let (out, confirmed) = &mut *heartbeat_acks.lock().unwrap();
+                        send_ack(out, shard, *confirmed);
+                    } else {
+                        let _ = tx.send(prev_version + records.len() as u64);
+                    }
+                }
+            }
+        });
+        HandReplica {
+            acks,
+            batches,
+            reader,
+        }
+    }
+
+    /// The version the next data batch takes the shard to.
+    fn next_batch(&self) -> u64 {
+        self.batches
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a data batch")
+    }
+
+    fn confirm(&self, version: u64) {
+        let (out, confirmed) = &mut *self.acks.lock().unwrap();
+        *confirmed = version;
+        send_ack(out, 0, version);
+    }
+}
+
+/// A `min_acks` write parks its response, not its worker. One worker
+/// owns the writer, a reader and the replica's stream; the replica acks
+/// heartbeats but withholds the write's version. A GET on the other
+/// connection is answered meanwhile (a worker blocked on the ack would
+/// answer it only after `repl_ack_timeout`); the ack releases the SET's
+/// `Done`; and with no ack the SET gets the timeout error, with the
+/// responses behind it in order.
+#[test]
+fn a_write_waiting_for_its_replica_parks_its_response_not_the_worker() {
+    let ack_timeout = Duration::from_secs(1);
+    let primary = spawn(ServerConfig {
+        workers: 1,
+        shards: 1,
+        repl_min_acks: 1,
+        repl_lease: Duration::from_secs(2),
+        repl_ack_timeout: ack_timeout,
+        ..primary_config(Mode::Gocc)
+    })
+    .expect("spawn primary");
+    let replica = HandReplica::subscribe(primary.port());
+    let mut writer = connect(primary.port());
+    let mut reader = connect(primary.port());
+    let set = |key: &'static [u8], value| Request::Set { key, value, ttl: 0 };
+
+    writer.get_ref().set_nonblocking(true).unwrap();
+    writer.submit(&set(b"k", 1), None);
+    assert!(!writer.pump().unwrap());
+    let version = replica.next_batch();
+    let t0 = Instant::now();
+    assert_eq!(
+        reader.call(&Request::Get { key: b"k" }).unwrap(),
+        Response::Value {
+            found: true,
+            value: 1
+        }
+    );
+    let took = t0.elapsed();
+    assert!(
+        took < ack_timeout / 2,
+        "a GET waited {took:?} behind a parked write"
+    );
+    assert!(
+        !writer.pump().unwrap(),
+        "the write was answered before its replica acked"
+    );
+
+    replica.confirm(version);
+    writer.get_ref().set_nonblocking(false).unwrap();
+    writer.wait().unwrap();
+    assert_eq!(writer.answer().unwrap().expect("answer").1, Response::Done);
+
+    let timed_out = Response::Error {
+        message: "replication timed out: write not acknowledged",
+    };
+    let window = [
+        (set(b"k2", 2), timed_out.clone()),
+        (
+            Request::Get { key: b"k2" },
+            Response::Value {
+                found: true,
+                value: 2,
+            },
+        ),
+        (set(b"k3", 3), timed_out),
+        (
+            Request::Get { key: b"k" },
+            Response::Value {
+                found: true,
+                value: 1,
+            },
+        ),
+    ];
+    let t0 = Instant::now();
+    for (req, _) in &window {
+        writer.submit(req, None);
+    }
+    for (_, want) in window {
+        writer.wait().unwrap();
+        assert_eq!(writer.answer().unwrap().expect("answer").1, want);
+    }
+    assert!(t0.elapsed() >= ack_timeout);
+
+    shutdown(primary);
+    replica.reader.join().expect("replica reader");
 }
 
 /// REPL_PROMOTE with an empty upstream turns the replica into a primary:

@@ -129,26 +129,43 @@ fi
 echo "ok: every client sends through wire::Pipe, and no v1 request codec is left"
 
 echo "== one idle decision =="
-# Every wait of worker_loop and of repl_out_loop is the one idle::wait
-# behind its idle decision, which only picks the set and the timeout (a
-# timed one from idle::Tick); acceptor_loop waits the same way. A
-# thread::sleep in any of them is the 200 us poll-and-sleep, or the
+# Every wait of worker_loop is the one idle::wait behind its idle
+# decision, which only picks the set and the timeout (a timed one from
+# idle::Tick). A thread::sleep there is the 200 us poll-and-sleep, or the
 # coalescing sleep with its timer slack, coming back
 # (crates/server/tests/idle_wait.rs, in the workspace stage above, pins
 # the behaviour).
 fn_body() { awk -v f="fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^}/ { exit }' \
   crates/server/src/lib.rs; }
-for f in worker_loop repl_out_loop; do
-  sleeps=$(fn_body "$f" | grep -c 'thread::sleep' || true)
-  waits=$(fn_body "$f" | grep -c 'idle::wait' || true)
-  if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
-    echo "FAIL: $f has $sleeps thread::sleep (want 0) and $waits idle::wait (want 1)" >&2
-    exit 1
-  fi
-done
-acceptor_sleeps=$(fn_body acceptor_loop | grep -c 'thread::sleep' || true)
-if [ "$acceptor_sleeps" -ne 0 ]; then
-  echo "FAIL: acceptor_loop has $acceptor_sleeps thread::sleep (want 0)" >&2
+sleeps=$(fn_body worker_loop | grep -c 'thread::sleep' || true)
+waits=$(fn_body worker_loop | grep -c 'idle::wait' || true)
+if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
+  echo "FAIL: worker_loop has $sleeps thread::sleep (want 0) and $waits idle::wait (want 1)" >&2
+  exit 1
+fi
+# Everything else in crates/server/src waits on an event too: a
+# thread::sleep is allowed only where a seeded load plan injects latency
+# (draw_slow_store, finish_pump) and in checkpoint_loop (ROADMAP item 12).
+sleepers=$(find crates/server/src -name '*.rs' -exec awk '
+  FNR == 1 { f = "" }
+  match($0, /fn [A-Za-z0-9_]+[(<]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
+  /thread::sleep/ && f !~ /^(draw_slow_store|finish_pump|checkpoint_loop)$/ {
+    printf "%s:%d: in fn %s\n", FILENAME, FNR, f
+  }' {} +)
+if [ -n "$sleepers" ]; then
+  echo "$sleepers"
+  echo "FAIL: crates/server/src sleeps outside draw_slow_store, finish_pump and checkpoint_loop" >&2
+  exit 1
+fi
+# No thread waits on a replica: a min_acks write parks its response, and
+# a replica's stream stays on the worker that accepted it. The blocking
+# ack wait, its condvar and the thread that pumped replica streams for
+# blocked workers must not come back.
+blocked=$(grep -rnE 'repl_out_loop|goccd-repl-out|wait_replicated' crates --include='*.rs' || true)
+condvars=$(grep -rn 'Condvar' crates/repl/src || true)
+if [ -n "$blocked$condvars" ]; then
+  printf '%s\n' "$blocked" "$condvars" | grep -v '^$'
+  echo "FAIL: a blocking replica-ack wait or the repl-out thread is back" >&2
   exit 1
 fi
 # The wait's system calls are declared once.
@@ -157,7 +174,7 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop and repl_out_loop wait in one place and never sleep, acceptor_loop never sleeps"
+echo "ok: worker_loop waits in one place, crates/server/src sleeps only to inject faults and to checkpoint, no thread waits on a replica"
 
 echo "== one measurement system =="
 # benchmark/ measures, run_benches.sh reproduces the paper's figures, and
