@@ -6,9 +6,9 @@
 //!
 //! # Pieces
 //!
-//! * [`ReplFeed`] — the primary-side hub. It implements
-//!   [`gocc_wal::DurableTap`], so the WAL syncer hands it every record
-//!   the instant the record enters the durable prefix. Records arrive in
+//! * [`ReplFeed`] — the primary-side hub. The server's WAL tap hands it
+//!   every record the instant the record enters the durable prefix
+//!   ([`ReplFeed::publish`]). Records arrive in
 //!   pipe order (staging happens outside the critical section); a
 //!   per-shard reorder buffer releases them in `seq` order, and each
 //!   subscribed replica connection gets a bounded per-shard queue of the
@@ -38,7 +38,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::{JsonWriter, SplitMix64};
-use gocc_wal::{DurableTap, Staged, WalKind};
+use gocc_wal::{Staged, WalKind};
 use gocc_wire::{ReplRecord, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_KIND_DEL};
 
 /// Replication tuning for one primary.
@@ -602,6 +602,21 @@ impl ReplFeed {
             .count()
     }
 
+    /// When the lease of the next subscriber still inside it runs out:
+    /// the next instant [`ReplFeed::fenced`] may turn true with no ack
+    /// arriving. `None` with no live subscriber.
+    #[must_use]
+    pub fn next_lease_expiry(&self) -> Option<Instant> {
+        let now = Instant::now();
+        let inner = lock_unpoisoned(&self.inner);
+        let expiries = inner
+            .subs
+            .iter()
+            .flatten()
+            .map(|sub| sub.last_ack + self.cfg.lease);
+        expiries.filter(|&expiry| expiry >= now).min()
+    }
+
     /// Whether the primary is fenced: `min_acks > 0` and fewer than that
     /// many subscribers acked within the lease window. A fenced primary
     /// must not acknowledge writes.
@@ -671,12 +686,6 @@ impl ReplFeed {
             .field_u64("fenced_rejects", c.fenced_rejects())
             .end_object();
         w.finish()
-    }
-}
-
-impl DurableTap for ReplFeed {
-    fn publish(&self, shard: u32, records: &[Staged]) {
-        ReplFeed::publish(self, shard, records);
     }
 }
 

@@ -99,10 +99,10 @@ fn serve_burst(
     ));
     state.finish_pump(wctx);
     set.clear();
-    idle::wait(&state.wakers[0], set, Some(Duration::ZERO));
+    idle::wait(&state.wakeups.wakers[0], set, Some(Duration::ZERO));
     let conns = std::slice::from_ref(&*conn);
-    assert_eq!(watch(conns, set, &state.config), None);
-    idle::wait(&state.wakers[0], set, Some(Duration::ZERO));
+    assert_eq!(watch(conns, set, state), None);
+    idle::wait(&state.wakeups.wakers[0], set, Some(Duration::ZERO));
     passes + 1
 }
 

@@ -2,11 +2,14 @@
 //! execute → non-blocking write, with error isolation, deadline
 //! enforcement and slow-client eviction.
 //!
-//! Nothing here waits on a replica: a `min_acks` write *parks* its
-//! response, with every later one behind it, and later passes release
-//! them in order — on the acks, on fencing, or past `repl_ack_timeout`.
-//! Until then the connection reads nothing more; the worker's other
-//! connections, replica streams included, are served meanwhile.
+//! Nothing here waits, on the log or on a replica: a write *parks* its
+//! response, with every later one behind it, until its WAL record is
+//! durable (and, with `min_acks`, until the replicas confirm it), and
+//! FLUSH parks until its barrier is done. Later passes release them in
+//! order — woken by the syncer's tap or a REPL_ACK, or at fencing or
+//! `repl_ack_timeout`. Until then the connection reads nothing more; the
+//! worker's other connections, replica streams included, are served and
+//! stage into the batch being synced meanwhile.
 
 use std::collections::VecDeque;
 use std::ffi::c_short;
@@ -20,15 +23,16 @@ use gocc_faultplane::{LoadFault, TransportFaultPlan};
 use gocc_repl::AckState;
 use gocc_telemetry::trace;
 use gocc_telemetry::{Span, SpanKind};
+use gocc_wal::{DurableState, FlushToken, WalTicket};
 use gocc_wire::{
-    decode_repl_request, decode_request_any, encode_response, is_repl_request, FaultyStream,
-    FrameBuf, ReplRequest, Request, Response, WireError, MAX_FRAME,
+    decode_request_any, encode_response, is_repl_request, FaultyStream, FrameBuf, Request,
+    Response, WireError, MAX_FRAME,
 };
 use gocc_workloads::Engine;
 
 use crate::idle::{POLLIN, POLLOUT};
 use crate::overload::{classify, VerbClass};
-use crate::repl::{pump_repl_out, ReplSub};
+use crate::repl::{handle_repl_frame, pump_repl_out, ReplSub};
 use crate::stats::verb_index;
 use crate::store::{BatchScratch, Routed};
 use crate::{ServerState, WorkerCtx};
@@ -88,6 +92,17 @@ enum PendingState {
     /// Executed: the store's answer, or the error that replaces it when
     /// the applied write must not be acknowledged.
     Executed(Response<'static>),
+    /// Executed, and waiting for its WAL record to be durable; then for
+    /// `min_acks` replicas too, when `replicate` names its shard and
+    /// version. `since_ns` starts the `WalCommit` span.
+    Durable {
+        resp: Response<'static>,
+        ticket: WalTicket,
+        replicate: Option<(u32, u64)>,
+        since_ns: u64,
+    },
+    /// FLUSH: answered once the barrier it asked for is done.
+    Flush(FlushToken),
     /// Executed, and waiting for `min_acks` replicas to confirm `version`
     /// of `shard`, for at most `repl_ack_timeout` from `since`.
     Replicating {
@@ -100,10 +115,63 @@ enum PendingState {
 
 impl PendingReq {
     /// Settles this answer if it can, and says whether it is final: all
-    /// are but a write whose acks are not in, until fencing,
-    /// `repl_ack_timeout` or `give_up` (the shutdown drain's deadline)
-    /// ends its wait. Never blocks.
-    fn settle(&mut self, state: &ServerState, give_up: bool) -> bool {
+    /// are but a write the log has not made durable, a FLUSH whose
+    /// barrier is not done, and a write whose acks are not in, until
+    /// fencing, `repl_ack_timeout` or `give_up` (the shutdown drain's
+    /// deadline) ends its wait. Never blocks. A look at the log first
+    /// flags `worker` as waiting on it, so the syncer's next pass wakes it.
+    fn settle(&mut self, state: &ServerState, worker: usize, give_up: bool) -> bool {
+        let log = || {
+            state.wakeups.await_wal(worker);
+            state.wal().expect("only a logged answer waits on the log")
+        };
+        match &self.state {
+            &PendingState::Flush(token) => {
+                self.state = PendingState::Ready(match log().flush_state(token) {
+                    DurableState::Durable(durable_lsn) => Response::Flushed { durable_lsn },
+                    DurableState::Failed => Response::Error {
+                        message: "write-ahead log failed",
+                    },
+                    DurableState::Pending => return false,
+                });
+            }
+            PendingState::Durable {
+                resp,
+                ticket,
+                replicate,
+                since_ns,
+            } => {
+                let durable = log().durable_state(*ticket);
+                if durable == DurableState::Pending {
+                    return false;
+                }
+                let number = ticket.number();
+                span_since(
+                    state,
+                    self.trace_id,
+                    SpanKind::WalCommit,
+                    *since_ns,
+                    number,
+                    0,
+                );
+                // The in-memory effect is applied; if the log died, say so
+                // instead of acknowledging a write that may not survive a
+                // crash.
+                self.state = match (durable, *replicate) {
+                    (DurableState::Failed, _) => PendingState::Executed(Response::Error {
+                        message: "write-ahead log failed; write not durable",
+                    }),
+                    (_, Some((shard, version))) => PendingState::Replicating {
+                        resp: resp.clone(),
+                        shard,
+                        version,
+                        since: Instant::now(),
+                    },
+                    (_, None) => PendingState::Executed(resp.clone()),
+                };
+            }
+            _ => {}
+        }
         let PendingState::Replicating {
             resp,
             shard,
@@ -127,6 +195,19 @@ impl PendingReq {
         self.state = PendingState::Executed(resp);
         true
     }
+
+    /// When a parked answer must be looked at again though nothing woke
+    /// its worker: a write waiting for acks, at its `repl_ack_timeout` or
+    /// the feed's next lease expiry, whichever comes first — fencing has
+    /// no event of its own.
+    fn deadline(&self, state: &ServerState) -> Option<Instant> {
+        let PendingState::Replicating { since, .. } = self.state else {
+            return None;
+        };
+        let lease = state.repl_feed().and_then(|feed| feed.next_lease_expiry());
+        let timeout = since + state.config.repl_ack_timeout;
+        Some(lease.map_or(timeout, |lease| lease.min(timeout)))
+    }
 }
 
 /// The batch path's reusable buffers. Capacity persists across pump
@@ -140,7 +221,8 @@ struct BatchBufs {
     /// …and each routed entry's index in `pending`.
     exec_idx: Vec<usize>,
     scratch: BatchScratch,
-    /// Answers waiting for replica acks, or behind one, in arrival order.
+    /// Answers waiting for the log or replica acks, or behind one, in
+    /// arrival order.
     parked: VecDeque<PendingReq>,
     /// The encoded answer of the unbatched frame whose flush parked: it
     /// goes out once `parked` drains.
@@ -189,20 +271,14 @@ impl Conn {
         }
     }
 
-    /// Connection teardown: release the feed subscription, if any, so a
-    /// dead replica stops counting toward `min_acks` immediately instead
-    /// of waiting out the lease.
-    pub(crate) fn on_close(&self, state: &ServerState) {
+    /// Connection teardown on `worker`: release the feed subscription, if
+    /// any, so a dead replica stops counting toward `min_acks`
+    /// immediately instead of waiting out the lease.
+    pub(crate) fn on_close(&self, state: &ServerState, worker: usize) {
         if let (Some(sub), Some(feed)) = (&self.repl, state.repl_feed()) {
             feed.unsubscribe(sub.id);
+            state.wakeups.own_stream(worker, false);
         }
-    }
-
-    /// Whether this connection has work no descriptor signals, so its
-    /// owner must take a pass every tick: a replica's heartbeats and feed
-    /// drain, or a parked answer's ack, fencing or timeout.
-    pub(crate) fn keeps_a_clock(&self) -> bool {
-        self.repl.is_some() || self.has_parked()
     }
 
     pub(crate) fn has_parked(&self) -> bool {
@@ -223,9 +299,8 @@ impl Conn {
     /// only while response bytes are queued (steps 1 and 4). Anything
     /// more and a level-triggered wait returns at once for an event the
     /// pump will not clear; anything less and it sleeps through work.
-    ///
-    /// Not enough while [`Conn::keeps_a_clock`]: that work runs on a
-    /// clock no descriptor signals, so its owner must keep pumping it.
+    /// What no descriptor signals either wakes the worker's waker or is
+    /// due at [`Conn::deadline`].
     pub(crate) fn interest(&self) -> c_short {
         let mut events = 0;
         if self.reads() {
@@ -244,19 +319,26 @@ impl Conn {
         !self.closing && self.inbuf.pending() < RECV_HIGH_WATER && !self.has_parked()
     }
 
-    /// When [`Conn::pump`] evicts this connection as a slow client if its
-    /// queued bytes make no progress until then.
-    pub(crate) fn write_deadline(&self, write_timeout: Duration) -> Option<Instant> {
-        self.has_pending_output()
-            .then(|| self.last_write_progress + write_timeout)
+    /// When [`Conn::pump`] has work here that neither a descriptor nor
+    /// the waker signals: a replica stream's next heartbeat, the head
+    /// parked answer's [`PendingReq::deadline`], or the eviction of a
+    /// slow client whose queued bytes make no progress until then.
+    pub(crate) fn deadline(&self, state: &ServerState) -> Option<Instant> {
+        let streams = !self.closing && !state.is_replica();
+        let beat = self.repl.as_ref().filter(|_| streams);
+        let beat = beat.map(|sub| sub.next_beat(state.config.repl_lease));
+        let parked = self.batch.parked.front().and_then(|p| p.deadline(state));
+        let evict = self.has_pending_output();
+        let evict = evict.then(|| self.last_write_progress + state.config.write_timeout);
+        [beat, parked, evict].into_iter().flatten().min()
     }
 
     /// One pass of the shutdown drain: release the parked answers it can
     /// (all with `give_up`, the deadline), push queued bytes, and say
     /// whether to keep waiting: not at the deadline, nor once nothing is
     /// owed or the peer is gone.
-    pub(crate) fn drain(&mut self, state: &ServerState, give_up: bool) -> bool {
-        self.batch.release(state, &mut self.outbuf, give_up);
+    pub(crate) fn drain(&mut self, state: &ServerState, worker: usize, give_up: bool) -> bool {
+        self.batch.release(state, worker, &mut self.outbuf, give_up);
         let alive = matches!(self.flush_inner(), FlushState::Clean { .. });
         alive && !give_up && (self.has_parked() || self.has_pending_output())
     }
@@ -271,7 +353,9 @@ impl Conn {
         // 1. Release the parked responses whose wait is over, then drain
         //    queued response bytes — a slow client must not hold buffered
         //    responses hostage while we keep reading.
-        let mut progressed = self.batch.release(state, &mut self.outbuf, false);
+        let mut progressed = self
+            .batch
+            .release(state, wctx.worker, &mut self.outbuf, false);
         match self.flush_inner() {
             FlushState::Clean { progressed: p } => progressed |= p,
             FlushState::Fatal => return PumpOutcome::Close,
@@ -481,9 +565,16 @@ impl Conn {
                                 }
                                 // Control verb or SCAN: flush what is
                                 // pending (in-order responses), then run
-                                // it on its own.
+                                // it on its own — but a logged FLUSH
+                                // asks for its barrier once the writes
+                                // before it are staged, and parks.
                                 Ok(None) => {
                                     let out = flush_batch(engine, state, wctx, outbuf, batch);
+                                    if let (Request::Flush, Some(wal)) = (&frame.req, state.wal()) {
+                                        let token = wal.request_flush();
+                                        batch.pending.push(pending(PendingState::Flush(token)));
+                                        continue;
+                                    }
                                     trace::set_current(trace_id);
                                     if !execute_admitted(
                                         engine,
@@ -637,10 +728,10 @@ fn draw_slow_store(state: &ServerState, wctx: &WorkerCtx) {
 /// meets the store, the WAL and the replication gate. One critical
 /// section per shard-group via [`crate::ShardedStore::execute_batch`]
 /// (a `BatchExec` span per group, a `StoreOp` span per request), then per
-/// request, in arrival order: wait for its own WAL barrier, publish, and
-/// encode — or park, when it waits for `min_acks` or is behind an answer
-/// that does. Returns where the next answer goes: `outbuf`, or behind the
-/// parked ones. No-op on an empty batch.
+/// request, in arrival order: encode — or park, when it waits for its
+/// own WAL barrier or `min_acks`, or is behind an answer that does.
+/// Returns where the next answer goes: `outbuf`, or behind the parked
+/// ones. No-op on an empty batch.
 fn flush_batch<'a>(
     engine: &Engine<'_>,
     state: &ServerState,
@@ -728,58 +819,54 @@ fn flush_batch<'a>(
                 }
                 state.counters.note_batch(n);
             });
-    // Epilogue + response encode, in arrival order. The WAL wait and the
-    // replication gate stay per-record: each mutation's ack waits for
-    // exactly its own barrier.
+    // Epilogue + response encode, in arrival order. The WAL barrier and
+    // the replication gate stay per record: each mutation's ack waits for
+    // exactly its own.
+    let mut published = false;
     let mut outcomes = outcomes.iter();
     for mut p in pending.drain(..) {
         if let PendingState::Exec(_) = p.state {
             let out = outcomes.next().expect("one outcome per routed entry");
-            let mut resp = out.resp.clone();
-            // Ack-after-barrier: the response for a mutating verb is not
-            // encoded until its WAL record is inside an fsynced prefix.
-            // The in-memory effect is already applied; if the log died,
-            // say so instead of acknowledging a write that may not
-            // survive a crash.
-            if let (Some(ticket), Some(wal)) = (out.ticket, wal) {
-                let wait_t0 = stamp(p.trace_id);
-                let waited = wal.wait(ticket);
-                let number = ticket.number();
-                span_since(state, p.trace_id, SpanKind::WalCommit, wait_t0, number, 0);
-                if waited.is_err() {
-                    resp = Response::Error {
-                        message: "write-ahead log failed; write not durable",
-                    };
-                }
-            } else if let (Some(feed), Some(staged)) = (feed, out.staged.as_ref()) {
-                // No-WAL primary: the applied write is this deployment's
-                // durable prefix (there is nothing stronger to wait for),
-                // so it enters the feed here.
-                feed.publish(staged.shard, std::slice::from_ref(staged));
-            }
-            // Replication gate: with `min_acks` configured, a durable
-            // write's ack is withheld until enough replicas confirmed its
-            // version, or the primary turns out to be fenced.
-            p.state = match (feed, out.staged.as_ref()) {
-                (Some(feed), Some(staged))
-                    if feed.config().min_acks > 0 && !matches!(resp, Response::Error { .. }) =>
-                {
-                    PendingState::Replicating {
-                        resp,
-                        shard: staged.shard,
-                        version: staged.seq,
-                        since: Instant::now(),
-                    }
-                }
-                _ => PendingState::Executed(resp),
+            let resp = out.resp.clone();
+            // Replication gate: with `min_acks` configured, a write's ack
+            // is withheld until enough replicas confirmed its version, or
+            // the primary turns out to be fenced.
+            let gated = feed.filter(|feed| feed.config().min_acks > 0);
+            let replicate = gated.and(out.staged).map(|s| (s.shard, s.seq));
+            p.state = match (out.ticket, replicate) {
+                // Ack-after-barrier: the response for a logged write is
+                // not encoded until its record is inside an fsynced prefix.
+                (Some(ticket), _) => PendingState::Durable {
+                    resp,
+                    ticket,
+                    replicate,
+                    since_ns: stamp(p.trace_id),
+                },
+                (None, Some((shard, version))) => PendingState::Replicating {
+                    resp,
+                    shard,
+                    version,
+                    since: Instant::now(),
+                },
+                (None, None) => PendingState::Executed(resp),
             };
+            // No-WAL primary: the applied write is this deployment's
+            // durable prefix (there is nothing stronger to wait for), so
+            // it enters the feed here.
+            if let (None, Some(feed), Some(staged)) = (out.ticket, feed, &out.staged) {
+                feed.publish(staged.shard, std::slice::from_ref(staged));
+                published = true;
+            }
         }
         // Once one answer waits, every later one waits behind it.
-        if parked.is_empty() && p.settle(state, false) {
+        if parked.is_empty() && p.settle(state, wctx.worker, false) {
             encode_answer(state, p, outbuf);
         } else {
             parked.push_back(p);
         }
+    }
+    if published {
+        state.wakeups.feed_moved(wctx.worker);
     }
     if parked.is_empty() {
         outbuf
@@ -791,11 +878,17 @@ fn flush_batch<'a>(
 impl BatchBufs {
     /// Encodes the parked answers whose wait is over, head first, and once
     /// none is left, the bytes behind them. Returns whether any went out.
-    fn release(&mut self, state: &ServerState, outbuf: &mut Vec<u8>, give_up: bool) -> bool {
+    fn release(
+        &mut self,
+        state: &ServerState,
+        worker: usize,
+        outbuf: &mut Vec<u8>,
+        give_up: bool,
+    ) -> bool {
         let ready = self
             .parked
             .iter_mut()
-            .map(|p| p.settle(state, give_up))
+            .map(|p| p.settle(state, worker, give_up))
             .take_while(|&settled| settled)
             .count();
         for p in self.parked.drain(..ready) {
@@ -821,9 +914,10 @@ fn encode_answer(state: &ServerState, p: PendingReq, outbuf: &mut Vec<u8>) {
             return encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
         }
         PendingState::Executed(resp) => resp,
-        PendingState::Exec(_) | PendingState::Replicating { .. } => {
-            unreachable!("only a settled answer is encoded")
-        }
+        PendingState::Exec(_)
+        | PendingState::Durable { .. }
+        | PendingState::Flush(_)
+        | PendingState::Replicating { .. } => unreachable!("only a settled answer is encoded"),
     };
     let out_start = outbuf.len();
     let resp_t0 = stamp(p.trace_id);
@@ -887,19 +981,10 @@ fn execute_admitted(
             encode_response(&state.health_response(), outbuf);
             true
         }
+        // Without a WAL the barrier is vacuous; with one, FLUSH parks in
+        // `process_frames` and never gets here.
         Request::Flush => {
-            // Durability barrier: returns once everything staged before it
-            // is fsynced. Without a WAL the barrier is vacuous.
-            let resp = match state.wal() {
-                Some(wal) => match wal.flush() {
-                    Ok(durable_lsn) => Response::Flushed { durable_lsn },
-                    Err(_) => Response::Error {
-                        message: "write-ahead log failed",
-                    },
-                },
-                None => Response::Flushed { durable_lsn: 0 },
-            };
-            encode_response(&resp, outbuf);
+            encode_response(&Response::Flushed { durable_lsn: 0 }, outbuf);
             true
         }
         Request::Shutdown => {
@@ -946,153 +1031,8 @@ fn execute_admitted(
     keep_open
 }
 
-/// Handles one replication verb on this connection.
-///
-/// Free function: `outbuf`, the subscription slot and the closing flag
-/// come in as separate `&mut`s from the connection `process_frames`
-/// destructured, so they stay disjoint from the input buffer `body`
-/// borrows.
-fn handle_repl_frame(
-    engine: &Engine<'_>,
-    state: &ServerState,
-    worker: usize,
-    outbuf: &mut Vec<u8>,
-    repl: &mut Option<ReplSub>,
-    closing: &mut bool,
-    body: &[u8],
-) {
-    match decode_repl_request(body) {
-        Ok(ReplRequest::Hello { versions }) => {
-            // A replica cannot feed other replicas (no chaining in this
-            // topology) — redirect the subscriber at the primary.
-            if state.is_replica() {
-                let hint = state.upstream_hint();
-                encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
-                return;
-            }
-            let Some(feed) = state.repl_feed() else {
-                encode_error("replication not enabled (start with --repl-accept)", outbuf);
-                *closing = true;
-                return;
-            };
-            // A second HELLO on the same connection replaces the old
-            // subscription (a replica restarting its session).
-            if let Some(old) = repl.take() {
-                feed.unsubscribe(old.id);
-            }
-            let id = feed.subscribe(&versions);
-            *repl = Some(ReplSub::new(id));
-            encode_response(
-                &Response::ReplWelcome {
-                    shards: state.store.shards() as u32,
-                    epoch: state.epoch(),
-                },
-                outbuf,
-            );
-        }
-        Ok(ReplRequest::Ack {
-            shard,
-            version,
-            nak,
-        }) => {
-            // Acks are one-way: no response rides back. A NAK flags the
-            // shard for snapshot resync inside the feed.
-            if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
-                feed.note_ack(sub.id, shard, version, nak);
-                // It may settle an answer another worker parked.
-                if !nak && feed.config().min_acks > 0 {
-                    state.wake_other_workers(worker);
-                }
-            }
-        }
-        Ok(ReplRequest::Candidate { epoch, versions }) => {
-            // A vote request from a peer replica standing for election.
-            // Election safety lives in these denials: one vote per epoch,
-            // a live primary never votes anyone in over itself, and a
-            // candidate with less replicated history than ours never gets
-            // our vote (so the winner has at least a majority's worth of
-            // acked history).
-            let own: u64 = state.store.versions(engine).iter().sum();
-            let candidate: u64 = versions.iter().sum();
-            let granted = state.is_replica()
-                && epoch > state.epoch()
-                && candidate >= own
-                && state.try_vote(epoch);
-            if granted {
-                // Granting adopts the epoch: even if this candidate loses,
-                // the old primary's stream is now recognizably stale here.
-                state.observe_epoch(epoch);
-            }
-            encode_response(
-                &Response::ReplVote {
-                    granted,
-                    epoch: state.epoch(),
-                    version_sum: own,
-                },
-                outbuf,
-            );
-        }
-        Ok(ReplRequest::EpochAnnounce { epoch, primary }) => {
-            // The election winner telling us where the new primary lives.
-            if !state.is_replica() {
-                // A deposed primary does NOT adopt the announce — adopting
-                // would un-fence it. It stays primary-at-old-epoch, kept
-                // harmless by lease fencing (its replicas are gone) and by
-                // stale-epoch rejection on every batch it still emits.
-                encode_error(
-                    "cannot repoint a primary; demotion is not supported",
-                    outbuf,
-                );
-                return;
-            }
-            if epoch < state.epoch() {
-                encode_error("stale epoch announce", outbuf);
-                return;
-            }
-            state.observe_epoch(epoch);
-            match std::str::from_utf8(primary) {
-                Ok(addr) => {
-                    if !addr.is_empty() && addr != state.advertised() {
-                        state.set_upstream(addr.to_string());
-                    }
-                    encode_response(&Response::Done, outbuf);
-                }
-                Err(_) => encode_error("primary address is not valid UTF-8", outbuf),
-            }
-        }
-        Ok(ReplRequest::Promote { upstream }) => {
-            if upstream.is_empty() {
-                // Become primary. Idempotent; the feed re-bases to the
-                // store's live versions.
-                state.promote_to_primary(engine);
-                encode_response(&Response::Done, outbuf);
-            } else {
-                match std::str::from_utf8(upstream) {
-                    Ok(addr) if state.is_replica() => {
-                        // Repoint at a new primary; the sink thread picks
-                        // the change up on its next poll tick.
-                        state.set_upstream(addr.to_string());
-                        encode_response(&Response::Done, outbuf);
-                    }
-                    Ok(_) => encode_error(
-                        "cannot repoint a primary; demotion is not supported",
-                        outbuf,
-                    ),
-                    Err(_) => encode_error("upstream address is not valid UTF-8", outbuf),
-                }
-            }
-        }
-        Err(e) => {
-            state.counters.note_malformed();
-            let message = format!("malformed replication frame: {e}");
-            encode_error(&message, outbuf);
-            *closing = true;
-        }
-    }
-}
-
 /// Answers `message` as an `Error` response.
-fn encode_error(message: &str, outbuf: &mut Vec<u8>) {
+pub(crate) fn encode_error(message: &str, outbuf: &mut Vec<u8>) {
     encode_response(&Response::Error { message }, outbuf);
 }
 
@@ -1155,16 +1095,22 @@ mod tests {
     use std::net::{Ipv4Addr, TcpListener};
 
     /// Every combination of the five facts [`Conn::interest`] and
-    /// [`Conn::keeps_a_clock`] read, against the events [`Conn::pump`]
-    /// would act on in that state.
+    /// [`Conn::deadline`] read, against the events [`Conn::pump`] would
+    /// act on in that state.
     #[test]
     fn interest_is_what_the_next_pump_would_touch() {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
         let mut conn = Conn::new(stream, None);
-        let feed = crate::ReplFeed::new(crate::ReplConfig::default(), &[0]);
-        let sub = feed.subscribe(&[0]);
+        let state = ServerState::new(crate::ServerConfig {
+            workers: 1,
+            repl_accept: true,
+            ..crate::ServerConfig::default()
+        })
+        .expect("state");
+        let feed = state.repl_feed().expect("feed");
+        let sub = feed.subscribe(&[0; 4]);
         for case in 0..32u32 {
             let [closing, at_high_water, pending_output, repl_sub, parked] =
                 [0, 1, 2, 3, 4].map(|bit| case & (1 << bit) != 0);
@@ -1176,7 +1122,12 @@ mod tests {
                     arrival: Instant::now(),
                     deadline_us: None,
                     verb: 0,
-                    state: PendingState::Ready(Response::Done),
+                    state: PendingState::Replicating {
+                        resp: Response::Done,
+                        shard: 0,
+                        version: 1,
+                        since: Instant::now(),
+                    },
                 });
             }
             conn.inbuf = FrameBuf::new();
@@ -1202,12 +1153,9 @@ mod tests {
                 "closing={closing} high_water={at_high_water} \
                  pending_output={pending_output} repl_sub={repl_sub} parked={parked}"
             );
-            // What keeps the owner taking a pass every tick.
-            assert_eq!(conn.keeps_a_clock(), repl_sub || parked);
-            assert_eq!(
-                conn.write_deadline(Duration::from_secs(5)).is_some(),
-                pending_output
-            );
+            // A heartbeat, an ack timeout or an eviction is due.
+            let due = (repl_sub && !closing) || parked || pending_output;
+            assert_eq!(conn.deadline(&state).is_some(), due);
         }
         // One byte under the mark still reads, as `pump` step 2 does.
         conn.closing = false;

@@ -19,16 +19,22 @@
 //! * `workers` **worker** threads each own a disjoint set of connections
 //!   outright, replica streams included (no connection is ever touched by
 //!   two threads), pumping them with non-blocking reads/writes. A worker
-//!   with nothing to do waits in `idle::wait`: on its connections'
-//!   readiness, or — when its peers pipeline or some work runs on a clock
-//!   — until the next tick of an `IDLE_PASS` cadence; see `worker_loop`.
-//!   Worker state is plain `&mut`; the only cross-thread state is the
-//!   [`ServerState`] behind an `Arc` — the store (whose interior
-//!   synchronization *is* the system under test), atomic counters, the
-//!   shutdown flag and the wakers.
-//! * **No worker waits on a replica**: a `min_acks` write parks its
-//!   response (see `conn`), and the worker that records a REPL_ACK wakes
-//!   the others.
+//!   with nothing to do waits in `idle::wait`, its only wait: on its
+//!   connections' readiness and its waker until the nearest deadline of
+//!   theirs (a heartbeat, a parked answer's timeout or lease, an
+//!   eviction), or — when its peers pipeline or a seeded plan or the
+//!   brownout controller keeps a clock — until the next tick of an
+//!   `IDLE_PASS` cadence; see `worker_loop`. Worker state is plain
+//!   `&mut`; the only cross-thread state is the [`ServerState`] behind an
+//!   `Arc` — the store (whose interior synchronization *is* the system
+//!   under test), atomic counters, the shutdown flag and the wakers.
+//! * **No worker waits on the log or a replica**: a logged write, a FLUSH
+//!   and a `min_acks` write park their response (see `conn`). The WAL
+//!   syncer's tap wakes the workers that parked on the log, and the
+//!   owners of replica streams when the feed moved; the worker that
+//!   records a REPL_ACK wakes the others. The WAL syncer, the
+//!   checkpointer and the replica sink are the threads that block on the
+//!   log; the checkpointer waits in `idle::wait` for the tap's signal.
 //! * A **malformed frame kills its connection, never the server**: framing
 //!   or decode errors send a final `Error` response and close that one
 //!   connection. IO errors likewise. A worker never panics on input.
@@ -73,7 +79,7 @@ mod store;
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -83,7 +89,7 @@ use gocc_faultplane::{LoadFault, LoadFaultPlan, TransportFaultPlan};
 use gocc_optilock::{GoccConfig, GoccRuntime};
 pub use gocc_repl::{ReplConfig, ReplFeed};
 use gocc_telemetry::trace;
-use gocc_wal::{CheckpointImage, DurableTap, Wal};
+use gocc_wal::{CheckpointImage, DurableTap, Staged, Wal};
 pub use gocc_wal::{SyncPolicy, WalBackend, WalConfig};
 use gocc_wire::Response;
 use gocc_workloads::Engine;
@@ -259,11 +265,126 @@ pub struct ServerState {
     /// Build identity echoed in the boot line and STATS header, from
     /// `BENCH_GIT_REV`.
     git_rev: String,
-    /// One per worker, by index, then the acceptor's, then the replica
-    /// sink's: what ends their idle wait when work arrives that no socket
-    /// of theirs signals (a dispatched connection, a replica's ack,
-    /// promotion, shutdown).
+    /// What ends each thread's idle wait when work arrives that no socket
+    /// of its own signals; shared with the WAL syncer's tap.
+    wakeups: Arc<Wakeups>,
+}
+
+/// What ends each serving thread's idle wait when work arrives that no
+/// socket of its own signals — a dispatched connection, a durable record,
+/// a replica's ack, records for a replica's stream, a due checkpoint,
+/// promotion, shutdown — and the per-worker facts that say whom a piece
+/// of news concerns.
+struct Wakeups {
+    /// One per worker, by index, then the acceptor's, the replica sink's
+    /// and the checkpointer's.
     wakers: Vec<idle::Waker>,
+    /// Per worker: it looked at a parked answer the log had not settled.
+    on_wal: Vec<AtomicBool>,
+    /// Per worker: the replica streams it owns.
+    streams: Vec<AtomicUsize>,
+}
+
+impl Wakeups {
+    fn new(workers: usize) -> io::Result<Wakeups> {
+        Ok(Wakeups {
+            wakers: (0..workers + 3)
+                .map(|_| idle::Waker::new())
+                .collect::<io::Result<_>>()?,
+            on_wal: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            streams: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
+        })
+    }
+
+    fn acceptor(&self) -> &idle::Waker {
+        &self.wakers[self.on_wal.len()]
+    }
+
+    /// What the replica sink's backoff waits on.
+    fn replica_sink(&self) -> &idle::Waker {
+        &self.wakers[self.on_wal.len() + 1]
+    }
+
+    fn checkpointer(&self) -> &idle::Waker {
+        &self.wakers[self.on_wal.len() + 2]
+    }
+
+    /// Wakes every worker but `awake`, which just recorded a replica's
+    /// ack: the ack may settle a response one of them parked.
+    fn wake_workers_but(&self, awake: usize) {
+        for (w, waker) in self.wakers[..self.on_wal.len()].iter().enumerate() {
+            if w != awake {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Flags `worker` as waiting on the log: called before each look at
+    /// a parked answer's durable state. The fences pair with
+    /// [`Wakeups::wal_settled`]'s: either the look sees the syncer's
+    /// pass, or that pass sees the flag and wakes the worker.
+    fn await_wal(&self, worker: usize) {
+        self.on_wal[worker].store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    /// After a WAL pass: wakes the workers that flagged it.
+    fn wal_settled(&self) {
+        fence(Ordering::SeqCst);
+        for (flag, waker) in self.on_wal.iter().zip(&self.wakers) {
+            if flag.swap(false, Ordering::Relaxed) {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Counts a replica stream `worker` took on, or let go.
+    fn own_stream(&self, worker: usize, taken: bool) {
+        if taken {
+            self.streams[worker].fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.streams[worker].fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The feed took records: wakes every worker that owns a replica
+    /// stream but `awake`, which is the one publishing.
+    fn feed_moved(&self, awake: usize) {
+        for (w, (streams, waker)) in self.streams.iter().zip(&self.wakers).enumerate() {
+            if w != awake && streams.load(Ordering::Relaxed) > 0 {
+                waker.wake();
+            }
+        }
+    }
+}
+
+/// The server's tap on its WAL: it hands durable records to the
+/// replication feed, if there is one, and after every syncer pass wakes
+/// whoever waits on what the pass moved.
+struct ServerTap {
+    wakeups: Arc<Wakeups>,
+    feed: Option<Arc<ReplFeed>>,
+    /// The feed took records in the pass not settled yet.
+    published: AtomicBool,
+}
+
+impl DurableTap for ServerTap {
+    fn publish(&self, shard: u32, records: &[Staged]) {
+        if let Some(feed) = &self.feed {
+            feed.publish(shard, records);
+            self.published.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn settled(&self, wal: &Wal) {
+        self.wakeups.wal_settled();
+        if self.published.swap(false, Ordering::Relaxed) {
+            self.wakeups.feed_moved(usize::MAX);
+        }
+        if wal.should_checkpoint() {
+            self.wakeups.checkpointer().wake();
+        }
+    }
 }
 
 impl ServerState {
@@ -284,11 +405,8 @@ impl ServerState {
             }
             None => None,
         };
-        // The feed must exist (and be tapped into the WAL) before the
-        // first write: records synced before `set_tap` are never
-        // replayed, so a late feed would stall at the gap forever.
-        let repl_feed = if config.repl_accept || config.replica_of.is_some() {
-            let feed = Arc::new(ReplFeed::new(
+        let repl_feed = (config.repl_accept || config.replica_of.is_some()).then(|| {
+            Arc::new(ReplFeed::new(
                 ReplConfig {
                     shards: config.shards.max(1),
                     min_acks: config.repl_min_acks,
@@ -296,21 +414,23 @@ impl ServerState {
                     ..ReplConfig::default()
                 },
                 &recovered_versions,
-            ));
-            if let Some(wal) = &wal {
-                wal.set_tap(Arc::clone(&feed) as Arc<dyn DurableTap>);
-            }
-            Some(feed)
-        } else {
-            None
-        };
-        let wakers = (0..config.workers + 2)
-            .map(|_| idle::Waker::new())
-            .collect::<io::Result<_>>()?;
+            ))
+        });
+        let wakeups = Arc::new(Wakeups::new(config.workers)?);
+        // The tap, and the feed behind it, must be in place before the
+        // first write: records synced before `set_tap` are never
+        // replayed, so a late feed would stall at the gap forever.
+        if let Some(wal) = &wal {
+            wal.set_tap(Arc::new(ServerTap {
+                wakeups: Arc::clone(&wakeups),
+                feed: repl_feed.clone(),
+                published: AtomicBool::new(false),
+            }));
+        }
         Ok(ServerState {
             rt,
             store,
-            wakers,
+            wakeups,
             shutdown: AtomicBool::new(false),
             counters: ServerCounters::new(config.workers),
             brownout: BrownoutController::new(config.brownout),
@@ -508,7 +628,7 @@ impl ServerState {
         }
         self.set_upstream(String::new());
         // The sink exits on promotion; end its backoff wait now.
-        self.replica_waker().wake();
+        self.wakeups.replica_sink().wake();
     }
 
     /// Times this node's failure detector declared its upstream dead.
@@ -552,23 +672,8 @@ impl ServerState {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for w in &self.wakers {
+        for w in &self.wakeups.wakers {
             w.wake();
-        }
-    }
-
-    /// What the replica sink's backoff waits on.
-    fn replica_waker(&self) -> &idle::Waker {
-        &self.wakers[self.config.workers + 1]
-    }
-
-    /// Wakes every worker but `worker`, which just recorded a replica's
-    /// ack: the ack may settle a response one of them parked.
-    fn wake_other_workers(&self, worker: usize) {
-        for (w, waker) in self.wakers[..self.config.workers].iter().enumerate() {
-            if w != worker {
-                waker.wake();
-            }
         }
     }
 
@@ -912,12 +1017,15 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
 /// [`WalConfig::checkpoint_every`] records, rotate to a fresh segment,
 /// snapshot every shard (each in one read section), commit the image to
 /// the side file and delete the covered segments. Crashes at any point
-/// leave a recoverable directory — `crates/wal` owns and tests that.
+/// leave a recoverable directory — `crates/wal` owns and tests that. In
+/// between it waits on its waker, which the WAL tap wakes once a
+/// checkpoint is due and shutdown wakes too.
 fn checkpoint_loop(state: &ServerState, wal: &Wal) {
     let engine = Engine::new(&state.rt, state.config.mode);
+    let mut set = idle::PollSet::default();
     while !state.shutting_down() {
         if !wal.should_checkpoint() {
-            std::thread::sleep(Duration::from_millis(5));
+            idle::wait(state.wakeups.checkpointer(), &mut set, None);
             continue;
         }
         let (base_gen, retired) = match wal.begin_checkpoint() {
@@ -944,7 +1052,7 @@ fn acceptor_loop(
     senders: Vec<Sender<std::net::TcpStream>>,
     state: &ServerState,
 ) {
-    let waker = &state.wakers[senders.len()];
+    let waker = state.wakeups.acceptor();
     let mut set = idle::PollSet::default();
     let mut next = 0usize;
     let mut backoff = ACCEPT_BACKOFF_MIN;
@@ -962,7 +1070,7 @@ fn acceptor_loop(
                 // possible on panic) just drops the stream.
                 let worker = next % senders.len();
                 let _ = senders[worker].send(stream);
-                state.wakers[worker].wake();
+                state.wakeups.wakers[worker].wake();
                 next += 1;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -987,17 +1095,14 @@ fn acceptor_loop(
 }
 
 /// Refills `set` with what an idle worker's connections wait for, and
-/// returns the instant the wait must end by — the nearest slow-client
-/// eviction — if there is one.
-fn watch(conns: &[Conn], set: &mut idle::PollSet, config: &ServerConfig) -> Option<Instant> {
+/// returns the instant the wait must end by — the nearest
+/// [`Conn::deadline`] — if there is one.
+fn watch(conns: &[Conn], set: &mut idle::PollSet, state: &ServerState) -> Option<Instant> {
     set.clear();
     let mut deadline = None;
     for c in conns {
         set.push(c.raw_fd(), c.interest());
-        deadline = [deadline, c.write_deadline(config.write_timeout)]
-            .into_iter()
-            .flatten()
-            .min();
+        deadline = [deadline, c.deadline(state)].into_iter().flatten().min();
     }
     deadline
 }
@@ -1038,7 +1143,7 @@ fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &Server
                 true
             }
             PumpOutcome::Close => {
-                c.on_close(state);
+                c.on_close(state, worker);
                 state.counters.note_close();
                 false
             }
@@ -1049,7 +1154,7 @@ fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &Server
         state.finish_pump(&mut wctx);
 
         if state.shutting_down() {
-            drain_and_close(&mut conns, state, &state.wakers[worker], &mut set);
+            drain_and_close(&mut conns, state, worker, &mut set);
             return;
         }
         if dispatcher_gone && conns.is_empty() {
@@ -1066,32 +1171,25 @@ fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &Server
         // the batches and the wake-ups per request where they were and
         // serves a window per period. So does an idle-pass duty that runs
         // on a clock: the controller's or a seeded plan's. That timed pass
-        // is blind: it watches the waker alone — a dispatched connection
-        // or shutdown ends it, a ready socket does not (what paces
-        // `serve_d32`; ROADMAP 2(b)). A connection's own work on a clock
-        // (`Conn::keeps_a_clock`) takes the timed pass on the sockets
-        // too. Otherwise — a lone request, or nothing since the last
-        // decision — block until a connection is ready, for as long as no
-        // slow client is due for eviction.
+        // is blind: it watches the waker alone — a dispatched connection,
+        // a settled log, an ack or shutdown ends it, a ready socket does
+        // not (what paces `serve_d32`; ROADMAP 2(b)). Otherwise — a lone
+        // request, or nothing since the last decision — block until a
+        // connection is ready or the waker is woken, for as long as no
+        // connection's own deadline is due.
         let blind = last_frames >= 2 || state.idle_pass_is_clocked();
-        let block = !blind && !conns.iter().any(Conn::keeps_a_clock);
         last_frames = 0;
-        state.counters.note_idle(worker, block);
+        state.counters.note_idle(worker, !blind);
         let t0 = Instant::now();
-        let eviction = if blind {
+        let timeout = if blind {
             set.clear();
-            None
-        } else {
-            watch(&conns, &mut set, &state.config)
-        };
-        let timeout = if block {
-            tick.forget();
-            eviction.map(|d| d.saturating_duration_since(t0))
-        } else {
             Some(tick.timeout(t0))
+        } else {
+            tick.forget();
+            watch(&conns, &mut set, state).map(|d| d.saturating_duration_since(t0))
         };
-        idle::wait(&state.wakers[worker], &mut set, timeout);
-        if block {
+        idle::wait(&state.wakeups.wakers[worker], &mut set, timeout);
+        if !blind {
             // The controller's averages decay per idle pass; hand it the
             // timed passes this wait stood in for, or sparse traffic
             // would read as one unbroken load.
@@ -1109,16 +1207,16 @@ fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &Server
 fn drain_and_close(
     conns: &mut Vec<Conn>,
     state: &ServerState,
-    waker: &idle::Waker,
+    worker: usize,
     set: &mut idle::PollSet,
 ) {
     let deadline = Instant::now() + state.config.drain_timeout;
     loop {
         let now = Instant::now();
         conns.retain_mut(|c| {
-            let owes = c.drain(state, now >= deadline);
+            let owes = c.drain(state, worker, now >= deadline);
             if !owes {
-                c.on_close(state);
+                c.on_close(state, worker);
                 state.counters.note_close();
             }
             owes
@@ -1134,6 +1232,6 @@ fn drain_and_close(
         if conns.iter().any(Conn::has_parked) {
             timeout = timeout.min(IDLE_PASS);
         }
-        idle::wait(waker, set, Some(timeout));
+        idle::wait(&state.wakeups.wakers[worker], set, Some(timeout));
     }
 }

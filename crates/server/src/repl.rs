@@ -9,12 +9,15 @@
 //!   primary) and knows nothing about sockets.
 //! * This module owns the *I/O*: [`pump_repl_out`] runs inside a
 //!   subscriber connection's pump quantum, on the worker that accepted it
-//!   (no worker blocks on a replica), and turns feed state into
+//!   (no worker blocks on a replica; it is woken when the feed takes
+//!   records and at the next heartbeat), and turns feed state into
 //!   `REPL_BATCH` frames: snapshot chunks for resyncing shards,
 //!   incremental batches for streaming ones, count-0 heartbeats to keep
-//!   the lease audited; [`replica_loop`] is the replica's dedicated
-//!   thread that dials the upstream primary, applies what arrives, and
-//!   answers version-checked ACKs/NAKs.
+//!   the lease audited; [`handle_repl_frame`] answers the replication
+//!   verbs a connection receives (HELLO, ACK, the election's CANDIDATE
+//!   and EPOCH_ANNOUNCE, PROMOTE); [`replica_loop`] is the replica's
+//!   dedicated thread that dials the upstream primary, applies what
+//!   arrives, and answers version-checked ACKs/NAKs.
 
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -26,12 +29,13 @@ use gocc_repl::{resync_backoff, ReplFeed, SnapshotAssembler, SubId};
 use gocc_telemetry::{trace, JsonWriter, Span, SpanKind};
 use gocc_wal::{CheckpointImage, Staged, WalKind};
 use gocc_wire::{
-    decode_response, encode_repl_request, encode_response, write_frame, FaultyStream, FrameBuf,
-    ReplRecord, ReplRequest, Response, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_FLAG_SNAP,
-    REPL_KIND_DEL, REPL_KIND_PUT, REPL_KIND_PUTVAL,
+    decode_repl_request, decode_response, encode_repl_request, encode_response, write_frame,
+    FaultyStream, FrameBuf, ReplRecord, ReplRequest, Response, REPL_FLAG_FIN, REPL_FLAG_RESET,
+    REPL_FLAG_SNAP, REPL_KIND_DEL, REPL_KIND_PUT, REPL_KIND_PUTVAL,
 };
 use gocc_workloads::Engine;
 
+use crate::conn::encode_error;
 use crate::store::ShardedStore;
 use crate::{idle, ServerState};
 
@@ -63,6 +67,11 @@ impl ReplSub {
             last_beat: Instant::now(),
             snap: None,
         }
+    }
+
+    /// When [`pump_repl_out`] owes this stream its next heartbeat.
+    pub(crate) fn next_beat(&self, lease: Duration) -> Instant {
+        self.last_beat + lease / 4
     }
 }
 
@@ -196,7 +205,7 @@ pub(crate) fn pump_repl_out(
     // four times per window, so a healthy-but-quiet replica never gets
     // the primary fenced, and a version drift surfaces as a NAK even
     // with no traffic.
-    if sub.last_beat.elapsed() >= lease / 4 {
+    if Instant::now() >= sub.next_beat(lease) {
         for (shard, v) in feed.heartbeat_versions(sub.id).iter().enumerate() {
             if let Some(version) = v {
                 encode_response(
@@ -378,7 +387,7 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
         );
         // Only shutdown and promotion wake the sink's waker.
         if !state.shutting_down() && state.is_replica() {
-            idle::wait(state.replica_waker(), &mut set, Some(wait));
+            idle::wait(state.wakeups.replica_sink(), &mut set, Some(wait));
         }
     }
 }
@@ -824,6 +833,151 @@ fn run_session(
                 Response::Error { .. } => return SessionEnd::Failed,
                 _ => return SessionEnd::Failed,
             }
+        }
+    }
+}
+
+/// Handles one replication verb on this connection.
+///
+/// Free function: `outbuf`, the subscription slot and the closing flag
+/// come in as separate `&mut`s from the connection `conn` destructured,
+/// so they stay disjoint from the input buffer `body` borrows.
+pub(crate) fn handle_repl_frame(
+    engine: &Engine<'_>,
+    state: &ServerState,
+    worker: usize,
+    outbuf: &mut Vec<u8>,
+    repl: &mut Option<ReplSub>,
+    closing: &mut bool,
+    body: &[u8],
+) {
+    match decode_repl_request(body) {
+        Ok(ReplRequest::Hello { versions }) => {
+            // A replica cannot feed other replicas (no chaining in this
+            // topology) — redirect the subscriber at the primary.
+            if state.is_replica() {
+                let hint = state.upstream_hint();
+                encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
+                return;
+            }
+            let Some(feed) = state.repl_feed() else {
+                encode_error("replication not enabled (start with --repl-accept)", outbuf);
+                *closing = true;
+                return;
+            };
+            // A second HELLO on the same connection replaces the old
+            // subscription (a replica restarting its session).
+            match repl.take() {
+                Some(old) => feed.unsubscribe(old.id),
+                None => state.wakeups.own_stream(worker, true),
+            }
+            let id = feed.subscribe(&versions);
+            *repl = Some(ReplSub::new(id));
+            encode_response(
+                &Response::ReplWelcome {
+                    shards: state.store.shards() as u32,
+                    epoch: state.epoch(),
+                },
+                outbuf,
+            );
+        }
+        Ok(ReplRequest::Ack {
+            shard,
+            version,
+            nak,
+        }) => {
+            // Acks are one-way: no response rides back. A NAK flags the
+            // shard for snapshot resync inside the feed.
+            if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
+                feed.note_ack(sub.id, shard, version, nak);
+                // It may settle an answer another worker parked.
+                if !nak && feed.config().min_acks > 0 {
+                    state.wakeups.wake_workers_but(worker);
+                }
+            }
+        }
+        Ok(ReplRequest::Candidate { epoch, versions }) => {
+            // A vote request from a peer replica standing for election.
+            // Election safety lives in these denials: one vote per epoch,
+            // a live primary never votes anyone in over itself, and a
+            // candidate with less replicated history than ours never gets
+            // our vote (so the winner has at least a majority's worth of
+            // acked history).
+            let own: u64 = state.store.versions(engine).iter().sum();
+            let candidate: u64 = versions.iter().sum();
+            let granted = state.is_replica()
+                && epoch > state.epoch()
+                && candidate >= own
+                && state.try_vote(epoch);
+            if granted {
+                // Granting adopts the epoch: even if this candidate loses,
+                // the old primary's stream is now recognizably stale here.
+                state.observe_epoch(epoch);
+            }
+            encode_response(
+                &Response::ReplVote {
+                    granted,
+                    epoch: state.epoch(),
+                    version_sum: own,
+                },
+                outbuf,
+            );
+        }
+        Ok(ReplRequest::EpochAnnounce { epoch, primary }) => {
+            // The election winner telling us where the new primary lives.
+            if !state.is_replica() {
+                // A deposed primary does NOT adopt the announce — adopting
+                // would un-fence it. It stays primary-at-old-epoch, kept
+                // harmless by lease fencing (its replicas are gone) and by
+                // stale-epoch rejection on every batch it still emits.
+                encode_error(
+                    "cannot repoint a primary; demotion is not supported",
+                    outbuf,
+                );
+                return;
+            }
+            if epoch < state.epoch() {
+                encode_error("stale epoch announce", outbuf);
+                return;
+            }
+            state.observe_epoch(epoch);
+            match std::str::from_utf8(primary) {
+                Ok(addr) => {
+                    if !addr.is_empty() && addr != state.advertised() {
+                        state.set_upstream(addr.to_string());
+                    }
+                    encode_response(&Response::Done, outbuf);
+                }
+                Err(_) => encode_error("primary address is not valid UTF-8", outbuf),
+            }
+        }
+        Ok(ReplRequest::Promote { upstream }) => {
+            if upstream.is_empty() {
+                // Become primary. Idempotent; the feed re-bases to the
+                // store's live versions.
+                state.promote_to_primary(engine);
+                encode_response(&Response::Done, outbuf);
+            } else {
+                match std::str::from_utf8(upstream) {
+                    Ok(addr) if state.is_replica() => {
+                        // Repoint at a new primary; the sink thread picks
+                        // the change up on its next poll tick.
+                        state.set_upstream(addr.to_string());
+                        encode_response(&Response::Done, outbuf);
+                    }
+                    Ok(_) => encode_error(
+                        "cannot repoint a primary; demotion is not supported",
+                        outbuf,
+                    ),
+                    Err(_) => encode_error("upstream address is not valid UTF-8", outbuf),
+                }
+            }
+        }
+        Err(e) => {
+            state.counters.note_malformed();
+            let message = format!("malformed replication frame: {e}");
+            encode_error(&message, outbuf);
+            *closing = true;
         }
     }
 }

@@ -48,9 +48,9 @@ impl Routed {
 
 /// Per-request result of [`ShardedStore::execute_batch`]: the response
 /// plus, for mutations, the committed post-image record and (when a WAL
-/// is attached) the staged ticket the caller must [`Wal::wait`] on
-/// **before** acknowledging — the ack-after-barrier ordering is the entire
-/// durability contract.
+/// is attached) the staged ticket that must read durable
+/// ([`Wal::durable_state`]) **before** the caller acknowledges — the
+/// ack-after-barrier ordering is the entire durability contract.
 pub struct BatchOutcome {
     /// The wire response for this request.
     pub resp: Response<'static>,

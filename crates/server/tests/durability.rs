@@ -173,6 +173,109 @@ fn flush_returns_monotone_durable_lsn() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn set(key: &[u8]) -> Request<'_> {
+    Request::Set {
+        key,
+        value: 1,
+        ttl: 0,
+    }
+}
+
+/// One worker, and a log whose syncer lingers 200 ms behind a lone
+/// record: a SET's answer is parked on its barrier, not its worker. A GET
+/// on another connection is answered while the SET's answer is still
+/// unreadable; the SET then gets `Done`, and a SET pipelined behind it is
+/// answered after it.
+#[test]
+fn a_held_barrier_parks_the_answer_not_the_worker() {
+    let dir = temp_dir("held");
+    let mut cfg = config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group);
+    cfg.workers = 1;
+    cfg.wal.fsync_wait_us = 200_000;
+    cfg.wal.fsync_batch_size = 64;
+    let handle = spawn(cfg).expect("spawn");
+    let (mut a, mut b) = (connect(handle.port()), connect(handle.port()));
+    let get = Request::Get { key: b"b" };
+    assert!(matches!(b.call(&get), Ok(Response::Value { .. })));
+    // A sends without waiting, and looks without waiting.
+    a.get_ref().set_nonblocking(true).unwrap();
+    let first = a.submit(&set(b"a1"), None);
+    assert!(!a.pump().expect("send"), "answered before the linger");
+    assert!(matches!(b.call(&get), Ok(Response::Value { .. })));
+    let early = a.pump().expect("peek");
+    assert!(!early, "the SET was answered before the GET behind it");
+    let second = a.submit(&set(b"a2"), None);
+    assert!(!a.pump().expect("send"), "the pipelined SET overtook");
+    a.get_ref().set_nonblocking(false).unwrap();
+    for ticket in [first, second] {
+        a.wait().expect("recv");
+        assert_eq!(a.answer().unwrap(), Some((ticket, Response::Done)));
+    }
+    assert_eq!(a.call(&Request::Shutdown).unwrap(), Response::Bye);
+    let _ = handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight connections on one worker, one SET outstanding on each, and a
+/// log on the checkout's disk that never lingers: the worker stages the
+/// others while the syncer fsyncs the first, so the next fsync covers
+/// them all. A worker that waited out each barrier in turn read 1.0 by
+/// construction, so a window this box slowed (a client slower to send
+/// the eight than the disk to sync one) is taken again.
+#[test]
+fn writers_on_one_worker_share_an_fsync() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("durability-share-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group);
+    cfg.workers = 1;
+    cfg.wal.fsync_wait_us = 0;
+    let handle = spawn(cfg).expect("spawn");
+    let keys: Vec<String> = (0..8).map(|i| format!("writer-{i}")).collect();
+    let mut conns: Vec<_> = keys.iter().map(|_| connect(handle.port())).collect();
+    for (c, key) in conns.iter_mut().zip(&keys) {
+        assert_eq!(c.call(&set(key.as_bytes())).unwrap(), Response::Done);
+        c.get_ref().set_nonblocking(true).unwrap();
+    }
+    let wal = handle.state().wal().expect("a data dir opens a log");
+    let mut windows = Vec::new();
+    let shared = (0..3).any(|_| {
+        let (appended0, fsyncs0) = (wal.appended(), wal.fsyncs());
+        for _ in 0..50 {
+            // Encode all eight first, so the sends follow each other.
+            for (c, key) in conns.iter_mut().zip(&keys) {
+                c.submit(&set(key.as_bytes()), None);
+            }
+            for c in &mut conns {
+                c.pump().expect("send");
+            }
+            for c in &mut conns {
+                while c.in_flight() > 0 {
+                    if !c.pump().expect("recv") {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    while let Some((_, resp)) = c.answer().expect("answer") {
+                        assert_eq!(resp, Response::Done);
+                    }
+                }
+            }
+        }
+        let appended = (wal.appended() - appended0) as f64;
+        let per_fsync = appended / (wal.fsyncs() - fsyncs0) as f64;
+        windows.push(format!("{per_fsync:.2}"));
+        per_fsync >= 3.0
+    });
+    println!("8 writers on one worker, records per fsync: {windows:?}");
+    assert!(
+        shared,
+        "{windows:?} records per fsync: the worker waited out each barrier"
+    );
+    let mut c = connect(handle.port());
+    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
+    let _ = handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Without `--data-dir` there is no log to flush: FLUSH stays a cheap
 /// no-op answering LSN 0, and STATS reports `"wal": null`.
 #[test]

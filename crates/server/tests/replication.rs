@@ -92,6 +92,27 @@ fn await_value(replica: &mut Pipe<TcpStream>, key: &[u8], want: Response<'_>, de
     }
 }
 
+/// Polls the primary's STATS until a replica has subscribed, or panics
+/// after 5 s.
+fn await_subscriber(primary: &mut Pipe<TcpStream>) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let subs = stats(primary)
+            .get("repl")
+            .and_then(|repl| repl.get("subscribers"))
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0);
+        if subs >= 1.0 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "replica never subscribed to the primary"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 fn shutdown(handle: ServerHandle) {
     handle.request_shutdown();
     let _ = handle.join();
@@ -106,6 +127,9 @@ fn replica_follows_the_primary_and_redirects_writes() {
         let replica = spawn(replica_config(mode, primary.port())).expect("spawn replica");
         let mut p = connect(primary.port());
         let mut r = connect(replica.port());
+        // Writes made before the replica subscribes reach it as a
+        // snapshot, and this test is about the incremental stream.
+        await_subscriber(&mut p);
 
         for i in 0..100u64 {
             let key = format!("key-{i}");
@@ -292,22 +316,7 @@ fn synchronous_acks_are_immediately_readable_on_the_replica() {
 
     // With `min_acks: 1` the primary is fenced until the replica's
     // subscription lands — wait for the attach before asserting acks.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let subs = stats(&mut p)
-            .get("repl")
-            .and_then(|repl| repl.get("subscribers"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        if subs >= 1.0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "replica never subscribed to the primary"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    await_subscriber(&mut p);
 
     for i in 0..50u64 {
         let key = format!("sync-{i}");

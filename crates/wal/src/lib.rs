@@ -41,4 +41,6 @@ pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointImage, Shar
 pub use file::{WalBackend, WalFile, WalIoError};
 pub use record::{crc32, encode_record, RecordBuf, RecordError, WalKind, WalRecord, RECORD_LEN};
 pub use recover::{recover, segment_path, Recovered, RecoveryStats, CKPT_FILE, CKPT_TMP};
-pub use wal::{DurableTap, Staged, SyncPolicy, Wal, WalConfig, WalError, WalTicket};
+pub use wal::{
+    DurableState, DurableTap, FlushToken, Staged, SyncPolicy, Wal, WalConfig, WalError, WalTicket,
+};

@@ -14,6 +14,12 @@
 //! after the fsync, so an acked write is always inside the fsynced
 //! prefix and a torn tail can only eat unacknowledged records.
 //!
+//! Nothing has to block on that: [`Wal::durable_state`] and
+//! [`Wal::flush_state`] answer at once, and the [`DurableTap`]'s
+//! [`DurableTap::settled`] hook says when to ask again. The blocking
+//! [`Wal::wait`], [`Wal::flush`] and [`Wal::begin_checkpoint`] are thin
+//! loops over the same answers, for callers with a thread to spare.
+//!
 //! Three policies trade latency for durability:
 //!
 //! * **`always`** — one record per fsync. The floor group commit is
@@ -127,7 +133,8 @@ pub struct Staged {
     pub exp: u64,
 }
 
-/// Receipt for one staged record; redeem with [`Wal::wait`].
+/// Receipt for one staged record; redeem with [`Wal::durable_state`] or
+/// [`Wal::wait`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalTicket {
     shard: u32,
@@ -140,6 +147,22 @@ impl WalTicket {
     pub fn number(&self) -> u64 {
         self.ticket
     }
+}
+
+/// Receipt for one requested barrier; redeem with [`Wal::flush_state`].
+#[derive(Clone, Copy, Debug)]
+pub struct FlushToken(u64);
+
+/// Where a staged record or a requested barrier stands. Never waited for:
+/// [`Wal::durable_state`] and [`Wal::flush_state`] read it at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DurableState {
+    /// Done; the LSN high-water mark then covered by a barrier.
+    Durable(u64),
+    /// The log died first: this will never be durable.
+    Failed,
+    /// Not yet. Ask again after the tap's next [`DurableTap::settled`].
+    Pending,
 }
 
 /// Why a durability operation failed.
@@ -170,6 +193,13 @@ pub trait DurableTap: Send + Sync {
     /// A batch of shard `shard`'s records just became part of the
     /// durable prefix.
     fn publish(&self, shard: u32, records: &[Staged]);
+
+    /// A [`DurableState`] may have moved: called after every pass that
+    /// advanced a durable watermark (under `always`, after every record's
+    /// fsync) or finished a flush or a rotation, and once the log is found
+    /// dead. What was `Pending` before this call may not be any more;
+    /// nothing moves without one.
+    fn settled(&self, _wal: &Wal) {}
 }
 
 /// Locks a mutex, recovering the guard from a poisoned lock. A panicking
@@ -369,32 +399,60 @@ impl Wal {
         WalTicket { shard, ticket }
     }
 
-    /// Blocks until the ticket's record is durable per the policy.
-    ///
-    /// Under `off` this returns immediately: the ack deliberately makes
-    /// no durability promise. Under `group`/`always` it returns once the
-    /// record is inside an fsynced prefix — the caller may then, and only
-    /// then, release the acknowledgement.
-    pub fn wait(&self, t: WalTicket) -> Result<(), WalError> {
+    /// Whether the ticket's record is durable per the policy. Never
+    /// blocks. Under `off` it is at once: the ack deliberately makes no
+    /// durability promise. Under `group`/`always` once the record is
+    /// inside an fsynced prefix — the caller may then, and only then,
+    /// release the acknowledgement.
+    #[must_use]
+    pub fn durable_state(&self, t: WalTicket) -> DurableState {
         if self.crashed.load(Ordering::Acquire) {
-            return Err(WalError::Crashed);
+            DurableState::Failed
+        } else if self.cfg.sync == SyncPolicy::Off
+            || self.durable[t.shard as usize].load(Ordering::Acquire) >= t.ticket
+        {
+            DurableState::Durable(self.durable_lsn())
+        } else {
+            DurableState::Pending
         }
-        if self.cfg.sync == SyncPolicy::Off {
-            return Ok(());
+    }
+
+    /// Asks for a durability barrier over everything staged before the
+    /// call, regardless of policy: the FLUSH verb. Never blocks.
+    pub fn request_flush(&self) -> FlushToken {
+        let token = self.flush_req.fetch_add(1, Ordering::SeqCst) + 1;
+        self.wake();
+        FlushToken(token)
+    }
+
+    /// Whether the barrier `token` asked for is done, and the durable LSN
+    /// high-water mark it left. Never blocks.
+    #[must_use]
+    pub fn flush_state(&self, token: FlushToken) -> DurableState {
+        self.done_state(&self.flush_done, token.0)
+    }
+
+    fn done_state(&self, done: &AtomicU64, token: u64) -> DurableState {
+        if done.load(Ordering::SeqCst) >= token {
+            DurableState::Durable(self.durable_lsn())
+        } else if self.crashed.load(Ordering::Acquire) {
+            DurableState::Failed
+        } else {
+            DurableState::Pending
         }
-        let shard = t.shard as usize;
-        if self.durable[shard].load(Ordering::Acquire) >= t.ticket {
-            return Ok(());
-        }
+    }
+
+    /// Blocks until `state` is not `Pending` any more and returns the
+    /// durable LSN, for callers with a thread to spare. The syncer
+    /// notifies after every pass; a lost wake-up costs 2 ms, never a hang.
+    fn block_on(&self, state: impl Fn() -> DurableState) -> Result<u64, WalError> {
         let mut guard = lock_unpoisoned(&self.ack_mu);
         loop {
-            if self.durable[shard].load(Ordering::Acquire) >= t.ticket {
-                return Ok(());
+            match state() {
+                DurableState::Durable(lsn) => return Ok(lsn),
+                DurableState::Failed => return Err(WalError::Crashed),
+                DurableState::Pending => {}
             }
-            if self.crashed.load(Ordering::Acquire) {
-                return Err(WalError::Crashed);
-            }
-            // Timed wait: a lost wakeup costs 2ms, never a hang.
             guard = self
                 .ack_cv
                 .wait_timeout(guard, Duration::from_millis(2))
@@ -403,26 +461,16 @@ impl Wal {
         }
     }
 
-    /// Forces a durability barrier over everything staged before the
-    /// call, regardless of policy. Returns the durable LSN high-water
-    /// mark. This is the FLUSH verb.
+    /// Blocks until [`Wal::durable_state`] is final.
+    pub fn wait(&self, t: WalTicket) -> Result<(), WalError> {
+        self.block_on(|| self.durable_state(t)).map(drop)
+    }
+
+    /// [`Wal::request_flush`], then blocks until the barrier is done.
+    /// Returns the durable LSN high-water mark.
     pub fn flush(&self) -> Result<u64, WalError> {
-        let token = self.flush_req.fetch_add(1, Ordering::SeqCst) + 1;
-        self.wake();
-        let mut guard = lock_unpoisoned(&self.ack_mu);
-        loop {
-            if self.flush_done.load(Ordering::SeqCst) >= token {
-                return Ok(self.counters.durable_lsn.load(Ordering::Relaxed));
-            }
-            if self.crashed.load(Ordering::Acquire) {
-                return Err(WalError::Crashed);
-            }
-            guard = self
-                .ack_cv
-                .wait_timeout(guard, Duration::from_millis(2))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
+        let token = self.request_flush();
+        self.block_on(|| self.flush_state(token))
     }
 
     /// True when enough records accumulated to warrant a checkpoint.
@@ -443,21 +491,7 @@ impl Wal {
     pub fn begin_checkpoint(&self) -> Result<(u64, Vec<u64>), WalError> {
         let token = self.rotate_req.fetch_add(1, Ordering::SeqCst) + 1;
         self.wake();
-        let mut guard = lock_unpoisoned(&self.ack_mu);
-        loop {
-            if self.rotate_done.load(Ordering::SeqCst) >= token {
-                break;
-            }
-            if self.crashed.load(Ordering::Acquire) {
-                return Err(WalError::Crashed);
-            }
-            guard = self
-                .ack_cv
-                .wait_timeout(guard, Duration::from_millis(2))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        drop(guard);
+        self.block_on(|| self.done_state(&self.rotate_done, token))?;
         let segs = lock_unpoisoned(&self.segments);
         let Some(&active) = segs.last() else {
             // An empty segment list means the syncer died mid-rotation;
@@ -559,6 +593,10 @@ impl Wal {
     fn poison(&self) -> WalError {
         self.crashed.store(true, Ordering::Release);
         self.ack_cv.notify_all();
+        let tap = lock_unpoisoned(&self.tap).clone();
+        if let Some(t) = tap {
+            t.settled(self);
+        }
         WalError::Crashed
     }
 
@@ -752,6 +790,11 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                 }
             }
 
+            let gen = wal.tap_gen.load(Ordering::Acquire);
+            if gen != tap_seen {
+                tap = lock_unpoisoned(&wal.tap).clone();
+                tap_seen = gen;
+            }
             if total > 0 {
                 match wal.cfg.sync {
                     SyncPolicy::Always => {
@@ -770,6 +813,9 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                                 note_appended(wal, 1);
                                 wal.durable[s].fetch_add(1, Ordering::Release);
                                 wal.ack_cv.notify_all();
+                                if let Some(t) = &tap {
+                                    t.settled(wal);
+                                }
                             }
                         }
                     }
@@ -804,11 +850,6 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                 // The pass's records are now inside the durable prefix
                 // (or, under `off`, appended): hand them to the tap
                 // before the scratch is recycled.
-                let gen = wal.tap_gen.load(Ordering::Acquire);
-                if gen != tap_seen {
-                    tap = lock_unpoisoned(&wal.tap).clone();
-                    tap_seen = gen;
-                }
                 if let Some(t) = &tap {
                     for (s, recs) in scratch.iter().enumerate() {
                         if !recs.is_empty() {
@@ -859,6 +900,13 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                 rotate_handled = rotate_target;
                 wal.rotate_done.store(rotate_target, Ordering::SeqCst);
                 wal.ack_cv.notify_all();
+            }
+
+            if let Some(t) = tap
+                .as_ref()
+                .filter(|_| total > 0 || want_flush || want_rotate)
+            {
+                t.settled(wal);
             }
 
             if shutting {

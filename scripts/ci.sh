@@ -145,16 +145,27 @@ if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
 fi
 # Everything else in crates/server/src waits on an event too: a
 # thread::sleep is allowed only where a seeded load plan injects latency
-# (draw_slow_store, finish_pump) and in checkpoint_loop (ROADMAP item 12).
+# (draw_slow_store, finish_pump).
 sleepers=$(find crates/server/src -name '*.rs' -exec awk '
   FNR == 1 { f = "" }
   match($0, /fn [A-Za-z0-9_]+[(<]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
-  /thread::sleep/ && f !~ /^(draw_slow_store|finish_pump|checkpoint_loop)$/ {
+  /thread::sleep/ && f !~ /^(draw_slow_store|finish_pump)$/ {
     printf "%s:%d: in fn %s\n", FILENAME, FNR, f
   }' {} +)
 if [ -n "$sleepers" ]; then
   echo "$sleepers"
-  echo "FAIL: crates/server/src sleeps outside draw_slow_store, finish_pump and checkpoint_loop" >&2
+  echo "FAIL: crates/server/src sleeps outside draw_slow_store and finish_pump" >&2
+  exit 1
+fi
+# No worker waits on the log either: a logged write and a FLUSH park
+# their answer on a WAL ticket or flush token, and the syncer's tap wakes
+# the worker. A blocking Wal::wait / Wal::flush (`wal.wait(`, or any
+# `.wait(` under another name), or a condvar of the server's own, must
+# not come back to the request path.
+logwaits=$(grep -nE '\.wait\(|\.flush\(\)|Condvar' crates/server/src/conn.rs crates/server/src/lib.rs || true)
+if [ -n "$logwaits" ]; then
+  echo "$logwaits"
+  echo "FAIL: the request path blocks on the log again" >&2
   exit 1
 fi
 # No thread waits on a replica: a min_acks write parks its response, and
@@ -174,7 +185,7 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop waits in one place, crates/server/src sleeps only to inject faults and to checkpoint, no thread waits on a replica"
+echo "ok: worker_loop waits in one place, crates/server/src sleeps only to inject faults, no worker waits on the log or a replica"
 
 echo "== one measurement system =="
 # benchmark/ measures, run_benches.sh reproduces the paper's figures, and
