@@ -31,6 +31,14 @@
 //!   applied atomically at `FIN`.
 //! * [`resync_backoff`] — bounded, seeded backoff for replica reconnect
 //!   and resync loops, deterministic per (seed, stream, attempt).
+//!
+//! # Role
+//!
+//! [`Role`] is a node's place in the cluster — primary or replica, the
+//! epoch it has seen and the one it last voted in, its upstream and its
+//! electorate — and every election rule over them, with no lock, socket,
+//! thread or clock. Store versions come in as arguments. The server
+//! holds one behind one lock and does the I/O around it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +48,9 @@ use std::time::{Duration, Instant};
 use gocc_telemetry::{JsonWriter, SplitMix64};
 use gocc_wal::{Staged, WalKind};
 use gocc_wire::{ReplRecord, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_KIND_DEL};
+
+mod role;
+pub use role::{suspect_jitter, Admit, Role};
 
 /// Replication tuning for one primary.
 #[derive(Clone, Debug)]

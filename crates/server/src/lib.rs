@@ -27,7 +27,7 @@
 //!   `IDLE_PASS` cadence; see `worker_loop`. Worker state is plain
 //!   `&mut`; the only cross-thread state is the [`ServerState`] behind an
 //!   `Arc` — the store (whose interior synchronization *is* the system
-//!   under test), atomic counters, the shutdown flag and the wakers.
+//!   under test), atomic counters, the role, the shutdown flag and the wakers.
 //! * **No worker waits on the log or a replica**: a logged write, a FLUSH
 //!   and a `min_acks` write park their response (see `conn`). The WAL
 //!   syncer's tap wakes the workers that parked on the log, and the
@@ -79,14 +79,15 @@ mod store;
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gocc_faultplane::{LoadFault, LoadFaultPlan, TransportFaultPlan};
 use gocc_optilock::{GoccConfig, GoccRuntime};
+use gocc_repl::Role;
 pub use gocc_repl::{ReplConfig, ReplFeed};
 use gocc_telemetry::trace;
 use gocc_wal::{CheckpointImage, DurableTap, Staged, Wal};
@@ -235,31 +236,11 @@ pub struct ServerState {
     /// replication topology. Created at boot, before the listener opens —
     /// a feed installed later would race the syncer and lose records.
     repl_feed: Option<Arc<ReplFeed>>,
-    /// Whether this node currently answers writes with `NotPrimary`.
+    /// The node's role in the cluster: every election rule runs under
+    /// this one lock, and so does the replica sink's batch apply.
+    role: Mutex<Role>,
+    /// The role's replica flag for the request path, set only under its lock.
     replica: AtomicBool,
-    /// Serializes promotion against the replica sink's batch applies:
-    /// the sink holds this while it checks the role and mutates the
-    /// store, so `promote_to_primary` can never re-base the feed while
-    /// a buffered batch is mid-apply (which would advance the store past
-    /// the feed's new base and stall replication forever).
-    promote_gate: Mutex<()>,
-    /// Last known primary address: the replica's upstream, and the
-    /// redirect hint served with `NotPrimary`.
-    upstream: Mutex<String>,
-    /// Highest election epoch this node has seen. Monotone; stamped into
-    /// every outgoing REPL_BATCH/REPL_WELCOME so a deposed primary's
-    /// stream is recognizably stale, and adopted from whatever higher
-    /// epoch arrives (welcome, batch, vote, announce).
-    epoch: AtomicU64,
-    /// Highest epoch this node has granted a vote in — one vote per
-    /// epoch is what makes at most one winner per epoch possible.
-    last_voted_epoch: Mutex<u64>,
-    /// Election electorate besides this node (runtime-settable: soak
-    /// harnesses only know peer ports after spawning them).
-    repl_peers: Mutex<Vec<String>>,
-    /// This node's own advertised `host:port`, set once the listener is
-    /// bound; what an election winner announces to its peers.
-    advertised: Mutex<String>,
     /// Replica-side apply counters for the STATS `repl` object.
     replica_stats: repl::ReplicaCounters,
     /// Build identity echoed in the boot line and STATS header, from
@@ -436,13 +417,12 @@ impl ServerState {
             brownout: BrownoutController::new(config.brownout),
             wal,
             repl_feed,
+            role: Mutex::new(Role::new(
+                config.replica_of.clone(),
+                config.repl_peers.clone(),
+                format!("127.0.0.1:{}", config.port),
+            )),
             replica: AtomicBool::new(config.replica_of.is_some()),
-            promote_gate: Mutex::new(()),
-            upstream: Mutex::new(config.replica_of.clone().unwrap_or_default()),
-            epoch: AtomicU64::new(0),
-            last_voted_epoch: Mutex::new(0),
-            repl_peers: Mutex::new(config.repl_peers.clone()),
-            advertised: Mutex::new(String::new()),
             replica_stats: repl::ReplicaCounters::default(),
             git_rev: std::env::var("BENCH_GIT_REV").unwrap_or_else(|_| "unknown".to_string()),
             config,
@@ -487,148 +467,49 @@ impl ServerState {
     /// `NotPrimary` redirect hint); empty when unknown.
     #[must_use]
     pub fn upstream_hint(&self) -> String {
-        self.upstream.lock().map(|g| g.clone()).unwrap_or_default()
-    }
-
-    /// Records a new primary address (REPL_PROMOTE repoint, or a
-    /// `NotPrimary` hint followed by the replica's sink loop).
-    pub fn set_upstream(&self, addr: String) {
-        if let Ok(mut g) = self.upstream.lock() {
-            *g = addr;
-        }
+        self.role().upstream().to_string()
     }
 
     /// Highest election epoch this node has seen.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Adopts `epoch` if it is higher than anything seen so far (epochs
-    /// are monotone — a lower one never wins). Returns the highest known
-    /// epoch after the update.
-    pub fn observe_epoch(&self, epoch: u64) -> u64 {
-        self.epoch.fetch_max(epoch, Ordering::SeqCst).max(epoch)
-    }
-
-    /// Grants at most one vote per epoch, and none once this node is a
-    /// primary: true exactly when it is a replica and `epoch` is higher
-    /// than every epoch it has voted in before. The role is read under the
-    /// vote lock, which [`ServerState::promote_elected`] holds across the
-    /// role flip, so a grant and this node's own promotion cannot
-    /// interleave.
-    pub(crate) fn try_vote(&self, epoch: u64) -> bool {
-        let mut last = self
-            .last_voted_epoch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.is_replica() && epoch > *last {
-            *last = epoch;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Promotes this node as the winner of the election it stood in at
-    /// `epoch` — unless it has voted in a later epoch since (a request its
-    /// worker granted while the candidacy was still canvassing). That vote
-    /// may be the one that elects the later candidate, so the candidacy it
-    /// was cast during is void: without this check both would promote,
-    /// one epoch apart. Returns whether the node promoted.
-    pub(crate) fn promote_elected(&self, engine: &Engine<'_>, epoch: u64) -> bool {
-        let last = self
-            .last_voted_epoch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *last != epoch {
-            return false;
-        }
-        self.promote_with_epoch(engine, epoch);
-        true
-    }
-
-    /// The epoch this node would stand in next: above every epoch it has
-    /// seen and every epoch it has voted in. A lost candidacy used its
-    /// epoch up — this node's vote in it went to itself — so the next one
-    /// stands higher instead of asking for the same epoch's votes again.
-    pub(crate) fn candidacy_epoch(&self) -> u64 {
-        let last = self
-            .last_voted_epoch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.epoch().max(*last).saturating_add(1)
-    }
-
-    /// The election electorate besides this node.
-    #[must_use]
-    pub fn repl_peers(&self) -> Vec<String> {
-        self.repl_peers
-            .lock()
-            .map(|g| g.clone())
-            .unwrap_or_default()
+        self.role().epoch()
     }
 
     /// Replaces the election electorate (soak harnesses only learn peer
     /// ports after spawning the peers).
     pub fn set_repl_peers(&self, peers: Vec<String>) {
-        if let Ok(mut g) = self.repl_peers.lock() {
-            *g = peers;
+        self.role().peers = peers;
+    }
+
+    /// The role lock, recovered from poison: each `Role` rule is done
+    /// writing before anything under the lock can panic.
+    pub(crate) fn role(&self) -> MutexGuard<'_, Role> {
+        self.role.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs a promotion `rule` under the role lock and, if it made this
+    /// node the primary, re-bases the feed on the store's versions (the
+    /// replica's applies bypassed the tap) before the lock drops, so a
+    /// batch the sink applies lands before the re-base or sees the role.
+    /// Subscribers at other versions get flagged for snapshot resync.
+    pub(crate) fn promote(
+        &self,
+        engine: &Engine<'_>,
+        rule: impl FnOnce(&mut Role) -> bool,
+    ) -> bool {
+        let mut role = self.role();
+        if !rule(&mut role) {
+            return false;
         }
-    }
-
-    /// This node's advertised `host:port` (what an election winner
-    /// announces); empty before the listener binds.
-    #[must_use]
-    pub fn advertised(&self) -> String {
-        self.advertised
-            .lock()
-            .map(|g| g.clone())
-            .unwrap_or_default()
-    }
-
-    fn set_advertised(&self, addr: String) {
-        if let Ok(mut g) = self.advertised.lock() {
-            *g = addr;
-        }
-    }
-
-    /// Promotes this node to primary: writes are accepted from here on,
-    /// and the feed is re-based to the store's current versions — the
-    /// replica's apply path bypassed the tap, so the feed's view is
-    /// stale until this reset. Subscribers at other versions get flagged
-    /// for snapshot resync, which is exactly right after a failover.
-    ///
-    /// Bumps the epoch past everything seen, so the promotion fences any
-    /// still-running older primary's stream.
-    pub fn promote_to_primary(&self, engine: &Engine<'_>) {
-        let next = self.epoch().saturating_add(1);
-        self.promote_with_epoch(engine, next);
-    }
-
-    /// [`ServerState::promote_to_primary`] at a specific (election-won)
-    /// epoch.
-    ///
-    /// Holding `promote_gate` across the role flip *and* the feed
-    /// re-base makes promotion atomic with respect to the sink's batch
-    /// applies: a buffered batch either lands before the re-base (and is
-    /// counted in the versions read here) or observes the flipped role
-    /// and is rejected.
-    pub fn promote_with_epoch(&self, engine: &Engine<'_>, epoch: u64) {
-        let _gate = self
-            .promote_gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.observe_epoch(epoch);
-        if !self.replica.swap(false, Ordering::SeqCst) {
-            return;
-        }
+        self.replica.store(false, Ordering::SeqCst);
         if let Some(feed) = &self.repl_feed {
             feed.reset_versions(&self.store.versions(engine));
         }
-        self.set_upstream(String::new());
+        drop(role);
         // The sink exits on promotion; end its backoff wait now.
         self.wakeups.replica_sink().wake();
+        true
     }
 
     /// Times this node's failure detector declared its upstream dead.
@@ -926,8 +807,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.port))?;
     listener.set_nonblocking(true)?;
     let port = listener.local_addr()?.port();
-    let state = Arc::new(ServerState::new(config)?);
-    state.set_advertised(format!("127.0.0.1:{port}"));
+    let state = Arc::new(ServerState::new(ServerConfig { port, ..config })?);
 
     let mut senders: Vec<Sender<std::net::TcpStream>> = Vec::new();
     let mut workers = Vec::new();

@@ -7,6 +7,10 @@
 //!   per-subscriber queues, resync phases, leases). It is fed by the WAL
 //!   syncer's durable tap (or directly by the request path on a no-WAL
 //!   primary) and knows nothing about sockets.
+//! * [`gocc_repl::Role`] owns the *election rules*. Each rule here is one
+//!   `Role` call under `ServerState::role`'s lock, which the sink also
+//!   holds to apply a batch, and which no socket write, WAL wait,
+//!   checkpoint or canvass holds.
 //! * This module owns the *I/O*: [`pump_repl_out`] runs inside a
 //!   subscriber connection's pump quantum, on the worker that accepted it
 //!   (no worker blocks on a replica; it is woken when the feed takes
@@ -22,10 +26,10 @@
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gocc_repl::{resync_backoff, ReplFeed, SnapshotAssembler, SubId};
+use gocc_repl::{resync_backoff, Admit, ReplFeed, Role, SnapshotAssembler, SubId};
 use gocc_telemetry::{trace, JsonWriter, Span, SpanKind};
 use gocc_wal::{CheckpointImage, Staged, WalKind};
 use gocc_wire::{
@@ -298,27 +302,11 @@ enum SessionEnd {
     Suspect,
 }
 
-/// Deterministic jitter in `[0, base)` derived from the backoff seed and
-/// the epoch the node would stand in (SplitMix64 finalizer): two replicas
-/// with different seeds suspect — and stand as candidates — at staggered
-/// times, and the stagger is drawn again for every epoch. A constant per
-/// node would not do: two candidates whose draws put them in the same
-/// epoch together (both self-voted, both denied) would wait the same
-/// delays and meet again in the next epoch, and the one after.
-fn suspect_jitter(seed: u64, epoch: u64, base: Duration) -> Duration {
-    let mut z =
-        (seed ^ epoch.wrapping_mul(0xd1b5_4a32_d192_ed03)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    base.mul_f64((z >> 11) as f64 / (1u64 << 53) as f64)
-}
-
-/// How long the upstream must stay silent before this node suspects it:
-/// `repl_suspect` plus the stagger of the node's next candidacy.
+/// [`Role::suspect_window`], for this node's seed and `repl_suspect`.
 fn suspect_window(state: &ServerState) -> Duration {
-    let base = state.config.repl_suspect;
-    base + suspect_jitter(state.config.repl_seed, state.candidacy_epoch(), base)
+    state
+        .role()
+        .suspect_window(state.config.repl_seed, state.config.repl_suspect)
 }
 
 /// The replica's sink thread: dial the upstream, announce our versions,
@@ -341,34 +329,27 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
     // timeout, same bar as the in-session detector.
     let mut last_contact = Instant::now();
     while !state.shutting_down() && state.is_replica() {
-        let mut suspected = false;
-        match run_session(state, &engine, &mut last_contact) {
+        let suspected = match run_session(state, &engine, &mut last_contact) {
             SessionEnd::Stop => return,
-            SessionEnd::Repointed => attempt = 0,
+            SessionEnd::Repointed => {
+                attempt = 0;
+                false
+            }
             SessionEnd::Failed => {
                 attempt = attempt.saturating_add(1);
                 state
                     .replica_stats
                     .reconnects
                     .fetch_add(1, Ordering::Relaxed);
-                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_window(state)
-                {
-                    state
-                        .replica_stats
-                        .suspicions
-                        .fetch_add(1, Ordering::Relaxed);
-                    suspected = true;
-                }
+                last_contact.elapsed() >= suspect_window(state)
             }
-            SessionEnd::Suspect => {
-                state
-                    .replica_stats
-                    .suspicions
-                    .fetch_add(1, Ordering::Relaxed);
-                suspected = true;
-            }
-        }
+            SessionEnd::Suspect => true,
+        };
         if suspected && state.config.repl_auto_promote {
+            state
+                .replica_stats
+                .suspicions
+                .fetch_add(1, Ordering::Relaxed);
             if run_election(state, &engine) {
                 // Won: this node is the primary now; the sink exits.
                 return;
@@ -392,18 +373,11 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// One quorum election round. Returns true when this node won and
-/// promoted itself.
-///
-/// The candidate votes for itself first (one vote per epoch, same rule as
-/// everyone else), then canvasses each peer with `REPL_CANDIDATE`. Voters
-/// grant at most one vote per epoch, never grant while they are a live
-/// primary, and never grant to a candidate with less replicated history
-/// than their own — so a majority implies the winner is unique for the
-/// epoch and no better-replicated node was bypassed. With no configured
-/// peers the electorate is this node alone and it self-promotes: the
-/// documented single-replica deployment caveat (no quorum exists to
-/// protect against a partitioned false positive).
+/// One quorum election round: this node's own vote, then each peer's
+/// under [`Role::grant`]'s rule. Returns true when this node won and
+/// promoted itself. With no configured peers the electorate is this node
+/// alone and it self-promotes: the documented single-replica caveat (no
+/// quorum exists to protect against a partitioned false positive).
 fn run_election(state: &Arc<ServerState>, engine: &Engine<'_>) -> bool {
     let Some(epoch) = stand(state) else {
         return false; // a peer's candidacy took our vote meanwhile
@@ -411,12 +385,9 @@ fn run_election(state: &Arc<ServerState>, engine: &Engine<'_>) -> bool {
     canvass(state, engine, epoch)
 }
 
-/// Opens a candidacy: this node's own vote, in its candidacy epoch.
+/// Opens a candidacy ([`Role::stand`]) and counts it.
 fn stand(state: &ServerState) -> Option<u64> {
-    let epoch = state.candidacy_epoch();
-    if !state.try_vote(epoch) {
-        return None;
-    }
+    let epoch = state.role().stand()?;
     state
         .replica_stats
         .elections
@@ -427,26 +398,27 @@ fn stand(state: &ServerState) -> Option<u64> {
 /// The rest of a candidacy opened by [`stand`]: asks every peer for its
 /// vote in `epoch` and promotes this node on a majority.
 fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
+    let mut frame = Vec::new();
     let versions = state.store.versions(engine);
-    let peers = state.repl_peers();
-    let electorate = peers.len() + 1;
-    let majority = electorate / 2 + 1;
+    encode_repl_request(&ReplRequest::Candidate { epoch, versions }, &mut frame);
+    let (peers, majority) = {
+        let role = state.role();
+        (role.peers.clone(), role.majority())
+    };
     let mut votes = 1usize; // self
     for peer in &peers {
         if state.shutting_down() || !state.is_replica() {
             return false;
         }
-        match request_vote(state, peer, epoch, &versions) {
-            VoteOutcome::Granted => votes += 1,
-            VoteOutcome::Denied { known_epoch } => {
-                if known_epoch > epoch {
-                    // A peer has seen a newer epoch — someone already won
-                    // a later election. Adopt and stand down.
-                    state.observe_epoch(known_epoch);
-                    return false;
-                }
+        match request_vote(state, peer, &frame) {
+            Some((true, _)) => votes += 1,
+            // A peer has seen or voted in a later epoch: adopt it and
+            // stand down, so the next candidacy stands above it.
+            Some((false, known)) if known > epoch => {
+                state.role().observe(known);
+                return false;
             }
-            VoteOutcome::Unreachable => {}
+            _ => {}
         }
         if votes >= majority {
             break;
@@ -455,22 +427,20 @@ fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
     if votes < majority {
         return false;
     }
-    if !state.promote_elected(engine, epoch) {
+    if !state.promote(engine, |role| role.win(epoch)) {
         return false; // voted in a later epoch while canvassing this one
     }
     // Tell the losers where the new primary lives. Best effort: a peer
     // that misses the announce still learns the epoch from the next
     // welcome/batch it sees, or from a NotPrimary hint.
-    let advertised = state.advertised();
+    let primary = state.role().advertised.clone();
+    frame.clear();
+    let announce = ReplRequest::EpochAnnounce {
+        epoch,
+        primary: primary.as_bytes(),
+    };
+    encode_repl_request(&announce, &mut frame);
     for peer in &peers {
-        let mut frame = Vec::new();
-        encode_repl_request(
-            &ReplRequest::EpochAnnounce {
-                epoch,
-                primary: advertised.as_bytes(),
-            },
-            &mut frame,
-        );
         if let Some(mut stream) = dial_peer(peer) {
             let _ = write_frame(&mut stream, &frame);
             // One best-effort response read keeps the frame from being
@@ -480,13 +450,6 @@ fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
         }
     }
     true
-}
-
-/// One canvassed peer's verdict.
-enum VoteOutcome {
-    Granted,
-    Denied { known_epoch: u64 },
-    Unreachable,
 }
 
 fn dial_peer(peer: &str) -> Option<TcpStream> {
@@ -499,28 +462,17 @@ fn dial_peer(peer: &str) -> Option<TcpStream> {
     Some(stream)
 }
 
-fn request_vote(state: &Arc<ServerState>, peer: &str, epoch: u64, versions: &[u64]) -> VoteOutcome {
-    let Some(stream) = dial_peer(peer) else {
-        return VoteOutcome::Unreachable;
-    };
-    let mut stream = FaultyStream::maybe(stream, state.config.repl_fault_plan.clone());
-    let mut frame = Vec::new();
-    encode_repl_request(
-        &ReplRequest::Candidate {
-            epoch,
-            versions: versions.to_vec(),
-        },
-        &mut frame,
-    );
-    if write_frame(&mut stream, &frame).is_err() {
-        return VoteOutcome::Unreachable;
-    }
+/// Sends `peer` the `REPL_CANDIDATE` in `frame`: whether it granted,
+/// and the highest epoch it knows; `None` when it could not be asked.
+fn request_vote(state: &ServerState, peer: &str, frame: &[u8]) -> Option<(bool, u64)> {
+    let mut stream = FaultyStream::maybe(dial_peer(peer)?, state.config.repl_fault_plan.clone());
+    write_frame(&mut stream, frame).ok()?;
     let mut inbuf = FrameBuf::new();
     let mut chunk = [0u8; 4096];
     let deadline = Instant::now() + Duration::from_millis(750);
     while Instant::now() < deadline {
         match stream.read(&mut chunk) {
-            Ok(0) => return VoteOutcome::Unreachable,
+            Ok(0) => return None,
             Ok(n) => inbuf.extend(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -529,26 +481,33 @@ fn request_vote(state: &Arc<ServerState>, peer: &str, epoch: u64, versions: &[u6
             {
                 continue;
             }
-            Err(_) => return VoteOutcome::Unreachable,
+            Err(_) => return None,
         }
-        match inbuf.next_frame() {
-            Ok(Some(body)) => {
-                return match decode_response(body) {
-                    Ok(Response::ReplVote { granted, epoch, .. }) => {
-                        if granted {
-                            VoteOutcome::Granted
-                        } else {
-                            VoteOutcome::Denied { known_epoch: epoch }
-                        }
-                    }
-                    _ => VoteOutcome::Unreachable,
-                };
-            }
-            Ok(None) => {}
-            Err(_) => return VoteOutcome::Unreachable,
+        if let Some(body) = inbuf.next_frame().ok()? {
+            return match decode_response(body) {
+                Ok(Response::ReplVote { granted, epoch, .. }) => Some((granted, epoch)),
+                _ => None,
+            };
         }
     }
-    VoteOutcome::Unreachable
+    None
+}
+
+/// Admits a welcome or batch stamped `epoch` ([`Role::admit`]) and hands
+/// back the role lock it took, or says how the session ends.
+fn admit(state: &ServerState, epoch: u64) -> Result<MutexGuard<'_, Role>, SessionEnd> {
+    let mut role = state.role();
+    match role.admit(epoch) {
+        Admit::Apply => Ok(role),
+        Admit::Stop => Err(SessionEnd::Stop),
+        Admit::Stale => {
+            state
+                .replica_stats
+                .stale_epoch_rejects
+                .fetch_add(1, Ordering::Relaxed);
+            Err(SessionEnd::Failed)
+        }
+    }
 }
 
 fn run_session(
@@ -638,15 +597,11 @@ fn run_session(
                         // than reconnect-spin against it.
                         return SessionEnd::Stop;
                     }
-                    if epoch < state.epoch() {
-                        // A deposed primary greeting us from a past
-                        // epoch: refuse the session. The backoff loop
-                        // will redial (or be repointed by the winner's
-                        // announce).
-                        counters.stale_epoch_rejects.fetch_add(1, Ordering::Relaxed);
-                        return SessionEnd::Failed;
+                    // A stale epoch is a deposed primary's: the backoff
+                    // loop redials, or the winner's announce repoints.
+                    if let Err(end) = admit(state, epoch) {
+                        return end;
                     }
-                    state.observe_epoch(epoch);
                 }
                 Response::ReplBatch {
                     shard,
@@ -656,37 +611,20 @@ fn run_session(
                     epoch,
                     records,
                 } => {
-                    if epoch < state.epoch() {
-                        // Stale-epoch fencing, the replica's half: a
-                        // batch stamped by a deposed primary must never
-                        // reach the store, even if it was in flight when
-                        // the election concluded.
-                        counters.stale_epoch_rejects.fetch_add(1, Ordering::Relaxed);
-                        return SessionEnd::Failed;
-                    }
-                    state.observe_epoch(epoch);
                     let shard_idx = shard as usize;
                     if shard_idx >= state.store.shards() {
                         return SessionEnd::Failed;
                     }
-                    // Role re-check, atomic with the apply: a
-                    // REPL_PROMOTE may have flipped this node to primary
-                    // while this batch sat buffered in `inbuf`. The gate
-                    // pairs with `promote_to_primary` — once the
-                    // promotion has re-based the feed, no batch may
-                    // advance the store past that base, so the check and
-                    // the store mutation share one critical section.
-                    let gate = state
-                        .promote_gate
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if !state.is_replica() {
-                        return SessionEnd::Stop;
-                    }
+                    // The role lock is held through the apply: once a
+                    // promotion has re-based the feed, no batch that sat
+                    // buffered in `inbuf` may advance the store past it.
+                    let role = match admit(state, epoch) {
+                        Ok(role) => role,
+                        Err(end) => return end,
+                    };
                     // Durability owed before the ACK may go out, decided
-                    // under the gate, performed after it drops (WAL
-                    // waits and snapshots must not hold the promotion
-                    // mutex).
+                    // under the role lock, performed after it drops (WAL
+                    // waits and snapshots must not hold it).
                     let mut stage_records = false;
                     let mut need_checkpoint = false;
                     let ack = if flags & REPL_FLAG_SNAP != 0 {
@@ -753,8 +691,8 @@ fn run_session(
                             }
                         }
                     };
-                    // The gate must not be held across socket writes.
-                    drop(gate);
+                    // The role lock must not be held across socket writes.
+                    drop(role);
                     // Replica-side durable WAL: everything just applied
                     // must reach disk before the ACK goes out, so a
                     // freshly promoted replica serves a store no weaker
@@ -824,8 +762,7 @@ fn run_session(
                 Response::NotPrimary { hint } => {
                     // The node we dialed is itself a replica. Follow the
                     // hint if it has one.
-                    if !hint.is_empty() && hint != upstream {
-                        state.set_upstream(hint.to_string());
+                    if !hint.is_empty() && hint != upstream && state.role().repoint(hint).is_ok() {
                         return SessionEnd::Repointed;
                     }
                     return SessionEnd::Failed;
@@ -898,26 +835,15 @@ pub(crate) fn handle_repl_frame(
         }
         Ok(ReplRequest::Candidate { epoch, versions }) => {
             // A vote request from a peer replica standing for election.
-            // Election safety lives in these denials: one vote per epoch,
-            // a live primary never votes anyone in over itself, and a
-            // candidate with less replicated history than ours never gets
-            // our vote (so the winner has at least a majority's worth of
-            // acked history).
             let own: u64 = state.store.versions(engine).iter().sum();
-            let candidate: u64 = versions.iter().sum();
-            let granted = state.is_replica()
-                && epoch > state.epoch()
-                && candidate >= own
-                && state.try_vote(epoch);
-            if granted {
-                // Granting adopts the epoch: even if this candidate loses,
-                // the old primary's stream is now recognizably stale here.
-                state.observe_epoch(epoch);
-            }
+            let mut role = state.role();
+            let granted = role.grant(epoch, versions.iter().sum(), own);
+            let epoch = role.known_epoch();
+            drop(role);
             encode_response(
                 &Response::ReplVote {
                     granted,
-                    epoch: state.epoch(),
+                    epoch,
                     version_sum: own,
                 },
                 outbuf,
@@ -925,53 +851,26 @@ pub(crate) fn handle_repl_frame(
         }
         Ok(ReplRequest::EpochAnnounce { epoch, primary }) => {
             // The election winner telling us where the new primary lives.
-            if !state.is_replica() {
-                // A deposed primary does NOT adopt the announce — adopting
-                // would un-fence it. It stays primary-at-old-epoch, kept
-                // harmless by lease fencing (its replicas are gone) and by
-                // stale-epoch rejection on every batch it still emits.
-                encode_error(
-                    "cannot repoint a primary; demotion is not supported",
-                    outbuf,
-                );
-                return;
-            }
-            if epoch < state.epoch() {
-                encode_error("stale epoch announce", outbuf);
-                return;
-            }
-            state.observe_epoch(epoch);
-            match std::str::from_utf8(primary) {
-                Ok(addr) => {
-                    if !addr.is_empty() && addr != state.advertised() {
-                        state.set_upstream(addr.to_string());
-                    }
-                    encode_response(&Response::Done, outbuf);
-                }
-                Err(_) => encode_error("primary address is not valid UTF-8", outbuf),
-            }
+            // A deposed primary refuses it and stays fenced (DESIGN §16.2).
+            let announced = match std::str::from_utf8(primary) {
+                Ok(addr) => state.role().announce(epoch, addr),
+                Err(_) => Err("primary address is not valid UTF-8"),
+            };
+            encode_done(announced, outbuf);
         }
         Ok(ReplRequest::Promote { upstream }) => {
-            if upstream.is_empty() {
-                // Become primary. Idempotent; the feed re-bases to the
-                // store's live versions.
-                state.promote_to_primary(engine);
-                encode_response(&Response::Done, outbuf);
-            } else {
-                match std::str::from_utf8(upstream) {
-                    Ok(addr) if state.is_replica() => {
-                        // Repoint at a new primary; the sink thread picks
-                        // the change up on its next poll tick.
-                        state.set_upstream(addr.to_string());
-                        encode_response(&Response::Done, outbuf);
-                    }
-                    Ok(_) => encode_error(
-                        "cannot repoint a primary; demotion is not supported",
-                        outbuf,
-                    ),
-                    Err(_) => encode_error("upstream address is not valid UTF-8", outbuf),
+            // Empty: become primary, in an epoch of its own; idempotent.
+            // Otherwise repoint at a new primary; the sink thread picks
+            // the change up on its next poll tick.
+            let done = match std::str::from_utf8(upstream) {
+                Ok("") => {
+                    state.promote(engine, Role::promote);
+                    Ok(())
                 }
-            }
+                Ok(addr) => state.role().repoint(addr),
+                Err(_) => Err("upstream address is not valid UTF-8"),
+            };
+            encode_done(done, outbuf);
         }
         Err(e) => {
             state.counters.note_malformed();
@@ -982,10 +881,31 @@ pub(crate) fn handle_repl_frame(
     }
 }
 
+/// `Done`, or the error that refused the request.
+fn encode_done(done: Result<(), &str>, outbuf: &mut Vec<u8>) {
+    match done {
+        Ok(()) => encode_response(&Response::Done, outbuf),
+        Err(why) => encode_error(why, outbuf),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{spawn, Mode, ServerConfig, ServerHandle};
+    use gocc_repl::suspect_jitter;
+
+    impl ServerState {
+        /// This node's own vote in `epoch` ([`Role::try_vote`]).
+        fn try_vote(&self, epoch: u64) -> bool {
+            self.role().try_vote(epoch)
+        }
+
+        /// What [`canvass`] does on a majority in `epoch`.
+        fn promote_elected(&self, engine: &Engine<'_>, epoch: u64) -> bool {
+            self.promote(engine, |role| role.win(epoch))
+        }
+    }
 
     /// Two candidacies closer together than this are one collision: both
     /// nodes have voted for themselves before either hears from the other.
@@ -1128,6 +1048,87 @@ mod tests {
         assert!(sb.try_vote(epoch + 1));
         assert!(sb.promote_elected(&engine_b, epoch + 1));
         assert!(!sb.try_vote(epoch + 5), "a primary votes nobody in");
+        shut_down(pair);
+    }
+
+    /// A manual `REPL_PROMOTE` stands in an epoch of its own. A node that
+    /// stood in epoch e and did not win it may not take e by promotion:
+    /// a peer may hold e's majority, and both would be primaries in e.
+    #[test]
+    fn a_manual_promotion_stands_above_the_nodes_own_candidacy() {
+        let pair = two_orphans((1, 2));
+        let sa = pair[0].state_arc();
+        let engine_a = Engine::new(&sa.rt, sa.config.mode);
+        let epoch = stand(&sa).expect("first candidacy");
+        let mut frame = Vec::new();
+        encode_repl_request(&ReplRequest::Promote { upstream: b"" }, &mut frame);
+        let (mut out, mut sub, mut closing) = (Vec::new(), None, false);
+        handle_repl_frame(
+            &engine_a,
+            &sa,
+            0,
+            &mut out,
+            &mut sub,
+            &mut closing,
+            &frame[4..],
+        );
+        assert!(!sa.is_replica(), "the promotion took");
+        assert!(
+            sa.epoch() > epoch,
+            "promoted in epoch {}, the one it stood in",
+            sa.epoch()
+        );
+        shut_down(pair);
+    }
+
+    /// A candidate denied by a peer that has voted in a later epoch learns
+    /// that epoch from the reply and stands above it next time. Without
+    /// that, a peer that stands more often than the candidate (one behind
+    /// in history, so it never wins) keeps its vote ahead of every
+    /// candidacy it is asked for, and nobody is elected.
+    #[test]
+    fn a_denied_candidate_stands_above_the_peers_last_vote() {
+        let pair = two_orphans((1, 2));
+        let (sa, sb) = (pair[0].state_arc(), pair[1].state_arc());
+        let engine_a = Engine::new(&sa.rt, sa.config.mode);
+        // The peer's own candidacies in epochs 1 and 2, canvassing nobody.
+        assert_eq!((stand(&sb), stand(&sb)), (Some(1), Some(2)));
+        assert!(
+            !run_election(&sa, &engine_a),
+            "epoch 1 is spent at the peer"
+        );
+        assert!(
+            run_election(&sa, &engine_a),
+            "the next candidacy stands above the peer's vote"
+        );
+        assert!(!sa.is_replica() && sb.is_replica());
+        shut_down(pair);
+    }
+
+    /// Two survivors that differ in history: the one behind cannot win,
+    /// yet it stands whenever its window ends first. The one ahead denies
+    /// it but spends that epoch, so its own next candidacy stands above
+    /// the peer's vote and wins, however often the peer stood first.
+    #[test]
+    fn a_peer_behind_in_history_does_not_keep_the_one_ahead_from_winning() {
+        let pair = two_orphans((1, 2));
+        let (sa, sb) = (pair[0].state_arc(), pair[1].state_arc());
+        let engine_a = Engine::new(&sa.rt, sa.config.mode);
+        let engine_b = Engine::new(&sb.rt, sb.config.mode);
+        let record = ReplRecord {
+            kind: REPL_KIND_PUT,
+            key: 7,
+            value: 7,
+            exp: 0,
+        };
+        assert_eq!(
+            sa.store.apply_repl_batch(&engine_a, 0, 0, 0, &[record]),
+            Ok(1)
+        );
+        for _ in 0..3 {
+            assert!(!run_election(&sb, &engine_b), "the peer behind won");
+        }
+        assert!(run_election(&sa, &engine_a), "the node ahead lost");
         shut_down(pair);
     }
 }

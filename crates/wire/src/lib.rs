@@ -383,8 +383,8 @@ pub enum Response<'a> {
     ReplVote {
         /// Whether the vote was granted.
         granted: bool,
-        /// The voter's highest known epoch (lets a stale candidate catch
-        /// up before retrying).
+        /// The highest epoch the voter has seen or voted in (lets a stale
+        /// candidate catch up before retrying).
         epoch: u64,
         /// The voter's total replicated history (sum of shard versions),
         /// for diagnostics.

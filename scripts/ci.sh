@@ -187,6 +187,29 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
 fi
 echo "ok: worker_loop waits in one place, crates/server/src sleeps only to inject faults, no worker waits on the log or a replica"
 
+echo "== one role record =="
+# A node's role, epoch, vote, upstream and electorate are one
+# gocc_repl::Role behind one lock in ServerState, and every election rule
+# is one Role method called under it (crates/repl/src/role.rs walks every
+# sequence of six transitions; crates/server/src/repl.rs's unit tests
+# drive the rules through real nodes). A second lock in ServerState, the
+# promotion gate or the vote field of old, or a lock, socket, thread or
+# clock inside Role would split a rule across reads again.
+locks=$(grep -c 'Mutex<' crates/server/src/lib.rs || true)
+if [ "$locks" -gt 1 ]; then
+  echo "FAIL: crates/server/src/lib.rs declares $locks Mutex<...>, want at most the role's" >&2
+  exit 1
+fi
+split=$(grep -rnE 'promote_gate|last_voted_epoch' crates/server/src || true)
+impure=$(grep -nE 'std::net|std::thread|Instant|SystemTime|Mutex|Atomic|atomic::' \
+  crates/repl/src/role.rs || true)
+if [ -n "$split$impure" ]; then
+  printf '%s\n' "$split" "$impure" | grep -v '^$'
+  echo "FAIL: the role is split across fields again, or Role does I/O, locks or reads a clock" >&2
+  exit 1
+fi
+echo "ok: one Role behind one lock, and Role is plain data and rules"
+
 echo "== one measurement system =="
 # benchmark/ measures, run_benches.sh reproduces the paper's figures, and
 # every gate and soak below prints its verdict and writes nothing. A
