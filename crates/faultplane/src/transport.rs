@@ -75,18 +75,6 @@ impl TransportMix {
             reset: each,
         }
     }
-
-    /// Total per-op fault probability on the read side.
-    #[must_use]
-    pub fn read_total(&self) -> f64 {
-        self.short_read + self.stall + self.reset
-    }
-
-    /// Total per-op fault probability on the write side.
-    #[must_use]
-    pub fn write_total(&self) -> f64 {
-        self.short_write + self.stall + self.reset
-    }
 }
 
 /// Salt decorrelating length draws from fault-class draws.

@@ -26,7 +26,7 @@ use std::time::Duration;
 use gocc_loadgen::soak::{self, spawn_node, violation, Flags, SoakResult};
 use gocc_loadgen::{
     fetch_stats, fetch_trace, run_point, send_shutdown, sweep_counts, LoadConfig, ModeResult,
-    SweepRow,
+    Schedule, SweepRow,
 };
 use gocc_server::{mode_name, Mode, ServerConfig};
 use gocc_telemetry::JsonValue;
@@ -131,20 +131,27 @@ fn loopback_port(addr: &str) -> Result<u16, String> {
     port.parse().map_err(|e| format!("--addr port: {e}"))
 }
 
-/// Drives one `(mode, workers)` point against a live server at `port` and
-/// returns it paired with the server's post-window stats.
+/// Drives one point, `workers` connections with a window of `depth`,
+/// against a live server at `port` and returns it paired with the
+/// server's post-window stats.
 fn measure(
     port: u16,
     expect_mode: Mode,
     workers: usize,
+    depth: usize,
     load: &LoadConfig,
 ) -> Result<ModeResult, String> {
-    let point = run_point(port, workers, load).map_err(|e| format!("load loop: {e}"))?;
-    if point.ops == 0 {
+    let load = LoadConfig {
+        conns: workers,
+        schedule: Schedule::Window(depth),
+        ..load.clone()
+    };
+    let point = run_point(port, &load).map_err(|e| format!("load loop: {e}"))?;
+    if point.counts.completed == 0 {
         return Err(format!(
             "measurement window completed zero operations \
              ({} client errors)",
-            point.client_errors
+            point.counts.client_errors
         ));
     }
     let stats = fetch_stats(port)?;
@@ -164,23 +171,23 @@ fn measure(
 }
 
 fn print_row(mode: Mode, depth: usize, m: &ModeResult) {
-    let p = &m.point;
+    let (p, c) = (&m.point, &m.point.counts);
     println!(
         "{:>7}  {:>4}  {:<4}  {:>9}  {:>11.0}  {:>9}  {:>9}  {:>5}",
-        p.workers,
+        p.conns,
         depth,
         mode_name(mode),
-        p.ops,
+        c.completed,
         p.ops_per_sec(),
         p.latency.quantile(0.5),
         p.latency.quantile(0.99),
-        p.client_errors + p.server_errors,
+        c.client_errors + c.server_errors,
     );
-    if p.client_errors > 0 {
+    if c.client_errors > 0 {
         eprintln!(
             "warning: {} client-side errors at {} workers ({})",
-            p.client_errors,
-            p.workers,
+            c.client_errors,
+            p.conns,
             mode_name(mode)
         );
     }
@@ -203,9 +210,8 @@ fn run(args: &Args) -> SoakResult<()> {
         // External server: one point, no sweep, caller owns the lifecycle.
         let port = loopback_port(addr)?;
         let mode = args.mode.expect("checked in parse_args");
-        let mut load = args.load.clone();
-        load.pipeline = depths[0];
-        print_row(mode, depths[0], &measure(port, mode, args.workers, &load)?);
+        let m = measure(port, mode, args.workers, depths[0], &args.load)?;
+        print_row(mode, depths[0], &m);
         if let Some(max) = args.trace {
             // Drained before SHUTDOWN: TRACE against a dead server is
             // just a connection error.
@@ -223,8 +229,6 @@ fn run(args: &Args) -> SoakResult<()> {
                     pipeline: depth,
                     ..SweepRow::default()
                 };
-                let mut load = args.load.clone();
-                load.pipeline = depth;
                 for &mode in &modes {
                     // A fresh server per point: no cross-point warmup
                     // bleed, and each mode's telemetry covers exactly one
@@ -239,7 +243,7 @@ fn run(args: &Args) -> SoakResult<()> {
                         ..ServerConfig::default()
                     };
                     let handle = spawn_node("goccd", config)?;
-                    let result = measure(handle.port(), mode, wc, &load);
+                    let result = measure(handle.port(), mode, wc, depth, &args.load);
                     let shutdown = send_shutdown(handle.port());
                     let summary = handle.join();
                     let m = result?;
@@ -393,19 +397,20 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocc_loadgen::PointResult;
+    use gocc_loadgen::{Counts, PointResult};
 
     /// A 1-worker row at `depth`, both modes alike: ops/s, requests per
     /// section and the busiest worker's idle blocks per request.
     fn row(depth: usize, ops: u64, per_section: f64, blocks_per_request: u64) -> SweepRow {
         let blocks = blocks_per_request * 10_000;
         let point = PointResult {
-            workers: 1,
-            ops,
-            elapsed: Duration::from_secs(1),
+            conns: 1,
+            counts: Counts {
+                completed: ops,
+                ..Counts::default()
+            },
             latency: Default::default(),
-            client_errors: 0,
-            server_errors: 0,
+            elapsed: Duration::from_secs(1),
         };
         let stats_raw = format!(
             r#"{{"batch":{{"requests_per_batch":{{"mean":{per_section}}}}},"per_worker":

@@ -36,9 +36,7 @@ use std::time::{Duration, Instant};
 
 use gocc_faultplane::{LoadFaultPlan, LoadMix};
 use gocc_loadgen::soak::{self, spawn_node, violation, Flags, SoakResult};
-use gocc_loadgen::{
-    fetch_health, run_open_loop, run_point, LoadConfig, OpenLoopConfig, OpenLoopResult,
-};
+use gocc_loadgen::{fetch_health, run_point, LoadConfig, PointResult, Schedule};
 use gocc_server::{mode_name, HealthState, Mode, ServerConfig, ServerSummary};
 use gocc_telemetry::JsonValue;
 use gocc_wire::{Request, Response};
@@ -184,7 +182,7 @@ fn deadline_probe(port: u16, key: &str) -> SoakResult<()> {
 
 struct ModeOutcome {
     capacity_ops_per_sec: f64,
-    open: OpenLoopResult,
+    open: PointResult,
     recovery_ms: u64,
     server: ServerOverload,
     summary: ServerSummary,
@@ -239,8 +237,8 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
     };
     let cal = run_point(
         port,
-        4,
         &LoadConfig {
+            conns: 4,
             warmup: Duration::from_millis(150),
             window: cal_window,
             scan_every: 0,
@@ -249,26 +247,33 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
         },
     )
     .map_err(|e| format!("calibration: {e}"))?;
-    if cal.ops == 0 {
+    if cal.counts.completed == 0 {
         return Err("calibration completed zero operations".into());
     }
     let capacity = cal.ops_per_sec();
 
     // Phase 3: open-loop arrivals at 2× capacity — past saturation by
-    // construction — with a per-request deadline budget.
-    let open_cfg = OpenLoopConfig {
-        conns: args.conns,
-        rate_per_conn: (2.0 * capacity / args.conns as f64).max(50.0),
-        warmup: Duration::from_millis(200),
-        duration: open_window,
-        deadline_us: Some(DEADLINE_BUDGET.as_micros() as u32),
-        seed: args.seed ^ 0x0516,
-        max_inflight: 256,
-        breaker: None, // adversarial client: keeps offering while shed
-        drain_grace: Duration::from_secs(3),
-        ..OpenLoopConfig::default()
-    };
-    let open = run_open_loop(port, &open_cfg).map_err(|e| format!("open loop: {e}"))?;
+    // construction — with a per-request deadline budget. The client keeps
+    // offering while it is shed, and sends no SCAN: this measures the
+    // cheap-verb path under pressure.
+    let per_conn = (2.0 * capacity / args.conns as f64).max(50.0);
+    let open = run_point(
+        port,
+        &LoadConfig {
+            conns: args.conns,
+            schedule: Schedule::Rate {
+                per_conn,
+                max_inflight: 256,
+            },
+            warmup: Duration::from_millis(200),
+            window: open_window,
+            deadline_us: Some(DEADLINE_BUDGET.as_micros() as u32),
+            scan_every: 0,
+            seed: args.seed ^ 0x0516,
+            ..LoadConfig::default()
+        },
+    )
+    .map_err(|e| format!("open loop: {e}"))?;
 
     // Phase 4: load removed — the server must walk back to Healthy.
     let t0 = Instant::now();
@@ -309,19 +314,19 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
     let gates = vec![
         gate(
             "saturated",
-            open.overloaded > 0 && server.shed_total > 0,
+            open.counts.overloaded > 0 && server.shed_total > 0,
             format!(
                 "server shed {} requests ({} observed client-side) at 2x capacity",
-                server.shed_total, open.overloaded
+                server.shed_total, open.counts.overloaded
             ),
         ),
         gate(
             "admitted_p99",
-            open.ok > 0 && p99_passes <= ADMITTED_P99_PASSES,
+            open.counts.ok > 0 && p99_passes <= ADMITTED_P99_PASSES,
             format!(
                 "admitted p99 {p99_ms:.2}ms = {p99_passes:.2} passes of {pass_ms:.1}ms \
                  vs gate {ADMITTED_P99_PASSES:.1} over {} admitted",
-                open.ok
+                open.counts.ok
             ),
         ),
         gate(
@@ -388,8 +393,8 @@ fn run(args: &Args) -> SoakResult<()> {
             "   capacity {:.0} ops/s, offered {:.0}/s open-loop; \
              {} ok, {} shed, {} deadline-missed, recovered in {}ms",
             m.capacity_ops_per_sec,
-            m.open.target_rate,
-            m.open.ok,
+            m.open.counts.offered as f64 / m.open.elapsed.as_secs_f64(),
+            m.open.counts.ok,
             m.server.shed_total,
             m.summary.deadline_misses,
             m.recovery_ms,

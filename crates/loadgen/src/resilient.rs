@@ -22,15 +22,10 @@
 //!   listening — the daemon is dead, not busy — so connects give up after
 //!   [`ClientConfig::refused_attempts`] instead of burning the full
 //!   backoff schedule reserved for transient errors (timeouts, resets).
-//! * **Overload is not a fault**: a [`CircuitBreaker`] tracks consecutive
-//!   `Overloaded` responses and opens after
-//!   [`BreakerConfig::open_after`] of them; while open, the client sheds
-//!   its own arrivals locally (costing the server nothing) until a
-//!   cooldown expires and a half-open probe closes the breaker again.
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gocc_telemetry::SplitMix64;
 use gocc_wire::{Pipe, Request, Response};
@@ -157,133 +152,6 @@ pub fn connect_with_retry(
         Ok(stream)
     });
     result
-}
-
-/// Circuit-breaker state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow normally.
-    Closed,
-    /// Requests are shed client-side until the cooldown expires.
-    Open,
-    /// One probe is in flight; its outcome decides Open vs Closed.
-    HalfOpen,
-}
-
-/// Circuit-breaker thresholds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive `Overloaded` responses that open the breaker (≥ 1).
-    pub open_after: u32,
-    /// How long the breaker stays open before permitting one half-open
-    /// probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            open_after: 5,
-            cooldown: Duration::from_millis(200),
-        }
-    }
-}
-
-/// A client-side circuit breaker keyed on the server's `Overloaded`
-/// responses.
-///
-/// The feedback loop: an overloaded server sheds cheaply but still pays
-/// *something* per rejection, so a polite client stops sending once the
-/// pattern is unambiguous. [`CircuitBreaker::permit`] gates each send;
-/// the caller reports outcomes via [`CircuitBreaker::on_overloaded`] /
-/// [`CircuitBreaker::on_success`]. After `open_after` consecutive
-/// rejections the breaker opens; once [`BreakerConfig::cooldown`] passes,
-/// exactly one probe is permitted (half-open) and its outcome either
-/// closes or re-opens the breaker.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    cfg: BreakerConfig,
-    state: BreakerState,
-    consecutive_overloaded: u32,
-    opened_at: Option<Instant>,
-    trips: u64,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker.
-    #[must_use]
-    pub fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            state: BreakerState::Closed,
-            consecutive_overloaded: 0,
-            opened_at: None,
-            trips: 0,
-        }
-    }
-
-    /// Current state (recomputed lazily on [`CircuitBreaker::permit`]).
-    #[must_use]
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Times the breaker has opened.
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Whether a request may be sent now. While open, returns `false`
-    /// until the cooldown expires, then transitions to half-open and
-    /// permits exactly one probe.
-    pub fn permit(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => false,
-            BreakerState::Open => {
-                let cooled = self
-                    .opened_at
-                    .is_none_or(|t| t.elapsed() >= self.cfg.cooldown);
-                if cooled {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Reports an `Overloaded` response for a permitted request.
-    pub fn on_overloaded(&mut self) {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_overloaded += 1;
-                if self.consecutive_overloaded >= self.cfg.open_after.max(1) {
-                    self.open();
-                }
-            }
-            BreakerState::HalfOpen => self.open(),
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Reports any non-`Overloaded` response for a permitted request.
-    pub fn on_success(&mut self) {
-        self.consecutive_overloaded = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.state = BreakerState::Closed;
-            self.opened_at = None;
-        }
-    }
-
-    fn open(&mut self) {
-        self.state = BreakerState::Open;
-        self.opened_at = Some(Instant::now());
-        self.consecutive_overloaded = 0;
-        self.trips += 1;
-    }
 }
 
 /// A request/response client that survives connection loss: a [`Pipe`]
@@ -563,60 +431,5 @@ mod tests {
         });
         assert_eq!(result.unwrap(), 3);
         assert_eq!(attempts, 3);
-    }
-
-    #[test]
-    fn breaker_opens_after_consecutive_overloads_only() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            open_after: 3,
-            cooldown: Duration::from_millis(50),
-        });
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.on_overloaded();
-        b.on_overloaded();
-        // A success breaks the streak: the counter must reset.
-        b.on_success();
-        b.on_overloaded();
-        b.on_overloaded();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.permit());
-        b.on_overloaded();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
-        assert!(!b.permit(), "an open breaker sheds client-side");
-    }
-
-    #[test]
-    fn breaker_half_open_probe_closes_on_success() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            open_after: 1,
-            cooldown: Duration::from_millis(10),
-        });
-        b.on_overloaded();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.permit(), "cooldown not yet elapsed");
-        std::thread::sleep(Duration::from_millis(15));
-        assert!(b.permit(), "cooldown elapsed: one probe is permitted");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.permit(), "only ONE probe while half-open");
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.permit());
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn breaker_half_open_probe_reopens_on_overload() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            open_after: 1,
-            cooldown: Duration::from_millis(5),
-        });
-        b.on_overloaded();
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(b.permit());
-        b.on_overloaded();
-        assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
-        assert_eq!(b.trips(), 2);
-        assert!(!b.permit(), "fresh cooldown after the failed probe");
     }
 }

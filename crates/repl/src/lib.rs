@@ -103,8 +103,6 @@ pub struct OutBatch {
     pub shard: u32,
     /// Version check: the replica applies only if its shard is here.
     pub prev_version: u64,
-    /// Primary's logical clock for the shard (TTL coherence).
-    pub now: u64,
     /// Records, in commit (`seq`) order; moves the shard
     /// `prev_version → prev_version + records.len()`.
     pub records: Vec<ReplRecord>,
@@ -146,8 +144,6 @@ struct SubState {
 struct ShardState {
     /// Durable, contiguously released version.
     version: u64,
-    /// Shard logical clock as of the last released record.
-    now: u64,
     /// Out-of-order arrivals waiting for the gap to fill: `seq → record`.
     pending: BTreeMap<u64, ReplRecord>,
 }
@@ -245,7 +241,6 @@ impl ReplFeed {
             .iter()
             .map(|&v| ShardState {
                 version: v,
-                now: 0,
                 pending: BTreeMap::new(),
             })
             .collect();
@@ -436,23 +431,12 @@ impl ReplFeed {
         }
     }
 
-    /// Advances shard `shard`'s logical clock (TTL coherence for batches).
-    pub fn observe_clock(&self, shard: u32, now: u64) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if let Some(s) = inner.shards.get_mut(shard as usize) {
-            if now > s.now {
-                s.now = now;
-            }
-        }
-    }
-
     /// Pops up to `max_records` queued records for `id`, grouped into one
     /// version-stamped batch per shard. Only streaming shards drain;
     /// armed shards hold their queue behind the in-flight snapshot.
     #[must_use]
     pub fn drain(&self, id: SubId, max_records: usize) -> Vec<OutBatch> {
         let mut inner = lock_unpoisoned(&self.inner);
-        let inner = &mut *inner;
         let Some(Some(sub)) = inner.subs.get_mut(id.0) else {
             return Vec::new();
         };
@@ -483,7 +467,6 @@ impl ReplFeed {
             out.push(OutBatch {
                 shard: s as u32,
                 prev_version,
-                now: inner.shards[s].now,
                 records,
             });
         }

@@ -7,8 +7,8 @@
 //! A thread that takes timed passes asks a [`Tick`] for each timeout, so
 //! the passes come one per [`IDLE_PASS`] however long each one took.
 //!
-//! Public for `tests/idle_wait.rs`, which times the wait itself; the
-//! server is its only other caller.
+//! Public for `tests/idle_wait.rs`, which times the wait itself, and for
+//! `gocc-loadgen`'s load driver, whose connections wait here too.
 
 use std::ffi::{c_int, c_short, c_ulong, c_void};
 use std::io::{self, Read, Write};
@@ -32,7 +32,7 @@ struct Timespec {
 }
 
 /// Readable (or the peer hung up: the next read says which).
-pub(crate) const POLLIN: c_short = 0x001;
+pub const POLLIN: c_short = 0x001;
 /// Writable.
 pub(crate) const POLLOUT: c_short = 0x004;
 
@@ -149,7 +149,8 @@ pub struct PollSet {
 }
 
 impl PollSet {
-    pub(crate) fn clear(&mut self) {
+    /// Watches nothing.
+    pub fn clear(&mut self) {
         self.fds.clear();
     }
 
@@ -157,7 +158,7 @@ impl PollSet {
     /// out: `poll` reports hang-up and error on every descriptor it is
     /// given, and an owner that will neither read nor write this one
     /// could not clear them — the wait would return at once, forever.
-    pub(crate) fn push(&mut self, fd: RawFd, events: c_short) {
+    pub fn push(&mut self, fd: RawFd, events: c_short) {
         if events != 0 {
             self.fds.push(PollFd {
                 fd,

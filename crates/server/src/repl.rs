@@ -195,7 +195,7 @@ pub(crate) fn pump_repl_out(
                     shard: b.shard,
                     flags: 0,
                     prev_version: b.prev_version,
-                    now: b.now,
+                    now: 0,
                     epoch,
                     records: b.records,
                 },

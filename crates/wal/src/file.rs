@@ -103,12 +103,6 @@ impl WalBackend {
             WalBackend::Sim(p) | WalBackend::Abort(p) => Some(p),
         }
     }
-
-    /// True for the backend that simulates crashes in-process.
-    #[must_use]
-    pub fn is_sim(&self) -> bool {
-        matches!(self, WalBackend::Sim(_))
-    }
 }
 
 struct RealWalFile {

@@ -359,12 +359,6 @@ impl Wal {
         self.tap_gen.fetch_add(1, Ordering::Release);
     }
 
-    /// The configured ack-release policy.
-    #[must_use]
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.cfg.sync
-    }
-
     /// What recovery observed at open.
     #[must_use]
     pub fn recovery_stats(&self) -> RecoveryStats {

@@ -362,7 +362,8 @@ pub enum Response<'a> {
         /// snapshot FIN chunk, the version the snapshot represents).
         prev_version: u64,
         /// The primary's logical clock for the shard, shipped so
-        /// expirations mean the same thing on both sides.
+        /// expirations mean the same thing on both sides. Only snapshot
+        /// chunks carry it; incremental batches and heartbeats send 0.
         now: u64,
         /// The primary's election epoch. A replica that has seen a higher
         /// epoch rejects the batch outright — this is how a deposed

@@ -128,6 +128,29 @@ if [ -n "$hand_read" ]; then
 fi
 echo "ok: every client sends through wire::Pipe, and no v1 request codec is left"
 
+echo "== one load driver =="
+# Closed and open loops are one per-connection loop (driver::drive), fed
+# by a Schedule: a window of tickets or a rate. It waits in idle::wait,
+# until an answer, the next due arrival or the read timeout, never in a
+# nap of its own. A second loop, a sleep in the driver, or the client
+# circuit breaker nothing called coming back, undoes that.
+loops=$(grep -nE '^fn drive[A-Za-z0-9_]*[(<]' crates/loadgen/src/*.rs || true)
+if [ "$(printf '%s\n' "$loops" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$loops"
+  echo "FAIL: crates/loadgen/src has $(printf '%s\n' "$loops" | grep -c .) per-connection loops, want one" >&2
+  exit 1
+fi
+naps=$(grep -n 'thread::sleep' crates/loadgen/src/driver.rs || true)
+old=$(grep -rnE 'drive_window|drive_open|run_open_loop|OpenLoopConfig|OpenLoopResult' crates \
+  --include='*.rs' || true)
+breaker=$(grep -rn 'Breaker' crates README.md DESIGN.md || true)
+if [ -n "$naps$old$breaker" ]; then
+  printf '%s\n' "$naps" "$old" "$breaker" | grep -v '^$'
+  echo "FAIL: the load driver naps, a second loop or config is back, or a Breaker is" >&2
+  exit 1
+fi
+echo "ok: one per-connection load loop, no nap in it, no client breaker"
+
 echo "== one idle decision =="
 # Every wait of worker_loop is the one idle::wait behind its idle
 # decision, which only picks the set and the timeout (a timed one from
