@@ -9,15 +9,16 @@
 //! * [`Liveness`] — the watchdog that turns a deadlock into exit 2;
 //! * [`Daemon`] and [`TempDir`] — a `goccd` child process and a scratch
 //!   directory that clean up after themselves on every exit path;
-//! * in-process node configs, a blocking [`connect`] for [`Pipe::call`]
-//!   and the REPL verb call for the replication harnesses;
+//! * in-process node configs, and a blocking [`connect`] for
+//!   [`Pipe::call`], which the replication harnesses' REPL verbs go
+//!   through too ([`repl_call`]);
 //! * [`KeyHist`] / [`Oracle`] / [`issue_op`] — the per-key reference
 //!   oracle the crash and failover soaks judge recovered state by.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read};
-use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpStream};
+use std::io::{self, BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
 use std::str::FromStr;
@@ -27,9 +28,7 @@ use std::time::{Duration, Instant};
 
 use gocc_server::{mode_name, parse_mode, Mode, ServerConfig, ServerHandle, ServerSummary};
 use gocc_telemetry::{JsonValue, SplitMix64};
-use gocc_wire::{
-    decode_response, encode_repl_request, write_frame, Pipe, ReplRequest, Request, Response,
-};
+use gocc_wire::{Pipe, ReplRequest, Request, Response};
 
 use crate::{connect_with_retry, fetch_stats, ClientConfig, ResilientClient};
 
@@ -664,24 +663,10 @@ pub fn connect(port: u16) -> Result<Pipe<TcpStream>, String> {
     Ok(Pipe::new(stream))
 }
 
-/// One REPL verb over a fresh connection; `Ok` for `Done`. REPL verbs
-/// keep their bare framing outside the pipe: the request ends the
-/// connection's input, and its one answer is all the node sends back.
+/// One REPL verb over a fresh connection; `Ok` for `Done`.
 pub fn repl_call(port: u16, req: &ReplRequest<'_>) -> Result<(), String> {
-    let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
-        .map_err(|e| format!("connect {port}: {e}"))?;
-    let mut frame = Vec::new();
-    encode_repl_request(req, &mut frame);
-    let mut answer = Vec::new();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .and_then(|()| write_frame(&mut stream, &frame))
-        .and_then(|()| stream.shutdown(Shutdown::Write))
-        .and_then(|()| stream.read_to_end(&mut answer))
-        .map_err(|e| format!("REPL verb: {e}"))?;
-    match answer.get(4..).map(decode_response) {
-        Some(Ok(Response::Done)) => Ok(()),
+    match connect(port)?.call(&Request::Repl(req.clone())) {
+        Ok(Response::Done) => Ok(()),
         other => Err(format!("REPL verb answered {other:?}")),
     }
 }

@@ -10,11 +10,12 @@
 //! re-execution loop lives either in the caller (transformed code style) or
 //! in the [`critical_mutex`]/[`critical_read`]/[`critical_write`] helpers.
 //!
-//! [`OptiLock`] mirrors the paper's two-field struct (`slowPath` +
-//! `lkMutex`): one instance serves one lock/unlock pair, memorizes the
-//! mutex used at the lock point, and recovers from analyzer mis-pairings
-//! (e.g. hand-over-hand traversals, §5.2.3) by aborting on a mutex
-//! mismatch at the unlock point and enforcing the slow path on the retry.
+//! [`OptiLock`] mirrors the paper's two-field struct (`lkMutex`, and
+//! `slowPath` as the scope's state): one instance serves one lock/unlock
+//! pair, memorizes the mutex used at the lock point, and recovers from
+//! analyzer mis-pairings (e.g. hand-over-hand traversals, §5.2.3) by
+//! aborting on a mutex mismatch at the unlock point and enforcing the
+//! slow path on the retry.
 //!
 //! Nested pairs compose through the shared scope the way nested `xbegin`s
 //! compose in TSX: flat subsumption, one commit at the outermost unlock.
@@ -245,13 +246,13 @@ enum Decision {
 
 /// The paper's `OptiLock`: per lock/unlock pair state.
 ///
-/// Mirrors the two published fields — `slowPath` (did this pair fall back?)
-/// and `lkMutex` (the mutex memorized at the lock point for mismatch
-/// detection) — plus the retry budget that hardware keeps in registers
-/// across rollbacks, and the perceptron features of this call site.
+/// Mirrors the published `lkMutex` field (the mutex memorized at the lock
+/// point for mismatch detection) — `slowPath`, whether this pair fell
+/// back, is the scope's state — plus the retry budget that hardware keeps
+/// in registers across rollbacks, and the perceptron features of this
+/// call site.
 pub struct OptiLock {
     site: usize,
-    slow_path: bool,
     lk: Option<LockKey>,
     attempts_left: u32,
     attempted_htm: bool,
@@ -284,7 +285,6 @@ impl OptiLock {
     pub fn new(site: usize) -> Self {
         OptiLock {
             site,
-            slow_path: false,
             lk: None,
             attempts_left: u32::MAX,
             attempted_htm: false,
@@ -348,12 +348,6 @@ impl OptiLock {
             .get_or_insert_with(|| rt.perceptron().features(lock.lock_id(), self.site))
     }
 
-    /// Whether the last `FastLock` fell back to the real lock.
-    #[must_use]
-    pub fn on_slow_path(&self) -> bool {
-        self.slow_path
-    }
-
     /// The lock point: Listing 19's `FastLock`.
     ///
     /// Decides HTM vs. lock (perceptron, single-thread bypass, retry
@@ -384,7 +378,6 @@ impl OptiLock {
                 // Nested pair inside a slow section: acquire pessimistically.
                 lock.acquire(scope.rt);
                 *depth += 1;
-                self.slow_path = true;
                 self.lk = Some(lock.key());
                 Some(Ok(()))
             }
@@ -393,7 +386,6 @@ impl OptiLock {
         match nested_outcome {
             Some(Ok(())) => {
                 if scope.is_fastpath() {
-                    self.slow_path = false;
                     self.lk = Some(lock.key());
                 }
                 Ok(())
@@ -457,7 +449,6 @@ impl OptiLock {
             match tx.subscribe_lock(lock.word(), lock.kind()) {
                 Ok(()) => {
                     scope.state = ScopeState::Fast { tx, depth: 1 };
-                    self.slow_path = false;
                     self.lk = Some(lock.key());
                     return;
                 }
@@ -478,7 +469,6 @@ impl OptiLock {
             tx: Tx::direct(rt.htm()),
             depth: 1,
         };
-        self.slow_path = true;
         self.lk = Some(lock.key());
     }
 
@@ -647,7 +637,6 @@ impl OptiLock {
     }
 
     fn finish(&mut self) {
-        self.slow_path = false;
         self.lk = None;
         self.decision = None;
         self.features = None;

@@ -25,8 +25,8 @@ use gocc_telemetry::trace;
 use gocc_telemetry::{Span, SpanKind};
 use gocc_wal::{DurableState, FlushToken, WalTicket};
 use gocc_wire::{
-    decode_request_any, encode_response, is_repl_request, FaultyStream, FrameBuf, Request,
-    Response, WireError, MAX_FRAME,
+    decode_request_any, encode_response, FaultyStream, FrameBuf, Request, RequestFrame, Response,
+    WireError, MAX_FRAME,
 };
 use gocc_workloads::Engine;
 
@@ -490,17 +490,6 @@ impl Conn {
                 Ok(None) => break,
                 Ok(Some(body)) => {
                     progressed = true;
-                    // Replication verbs bypass admission entirely: a
-                    // brownout must never shed the ack stream that keeps
-                    // the primary's lease (and its replicas) alive. They
-                    // still flush the batch first — a REPL frame between
-                    // two data frames must not reorder their responses.
-                    if is_repl_request(body) {
-                        let out = flush_batch(engine, state, wctx, outbuf, batch);
-                        handle_repl_frame(engine, state, wctx.worker, out, repl, closing, body);
-                        continue;
-                    }
-                    wctx.frames_seen += 1;
                     // Flight recorder: the sampling decision is made once
                     // per request, here at frame decode, and the id rides
                     // the worker's thread-local through admission, the
@@ -512,7 +501,21 @@ impl Conn {
                     };
                     let body_len = body.len() as u64;
                     match decode_request_any(body) {
+                        // Replication verbs bypass counting and admission:
+                        // a brownout must never shed the ack stream that
+                        // keeps the primary's lease (and its replicas)
+                        // alive. They still flush the batch first — a REPL
+                        // frame between two data frames must not reorder
+                        // their responses.
+                        Ok(RequestFrame {
+                            req: Request::Repl(req),
+                            ..
+                        }) => {
+                            let out = flush_batch(engine, state, wctx, outbuf, batch);
+                            handle_repl_frame(engine, state, wctx.worker, out, repl, closing, req);
+                        }
                         Ok(frame) => {
+                            wctx.frames_seen += 1;
                             state.counters.note_request(&frame.req);
                             let trace_id = state.rt.tracer().begin_request();
                             let verb = verb_index(&frame.req);
@@ -592,6 +595,7 @@ impl Conn {
                             }
                         }
                         Err(e) => {
+                            wctx.frames_seen += 1;
                             let out = flush_batch(engine, state, wctx, outbuf, batch);
                             state.counters.note_malformed();
                             let message = format!("malformed frame: {e}");

@@ -1,5 +1,5 @@
 //! The wait every serving thread blocks in — a worker idle or draining at
-//! shutdown, the acceptor, the replica sink between reconnects:
+//! shutdown, the acceptor, the replica sink:
 //! `ppoll(2)` on the sockets its owner would touch next, plus a [`Waker`]
 //! other threads write to, for at most a timeout kept to the nanosecond.
 //! No registration state — a worker owns a handful of connections, and the

@@ -254,8 +254,8 @@ pub struct ServerState {
 /// What ends each serving thread's idle wait when work arrives that no
 /// socket of its own signals — a dispatched connection, a durable record,
 /// a replica's ack, records for a replica's stream, a due checkpoint,
-/// promotion, shutdown — and the per-worker facts that say whom a piece
-/// of news concerns.
+/// promotion, a replica's new upstream, shutdown — and the per-worker
+/// facts that say whom a piece of news concerns.
 struct Wakeups {
     /// One per worker, by index, then the acceptor's, the replica sink's
     /// and the checkpointer's.
@@ -281,7 +281,7 @@ impl Wakeups {
         &self.wakers[self.on_wal.len()]
     }
 
-    /// What the replica sink's backoff waits on.
+    /// What the replica sink waits on, beside its upstream's socket.
     fn replica_sink(&self) -> &idle::Waker {
         &self.wakers[self.on_wal.len() + 1]
     }
@@ -507,7 +507,7 @@ impl ServerState {
             feed.reset_versions(&self.store.versions(engine));
         }
         drop(role);
-        // The sink exits on promotion; end its backoff wait now.
+        // The sink exits on promotion; end its wait now.
         self.wakeups.replica_sink().wake();
         true
     }

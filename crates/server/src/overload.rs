@@ -95,8 +95,11 @@ pub fn classify(req: &Request<'_>) -> VerbClass {
         Request::Stats | Request::Trace { .. } => VerbClass::Stats,
         // FLUSH is control-plane: it is the operator's durability barrier,
         // and shedding it would let an overloaded server dodge the very
-        // fsync pressure the operator is trying to observe.
-        Request::Health | Request::Shutdown | Request::Flush => VerbClass::Control,
+        // fsync pressure the operator is trying to observe. A replication
+        // verb is handled before admission; it would be control-plane too.
+        Request::Health | Request::Shutdown | Request::Flush | Request::Repl(_) => {
+            VerbClass::Control
+        }
     }
 }
 

@@ -23,8 +23,9 @@
 //!   dedicated thread that dials the upstream primary, applies what
 //!   arrives, and answers version-checked ACKs/NAKs.
 
-use std::io::Read;
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
@@ -33,9 +34,9 @@ use gocc_repl::{resync_backoff, Admit, ReplFeed, Role, SnapshotAssembler, SubId}
 use gocc_telemetry::{trace, JsonWriter, Span, SpanKind};
 use gocc_wal::{CheckpointImage, Staged, WalKind};
 use gocc_wire::{
-    decode_repl_request, decode_response, encode_repl_request, encode_response, write_frame,
-    FaultyStream, FrameBuf, ReplRecord, ReplRequest, Response, REPL_FLAG_FIN, REPL_FLAG_RESET,
-    REPL_FLAG_SNAP, REPL_KIND_DEL, REPL_KIND_PUT, REPL_KIND_PUTVAL,
+    decode_response, encode_request_v2, encode_response, write_frame, FaultyStream, FrameBuf, Pipe,
+    ReplRecord, ReplRequest, Request, Response, REPL_FLAG_FIN, REPL_FLAG_RESET, REPL_FLAG_SNAP,
+    REPL_KIND_DEL, REPL_KIND_PUT, REPL_KIND_PUTVAL,
 };
 use gocc_workloads::Engine;
 
@@ -289,6 +290,7 @@ impl ReplicaCounters {
 }
 
 /// How one upstream session ended.
+#[derive(Debug)]
 enum SessionEnd {
     /// Shutdown or promotion observed — the loop exits.
     Stop,
@@ -366,7 +368,7 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
             Duration::from_millis(10),
             Duration::from_millis(500),
         );
-        // Only shutdown and promotion wake the sink's waker.
+        // Shutdown, promotion and a new upstream wake the sink's waker.
         if !state.shutting_down() && state.is_replica() {
             idle::wait(state.wakeups.replica_sink(), &mut set, Some(wait));
         }
@@ -398,9 +400,8 @@ fn stand(state: &ServerState) -> Option<u64> {
 /// The rest of a candidacy opened by [`stand`]: asks every peer for its
 /// vote in `epoch` and promotes this node on a majority.
 fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
-    let mut frame = Vec::new();
     let versions = state.store.versions(engine);
-    encode_repl_request(&ReplRequest::Candidate { epoch, versions }, &mut frame);
+    let candidate = Request::Repl(ReplRequest::Candidate { epoch, versions });
     let (peers, majority) = {
         let role = state.role();
         (role.peers.clone(), role.majority())
@@ -410,7 +411,7 @@ fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
         if state.shutting_down() || !state.is_replica() {
             return false;
         }
-        match request_vote(state, peer, &frame) {
+        match request_vote(state, peer, &candidate) {
             Some((true, _)) => votes += 1,
             // A peer has seen or voted in a later epoch: adopt it and
             // stand down, so the next candidacy stands above it.
@@ -434,19 +435,15 @@ fn canvass(state: &Arc<ServerState>, engine: &Engine<'_>, epoch: u64) -> bool {
     // that misses the announce still learns the epoch from the next
     // welcome/batch it sees, or from a NotPrimary hint.
     let primary = state.role().advertised.clone();
-    frame.clear();
-    let announce = ReplRequest::EpochAnnounce {
+    let announce = Request::Repl(ReplRequest::EpochAnnounce {
         epoch,
         primary: primary.as_bytes(),
-    };
-    encode_repl_request(&announce, &mut frame);
+    });
     for peer in &peers {
-        if let Some(mut stream) = dial_peer(peer) {
-            let _ = write_frame(&mut stream, &frame);
-            // One best-effort response read keeps the frame from being
-            // lost in a close race; the content is irrelevant.
-            let mut scratch = [0u8; 256];
-            let _ = stream.read(&mut scratch);
+        if let Some(stream) = dial_peer(peer) {
+            // Waiting for the answer keeps the frame from being lost in a
+            // close race; what it says is irrelevant.
+            let _ = Pipe::new(stream).call(&announce);
         }
     }
     true
@@ -462,35 +459,27 @@ fn dial_peer(peer: &str) -> Option<TcpStream> {
     Some(stream)
 }
 
-/// Sends `peer` the `REPL_CANDIDATE` in `frame`: whether it granted,
-/// and the highest epoch it knows; `None` when it could not be asked.
-fn request_vote(state: &ServerState, peer: &str, frame: &[u8]) -> Option<(bool, u64)> {
-    let mut stream = FaultyStream::maybe(dial_peer(peer)?, state.config.repl_fault_plan.clone());
-    write_frame(&mut stream, frame).ok()?;
-    let mut inbuf = FrameBuf::new();
-    let mut chunk = [0u8; 4096];
+/// Sends `peer` the `REPL_CANDIDATE` `candidate`: whether it granted,
+/// and the highest epoch it knows; `None` when it could not be asked. A
+/// stalled or timed-out read leaves the request in flight, and its answer
+/// is waited for until 750 ms have passed, so a stall does not cost the
+/// vote.
+fn request_vote(state: &ServerState, peer: &str, candidate: &Request<'_>) -> Option<(bool, u64)> {
+    let stream = FaultyStream::maybe(dial_peer(peer)?, state.config.repl_fault_plan.clone());
+    let mut pipe = Pipe::new(stream);
     let deadline = Instant::now() + Duration::from_millis(750);
-    while Instant::now() < deadline {
-        match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => inbuf.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => return None,
+    let mut answer = pipe.call(candidate).map(Some);
+    loop {
+        match answer {
+            Ok(Some(Response::ReplVote { granted, epoch })) => return Some((granted, epoch)),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut && Instant::now() < deadline => {}
+            _ => return None,
         }
-        if let Some(body) = inbuf.next_frame().ok()? {
-            return match decode_response(body) {
-                Ok(Response::ReplVote { granted, epoch, .. }) => Some((granted, epoch)),
-                _ => None,
-            };
-        }
+        answer = pipe
+            .wait()
+            .and_then(|()| pipe.answer())
+            .map(|ready| ready.map(|(_, resp)| resp));
     }
-    None
 }
 
 /// Admits a welcome or batch stamped `epoch` ([`Role::admit`]) and hands
@@ -523,23 +512,25 @@ fn run_session(
         return SessionEnd::Failed;
     };
     let _ = stream.set_nodelay(true);
-    // Short read timeout: every timeout tick re-checks shutdown, role and
-    // upstream, so promotion and repointing are observed promptly.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
-        return SessionEnd::Failed;
-    }
     let mut stream = FaultyStream::maybe(stream, state.config.repl_fault_plan.clone());
 
     let mut frame = Vec::new();
     let versions = state.store.versions(engine);
-    encode_repl_request(&ReplRequest::Hello { versions }, &mut frame);
-    if write_frame(&mut stream, &frame).is_err() {
+    let hello = Request::Repl(ReplRequest::Hello { versions });
+    encode_request_v2(&hello, None, &mut frame);
+    // From here on no read blocks: the sink waits in `idle::wait` on the
+    // socket and its waker, which shutdown, promotion and a new upstream
+    // wake, and reads once the wait ends. An ACK that finds the send
+    // buffer full fails the session: the upstream has stopped reading.
+    if write_frame(&mut stream, &frame)
+        .and_then(|()| stream.get_ref().set_nonblocking(true))
+        .is_err()
+    {
         return SessionEnd::Failed;
     }
 
+    let hello_sent = Instant::now();
+    let mut set = idle::PollSet::default();
     let mut inbuf = FrameBuf::new();
     let mut assembler = SnapshotAssembler::new();
     let mut chunk = [0u8; 4096];
@@ -551,6 +542,25 @@ fn run_session(
         if state.upstream_hint() != upstream {
             return SessionEnd::Repointed;
         }
+        // The detector: a connected-but-silent upstream (frozen process,
+        // dead NIC, partition) never returns `Ok(0)`; it just stops
+        // producing frames. Declare it suspect once the silence outlives
+        // the window — the same one as the dial-failure path in
+        // `replica_loop` — and wait no longer than that; without
+        // auto-promotion, wait as long as it takes. The silence counts
+        // from the HELLO at the earliest: a new session's upstream gets a
+        // whole window to answer, however long the one before it was
+        // silent.
+        let silence = (*last_contact).max(hello_sent).elapsed();
+        let auto = state.config.repl_auto_promote;
+        let window = auto.then(|| suspect_window(state));
+        if window.is_some_and(|window| silence >= window) {
+            return SessionEnd::Suspect;
+        }
+        set.clear();
+        set.push(stream.get_ref().as_raw_fd(), idle::POLLIN);
+        let timeout = window.map(|window| window - silence);
+        idle::wait(state.wakeups.replica_sink(), &mut set, timeout);
         match stream.read(&mut chunk) {
             Ok(0) => return SessionEnd::Failed,
             Ok(n) => {
@@ -562,22 +572,10 @@ fn run_session(
                 *last_contact = Instant::now();
                 inbuf.extend(&chunk[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // The detector: a connected-but-silent upstream (frozen
-                // process, dead NIC, partition) never returns `Ok(0)`;
-                // it just stops producing frames. Declare it suspect
-                // once the silence outlives the window — the same one as
-                // the dial-failure path in `replica_loop`.
-                if state.config.repl_auto_promote && last_contact.elapsed() >= suspect_window(state)
-                {
-                    return SessionEnd::Suspect;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // Woken with nothing to read (the waker, the deadline, or an
+            // injected stall): look at everything again.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return SessionEnd::Failed,
         }
         loop {
@@ -753,7 +751,7 @@ fn run_session(
                     }
                     if let Some(ack) = ack {
                         frame.clear();
-                        encode_repl_request(&ack, &mut frame);
+                        encode_request_v2(&Request::Repl(ack), None, &mut frame);
                         if write_frame(&mut stream, &frame).is_err() {
                             return SessionEnd::Failed;
                         }
@@ -778,7 +776,7 @@ fn run_session(
 ///
 /// Free function: `outbuf`, the subscription slot and the closing flag
 /// come in as separate `&mut`s from the connection `conn` destructured,
-/// so they stay disjoint from the input buffer `body` borrows.
+/// so they stay disjoint from the input buffer `req` borrows.
 pub(crate) fn handle_repl_frame(
     engine: &Engine<'_>,
     state: &ServerState,
@@ -786,10 +784,10 @@ pub(crate) fn handle_repl_frame(
     outbuf: &mut Vec<u8>,
     repl: &mut Option<ReplSub>,
     closing: &mut bool,
-    body: &[u8],
+    req: ReplRequest<'_>,
 ) {
-    match decode_repl_request(body) {
-        Ok(ReplRequest::Hello { versions }) => {
+    match req {
+        ReplRequest::Hello { versions } => {
             // A replica cannot feed other replicas (no chaining in this
             // topology) — redirect the subscriber at the primary.
             if state.is_replica() {
@@ -818,11 +816,11 @@ pub(crate) fn handle_repl_frame(
                 outbuf,
             );
         }
-        Ok(ReplRequest::Ack {
+        ReplRequest::Ack {
             shard,
             version,
             nak,
-        }) => {
+        } => {
             // Acks are one-way: no response rides back. A NAK flags the
             // shard for snapshot resync inside the feed.
             if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
@@ -833,35 +831,27 @@ pub(crate) fn handle_repl_frame(
                 }
             }
         }
-        Ok(ReplRequest::Candidate { epoch, versions }) => {
+        ReplRequest::Candidate { epoch, versions } => {
             // A vote request from a peer replica standing for election.
             let own: u64 = state.store.versions(engine).iter().sum();
             let mut role = state.role();
             let granted = role.grant(epoch, versions.iter().sum(), own);
             let epoch = role.known_epoch();
             drop(role);
-            encode_response(
-                &Response::ReplVote {
-                    granted,
-                    epoch,
-                    version_sum: own,
-                },
-                outbuf,
-            );
+            encode_response(&Response::ReplVote { granted, epoch }, outbuf);
         }
-        Ok(ReplRequest::EpochAnnounce { epoch, primary }) => {
+        ReplRequest::EpochAnnounce { epoch, primary } => {
             // The election winner telling us where the new primary lives.
             // A deposed primary refuses it and stays fenced (DESIGN §16.2).
             let announced = match std::str::from_utf8(primary) {
                 Ok(addr) => state.role().announce(epoch, addr),
                 Err(_) => Err("primary address is not valid UTF-8"),
             };
-            encode_done(announced, outbuf);
+            encode_done(state, announced, outbuf);
         }
-        Ok(ReplRequest::Promote { upstream }) => {
+        ReplRequest::Promote { upstream } => {
             // Empty: become primary, in an epoch of its own; idempotent.
-            // Otherwise repoint at a new primary; the sink thread picks
-            // the change up on its next poll tick.
+            // Otherwise repoint at a new primary.
             let done = match std::str::from_utf8(upstream) {
                 Ok("") => {
                     state.promote(engine, Role::promote);
@@ -870,21 +860,19 @@ pub(crate) fn handle_repl_frame(
                 Ok(addr) => state.role().repoint(addr),
                 Err(_) => Err("upstream address is not valid UTF-8"),
             };
-            encode_done(done, outbuf);
-        }
-        Err(e) => {
-            state.counters.note_malformed();
-            let message = format!("malformed replication frame: {e}");
-            encode_error(&message, outbuf);
-            *closing = true;
+            encode_done(state, done, outbuf);
         }
     }
 }
 
-/// `Done`, or the error that refused the request.
-fn encode_done(done: Result<(), &str>, outbuf: &mut Vec<u8>) {
+/// `Done` for a role change the node took — and a wake for the sink, whose
+/// upstream it may have moved — or the error that refused it.
+fn encode_done(state: &ServerState, done: Result<(), &str>, outbuf: &mut Vec<u8>) {
     match done {
-        Ok(()) => encode_response(&Response::Done, outbuf),
+        Ok(()) => {
+            state.wakeups.replica_sink().wake();
+            encode_response(&Response::Done, outbuf);
+        }
         Err(why) => encode_error(why, outbuf),
     }
 }
@@ -1060,18 +1048,9 @@ mod tests {
         let sa = pair[0].state_arc();
         let engine_a = Engine::new(&sa.rt, sa.config.mode);
         let epoch = stand(&sa).expect("first candidacy");
-        let mut frame = Vec::new();
-        encode_repl_request(&ReplRequest::Promote { upstream: b"" }, &mut frame);
+        let promote = ReplRequest::Promote { upstream: b"" };
         let (mut out, mut sub, mut closing) = (Vec::new(), None, false);
-        handle_repl_frame(
-            &engine_a,
-            &sa,
-            0,
-            &mut out,
-            &mut sub,
-            &mut closing,
-            &frame[4..],
-        );
+        handle_repl_frame(&engine_a, &sa, 0, &mut out, &mut sub, &mut closing, promote);
         assert!(!sa.is_replica(), "the promotion took");
         assert!(
             sa.epoch() > epoch,
@@ -1130,5 +1109,46 @@ mod tests {
         }
         assert!(run_election(&sa, &engine_a), "the node ahead lost");
         shut_down(pair);
+    }
+
+    /// A replica that has heard nothing for longer than its suspect window
+    /// opens a session to a live primary, as it does after an announce or
+    /// a long reconnect backoff: it waits for the welcome and the
+    /// heartbeats behind it, and does not suspect the new upstream for
+    /// the old one's silence.
+    #[test]
+    fn a_new_session_is_not_suspected_for_the_old_upstreams_silence() {
+        let primary = spawn(ServerConfig {
+            repl_accept: true,
+            ..ServerConfig::default()
+        })
+        .expect("spawn primary");
+        // The replica's state alone: no sink of its own subscribes.
+        let replica = ServerState::new(ServerConfig {
+            replica_of: Some(format!("127.0.0.1:{}", primary.port())),
+            repl_auto_promote: true,
+            repl_suspect: BASE,
+            ..ServerConfig::default()
+        })
+        .map(Arc::new)
+        .expect("replica state");
+        let feed = primary.state().repl_feed().expect("feed");
+        let mut last_contact = Instant::now() - 10 * BASE;
+        let end = std::thread::scope(|s| {
+            let session = s.spawn(|| {
+                let engine = Engine::new(&replica.rt, replica.config.mode);
+                run_session(&replica, &engine, &mut last_contact)
+            });
+            // The first heartbeat comes a quarter lease after the welcome,
+            // inside the window; its ack shows the session heard it.
+            while feed.counters().acks() == 0 && !session.is_finished() {
+                std::thread::yield_now();
+            }
+            replica.request_shutdown();
+            session.join().expect("session")
+        });
+        assert!(matches!(end, SessionEnd::Stop), "the session ended {end:?}");
+        primary.request_shutdown();
+        primary.join();
     }
 }

@@ -27,6 +27,7 @@ pub(crate) fn verb_index(req: &Request<'_>) -> usize {
         Request::Flush => 9,
         Request::SetS { .. } => 10,
         Request::GetS { .. } => 11,
+        Request::Repl(_) => unreachable!("a replication verb is handled before it is counted"),
     }
 }
 

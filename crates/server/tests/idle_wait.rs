@@ -19,9 +19,7 @@ use std::time::{Duration, Instant};
 
 use gocc_server::idle::{self, IDLE_PASS};
 use gocc_server::{spawn, BrownoutConfig, HealthState, ServerConfig, ServerHandle};
-use gocc_wire::{
-    decode_response, encode_repl_request, encode_request_v2, Pipe, ReplRequest, Request, Response,
-};
+use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
 use common::connect;
@@ -184,8 +182,10 @@ fn acking_subscriber(port: u16, shards: usize) -> std::thread::JoinHandle<()> {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
     std::thread::spawn(move || {
         let mut frame = Vec::new();
-        let versions = vec![0; shards];
-        encode_repl_request(&ReplRequest::Hello { versions }, &mut frame);
+        let hello = ReplRequest::Hello {
+            versions: vec![0; shards],
+        };
+        encode_request_v2(&Request::Repl(hello), None, &mut frame);
         let mut alive = stream.write_all(&frame).is_ok();
         let mut len = [0u8; 4];
         while alive && stream.read_exact(&mut len).is_ok() {
@@ -205,14 +205,12 @@ fn acking_subscriber(port: u16, shards: usize) -> std::thread::JoinHandle<()> {
             let version = prev_version + records.len() as u64;
             frame.clear();
             let nak = false;
-            encode_repl_request(
-                &ReplRequest::Ack {
-                    shard,
-                    version,
-                    nak,
-                },
-                &mut frame,
-            );
+            let ack = ReplRequest::Ack {
+                shard,
+                version,
+                nak,
+            };
+            encode_request_v2(&Request::Repl(ack), None, &mut frame);
             alive = stream.write_all(&frame).is_ok();
         }
     })
@@ -276,6 +274,52 @@ fn subscribed_workers_wake_for_heartbeats_and_acks_only() {
         s.join().expect("subscriber");
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_replica_sink_wakes_for_its_upstreams_heartbeats() {
+    let _turn = take_turn();
+    // With auto-promotion the sink's wait ends at the suspect deadline
+    // too, which the heartbeats keep pushing back.
+    for repl_auto_promote in [false, true] {
+        let primary = spawn(ServerConfig {
+            repl_accept: true,
+            ..config(1)
+        })
+        .expect("spawn primary");
+        let replica = spawn(ServerConfig {
+            replica_of: Some(format!("127.0.0.1:{}", primary.port())),
+            repl_auto_promote,
+            ..config(1)
+        })
+        .expect("spawn replica");
+        let feed = primary.state().repl_feed().expect("feed");
+        let t0 = Instant::now();
+        while feed.counters().acks() < 4 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "no acks came");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (_, sink) = server_threads()
+            .into_iter()
+            .find(|(name, _)| name == "goccd-replica")
+            .expect("the replica's sink thread");
+        let window = Duration::from_secs(2);
+        let before = switches(&sink);
+        std::thread::sleep(window);
+        let woken = switches(&sink) - before;
+        // One heartbeat write per `repl_lease / 4`, both shards' beats in
+        // it: 16 in the window. Reading with a 50 ms timeout, the sink
+        // woke 46–48 times.
+        let beat = ServerConfig::default().repl_lease / 4;
+        let beats = window.as_millis() / beat.as_millis();
+        println!("auto_promote={repl_auto_promote}: the sink woke {woken} times for {beats} beats");
+        assert!(
+            u128::from(woken) <= beats * 3 / 2,
+            "auto_promote={repl_auto_promote}: {woken} wake-ups for {beats} heartbeats in {window:?}"
+        );
+        shut_down(replica);
+        shut_down(primary);
+    }
 }
 
 #[test]
@@ -710,7 +754,7 @@ fn brownout_recovers_without_traffic() {
 
     // One 64-deep burst is two hot observations (64, then 32 from the
     // idle pass behind it): Healthy → Degraded → Shedding.
-    burst(&mut c, &[Request::Get { key: b"k" }; 64]);
+    burst(&mut c, &vec![Request::Get { key: b"k" }; 64]);
     // Nothing is sent from here on: only the worker's own idle passes can
     // decay the averages, so it must keep taking them until Healthy.
     let brownout = handle.state().brownout();
@@ -762,7 +806,7 @@ fn sparse_bursts_do_not_add_up_to_overload() {
     // controller is handed ≥ 150 passes per gap however late it sat down.
     let (blocks0, _) = settled_idle_counts(&handle);
     for _ in 0..6 {
-        burst(&mut c, &[Request::Get { key: b"k" }; 32]);
+        burst(&mut c, &vec![Request::Get { key: b"k" }; 32]);
         settled_idle_counts(&handle);
         std::thread::sleep(Duration::from_millis(30));
     }
@@ -843,7 +887,7 @@ fn a_lone_request_blocks_and_a_pipelined_burst_coalesces() {
     // which a client that keeps its pipeline full never lets happen, and
     // this one, pausing between bursts, lets happen once per burst.
     for _ in 0..10 {
-        burst(&mut c, &[Request::Get { key: b"k" }; 32]);
+        burst(&mut c, &vec![Request::Get { key: b"k" }; 32]);
         settled_idle_counts(&handle);
     }
     let (blocks2, sleeps2) = settled_idle_counts(&handle);

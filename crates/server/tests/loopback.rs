@@ -296,16 +296,21 @@ fn malformed_frame_kills_the_connection_not_the_server() {
 fn a_protocol_v1_frame_is_answered_with_one_error_then_a_close() {
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     // A v1 GET of "key": the bare opcode (0x01) first, no v2 envelope.
-    let mut frame = 6u32.to_le_bytes().to_vec();
-    frame.extend_from_slice(&[0x01, 3, 0, b'k', b'e', b'y']);
-    let body = answer_then_close(handle.port(), &frame);
-    let resp = decode_response(&body).unwrap();
-    let Response::Error { message } = resp else {
-        panic!("a v1 frame was served: {resp:?}");
-    };
-    assert!(message.contains("no v2 envelope"), "{message}");
+    // And a bare PROMOTE (0x0D) with an empty upstream, the framing the
+    // replication verbs had.
+    let bodies: [&[u8]; 2] = [&[0x01, 3, 0, b'k', b'e', b'y'], &[0x0D, 0, 0]];
+    for bare in bodies {
+        let mut frame = (bare.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(bare);
+        let body = answer_then_close(handle.port(), &frame);
+        let resp = decode_response(&body).unwrap();
+        let Response::Error { message } = resp else {
+            panic!("a bare frame {bare:?} was served: {resp:?}");
+        };
+        assert!(message.contains("no v2 envelope"), "{message}");
+    }
     handle.request_shutdown();
-    assert_eq!(handle.join().malformed_frames, 1);
+    assert_eq!(handle.join().malformed_frames, 2);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! oversized-frame resynchronization against a real `goccd` over loopback.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, HealthState, Mode, ServerConfig};
@@ -253,9 +253,9 @@ fn queue_limit_sheds_a_pipelined_burst() {
 fn oversized_frame_survives_and_resynchronizes_on_the_wire() {
     let handle = spawn(config(Mode::Gocc)).expect("spawn");
     // A frame declaring more than MAX_FRAME bytes, fully delivered, then
-    // a valid request and the end of the client's input: the server must
-    // answer an Error for the oversized frame, discard its body, and serve
-    // the valid request on the same connection before closing it.
+    // a valid request: the server must answer an Error for the oversized
+    // frame, discard its body, and serve the valid request on the same
+    // connection.
     let oversized = (MAX_FRAME + 17) as u32;
     let mut wire = Vec::new();
     wire.extend_from_slice(&oversized.to_le_bytes());
@@ -269,15 +269,19 @@ fn oversized_frame_survives_and_resynchronizes_on_the_wire() {
     let mut raw = TcpStream::connect(("127.0.0.1", handle.port())).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(&wire).unwrap();
-    raw.shutdown(Shutdown::Write).unwrap();
-    let mut got = Vec::new();
-    raw.read_to_end(&mut got).unwrap();
-    let first = 4 + u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
-    let Response::Error { message } = decode_response(&got[4..first]).unwrap() else {
+    let mut recv = || {
+        let mut len = [0u8; 4];
+        raw.read_exact(&mut len).unwrap();
+        let mut body = vec![0; u32::from_le_bytes(len) as usize];
+        raw.read_exact(&mut body).unwrap();
+        body
+    };
+    let first = recv();
+    let Response::Error { message } = decode_response(&first).unwrap() else {
         panic!("oversized frame must be answered with an Error");
     };
     assert!(message.contains("size limit"), "{message}");
-    assert_eq!(decode_response(&got[first + 4..]).unwrap(), Response::Done);
+    assert_eq!(decode_response(&recv()).unwrap(), Response::Done);
     let mut c = connect(handle.port());
     assert_eq!(
         c.call(&Request::Get {

@@ -4,7 +4,7 @@
 //! fencing.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use gocc_server::{spawn, Mode, ServerConfig, ServerHandle};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{decode_response, encode_repl_request, Pipe, ReplRequest, Request, Response};
+use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
 use common::connect;
@@ -25,21 +25,10 @@ fn stats(c: &mut Pipe<TcpStream>) -> JsonValue {
     }
 }
 
-/// REPL_PROMOTE over a fresh connection (REPL verbs keep their bare
-/// framing, outside the pipe): the request ends the connection's input,
-/// and its one answer must be `Done`.
+/// REPL_PROMOTE over a fresh connection; its answer must be `Done`.
 fn promote(port: u16, upstream: &[u8]) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut frame = Vec::new();
-    encode_repl_request(&ReplRequest::Promote { upstream }, &mut frame);
-    stream.write_all(&frame).unwrap();
-    stream.shutdown(Shutdown::Write).unwrap();
-    let mut answer = Vec::new();
-    stream.read_to_end(&mut answer).unwrap();
-    assert_eq!(decode_response(&answer[4..]), Ok(Response::Done));
+    let promote = Request::Repl(ReplRequest::Promote { upstream });
+    assert_eq!(connect(port).call(&promote).expect("call"), Response::Done);
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -426,7 +415,7 @@ fn send_ack(stream: &mut TcpStream, shard: u32, version: u64) {
         version,
         nak: false,
     };
-    encode_repl_request(&ack, &mut frame);
+    encode_request_v2(&Request::Repl(ack), None, &mut frame);
     stream.write_all(&frame).expect("send ack");
 }
 
@@ -447,7 +436,9 @@ impl HandReplica {
         let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
         stream.set_nodelay(true).unwrap();
         let mut hello = Vec::new();
-        encode_repl_request(&ReplRequest::Hello { versions: vec![0] }, &mut hello);
+        let versions = vec![0];
+        let subscribe = Request::Repl(ReplRequest::Hello { versions });
+        encode_request_v2(&subscribe, None, &mut hello);
         stream.write_all(&hello).unwrap();
         let welcome = recv(&mut stream).expect("welcome");
         assert!(matches!(

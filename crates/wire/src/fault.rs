@@ -65,17 +65,6 @@ impl<S> FaultyStream<S> {
     pub fn get_ref(&self) -> &S {
         &self.inner
     }
-
-    /// The wrapped transport, mutably (bypasses injection).
-    pub fn get_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// This stream's id in the fault plan (0 for passthrough).
-    #[must_use]
-    pub fn stream_id(&self) -> u64 {
-        self.stream
-    }
 }
 
 fn injected(kind: io::ErrorKind, what: &'static str) -> io::Error {
@@ -168,7 +157,6 @@ mod tests {
         assert_eq!(fs.read(&mut buf).unwrap(), 5);
         assert_eq!(fs.write(b"world").unwrap(), 5);
         assert_eq!(fs.get_ref().output, b"world");
-        assert_eq!(fs.stream_id(), 0);
     }
 
     #[test]

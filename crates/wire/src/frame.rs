@@ -1,10 +1,10 @@
-//! Frame extraction and blocking frame writes.
+//! Frame extraction and whole-frame writes.
 //!
 //! [`FrameBuf`] is the incremental reassembly buffer of the server and of
 //! [`Pipe`](crate::Pipe): bytes arrive in arbitrary chunks, and
 //! [`FrameBuf::next_frame`] hands back complete frame bodies without
-//! copying them out. [`write_frame`] is the blocking write the
-//! replication streams use.
+//! copying them out. [`write_frame`] writes whole frames: the replica
+//! sink's HELLO and ACKs.
 
 use std::io::{self, Write};
 

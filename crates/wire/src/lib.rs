@@ -7,29 +7,29 @@
 //! frame    := len:u32le body           (len = |body|, 1 ..= MAX_FRAME)
 //! request  := MAGIC_V2 flags:u8 [deadline_us:u32le] opcode:u8 payload
 //! response := opcode:u8 payload
-//! repl     := opcode:u8 payload        (replication verbs)
 //! ```
 //!
 //! Requests and responses share the framing; opcodes with the high bit set
-//! are responses. Payloads are fixed-layout little-endian fields; keys are
-//! length-prefixed byte strings (the server hashes them with `fnv1a` into
-//! its word-oriented store). Decoding is zero-copy-ish: [`Request`] and
-//! [`Response`] borrow key/string payloads straight out of the frame
-//! buffer, and encoding appends to a caller-owned `Vec<u8>` so buffers are
-//! reused across frames.
+//! are responses. The replication verbs are requests like any other
+//! ([`Request::Repl`]). Payloads are fixed-layout little-endian fields;
+//! keys are length-prefixed byte strings (the server hashes them with
+//! `fnv1a` into its word-oriented store). Decoding is zero-copy-ish:
+//! [`Request`] and [`Response`] borrow key/string payloads straight out of
+//! the frame buffer, and encoding appends to a caller-owned `Vec<u8>` so
+//! buffers are reused across frames.
 //!
 //! # The v2 envelope: deadline budgets
 //!
-//! Every data and control request is wrapped in the v2 envelope: a
-//! [`MAGIC_V2`] byte, a flags byte, and — when flag bit 0 is set — a
-//! client-supplied **deadline budget** in microseconds. The server
+//! Every request — data, control and replication — is wrapped in the v2
+//! envelope: a [`MAGIC_V2`] byte, a flags byte, and — when flag bit 0 is
+//! set — a client-supplied **deadline budget** in microseconds. The server
 //! enforces the budget with cheap monotonic checks before and after the
 //! storage call; an expired request is answered with
 //! [`Response::DeadlineExceeded`] and is *never* executed against the
-//! engine. The bare protocol-v1 request body (opcode first, no envelope)
-//! is gone: [`decode_request_any`] rejects it, and the server answers it
-//! with one `Error` and closes the connection. Replication verbs keep
-//! their own bare framing ([`is_repl_request`]).
+//! engine. Replication verbs are never admitted or timed, so their budget
+//! is ignored. The bare protocol-v1 request body (opcode first, no
+//! envelope) is gone: [`decode_request_any`] rejects it, and the server
+//! answers it with one `Error` and closes the connection.
 //!
 //! # Clients
 //!
@@ -120,7 +120,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A client request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request<'a> {
     /// Look up a key.
     Get {
@@ -197,6 +197,9 @@ pub enum Request<'a> {
         /// Minimum shard version required to serve the read.
         min_version: u64,
     },
+    /// A replication verb. The server hands it to the replication layer
+    /// before counting and admission, so a brownout never sheds it.
+    Repl(ReplRequest<'a>),
 }
 
 /// One replicated write record: the post-image the primary's durable
@@ -222,8 +225,9 @@ pub const REPL_KIND_DEL: u8 = 1;
 /// expiration (INCR post-image).
 pub const REPL_KIND_PUTVAL: u8 = 2;
 
-/// A replication request (replica → primary on a replication stream, or
-/// operator → node for promotion).
+/// A replication verb (replica → primary on a replication stream, node →
+/// node in an election, or operator → node for promotion), carried as
+/// [`Request::Repl`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplRequest<'a> {
     /// Opens a replication stream: the replica announces its per-shard
@@ -274,7 +278,7 @@ pub enum ReplRequest<'a> {
 }
 
 /// A decoded request plus its v2 envelope fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestFrame<'a> {
     /// The request itself.
     pub req: Request<'a>,
@@ -387,9 +391,6 @@ pub enum Response<'a> {
         /// The highest epoch the voter has seen or voted in (lets a stale
         /// candidate catch up before retrying).
         epoch: u64,
-        /// The voter's total replicated history (sum of shard versions),
-        /// for diagnostics.
-        version_sum: u64,
     },
     /// SET_S acknowledged: the write committed at this shard/version —
     /// the token a session read presents via [`Request::GetS`].
@@ -508,6 +509,15 @@ impl<'a> Cursor<'a> {
         self.take(len)
     }
 
+    /// A replication verb's per-shard versions: a count, then the words.
+    fn versions(&mut self) -> Result<Vec<u64>, WireError> {
+        let count = self.u32()?;
+        if count > MAX_REPL_SHARDS {
+            return Err(WireError::TooLarge);
+        }
+        (0..count).map(|_| self.u64()).collect()
+    }
+
     fn flag(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
@@ -543,6 +553,17 @@ fn put_key(out: &mut Vec<u8>, key: &[u8]) {
     out.extend_from_slice(key);
 }
 
+fn put_versions(out: &mut Vec<u8>, versions: &[u64]) {
+    assert!(
+        versions.len() <= MAX_REPL_SHARDS as usize,
+        "shard count exceeds MAX_REPL_SHARDS"
+    );
+    put_u32(out, versions.len() as u32);
+    for &v in versions {
+        put_u64(out, v);
+    }
+}
+
 impl Request<'_> {
     fn opcode(&self) -> u8 {
         match self {
@@ -558,6 +579,11 @@ impl Request<'_> {
             Request::Flush => OP_FLUSH,
             Request::SetS { .. } => OP_SET_S,
             Request::GetS { .. } => OP_GET_S,
+            Request::Repl(ReplRequest::Hello { .. }) => OP_REPL_HELLO,
+            Request::Repl(ReplRequest::Ack { .. }) => OP_REPL_ACK,
+            Request::Repl(ReplRequest::Promote { .. }) => OP_REPL_PROMOTE,
+            Request::Repl(ReplRequest::Candidate { .. }) => OP_REPL_CANDIDATE,
+            Request::Repl(ReplRequest::EpochAnnounce { .. }) => OP_REPL_EPOCH,
         }
     }
 }
@@ -594,118 +620,27 @@ pub fn encode_request_v2(req: &Request<'_>, deadline_us: Option<u32>, out: &mut 
         }
         Request::Scan { limit: word } | Request::Trace { max: word } => put_u32(out, *word),
         Request::Stats | Request::Shutdown | Request::Health | Request::Flush => {}
-    }
-    patch_len(out, header);
-}
-
-/// Appends a complete frame for a replication request to `out`.
-pub fn encode_repl_request(req: &ReplRequest<'_>, out: &mut Vec<u8>) {
-    let header = out.len();
-    put_u32(out, 0);
-    match req {
-        ReplRequest::Hello { versions } => {
-            assert!(
-                versions.len() <= MAX_REPL_SHARDS as usize,
-                "shard count exceeds MAX_REPL_SHARDS"
-            );
-            out.push(OP_REPL_HELLO);
-            put_u32(out, versions.len() as u32);
-            for &v in versions {
-                put_u64(out, v);
-            }
-        }
-        ReplRequest::Ack {
+        Request::Repl(ReplRequest::Hello { versions }) => put_versions(out, versions),
+        Request::Repl(ReplRequest::Ack {
             shard,
             version,
             nak,
-        } => {
-            out.push(OP_REPL_ACK);
+        }) => {
             put_u32(out, *shard);
             put_u64(out, *version);
             out.push(u8::from(*nak));
         }
-        ReplRequest::Promote { upstream } => {
-            out.push(OP_REPL_PROMOTE);
-            put_key(out, upstream);
-        }
-        ReplRequest::Candidate { epoch, versions } => {
-            assert!(
-                versions.len() <= MAX_REPL_SHARDS as usize,
-                "shard count exceeds MAX_REPL_SHARDS"
-            );
-            out.push(OP_REPL_CANDIDATE);
+        Request::Repl(ReplRequest::Promote { upstream }) => put_key(out, upstream),
+        Request::Repl(ReplRequest::Candidate { epoch, versions }) => {
             put_u64(out, *epoch);
-            put_u32(out, versions.len() as u32);
-            for &v in versions {
-                put_u64(out, v);
-            }
+            put_versions(out, versions);
         }
-        ReplRequest::EpochAnnounce { epoch, primary } => {
-            out.push(OP_REPL_EPOCH);
+        Request::Repl(ReplRequest::EpochAnnounce { epoch, primary }) => {
             put_u64(out, *epoch);
             put_key(out, primary);
         }
     }
     patch_len(out, header);
-}
-
-/// Whether a frame body's opcode is a replication request. Replication
-/// verbs are framed bare (no envelope), so one leading byte decides the
-/// dispatch.
-#[must_use]
-pub fn is_repl_request(body: &[u8]) -> bool {
-    matches!(
-        body.first(),
-        Some(&OP_REPL_HELLO)
-            | Some(&OP_REPL_ACK)
-            | Some(&OP_REPL_PROMOTE)
-            | Some(&OP_REPL_CANDIDATE)
-            | Some(&OP_REPL_EPOCH)
-    )
-}
-
-/// Decodes a frame body as a replication request, with the same no-panic
-/// strictness contract as [`decode_request_any`].
-pub fn decode_repl_request(body: &[u8]) -> Result<ReplRequest<'_>, WireError> {
-    let mut c = Cursor::new(body);
-    let req = match c.u8()? {
-        OP_REPL_HELLO => {
-            let count = c.u32()?;
-            if count > MAX_REPL_SHARDS {
-                return Err(WireError::TooLarge);
-            }
-            let mut versions = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                versions.push(c.u64()?);
-            }
-            ReplRequest::Hello { versions }
-        }
-        OP_REPL_ACK => ReplRequest::Ack {
-            shard: c.u32()?,
-            version: c.u64()?,
-            nak: c.flag()?,
-        },
-        OP_REPL_PROMOTE => ReplRequest::Promote { upstream: c.key()? },
-        OP_REPL_CANDIDATE => {
-            let epoch = c.u64()?;
-            let count = c.u32()?;
-            if count > MAX_REPL_SHARDS {
-                return Err(WireError::TooLarge);
-            }
-            let mut versions = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                versions.push(c.u64()?);
-            }
-            ReplRequest::Candidate { epoch, versions }
-        }
-        OP_REPL_EPOCH => ReplRequest::EpochAnnounce {
-            epoch: c.u64()?,
-            primary: c.key()?,
-        },
-        op => return Err(WireError::UnknownOpcode(op)),
-    };
-    c.finish()?;
-    Ok(req)
 }
 
 /// Appends a complete frame for `resp` to `out`.
@@ -801,15 +736,10 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
             put_u32(out, *shards);
             put_u64(out, *epoch);
         }
-        Response::ReplVote {
-            granted,
-            epoch,
-            version_sum,
-        } => {
+        Response::ReplVote { granted, epoch } => {
             out.push(OP_REPL_VOTE);
             out.push(u8::from(*granted));
             put_u64(out, *epoch);
-            put_u64(out, *version_sum);
         }
         Response::DoneAt { shard, version } => {
             out.push(OP_DONE_AT);
@@ -894,6 +824,23 @@ pub fn decode_request_any(body: &[u8]) -> Result<RequestFrame<'_>, WireError> {
             key: c.key()?,
             min_version: c.u64()?,
         },
+        OP_REPL_HELLO => Request::Repl(ReplRequest::Hello {
+            versions: c.versions()?,
+        }),
+        OP_REPL_ACK => Request::Repl(ReplRequest::Ack {
+            shard: c.u32()?,
+            version: c.u64()?,
+            nak: c.flag()?,
+        }),
+        OP_REPL_PROMOTE => Request::Repl(ReplRequest::Promote { upstream: c.key()? }),
+        OP_REPL_CANDIDATE => Request::Repl(ReplRequest::Candidate {
+            epoch: c.u64()?,
+            versions: c.versions()?,
+        }),
+        OP_REPL_EPOCH => Request::Repl(ReplRequest::EpochAnnounce {
+            epoch: c.u64()?,
+            primary: c.key()?,
+        }),
         op => return Err(WireError::UnknownOpcode(op)),
     };
     c.finish()?;
@@ -986,7 +933,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response<'_>, WireError> {
         OP_REPL_VOTE => Response::ReplVote {
             granted: c.flag()?,
             epoch: c.u64()?,
-            version_sum: c.u64()?,
         },
         OP_DONE_AT => Response::DoneAt {
             shard: c.u32()?,
@@ -1102,11 +1048,43 @@ mod tests {
             },
             None,
         );
+        for (epoch, versions) in [(3, vec![0, 41, u64::MAX]), (u64::MAX, vec![])] {
+            let hello = ReplRequest::Hello {
+                versions: versions.clone(),
+            };
+            roundtrip_v2(Request::Repl(hello), Some(3));
+            let candidate = ReplRequest::Candidate { epoch, versions };
+            roundtrip_v2(Request::Repl(candidate), None);
+        }
+        for (version, nak) in [(99, false), (0, true)] {
+            let ack = ReplRequest::Ack {
+                shard: 3,
+                version,
+                nak,
+            };
+            roundtrip_v2(Request::Repl(ack), None);
+        }
+        for addr in [&b""[..], b"127.0.0.1:7070"] {
+            roundtrip_v2(Request::Repl(ReplRequest::Promote { upstream: addr }), None);
+            let announce = ReplRequest::EpochAnnounce {
+                epoch: 7,
+                primary: addr,
+            };
+            roundtrip_v2(Request::Repl(announce), Some(1));
+        }
     }
 
     #[test]
     fn bare_v1_bodies_are_rejected() {
-        for body in [&[OP_GET, 1, 0, b'k'][..], &[OP_STATS], &[OP_SHUTDOWN]] {
+        // A bare PROMOTE (empty upstream) is the replication verbs' old
+        // framing.
+        let bare_promote = [OP_REPL_PROMOTE, 0, 0];
+        for body in [
+            &[OP_GET, 1, 0, b'k'][..],
+            &[OP_STATS],
+            &[OP_SHUTDOWN],
+            &bare_promote,
+        ] {
             assert_eq!(
                 decode_request_any(body),
                 Err(WireError::Malformed("no v2 envelope"))
@@ -1213,56 +1191,6 @@ mod tests {
         assert_eq!(decode_response(&body), Err(WireError::Truncated));
     }
 
-    fn roundtrip_repl(req: ReplRequest<'_>) {
-        let mut out = Vec::new();
-        encode_repl_request(&req, &mut out);
-        let body = &out[4..];
-        assert_eq!(
-            u32::from_le_bytes(out[..4].try_into().unwrap()) as usize,
-            body.len()
-        );
-        assert!(is_repl_request(body));
-        assert_eq!(decode_repl_request(body).unwrap(), req);
-    }
-
-    #[test]
-    fn repl_requests_roundtrip() {
-        roundtrip_repl(ReplRequest::Hello {
-            versions: vec![0, 7, u64::MAX],
-        });
-        roundtrip_repl(ReplRequest::Hello { versions: vec![] });
-        roundtrip_repl(ReplRequest::Ack {
-            shard: 3,
-            version: 99,
-            nak: false,
-        });
-        roundtrip_repl(ReplRequest::Ack {
-            shard: 0,
-            version: 0,
-            nak: true,
-        });
-        roundtrip_repl(ReplRequest::Promote { upstream: b"" });
-        roundtrip_repl(ReplRequest::Promote {
-            upstream: b"127.0.0.1:7070",
-        });
-        roundtrip_repl(ReplRequest::Candidate {
-            epoch: 3,
-            versions: vec![0, 41, u64::MAX],
-        });
-        roundtrip_repl(ReplRequest::Candidate {
-            epoch: u64::MAX,
-            versions: vec![],
-        });
-        roundtrip_repl(ReplRequest::EpochAnnounce {
-            epoch: 7,
-            primary: b"127.0.0.1:7071",
-        });
-        roundtrip_repl(ReplRequest::EpochAnnounce {
-            epoch: 1,
-            primary: b"",
-        });
-    }
-
     #[test]
     fn repl_responses_roundtrip() {
         roundtrip_response(Response::ReplBatch {
@@ -1311,12 +1239,10 @@ mod tests {
         roundtrip_response(Response::ReplVote {
             granted: true,
             epoch: 4,
-            version_sum: 999,
         });
         roundtrip_response(Response::ReplVote {
             granted: false,
             epoch: u64::MAX,
-            version_sum: 0,
         });
         roundtrip_response(Response::DoneAt {
             shard: 3,
@@ -1328,30 +1254,27 @@ mod tests {
     #[test]
     fn repl_payloads_are_strict() {
         // HELLO shard count beyond the ceiling, with no bytes behind it.
-        let mut body = vec![OP_REPL_HELLO];
+        let mut body = enveloped(&[OP_REPL_HELLO]);
         put_u32(&mut body, MAX_REPL_SHARDS + 1);
-        assert_eq!(decode_repl_request(&body), Err(WireError::TooLarge));
+        assert_eq!(decode_request_any(&body), Err(WireError::TooLarge));
         // HELLO declaring more versions than it carries.
-        let mut body = vec![OP_REPL_HELLO];
+        let mut body = enveloped(&[OP_REPL_HELLO]);
         put_u32(&mut body, 2);
         put_u64(&mut body, 1);
-        assert_eq!(decode_repl_request(&body), Err(WireError::Truncated));
+        assert_eq!(decode_request_any(&body), Err(WireError::Truncated));
         // ACK with a non-boolean nak byte.
-        let mut body = vec![OP_REPL_ACK];
+        let mut body = enveloped(&[OP_REPL_ACK]);
         put_u32(&mut body, 0);
         put_u64(&mut body, 5);
         body.push(2);
         assert!(matches!(
-            decode_repl_request(&body),
+            decode_request_any(&body),
             Err(WireError::Malformed(_))
         ));
         // Trailing bytes after a PROMOTE are rejected.
-        let mut out = Vec::new();
-        encode_repl_request(&ReplRequest::Promote { upstream: b"x" }, &mut out);
-        let mut body = out[4..].to_vec();
-        body.push(0);
+        let body = enveloped(&[OP_REPL_PROMOTE, 1, 0, b'x', 0]);
         assert_eq!(
-            decode_repl_request(&body),
+            decode_request_any(&body),
             Err(WireError::Malformed("trailing bytes"))
         );
         // Batch with undefined flag bits.
@@ -1391,37 +1314,29 @@ mod tests {
         put_u32(&mut body, MAX_REPL_BATCH + 1);
         assert_eq!(decode_response(&body), Err(WireError::TooLarge));
         // CANDIDATE shard count beyond the ceiling.
-        let mut body = vec![OP_REPL_CANDIDATE];
+        let mut body = enveloped(&[OP_REPL_CANDIDATE]);
         put_u64(&mut body, 1);
         put_u32(&mut body, MAX_REPL_SHARDS + 1);
-        assert_eq!(decode_repl_request(&body), Err(WireError::TooLarge));
+        assert_eq!(decode_request_any(&body), Err(WireError::TooLarge));
         // CANDIDATE declaring more versions than it carries.
-        let mut body = vec![OP_REPL_CANDIDATE];
+        let mut body = enveloped(&[OP_REPL_CANDIDATE]);
         put_u64(&mut body, 1);
         put_u32(&mut body, 2);
         put_u64(&mut body, 9);
-        assert_eq!(decode_repl_request(&body), Err(WireError::Truncated));
+        assert_eq!(decode_request_any(&body), Err(WireError::Truncated));
         // VOTE with a non-boolean granted byte.
         let mut body = vec![OP_REPL_VOTE, 2];
         put_u64(&mut body, 1);
-        put_u64(&mut body, 2);
         assert!(matches!(
             decode_response(&body),
             Err(WireError::Malformed(_))
         ));
         // Trailing bytes after an EPOCH announce are rejected.
-        let mut out = Vec::new();
-        encode_repl_request(
-            &ReplRequest::EpochAnnounce {
-                epoch: 2,
-                primary: b"x",
-            },
-            &mut out,
-        );
-        let mut body = out[4..].to_vec();
-        body.push(0);
+        let mut body = enveloped(&[OP_REPL_EPOCH]);
+        put_u64(&mut body, 2);
+        body.extend_from_slice(&[1, 0, b'x', 0]);
         assert_eq!(
-            decode_repl_request(&body),
+            decode_request_any(&body),
             Err(WireError::Malformed("trailing bytes"))
         );
         // NotPrimary with non-UTF-8 hint bytes.
@@ -1432,10 +1347,6 @@ mod tests {
             decode_response(&body),
             Err(WireError::Malformed(_))
         ));
-        // Data verbs are not replication requests.
-        assert!(!is_repl_request(&[OP_GET]));
-        assert!(!is_repl_request(&[MAGIC_V2, 0, OP_GET]));
-        assert!(!is_repl_request(&[]));
     }
 
     #[test]

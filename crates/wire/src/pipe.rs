@@ -60,14 +60,17 @@ fn replayable(op: u8) -> bool {
 /// Whether `resp` answers a request with opcode `op`: its own success
 /// shape, an `Error` for any verb, or one of the retriable refusals for
 /// any verb the server's admission control and roles can refuse (all but
-/// HEALTH, SHUTDOWN and FLUSH).
+/// HEALTH, SHUTDOWN, FLUSH and the replication verbs).
 fn answers(op: u8, resp: &Response<'_>) -> bool {
     match resp {
         Response::Error { .. } => true,
         Response::Overloaded { .. }
         | Response::DeadlineExceeded
         | Response::NotPrimary { .. }
-        | Response::Behind { .. } => !matches!(op, OP_HEALTH | OP_SHUTDOWN | OP_FLUSH),
+        | Response::Behind { .. } => !matches!(
+            op,
+            OP_HEALTH | OP_SHUTDOWN | OP_FLUSH | OP_REPL_HELLO..=OP_REPL_EPOCH
+        ),
         _ => matches!(
             (op, resp),
             (OP_GET | OP_GET_S, Response::Value { .. })
@@ -81,6 +84,8 @@ fn answers(op: u8, resp: &Response<'_>) -> bool {
                 | (OP_TRACE, Response::Trace { .. })
                 | (OP_FLUSH, Response::Flushed { .. })
                 | (OP_SET_S, Response::DoneAt { .. })
+                | (OP_REPL_CANDIDATE, Response::ReplVote { .. })
+                | (OP_REPL_PROMOTE | OP_REPL_EPOCH, Response::Done)
         ),
     }
 }
@@ -273,6 +278,16 @@ mod tests {
         // Control verbs are never shed or redirected, but may fail.
         assert!(!answers(OP_HEALTH, &Response::Overloaded { state: 2 }));
         assert!(answers(OP_FLUSH, &Response::Error { message: "io" }));
+        // Nor are the replication verbs a pipe sends.
+        let vote = Response::ReplVote {
+            granted: true,
+            epoch: 2,
+        };
+        assert!(answers(OP_REPL_CANDIDATE, &vote) && !answers(OP_REPL_PROMOTE, &vote));
+        for op in [OP_REPL_PROMOTE, OP_REPL_EPOCH] {
+            assert!(answers(op, &Response::Done) && answers(op, &Response::Error { message: "" }));
+            assert!(!answers(op, &Response::Overloaded { state: 2 }));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use gocc_htm::{Tx, TxResult};
 use gocc_optilock::{critical, GoccRuntime, LockRef};
 use gocc_telemetry::trace;
-use gocc_telemetry::{Span, SpanKind, Telemetry, TelemetryReport};
+use gocc_telemetry::{Span, SpanKind, Telemetry};
 
 /// Which program variant runs: the baseline or the transformed one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,12 +49,6 @@ impl<'a> Engine<'a> {
     #[must_use]
     pub fn telemetry(&self) -> Option<&'a Telemetry> {
         self.rt.telemetry()
-    }
-
-    /// Snapshots the runtime's telemetry into a report, when enabled.
-    #[must_use]
-    pub fn telemetry_report(&self) -> Option<TelemetryReport> {
-        self.rt.telemetry().map(Telemetry::report)
     }
 
     /// Runs a critical section that the analyzer accepted for elision.

@@ -110,13 +110,16 @@ echo "ok: harness binaries stand on loadgen::soak"
 echo "== one wire client =="
 # Every client sends through wire::Pipe, which owns the response shape
 # check and the replay rule (INCR, TRACE and SHUTDOWN are never re-sent).
-# A protocol-v1 encoder or decoder coming back, or a client reading frames
-# by hand, is a second client with its own copy of both. Exempt: wire
-# itself (the Pipe and the framing tests), crates/server/src (the server
-# reads requests, it sends none) and benchmark/ (its own workspace, with
-# its own client).
-if grep -rnE '\b(encode|decode)_request\(' crates tests examples --include='*.rs'; then
-  echo "FAIL: a protocol-v1 request encoder or decoder is back" >&2
+# A protocol-v1 encoder or decoder coming back, the replication verbs'
+# bare codec coming back, or a client reading frames by hand, is a second
+# client with its own copy of both. Exempt: wire itself (the Pipe and the
+# framing tests) and benchmark/ (its own workspace, with its own client).
+# crates/server/src reads frames at two sites only: the request pump and
+# the replica sink's push stream, which carries unticketed batches. Its
+# votes, announces and promotions are Pipe calls.
+if grep -rnE '\b(encode|decode)_request\(|\b(encode_repl_request|decode_repl_request|is_repl_request)\b' \
+  crates tests examples --include='*.rs'; then
+  echo "FAIL: a protocol-v1 or bare replication request codec is back" >&2
   exit 1
 fi
 hand_read=$(find crates/loadgen/src crates/*/tests tests -name '*.rs' \
@@ -126,7 +129,17 @@ if [ -n "$hand_read" ]; then
   echo "FAIL: a client reads frames by hand instead of through wire::Pipe" >&2
   exit 1
 fi
-echo "ok: every client sends through wire::Pipe, and no v1 request codec is left"
+server_reads=$(grep -rnw 'next_frame' crates/server/src || true)
+if [ "$(printf '%s\n' "$server_reads" | grep -c .)" -ne 2 ]; then
+  printf '%s\n' "$server_reads"
+  echo "FAIL: crates/server/src reads frames at $(printf '%s\n' "$server_reads" | grep -c .) sites, want 2 (the pump and the sink)" >&2
+  exit 1
+fi
+if grep -rn 'Shutdown::Write' crates/loadgen/src crates/server/tests; then
+  echo "FAIL: a client half-closes to read its answer instead of a Pipe call" >&2
+  exit 1
+fi
+echo "ok: every client sends through wire::Pipe, and no v1 or bare replication codec is left"
 
 echo "== one load driver =="
 # Closed and open loops are one per-connection loop (driver::drive), fed
