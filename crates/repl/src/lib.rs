@@ -41,7 +41,7 @@
 //! holds one behind one lock and does the I/O around it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -224,6 +224,9 @@ pub struct ReplFeed {
     cfg: ReplConfig,
     inner: Mutex<FeedInner>,
     counters: ReplCounters,
+    /// The verdict of the latest lease check, for STATS: the feed reads
+    /// no clock, so it reports what the last write's check found.
+    last_fenced: AtomicBool,
 }
 
 /// Subscriber handle: an index into the feed's slot table.
@@ -245,6 +248,7 @@ impl ReplFeed {
             })
             .collect();
         ReplFeed {
+            last_fenced: AtomicBool::new(cfg.min_acks > 0),
             cfg,
             inner: Mutex::new(FeedInner {
                 shards,
@@ -286,11 +290,11 @@ impl ReplFeed {
             .count()
     }
 
-    /// Registers a replica that currently holds `versions`. Shards where
-    /// the replica matches the feed stream directly; mismatched shards
-    /// start in the resync-needed state.
+    /// Registers, at `now`, a replica that currently holds `versions`; its
+    /// lease runs from there. Shards where the replica matches the feed
+    /// stream directly; mismatched shards start in the resync-needed state.
     #[must_use]
-    pub fn subscribe(&self, versions: &[u64]) -> SubId {
+    pub fn subscribe(&self, versions: &[u64], now: Instant) -> SubId {
         let mut inner = lock_unpoisoned(&self.inner);
         let shards = (0..self.cfg.shards)
             .map(|s| {
@@ -311,7 +315,7 @@ impl ReplFeed {
             .collect();
         let sub = SubState {
             shards,
-            last_ack: Instant::now(),
+            last_ack: now,
             queued_total: 0,
         };
         let id = match inner.subs.iter().position(Option::is_none) {
@@ -496,14 +500,14 @@ impl ReplFeed {
         }
     }
 
-    /// Records an `REPL_ACK` from `id`: refreshes the lease and, on a
-    /// NAK, flags the shard for snapshot resync.
-    pub fn note_ack(&self, id: SubId, shard: u32, version: u64, nak: bool) {
+    /// Records an `REPL_ACK` from `id` taken at `now`: refreshes the lease
+    /// and, on a NAK, flags the shard for snapshot resync.
+    pub fn note_ack(&self, id: SubId, shard: u32, version: u64, nak: bool, now: Instant) {
         let mut inner = lock_unpoisoned(&self.inner);
         let Some(Some(sub)) = inner.subs.get_mut(id.0) else {
             return;
         };
-        sub.last_ack = Instant::now();
+        sub.last_ack = sub.last_ack.max(now);
         let Some(ss) = sub.shards.get_mut(shard as usize) else {
             return;
         };
@@ -587,53 +591,48 @@ impl ReplFeed {
         true
     }
 
-    fn live_subs_locked(inner: &FeedInner, lease: Duration) -> usize {
-        inner
-            .subs
-            .iter()
-            .flatten()
-            .filter(|sub| sub.last_ack.elapsed() <= lease)
-            .count()
+    /// When each subscriber's lease runs out: a whole lease after its last
+    /// ack. It is live until then, and not at that instant.
+    fn lease_expiries<'a>(&'a self, inner: &'a FeedInner) -> impl Iterator<Item = Instant> + 'a {
+        let subs = inner.subs.iter().flatten();
+        subs.map(|sub| sub.last_ack + self.cfg.lease)
     }
 
-    /// When the lease of the next subscriber still inside it runs out:
-    /// the next instant [`ReplFeed::fenced`] may turn true with no ack
-    /// arriving. `None` with no live subscriber.
+    /// When the lease of the next subscriber still inside it at `now` runs
+    /// out: the next instant [`ReplFeed::fenced`] may turn true with no
+    /// ack arriving. `None` with no live subscriber.
     #[must_use]
-    pub fn next_lease_expiry(&self) -> Option<Instant> {
-        let now = Instant::now();
+    pub fn next_lease_expiry(&self, now: Instant) -> Option<Instant> {
         let inner = lock_unpoisoned(&self.inner);
-        let expiries = inner
-            .subs
-            .iter()
-            .flatten()
-            .map(|sub| sub.last_ack + self.cfg.lease);
-        expiries.filter(|&expiry| expiry >= now).min()
+        self.lease_expiries(&inner).filter(|&e| now < e).min()
     }
 
-    /// Whether the primary is fenced: `min_acks > 0` and fewer than that
-    /// many subscribers acked within the lease window. A fenced primary
-    /// must not acknowledge writes.
+    /// Whether the primary is fenced at `now`: `min_acks > 0` and fewer
+    /// than that many subscribers acked within the lease window before
+    /// it. A fenced primary must not acknowledge writes. The verdict is
+    /// kept for STATS.
     #[must_use]
-    pub fn fenced(&self) -> bool {
+    pub fn fenced(&self, now: Instant) -> bool {
         if self.cfg.min_acks == 0 {
             return false;
         }
         let inner = lock_unpoisoned(&self.inner);
-        Self::live_subs_locked(&inner, self.cfg.lease) < self.cfg.min_acks
+        let live = self.lease_expiries(&inner).filter(|&e| now < e).count();
+        let fenced = live < self.cfg.min_acks;
+        self.last_fenced.store(fenced, Ordering::Relaxed);
+        fenced
     }
 
     /// Whether `min_acks` subscribers acked shard `shard` at or past
-    /// `version`, the primary is fenced, or neither yet. Never blocks.
-    /// A `Fenced` answer counts one fenced reject: the caller answers the
-    /// write with it.
+    /// `version`, the primary is fenced at `now`, or neither yet. Never
+    /// blocks. A `Fenced` answer counts one fenced reject: the caller
+    /// answers the write with it.
     #[must_use]
-    pub fn ack_state(&self, shard: u32, version: u64) -> AckState {
+    pub fn ack_state(&self, shard: u32, version: u64, now: Instant) -> AckState {
         if self.cfg.min_acks == 0 {
             return AckState::Acked;
         }
-        let inner = lock_unpoisoned(&self.inner);
-        let acked = inner
+        let acked = lock_unpoisoned(&self.inner)
             .subs
             .iter()
             .flatten()
@@ -646,7 +645,7 @@ impl ReplFeed {
         if acked >= self.cfg.min_acks {
             return AckState::Acked;
         }
-        if Self::live_subs_locked(&inner, self.cfg.lease) < self.cfg.min_acks {
+        if self.fenced(now) {
             self.counters.fenced_rejects.fetch_add(1, Ordering::Relaxed);
             return AckState::Fenced;
         }
@@ -663,7 +662,7 @@ impl ReplFeed {
             .field_str("role", "primary")
             .field_u64("min_acks", self.cfg.min_acks as u64)
             .field_u64("lease_ms", self.cfg.lease.as_millis() as u64)
-            .field_bool("fenced", self.fenced())
+            .field_bool("fenced", self.last_fenced.load(Ordering::Relaxed))
             .field_u64("subscribers", self.subscriber_count() as u64)
             .key("versions")
             .begin_array();
@@ -802,7 +801,7 @@ mod tests {
     #[test]
     fn pipe_order_is_reordered_into_seq_order() {
         let f = feed(1);
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         // Publish 3,1 then 2: nothing streams past the gap until it fills.
         f.publish(0, &[staged(0, 3, 30, 300), staged(0, 1, 10, 100)]);
         let b = f.drain(sub, 100);
@@ -820,7 +819,7 @@ mod tests {
     #[test]
     fn duplicate_publishes_are_dropped() {
         let f = feed(1);
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         f.publish(0, &[staged(0, 1, 1, 1), staged(0, 2, 2, 2)]);
         f.publish(0, &[staged(0, 1, 1, 999), staged(0, 2, 2, 999)]);
         let b = f.drain(sub, 100);
@@ -833,7 +832,7 @@ mod tests {
     fn behind_subscriber_starts_in_resync() {
         let f = feed(2);
         f.publish(0, &[staged(0, 1, 1, 1)]);
-        let sub = f.subscribe(&[0, 0]); // shard 0 behind, shard 1 matches
+        let sub = f.subscribe(&[0, 0], Instant::now()); // shard 0 behind, shard 1 matches
         assert_eq!(f.resync_needed(sub), vec![0]);
         // Streamed shard works immediately.
         f.publish(1, &[staged(1, 1, 7, 70)]);
@@ -846,7 +845,7 @@ mod tests {
     fn resync_arm_cut_resumes_the_stream_without_loss_or_replay() {
         let f = feed(1);
         f.publish(0, &[staged(0, 1, 1, 1), staged(0, 2, 2, 2)]);
-        let sub = f.subscribe(&[0]); // behind: needs resync
+        let sub = f.subscribe(&[0], Instant::now()); // behind: needs resync
         assert_eq!(f.resync_needed(sub), vec![0]);
         f.arm_resync(sub, 0);
         // Records released while armed queue behind the snapshot.
@@ -878,7 +877,7 @@ mod tests {
             },
             &[0],
         );
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         let recs: Vec<Staged> = (1..=10).map(|i| staged(0, i, i, i)).collect();
         f.publish(0, &recs);
         assert_eq!(f.counters().overflows(), 1);
@@ -896,7 +895,7 @@ mod tests {
             },
             &[0, 0],
         );
-        let sub = f.subscribe(&[0, 0]);
+        let sub = f.subscribe(&[0, 0], Instant::now());
         // Shard 0 holds the backlog (4 records, at the cap but not over).
         let backlog: Vec<Staged> = (1..=4).map(|i| staged(0, i, i, i)).collect();
         f.publish(0, &backlog);
@@ -915,10 +914,10 @@ mod tests {
     #[test]
     fn nak_flags_resync() {
         let f = feed(1);
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         f.publish(0, &[staged(0, 1, 1, 1)]);
         let _ = f.drain(sub, 100);
-        f.note_ack(sub, 0, 0, true);
+        f.note_ack(sub, 0, 0, true, Instant::now());
         assert_eq!(f.resync_needed(sub), vec![0]);
         assert_eq!(f.counters().naks(), 1);
     }
@@ -934,44 +933,57 @@ mod tests {
             },
             &[0],
         );
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         f.publish(0, &[staged(0, 1, 1, 1)]);
-        assert_eq!(f.ack_state(0, 1), AckState::Pending);
-        f.note_ack(sub, 0, 1, false);
-        assert_eq!(f.ack_state(0, 1), AckState::Acked);
-        assert_eq!(f.ack_state(0, 2), AckState::Pending);
+        assert_eq!(f.ack_state(0, 1, Instant::now()), AckState::Pending);
+        f.note_ack(sub, 0, 1, false, Instant::now());
+        assert_eq!(f.ack_state(0, 1, Instant::now()), AckState::Acked);
+        assert_eq!(f.ack_state(0, 2, Instant::now()), AckState::Pending);
         // Asynchronous replication gates nothing.
-        assert_eq!(feed(1).ack_state(0, 7), AckState::Acked);
+        assert_eq!(feed(1).ack_state(0, 7, Instant::now()), AckState::Acked);
     }
 
     #[test]
     fn lease_expiry_fences_the_primary() {
+        let lease = Duration::from_millis(30);
         let f = ReplFeed::new(
             ReplConfig {
                 shards: 1,
                 min_acks: 1,
-                lease: Duration::from_millis(30),
+                lease,
                 ..ReplConfig::default()
             },
             &[0],
         );
-        let sub = f.subscribe(&[0]);
-        f.note_ack(sub, 0, 0, false);
-        assert!(!f.fenced(), "fresh ack holds the lease");
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(f.fenced(), "silence past the lease fences the primary");
-        assert_eq!(f.ack_state(0, 5), AckState::Fenced);
+        let t0 = Instant::now();
+        let sub = f.subscribe(&[0], t0);
+        f.note_ack(sub, 0, 0, false, t0 + lease / 2);
+        let expiry = t0 + lease / 2 + lease;
+        assert_eq!(f.next_lease_expiry(t0), Some(expiry));
+        let before = expiry - Duration::from_nanos(1);
+        assert!(
+            !f.fenced(before),
+            "an ack holds the lease a whole lease long"
+        );
+        assert!(
+            f.fenced(expiry),
+            "silence past the lease fences the primary"
+        );
+        assert_eq!(f.next_lease_expiry(expiry), None);
+        assert_eq!(f.ack_state(0, 5, expiry), AckState::Fenced);
         assert_eq!(f.counters().fenced_rejects(), 1);
-        // An ack from the replica un-fences.
-        f.note_ack(sub, 0, 5, false);
-        assert!(!f.fenced());
-        assert_eq!(f.ack_state(0, 5), AckState::Acked);
+        // An ack from the replica un-fences; one taken at an older instant
+        // on another worker does not move the lease back.
+        f.note_ack(sub, 0, 5, false, expiry);
+        f.note_ack(sub, 0, 5, false, t0);
+        assert!(!f.fenced(expiry));
+        assert_eq!(f.ack_state(0, 5, expiry), AckState::Acked);
     }
 
     #[test]
     fn heartbeat_versions_track_the_drained_stream() {
         let f = feed(2);
-        let sub = f.subscribe(&[0, 0]);
+        let sub = f.subscribe(&[0, 0], Instant::now());
         assert_eq!(f.heartbeat_versions(sub), vec![Some(0), Some(0)]);
         f.publish(0, &[staged(0, 1, 1, 1)]);
         // Undrained queue: no heartbeat (the data batch is the keepalive).
@@ -983,7 +995,7 @@ mod tests {
     #[test]
     fn reset_versions_rebases_the_feed_and_flags_stale_subscribers() {
         let f = feed(1);
-        let sub = f.subscribe(&[0]);
+        let sub = f.subscribe(&[0], Instant::now());
         f.publish(0, &[staged(0, 1, 1, 1)]);
         let _ = f.drain(sub, 100);
         // Promotion: the store is at version 40 (applied via batches that
@@ -999,7 +1011,7 @@ mod tests {
         assert_eq!(b[0].prev_version, 40);
         assert_eq!(b[0].records[0].key, 9);
         // A subscriber already exactly at the new base keeps streaming.
-        let fresh = f.subscribe(&[41]);
+        let fresh = f.subscribe(&[41], Instant::now());
         f.reset_versions(&[41]);
         assert!(f.resync_needed(fresh).is_empty());
     }
@@ -1061,10 +1073,10 @@ mod tests {
     #[test]
     fn stats_json_parses() {
         let f = feed(2);
-        let sub = f.subscribe(&[0, 0]);
+        let sub = f.subscribe(&[0, 0], Instant::now());
         f.publish(0, &[staged(0, 1, 1, 1)]);
         let _ = f.drain(sub, 10);
-        f.note_ack(sub, 0, 1, false);
+        f.note_ack(sub, 0, 1, false, Instant::now());
         let v = gocc_telemetry::JsonValue::parse(&f.stats_json()).expect("parses");
         assert_eq!(v.get("role").unwrap().as_str(), Some("primary"));
         assert_eq!(v.get("subscribers").unwrap().as_f64(), Some(1.0));

@@ -6,23 +6,21 @@
 //! — must perform **zero** heap allocations. This pins that with the same
 //! per-thread counting `#[global_allocator]` as
 //! `optilock/tests/alloc_budget.rs`: the test thread plays the worker
-//! (it owns the `Conn` and calls `pump` + `finish_pump` exactly as
-//! `worker_loop` does), so the count is the worker thread's and nothing
-//! another test thread allocates can perturb it. Each burst ends with the
-//! idle pass and both forms of the wait behind it: the timed pass, and the
+//! (it owns the `Worker` and drives its passes exactly as `worker_loop`
+//! does), so the count is the worker thread's and nothing another test
+//! thread allocates can perturb it. Each burst ends with the idle passes
+//! and both forms of the wait behind them: the timed pass, and the
 //! poll-set refill an idle worker makes before it blocks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gocc_wire::{encode_request_v2, encode_response, Request, Response};
-use gocc_workloads::Engine;
 
-use crate::conn::{Conn, PumpOutcome};
-use crate::{idle, watch, ServerConfig, ServerState, WorkerCtx};
+use crate::{idle, Next, ServerConfig, ServerState, Worker};
 
 struct CountingAllocator;
 
@@ -57,27 +55,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// One pipelined burst: writes `burst` from the client side, then pumps
-/// the connection (as the worker loop would) until the client has read
-/// `resp.len()` response bytes. Returns the pump passes it took.
+/// One pipelined burst: writes `burst` from the client side, then takes
+/// the worker's passes (as `worker_loop` would) until the client has read
+/// `resp.len()` response bytes. Returns the passes it took.
 fn serve_burst(
     client: &mut TcpStream,
-    conn: &mut Conn,
-    state: &ServerState,
-    wctx: &mut WorkerCtx,
+    worker: &mut Worker<'_>,
     set: &mut idle::PollSet,
     burst: &[u8],
     resp: &mut [u8],
 ) -> u64 {
-    let engine = &Engine::new(&state.rt, state.config.mode);
     client.write_all(burst).expect("client send");
     let (mut got, mut passes) = (0, 0);
     while got < resp.len() {
-        assert!(
-            matches!(conn.pump(engine, state, wctx), PumpOutcome::Alive { .. }),
-            "connection closed mid-burst"
-        );
-        state.finish_pump(wctx);
+        worker.pass(Instant::now());
+        assert_eq!(worker.conns.len(), 1, "connection closed mid-burst");
         passes += 1;
         match client.read(&mut resp[got..]) {
             Ok(n) => got += n,
@@ -86,24 +78,20 @@ fn serve_burst(
         }
         assert!(passes < 1_000_000, "burst never completed");
     }
-    // The pass after the burst finds nothing to do, and the worker's idle
-    // decision runs both ways, as it does behind a pipelined burst: the
-    // timed pass on the waker alone, then the poll-set refill and the
+    // The passes after the burst find nothing to do, and the worker's
+    // idle decision runs both ways, as it does behind a pipelined burst:
+    // the timed pass on the waker alone, then the poll-set refill and the
     // wait on it (neither waits here, which allocates the same).
-    let idle_pass = conn.pump(engine, state, wctx);
-    assert!(matches!(
-        idle_pass,
-        PumpOutcome::Alive {
-            made_progress: false
+    let waker = &worker.state.wakeups.wakers[0];
+    for _ in 0..2 {
+        let now = Instant::now();
+        while worker.pass(now) == Next::Pass {
+            passes += 1;
         }
-    ));
-    state.finish_pump(wctx);
-    set.clear();
-    idle::wait(&state.wakeups.wakers[0], set, Some(Duration::ZERO));
-    let conns = std::slice::from_ref(&*conn);
-    assert_eq!(watch(conns, set, state), None);
-    idle::wait(&state.wakeups.wakers[0], set, Some(Duration::ZERO));
-    passes + 1
+        worker.watch(set);
+        idle::wait(waker, set, Some(Duration::ZERO));
+    }
+    passes + 2
 }
 
 #[test]
@@ -120,13 +108,8 @@ fn steady_state_pump_passes_do_not_allocate() {
         s.set_nodelay(true).unwrap();
         s.set_nonblocking(true).unwrap();
     }
-    let mut conn = Conn::new(stream, None);
-    let mut wctx = WorkerCtx {
-        worker: 0,
-        frames_seen: 0,
-        lat_sum_ns: 0,
-        lat_count: 0,
-    };
+    let mut worker = Worker::new(&state, 0, Instant::now());
+    worker.adopt(stream, Instant::now());
     let mut set = idle::PollSet::default();
 
     // 32 frames, GET and SET alternating over 16 keys (all four shards),
@@ -161,29 +144,13 @@ fn steady_state_pump_passes_do_not_allocate() {
     // Warm-up: buffers grow to the pipeline depth, the thread's HTM
     // context and telemetry sites come into being.
     for _ in 0..64 {
-        serve_burst(
-            &mut client,
-            &mut conn,
-            &state,
-            &mut wctx,
-            &mut set,
-            &burst,
-            &mut resp,
-        );
+        serve_burst(&mut client, &mut worker, &mut set, &burst, &mut resp);
     }
     let executed = state.counters.total_requests();
     let before = ALLOCS.with(Cell::get);
     let mut passes = 0;
     for _ in 0..1000 {
-        passes += serve_burst(
-            &mut client,
-            &mut conn,
-            &state,
-            &mut wctx,
-            &mut set,
-            &burst,
-            &mut resp,
-        );
+        passes += serve_burst(&mut client, &mut worker, &mut set, &burst, &mut resp);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(

@@ -16,10 +16,9 @@ use std::ffi::c_short;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gocc_faultplane::{LoadFault, TransportFaultPlan};
+use gocc_faultplane::LoadFault;
 use gocc_repl::AckState;
 use gocc_telemetry::trace;
 use gocc_telemetry::{Span, SpanKind};
@@ -71,10 +70,9 @@ enum FlushState {
 struct PendingReq {
     /// Flight-recorder id (0 = unsampled).
     trace_id: u64,
-    /// When this request's bytes arrived (deadline budgets run from here).
-    arrival: Instant,
-    /// Client deadline budget, if any.
-    deadline_us: Option<u32>,
+    /// When the client stops waiting, if it gave a budget: that long after
+    /// the request's bytes arrived.
+    expires: Option<Instant>,
     /// Verb index, for the per-request `StoreOp` span payload.
     verb: usize,
     state: PendingState,
@@ -114,15 +112,15 @@ enum PendingState {
 }
 
 impl PendingReq {
-    /// Settles this answer if it can, and says whether it is final: all
-    /// are but a write the log has not made durable, a FLUSH whose
-    /// barrier is not done, and a write whose acks are not in, until
-    /// fencing, `repl_ack_timeout` or `give_up` (the shutdown drain's
-    /// deadline) ends its wait. Never blocks. A look at the log first
-    /// flags `worker` as waiting on it, so the syncer's next pass wakes it.
-    fn settle(&mut self, state: &ServerState, worker: usize, give_up: bool) -> bool {
+    /// Settles this answer at the pass's instant if it can, and says whether
+    /// it is final: all are but a write the log has not made durable, a
+    /// FLUSH whose barrier is not done, and a write whose acks are not in,
+    /// until fencing, `repl_ack_timeout` or `give_up` (the shutdown drain's
+    /// deadline) ends its wait. Never blocks. A look at the log first flags
+    /// the worker as waiting on it, so the syncer's next pass wakes it.
+    fn settle(&mut self, state: &ServerState, wctx: &WorkerCtx, give_up: bool) -> bool {
         let log = || {
-            state.wakeups.await_wal(worker);
+            state.wakeups.await_wal(wctx.worker);
             state.wal().expect("only a logged answer waits on the log")
         };
         match &self.state {
@@ -165,7 +163,7 @@ impl PendingReq {
                         resp: resp.clone(),
                         shard,
                         version,
-                        since: Instant::now(),
+                        since: wctx.now,
                     },
                     (_, None) => PendingState::Executed(resp.clone()),
                 };
@@ -183,10 +181,10 @@ impl PendingReq {
         };
         let feed = state.repl_feed().expect("only a feed's writes replicate");
         // Applied locally but not acknowledged: not accepted, says the error.
-        let message = match feed.ack_state(*shard, *version) {
+        let message = match feed.ack_state(*shard, *version, wctx.now) {
             AckState::Acked => None,
             AckState::Fenced => Some("primary fenced: write not acknowledged"),
-            AckState::Pending if give_up || since.elapsed() >= state.config.repl_ack_timeout => {
+            AckState::Pending if give_up || wctx.now >= *since + state.config.repl_ack_timeout => {
                 Some("replication timed out: write not acknowledged")
             }
             AckState::Pending => return false,
@@ -200,11 +198,12 @@ impl PendingReq {
     /// its worker: a write waiting for acks, at its `repl_ack_timeout` or
     /// the feed's next lease expiry, whichever comes first — fencing has
     /// no event of its own.
-    fn deadline(&self, state: &ServerState) -> Option<Instant> {
+    fn deadline(&self, state: &ServerState, now: Instant) -> Option<Instant> {
         let PendingState::Replicating { since, .. } = self.state else {
             return None;
         };
-        let lease = state.repl_feed().and_then(|feed| feed.next_lease_expiry());
+        let feed = state.repl_feed();
+        let lease = feed.and_then(|feed| feed.next_lease_expiry(now));
         let timeout = since + state.config.repl_ack_timeout;
         Some(lease.map_or(timeout, |lease| lease.min(timeout)))
     }
@@ -241,12 +240,12 @@ pub(crate) struct Conn {
     outbuf: Vec<u8>,
     outpos: usize,
     last_write_progress: Instant,
-    /// When the oldest unprocessed bytes arrived: set on a read into an
-    /// empty input buffer, cleared once the buffer drains. Deadline
-    /// budgets are measured from here — conservative for pipelined
-    /// backlogs (later frames in the same burst inherit the burst's
-    /// arrival time, so a deadline can only fire early, never late).
-    ingest_at: Option<Instant>,
+    /// When the oldest unprocessed bytes arrived — the pass's instant, for
+    /// deadline budgets, and the trace clock's, for the queue-wait span:
+    /// set on a read into an empty input buffer, cleared once it drains.
+    /// Conservative for pipelined backlogs (later frames in a burst inherit
+    /// its arrival, so a deadline can only fire early, never late).
+    ingest_at: Option<(Instant, u64)>,
     /// Stop reading; flush what is queued, then close.
     closing: bool,
     /// Set once this connection sent REPL_HELLO: it is a replica's
@@ -257,13 +256,14 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, fault_plan: Option<Arc<TransportFaultPlan>>) -> Self {
+    /// A connection of `state`'s, adopted at `now`.
+    pub(crate) fn new(stream: TcpStream, state: &ServerState, now: Instant) -> Self {
         Conn {
-            stream: FaultyStream::maybe(stream, fault_plan),
+            stream: FaultyStream::maybe(stream, state.config.fault_plan.clone()),
             inbuf: FrameBuf::new(),
             outbuf: Vec::new(),
             outpos: 0,
-            last_write_progress: Instant::now(),
+            last_write_progress: now,
             ingest_at: None,
             closing: false,
             repl: None,
@@ -271,10 +271,11 @@ impl Conn {
         }
     }
 
-    /// Connection teardown on `worker`: release the feed subscription, if
-    /// any, so a dead replica stops counting toward `min_acks`
-    /// immediately instead of waiting out the lease.
+    /// Connection teardown on `worker`: count it, and release the feed
+    /// subscription, if any, so a dead replica stops counting toward
+    /// `min_acks` immediately instead of waiting out the lease.
     pub(crate) fn on_close(&self, state: &ServerState, worker: usize) {
+        state.counters.note_close();
         if let (Some(sub), Some(feed)) = (&self.repl, state.repl_feed()) {
             feed.unsubscribe(sub.id);
             state.wakeups.own_stream(worker, false);
@@ -323,11 +324,12 @@ impl Conn {
     /// the waker signals: a replica stream's next heartbeat, the head
     /// parked answer's [`PendingReq::deadline`], or the eviction of a
     /// slow client whose queued bytes make no progress until then.
-    pub(crate) fn deadline(&self, state: &ServerState) -> Option<Instant> {
+    pub(crate) fn deadline(&self, state: &ServerState, now: Instant) -> Option<Instant> {
         let streams = !self.closing && !state.is_replica();
         let beat = self.repl.as_ref().filter(|_| streams);
         let beat = beat.map(|sub| sub.next_beat(state.config.repl_lease));
-        let parked = self.batch.parked.front().and_then(|p| p.deadline(state));
+        let head = self.batch.parked.front();
+        let parked = head.and_then(|p| p.deadline(state, now));
         let evict = self.has_pending_output();
         let evict = evict.then(|| self.last_write_progress + state.config.write_timeout);
         [beat, parked, evict].into_iter().flatten().min()
@@ -337,13 +339,13 @@ impl Conn {
     /// (all with `give_up`, the deadline), push queued bytes, and say
     /// whether to keep waiting: not at the deadline, nor once nothing is
     /// owed or the peer is gone.
-    pub(crate) fn drain(&mut self, state: &ServerState, worker: usize, give_up: bool) -> bool {
-        self.batch.release(state, worker, &mut self.outbuf, give_up);
-        let alive = matches!(self.flush_inner(), FlushState::Clean { .. });
+    pub(crate) fn drain(&mut self, state: &ServerState, wctx: &WorkerCtx, give_up: bool) -> bool {
+        self.batch.release(state, wctx, &mut self.outbuf, give_up);
+        let alive = matches!(self.flush_inner(wctx.now), FlushState::Clean { .. });
         alive && !give_up && (self.has_parked() || self.has_pending_output())
     }
 
-    /// One cooperative scheduling quantum for this connection.
+    /// One cooperative scheduling quantum for this connection, at `wctx.now`.
     pub(crate) fn pump(
         &mut self,
         engine: &Engine<'_>,
@@ -353,15 +355,14 @@ impl Conn {
         // 1. Release the parked responses whose wait is over, then drain
         //    queued response bytes — a slow client must not hold buffered
         //    responses hostage while we keep reading.
-        let mut progressed = self
-            .batch
-            .release(state, wctx.worker, &mut self.outbuf, false);
-        match self.flush_inner() {
+        let mut progressed = self.batch.release(state, wctx, &mut self.outbuf, false);
+        match self.flush_inner(wctx.now) {
             FlushState::Clean { progressed: p } => progressed |= p,
             FlushState::Fatal => return PumpOutcome::Close,
         }
+        // Evicted at the deadline `Conn::deadline` waits for, not after.
         if self.has_pending_output()
-            && self.last_write_progress.elapsed() > state.config.write_timeout
+            && wctx.now >= self.last_write_progress + state.config.write_timeout
         {
             state.counters.note_slow_drop();
             return PumpOutcome::Close;
@@ -382,7 +383,7 @@ impl Conn {
                     }
                     Ok(n) => {
                         if self.inbuf.pending() == 0 {
-                            self.ingest_at = Some(Instant::now());
+                            self.ingest_at = Some((wctx.now, trace::now_ns()));
                         }
                         self.inbuf.extend(&chunk[..n]);
                         progressed = true;
@@ -416,20 +417,12 @@ impl Conn {
         // source.
         if !self.closing && !state.is_replica() {
             if let (Some(sub), Some(feed)) = (&mut self.repl, state.repl_feed()) {
-                progressed |= pump_repl_out(
-                    sub,
-                    feed,
-                    &state.store,
-                    engine,
-                    &mut self.outbuf,
-                    state.config.repl_lease,
-                    state.epoch(),
-                );
+                progressed |= pump_repl_out(sub, feed, state, engine, &mut self.outbuf, wctx.now);
             }
         }
 
         // 4. Push out whatever step 3 produced.
-        match self.flush_inner() {
+        match self.flush_inner(wctx.now) {
             FlushState::Clean { progressed: p } => progressed |= p,
             FlushState::Fatal => return PumpOutcome::Close,
         }
@@ -485,7 +478,7 @@ impl Conn {
             if *closing || !batch.parked.is_empty() {
                 break;
             }
-            let arrival = ingest_at.unwrap_or_else(Instant::now);
+            let (arrival, ingest_ns) = ingest_at.unwrap_or_else(|| (wctx.now, trace::now_ns()));
             match inbuf.next_frame() {
                 Ok(None) => break,
                 Ok(Some(body)) => {
@@ -512,15 +505,16 @@ impl Conn {
                             ..
                         }) => {
                             let out = flush_batch(engine, state, wctx, outbuf, batch);
-                            handle_repl_frame(engine, state, wctx.worker, out, repl, closing, req);
+                            handle_repl_frame(engine, state, wctx, out, repl, closing, req);
                         }
                         Ok(frame) => {
+                            let req = &frame.req;
                             wctx.frames_seen += 1;
-                            state.counters.note_request(&frame.req);
+                            state.counters.note_request(req);
                             let trace_id = state.rt.tracer().begin_request();
-                            let verb = verb_index(&frame.req);
+                            let verb = verb_index(req);
                             if trace_id != 0 {
-                                let now = span_since(
+                                span_since(
                                     state,
                                     trace_id,
                                     SpanKind::WireDecode,
@@ -529,34 +523,26 @@ impl Conn {
                                     verb as u64,
                                 );
                                 // How long the frame's bytes sat in the
-                                // input buffer before this pump pass
-                                // reached them.
-                                let wait_ns = arrival.elapsed().as_nanos() as u64;
+                                // input buffer before its decode began.
                                 state.rt.tracer().push(Span {
                                     trace_id,
                                     kind: SpanKind::QueueWait,
-                                    start_ns: now.saturating_sub(wait_ns),
-                                    dur_ns: wait_ns,
+                                    start_ns: ingest_ns,
+                                    dur_ns: decode_t0.saturating_sub(ingest_ns),
                                     a: wctx.frames_seen,
                                     b: 0,
                                 });
                             }
+                            let budget = frame.deadline_us.map(u64::from);
+                            let expires = budget.map(|us| arrival + Duration::from_micros(us));
                             let pending = |decided| PendingReq {
                                 trace_id,
-                                arrival,
-                                deadline_us: frame.deadline_us,
+                                expires,
                                 verb,
                                 state: decided,
                             };
-                            let admitted = admit(
-                                state,
-                                wctx,
-                                arrival,
-                                &frame.req,
-                                frame.deadline_us,
-                                trace_id,
-                            )
-                            .map(|()| state.store.route(&frame.req));
+                            let admitted = admit(state, wctx, req, expires, trace_id)
+                                .map(|()| state.store.route(req));
                             match admitted {
                                 // Rejected: the answer rides the batch so
                                 // it keeps its in-order response slot.
@@ -564,7 +550,8 @@ impl Conn {
                                     batch.pending.push(pending(PendingState::Ready(resp)));
                                 }
                                 Ok(Some(routed)) => {
-                                    batch.pending.push(pending(role_check(state, routed)));
+                                    let decided = role_check(state, routed, wctx.now);
+                                    batch.pending.push(pending(decided));
                                 }
                                 // Control verb or SCAN: flush what is
                                 // pending (in-order responses), then run
@@ -573,21 +560,13 @@ impl Conn {
                                 // before it are staged, and parks.
                                 Ok(None) => {
                                     let out = flush_batch(engine, state, wctx, outbuf, batch);
-                                    if let (Request::Flush, Some(wal)) = (&frame.req, state.wal()) {
+                                    if let (Request::Flush, Some(wal)) = (req, state.wal()) {
                                         let token = wal.request_flush();
                                         batch.pending.push(pending(PendingState::Flush(token)));
                                         continue;
                                     }
                                     trace::set_current(trace_id);
-                                    if !execute_admitted(
-                                        engine,
-                                        state,
-                                        wctx,
-                                        out,
-                                        arrival,
-                                        &frame.req,
-                                        frame.deadline_us,
-                                    ) {
+                                    if !execute_admitted(engine, state, wctx, out, req, expires) {
                                         *closing = true;
                                     }
                                     trace::clear_current();
@@ -626,7 +605,8 @@ impl Conn {
         progressed
     }
 
-    fn flush_inner(&mut self) -> FlushState {
+    /// Writes queued response bytes; bytes taken at `now` are progress.
+    fn flush_inner(&mut self, now: Instant) -> FlushState {
         let mut progressed = false;
         loop {
             if !self.has_pending_output() {
@@ -638,7 +618,7 @@ impl Conn {
                 Ok(0) => return FlushState::Fatal,
                 Ok(n) => {
                     self.outpos += n;
-                    self.last_write_progress = Instant::now();
+                    self.last_write_progress = now;
                     progressed = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -651,45 +631,37 @@ impl Conn {
     }
 }
 
-/// The admission prologue every decoded request passes exactly once,
-/// whatever its verb: deadline pre-check (a request whose budget expired
-/// while it queued never reaches the engine; the control plane is exempt),
-/// then the brownout decision on this pump pass's queue depth — so a batch
-/// never smuggles work past the controller. `Err` is the rejection's
-/// answer. The reject path is timed into the shed counters: the overload
-/// soak asserts its mean stays under 10 µs.
+/// The admission prologue every decoded request passes once, whatever its
+/// verb, at the pass's instant: deadline pre-check (a request whose budget
+/// ran out while it queued, as a zero one always has, never reaches the
+/// engine; the control plane is exempt), then the brownout decision on
+/// this pass's queue depth — so a batch never smuggles work past the
+/// controller. `Err` is the rejection's answer. The reject path is timed
+/// on the trace clock into the shed counters: the overload soak asserts
+/// its mean stays under 10 µs.
 fn admit(
     state: &ServerState,
     wctx: &WorkerCtx,
-    arrival: Instant,
     req: &Request<'_>,
-    deadline_us: Option<u32>,
+    expires: Option<Instant>,
     trace_id: u64,
 ) -> Result<(), Response<'static>> {
-    let t0 = Instant::now();
-    let t0_ns = stamp(trace_id);
+    let t0 = trace::now_ns();
     let class = classify(req);
-    if let Some(budget_us) = deadline_us {
-        if class != VerbClass::Control && expired(arrival, budget_us) {
-            state.counters.note_deadline_pre();
-            return Err(Response::DeadlineExceeded);
-        }
+    if class != VerbClass::Control && expires.is_some_and(|at| wctx.now >= at) {
+        state.counters.note_deadline_pre();
+        return Err(Response::DeadlineExceeded);
     }
+    let limit = state.config.queue_limit;
     if let Err(cause) = state
         .brownout
-        .admit(class, wctx.frames_seen, state.config.queue_limit)
+        .admit(class, wctx.frames_seen, limit, wctx.now)
     {
-        let shed_ns = t0.elapsed().as_nanos() as u64;
+        let shed_ns = trace::now_ns().saturating_sub(t0);
         state.counters.note_shed(wctx.worker, cause, shed_ns);
         let health = state.brownout.state() as u8;
-        span_since(
-            state,
-            trace_id,
-            SpanKind::Shed,
-            t0_ns,
-            cause.index() as u64,
-            u64::from(health),
-        );
+        let (index, health_b) = (cause.index() as u64, u64::from(health));
+        span_since(state, trace_id, SpanKind::Shed, t0, index, health_b);
         return Err(Response::Overloaded { state: health });
     }
     Ok(())
@@ -701,14 +673,14 @@ fn admit(
 /// shard versions stay exactly the primary's). A primary that cannot
 /// currently reach `min_acks` live replicas must not apply (much less
 /// ack) new writes, including ones arriving mid-pipeline — a partitioned
-/// old primary goes read-only instead of diverging.
-fn role_check(state: &ServerState, routed: Routed) -> PendingState {
+/// old primary goes read-only instead of diverging, judged at `now`.
+fn role_check(state: &ServerState, routed: Routed, now: Instant) -> PendingState {
     if routed.is_write() {
         if state.is_replica() {
             return PendingState::NotPrimary;
         }
         if let Some(feed) = state.repl_feed() {
-            if feed.fenced() {
+            if feed.fenced(now) {
                 feed.counters().note_fenced_reject();
                 return PendingState::Ready(Response::Error {
                     message: "primary fenced: insufficient live replicas",
@@ -719,11 +691,13 @@ fn role_check(state: &ServerState, routed: Routed) -> PendingState {
     PendingState::Exec(routed)
 }
 
-/// Takes the load plan's SlowStore draw for one executed request.
-fn draw_slow_store(state: &ServerState, wctx: &WorkerCtx) {
+/// Takes the load plan's SlowStore draw for one executed request: the
+/// stall is slept, and moves the pass's instant on by as much.
+fn draw_slow_store(state: &ServerState, wctx: &mut WorkerCtx) {
     if let Some(plan) = &state.config.load_plan {
         if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
             std::thread::sleep(d);
+            wctx.now += d;
         }
     }
 }
@@ -783,12 +757,11 @@ fn flush_batch<'a>(
                     .map(|&p| pending[exec_idx[p]].trace_id)
                     .find(|&id| id != 0)
                     .unwrap_or(0);
-                let t0_ns = stamp(parent);
-                let group_t0 = Instant::now();
+                let t0_ns = trace::now_ns();
                 trace::set_current(parent);
                 run();
                 trace::clear_current();
-                let group_ns = group_t0.elapsed().as_nanos() as u64;
+                let group_ns = trace::now_ns().saturating_sub(t0_ns);
                 let n = positions.len() as u64;
                 // Engine latency only feeds the brownout EWMA (the barrier
                 // waits below are deliberate batching, not overload); the
@@ -850,7 +823,7 @@ fn flush_batch<'a>(
                     resp,
                     shard,
                     version,
-                    since: Instant::now(),
+                    since: wctx.now,
                 },
                 (None, None) => PendingState::Executed(resp),
             };
@@ -863,8 +836,8 @@ fn flush_batch<'a>(
             }
         }
         // Once one answer waits, every later one waits behind it.
-        if parked.is_empty() && p.settle(state, wctx.worker, false) {
-            encode_answer(state, p, outbuf);
+        if parked.is_empty() && p.settle(state, wctx, false) {
+            encode_answer(state, p, wctx.now, outbuf);
         } else {
             parked.push_back(p);
         }
@@ -880,23 +853,24 @@ fn flush_batch<'a>(
 }
 
 impl BatchBufs {
-    /// Encodes the parked answers whose wait is over, head first, and once
-    /// none is left, the bytes behind them. Returns whether any went out.
+    /// Encodes the parked answers whose wait is over at the pass's
+    /// instant, head first, and once none is left, the bytes behind them.
+    /// Returns whether any went out.
     fn release(
         &mut self,
         state: &ServerState,
-        worker: usize,
+        wctx: &WorkerCtx,
         outbuf: &mut Vec<u8>,
         give_up: bool,
     ) -> bool {
         let ready = self
             .parked
             .iter_mut()
-            .map(|p| p.settle(state, worker, give_up))
+            .map(|p| p.settle(state, wctx, give_up))
             .take_while(|&settled| settled)
             .count();
         for p in self.parked.drain(..ready) {
-            encode_answer(state, p, outbuf);
+            encode_answer(state, p, wctx.now, outbuf);
         }
         if self.parked.is_empty() {
             outbuf.append(&mut self.behind);
@@ -905,12 +879,8 @@ impl BatchBufs {
     }
 }
 
-/// Encodes one settled answer. An executed request's is re-checked
-/// against its deadline first: the effect is already applied (the engine
-/// ran), but the client stopped waiting — tell it so instead of shipping
-/// a result it will ignore. Documented semantics: deadlines bound
-/// *waiting*, not *effects*.
-fn encode_answer(state: &ServerState, p: PendingReq, outbuf: &mut Vec<u8>) {
+/// Encodes one settled answer, an executed request's [`unless_late`].
+fn encode_answer(state: &ServerState, p: PendingReq, now: Instant, outbuf: &mut Vec<u8>) {
     let resp = match p.state {
         PendingState::Ready(resp) => return encode_response(&resp, outbuf),
         PendingState::NotPrimary => {
@@ -925,13 +895,7 @@ fn encode_answer(state: &ServerState, p: PendingReq, outbuf: &mut Vec<u8>) {
     };
     let out_start = outbuf.len();
     let resp_t0 = stamp(p.trace_id);
-    match p.deadline_us {
-        Some(budget_us) if expired(p.arrival, budget_us) => {
-            state.counters.note_deadline_post();
-            encode_response(&Response::DeadlineExceeded, outbuf);
-        }
-        _ => encode_response(&resp, outbuf),
-    }
+    encode_response(&unless_late(state, p.expires, now, resp), outbuf);
     let written = (outbuf.len() - out_start) as u64;
     span_since(
         state,
@@ -945,7 +909,7 @@ fn encode_answer(state: &ServerState, p: PendingReq, outbuf: &mut Vec<u8>) {
 
 /// Executes one admitted verb that cannot join a batch: the control plane
 /// and SCAN (cross-shard, one read section per shard, no record to log or
-/// replicate).
+/// replicate; answered [`unless_late`], like the batch path).
 ///
 /// Returns `false` when the connection must start closing (SHUTDOWN).
 /// Free function (not a method) so the borrow of `outbuf` stays disjoint
@@ -955,9 +919,8 @@ fn execute_admitted(
     state: &ServerState,
     wctx: &mut WorkerCtx,
     outbuf: &mut Vec<u8>,
-    arrival: Instant,
     req: &Request<'_>,
-    deadline_us: Option<u32>,
+    expires: Option<Instant>,
 ) -> bool {
     let trace_id = state.rt.tracer().current();
     let out_start = outbuf.len();
@@ -997,23 +960,17 @@ fn execute_admitted(
             false
         }
         Request::Scan { limit } => {
-            let exec_start = Instant::now();
+            let exec_start = trace::now_ns();
             draw_slow_store(state, wctx);
             let pairs = state.store.scan(engine, *limit as usize);
-            let exec_ns = exec_start.elapsed().as_nanos() as u64;
+            let exec_ns = trace::now_ns().saturating_sub(exec_start);
             let verb = verb_index(req) as u64;
             resp_t0 = span_since(state, trace_id, SpanKind::StoreOp, resp_t0, verb, 0);
             wctx.lat_sum_ns += exec_ns;
             wctx.lat_count += 1;
             state.counters.note_executed(wctx.worker, exec_ns);
-            // Same deadline post-check as the batch path.
-            match deadline_us {
-                Some(budget_us) if expired(arrival, budget_us) => {
-                    state.counters.note_deadline_post();
-                    encode_response(&Response::DeadlineExceeded, outbuf);
-                }
-                _ => encode_response(&Response::Entries { pairs }, outbuf),
-            }
+            let entries = Response::Entries { pairs };
+            encode_response(&unless_late(state, expires, wctx.now, entries), outbuf);
             true
         }
         // Every other verb routes (`ShardedStore::route`) and executes in
@@ -1033,6 +990,23 @@ fn execute_admitted(
         0,
     );
     keep_open
+}
+
+/// `resp`, unless its client stopped waiting by `now`: the effect is
+/// applied, but the answer is `DeadlineExceeded` — deadlines bound
+/// *waiting*, not *effects*. An answer in the pass that admitted it is
+/// late only if a seeded stall moved the pass's instant on.
+fn unless_late<'a>(
+    state: &ServerState,
+    expires: Option<Instant>,
+    now: Instant,
+    resp: Response<'a>,
+) -> Response<'a> {
+    if expires.is_some_and(|at| now >= at) {
+        state.counters.note_deadline_post();
+        return Response::DeadlineExceeded;
+    }
+    resp
 }
 
 /// Answers `message` as an `Error` response.
@@ -1086,17 +1060,12 @@ fn span_since(
     now
 }
 
-/// Whether `budget_us` microseconds have fully elapsed since `arrival`.
-/// A zero budget is always expired — the probe clients use that to test
-/// the pre-check without a race.
-fn expired(arrival: Instant, budget_us: u32) -> bool {
-    arrival.elapsed() >= Duration::from_micros(u64::from(budget_us))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gocc_faultplane::TransportFaultPlan;
     use std::net::{Ipv4Addr, TcpListener};
+    use std::sync::Arc;
 
     /// Every combination of the five facts [`Conn::interest`] and
     /// [`Conn::deadline`] read, against the events [`Conn::pump`] would
@@ -1106,15 +1075,16 @@ mod tests {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
-        let mut conn = Conn::new(stream, None);
+        let now = Instant::now();
         let state = ServerState::new(crate::ServerConfig {
             workers: 1,
             repl_accept: true,
             ..crate::ServerConfig::default()
         })
         .expect("state");
+        let mut conn = Conn::new(stream, &state, now);
         let feed = state.repl_feed().expect("feed");
-        let sub = feed.subscribe(&[0; 4]);
+        let sub = feed.subscribe(&[0; 4], now);
         for case in 0..32u32 {
             let [closing, at_high_water, pending_output, repl_sub, parked] =
                 [0, 1, 2, 3, 4].map(|bit| case & (1 << bit) != 0);
@@ -1123,14 +1093,13 @@ mod tests {
             if parked {
                 conn.batch.parked.push_back(PendingReq {
                     trace_id: 0,
-                    arrival: Instant::now(),
-                    deadline_us: None,
+                    expires: None,
                     verb: 0,
                     state: PendingState::Replicating {
                         resp: Response::Done,
                         shard: 0,
                         version: 1,
-                        since: Instant::now(),
+                        since: now,
                     },
                 });
             }
@@ -1143,7 +1112,7 @@ mod tests {
             if pending_output {
                 conn.outbuf.push(0);
             }
-            conn.repl = repl_sub.then(|| ReplSub::new(sub));
+            conn.repl = repl_sub.then(|| ReplSub::new(sub, now));
 
             let read = if closing || at_high_water || parked {
                 0
@@ -1159,7 +1128,7 @@ mod tests {
             );
             // A heartbeat, an ack timeout or an eviction is due.
             let due = (repl_sub && !closing) || parked || pending_output;
-            assert_eq!(conn.deadline(&state).is_some(), due);
+            assert_eq!(conn.deadline(&state, now).is_some(), due);
         }
         // One byte under the mark still reads, as `pump` step 2 does.
         conn.closing = false;
@@ -1204,6 +1173,7 @@ mod tests {
 
         let state = ServerState::new(crate::ServerConfig {
             workers: 1,
+            fault_plan: Some(Arc::clone(&plan)),
             ..crate::ServerConfig::default()
         })
         .expect("state");
@@ -1215,9 +1185,10 @@ mod tests {
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let mut conn = Conn::new(stream, Some(Arc::clone(&plan)));
+        let mut conn = Conn::new(stream, &state, Instant::now());
         let mut wctx = WorkerCtx {
             worker: 0,
+            now: Instant::now(),
             frames_seen: 0,
             lat_sum_ns: 0,
             lat_count: 0,

@@ -4,8 +4,9 @@
 //! other threads write to, for at most a timeout kept to the nanosecond.
 //! No registration state — a worker owns a handful of connections, and the
 //! set is refilled from their current `Conn::interest` before every wait.
-//! A thread that takes timed passes asks a [`Tick`] for each timeout, so
-//! the passes come one per [`IDLE_PASS`] however long each one took.
+//! A thread that takes timed passes asks a [`Tick`] when each one is due,
+//! so the passes come one per [`IDLE_PASS`] however long each one took.
+//! Nothing here reads the clock: the caller hands its instant in.
 //!
 //! Public for `tests/idle_wait.rs`, which times the wait itself, and for
 //! `gocc-loadgen`'s load driver, whose connections wait here too.
@@ -55,26 +56,24 @@ extern "C" {
 pub const IDLE_PASS: Duration = Duration::from_micros(200);
 
 /// The cadence of one thread's timed passes: the instant its last timed
-/// [`wait`] was due. Its only job is to turn "now" into the next wait's
-/// timeout, so that a wake-up's lateness and the pass's own work come out
-/// of the next wait instead of being added to every period.
+/// [`wait`] was due. Its only job is to turn "now" into when the next wait
+/// ends, so that a wake-up's lateness and the pass's own work come out of
+/// the next wait instead of being added to every period.
 #[derive(Default)]
 pub struct Tick {
     due: Option<Instant>,
 }
 
 impl Tick {
-    /// The timeout of a timed wait that starts at `now`, never longer
-    /// than [`IDLE_PASS`]. It ends one `IDLE_PASS` after the tick before
+    /// When a timed wait that starts at `now` ends, never more than
+    /// [`IDLE_PASS`] later. It ends one `IDLE_PASS` after the tick before
     /// it — at that tick itself when the waker cut the last wait short,
     /// so an early wake never lengthens the next wait — or, when that
     /// instant has passed (a pass overran a whole period, or there is no
     /// tick before it), one `IDLE_PASS` from now: a late cadence starts
     /// over, it is not caught up in a burst.
-    pub fn timeout(&mut self, now: Instant) -> Duration {
-        let due = next_due(self.due, now);
-        self.due = Some(due);
-        due.saturating_duration_since(now)
+    pub fn due(&mut self, now: Instant) -> Instant {
+        *self.due.insert(next_due(self.due, now))
     }
 
     /// Forgets the cadence: the thread blocked, and its next timed wait
@@ -231,7 +230,8 @@ mod tests {
     fn no_timed_wait_is_longer_than_a_period_and_a_block_forgets_the_cadence() {
         let t0 = Instant::now();
         let mut tick = Tick::default();
-        assert_eq!(tick.timeout(t0), IDLE_PASS);
+        let timeout = |tick: &mut Tick, now| tick.due(now) - now;
+        assert_eq!(timeout(&mut tick, t0), IDLE_PASS);
         // Whatever "now" is against the tick owed (t0 + 200 µs), in 7 µs
         // steps from 150 µs before it to two periods after it.
         for step in 0..80 {
@@ -239,26 +239,26 @@ mod tests {
                 due: Some(t0 + IDLE_PASS),
             };
             let now = t0 + 50 * US + step * 7 * US;
-            let timeout = t.timeout(now);
+            let timeout = timeout(&mut t, now);
             assert!(timeout <= IDLE_PASS, "{timeout:?} at step {step}");
             assert!(t.due >= Some(now), "due in the past at step {step}");
         }
         // A run of passes that each take 45 µs: one per period, exactly.
         let mut now = t0;
         for pass in 1..=50 {
-            now += tick.timeout(now);
+            now = tick.due(now);
             assert_eq!(now, t0 + pass * IDLE_PASS);
             now += 45 * US;
         }
         // The waker ends a wait 150 µs early; the wait behind that wake is
         // the 150 µs still owed, not a full period on top of them.
         let owed = now - 45 * US + IDLE_PASS;
-        assert_eq!(tick.timeout(now), 155 * US);
-        assert_eq!(tick.timeout(owed - 150 * US), 150 * US);
-        assert_eq!(tick.timeout(owed + 10 * US), 190 * US);
+        assert_eq!(timeout(&mut tick, now), 155 * US);
+        assert_eq!(timeout(&mut tick, owed - 150 * US), 150 * US);
+        assert_eq!(timeout(&mut tick, owed + 10 * US), 190 * US);
         // After a block the old cadence is gone, however recent.
         tick.forget();
-        assert_eq!(tick.timeout(owed + 20 * US), IDLE_PASS);
+        assert_eq!(timeout(&mut tick, owed + 20 * US), IDLE_PASS);
     }
 
     #[test]
@@ -271,11 +271,11 @@ mod tests {
         let won = (0..5).any(|_| {
             let mut tick = Tick::default();
             let t0 = Instant::now();
-            let first = tick.timeout(t0);
+            let first = tick.due(t0) - t0;
             waker.wake();
             wait(&waker, &mut set, Some(first));
             let woken = Instant::now();
-            let second = tick.timeout(woken);
+            let second = tick.due(woken).saturating_duration_since(woken);
             rounds.push((woken - t0, second));
             assert!(second <= IDLE_PASS, "a wait of {second:?}");
             woken + second == t0 + IDLE_PASS && second < IDLE_PASS

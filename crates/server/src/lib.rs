@@ -24,10 +24,11 @@
 //!   theirs (a heartbeat, a parked answer's timeout or lease, an
 //!   eviction), or — when its peers pipeline or a seeded plan or the
 //!   brownout controller keeps a clock — until the next tick of an
-//!   `IDLE_PASS` cadence; see `worker_loop`. Worker state is plain
-//!   `&mut`; the only cross-thread state is the [`ServerState`] behind an
-//!   `Arc` — the store (whose interior synchronization *is* the system
-//!   under test), atomic counters, the role, the shutdown flag and the wakers.
+//!   `IDLE_PASS` cadence. Its passes are a [`Worker`]'s, each at the one
+//!   instant `worker_loop` hands it. Worker state is plain `&mut`; the
+//!   only cross-thread state is the [`ServerState`] behind an `Arc` — the
+//!   store (whose interior synchronization *is* the system under test),
+//!   atomic counters, the role, the shutdown flag and the wakers.
 //! * **No worker waits on the log or a replica**: a logged write, a FLUSH
 //!   and a `min_acks` write park their response (see `conn`). The WAL
 //!   syncer's tap wakes the workers that parked on the log, and the
@@ -77,7 +78,7 @@ mod stats;
 mod store;
 
 use std::io;
-use std::net::{Ipv4Addr, TcpListener};
+use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -369,7 +370,8 @@ impl DurableTap for ServerTap {
 }
 
 impl ServerState {
-    fn new(config: ServerConfig) -> io::Result<Self> {
+    /// What [`spawn`] serves from, without threads, for a [`Worker`] to run.
+    pub fn new(config: ServerConfig) -> io::Result<Self> {
         let rt = GoccRuntime::new(GoccConfig::with_telemetry());
         rt.tracer().configure(config.trace_sample_n, TRACE_SEED);
         let store = ShardedStore::new(config.shards, config.capacity_per_shard);
@@ -558,18 +560,6 @@ impl ServerState {
         }
     }
 
-    /// Whether a worker's idle pass has work that runs on a clock, so the
-    /// worker must keep taking a pass every `IDLE_PASS` instead of
-    /// blocking: a brownout state that only idle observations walk back
-    /// to `Healthy`, or a seeded plan whose draws are defined per pass
-    /// (load faults in [`ServerState::finish_pump`], transport faults
-    /// that make a ready socket read as not ready).
-    fn idle_pass_is_clocked(&self) -> bool {
-        self.brownout.state() != HealthState::Healthy
-            || self.config.load_plan.is_some()
-            || self.config.fault_plan.is_some()
-    }
-
     /// The brownout controller (state, transition counters).
     #[must_use]
     pub fn brownout(&self) -> &BrownoutController {
@@ -589,7 +579,8 @@ impl ServerState {
     /// End-of-pump bookkeeping for one worker: publish the pass's queue
     /// depth, feed the brownout controller one observation (idle passes
     /// feed zeros, which is what decays the EWMAs back to Healthy), and
-    /// take the load plan's stall draw.
+    /// take the load plan's stall draw, slept and added to the pass's
+    /// instant.
     fn finish_pump(&self, wctx: &mut WorkerCtx) {
         self.counters.set_queue_depth(wctx.worker, wctx.frames_seen);
         let mean_lat_ns = if wctx.lat_count > 0 {
@@ -604,6 +595,7 @@ impl ServerState {
         if let Some(plan) = &self.config.load_plan {
             if let Some(LoadFault::Stall(d)) = plan.draw_worker(wctx.worker as u64) {
                 std::thread::sleep(d);
+                wctx.now += d;
             }
         }
     }
@@ -681,6 +673,8 @@ impl ServerState {
 pub(crate) struct WorkerCtx {
     /// This worker's index (stable across the server's lifetime).
     pub(crate) worker: usize,
+    /// The pass's instant: every time rule the pass applies reads it.
+    pub(crate) now: Instant,
     /// Frames seen this pump pass — the admission queue depth.
     pub(crate) frames_seen: u64,
     /// Summed engine-execution nanoseconds this pass.
@@ -809,7 +803,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let port = listener.local_addr()?.port();
     let state = Arc::new(ServerState::new(ServerConfig { port, ..config })?);
 
-    let mut senders: Vec<Sender<std::net::TcpStream>> = Vec::new();
+    let mut senders: Vec<Sender<TcpStream>> = Vec::new();
     let mut workers = Vec::new();
     for w in 0..state.config.workers {
         let (tx, rx) = std::sync::mpsc::channel();
@@ -927,11 +921,7 @@ fn checkpoint_loop(state: &ServerState, wal: &Wal) {
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    senders: Vec<Sender<std::net::TcpStream>>,
-    state: &ServerState,
-) {
+fn acceptor_loop(listener: &TcpListener, senders: Vec<Sender<TcpStream>>, state: &ServerState) {
     let waker = state.wakeups.acceptor();
     let mut set = idle::PollSet::default();
     let mut next = 0usize;
@@ -974,108 +964,154 @@ fn acceptor_loop(
     // coming.
 }
 
-/// Refills `set` with what an idle worker's connections wait for, and
-/// returns the instant the wait must end by — the nearest
-/// [`Conn::deadline`] — if there is one.
-fn watch(conns: &[Conn], set: &mut idle::PollSet, state: &ServerState) -> Option<Instant> {
-    set.clear();
-    let mut deadline = None;
-    for c in conns {
-        set.push(c.raw_fd(), c.interest());
-        deadline = [deadline, c.deadline(state)].into_iter().flatten().min();
-    }
-    deadline
+/// What a [`Worker::pass`] leaves its driver to do: pass again, or wait on
+/// the waker (and the sockets unless `blind`) until `until`, if any.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    Pass,
+    Wait { blind: bool, until: Option<Instant> },
 }
 
-fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &ServerState) {
-    let engine = Engine::new(&state.rt, state.config.mode);
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut dispatcher_gone = false;
-    let mut wctx = WorkerCtx {
-        worker,
-        frames_seen: 0,
-        lat_sum_ns: 0,
-        lat_count: 0,
-    };
+/// One worker's connections and what its passes carry. A pass is a
+/// function of the instant it is handed: every time rule under it reads
+/// that, and only a duration of work just done reads a clock (the trace
+/// clock's). `worker_loop` drives one on the real clock, a test on its own.
+pub struct Worker<'s> {
+    state: &'s ServerState,
+    engine: Engine<'s>,
+    conns: Vec<Conn>,
+    wctx: WorkerCtx,
+    tick: idle::Tick,
+    /// Frames in the last pass that handled any, until an idle decision
+    /// has used it.
+    last_frames: u64,
+    /// The instant of the last idle decision, if it was to block.
+    blocked_at: Option<Instant>,
+}
+
+impl<'s> Worker<'s> {
+    /// Worker `worker` of `state`, made at `now` and owning no connection.
+    #[must_use]
+    pub fn new(state: &'s ServerState, worker: usize, now: Instant) -> Self {
+        Worker {
+            state,
+            engine: Engine::new(&state.rt, state.config.mode),
+            conns: Vec::new(),
+            wctx: WorkerCtx {
+                worker,
+                now,
+                frames_seen: 0,
+                lat_sum_ns: 0,
+                lat_count: 0,
+            },
+            tick: idle::Tick::default(),
+            last_frames: 0,
+            blocked_at: None,
+        }
+    }
+
+    /// Takes on a dispatched connection (non-blocking) at `now`.
+    pub fn adopt(&mut self, stream: TcpStream, now: Instant) {
+        self.conns.push(Conn::new(stream, self.state, now));
+    }
+
+    /// One pass over every connection at `now` (which a seeded stall moves
+    /// on), then, if nothing moved and no shutdown is asked, the one idle
+    /// decision. Two or more frames in the last pass that had any mean a
+    /// peer that pipelines: the next burst is taken at the next tick, one
+    /// `IDLE_PASS` after the last however late that wake-up came, which
+    /// serves a window per period. So does an idle pass with work on a
+    /// clock: a brownout state only idle passes walk back, or a seeded
+    /// plan. That timed pass is blind: a ready socket does not end it
+    /// (what paces `serve_d32`; ROADMAP 2(b)), the waker does. Otherwise
+    /// block on the sockets and the waker until the first connection's
+    /// own deadline; the next pass hands the controller the idle passes
+    /// the block stood in for, or sparse traffic would read as one load.
+    pub fn pass(&mut self, now: Instant) -> Next {
+        let (state, engine, wctx) = (self.state, &self.engine, &mut self.wctx);
+        if let Some(blocked_at) = self.blocked_at.take() {
+            state
+                .brownout
+                .observe_idle(now.saturating_duration_since(blocked_at));
+        }
+        wctx.now = now;
+        let mut progressed = false;
+        self.conns
+            .retain_mut(|c| match c.pump(engine, state, wctx) {
+                PumpOutcome::Alive { made_progress } => {
+                    progressed |= made_progress;
+                    true
+                }
+                PumpOutcome::Close => {
+                    c.on_close(state, wctx.worker);
+                    false
+                }
+            });
+        if wctx.frames_seen > 0 {
+            self.last_frames = wctx.frames_seen;
+        }
+        state.finish_pump(wctx);
+        if progressed || state.shutting_down() {
+            return Next::Pass;
+        }
+        let now = wctx.now;
+        let clocked = state.brownout.state() != HealthState::Healthy
+            || state.config.load_plan.is_some()
+            || state.config.fault_plan.is_some();
+        let blind = self.last_frames >= 2 || clocked;
+        self.last_frames = 0;
+        state.counters.note_idle(wctx.worker, !blind);
+        let until = if blind {
+            Some(self.tick.due(now))
+        } else {
+            self.tick.forget();
+            self.blocked_at = Some(now);
+            let deadlines = self.conns.iter().filter_map(|c| c.deadline(state, now));
+            deadlines.min()
+        };
+        Next::Wait { blind, until }
+    }
+
+    /// Refills `set` with what the wait behind the last idle decision
+    /// watches beside the waker: each connection's [`Conn::interest`] if
+    /// it blocks, nothing for a timed pass.
+    pub(crate) fn watch(&self, set: &mut idle::PollSet) {
+        set.clear();
+        for c in self.conns.iter().filter(|_| self.blocked_at.is_some()) {
+            set.push(c.raw_fd(), c.interest());
+        }
+    }
+}
+
+/// Drives worker `worker`'s passes on the real clock, which it reads
+/// before each pass and each wait; nothing under it does. It owns the
+/// dispatcher's channel, the waker and the poll set.
+fn worker_loop(worker: usize, rx: &Receiver<TcpStream>, state: &ServerState) {
+    let mut now = Instant::now();
+    let mut w = Worker::new(state, worker, now);
     idle::exact_timers();
     let mut set = idle::PollSet::default();
-    let mut tick = idle::Tick::default();
-    // Frames in the last pass that handled any, until an idle decision
-    // has used it.
-    let mut last_frames = 0u64;
     loop {
         // Adopt newly dispatched connections.
-        loop {
+        let dispatcher_gone = loop {
             match rx.try_recv() {
-                Ok(stream) => conns.push(Conn::new(stream, state.config.fault_plan.clone())),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    dispatcher_gone = true;
-                    break;
-                }
+                Ok(stream) => w.adopt(stream, now),
+                Err(e) => break e == TryRecvError::Disconnected,
             }
-        }
-
-        let mut progressed = false;
-        conns.retain_mut(|c| match c.pump(&engine, state, &mut wctx) {
-            PumpOutcome::Alive { made_progress } => {
-                progressed |= made_progress;
-                true
-            }
-            PumpOutcome::Close => {
-                c.on_close(state, worker);
-                state.counters.note_close();
-                false
-            }
-        });
-        if wctx.frames_seen > 0 {
-            last_frames = wctx.frames_seen;
-        }
-        state.finish_pump(&mut wctx);
-
-        if state.shutting_down() {
-            drain_and_close(&mut conns, state, worker, &mut set);
-            return;
-        }
-        if dispatcher_gone && conns.is_empty() {
-            return;
-        }
-        if progressed {
-            continue;
-        }
-        // The one idle decision: what to wait on, and for how long at
-        // most. Two or more frames in one pass mean a peer that pipelines
-        // (or several peers in step): the next burst is due, and taking
-        // it at the next tick — one `IDLE_PASS` after the last, however
-        // late that wake-up came and however long this pass took — keeps
-        // the batches and the wake-ups per request where they were and
-        // serves a window per period. So does an idle-pass duty that runs
-        // on a clock: the controller's or a seeded plan's. That timed pass
-        // is blind: it watches the waker alone — a dispatched connection,
-        // a settled log, an ack or shutdown ends it, a ready socket does
-        // not (what paces `serve_d32`; ROADMAP 2(b)). Otherwise — a lone
-        // request, or nothing since the last decision — block until a
-        // connection is ready or the waker is woken, for as long as no
-        // connection's own deadline is due.
-        let blind = last_frames >= 2 || state.idle_pass_is_clocked();
-        last_frames = 0;
-        state.counters.note_idle(worker, !blind);
-        let t0 = Instant::now();
-        let timeout = if blind {
-            set.clear();
-            Some(tick.timeout(t0))
-        } else {
-            tick.forget();
-            watch(&conns, &mut set, state).map(|d| d.saturating_duration_since(t0))
         };
-        idle::wait(&state.wakeups.wakers[worker], &mut set, timeout);
-        if !blind {
-            // The controller's averages decay per idle pass; hand it the
-            // timed passes this wait stood in for, or sparse traffic
-            // would read as one unbroken load.
-            let passes = t0.elapsed().as_micros() / IDLE_PASS.as_micros();
-            state.brownout.observe_idle(passes as u64);
+        let next = w.pass(now);
+        if state.shutting_down() {
+            return drain_and_close(&mut w, &mut set);
         }
+        if dispatcher_gone && w.conns.is_empty() {
+            return;
+        }
+        if let Next::Wait { until, .. } = next {
+            w.watch(&mut set);
+            let timeout = until.map(|until| until.saturating_duration_since(Instant::now()));
+            idle::wait(&state.wakeups.wakers[worker], &mut set, timeout);
+        }
+        now = Instant::now();
     }
 }
 
@@ -1084,34 +1120,30 @@ fn worker_loop(worker: usize, rx: &Receiver<std::net::TcpStream>, state: &Server
 /// it queued, and closes once it owes nothing or its peer is gone. In
 /// between, wait for a socket to take bytes, or one `IDLE_PASS` while an
 /// answer is parked.
-fn drain_and_close(
-    conns: &mut Vec<Conn>,
-    state: &ServerState,
-    worker: usize,
-    set: &mut idle::PollSet,
-) {
+fn drain_and_close(w: &mut Worker<'_>, set: &mut idle::PollSet) {
+    let state = w.state;
     let deadline = Instant::now() + state.config.drain_timeout;
     loop {
-        let now = Instant::now();
-        conns.retain_mut(|c| {
-            let owes = c.drain(state, worker, now >= deadline);
+        w.wctx.now = Instant::now();
+        let (wctx, give_up) = (&w.wctx, w.wctx.now >= deadline);
+        w.conns.retain_mut(|c| {
+            let owes = c.drain(state, wctx, give_up);
             if !owes {
-                c.on_close(state, worker);
-                state.counters.note_close();
+                c.on_close(state, wctx.worker);
             }
             owes
         });
-        if conns.is_empty() {
+        if w.conns.is_empty() {
             return;
         }
         set.clear();
-        for c in conns.iter().filter(|c| c.has_pending_output()) {
+        for c in w.conns.iter().filter(|c| c.has_pending_output()) {
             set.push(c.raw_fd(), idle::POLLOUT);
         }
-        let mut timeout = deadline - now;
-        if conns.iter().any(Conn::has_parked) {
+        let mut timeout = deadline - wctx.now;
+        if w.conns.iter().any(Conn::has_parked) {
             timeout = timeout.min(IDLE_PASS);
         }
-        idle::wait(&state.wakeups.wakers[worker], set, Some(timeout));
+        idle::wait(&state.wakeups.wakers[wctx.worker], set, Some(timeout));
     }
 }

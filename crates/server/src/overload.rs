@@ -26,11 +26,13 @@
 //! once per worker pump pass, never per request.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::Ewma;
 use gocc_wire::Request;
+
+use crate::idle::IDLE_PASS;
 
 /// The server's overload state, reported by the HEALTH verb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,7 +192,8 @@ struct Signals {
     calm_streak: u32,
 }
 
-/// The three-state brownout machine shared by every worker.
+/// The three-state brownout machine shared by every worker; a worker that
+/// panics holding one of its locks leaves it consistent, so none follows.
 ///
 /// [`observe`](BrownoutController::observe) is called once per worker pump
 /// pass; [`admit`](BrownoutController::admit) per request but touches only
@@ -265,7 +268,7 @@ impl BrownoutController {
     /// `recover_obs` consecutive observations with both EWMAs below
     /// their low thresholds.
     pub fn observe(&self, queue_depth: f64, latency_ns: f64) {
-        let mut sig = self.signals.lock().unwrap();
+        let mut sig = self.signals.lock().unwrap_or_else(PoisonError::into_inner);
         let d = sig.depth.observe(queue_depth);
         let l = sig.latency_ns.observe(latency_ns);
         let hot = d > self.cfg.depth_high || l > self.cfg.latency_high.as_nanos() as f64;
@@ -294,26 +297,34 @@ impl BrownoutController {
         }
     }
 
-    /// Feeds the `passes` idle passes a worker did not take because it
-    /// was blocked on its sockets: both averages decay as if each had
-    /// been observed, so what an arriving request is averaged against
-    /// does not depend on how its worker waited. A worker blocks only
-    /// while `Healthy`, and zeros cannot escalate, so the state stands.
-    pub fn observe_idle(&self, passes: u64) {
+    /// Feeds the idle passes a worker did not take because it was blocked
+    /// on its sockets for `idle` (between two of its passes' instants):
+    /// both averages decay as if each had been observed, so what an
+    /// arriving request is averaged against does not depend on how its
+    /// worker waited. A worker blocks only while `Healthy`, and zeros
+    /// cannot escalate, so the state stands.
+    pub fn observe_idle(&self, idle: Duration) {
+        let passes = (idle.as_micros() / IDLE_PASS.as_micros()) as u64;
         if passes == 0 {
             return;
         }
-        let mut sig = self.signals.lock().unwrap();
+        let mut sig = self.signals.lock().unwrap_or_else(PoisonError::into_inner);
         sig.depth.observe_zeros(passes);
         sig.latency_ns.observe_zeros(passes);
     }
 
-    /// The admission decision for one request.
+    /// The admission decision for one request, at its pass's instant `now`.
     ///
     /// `depth` is the requester's current queue depth (frames already
     /// seen this pump pass), `limit` the configured per-worker queue
     /// limit. Control verbs are always admitted.
-    pub fn admit(&self, class: VerbClass, depth: u64, limit: u64) -> Result<(), ShedCause> {
+    pub fn admit(
+        &self,
+        class: VerbClass,
+        depth: u64,
+        limit: u64,
+        now: Instant,
+    ) -> Result<(), ShedCause> {
         if class == VerbClass::Control {
             return Ok(());
         }
@@ -324,30 +335,27 @@ impl BrownoutController {
         if depth >= limit {
             return Err(ShedCause::QueueFull);
         }
-        match self.state() {
-            HealthState::Healthy => Ok(()),
-            HealthState::Degraded => match class {
-                VerbClass::Scan => Err(ShedCause::DegradedScan),
-                VerbClass::Stats if !self.allow_stats() => Err(ShedCause::DegradedStats),
-                _ => Ok(()),
-            },
-            HealthState::Shedding => match class {
-                VerbClass::Scan => Err(ShedCause::DegradedScan),
-                VerbClass::Stats if !self.allow_stats() => Err(ShedCause::DegradedStats),
-                VerbClass::Write => Err(ShedCause::SheddingWrite),
-                _ => Ok(()),
-            },
+        let state = self.state();
+        match class {
+            _ if state == HealthState::Healthy => Ok(()),
+            VerbClass::Scan => Err(ShedCause::DegradedScan),
+            VerbClass::Stats if !self.allow_stats(now) => Err(ShedCause::DegradedStats),
+            VerbClass::Write if state == HealthState::Shedding => Err(ShedCause::SheddingWrite),
+            _ => Ok(()),
         }
     }
 
     /// Rate cap for STATS under pressure: at most one admitted per
-    /// [`BrownoutConfig::stats_min_interval`].
-    fn allow_stats(&self) -> bool {
-        let mut last = self.last_stats.lock().unwrap();
+    /// [`BrownoutConfig::stats_min_interval`], the next one at `now`.
+    fn allow_stats(&self, now: Instant) -> bool {
+        let mut last = self
+            .last_stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match *last {
-            Some(t) if t.elapsed() < self.cfg.stats_min_interval => false,
+            Some(t) if now.saturating_duration_since(t) < self.cfg.stats_min_interval => false,
             _ => {
-                *last = Some(Instant::now());
+                *last = Some(now);
                 true
             }
         }
@@ -487,6 +495,7 @@ mod tests {
     #[test]
     fn admission_table_by_state() {
         let ctl = BrownoutController::new(test_cfg());
+        let admit = |class, depth, limit| ctl.admit(class, depth, limit, Instant::now());
         let limit = 16;
         // Healthy: everything under the limit is admitted.
         for class in [
@@ -495,54 +504,80 @@ mod tests {
             VerbClass::Scan,
             VerbClass::Stats,
         ] {
-            assert_eq!(ctl.admit(class, 0, limit), Ok(()));
+            assert_eq!(admit(class, 0, limit), Ok(()));
         }
         // Queue tiering applies in every state: expensive classes shed at
         // limit/2, cheap ones at the limit.
         assert_eq!(
-            ctl.admit(VerbClass::Scan, limit / 2, limit),
+            admit(VerbClass::Scan, limit / 2, limit),
             Err(ShedCause::QueueExpensive)
         );
-        assert_eq!(ctl.admit(VerbClass::Read, limit / 2, limit), Ok(()));
+        assert_eq!(admit(VerbClass::Read, limit / 2, limit), Ok(()));
         assert_eq!(
-            ctl.admit(VerbClass::Read, limit, limit),
+            admit(VerbClass::Read, limit, limit),
             Err(ShedCause::QueueFull)
         );
         // Degraded: SCAN out, writes still in.
         ctl.observe(1e9, 1e12);
         assert_eq!(ctl.state(), HealthState::Degraded);
         assert_eq!(
-            ctl.admit(VerbClass::Scan, 0, limit),
+            admit(VerbClass::Scan, 0, limit),
             Err(ShedCause::DegradedScan)
         );
-        assert_eq!(ctl.admit(VerbClass::Write, 0, limit), Ok(()));
+        assert_eq!(admit(VerbClass::Write, 0, limit), Ok(()));
         // Shedding: writes out, reads and control still in.
         ctl.observe(1e9, 1e12);
         assert_eq!(ctl.state(), HealthState::Shedding);
         assert_eq!(
-            ctl.admit(VerbClass::Write, 0, limit),
+            admit(VerbClass::Write, 0, limit),
             Err(ShedCause::SheddingWrite)
         );
-        assert_eq!(ctl.admit(VerbClass::Read, 0, limit), Ok(()));
-        assert_eq!(ctl.admit(VerbClass::Control, u64::MAX, limit), Ok(()));
+        assert_eq!(admit(VerbClass::Read, 0, limit), Ok(()));
+        assert_eq!(admit(VerbClass::Control, u64::MAX, limit), Ok(()));
     }
 
     #[test]
     fn stats_rate_cap_under_pressure() {
-        let mut cfg = test_cfg();
-        cfg.stats_min_interval = Duration::from_secs(3600);
-        let ctl = BrownoutController::new(cfg);
+        let interval = test_cfg().stats_min_interval;
+        let ctl = BrownoutController::new(test_cfg());
+        let stats = |now| ctl.admit(VerbClass::Stats, 0, 16, now);
+        let t0 = Instant::now();
+        // Healthy: no cap, and nothing is remembered.
+        assert_eq!(stats(t0), Ok(()));
+        assert_eq!(stats(t0), Ok(()));
         ctl.observe(1e9, 1e12);
         assert_eq!(ctl.state(), HealthState::Degraded);
+        assert_eq!(stats(t0), Ok(()), "first is admitted");
+        let capped = Err(ShedCause::DegradedStats);
+        assert_eq!(stats(t0), capped, "second at once is capped");
+        let just_inside = t0 + interval - Duration::from_nanos(1);
+        assert_eq!(stats(just_inside), capped, "a nanosecond short");
+        assert_eq!(stats(t0 + interval), Ok(()), "admitted at the interval");
+        assert_eq!(stats(t0 + interval), capped);
+        // An older instant (another worker's pass) is not admitted early.
+        assert_eq!(stats(t0), capped);
+    }
+
+    #[test]
+    fn a_worker_that_panicked_holding_a_lock_stops_no_other() {
+        let ctl = BrownoutController::new(test_cfg());
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _stats = ctl.last_stats.lock();
+                let _signals = ctl.signals.lock();
+                panic!("a worker dies holding both");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(ctl.last_stats.is_poisoned() && ctl.signals.is_poisoned());
+        ctl.observe(1e9, 1e12);
+        ctl.observe_idle(IDLE_PASS);
+        assert_eq!(ctl.state(), HealthState::Degraded);
+        let t0 = Instant::now();
+        assert_eq!(ctl.admit(VerbClass::Stats, 0, 16, t0), Ok(()));
         assert_eq!(
-            ctl.admit(VerbClass::Stats, 0, 16),
-            Ok(()),
-            "first is admitted"
-        );
-        assert_eq!(
-            ctl.admit(VerbClass::Stats, 0, 16),
-            Err(ShedCause::DegradedStats),
-            "second inside the interval is capped"
+            ctl.admit(VerbClass::Stats, 0, 16, t0),
+            Err(ShedCause::DegradedStats)
         );
     }
 

@@ -41,8 +41,7 @@ use gocc_wire::{
 use gocc_workloads::Engine;
 
 use crate::conn::encode_error;
-use crate::store::ShardedStore;
-use crate::{idle, ServerState};
+use crate::{idle, ServerState, WorkerCtx};
 
 /// Records per incremental `REPL_BATCH` frame (and per snapshot chunk):
 /// ~100 KiB of payload, far under the 1 MiB frame cap, so one slow frame
@@ -66,10 +65,11 @@ pub(crate) struct ReplSub {
 }
 
 impl ReplSub {
-    pub(crate) fn new(id: SubId) -> Self {
+    /// A stream subscribed at `now`, which counts as its last heartbeat.
+    pub(crate) fn new(id: SubId, now: Instant) -> Self {
         ReplSub {
             id,
-            last_beat: Instant::now(),
+            last_beat: now,
             snap: None,
         }
     }
@@ -97,21 +97,21 @@ struct SnapStream {
     started: bool,
 }
 
-/// One pump quantum of primary→replica output for a subscribed stream:
-/// snapshot-resync any flagged shards, drain incremental batches, and
-/// emit heartbeats (count-0 batches stamped with the stream's version,
-/// which double as the version audit that keeps the lease honest).
-/// Returns whether anything was produced.
+/// One pump quantum of primary→replica output for a subscribed stream at
+/// the pass's instant `now`: snapshot-resync any flagged shards, drain
+/// incremental batches, and emit heartbeats when due (count-0 batches
+/// stamped with the stream's version, which double as the version audit
+/// that keeps the lease honest). Returns whether anything was produced.
 pub(crate) fn pump_repl_out(
     sub: &mut ReplSub,
     feed: &ReplFeed,
-    store: &ShardedStore,
+    state: &ServerState,
     engine: &Engine<'_>,
     outbuf: &mut Vec<u8>,
-    lease: Duration,
-    epoch: u64,
+    now: Instant,
 ) -> bool {
     let mut progressed = false;
+    let epoch = state.epoch();
 
     // Snapshot resync, one shard at a time, streamed across pump
     // quanta: arm (so records released from here on queue *behind* the
@@ -128,12 +128,12 @@ pub(crate) fn pump_repl_out(
                 break;
             };
             feed.arm_resync(sub.id, shard);
-            let (entries, seq, now) = store.shard_at(shard as usize).snapshot(engine);
+            let (entries, seq, clock) = state.store.shard_at(shard as usize).snapshot(engine);
             sub.snap = Some(SnapStream {
                 shard,
                 entries,
                 seq,
-                now,
+                now: clock,
                 next: 0,
                 started: false,
             });
@@ -210,7 +210,7 @@ pub(crate) fn pump_repl_out(
     // four times per window, so a healthy-but-quiet replica never gets
     // the primary fenced, and a version drift surfaces as a NAK even
     // with no traffic.
-    if Instant::now() >= sub.next_beat(lease) {
+    if now >= sub.next_beat(state.config.repl_lease) {
         for (shard, v) in feed.heartbeat_versions(sub.id).iter().enumerate() {
             if let Some(version) = v {
                 encode_response(
@@ -227,7 +227,7 @@ pub(crate) fn pump_repl_out(
                 progressed = true;
             }
         }
-        sub.last_beat = Instant::now();
+        sub.last_beat = now;
     }
     progressed
 }
@@ -780,7 +780,7 @@ fn run_session(
 pub(crate) fn handle_repl_frame(
     engine: &Engine<'_>,
     state: &ServerState,
-    worker: usize,
+    wctx: &WorkerCtx,
     outbuf: &mut Vec<u8>,
     repl: &mut Option<ReplSub>,
     closing: &mut bool,
@@ -804,10 +804,10 @@ pub(crate) fn handle_repl_frame(
             // subscription (a replica restarting its session).
             match repl.take() {
                 Some(old) => feed.unsubscribe(old.id),
-                None => state.wakeups.own_stream(worker, true),
+                None => state.wakeups.own_stream(wctx.worker, true),
             }
-            let id = feed.subscribe(&versions);
-            *repl = Some(ReplSub::new(id));
+            let id = feed.subscribe(&versions, wctx.now);
+            *repl = Some(ReplSub::new(id, wctx.now));
             encode_response(
                 &Response::ReplWelcome {
                     shards: state.store.shards() as u32,
@@ -824,10 +824,10 @@ pub(crate) fn handle_repl_frame(
             // Acks are one-way: no response rides back. A NAK flags the
             // shard for snapshot resync inside the feed.
             if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
-                feed.note_ack(sub.id, shard, version, nak);
+                feed.note_ack(sub.id, shard, version, nak, wctx.now);
                 // It may settle an answer another worker parked.
                 if !nak && feed.config().min_acks > 0 {
-                    state.wakeups.wake_workers_but(worker);
+                    state.wakeups.wake_workers_but(wctx.worker);
                 }
             }
         }
@@ -1050,7 +1050,22 @@ mod tests {
         let epoch = stand(&sa).expect("first candidacy");
         let promote = ReplRequest::Promote { upstream: b"" };
         let (mut out, mut sub, mut closing) = (Vec::new(), None, false);
-        handle_repl_frame(&engine_a, &sa, 0, &mut out, &mut sub, &mut closing, promote);
+        let wctx = &WorkerCtx {
+            worker: 0,
+            now: Instant::now(),
+            frames_seen: 0,
+            lat_sum_ns: 0,
+            lat_count: 0,
+        };
+        handle_repl_frame(
+            &engine_a,
+            &sa,
+            wctx,
+            &mut out,
+            &mut sub,
+            &mut closing,
+            promote,
+        );
         assert!(!sa.is_replica(), "the promotion took");
         assert!(
             sa.epoch() > epoch,
@@ -1149,6 +1164,6 @@ mod tests {
         });
         assert!(matches!(end, SessionEnd::Stop), "the session ended {end:?}");
         primary.request_shutdown();
-        primary.join();
+        let _ = primary.join();
     }
 }

@@ -9,20 +9,25 @@
 //!
 //! Thread accounting comes from `/proc/self/task/*` by thread name, as
 //! `benchmark/src/procfs.rs` reads it, so the tests take turns: two live
-//! servers in this process would both own a `goccd-worker-0`.
+//! servers in this process would both own a `goccd-worker-0`. The tests
+//! that drive a `Worker` on virtual time take turns too, so their CPU is
+//! not spent beside a census.
 
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gocc_server::idle::{self, IDLE_PASS};
-use gocc_server::{spawn, BrownoutConfig, HealthState, ServerConfig, ServerHandle};
+use gocc_server::{
+    spawn, BrownoutConfig, HealthState, Next, ServerConfig, ServerHandle, ServerState, Worker,
+};
 use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
-use common::connect;
+use common::{connect, hand_worker, steady_brownout, until_it_blocks, Hand};
 
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -369,28 +374,34 @@ extern "C" {
     ) -> std::ffi::c_int;
 }
 
+const SO_SNDBUF: std::ffi::c_int = 7;
+const SO_RCVBUF: std::ffi::c_int = 8;
+
+/// Fixes socket `fd`'s send or receive buffer at twice `bytes` (the
+/// kernel doubles it), which also stops the kernel from growing it.
+fn fix_buffer(fd: RawFd, option: std::ffi::c_int, bytes: std::ffi::c_int) {
+    const SOL_SOCKET: std::ffi::c_int = 1;
+    // SAFETY: `fd` is an open socket for the whole call, and `value`
+    // points to a live `c_int` of the length passed.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            SOL_SOCKET,
+            option,
+            std::ptr::from_ref(&bytes).cast(),
+            std::mem::size_of_val(&bytes) as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt({option})");
+}
+
 /// A client connection whose receive buffer stays at 64 KiB. Left alone,
 /// Linux grows the buffer of a socket nobody reads towards `tcp_rmem`'s
 /// 32 MiB a window probe at a time, and each such trickle counts as write
 /// progress on the server: the client would be slow, but not stalled.
 fn connect_with_fixed_receive_buffer(port: u16) -> TcpStream {
-    use std::os::fd::AsRawFd;
-    const SOL_SOCKET: std::ffi::c_int = 1;
-    const SO_RCVBUF: std::ffi::c_int = 8;
     let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    let bytes: std::ffi::c_int = 32 * 1024; // the kernel doubles it
-                                            // SAFETY: `stream` is an open socket for the whole call, and `value`
-                                            // points to a live `c_int` of the length passed.
-    let rc = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_RCVBUF,
-            std::ptr::from_ref(&bytes).cast(),
-            std::mem::size_of_val(&bytes) as u32,
-        )
-    };
-    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+    fix_buffer(stream.as_raw_fd(), SO_RCVBUF, 32 * 1024);
     stream
 }
 
@@ -537,6 +548,70 @@ fn a_stalled_client_is_waited_for_without_spinning_and_still_evicted() {
 }
 
 #[test]
+fn a_stalled_client_is_evicted_at_its_write_timeout_not_before() {
+    let _turn = take_turn();
+    let write_timeout = Duration::from_millis(400);
+    let state = ServerState::new(ServerConfig {
+        write_timeout,
+        brownout: steady_brownout(),
+        ..config(1)
+    })
+    .expect("state");
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let keys: Vec<String> = (0..512).map(|i| format!("key-{i}")).collect();
+    let mut now = t0;
+    for chunk in keys.chunks(64) {
+        for key in chunk {
+            let key = key.as_bytes();
+            c.client.submit(
+                &Request::Set {
+                    key,
+                    value: 1,
+                    ttl: 0,
+                },
+                None,
+            );
+        }
+        c.send();
+        now = until_it_blocks(&mut w, now);
+        for _ in chunk {
+            assert_eq!(c.answer(), Response::Done);
+        }
+    }
+    // Both ends' buffers fixed small, and 64 SCANs of 8 KiB each that the
+    // client never reads.
+    fix_buffer(c.client.get_ref().as_raw_fd(), SO_RCVBUF, 4096);
+    fix_buffer(c.served, SO_SNDBUF, 4096);
+    for _ in 0..64 {
+        c.client.submit(&Request::Scan { limit: 512 }, None);
+    }
+    c.send();
+    // The worker answers what the sockets take, then blocks until the
+    // eviction is due: `write_timeout` after the last pass that moved.
+    let mut moved = now;
+    let evict_at = loop {
+        match w.pass(now) {
+            Next::Pass => moved = now,
+            Next::Wait {
+                blind: true,
+                until: Some(tick),
+            } => now = tick,
+            Next::Wait { blind, until } => {
+                assert!(!blind);
+                break until.expect("an eviction deadline");
+            }
+        }
+    };
+    assert_eq!(evict_at, moved + write_timeout);
+    let closed = || (state.counters().closed(), state.counters().slow_drops());
+    w.pass(evict_at - Duration::from_nanos(1));
+    assert_eq!(closed(), (0, 0), "evicted early");
+    w.pass(evict_at);
+    assert_eq!(closed(), (1, 1), "kept past its deadline");
+}
+
+#[test]
 fn a_peer_reset_during_the_shutdown_drain_does_not_hold_up_join() {
     let _turn = take_turn();
     let drain_timeout = Duration::from_secs(2);
@@ -618,74 +693,73 @@ fn a_timed_pass_lasts_what_it_says() {
     );
 }
 
-/// How late each of 50 ticked waits on a thread with exact timers ended,
-/// a pass of 20 µs behind each, against the grid of a cadence that
-/// started with the first: the k-th is due `k × IDLE_PASS` after it.
-fn fifty_ticked_passes() -> Vec<i64> {
-    std::thread::spawn(move || {
-        idle::exact_timers();
-        let waker = idle::Waker::new().expect("socket pair");
-        let mut set = idle::PollSet::default();
-        let mut tick = idle::Tick::default();
-        let t0 = Instant::now();
-        let mut now = t0;
-        (1..=50)
-            .map(|k| {
-                idle::wait(&waker, &mut set, Some(tick.timeout(now)));
-                let late = (t0.elapsed() - k * IDLE_PASS).as_nanos() as i64;
-                let pass = Instant::now();
-                while pass.elapsed() < Duration::from_micros(20) {
-                    std::hint::spin_loop();
-                }
-                now = Instant::now();
-                late
-            })
-            .collect()
-    })
-    .join()
-    .expect("timing thread")
-}
+/// One microsecond of virtual time.
+const US: Duration = Duration::from_micros(1);
 
-fn median(mut v: Vec<i64>) -> i64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
+/// A GET, which runs in the engine.
+const GET: Request<'static> = Request::Get { key: b"k" };
 
-/// How far a run's lateness crept from its first ten waits to its last
-/// ten, not counting the steps where it jumped by half a period or more
-/// either way: a thread held off the CPU for that long is late once (and
-/// early against that the wait after), or restarts its cadence later,
-/// neither of which a wake-up's cost or a drifting tick can do.
-fn drift(late: &[i64]) -> i64 {
-    let jump = (IDLE_PASS / 2).as_nanos() as i64;
-    let mut crept = vec![0];
-    for step in late.windows(2).map(|w| w[1] - w[0]) {
-        let last = crept[crept.len() - 1];
-        crept.push(if step.abs() < jump { last + step } else { last });
+/// Submits `n` copies of `req` and sends them. HEALTH frames count toward
+/// a pass's depth and take no engine time: where a brownout test's
+/// averages must not see this box's timing, its requests are HEALTHs.
+fn window(c: &mut Hand, req: &Request<'_>, n: usize) {
+    for _ in 0..n {
+        c.client.submit(req, None);
     }
-    median(crept[40..].to_vec()) - median(crept[..10].to_vec())
+    c.send();
+}
+
+/// Reads `n` answers.
+fn answers(c: &mut Hand, n: usize) {
+    for _ in 0..n {
+        c.answer();
+    }
 }
 
 #[test]
 fn timed_passes_keep_a_cadence() {
     let _turn = take_turn();
-    // Every wake-up is late by what this box charges for one (5 µs in a
-    // quiet phase, 40 in a bad one), and then the pass takes its time.
+    // A client that keeps its pipeline full, on virtual time: a window is
+    // waiting at every tick, every wake-up is late (by 5–40 µs, what a
+    // wake-up costs on a shared box), and then the pass takes its time.
     // Waits that each start when the pass before ended add both up, one
-    // period after the other; waits that end at the next tick pay them
-    // once, and stay as late against the grid at the 50th as at the
-    // first. So the bar is the run's own drift — whatever a wake-up
-    // costs. A round this box disturbed anyway is taken again.
-    let mut rounds = Vec::new();
-    let won = (0..5).any(|_| {
-        let late = fifty_ticked_passes();
-        assert!(late.iter().all(|&ns| ns >= 0), "ticks came early: {late:?}");
-        let drift = drift(&late);
-        rounds.push(drift / 1000);
-        drift < (IDLE_PASS / 4).as_nanos() as i64
-    });
-    println!("50 ticked passes, drift in µs per round: {rounds:?}");
-    assert!(won, "ticked waits drift like relative ones: {rounds:?} µs");
+    // period after the other; a pass hands back the next tick of its
+    // cadence, so every tick is due on the grid `t0 + k × IDLE_PASS`
+    // however late the one before came.
+    let state = ServerState::new(config(1)).expect("state");
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let mut now = t0;
+    let pass = |w: &mut Worker<'_>, c: &mut Hand, now| {
+        window(c, &GET, 32);
+        assert_eq!(w.pass(now), Next::Pass);
+        let Next::Wait {
+            blind: true,
+            until: Some(tick),
+        } = w.pass(now)
+        else {
+            panic!("no timed pass behind a window");
+        };
+        answers(c, 32);
+        tick
+    };
+    for k in 1..=50u32 {
+        let tick = pass(&mut w, &mut c, now);
+        assert_eq!(tick, t0 + k * IDLE_PASS, "tick {k} off the grid");
+        let late = Duration::from_micros(u64::from(5 + k * 7 % 36));
+        now = tick + late;
+    }
+    let owed = t0 + 51 * IDLE_PASS;
+    assert_eq!(pass(&mut w, &mut c, now), owed);
+    // The waker cut that wait 150 µs short (a dispatched connection, an
+    // ack): the wait behind the pass it woke for ends at the tick owed.
+    assert_eq!(pass(&mut w, &mut c, owed - 150 * US), owed);
+    // A pass that overran a whole period starts the cadence over from its
+    // own instant: no burst of passes to catch up.
+    let overran = owed + IDLE_PASS + 13 * US;
+    assert_eq!(pass(&mut w, &mut c, overran), overran + IDLE_PASS);
+    let counts = &state.counters().per_worker()[0];
+    assert_eq!((counts.coalesce_sleeps(), counts.idle_blocks()), (53, 0));
 }
 
 #[test]
@@ -737,7 +811,7 @@ fn a_timed_pass_ends_for_a_dispatched_connection_and_for_shutdown() {
 #[test]
 fn brownout_recovers_without_traffic() {
     let _turn = take_turn();
-    let handle = spawn(ServerConfig {
+    let state = ServerState::new(ServerConfig {
         brownout: BrownoutConfig {
             alpha: 0.5,
             depth_high: 8.0,
@@ -747,44 +821,36 @@ fn brownout_recovers_without_traffic() {
         },
         ..config(1)
     })
-    .expect("spawn");
-    let mut c = connect(handle.port());
-    set(&mut c, b"k", 1);
-    settled_idle_counts(&handle);
-
-    // One 64-deep burst is two hot observations (64, then 32 from the
-    // idle pass behind it): Healthy → Degraded → Shedding.
-    burst(&mut c, &vec![Request::Get { key: b"k" }; 64]);
-    // Nothing is sent from here on: only the worker's own idle passes can
-    // decay the averages, so it must keep taking them until Healthy.
-    let brownout = handle.state().brownout();
+    .expect("state");
     let t0 = Instant::now();
-    let shedding_seen = |b: &gocc_server::BrownoutController| b.transitions()[1] >= 1;
-    while !shedding_seen(brownout) || brownout.state() != HealthState::Healthy {
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "{:?} with edges {:?} after {:?} (the poll-and-sleep loop took ~5 ms)",
-            brownout.state(),
-            brownout.transitions(),
-            t0.elapsed()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let edges = brownout.transitions();
-    assert!(
-        edges.iter().all(|&n| n >= 1),
-        "the burst must reach Shedding and walk all the way back: {edges:?}"
+    let (mut w, mut c) = hand_worker(&state, t0);
+    // One 64-deep burst is two hot observations (64, then 32 from the
+    // idle pass behind it): Healthy → Degraded → Shedding. It is HEALTHs,
+    // so the latency average stays at zero and only the depth counts.
+    window(&mut c, &Request::Health, 64);
+    // Nothing is sent from here on: only the worker's own idle passes can
+    // decay the averages, so it must keep taking them, one per tick, until
+    // Healthy. Depths 16, 8, 4 and 2 are not calm; 1, 0.5 and 0.25 walk
+    // it to Degraded and the next three to Healthy: ten ticks.
+    let rested = until_it_blocks(&mut w, t0);
+    answers(&mut c, 64);
+    let brownout = state.brownout();
+    assert_eq!(brownout.state(), HealthState::Healthy);
+    assert_eq!(
+        brownout.transitions(),
+        [1; 4],
+        "the burst must reach Shedding and walk all the way back"
     );
-    // Healthy again, it goes back to sleep.
-    let (blocks, _) = settled_idle_counts(&handle);
-    assert!(blocks >= 2);
-    shut_down(handle);
+    assert_eq!(rested - t0, 10 * IDLE_PASS);
+    // Healthy again, it blocks.
+    let counts = &state.counters().per_worker()[0];
+    assert_eq!((counts.coalesce_sleeps(), counts.idle_blocks()), (10, 1));
 }
 
 #[test]
 fn sparse_bursts_do_not_add_up_to_overload() {
     let _turn = take_turn();
-    let handle = spawn(ServerConfig {
+    let state = ServerState::new(ServerConfig {
         brownout: BrownoutConfig {
             depth_high: 8.0,
             depth_low: 2.0,
@@ -792,67 +858,72 @@ fn sparse_bursts_do_not_add_up_to_overload() {
         },
         ..config(1)
     })
-    .expect("spawn");
-    let mut c = connect(handle.port());
-    set(&mut c, b"k", 1);
-
+    .expect("state");
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
     // A 32-deep burst lifts a settled depth average to 0.2 × 32 = 6.4,
     // under the bar of 8. Polling every 200 µs, the worker fed the
-    // controller ~100 zeros in the 30 ms to the next burst; blocked, it
+    // controller 150 zeros in the 30 ms to the next burst; blocked, it
     // must hand them over when it wakes. With only the two zeros of the
     // passes it does take, the second burst would read 9.7 and escalate.
-    // The 30 ms are counted from when the worker is seen blocked, so a
-    // worker held off the CPU after a burst shortens no block: the
-    // controller is handed ≥ 150 passes per gap however late it sat down.
-    let (blocks0, _) = settled_idle_counts(&handle);
-    for _ in 0..6 {
-        burst(&mut c, &vec![Request::Get { key: b"k" }; 32]);
-        settled_idle_counts(&handle);
-        std::thread::sleep(Duration::from_millis(30));
+    // A lone HEALTH first settles the average, engine time left out.
+    let mut now = t0;
+    for (req, depth) in [
+        (Request::Health, 1),
+        (GET, 32),
+        (GET, 32),
+        (GET, 32),
+        (GET, 32),
+        (GET, 32),
+        (GET, 32),
+    ] {
+        window(&mut c, &req, depth);
+        let blocked = until_it_blocks(&mut w, now);
+        answers(&mut c, depth);
+        now = blocked + Duration::from_millis(30);
     }
-    let (blocks1, _) = settled_idle_counts(&handle);
-    assert!(blocks1 - blocks0 >= 6, "the worker blocked between bursts");
-    let brownout = handle.state().brownout();
+    let counts = &state.counters().per_worker()[0];
+    assert_eq!((counts.coalesce_sleeps(), counts.idle_blocks()), (6, 7));
+    let brownout = state.brownout();
     assert_eq!(
         (brownout.state(), brownout.transitions()),
         (HealthState::Healthy, [0; 4])
     );
-    shut_down(handle);
 }
 
 #[test]
 fn a_slow_request_every_100_ms_is_not_an_overload() {
     let _turn = take_turn();
-    let handle = spawn(config(1)).expect("spawn");
-    let mut c = connect(handle.port());
-    set(&mut c, b"k", 1);
-    let brownout = handle.state().brownout();
+    let state = ServerState::new(config(1)).expect("state");
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let brownout = state.brownout();
     // 20 ms in the engine. One such request lifts a settled latency
     // average to 0.2 × 20 = 4 ms, under the bar of 5; the bar is 25 ms a
     // request for traffic this sparse. A controller that sees only the
     // passes a worker takes around a request — the request's own and the
     // empty one behind it — never settles in between, and trips from
-    // ≈ 9 ms a request: `control` below, fed exactly that.
+    // ≈ 9 ms a request: `control` below, fed exactly that. A HEALTH frame
+    // stands for the request: its pass reports one frame and no engine
+    // time, so the 20 ms fed below is the only latency either sees.
     let slow_ns = 20e6;
     let control = gocc_server::BrownoutController::new(*brownout.config());
-    let (blocks0, _) = settled_idle_counts(&handle);
+    let mut now = t0;
     for _ in 0..8 {
-        // The request wakes the worker, which first hands the controller
-        // the ≈ 500 passes it was blocked for (`observe_idle`), then
-        // serves it and blocks again…
-        get(&mut c, b"k");
-        settled_idle_counts(&handle);
-        // …and this is what its pass reports when the store took 20 ms.
+        // The request is served, and the worker blocks again…
+        window(&mut c, &Request::Health, 1);
+        let blocked = until_it_blocks(&mut w, now);
+        answers(&mut c, 1);
+        // …this is what its pass reports when the store took 20 ms…
         brownout.observe(1.0, slow_ns);
         control.observe(1.0, slow_ns);
         control.observe(0.0, 0.0);
-        std::thread::sleep(Duration::from_millis(100));
+        // …and the next request wakes it 100 ms later: it hands the
+        // controller the 500 passes it was blocked for.
+        now = blocked + Duration::from_millis(100);
     }
-    let (blocks1, _) = settled_idle_counts(&handle);
-    assert!(
-        blocks1 - blocks0 >= 8,
-        "the worker blocked between requests"
-    );
+    let counts = &state.counters().per_worker()[0];
+    assert_eq!((counts.coalesce_sleeps(), counts.idle_blocks()), (0, 8));
     assert_eq!(
         (brownout.state(), brownout.transitions()),
         (HealthState::Healthy, [0; 4])
@@ -862,7 +933,6 @@ fn a_slow_request_every_100_ms_is_not_an_overload() {
         HealthState::Healthy,
         "without the handed-over passes these requests do add up"
     );
-    shut_down(handle);
 }
 
 #[test]

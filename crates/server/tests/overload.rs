@@ -5,11 +5,12 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use gocc_server::{spawn, HealthState, Mode, ServerConfig};
+use gocc_server::idle::IDLE_PASS;
+use gocc_server::{spawn, HealthState, Mode, ServerConfig, ServerState};
 use gocc_wire::{decode_response, encode_request_v2, Pipe, Request, Response, MAX_FRAME};
 
 mod common;
-use common::connect;
+use common::{connect, hand_worker, steady_brownout, until_it_blocks};
 
 /// One round trip whose envelope carries a deadline budget.
 fn with_deadline<'c>(
@@ -175,33 +176,89 @@ fn brownout_recovers_to_healthy_after_load_removal() {
     let mut cfg = config(Mode::Gocc);
     cfg.brownout.alpha = 0.5;
     cfg.brownout.recover_obs = 3;
-    let handle = spawn(cfg).expect("spawn");
-    let mut c = connect(handle.port());
-    handle.state().brownout().observe(1_000.0, 0.0);
-    handle.state().brownout().observe(1_000.0, 0.0);
-    assert_eq!(handle.state().brownout().state(), HealthState::Shedding);
-    // With no load, the workers' idle observations decay the EWMAs and
-    // the server must walk back to Healthy well within 5 seconds.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if let Response::Health { state, .. } = c.call(&Request::Health).unwrap() {
-            if HealthState::from_u8(state) == HealthState::Healthy {
-                break;
-            }
+    let state = ServerState::new(cfg).expect("state");
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    state.brownout().observe(1_000.0, 0.0);
+    state.brownout().observe(1_000.0, 0.0);
+    assert_eq!(state.brownout().state(), HealthState::Shedding);
+    // With no load, the worker's idle passes — one per tick while the
+    // state is not Healthy — decay the averages and walk it back. The
+    // depth average halves a pass: 500 and 250 are hot, 125 to 31 neither
+    // hot nor calm, and 15.6 to 3.9, then 1.9 to 0.5, are two calm
+    // streaks of three: eleven passes, ten of them timed.
+    let healthy = until_it_blocks(&mut w, t0);
+    assert_eq!(healthy - t0, 10 * IDLE_PASS);
+    assert_eq!(state.brownout().transitions(), [1; 4]);
+    c.client.submit(&Request::Health, None);
+    c.send();
+    until_it_blocks(&mut w, healthy);
+    let Response::Health { state: health, .. } = c.answer() else {
+        panic!("HEALTH must return a health response");
+    };
+    assert_eq!(HealthState::from_u8(health), HealthState::Healthy);
+}
+
+/// A frame that waits in the input buffer behind a parked answer — a
+/// write waiting for its replica — is admitted at the pass that reaches
+/// it, on that pass's instant: its budget runs from when its bytes
+/// arrived, and a budget that lapsed meanwhile is answered
+/// `DeadlineExceeded` without the engine ever seeing the request.
+#[test]
+fn a_deadline_that_lapses_before_its_pass_never_reaches_the_engine() {
+    const BUDGET_US: u32 = 5_000;
+    let budget = Duration::from_micros(u64::from(BUDGET_US));
+    for (after, lapsed) in [(budget - Duration::from_nanos(1), false), (budget, true)] {
+        let state = ServerState::new(ServerConfig {
+            repl_accept: true,
+            repl_min_acks: 1,
+            repl_lease: Duration::from_secs(60),
+            repl_ack_timeout: Duration::from_secs(60),
+            brownout: steady_brownout(),
+            ..config(Mode::Gocc)
+        })
+        .expect("state");
+        let feed = state.repl_feed().expect("feed");
+        let t0 = Instant::now();
+        let replica = feed.subscribe(&[0; 2], t0);
+        let (mut w, mut c) = hand_worker(&state, t0);
+        // The HEALTH flushes the first SET's batch, which parks; the
+        // second SET stays unread behind them.
+        let set = |key| Request::Set {
+            key,
+            value: 7,
+            ttl: 0,
+        };
+        c.client.submit(&set(b"first"), None);
+        c.client.submit(&Request::Health, None);
+        c.client.submit(&set(b"second"), Some(BUDGET_US));
+        c.send();
+        until_it_blocks(&mut w, t0);
+        // The replica acks everything `after` the bytes arrived, and the
+        // worker's next pass runs then.
+        let now = t0 + after;
+        for shard in 0..2 {
+            feed.note_ack(replica, shard, u64::MAX, false, now);
         }
-        assert!(
-            Instant::now() < deadline,
-            "server failed to recover within 5s"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+        until_it_blocks(&mut w, now);
+        assert_eq!(c.answer(), Response::Done);
+        assert!(matches!(c.answer(), Response::Health { .. }));
+        let second = if lapsed {
+            Response::DeadlineExceeded
+        } else {
+            Response::Done
+        };
+        assert_eq!(c.answer(), second, "{after:?} after arrival");
+        c.client.submit(&Request::Get { key: b"second" }, None);
+        c.send();
+        until_it_blocks(&mut w, now);
+        let applied = Response::Value {
+            found: !lapsed,
+            value: if lapsed { 0 } else { 7 },
+        };
+        assert_eq!(c.answer(), applied, "{after:?} after arrival");
+        assert_eq!(state.counters().deadline_misses(), u64::from(lapsed));
     }
-    let t = handle.state().brownout().transitions();
-    assert!(
-        t[2] >= 1 && t[3] >= 1,
-        "recovery edges must be counted: {t:?}"
-    );
-    handle.request_shutdown();
-    let _ = handle.join();
 }
 
 #[test]

@@ -11,12 +11,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gocc_server::{spawn, Mode, ServerConfig, ServerHandle};
+use gocc_server::{spawn, Mode, Next, ServerConfig, ServerHandle, ServerState};
 use gocc_telemetry::JsonValue;
 use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
-use common::connect;
+use common::{connect, hand_worker, steady_brownout};
 
 fn stats(c: &mut Pipe<TcpStream>) -> JsonValue {
     match c.call(&Request::Stats).expect("call") {
@@ -571,6 +571,49 @@ fn a_write_waiting_for_its_replica_parks_its_response_not_the_worker() {
 
     shutdown(primary);
     replica.reader.join().expect("replica reader");
+}
+
+/// The same release, on virtual time: with a replica that never acks, the
+/// worker waits until exactly `repl_ack_timeout` after the write was
+/// applied, and a pass a nanosecond earlier still holds the answer.
+#[test]
+fn a_parked_write_is_released_at_its_ack_timeout_not_before() {
+    let ack_timeout = Duration::from_millis(250);
+    let state = ServerState::new(ServerConfig {
+        workers: 1,
+        repl_min_acks: 1,
+        repl_lease: Duration::from_secs(60),
+        repl_ack_timeout: ack_timeout,
+        brownout: steady_brownout(),
+        ..primary_config(Mode::Gocc)
+    })
+    .expect("state");
+    let t0 = Instant::now();
+    let _silent_replica = state.repl_feed().expect("feed").subscribe(&[0; 2], t0);
+    let (mut w, mut c) = hand_worker(&state, t0);
+    c.client.submit(
+        &Request::Set {
+            key: b"k",
+            value: 1,
+            ttl: 0,
+        },
+        None,
+    );
+    c.send();
+    let due = t0 + ack_timeout;
+    let parked = Next::Wait {
+        blind: false,
+        until: Some(due),
+    };
+    assert_eq!(w.pass(t0), Next::Pass);
+    assert_eq!(w.pass(t0), parked);
+    let before = due - Duration::from_nanos(1);
+    assert_eq!(w.pass(before), parked, "answered a nanosecond early");
+    assert_eq!(w.pass(due), Next::Pass);
+    let timed_out = Response::Error {
+        message: "replication timed out: write not acknowledged",
+    };
+    assert_eq!(c.answer(), timed_out);
 }
 
 /// REPL_PROMOTE with an empty upstream turns the replica into a primary:

@@ -735,17 +735,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                 wal.syncer_idle.store(true, Ordering::SeqCst);
                 total = drain(wal, &mut scratch, &mut drained_to);
                 if total == 0 {
-                    let guard = lock_unpoisoned(&wal.wake_mu);
-                    let mut guard = if *guard {
-                        guard
-                    } else {
-                        wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
-                        wal.wake_cv
-                            .wait_timeout(guard, Duration::from_micros(500))
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
-                    };
-                    *guard = false;
+                    pause(wal, Duration::from_micros(500));
                     wal.syncer_idle.store(false, Ordering::SeqCst);
                     continue;
                 }
@@ -770,16 +760,7 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
                     {
                         break;
                     }
-                    let wait = (deadline - now).min(Duration::from_micros(50));
-                    wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
-                    let guard = lock_unpoisoned(&wal.wake_mu);
-                    let mut guard = wal
-                        .wake_cv
-                        .wait_timeout(guard, wait)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                    *guard = false;
-                    drop(guard);
+                    pause(wal, (deadline - now).min(Duration::from_micros(50)));
                     total = drain(wal, &mut scratch, &mut drained_to);
                 }
             }
@@ -910,13 +891,12 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
 
             // `off` paces itself: no ack ever waits on this thread, so
             // spinning the drain loop only fights stagers for the pipe
-            // mutexes. A short sleep lets records accumulate (well under
+            // mutexes. A short pause lets records accumulate (well under
             // PIPE_RESERVE at any realistic rate) and turns the next
-            // pass into one big append. Group/Always are paced by the
-            // fsync itself. FLUSH pays at most this much extra latency.
+            // pass into one big append; a FLUSH, a rotation or shutdown
+            // cuts it short. Group/Always are paced by the fsync itself.
             if wal.cfg.sync == SyncPolicy::Off && total > 0 {
-                wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(Duration::from_micros(50));
+                pause(wal, Duration::from_micros(50));
             }
         }
     })();
@@ -926,6 +906,21 @@ fn syncer_loop(wal: &Wal, mut file: Box<dyn WalFile>) {
     }
     // Wake anyone still parked, success or crash.
     wal.ack_cv.notify_all();
+}
+
+/// The syncer's one wait: on `wake_cv` for at most `d`, or none if a wake
+/// (a stage, a FLUSH, a rotation, shutdown) is pending, which it consumes.
+fn pause(wal: &Wal, d: Duration) {
+    let mut pending = lock_unpoisoned(&wal.wake_mu);
+    if !*pending {
+        wal.counters.syncer_wakeups.fetch_add(1, Ordering::Relaxed);
+        pending = wal
+            .wake_cv
+            .wait_timeout(pending, d)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+    *pending = false;
 }
 
 fn drain(wal: &Wal, scratch: &mut [Vec<Staged>], drained_to: &mut [u64]) -> usize {

@@ -165,10 +165,10 @@ fi
 echo "ok: one per-connection load loop, no nap in it, no client breaker"
 
 echo "== one idle decision =="
-# Every wait of worker_loop is the one idle::wait behind its idle
-# decision, which only picks the set and the timeout (a timed one from
-# idle::Tick). A thread::sleep there is the 200 us poll-and-sleep, or the
-# coalescing sleep with its timer slack, coming back
+# Every wait of worker_loop is the one idle::wait behind Worker::pass's
+# idle decision, which only picks the set and the deadline (a timed one
+# from idle::Tick). A thread::sleep there is the 200 us poll-and-sleep, or
+# the coalescing sleep with its timer slack, coming back
 # (crates/server/tests/idle_wait.rs, in the workspace stage above, pins
 # the behaviour).
 fn_body() { awk -v f="fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^}/ { exit }' \
@@ -179,18 +179,23 @@ if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
   echo "FAIL: worker_loop has $sleeps thread::sleep (want 0) and $waits idle::wait (want 1)" >&2
   exit 1
 fi
-# Everything else in crates/server/src waits on an event too: a
+# Everything else in the non-test code of crates/server/src, wal/src and
+# repl/src waits on an event too (the WAL syncer's `off` pacing waits on
+# its condvar, which a FLUSH, a rotation or shutdown cuts short): a
 # thread::sleep is allowed only where a seeded load plan injects latency
 # (draw_slow_store, finish_pump).
-sleepers=$(find crates/server/src -name '*.rs' -exec awk '
-  FNR == 1 { f = "" }
+sleepers=$(find crates/server/src crates/wal/src crates/repl/src -name '*.rs' -exec awk '
+  FNR == 1 { f = ""; attr = 0 }
+  /^#\[cfg\(test\)\]$/ { attr = 1; next }
+  attr && /^mod [A-Za-z0-9_]+ \{/ { nextfile }
+  { attr = 0 }
   match($0, /fn [A-Za-z0-9_]+[(<]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
   /thread::sleep/ && f !~ /^(draw_slow_store|finish_pump)$/ {
     printf "%s:%d: in fn %s\n", FILENAME, FNR, f
   }' {} +)
 if [ -n "$sleepers" ]; then
   echo "$sleepers"
-  echo "FAIL: crates/server/src sleeps outside draw_slow_store and finish_pump" >&2
+  echo "FAIL: crates/{server,wal,repl}/src sleep outside draw_slow_store and finish_pump" >&2
   exit 1
 fi
 # No worker waits on the log either: a logged write and a FLUSH park
@@ -221,7 +226,41 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop waits in one place, crates/server/src sleeps only to inject faults, no worker waits on the log or a replica"
+echo "ok: worker_loop waits in one place, server, wal and repl sleep only to inject faults, no worker waits on the log or a replica"
+
+echo "== one clock =="
+# A worker's pass is a function of the instant worker_loop hands it
+# (gocc_server::Worker): every time rule under it -- a deadline, an
+# eviction, repl_ack_timeout, the lease, a heartbeat, the STATS rate cap,
+# the idle decay, the cadence -- reads that instant, and a duration of
+# work just done reads trace::now_ns(). That is what lets idle_wait.rs,
+# overload.rs and replication.rs test the rules on virtual time. A clock
+# read anywhere else in the non-test code of these files is a rule those
+# tests cannot reach. Only the drivers read Instant::now: worker_loop and
+# drain_and_close, and the replica sink and election loop (replica_loop,
+# run_session, request_vote).
+clock_reads() { # FILE ALLOWED_FNS (an awk regex; empty: none)
+  awk -v allow="$2" '
+    /^#\[cfg\(test\)\]$/ { attr = 1; next }
+    attr && /^mod [A-Za-z0-9_]+ \{/ { exit }
+    { attr = 0 }
+    match($0, /fn [A-Za-z0-9_]+[(<]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
+    /Instant::now|\.elapsed\(/ && (allow == "" || f !~ ("^(" allow ")$")) {
+      printf "%s:%d: in fn %s: %s\n", FILENAME, FNR, f, $0
+    }' "$1"
+}
+reads=$(
+  for f in conn overload store stats idle; do clock_reads "crates/server/src/$f.rs" ''; done
+  clock_reads crates/repl/src/lib.rs ''
+  clock_reads crates/server/src/lib.rs 'worker_loop|drain_and_close'
+  clock_reads crates/server/src/repl.rs 'replica_loop|run_session|request_vote'
+)
+if [ -n "$reads" ]; then
+  echo "$reads"
+  echo "FAIL: a time rule reads a clock of its own instead of its pass's instant" >&2
+  exit 1
+fi
+echo "ok: only the drivers read Instant::now; every time rule reads its pass's instant"
 
 echo "== one role record =="
 # A node's role, epoch, vote, upstream and electorate are one
