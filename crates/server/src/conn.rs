@@ -1027,7 +1027,7 @@ fn bounded<'a>(json: &str, resp: Response<'a>, message: &'static str) -> Respons
 }
 
 /// The trace clock for a sampled request; unsampled requests never read it.
-fn stamp(trace_id: u64) -> u64 {
+pub(crate) fn stamp(trace_id: u64) -> u64 {
     if trace_id != 0 {
         trace::now_ns()
     } else {
@@ -1037,7 +1037,7 @@ fn stamp(trace_id: u64) -> u64 {
 
 /// Records a span that began at `start_ns` (a [`stamp`]) and ends now,
 /// returning now. No-op for an unsampled request.
-fn span_since(
+pub(crate) fn span_since(
     state: &ServerState,
     trace_id: u64,
     kind: SpanKind,

@@ -30,12 +30,13 @@
 //!   store (whose interior synchronization *is* the system under test),
 //!   atomic counters, the role, the shutdown flag and the wakers.
 //! * **No worker waits on the log or a replica**: a logged write, a FLUSH
-//!   and a `min_acks` write park their response (see `conn`). The WAL
-//!   syncer's tap wakes the workers that parked on the log, and the
-//!   owners of replica streams when the feed moved; the worker that
-//!   records a REPL_ACK wakes the others. The WAL syncer, the
-//!   checkpointer and the replica sink are the threads that block on the
-//!   log; the checkpointer waits in `idle::wait` for the tap's signal.
+//!   and a `min_acks` write park their response (see `conn`), and the
+//!   replica sink parks its ACKs (see `repl`). The WAL syncer's tap wakes
+//!   the workers and the sink that parked on the log, and the owners of
+//!   replica streams when the feed moved; the worker that records a
+//!   REPL_ACK wakes the others. Only a checkpoint blocks on the log: the
+//!   checkpointer's, which waits in `idle::wait` for the tap's signal in
+//!   between, and the sink's after a snapshot resync.
 //! * A **malformed frame kills its connection, never the server**: framing
 //!   or decode errors send a final `Error` response and close that one
 //!   connection. IO errors likewise. A worker never panics on input.
@@ -91,7 +92,7 @@ use gocc_optilock::{GoccConfig, GoccRuntime};
 use gocc_repl::Role;
 pub use gocc_repl::{ReplConfig, ReplFeed};
 use gocc_telemetry::trace;
-use gocc_wal::{CheckpointImage, DurableTap, Staged, Wal};
+use gocc_wal::{CheckpointImage, DurableTap, Staged, Wal, WalError};
 pub use gocc_wal::{SyncPolicy, WalBackend, WalConfig};
 use gocc_wire::Response;
 use gocc_workloads::Engine;
@@ -258,10 +259,11 @@ pub struct ServerState {
 /// promotion, a replica's new upstream, shutdown — and the per-worker
 /// facts that say whom a piece of news concerns.
 struct Wakeups {
-    /// One per worker, by index, then the acceptor's, the replica sink's
+    /// One per worker, by index, then the replica sink's, the acceptor's
     /// and the checkpointer's.
     wakers: Vec<idle::Waker>,
-    /// Per worker: it looked at a parked answer the log had not settled.
+    /// Per worker, then the sink: it looked at a parked answer or ACK the
+    /// log had not settled.
     on_wal: Vec<AtomicBool>,
     /// Per worker: the replica streams it owns.
     streams: Vec<AtomicUsize>,
@@ -273,44 +275,49 @@ impl Wakeups {
             wakers: (0..workers + 3)
                 .map(|_| idle::Waker::new())
                 .collect::<io::Result<_>>()?,
-            on_wal: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            on_wal: (0..=workers).map(|_| AtomicBool::new(false)).collect(),
             streams: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         })
     }
 
-    fn acceptor(&self) -> &idle::Waker {
-        &self.wakers[self.on_wal.len()]
+    /// The replica sink's slot among the wakers and the `on_wal` flags.
+    fn sink(&self) -> usize {
+        self.streams.len()
     }
 
-    /// What the replica sink waits on, beside its upstream's socket.
+    /// What the replica sink waits on, beside its sockets.
     fn replica_sink(&self) -> &idle::Waker {
-        &self.wakers[self.on_wal.len() + 1]
+        &self.wakers[self.sink()]
+    }
+
+    fn acceptor(&self) -> &idle::Waker {
+        &self.wakers[self.sink() + 1]
     }
 
     fn checkpointer(&self) -> &idle::Waker {
-        &self.wakers[self.on_wal.len() + 2]
+        &self.wakers[self.sink() + 2]
     }
 
     /// Wakes every worker but `awake`, which just recorded a replica's
     /// ack: the ack may settle a response one of them parked.
     fn wake_workers_but(&self, awake: usize) {
-        for (w, waker) in self.wakers[..self.on_wal.len()].iter().enumerate() {
+        for (w, waker) in self.wakers[..self.sink()].iter().enumerate() {
             if w != awake {
                 waker.wake();
             }
         }
     }
 
-    /// Flags `worker` as waiting on the log: called before each look at
-    /// a parked answer's durable state. The fences pair with
-    /// [`Wakeups::wal_settled`]'s: either the look sees the syncer's
-    /// pass, or that pass sees the flag and wakes the worker.
-    fn await_wal(&self, worker: usize) {
-        self.on_wal[worker].store(true, Ordering::Relaxed);
+    /// Flags `slot` (a worker, or the sink) as waiting on the log: called
+    /// before each look at a parked answer's durable state. The fences
+    /// pair with [`Wakeups::wal_settled`]'s: either the look sees the
+    /// syncer's pass, or that pass sees the flag and wakes the waiter.
+    fn await_wal(&self, slot: usize) {
+        self.on_wal[slot].store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
     }
 
-    /// After a WAL pass: wakes the workers that flagged it.
+    /// After a WAL pass: wakes the workers and the sink that flagged it.
     fn wal_settled(&self) {
         fence(Ordering::SeqCst);
         for (flag, waker) in self.on_wal.iter().zip(&self.wakers) {
@@ -518,7 +525,7 @@ impl ServerState {
     /// Exposed for harnesses that poll detection latency in-process.
     #[must_use]
     pub fn repl_suspicions(&self) -> u64 {
-        self.replica_stats.suspicions()
+        self.replica_stats.suspicions.load(Ordering::Relaxed)
     }
 
     /// Elections this node started as a candidate.
@@ -803,22 +810,25 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let port = listener.local_addr()?.port();
     let state = Arc::new(ServerState::new(ServerConfig { port, ..config })?);
 
+    // A thread that cannot start shuts the server down, and the threads
+    // already running see the flag and exit.
+    let start = |name: String, run: Box<dyn FnOnce() + Send>| {
+        let started = std::thread::Builder::new().name(name).spawn(run);
+        started.inspect_err(|_| state.request_shutdown())
+    };
     let mut senders: Vec<Sender<TcpStream>> = Vec::new();
     let mut workers = Vec::new();
     for w in 0..state.config.workers {
         let (tx, rx) = std::sync::mpsc::channel();
         senders.push(tx);
         let worker_state = Arc::clone(&state);
-        match std::thread::Builder::new()
-            .name(format!("goccd-worker-{w}"))
-            .spawn(move || worker_loop(w, &rx, &worker_state))
-        {
+        let run = Box::new(move || worker_loop(w, &rx, &worker_state));
+        match start(format!("goccd-worker-{w}"), run) {
             Ok(handle) => workers.push(handle),
             Err(e) => {
-                // Partial startup: wake the already-running workers (they
-                // exit once their sender is gone) and report the failure
-                // instead of panicking with threads leaked.
-                state.request_shutdown();
+                // Partial startup: the already-running workers exit once
+                // their sender is gone; report the failure instead of
+                // panicking with threads leaked.
                 drop(senders);
                 for h in workers {
                     let _ = h.join();
@@ -829,13 +839,10 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     }
 
     let acceptor_state = Arc::clone(&state);
-    let acceptor = match std::thread::Builder::new()
-        .name("goccd-acceptor".into())
-        .spawn(move || acceptor_loop(&listener, senders, &acceptor_state))
-    {
+    let run = Box::new(move || acceptor_loop(&listener, senders, &acceptor_state));
+    let acceptor = match start("goccd-acceptor".into(), run) {
         Ok(handle) => handle,
         Err(e) => {
-            state.request_shutdown();
             for h in workers {
                 let _ = h.join();
             }
@@ -845,17 +852,9 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
 
     let checkpointer = match &state.wal {
         Some(wal) if state.config.wal.checkpoint_every > 0 => {
-            let ck_state = Arc::clone(&state);
-            let ck_wal = Arc::clone(wal);
-            Some(
-                std::thread::Builder::new()
-                    .name("goccd-checkpoint".into())
-                    .spawn(move || checkpoint_loop(&ck_state, &ck_wal))
-                    .map_err(|e| {
-                        state.request_shutdown();
-                        e
-                    })?,
-            )
+            let (ck_state, ck_wal) = (Arc::clone(&state), Arc::clone(wal));
+            let run = Box::new(move || checkpoint_loop(&ck_state, &ck_wal));
+            Some(start("goccd-checkpoint".into(), run)?)
         }
         _ => None,
     };
@@ -864,15 +863,8 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     // exits on shutdown or promotion.
     let replicator = if state.config.replica_of.is_some() {
         let rp_state = Arc::clone(&state);
-        Some(
-            std::thread::Builder::new()
-                .name("goccd-replica".into())
-                .spawn(move || repl::replica_loop(&rp_state))
-                .map_err(|e| {
-                    state.request_shutdown();
-                    e
-                })?,
-        )
+        let run = Box::new(move || repl::replica_loop(&rp_state));
+        Some(start("goccd-replica".into(), run)?)
     } else {
         None
     };
@@ -900,20 +892,22 @@ fn checkpoint_loop(state: &ServerState, wal: &Wal) {
     while !state.shutting_down() {
         if !wal.should_checkpoint() {
             idle::wait(state.wakeups.checkpointer(), &mut set, None);
-            continue;
-        }
-        let (base_gen, retired) = match wal.begin_checkpoint() {
-            Ok(x) => x,
-            Err(_) => return, // log dead (seeded crash or I/O failure)
-        };
-        let image = CheckpointImage {
-            base_gen,
-            shards: state.store.snapshot_all(&engine),
-        };
-        if wal.finish_checkpoint(&image, &retired).is_err() {
-            return;
+        } else if checkpoint(state, wal, &engine).is_err() {
+            return; // log dead (seeded crash or I/O failure)
         }
     }
+}
+
+/// One checkpoint: rotate the log, snapshot every shard after the
+/// rotation, commit the image and delete the segments it covers. Blocks
+/// until the syncer has rotated.
+fn checkpoint(state: &ServerState, wal: &Wal, engine: &Engine<'_>) -> Result<(), WalError> {
+    let (base_gen, retired) = wal.begin_checkpoint()?;
+    let image = CheckpointImage {
+        base_gen,
+        shards: state.store.snapshot_all(engine),
+    };
+    wal.finish_checkpoint(&image, &retired)
 }
 
 /// Pause after a failed `accept()`: this at first, doubling on each
@@ -1023,7 +1017,7 @@ impl<'s> Worker<'s> {
     /// serves a window per period. So does an idle pass with work on a
     /// clock: a brownout state only idle passes walk back, or a seeded
     /// plan. That timed pass is blind: a ready socket does not end it
-    /// (what paces `serve_d32`; ROADMAP 2(b)), the waker does. Otherwise
+    /// (what paces `serve_d32`; ROADMAP 18), the waker does. Otherwise
     /// block on the sockets and the waker until the first connection's
     /// own deadline; the next pass hands the controller the idle passes
     /// the block stood in for, or sparse traffic would read as one load.

@@ -119,6 +119,13 @@ impl<S: Read + Write> Pipe<S> {
         self.unanswered.len()
     }
 
+    /// Whether queued frames wait for the transport to take them: a caller
+    /// that pumps on readiness then waits for the socket to be writable.
+    #[must_use]
+    pub fn unsent(&self) -> bool {
+        self.written < self.log.len()
+    }
+
     /// Encodes `req` as a v2 frame carrying `deadline_us` and queues it
     /// for the next [`Pipe::pump`].
     pub fn submit(&mut self, req: &Request<'_>, deadline_us: Option<u32>) -> Ticket {

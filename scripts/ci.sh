@@ -115,8 +115,9 @@ echo "== one wire client =="
 # client with its own copy of both. Exempt: wire itself (the Pipe and the
 # framing tests) and benchmark/ (its own workspace, with its own client).
 # crates/server/src reads frames at two sites only: the request pump and
-# the replica sink's push stream, which carries unticketed batches. Its
-# votes, announces and promotions are Pipe calls.
+# the replica sink's push stream, which carries unticketed batches and
+# which repl::Sink takes as bytes its driver read. A candidacy's votes and
+# a winner's announce go out on a non-blocking Pipe per peer.
 if grep -rnE '\b(encode|decode)_request\(|\b(encode_repl_request|decode_repl_request|is_repl_request)\b' \
   crates tests examples --include='*.rs'; then
   echo "FAIL: a protocol-v1 or bare replication request codec is back" >&2
@@ -198,15 +199,18 @@ if [ -n "$sleepers" ]; then
   echo "FAIL: crates/{server,wal,repl}/src sleep outside draw_slow_store and finish_pump" >&2
   exit 1
 fi
-# No worker waits on the log either: a logged write and a FLUSH park
-# their answer on a WAL ticket or flush token, and the syncer's tap wakes
-# the worker. A blocking Wal::wait / Wal::flush (`wal.wait(`, or any
-# `.wait(` under another name), or a condvar of the server's own, must
-# not come back to the request path.
-logwaits=$(grep -nE '\.wait\(|\.flush\(\)|Condvar' crates/server/src/conn.rs crates/server/src/lib.rs || true)
+# No server thread waits on the log either: a logged write and a FLUSH
+# park their answer on a WAL ticket or flush token, the replica sink parks
+# its ACK on the ticket of the batch's last record, and the syncer's tap
+# wakes the worker or the sink. A blocking Wal::wait / Wal::flush
+# (`wal.wait(`, or any `.wait(` under another name, Pipe::wait included),
+# or a condvar of the server's own, must not come back to the request
+# path or the sink.
+logwaits=$(grep -nE '\.wait\(|\.flush\(\)|Condvar' crates/server/src/conn.rs crates/server/src/lib.rs \
+  crates/server/src/repl.rs || true)
 if [ -n "$logwaits" ]; then
   echo "$logwaits"
-  echo "FAIL: the request path blocks on the log again" >&2
+  echo "FAIL: the request path or the replica sink blocks on the log again" >&2
   exit 1
 fi
 # No thread waits on a replica: a min_acks write parks its response, and
@@ -226,7 +230,7 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop waits in one place, server, wal and repl sleep only to inject faults, no worker waits on the log or a replica"
+echo "ok: worker_loop waits in one place, server, wal and repl sleep only to inject faults, no worker or sink waits on the log, no worker on a replica"
 
 echo "== one clock =="
 # A worker's pass is a function of the instant worker_loop hands it
@@ -234,11 +238,13 @@ echo "== one clock =="
 # eviction, repl_ack_timeout, the lease, a heartbeat, the STATS rate cap,
 # the idle decay, the cadence -- reads that instant, and a duration of
 # work just done reads trace::now_ns(). That is what lets idle_wait.rs,
-# overload.rs and replication.rs test the rules on virtual time. A clock
-# read anywhere else in the non-test code of these files is a rule those
-# tests cannot reach. Only the drivers read Instant::now: worker_loop and
-# drain_and_close, and the replica sink and election loop (replica_loop,
-# run_session, request_vote).
+# overload.rs and replication.rs test the rules on virtual time. So is the
+# replica sink and its election (repl::Sink::step(now, input)): its
+# detector, backoff, canvass and parked ACKs read the step's instant,
+# which repl.rs's unit tests advance by hand. A clock read anywhere else
+# in the non-test code of these files is a rule those tests cannot reach.
+# Only the drivers read Instant::now: worker_loop and drain_and_close,
+# and replica_loop.
 clock_reads() { # FILE ALLOWED_FNS (an awk regex; empty: none)
   awk -v allow="$2" '
     /^#\[cfg\(test\)\]$/ { attr = 1; next }
@@ -253,7 +259,7 @@ reads=$(
   for f in conn overload store stats idle; do clock_reads "crates/server/src/$f.rs" ''; done
   clock_reads crates/repl/src/lib.rs ''
   clock_reads crates/server/src/lib.rs 'worker_loop|drain_and_close'
-  clock_reads crates/server/src/repl.rs 'replica_loop|run_session|request_vote'
+  clock_reads crates/server/src/repl.rs 'replica_loop'
 )
 if [ -n "$reads" ]; then
   echo "$reads"
@@ -267,7 +273,8 @@ echo "== one role record =="
 # gocc_repl::Role behind one lock in ServerState, and every election rule
 # is one Role method called under it (crates/repl/src/role.rs walks every
 # sequence of six transitions; crates/server/src/repl.rs's unit tests
-# drive the rules through real nodes). A second lock in ServerState, the
+# drive the rules through two nodes' sinks and vote handlers, on virtual
+# time). A second lock in ServerState, the
 # promotion gate or the vote field of old, or a lock, socket, thread or
 # clock inside Role would split a rule across reads again.
 locks=$(grep -c 'Mutex<' crates/server/src/lib.rs || true)
