@@ -4,8 +4,8 @@
 //! For each mode (lock, gocc) the soak:
 //!
 //! 1. spawns an in-process `goccd` with a seeded [`LoadFaultPlan`]
-//!    (worker stalls + slow store calls) so the latency signal that
-//!    drives the brownout controller is deterministic and guaranteed;
+//!    (worker stalls + slow store calls), so the stalls that slow its
+//!    passes are deterministic per seed;
 //! 2. **calibrates** capacity with a short closed-loop run;
 //! 3. proves the deadline guarantee with a zero-budget probe: the SET is
 //!    answered `DeadlineExceeded` and the key must NOT exist afterwards —
@@ -190,9 +190,8 @@ struct ModeOutcome {
 }
 
 fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
-    // Fault mix: enough slow-store draws that the latency EWMA crosses
-    // the (lowered) brownout thresholds under saturation, deterministic
-    // per seed so reruns see the same schedule.
+    // Fault mix: stalls that slow the server's passes, deterministic per
+    // seed so reruns see the same schedule.
     let plan = Arc::new(LoadFaultPlan::new(
         args.seed,
         LoadMix {
@@ -212,9 +211,13 @@ fn soak_mode(args: &Args, mode: Mode) -> SoakResult<ModeOutcome> {
         load_plan: Some(Arc::clone(&plan)),
         ..ServerConfig::default()
     };
-    // Thresholds matched to the injected fault mix: ~25% of requests at
-    // +2ms puts the latency EWMA well over latency_high once saturated,
-    // and well under latency_low once the load is gone.
+    // Thresholds matched to the injected fault mix. An injected stall is
+    // not engine time: the latency EWMA sees only the engine's own, which
+    // stays far under latency_high, so what trips the controller is the
+    // depth EWMA. The stalls (~25% of requests at +2ms, 5% of passes at
+    // +1ms) slow the passes, and under saturation the passes find far
+    // more than depth_high frames queued; once the load is gone the idle
+    // passes feed zeros, well under depth_low.
     cfg.brownout.alpha = 0.3;
     cfg.brownout.depth_high = 16.0;
     cfg.brownout.depth_low = 2.0;

@@ -14,7 +14,6 @@
 use std::collections::VecDeque;
 use std::ffi::c_short;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ const TRACE_DEFAULT_MAX: u32 = 4096;
 
 /// What one pump pass decided.
 pub(crate) enum PumpOutcome {
-    /// Keep the connection; `made_progress` gates the worker's idle sleep.
+    /// Keep the connection; `made_progress` gates the worker's idle decision.
     Alive { made_progress: bool },
     /// Remove the connection.
     Close,
@@ -229,13 +228,14 @@ struct BatchBufs {
 }
 
 /// One client connection, owned for its whole life by the worker it was
-/// dealt to — a replica's stream (REPL_HELLO) included.
+/// dealt to — a replica's stream (REPL_HELLO) included. Its transport `S`
+/// is a non-blocking socket in `goccd`, and whatever a test drives.
 ///
 /// The stream is wrapped in a [`FaultyStream`] so a configured transport
 /// fault plan can perturb this connection's reads and writes; with no plan
 /// the wrapper is pass-through.
-pub(crate) struct Conn {
-    stream: FaultyStream<TcpStream>,
+pub(crate) struct Conn<S> {
+    stream: FaultyStream<S>,
     inbuf: FrameBuf,
     outbuf: Vec<u8>,
     outpos: usize,
@@ -255,9 +255,9 @@ pub(crate) struct Conn {
     batch: BatchBufs,
 }
 
-impl Conn {
+impl<S: Read + Write> Conn<S> {
     /// A connection of `state`'s, adopted at `now`.
-    pub(crate) fn new(stream: TcpStream, state: &ServerState, now: Instant) -> Self {
+    pub(crate) fn new(stream: S, state: &ServerState, now: Instant) -> Self {
         Conn {
             stream: FaultyStream::maybe(stream, state.config.fault_plan.clone()),
             inbuf: FrameBuf::new(),
@@ -286,12 +286,8 @@ impl Conn {
         !self.batch.parked.is_empty()
     }
 
-    pub(crate) fn has_pending_output(&self) -> bool {
+    fn has_pending_output(&self) -> bool {
         self.outpos < self.outbuf.len()
-    }
-
-    pub(crate) fn raw_fd(&self) -> RawFd {
-        self.stream.get_ref().as_raw_fd()
     }
 
     /// What an idle wait must watch on this connection's socket: exactly
@@ -335,16 +331,6 @@ impl Conn {
         [beat, parked, evict].into_iter().flatten().min()
     }
 
-    /// One pass of the shutdown drain: release the parked answers it can
-    /// (all with `give_up`, the deadline), push queued bytes, and say
-    /// whether to keep waiting: not at the deadline, nor once nothing is
-    /// owed or the peer is gone.
-    pub(crate) fn drain(&mut self, state: &ServerState, wctx: &WorkerCtx, give_up: bool) -> bool {
-        self.batch.release(state, wctx, &mut self.outbuf, give_up);
-        let alive = matches!(self.flush_inner(wctx.now), FlushState::Clean { .. });
-        alive && !give_up && (self.has_parked() || self.has_pending_output())
-    }
-
     /// One cooperative scheduling quantum for this connection, at `wctx.now`.
     pub(crate) fn pump(
         &mut self,
@@ -352,21 +338,30 @@ impl Conn {
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> PumpOutcome {
-        // 1. Release the parked responses whose wait is over, then drain
-        //    queued response bytes — a slow client must not hold buffered
-        //    responses hostage while we keep reading.
-        let mut progressed = self.batch.release(state, wctx, &mut self.outbuf, false);
-        match self.flush_inner(wctx.now) {
-            FlushState::Clean { progressed: p } => progressed |= p,
+        // 1. Drain queued response bytes — a slow client must not hold
+        //    buffered responses hostage while we keep reading. They were
+        //    encoded by earlier passes, at earlier instants, so even a
+        //    held pass writes them.
+        let mut progressed = match self.flush_inner(wctx.now) {
+            FlushState::Clean { progressed } => progressed,
             FlushState::Fatal => return PumpOutcome::Close,
-        }
-        // Evicted at the deadline `Conn::deadline` waits for, not after.
-        if self.has_pending_output()
+        };
+        // Evicted at the deadline `Conn::deadline` waits for, not after;
+        // a drain is bounded by its give-up instant instead.
+        if wctx.give_up_at.is_none()
+            && self.has_pending_output()
             && wctx.now >= self.last_write_progress + state.config.write_timeout
         {
             state.counters.note_slow_drop();
             return PumpOutcome::Close;
         }
+        // Then release the parked responses whose wait is over, for step
+        // 4 to write. Once shutdown is seen the connection only drains: it
+        // is closing, and at the drain's give-up instant it releases every
+        // `min_acks` answer and closes whatever it still owes.
+        let give_up = wctx.give_up_at.is_some_and(|at| wctx.now >= at);
+        self.closing |= wctx.give_up_at.is_some();
+        progressed |= self.batch.release(state, wctx, &mut self.outbuf, give_up);
 
         // 2. Ingest bytes — unless this connection already holds more
         //    unprocessed input than the high-water mark. Not reading is
@@ -421,13 +416,18 @@ impl Conn {
             }
         }
 
-        // 4. Push out whatever step 3 produced.
-        match self.flush_inner(wctx.now) {
-            FlushState::Clean { progressed: p } => progressed |= p,
-            FlushState::Fatal => return PumpOutcome::Close,
+        // 4. Push out what this pass encoded, unless a slow-store draw
+        //    moved the pass's instant past the one it was handed: then the
+        //    next pass writes it, at that instant or later.
+        if !wctx.held {
+            match self.flush_inner(wctx.now) {
+                FlushState::Clean { progressed: p } => progressed |= p,
+                FlushState::Fatal => return PumpOutcome::Close,
+            }
         }
 
-        if (self.closing || peer_eof) && !self.has_parked() && !self.has_pending_output() {
+        let done = (self.closing || peer_eof) && !self.has_parked() && !self.has_pending_output();
+        if done || give_up {
             return PumpOutcome::Close;
         }
         if peer_eof {
@@ -631,6 +631,12 @@ impl Conn {
     }
 }
 
+impl<S: AsRawFd> Conn<S> {
+    pub(crate) fn raw_fd(&self) -> RawFd {
+        self.stream.get_ref().as_raw_fd()
+    }
+}
+
 /// The admission prologue every decoded request passes once, whatever its
 /// verb, at the pass's instant: deadline pre-check (a request whose budget
 /// ran out while it queued, as a zero one always has, never reaches the
@@ -692,12 +698,13 @@ fn role_check(state: &ServerState, routed: Routed, now: Instant) -> PendingState
 }
 
 /// Takes the load plan's SlowStore draw for one executed request: the
-/// stall is slept, and moves the pass's instant on by as much.
+/// stall moves the pass's instant on by as much, and holds what the pass
+/// writes from then on for the next pass.
 fn draw_slow_store(state: &ServerState, wctx: &mut WorkerCtx) {
     if let Some(plan) = &state.config.load_plan {
         if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
-            std::thread::sleep(d);
             wctx.now += d;
+            wctx.held = true;
         }
     }
 }
@@ -1064,7 +1071,7 @@ pub(crate) fn span_since(
 mod tests {
     use super::*;
     use gocc_faultplane::TransportFaultPlan;
-    use std::net::{Ipv4Addr, TcpListener};
+    use std::net::{Ipv4Addr, TcpListener, TcpStream};
     use std::sync::Arc;
 
     /// Every combination of the five facts [`Conn::interest`] and
@@ -1189,6 +1196,8 @@ mod tests {
         let mut wctx = WorkerCtx {
             worker: 0,
             now: Instant::now(),
+            held: false,
+            give_up_at: None,
             frames_seen: 0,
             lat_sum_ns: 0,
             lat_count: 0,

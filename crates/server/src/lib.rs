@@ -45,9 +45,9 @@
 //!   [`ServerConfig::write_timeout`].
 //! * **Graceful shutdown** (SHUTDOWN verb or
 //!   [`ServerHandle::request_shutdown`]): the acceptor stops, workers
-//!   answer what they owe (bounded drain, [`ServerConfig::drain_timeout`]),
-//!   close their connections and exit; [`ServerHandle::join`] then yields
-//!   a [`ServerSummary`].
+//!   answer what they owe in passes of their own (bounded drain,
+//!   [`ServerConfig::drain_timeout`]), close their connections and exit;
+//!   [`ServerHandle::join`] then yields a [`ServerSummary`].
 //!
 //! # Overload protection
 //!
@@ -78,7 +78,7 @@ mod repl;
 mod stats;
 mod store;
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
@@ -583,30 +583,6 @@ impl ServerState {
         }
     }
 
-    /// End-of-pump bookkeeping for one worker: publish the pass's queue
-    /// depth, feed the brownout controller one observation (idle passes
-    /// feed zeros, which is what decays the EWMAs back to Healthy), and
-    /// take the load plan's stall draw, slept and added to the pass's
-    /// instant.
-    fn finish_pump(&self, wctx: &mut WorkerCtx) {
-        self.counters.set_queue_depth(wctx.worker, wctx.frames_seen);
-        let mean_lat_ns = if wctx.lat_count > 0 {
-            wctx.lat_sum_ns as f64 / wctx.lat_count as f64
-        } else {
-            0.0
-        };
-        self.brownout.observe(wctx.frames_seen as f64, mean_lat_ns);
-        wctx.frames_seen = 0;
-        wctx.lat_sum_ns = 0;
-        wctx.lat_count = 0;
-        if let Some(plan) = &self.config.load_plan {
-            if let Some(LoadFault::Stall(d)) = plan.draw_worker(wctx.worker as u64) {
-                std::thread::sleep(d);
-                wctx.now += d;
-            }
-        }
-    }
-
     /// Renders the STATS document: server identity, counters, live entry
     /// count, overload state, flight-recorder counters under `"trace"`,
     /// and the runtime's full [`gocc_telemetry::TelemetryReport`] JSON
@@ -675,13 +651,21 @@ impl ServerState {
     }
 }
 
-/// Per-worker pump-pass scratch state, reset by
-/// [`ServerState::finish_pump`].
+/// Per-worker pass state: the pass's instant and what the pumps read
+/// beside it, and the pass's counters, reset at the end of each pass.
 pub(crate) struct WorkerCtx {
     /// This worker's index (stable across the server's lifetime).
     pub(crate) worker: usize,
-    /// The pass's instant: every time rule the pass applies reads it.
+    /// The pass's instant: every time rule the pass applies reads it, and
+    /// a seeded stall moves it on.
     pub(crate) now: Instant,
+    /// A slow-store draw moved the instant on in this pass: what the pass
+    /// encodes from then on carries an instant still to come, so the pump
+    /// holds it for the next pass to write.
+    pub(crate) held: bool,
+    /// Once shutdown is seen: when the drain stops waiting for what a
+    /// connection owes, [`ServerConfig::drain_timeout`] after its first pass.
+    pub(crate) give_up_at: Option<Instant>,
     /// Frames seen this pump pass — the admission queue depth.
     pub(crate) frames_seen: u64,
     /// Summed engine-execution nanoseconds this pass.
@@ -969,21 +953,24 @@ pub enum Next {
 /// One worker's connections and what its passes carry. A pass is a
 /// function of the instant it is handed: every time rule under it reads
 /// that, and only a duration of work just done reads a clock (the trace
-/// clock's). `worker_loop` drives one on the real clock, a test on its own.
-pub struct Worker<'s> {
+/// clock's). A seeded stall moves the worker's own instant on; nothing
+/// sleeps. `worker_loop` drives one on the real clock over sockets, a test
+/// on its own clock over any transport `S`.
+pub struct Worker<'s, S = TcpStream> {
     state: &'s ServerState,
     engine: Engine<'s>,
-    conns: Vec<Conn>,
+    conns: Vec<Conn<S>>,
     wctx: WorkerCtx,
     tick: idle::Tick,
     /// Frames in the last pass that handled any, until an idle decision
     /// has used it.
     last_frames: u64,
-    /// The instant of the last idle decision, if it was to block.
+    /// The instant of the last pass whose wait watches the sockets: an
+    /// idle decision to block, or a drain pass.
     blocked_at: Option<Instant>,
 }
 
-impl<'s> Worker<'s> {
+impl<'s, S: Read + Write> Worker<'s, S> {
     /// Worker `worker` of `state`, made at `now` and owning no connection.
     #[must_use]
     pub fn new(state: &'s ServerState, worker: usize, now: Instant) -> Self {
@@ -994,6 +981,8 @@ impl<'s> Worker<'s> {
             wctx: WorkerCtx {
                 worker,
                 now,
+                held: false,
+                give_up_at: None,
                 frames_seen: 0,
                 lat_sum_ns: 0,
                 lat_count: 0,
@@ -1005,14 +994,19 @@ impl<'s> Worker<'s> {
     }
 
     /// Takes on a dispatched connection (non-blocking) at `now`.
-    pub fn adopt(&mut self, stream: TcpStream, now: Instant) {
+    pub fn adopt(&mut self, stream: S, now: Instant) {
         self.conns.push(Conn::new(stream, self.state, now));
     }
 
-    /// One pass over every connection at `now` (which a seeded stall moves
-    /// on), then, if nothing moved and no shutdown is asked, the one idle
-    /// decision. Two or more frames in the last pass that had any mean a
-    /// peer that pipelines: the next burst is taken at the next tick, one
+    /// One pass over every connection at `now`, then, if nothing moved
+    /// and no shutdown is asked, the one idle decision. A seeded stall
+    /// moves the worker's instant on, and a pass handed an earlier one
+    /// pumps nothing: it waits, blind, until the worker's own. Once
+    /// shutdown is seen, every pass is one of the bounded drain: each
+    /// connection answers what it parked and sends what it queued, and
+    /// closes once it owes nothing, its peer is gone or the drain gives
+    /// up. Two or more frames in the last pass that had any mean a peer
+    /// that pipelines: the next burst is taken at the next tick, one
     /// `IDLE_PASS` after the last however late that wake-up came, which
     /// serves a window per period. So does an idle pass with work on a
     /// clock: a brownout state only idle passes walk back, or a seeded
@@ -1023,12 +1017,22 @@ impl<'s> Worker<'s> {
     /// the block stood in for, or sparse traffic would read as one load.
     pub fn pass(&mut self, now: Instant) -> Next {
         let (state, engine, wctx) = (self.state, &self.engine, &mut self.wctx);
-        if let Some(blocked_at) = self.blocked_at.take() {
+        if now < wctx.now {
+            return Next::Wait {
+                blind: true,
+                until: Some(wctx.now),
+            };
+        }
+        wctx.now = now;
+        wctx.held = false;
+        if state.shutting_down() {
+            wctx.give_up_at
+                .get_or_insert(now + state.config.drain_timeout);
+        } else if let Some(blocked_at) = self.blocked_at.take() {
             state
                 .brownout
                 .observe_idle(now.saturating_duration_since(blocked_at));
         }
-        wctx.now = now;
         let mut progressed = false;
         self.conns
             .retain_mut(|c| match c.pump(engine, state, wctx) {
@@ -1041,10 +1045,41 @@ impl<'s> Worker<'s> {
                     false
                 }
             });
+        // A drain pass waits on the sockets that hold bytes, and one
+        // `IDLE_PASS` at most while an answer is parked.
+        if let Some(give_up_at) = wctx.give_up_at {
+            self.blocked_at = Some(now);
+            let mut until = give_up_at;
+            if self.conns.iter().any(Conn::has_parked) {
+                until = until.min(now + IDLE_PASS);
+            }
+            return Next::Wait {
+                blind: false,
+                until: Some(until),
+            };
+        }
         if wctx.frames_seen > 0 {
             self.last_frames = wctx.frames_seen;
         }
-        state.finish_pump(wctx);
+        // Publish the pass's queue depth, feed the brownout controller one
+        // observation (idle passes feed zeros, which is what decays the
+        // EWMAs back to Healthy), and take the load plan's stall draw.
+        state
+            .counters
+            .set_queue_depth(wctx.worker, wctx.frames_seen);
+        let mean_lat_ns = if wctx.lat_count > 0 {
+            wctx.lat_sum_ns as f64 / wctx.lat_count as f64
+        } else {
+            0.0
+        };
+        state.brownout.observe(wctx.frames_seen as f64, mean_lat_ns);
+        wctx.frames_seen = 0;
+        wctx.lat_sum_ns = 0;
+        wctx.lat_count = 0;
+        let plan = state.config.load_plan.as_ref();
+        if let Some(LoadFault::Stall(d)) = plan.and_then(|p| p.draw_worker(wctx.worker as u64)) {
+            wctx.now += d;
+        }
         if progressed || state.shutting_down() {
             return Next::Pass;
         }
@@ -1065,10 +1100,12 @@ impl<'s> Worker<'s> {
         };
         Next::Wait { blind, until }
     }
+}
 
-    /// Refills `set` with what the wait behind the last idle decision
-    /// watches beside the waker: each connection's [`Conn::interest`] if
-    /// it blocks, nothing for a timed pass.
+impl<S: Read + Write + AsRawFd> Worker<'_, S> {
+    /// Refills `set` with what the wait behind the last pass watches
+    /// beside the waker: each connection's [`Conn::interest`] if it blocks
+    /// or drains, nothing for a timed pass or a stall's wait.
     pub(crate) fn watch(&self, set: &mut idle::PollSet) {
         set.clear();
         for c in self.conns.iter().filter(|_| self.blocked_at.is_some()) {
@@ -1079,7 +1116,9 @@ impl<'s> Worker<'s> {
 
 /// Drives worker `worker`'s passes on the real clock, which it reads
 /// before each pass and each wait; nothing under it does. It owns the
-/// dispatcher's channel, the waker and the poll set.
+/// dispatcher's channel, the sockets, the waker and the poll set, and
+/// ends once no connection is left and none can come: the dispatcher is
+/// gone, or shutdown was asked and the drain is done.
 fn worker_loop(worker: usize, rx: &Receiver<TcpStream>, state: &ServerState) {
     let mut now = Instant::now();
     let mut w = Worker::new(state, worker, now);
@@ -1094,10 +1133,7 @@ fn worker_loop(worker: usize, rx: &Receiver<TcpStream>, state: &ServerState) {
             }
         };
         let next = w.pass(now);
-        if state.shutting_down() {
-            return drain_and_close(&mut w, &mut set);
-        }
-        if dispatcher_gone && w.conns.is_empty() {
+        if w.conns.is_empty() && (dispatcher_gone || state.shutting_down()) {
             return;
         }
         if let Next::Wait { until, .. } = next {
@@ -1106,38 +1142,5 @@ fn worker_loop(worker: usize, rx: &Receiver<TcpStream>, state: &ServerState) {
             idle::wait(&state.wakeups.wakers[worker], &mut set, timeout);
         }
         now = Instant::now();
-    }
-}
-
-/// Bounded final flush: every connection gets up to
-/// [`ServerConfig::drain_timeout`] to answer what it parked and send what
-/// it queued, and closes once it owes nothing or its peer is gone. In
-/// between, wait for a socket to take bytes, or one `IDLE_PASS` while an
-/// answer is parked.
-fn drain_and_close(w: &mut Worker<'_>, set: &mut idle::PollSet) {
-    let state = w.state;
-    let deadline = Instant::now() + state.config.drain_timeout;
-    loop {
-        w.wctx.now = Instant::now();
-        let (wctx, give_up) = (&w.wctx, w.wctx.now >= deadline);
-        w.conns.retain_mut(|c| {
-            let owes = c.drain(state, wctx, give_up);
-            if !owes {
-                c.on_close(state, wctx.worker);
-            }
-            owes
-        });
-        if w.conns.is_empty() {
-            return;
-        }
-        set.clear();
-        for c in w.conns.iter().filter(|c| c.has_pending_output()) {
-            set.push(c.raw_fd(), idle::POLLOUT);
-        }
-        let mut timeout = deadline - wctx.now;
-        if w.conns.iter().any(Conn::has_parked) {
-            timeout = timeout.min(IDLE_PASS);
-        }
-        idle::wait(&state.wakeups.wakers[wctx.worker], set, Some(timeout));
     }
 }

@@ -1022,6 +1022,8 @@ mod tests {
         let wctx = WorkerCtx {
             worker: 0,
             now: Instant::now(),
+            held: false,
+            give_up_at: None,
             frames_seen: 0,
             lat_sum_ns: 0,
             lat_count: 0,

@@ -1,13 +1,15 @@
 //! The client the end-to-end tests share, and the rig for the tests that
-//! drive a worker's passes by hand on virtual time (not every test binary
-//! does, hence the `allow`).
+//! drive a worker's passes by hand on virtual time, over in-memory links
+//! with no socket (not every test binary does, hence the `allow`).
 #![allow(dead_code)]
 
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use gocc_server::idle::{self, PollSet, Waker, POLLIN};
 use gocc_server::{BrownoutConfig, Next, ServerState, Worker};
 use gocc_wire::{Pipe, Response};
 
@@ -23,44 +25,114 @@ pub fn connect(port: u16) -> Pipe<TcpStream> {
     Pipe::new(stream)
 }
 
-/// One loopback connection to a [`Worker`] this thread drives itself.
-/// `client` is a blocking [`Pipe`]: submit frames on it, [`Hand::send`]
-/// them, take the worker's passes, then read the answers.
+/// One direction of a [`Link`]: the bytes written and not read yet, at
+/// most `bound` of them, and whether either end is gone.
+struct Lane {
+    bytes: VecDeque<u8>,
+    bound: usize,
+    writer_gone: bool,
+    reader_gone: bool,
+}
+
+/// One end of an in-memory, non-blocking byte stream, for a [`Worker`]
+/// driven by hand: what one end writes, the other reads at once. Each
+/// direction holds at most its bound: a write past it takes what fits,
+/// or fails `WouldBlock` when nothing does. A read of an empty direction
+/// fails `WouldBlock` while the other end lives, and reads end of stream
+/// once it is dropped.
+pub struct Link {
+    rx: Rc<RefCell<Lane>>,
+    tx: Rc<RefCell<Lane>>,
+}
+
+impl Link {
+    /// Two connected ends, each direction bounded at `bound` bytes.
+    pub fn pair(bound: usize) -> (Link, Link) {
+        let lane = || {
+            Rc::new(RefCell::new(Lane {
+                bytes: VecDeque::new(),
+                bound,
+                writer_gone: false,
+                reader_gone: false,
+            }))
+        };
+        let (a, b) = (lane(), lane());
+        let near = Link {
+            rx: Rc::clone(&a),
+            tx: Rc::clone(&b),
+        };
+        (near, Link { rx: b, tx: a })
+    }
+}
+
+impl Read for Link {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut rx = self.rx.borrow_mut();
+        if rx.bytes.is_empty() && !rx.writer_gone {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        rx.bytes.read(buf)
+    }
+}
+
+impl Write for Link {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut tx = self.tx.borrow_mut();
+        if tx.reader_gone {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        let n = buf.len().min(tx.bound - tx.bytes.len());
+        if n == 0 && !buf.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        tx.bytes.extend(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.rx.borrow_mut().reader_gone = true;
+        self.tx.borrow_mut().writer_gone = true;
+    }
+}
+
+/// What each direction of a [`Hand`]'s link holds unless a test says
+/// otherwise: more than any test here keeps in flight.
+pub const LINK_BOUND: usize = 1 << 20;
+
+/// One in-memory connection to a [`Worker`] this thread drives itself.
+/// `client` is a [`Pipe`] over the client's end: submit frames on it,
+/// [`Hand::send`] them, take the worker's passes, then read the answers.
 pub struct Hand {
-    pub client: Pipe<TcpStream>,
-    /// The worker's end of the connection, which the worker owns.
-    pub served: RawFd,
-    waker: Waker,
-    set: PollSet,
+    pub client: Pipe<Link>,
 }
 
 impl Hand {
-    /// A connection `worker` adopts at `now`.
-    pub fn new(worker: &mut Worker<'_>, now: Instant) -> Hand {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let client = connect(listener.local_addr().unwrap().port());
-        let (served, _) = listener.accept().expect("accept");
-        served.set_nonblocking(true).unwrap();
-        let fd = served.as_raw_fd();
+    /// A connection `worker` adopts at `now`, each direction bounded at
+    /// `bound` bytes.
+    pub fn new(worker: &mut Worker<'_, Link>, now: Instant, bound: usize) -> Hand {
+        let (client, served) = Link::pair(bound);
         worker.adopt(served, now);
-        let (waker, set) = (Waker::new().expect("socket pair"), PollSet::default());
         Hand {
-            client,
-            served: fd,
-            waker,
-            set,
+            client: Pipe::new(client),
         }
     }
 
-    /// Writes the frames submitted so far, and waits until they can be
-    /// read at the worker's end, so the next pass finds them.
+    /// Writes the frames submitted so far, for the next pass to find.
     pub fn send(&mut self) {
-        self.client.get_ref().set_nonblocking(true).unwrap();
         self.client.pump().expect("send");
-        self.client.get_ref().set_nonblocking(false).unwrap();
-        self.set.clear();
-        self.set.push(self.served, POLLIN);
-        idle::wait(&self.waker, &mut self.set, Some(Duration::from_secs(10)));
+        assert!(!self.client.unsent(), "the link took only part of it");
+    }
+
+    /// Takes in what the worker wrote since the last look, and says
+    /// whether there was any.
+    pub fn received(&mut self) -> bool {
+        self.client.pump().expect("recv")
     }
 
     /// The next answer, which a pass already wrote.
@@ -82,15 +154,15 @@ pub fn steady_brownout() -> BrownoutConfig {
 
 /// Worker 0 of `state`, driven by this thread, and one connection to it,
 /// both made at `now`.
-pub fn hand_worker(state: &ServerState, now: Instant) -> (Worker<'_>, Hand) {
+pub fn hand_worker(state: &ServerState, now: Instant) -> (Worker<'_, Link>, Hand) {
     let mut worker = Worker::new(state, 0, now);
-    let hand = Hand::new(&mut worker, now);
+    let hand = Hand::new(&mut worker, now, LINK_BOUND);
     (worker, hand)
 }
 
 /// Takes `worker`'s passes from `now` on, each timed pass ending at its
 /// tick, until its idle decision is to block; returns that instant.
-pub fn until_it_blocks(worker: &mut Worker<'_>, mut now: Instant) -> Instant {
+pub fn until_it_blocks(worker: &mut Worker<'_, Link>, mut now: Instant) -> Instant {
     for _ in 0..100_000 {
         match worker.pass(now) {
             Next::Pass => {}

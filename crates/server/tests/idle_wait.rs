@@ -27,7 +27,7 @@ use gocc_server::{
 use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
-use common::{connect, hand_worker, steady_brownout, until_it_blocks, Hand};
+use common::{connect, hand_worker, steady_brownout, until_it_blocks, Hand, Link};
 
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -374,7 +374,6 @@ extern "C" {
     ) -> std::ffi::c_int;
 }
 
-const SO_SNDBUF: std::ffi::c_int = 7;
 const SO_RCVBUF: std::ffi::c_int = 8;
 
 /// Fixes socket `fd`'s send or receive buffer at twice `bytes` (the
@@ -558,7 +557,9 @@ fn a_stalled_client_is_evicted_at_its_write_timeout_not_before() {
     })
     .expect("state");
     let t0 = Instant::now();
-    let (mut w, mut c) = hand_worker(&state, t0);
+    // Each direction of the link holds 4 KiB.
+    let mut w = Worker::new(&state, 0, t0);
+    let mut c = Hand::new(&mut w, t0, 4096);
     let keys: Vec<String> = (0..512).map(|i| format!("key-{i}")).collect();
     let mut now = t0;
     for chunk in keys.chunks(64) {
@@ -579,10 +580,7 @@ fn a_stalled_client_is_evicted_at_its_write_timeout_not_before() {
             assert_eq!(c.answer(), Response::Done);
         }
     }
-    // Both ends' buffers fixed small, and 64 SCANs of 8 KiB each that the
-    // client never reads.
-    fix_buffer(c.client.get_ref().as_raw_fd(), SO_RCVBUF, 4096);
-    fix_buffer(c.served, SO_SNDBUF, 4096);
+    // 64 SCANs of 8 KiB each that the client never reads.
     for _ in 0..64 {
         c.client.submit(&Request::Scan { limit: 512 }, None);
     }
@@ -730,7 +728,7 @@ fn timed_passes_keep_a_cadence() {
     let t0 = Instant::now();
     let (mut w, mut c) = hand_worker(&state, t0);
     let mut now = t0;
-    let pass = |w: &mut Worker<'_>, c: &mut Hand, now| {
+    let pass = |w: &mut Worker<'_, Link>, c: &mut Hand, now| {
         window(c, &GET, 32);
         assert_eq!(w.pass(now), Next::Pass);
         let Next::Wait {

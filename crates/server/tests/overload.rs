@@ -1,16 +1,31 @@
 //! End-to-end overload tests: deadlines, HEALTH, brownout shedding and
-//! oversized-frame resynchronization against a real `goccd` over loopback.
+//! oversized-frame resynchronization against a real `goccd` over loopback;
+//! and, on a worker driven by hand on virtual time, brownout recovery, a
+//! budget that lapses behind a parked answer and the seeded load plan's
+//! stalls.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gocc_faultplane::{LoadFaultPlan, LoadMix};
 use gocc_server::idle::IDLE_PASS;
-use gocc_server::{spawn, HealthState, Mode, ServerConfig, ServerState};
+use gocc_server::{spawn, HealthState, Mode, Next, ServerConfig, ServerState};
 use gocc_wire::{decode_response, encode_request_v2, Pipe, Request, Response, MAX_FRAME};
 
 mod common;
 use common::{connect, hand_worker, steady_brownout, until_it_blocks};
+
+/// A state whose load plan injects `mix`, serving on the hand rig.
+fn planned(mix: LoadMix) -> ServerState {
+    ServerState::new(ServerConfig {
+        load_plan: Some(Arc::new(LoadFaultPlan::new(7, mix))),
+        brownout: steady_brownout(),
+        ..config(Mode::Gocc)
+    })
+    .expect("state")
+}
 
 /// One round trip whose envelope carries a deadline budget.
 fn with_deadline<'c>(
@@ -259,6 +274,99 @@ fn a_deadline_that_lapses_before_its_pass_never_reaches_the_engine() {
         assert_eq!(c.answer(), applied, "{after:?} after arrival");
         assert_eq!(state.counters().deadline_misses(), u64::from(lapsed));
     }
+}
+
+/// The virtual-time twin of `tests/batch_server.rs`'s mid-batch deadline
+/// test. A slow-store draw moves the pass's instant on instead of
+/// sleeping, and what the pass encodes after it is written by the first
+/// pass at or after that instant: three SETs that draw 20 ms each against
+/// a 5 ms budget are answered `DeadlineExceeded` at 60 ms and not a
+/// nanosecond before, and their effects stand.
+#[test]
+fn a_slow_store_holds_its_answers_until_its_stall_is_over() {
+    let slow = Duration::from_millis(20);
+    let state = planned(LoadMix {
+        slow_store: 1.0,
+        slow_store_for: slow,
+        ..LoadMix::default()
+    });
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let keys: [&[u8]; 3] = [b"dl-a", b"dl-b", b"dl-c"];
+    for key in keys {
+        c.client.submit(
+            &Request::Set {
+                key,
+                value: 7,
+                ttl: 0,
+            },
+            Some(5_000),
+        );
+    }
+    c.send();
+    let over = t0 + 3 * slow;
+    assert_eq!(w.pass(t0), Next::Pass);
+    assert!(!c.received(), "answered within its pass's stall");
+    let stalled = Next::Wait {
+        blind: true,
+        until: Some(over),
+    };
+    assert_eq!(w.pass(over - Duration::from_nanos(1)), stalled);
+    assert!(!c.received(), "answered before its stall was over");
+    w.pass(over);
+    for _ in keys {
+        assert_eq!(c.answer(), Response::DeadlineExceeded);
+    }
+    // Each GET draws its own 20 ms too.
+    for key in keys {
+        c.client.submit(&Request::Get { key }, None);
+    }
+    c.send();
+    assert_eq!(w.pass(over), Next::Pass);
+    w.pass(over + 3 * slow);
+    for _ in keys {
+        let applied = Response::Value {
+            found: true,
+            value: 7,
+        };
+        assert_eq!(c.answer(), applied);
+    }
+}
+
+/// A seeded worker stall moves the worker's instant on instead of
+/// sleeping: a frame sent just after the pass that drew it is read by no
+/// pass before the stall is over, and by the pass at its end.
+#[test]
+fn a_worker_stall_defers_the_next_read_to_its_end() {
+    let stall = Duration::from_millis(2);
+    let state = planned(LoadMix {
+        stall: 1.0,
+        stall_for: stall,
+        ..LoadMix::default()
+    });
+    let t0 = Instant::now();
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let over = t0 + stall;
+    let timed = Next::Wait {
+        blind: true,
+        until: Some(over + IDLE_PASS),
+    };
+    assert_eq!(w.pass(t0), timed, "the idle pass's tick is after its stall");
+    c.client.submit(&Request::Health, None);
+    c.send();
+    let stalled = Next::Wait {
+        blind: true,
+        until: Some(over),
+    };
+    assert_eq!(w.pass(over - Duration::from_nanos(1)), stalled);
+    assert_eq!(
+        state.counters().total_requests(),
+        0,
+        "read within the stall"
+    );
+    assert_eq!(w.pass(over), Next::Pass);
+    assert_eq!(state.counters().total_requests(), 1);
+    assert!(matches!(c.answer(), Response::Health { .. }));
 }
 
 #[test]

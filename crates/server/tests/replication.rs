@@ -16,7 +16,7 @@ use gocc_telemetry::JsonValue;
 use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
 mod common;
-use common::{connect, hand_worker, steady_brownout};
+use common::{connect, hand_worker, steady_brownout, until_it_blocks, Hand, LINK_BOUND};
 
 fn stats(c: &mut Pipe<TcpStream>) -> JsonValue {
     match c.call(&Request::Stats).expect("call") {
@@ -614,6 +614,64 @@ fn a_parked_write_is_released_at_its_ack_timeout_not_before() {
         message: "replication timed out: write not acknowledged",
     };
     assert_eq!(c.answer(), timed_out);
+}
+
+/// The shutdown drain is the worker's own passes, on their instants: a
+/// `min_acks` write parked behind a replica that never acks stays parked
+/// until exactly `drain_timeout` after the first drain pass, is answered
+/// with the timeout error there, and its connection closes with it.
+#[test]
+fn the_drain_gives_up_on_a_parked_write_at_its_timeout_not_before() {
+    let drain_timeout = Duration::from_millis(200);
+    let state = ServerState::new(ServerConfig {
+        workers: 1,
+        repl_min_acks: 1,
+        repl_lease: Duration::from_secs(60),
+        repl_ack_timeout: Duration::from_secs(60),
+        drain_timeout,
+        brownout: steady_brownout(),
+        ..primary_config(Mode::Gocc)
+    })
+    .expect("state");
+    let t0 = Instant::now();
+    let _silent_replica = state.repl_feed().expect("feed").subscribe(&[0; 2], t0);
+    let (mut w, mut writer) = hand_worker(&state, t0);
+    writer.client.submit(
+        &Request::Set {
+            key: b"k",
+            value: 1,
+            ttl: 0,
+        },
+        None,
+    );
+    writer.send();
+    until_it_blocks(&mut w, t0);
+    // A second connection asks for shutdown: the pass that reads it says
+    // goodbye and closes that connection, and the drain starts with the
+    // pass after it, at the same instant.
+    let t1 = t0 + Duration::from_millis(3);
+    let mut admin = Hand::new(&mut w, t1, LINK_BOUND);
+    admin.client.submit(&Request::Shutdown, None);
+    admin.send();
+    assert_eq!(w.pass(t1), Next::Pass);
+    assert_eq!(admin.answer(), Response::Bye);
+    assert_eq!(state.counters().closed(), 1);
+    let give_up = t1 + drain_timeout;
+    for now in [t1, give_up - Duration::from_nanos(1)] {
+        assert!(matches!(w.pass(now), Next::Wait { blind: false, .. }));
+        assert!(!writer.received(), "answered before the drain gave up");
+        assert_eq!(
+            state.counters().closed(),
+            1,
+            "closed before the drain gave up"
+        );
+    }
+    w.pass(give_up);
+    let timed_out = Response::Error {
+        message: "replication timed out: write not acknowledged",
+    };
+    assert_eq!(writer.answer(), timed_out);
+    assert_eq!(state.counters().closed(), 2);
 }
 
 /// REPL_PROMOTE with an empty upstream turns the replica into a primary:

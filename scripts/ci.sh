@@ -182,21 +182,21 @@ if [ "$sleeps" -ne 0 ] || [ "$waits" -ne 1 ]; then
 fi
 # Everything else in the non-test code of crates/server/src, wal/src and
 # repl/src waits on an event too (the WAL syncer's `off` pacing waits on
-# its condvar, which a FLUSH, a rotation or shutdown cuts short): a
-# thread::sleep is allowed only where a seeded load plan injects latency
-# (draw_slow_store, finish_pump).
+# its condvar, which a FLUSH, a rotation or shutdown cuts short), and
+# nothing sleeps at all: a seeded load plan's stall moves the pass's
+# instant on, and the next pass waits for it in worker_loop's one wait.
 sleepers=$(find crates/server/src crates/wal/src crates/repl/src -name '*.rs' -exec awk '
   FNR == 1 { f = ""; attr = 0 }
   /^#\[cfg\(test\)\]$/ { attr = 1; next }
   attr && /^mod [A-Za-z0-9_]+ \{/ { nextfile }
   { attr = 0 }
   match($0, /fn [A-Za-z0-9_]+[(<]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
-  /thread::sleep/ && f !~ /^(draw_slow_store|finish_pump)$/ {
+  /thread::sleep/ {
     printf "%s:%d: in fn %s\n", FILENAME, FNR, f
   }' {} +)
 if [ -n "$sleepers" ]; then
   echo "$sleepers"
-  echo "FAIL: crates/{server,wal,repl}/src sleep outside draw_slow_store and finish_pump" >&2
+  echo "FAIL: crates/{server,wal,repl}/src sleep" >&2
   exit 1
 fi
 # No server thread waits on the log either: a logged write and a FLUSH
@@ -230,7 +230,7 @@ if [ "$ffi_files" != "crates/server/src/idle.rs" ]; then
   echo "FAIL: ppoll/prctl declared outside crates/server/src/idle.rs:" $ffi_files >&2
   exit 1
 fi
-echo "ok: worker_loop waits in one place, server, wal and repl sleep only to inject faults, no worker or sink waits on the log, no worker on a replica"
+echo "ok: worker_loop waits in one place, nothing in server, wal or repl sleeps, no worker or sink waits on the log, no worker on a replica"
 
 echo "== one clock =="
 # A worker's pass is a function of the instant worker_loop hands it
@@ -243,8 +243,8 @@ echo "== one clock =="
 # detector, backoff, canvass and parked ACKs read the step's instant,
 # which repl.rs's unit tests advance by hand. A clock read anywhere else
 # in the non-test code of these files is a rule those tests cannot reach.
-# Only the drivers read Instant::now: worker_loop and drain_and_close,
-# and replica_loop.
+# Only the drivers read Instant::now: worker_loop, whose worker's passes
+# include a seeded stall's and the shutdown drain's, and replica_loop.
 clock_reads() { # FILE ALLOWED_FNS (an awk regex; empty: none)
   awk -v allow="$2" '
     /^#\[cfg\(test\)\]$/ { attr = 1; next }
@@ -258,7 +258,7 @@ clock_reads() { # FILE ALLOWED_FNS (an awk regex; empty: none)
 reads=$(
   for f in conn overload store stats idle; do clock_reads "crates/server/src/$f.rs" ''; done
   clock_reads crates/repl/src/lib.rs ''
-  clock_reads crates/server/src/lib.rs 'worker_loop|drain_and_close'
+  clock_reads crates/server/src/lib.rs 'worker_loop'
   clock_reads crates/server/src/repl.rs 'replica_loop'
 )
 if [ -n "$reads" ]; then
