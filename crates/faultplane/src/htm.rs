@@ -16,7 +16,6 @@
 //! The mapping itself lives in `gocc-htm` (this crate must stay below it
 //! in the dependency order).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::seq::SeqTable;
@@ -112,44 +111,26 @@ impl AbortMix {
 /// Deterministic per-site HTM abort schedule.
 ///
 /// The `n`-th draw at a site is a pure function of `(seed, site, n)`; see
-/// the crate docs for the replay contract. Per-site mixes override the
-/// default and are fixed at construction, so the hot path takes no lock.
+/// the crate docs for the replay contract. One mix applies at every site
+/// and is fixed at construction, so the hot path takes no lock.
 #[derive(Debug)]
 pub struct HtmFaultPlan {
     seed: u64,
-    default_mix: AbortMix,
-    site_mix: HashMap<usize, AbortMix>,
+    mix: AbortMix,
     seq: SeqTable,
     injected: [AtomicU64; 4],
 }
 
 impl HtmFaultPlan {
-    /// A plan applying `default_mix` at every site.
+    /// A plan applying `mix` at every site.
     #[must_use]
-    pub fn new(seed: u64, default_mix: AbortMix) -> Self {
+    pub fn new(seed: u64, mix: AbortMix) -> Self {
         HtmFaultPlan {
             seed,
-            default_mix,
-            site_mix: HashMap::new(),
+            mix,
             seq: SeqTable::new(),
             injected: Default::default(),
         }
-    }
-
-    /// Overrides the mix for one site (builder style, pre-run only).
-    #[must_use]
-    pub fn with_site_mix(mut self, site: usize, mix: AbortMix) -> Self {
-        self.site_mix.insert(site, mix);
-        self
-    }
-
-    /// The mix in effect at `site`.
-    #[must_use]
-    pub fn mix_for(&self, site: usize) -> AbortMix {
-        self.site_mix
-            .get(&site)
-            .copied()
-            .unwrap_or(self.default_mix)
     }
 
     /// Draws the next decision for `site`: `None` = run clean.
@@ -157,12 +138,11 @@ impl HtmFaultPlan {
     /// Each call advances the site's decision index, so callers must draw
     /// exactly once per transaction attempt.
     pub fn draw(&self, site: usize) -> Option<InjectedAbort> {
-        let mix = self.mix_for(site);
-        if mix.total() <= 0.0 {
+        if self.mix.total() <= 0.0 {
             return None;
         }
         let n = self.seq.next(site);
-        let cause = mix.classify(unit(decide(self.seed, site as u64, n)))?;
+        let cause = self.mix.classify(unit(decide(self.seed, site as u64, n)))?;
         self.injected[cause.index()].fetch_add(1, Ordering::Relaxed);
         Some(cause)
     }
@@ -224,22 +204,6 @@ mod tests {
         let hits = (0..n).filter(|_| plan.draw(1).is_some()).count();
         let rate = hits as f64 / n as f64;
         assert!((0.23..0.27).contains(&rate), "rate {rate}");
-    }
-
-    #[test]
-    fn site_override_beats_default() {
-        let plan = HtmFaultPlan::new(4, AbortMix::uniform(1.0)).with_site_mix(
-            42,
-            AbortMix {
-                capacity: 1.0,
-                ..AbortMix::default()
-            },
-        );
-        for _ in 0..50 {
-            assert_eq!(plan.draw(42), Some(InjectedAbort::Capacity));
-            assert!(plan.draw(7).is_some());
-        }
-        assert_eq!(plan.counts()[InjectedAbort::Capacity.index()] >= 50, true);
     }
 
     #[test]

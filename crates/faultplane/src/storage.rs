@@ -187,20 +187,18 @@ impl StorageFaultPlan {
     pub fn injected(&self, fault: StorageFault) -> u64 {
         self.injected[fault.index()].load(Ordering::Relaxed)
     }
-
-    /// Total injected faults across all classes.
-    #[must_use]
-    pub fn injected_total(&self) -> u64 {
-        self.injected
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const CLASSES: [StorageFault; 4] = [
+        StorageFault::Crash,
+        StorageFault::TornWrite,
+        StorageFault::ShortFsync,
+        StorageFault::CkptCrash,
+    ];
 
     #[test]
     fn same_seed_same_schedule() {
@@ -227,7 +225,9 @@ mod tests {
                 assert_eq!(a.ckpt_crash(ckpt, phase), b.ckpt_crash(ckpt, phase));
             }
         }
-        assert_eq!(a.injected_total(), b.injected_total());
+        for f in CLASSES {
+            assert_eq!(a.injected(f), b.injected(f), "{f:?}");
+        }
     }
 
     #[test]
@@ -288,6 +288,8 @@ mod tests {
             assert!(plan.short_fsync(lsn).is_none());
             assert!(!plan.ckpt_crash(lsn, lsn % 4));
         }
-        assert_eq!(plan.injected_total(), 0);
+        for f in CLASSES {
+            assert_eq!(plan.injected(f), 0, "{f:?}");
+        }
     }
 }

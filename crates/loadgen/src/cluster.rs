@@ -80,9 +80,6 @@ impl Session {
 struct Endpoint {
     port: u16,
     client: ResilientClient,
-    /// Reads this endpoint served (the distribution proof for the
-    /// read-scaling bench and the failover soak).
-    reads: u64,
 }
 
 /// A client for a primary/replica group on loopback.
@@ -154,12 +151,6 @@ impl ClusterClient {
         self.behind_rotations
     }
 
-    /// Reads served per endpoint, in endpoint order (ports alongside).
-    #[must_use]
-    pub fn reads_by_endpoint(&self) -> Vec<(u16, u64)> {
-        self.endpoints.iter().map(|e| (e.port, e.reads)).collect()
-    }
-
     fn index_of(&mut self, port: u16) -> usize {
         if let Some(i) = self.endpoints.iter().position(|e| e.port == port) {
             return i;
@@ -173,7 +164,6 @@ impl ClusterClient {
                 self.cfg.clone(),
                 self.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
-            reads: 0,
         });
         i
     }
@@ -292,7 +282,6 @@ impl ClusterClient {
                 Ok(Response::Behind { .. }) => self.behind_rotations += 1,
                 Ok(resp) => {
                     keep(&mut self.answer, &resp);
-                    self.endpoints[i].reads += 1;
                     return Ok(self.kept());
                 }
                 Err(e) => last = Some(e),
@@ -328,8 +317,8 @@ mod tests {
 
     /// A server answering every request on its one connection with
     /// `resp`. The client sends one frame and waits for its answer, so
-    /// each read is one request.
-    fn answering_server(resp: &Response<'_>) -> (u16, std::thread::JoinHandle<()>) {
+    /// each read is one request; the thread returns how many it answered.
+    fn answering_server(resp: &Response<'_>) -> (u16, std::thread::JoinHandle<u64>) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let port = listener.local_addr().unwrap().port();
         let mut frame = Vec::new();
@@ -337,9 +326,12 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             let mut buf = [0u8; 256];
+            let mut answered = 0;
             while matches!(s.read(&mut buf), Ok(n) if n > 0) {
                 s.write_all(&frame).unwrap();
+                answered += 1;
             }
+            answered
         });
         (port, handle)
     }
@@ -440,13 +432,9 @@ mod tests {
         for _ in 0..6 {
             c.read(&Request::Get { key: b"k" }).unwrap();
         }
-        let reads = c.reads_by_endpoint();
-        assert_eq!(reads.len(), 2);
-        assert_eq!(reads[0].1, 3, "round-robin splits evenly");
-        assert_eq!(reads[1].1, 3);
         drop(c);
-        sa.join().unwrap();
-        sb.join().unwrap();
+        assert_eq!(sa.join().unwrap(), 3, "round-robin splits evenly");
+        assert_eq!(sb.join().unwrap(), 3);
     }
 
     #[test]

@@ -12,197 +12,55 @@
 //! verbs serve the counters and the flight recorder's spans while it runs.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
+use gocc_server::flags::Flags;
 use gocc_server::{mode_name, parse_mode, spawn, ServerConfig, SyncPolicy, WalBackend};
-
-fn usage() -> String {
-    "usage: goccd [--mode lock|gocc] [--port N] [--workers N] [--shards N] \
-     [--capacity N] [--write-timeout-ms N] [--drain-timeout-ms N] \
-     [--queue-limit N] [--trace-sample-n N] \
-     [--data-dir PATH] [--wal-sync off|group|always] [--fsync-batch-size N] \
-     [--fsync-wait-us N] [--checkpoint-every N] \
-     [--wal-fault-seed N --wal-fault-crash P] \
-     [--replica-of HOST:PORT] [--repl-accept] [--repl-min-acks N] \
-     [--repl-lease-ms N] [--repl-ack-timeout-ms N] \
-     [--repl-fault-seed N --repl-fault-rate P] \
-     [--repl-auto-promote] [--repl-peer HOST:PORT]... [--repl-suspect-ms N]"
-        .to_string()
-}
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();
     let mut wal_fault_seed: Option<u64> = None;
     let mut wal_fault_crash: Option<f64> = None;
-    let mut repl_fault_seed: Option<u64> = None;
-    let mut repl_fault_rate: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        match flag.as_str() {
-            "--mode" => config.mode = parse_mode(&value("--mode")?)?,
-            "--port" => {
-                config.port = value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?;
-            }
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if config.workers == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-            }
-            "--shards" => {
-                config.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if config.shards == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-            }
-            "--capacity" => {
-                config.capacity_per_shard = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--write-timeout-ms" => {
-                config.write_timeout = Duration::from_millis(
-                    value("--write-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--write-timeout-ms: {e}"))?,
-                );
-            }
-            "--drain-timeout-ms" => {
-                config.drain_timeout = Duration::from_millis(
-                    value("--drain-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--drain-timeout-ms: {e}"))?,
-                );
-            }
-            "--queue-limit" => {
-                config.queue_limit = value("--queue-limit")?
-                    .parse()
-                    .map_err(|e| format!("--queue-limit: {e}"))?;
-                if config.queue_limit == 0 {
-                    return Err("--queue-limit must be >= 1".into());
-                }
-            }
-            "--data-dir" => {
-                config.data_dir = Some(std::path::PathBuf::from(value("--data-dir")?));
-            }
-            "--wal-sync" => {
-                let v = value("--wal-sync")?;
-                config.wal.sync = SyncPolicy::parse(&v).ok_or_else(|| {
-                    format!("--wal-sync: unknown policy {v:?} (off|group|always)")
-                })?;
-            }
-            "--fsync-batch-size" => {
-                config.wal.fsync_batch_size = value("--fsync-batch-size")?
-                    .parse()
-                    .map_err(|e| format!("--fsync-batch-size: {e}"))?;
-                if config.wal.fsync_batch_size == 0 {
-                    return Err("--fsync-batch-size must be >= 1".into());
-                }
-            }
-            "--fsync-wait-us" => {
-                config.wal.fsync_wait_us = value("--fsync-wait-us")?
-                    .parse()
-                    .map_err(|e| format!("--fsync-wait-us: {e}"))?;
-            }
-            "--checkpoint-every" => {
-                config.wal.checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?;
-            }
-            "--wal-fault-seed" => {
-                wal_fault_seed = Some(
-                    value("--wal-fault-seed")?
-                        .parse()
-                        .map_err(|e| format!("--wal-fault-seed: {e}"))?,
-                );
-            }
-            "--wal-fault-crash" => {
-                wal_fault_crash = Some(
-                    value("--wal-fault-crash")?
-                        .parse()
-                        .map_err(|e| format!("--wal-fault-crash: {e}"))?,
-                );
-            }
-            "--replica-of" => {
-                config.replica_of = Some(value("--replica-of")?);
-            }
-            "--repl-accept" => config.repl_accept = true,
-            "--repl-min-acks" => {
-                config.repl_min_acks = value("--repl-min-acks")?
-                    .parse()
-                    .map_err(|e| format!("--repl-min-acks: {e}"))?;
-            }
-            "--repl-lease-ms" => {
-                let ms: u64 = value("--repl-lease-ms")?
-                    .parse()
-                    .map_err(|e| format!("--repl-lease-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--repl-lease-ms must be >= 1".into());
-                }
-                config.repl_lease = Duration::from_millis(ms);
-            }
-            "--repl-ack-timeout-ms" => {
-                config.repl_ack_timeout = Duration::from_millis(
-                    value("--repl-ack-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--repl-ack-timeout-ms: {e}"))?,
-                );
-            }
-            "--repl-auto-promote" => config.repl_auto_promote = true,
-            "--repl-peer" => {
-                // Repeatable: one flag per peer in the election electorate.
-                config.repl_peers.push(value("--repl-peer")?);
-            }
-            "--repl-suspect-ms" => {
-                let ms: u64 = value("--repl-suspect-ms")?
-                    .parse()
-                    .map_err(|e| format!("--repl-suspect-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--repl-suspect-ms must be >= 1".into());
-                }
-                config.repl_suspect = Duration::from_millis(ms);
-            }
-            "--repl-fault-seed" => {
-                repl_fault_seed = Some(
-                    value("--repl-fault-seed")?
-                        .parse()
-                        .map_err(|e| format!("--repl-fault-seed: {e}"))?,
-                );
-                config.repl_seed = repl_fault_seed.unwrap_or(config.repl_seed);
-            }
-            "--repl-fault-rate" => {
-                repl_fault_rate = Some(
-                    value("--repl-fault-rate")?
-                        .parse()
-                        .map_err(|e| format!("--repl-fault-rate: {e}"))?,
-                );
-            }
-            "--trace-sample-n" => {
-                config.trace_sample_n = value("--trace-sample-n")?
-                    .parse()
-                    .map_err(|e| format!("--trace-sample-n: {e}"))?;
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
-    }
+    let c = &mut config;
+    Flags::new("goccd")
+        .value("--mode", "lock|gocc", |v| {
+            c.mode = parse_mode(v)?;
+            Ok(())
+        })
+        .num("--port", "N", &mut c.port)
+        .count("--workers", &mut c.workers)
+        .count("--shards", &mut c.shards)
+        .num("--capacity", "N", &mut c.capacity_per_shard)
+        .millis("--write-timeout-ms", &mut c.write_timeout)
+        .millis("--drain-timeout-ms", &mut c.drain_timeout)
+        .count("--queue-limit", &mut c.queue_limit)
+        .num("--trace-sample-n", "N", &mut c.trace_sample_n)
+        .opt("--data-dir", "PATH", &mut c.data_dir)
+        .value("--wal-sync", "off|group|always", |v| {
+            c.wal.sync = SyncPolicy::parse(v)
+                .ok_or_else(|| format!("unknown policy {v:?} (off|group|always)"))?;
+            Ok(())
+        })
+        .count("--fsync-batch-size", &mut c.wal.fsync_batch_size)
+        .num("--fsync-wait-us", "N", &mut c.wal.fsync_wait_us)
+        .num("--checkpoint-every", "N", &mut c.wal.checkpoint_every)
+        .opt("--wal-fault-seed", "N", &mut wal_fault_seed)
+        .opt("--wal-fault-crash", "P", &mut wal_fault_crash)
+        .opt("--replica-of", "HOST:PORT", &mut c.replica_of)
+        .switch("--repl-accept", &mut c.repl_accept)
+        .num("--repl-min-acks", "N", &mut c.repl_min_acks)
+        .positive_millis("--repl-lease-ms", &mut c.repl_lease)
+        .millis("--repl-ack-timeout-ms", &mut c.repl_ack_timeout)
+        .switch("--repl-auto-promote", &mut c.repl_auto_promote)
+        // Repeatable: one flag per peer in the election electorate.
+        .value("--repl-peer", "HOST:PORT", |v| {
+            c.repl_peers.push(v.to_string());
+            Ok(())
+        })
+        .positive_millis("--repl-suspect-ms", &mut c.repl_suspect)
+        .parse(args)?;
     // A probability with no plan to draw it would be silently ignored.
     if wal_fault_crash.is_some() && wal_fault_seed.is_none() {
         return Err("--wal-fault-crash needs --wal-fault-seed".into());
-    }
-    if repl_fault_rate.is_some() && repl_fault_seed.is_none() {
-        return Err("--repl-fault-rate needs --repl-fault-seed".into());
     }
     // Crash-soak hook: a seeded fault plan switches the WAL to the Abort
     // backend, which tears a seeded append onto disk and kills the process
@@ -219,19 +77,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             },
         );
         config.wal.backend = WalBackend::Abort(std::sync::Arc::new(plan));
-    }
-    // Failover-soak hook: a seeded transport fault plan on the replication
-    // stream only (client connections stay clean), driving partitions,
-    // stalls and resets between primary and replica deterministically.
-    if let (Some(seed), Some(rate)) = (repl_fault_seed, repl_fault_rate) {
-        if rate > 0.0 {
-            config.repl_fault_plan = Some(std::sync::Arc::new(
-                gocc_faultplane::TransportFaultPlan::new(
-                    seed,
-                    gocc_faultplane::TransportMix::uniform(rate),
-                ),
-            ));
-        }
     }
     Ok(config)
 }
@@ -296,6 +141,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use gocc_server::Mode;
+    use std::time::Duration;
 
     fn parse(args: &[&str]) -> Result<ServerConfig, String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -304,8 +150,8 @@ mod tests {
     type Check = fn(&ServerConfig) -> bool;
 
     /// Every flag, a command line that sets it, and the field it must set
-    /// (off its default). `ci.sh` stage "every flag exercised" reads the
-    /// flag column.
+    /// (off its default). `ci.sh` stage "every flag exercised" holds this
+    /// flag column to `parse_args`'s rows and README's table.
     const FLAGS: &[(&str, &[&str], Check)] = &[
         ("--mode", &["--mode", "lock"], |c| c.mode == Mode::Lock),
         ("--port", &["--port", "4091"], |c| c.port == 4091),
@@ -366,14 +212,6 @@ mod tests {
             &["--repl-ack-timeout-ms", "4"],
             |c| c.repl_ack_timeout == Duration::from_millis(4),
         ),
-        ("--repl-fault-seed", &["--repl-fault-seed", "7"], |c| {
-            c.repl_seed == 7
-        }),
-        (
-            "--repl-fault-rate",
-            &["--repl-fault-seed", "7", "--repl-fault-rate", "0.5"],
-            |c| c.repl_fault_plan.is_some(),
-        ),
         ("--repl-auto-promote", &["--repl-auto-promote"], |c| {
             c.repl_auto_promote
         }),
@@ -399,20 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn the_table_is_the_usage() {
-        let usage = usage();
-        let mut in_usage: Vec<&str> = usage
-            .split(|c: char| c == '[' || c == ']' || c.is_whitespace())
-            .filter(|w| w.starts_with("--"))
-            .collect();
-        in_usage.sort_unstable();
-        in_usage.dedup();
-        let mut in_table: Vec<&str> = FLAGS.iter().map(|&(flag, _, _)| flag).collect();
-        in_table.sort_unstable();
-        assert_eq!(in_usage, in_table);
-    }
-
-    #[test]
     fn counts_below_one_are_refused() {
         for flag in [
             "--workers",
@@ -423,7 +247,7 @@ mod tests {
             "--repl-suspect-ms",
         ] {
             let err = parse(&[flag, "0"]).expect_err(flag);
-            assert_eq!(err, format!("{flag} must be >= 1"));
+            assert_eq!(err, format!("{flag}: must be >= 1"));
         }
     }
 
@@ -434,6 +258,8 @@ mod tests {
             "--stats-out",
             "--trace-out",
             "--stats-interval-secs",
+            "--repl-fault-seed",
+            "--repl-fault-rate",
         ] {
             let err = parse(&[flag, "1"]).expect_err(flag);
             assert!(err.starts_with(&format!("unknown flag {flag:?}")), "{err}");
@@ -445,10 +271,6 @@ mod tests {
         assert_eq!(
             parse(&["--wal-fault-crash", "0.5"]).unwrap_err(),
             "--wal-fault-crash needs --wal-fault-seed"
-        );
-        assert_eq!(
-            parse(&["--repl-fault-rate", "0.5"]).unwrap_err(),
-            "--repl-fault-rate needs --repl-fault-seed"
         );
     }
 }

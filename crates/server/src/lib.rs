@@ -72,6 +72,7 @@
 #[cfg(test)]
 mod alloc_budget;
 mod conn;
+pub mod flags;
 pub mod idle;
 mod overload;
 mod repl;
@@ -175,7 +176,9 @@ pub struct ServerConfig {
     /// Seeded transport fault injection on the replication stream only
     /// (partitions, stalls, resets between primary and replica).
     pub repl_fault_plan: Option<Arc<TransportFaultPlan>>,
-    /// Seed for the replica's reconnect/resync backoff jitter.
+    /// Seed for the replica's reconnect/resync backoff jitter and its
+    /// election stagger. [`spawn`] mixes the bound port into it, so nodes
+    /// started from one config still draw apart.
     pub repl_seed: u64,
     /// Self-healing: a replica that suspects its primary dead runs a
     /// quorum election and promotes itself on a majority. Off by default —
@@ -792,7 +795,15 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.port))?;
     listener.set_nonblocking(true)?;
     let port = listener.local_addr()?.port();
-    let state = Arc::new(ServerState::new(ServerConfig { port, ..config })?);
+    // The listener binds loopback only, so its port names this node on its
+    // host: mixed into the seed, it gives nodes started from one config
+    // their own election stagger and resync backoff (DESIGN §16.1).
+    let repl_seed = config.repl_seed ^ u64::from(port).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let state = Arc::new(ServerState::new(ServerConfig {
+        port,
+        repl_seed,
+        ..config
+    })?);
 
     // A thread that cannot start shuts the server down, and the threads
     // already running see the flag and exit.

@@ -964,6 +964,29 @@ mod tests {
         (1, other)
     }
 
+    /// Two nodes spawned from one config stand apart: the bound port is
+    /// mixed into each one's seed, so their suspect windows for the same
+    /// epoch differ.
+    #[test]
+    fn nodes_spawned_from_one_config_draw_their_own_stagger() {
+        let config = ServerConfig {
+            workers: 1,
+            shards: 1,
+            capacity_per_shard: 16,
+            ..ServerConfig::default()
+        };
+        let nodes = [0, 1].map(|_| crate::spawn(config.clone()).expect("spawn node"));
+        let [a, b] = nodes.each_ref().map(|n| {
+            let state = n.state();
+            state.role().suspect_window(state.config.repl_seed, BASE)
+        });
+        for node in nodes {
+            node.request_shutdown();
+            let _ = node.join();
+        }
+        assert_ne!(a, b, "one config, one stagger");
+    }
+
     /// Two replicas of a primary that is gone, with no threads: each has
     /// the other and the dead address as its electorate, and its sink
     /// stands on its own once the primary has been silent a window.

@@ -356,33 +356,44 @@ echo "ok: the processor count, the trace gate and the coherence model live in th
 
 echo "== every flag exercised =="
 # A goccd flag stays only while something exercises it, and goccd's own
-# parse test sets every one and checks the field it fills. Its match arms,
-# usage(), README's flag table and that test's table must name the same
+# parse test sets every one and checks the field it fills. parse_args's
+# Flags rows, README's flag table and that test's table must name the same
 # flags: one added, or deleted, in some of them and not the others is
-# drift.
+# drift. The usage line is generated from the rows, so it cannot drift; a
+# match arm on a flag string or a hand-written usage() would be a second
+# parser. Every binary in server and loadgen parses through one Flags.
 goccd=crates/server/src/bin/goccd.rs
 flags_of() { grep -oE -- '--[a-z][a-z-]*' | sort -u; }
 block_of() { awk -v start="$1" -v stop="$2" \
   'index($0, start) == 1 { on = 1 } on { print } on && index($0, stop) == 1 { exit }' "$goccd"; }
-arms=$(grep -oE '"--[a-z-]+" =>' "$goccd" | flags_of)
-usage=$(block_of 'fn usage()' '}' | flags_of)
+rows=$(block_of 'fn parse_args(' '}' | grep -oE '^[[:space:]]+\.[a-z_]+\("--[a-z-]+"' | flags_of)
 table=$(block_of '    const FLAGS' '    ];' | grep -oE '^[[:space:]]+\(?"--[a-z-]+"' | flags_of)
 readme=$(awk '/^### goccd flags/ { on = 1; next } on && /^#/ { exit } on && /^\|/ { print }' \
   README.md | flags_of)
 drift=0
-for source in usage table readme; do
+for source in table readme; do
   eval "listed=\$$source"
-  if [ "$listed" != "$arms" ]; then
-    echo "goccd match arms: " $arms >&2
+  if [ "$listed" != "$rows" ]; then
+    echo "goccd Flags rows: " $rows >&2
     echo "goccd $source: " $listed >&2
     drift=1
   fi
 done
-if [ "$drift" -ne 0 ] || [ -z "$arms" ]; then
-  echo "FAIL: goccd's flags drifted between its arms, usage(), README and the parse test" >&2
+if [ "$drift" -ne 0 ] || [ -z "$rows" ]; then
+  echo "FAIL: goccd's flags drifted between its Flags rows, README and the parse test" >&2
   exit 1
 fi
-echo "ok: $(echo "$arms" | wc -l) goccd flags, each in usage(), README and the parse test"
+if grep -nE '"--[a-z-]+".*=>|fn usage' "$goccd"; then
+  echo "FAIL: goccd.rs has a second parser (a match arm on a flag or a usage())" >&2
+  exit 1
+fi
+for bin in crates/server/src/bin/*.rs crates/loadgen/src/bin/*.rs; do
+  if ! grep -q 'Flags::new(' "$bin"; then
+    echo "FAIL: $bin does not parse through Flags" >&2
+    exit 1
+  fi
+done
+echo "ok: $(echo "$rows" | wc -l) goccd flags, each in README and the parse test; every bin on Flags"
 
 echo "== formatting =="
 cargo fmt --check
