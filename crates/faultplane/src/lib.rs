@@ -55,11 +55,11 @@ mod storage;
 mod transport;
 
 pub use htm::{AbortMix, HtmFaultPlan, InjectedAbort, INJECTED_ABORT_NAMES};
-pub use load::{LoadFault, LoadFaultPlan, LoadMix, LOAD_FAULT_NAMES};
+pub use load::{LoadFault, LoadFaultPlan, LoadMix};
 pub use pairing::PairingFaultPlan;
 pub use report::FaultReport;
 pub use seq::SeqTable;
-pub use storage::{StorageFault, StorageFaultPlan, StorageMix, STORAGE_FAULT_NAMES};
+pub use storage::{StorageFault, StorageFaultPlan, StorageMix};
 pub use transport::{TransportFault, TransportFaultPlan, TransportMix, TRANSPORT_FAULT_NAMES};
 
 use gocc_telemetry::SplitMix64;

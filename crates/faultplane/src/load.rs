@@ -33,7 +33,7 @@ pub enum LoadFault {
 }
 
 impl LoadFault {
-    /// Stable index into [`LOAD_FAULT_NAMES`] and counter arrays.
+    /// Stable index into counter arrays.
     #[must_use]
     pub fn index(self) -> usize {
         match self {
@@ -42,9 +42,6 @@ impl LoadFault {
         }
     }
 }
-
-/// Names matching [`LoadFault::index`], for reports.
-pub const LOAD_FAULT_NAMES: [&str; 2] = ["stall", "slow_store"];
 
 /// Per-decision load fault probabilities and magnitudes.
 #[derive(Clone, Copy, Debug, PartialEq)]

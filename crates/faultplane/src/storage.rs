@@ -45,7 +45,7 @@ pub enum StorageFault {
 }
 
 impl StorageFault {
-    /// Stable index into [`STORAGE_FAULT_NAMES`] and counter arrays.
+    /// Stable index into counter arrays.
     #[must_use]
     pub fn index(self) -> usize {
         match self {
@@ -56,9 +56,6 @@ impl StorageFault {
         }
     }
 }
-
-/// Names matching [`StorageFault::index`], for reports and STATS.
-pub const STORAGE_FAULT_NAMES: [&str; 4] = ["crash", "torn_write", "short_fsync", "ckpt_crash"];
 
 /// Per-operation storage fault probabilities. Absolute, each in `[0, 1]`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -102,8 +102,8 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "transform" => {
-            let plans: Vec<_> = if only_hot {
-                report.plans.iter().filter(|p| p.hot).cloned().collect()
+            let plans = if only_hot {
+                report.hot_plans()
             } else {
                 report.plans.clone()
             };

@@ -1,7 +1,5 @@
 //! Package loading: sources → AST + types + CFGs + points-to + call graph.
 
-use std::collections::HashMap;
-
 use gocc_flowgraph::{build_cfg, BuildCtx, FuncUnit};
 use gocc_pointsto::{CallGraph, PointsTo};
 use golite::ast::File;
@@ -73,18 +71,6 @@ impl Package {
     pub fn all_units(&self) -> impl Iterator<Item = &FuncUnit> {
         self.units.iter().flatten()
     }
-
-    /// Map from unit name to its index pair `(file, unit)`.
-    #[must_use]
-    pub fn unit_index(&self) -> HashMap<String, (usize, usize)> {
-        let mut out = HashMap::new();
-        for (fi, file_units) in self.units.iter().enumerate() {
-            for (ui, u) in file_units.iter().enumerate() {
-                out.insert(u.name.clone(), (fi, ui));
-            }
-        }
-        out
-    }
 }
 
 fn build_call_graph(units: &[&FuncUnit]) -> CallGraph {
@@ -102,8 +88,7 @@ mod tests {
         let pkg = Package::load(&[("types.go", a), ("inc.go", b)]).unwrap();
         assert_eq!(pkg.files.len(), 2);
         assert_eq!(pkg.all_units().count(), 1);
-        let idx = pkg.unit_index();
-        assert!(idx.contains_key("C.Inc"));
+        assert!(pkg.all_units().any(|u| u.name == "C.Inc"));
     }
 
     #[test]

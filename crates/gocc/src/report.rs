@@ -113,8 +113,8 @@ impl PackageReport {
 
     /// Plans surviving the profile filter.
     #[must_use]
-    pub fn hot_plans(&self) -> Vec<&TransformPlan> {
-        self.plans.iter().filter(|p| p.hot).collect()
+    pub fn hot_plans(&self) -> Vec<TransformPlan> {
+        self.plans.iter().filter(|p| p.hot).cloned().collect()
     }
 }
 

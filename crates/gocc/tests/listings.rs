@@ -353,7 +353,7 @@ func (c *C) Cold() {{
         rep.funnel.transformed_hot, 1,
         "only the hot pair survives the filter"
     );
-    let hot: Vec<_> = rep.hot_plans();
+    let hot = rep.hot_plans();
     assert_eq!(hot.len(), 1);
     assert_eq!(hot[0].unit, "C.Hot");
 }

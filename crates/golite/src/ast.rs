@@ -527,13 +527,4 @@ impl File {
             _ => None,
         })
     }
-
-    /// Finds a struct declaration by name.
-    #[must_use]
-    pub fn find_struct(&self, name: &str) -> Option<&StructDecl> {
-        self.decls.iter().find_map(|d| match d {
-            Decl::TypeStruct(s) if s.name == name => Some(s),
-            _ => None,
-        })
-    }
 }

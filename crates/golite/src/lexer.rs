@@ -480,35 +480,6 @@ impl<'s> Lexer<'s> {
     }
 }
 
-/// Maps byte offsets to 1-based line numbers.
-#[derive(Debug)]
-pub struct LineMap {
-    line_starts: Vec<u32>,
-}
-
-impl LineMap {
-    /// Builds a line map for `src`.
-    #[must_use]
-    pub fn new(src: &str) -> Self {
-        let mut line_starts = vec![0];
-        for (i, b) in src.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
-        LineMap { line_starts }
-    }
-
-    /// 1-based line containing byte `offset`.
-    #[must_use]
-    pub fn line_of(&self, offset: u32) -> u32 {
-        match self.line_starts.binary_search(&offset) {
-            Ok(i) => i as u32 + 1,
-            Err(i) => i as u32,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,15 +559,6 @@ mod tests {
                 Tok::Define,
             ]
         );
-    }
-
-    #[test]
-    fn line_map() {
-        let lm = LineMap::new("a\nbb\nccc\n");
-        assert_eq!(lm.line_of(0), 1);
-        assert_eq!(lm.line_of(2), 2);
-        assert_eq!(lm.line_of(3), 2);
-        assert_eq!(lm.line_of(5), 3);
     }
 
     #[test]

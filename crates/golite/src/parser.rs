@@ -1294,11 +1294,17 @@ type Anon struct {
 }
 "#;
         let f = parse(src);
-        let c = f.find_struct("Counter").unwrap();
+        let mut structs = f.decls.iter().filter_map(|d| match d {
+            Decl::TypeStruct(s) => Some(s),
+            _ => None,
+        });
+        let c = structs.next().unwrap();
+        assert_eq!(c.name, "Counter");
         assert_eq!(c.fields.len(), 3);
         assert!(c.fields[0].ty.is_mutex());
         assert!(!c.fields[0].is_embedded());
-        let a = f.find_struct("Anon").unwrap();
+        let a = structs.next().unwrap();
+        assert_eq!(a.name, "Anon");
         assert!(a.fields[0].is_embedded());
         assert_eq!(a.fields[0].access_name(), "Mutex");
         assert!(a.fields[0].ty.is_mutex());

@@ -18,30 +18,6 @@ pub fn print_file(file: &File) -> String {
     p.out
 }
 
-/// Prints a single statement (diagnostics, tests).
-#[must_use]
-pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::default();
-    p.stmt(stmt);
-    p.out.trim_end().to_string()
-}
-
-/// Prints a single expression.
-#[must_use]
-pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::default();
-    p.expr(expr);
-    p.out
-}
-
-/// Prints a type.
-#[must_use]
-pub fn print_type(ty: &Type) -> String {
-    let mut p = Printer::default();
-    p.ty(ty);
-    p.out
-}
-
 #[derive(Default)]
 struct Printer {
     out: String,
@@ -608,16 +584,5 @@ func f() {
         let f = parse_file("package p\nfunc f() int {\n\treturn (1 + 2) * 3\n}\n").unwrap();
         let printed = print_file(&f);
         assert!(printed.contains("(1 + 2) * 3"), "got: {printed}");
-    }
-
-    #[test]
-    fn print_expr_snippets() {
-        let f = parse_file("package p\nfunc f() {\n\tc.mu.Lock()\n}\n").unwrap();
-        let fd = f.funcs().next().unwrap();
-        if let crate::ast::Stmt::Expr(e) = &fd.body.stmts[0] {
-            assert_eq!(print_expr(e), "c.mu.Lock()");
-        } else {
-            panic!("expected expr stmt");
-        }
     }
 }

@@ -110,13 +110,6 @@ impl LockLedger {
     pub fn held(&self, id: usize) -> u64 {
         self.held.lock().unwrap().get(&id).copied().unwrap_or(0)
     }
-
-    /// Whether every recorded lock has been released and no mispair was
-    /// ever detected — the clean-run invariant drivers assert at the end.
-    #[must_use]
-    pub fn is_balanced(&self) -> bool {
-        self.mispairs() == 0 && self.held_total() == 0
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +136,7 @@ mod tests {
         assert!(ledger.note_unlock(ia));
         assert!(ledger.note_unlock(ib));
 
-        assert!(ledger.is_balanced());
+        assert_eq!((ledger.mispairs(), ledger.held_total()), (0, 0));
         assert_eq!(ledger.locks(), 4);
         assert_eq!(ledger.unlocks(), 4);
     }
@@ -163,7 +156,7 @@ mod tests {
         // The correct unlock still balances afterwards.
         assert!(ledger.note_unlock(ia));
         assert_eq!(ledger.held_total(), 0);
-        assert!(!ledger.is_balanced(), "a detected mispair is never clean");
+        assert_ne!(ledger.mispairs(), 0, "a detected mispair is never clean");
     }
 
     #[test]
@@ -200,7 +193,7 @@ mod tests {
                 });
             }
         });
-        assert!(ledger.is_balanced());
+        assert_eq!((ledger.mispairs(), ledger.held_total()), (0, 0));
         assert_eq!(ledger.locks(), THREADS * ITERS);
         assert_eq!(ledger.unlocks(), THREADS * ITERS);
     }

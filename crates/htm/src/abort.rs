@@ -77,22 +77,6 @@ impl AbortCause {
             AbortCause::Unfriendly => 6,
         }
     }
-
-    /// The synthetic TSX `EAX` status word for this cause.
-    ///
-    /// Useful for tests asserting bit-level compatibility with the RTM ABI.
-    #[must_use]
-    pub fn eax(self) -> u32 {
-        match self {
-            AbortCause::Explicit(code) => 0b1 | (u32::from(code) << 24) | 0b10,
-            AbortCause::Retry => 0b10,
-            AbortCause::Conflict => 0b110,
-            AbortCause::Capacity => 0b1000,
-            AbortCause::Debug => 0b1_0000,
-            AbortCause::Nested => 0b10_0000,
-            AbortCause::Unfriendly => 0,
-        }
-    }
 }
 
 impl fmt::Display for AbortCause {
@@ -153,19 +137,6 @@ mod tests {
         assert!(!AbortCause::Capacity.is_transient());
         assert!(!AbortCause::Unfriendly.is_transient());
         assert!(!AbortCause::Explicit(MUTEX_MISMATCH_CODE).is_transient());
-    }
-
-    #[test]
-    fn eax_encoding_matches_tsx_bits() {
-        // XABORT sets bit 0, carries the code in bits 31:24, and sets the
-        // retry bit.
-        let eax = AbortCause::Explicit(0xAB).eax();
-        assert_eq!(eax & 1, 1);
-        assert_eq!(eax >> 24, 0xAB);
-        // Conflict sets bit 2 and the retry bit.
-        assert_eq!(AbortCause::Conflict.eax(), 0b110);
-        // Capacity sets bit 3 only (not worth retrying).
-        assert_eq!(AbortCause::Capacity.eax(), 0b1000);
     }
 
     #[test]

@@ -93,19 +93,6 @@ impl StripeTable {
         StripeSnapshot(self.word(id).load(Ordering::Acquire))
     }
 
-    /// Attempts to lock the stripe, expecting it to hold `seen`.
-    ///
-    /// Returns `true` on success. Fails if the stripe is locked or its
-    /// version changed since `seen` was observed.
-    pub fn try_lock(&self, id: StripeId, seen: StripeSnapshot) -> bool {
-        if seen.is_locked() {
-            return false;
-        }
-        self.word(id)
-            .compare_exchange(seen.0, seen.0 | 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-    }
-
     /// Attempts to lock the stripe at whatever version it currently holds.
     ///
     /// Returns the pre-lock snapshot on success, `None` if the stripe is
@@ -123,8 +110,8 @@ impl StripeTable {
 
     /// Unlocks the stripe, installing `new_version`.
     ///
-    /// The caller must hold the stripe lock (acquired via [`Self::try_lock`]
-    /// or [`Self::try_lock_current`]); this is a plain release store, which
+    /// The caller must hold the stripe lock (acquired via
+    /// [`Self::try_lock_current`]); this is a plain release store, which
     /// is sound because the lock bit excludes concurrent writers.
     pub fn unlock_with_version(&self, id: StripeId, new_version: u64) {
         debug_assert!(
@@ -175,9 +162,8 @@ mod tests {
         let snap = t.load(id);
         assert!(!snap.is_locked());
         assert_eq!(snap.version(), 0);
-        assert!(t.try_lock(id, snap));
+        assert_eq!(t.try_lock_current(id), Some(snap));
         // Second lock attempt fails while held.
-        assert!(!t.try_lock(id, snap));
         assert!(t.try_lock_current(id).is_none());
         t.unlock_with_version(id, 7);
         let snap = t.load(id);

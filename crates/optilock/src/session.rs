@@ -508,8 +508,8 @@ impl OptiLock {
     fn note_abort(&mut self, rt: &GoccRuntime, lock: LockRef<'_>, abort: &Abort) {
         self.attempts_left = self.attempts_left.saturating_sub(1);
         self.section_aborts = self.section_aborts.saturating_add(1);
-        if !abort.cause.is_transient() {
-            // Deterministic causes exhaust the budget immediately.
+        if !rt.policy().should_retry(abort.cause, self.attempts_left) {
+            // A cause the policy does not retry exhausts the budget.
             self.attempts_left = 0;
         }
         self.trace_attempt_outcome(rt, 1 + abort.cause.index() as u64);

@@ -93,9 +93,6 @@ fn report_json_round_trips_through_the_parser() {
     let slow = sites[0].get("slow_sections").unwrap().as_f64().unwrap();
     assert_eq!(commits + slow, 50.0);
     assert!(starts >= commits);
-    // The text rendering carries the same totals.
-    let text = report.to_text();
-    assert!(text.contains("fast latency"), "{text}");
 }
 
 #[test]

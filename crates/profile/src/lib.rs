@@ -57,15 +57,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Creates an empty profile with a declared total time.
-    #[must_use]
-    pub fn with_total(total_ns: u64) -> Self {
-        Profile {
-            total_ns,
-            ..Profile::default()
-        }
-    }
-
     /// Parses the text format:
     ///
     /// ```text
@@ -130,38 +121,6 @@ impl Profile {
             }
         }
         Ok(p)
-    }
-
-    /// Serializes back to the text format (round-trips with [`Self::parse`]).
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = format!("total {}\n", self.total_ns);
-        let mut funcs: Vec<_> = self.funcs.iter().collect();
-        funcs.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, w) in funcs {
-            out.push_str(&format!("func {name} {} {}\n", w.flat_ns, w.cum_ns));
-        }
-        let mut edges: Vec<_> = self.edges.iter().collect();
-        edges.sort_by(|a, b| a.0.cmp(b.0));
-        for ((caller, callee), w) in edges {
-            out.push_str(&format!("edge {caller} {callee} {w}\n"));
-        }
-        out
-    }
-
-    /// Records inclusive/exclusive time for a function (builder API).
-    pub fn record_func(&mut self, name: &str, flat_ns: u64, cum_ns: u64) {
-        let w = self.funcs.entry(name.to_string()).or_default();
-        w.flat_ns += flat_ns;
-        w.cum_ns += cum_ns;
-    }
-
-    /// Records a caller→callee edge weight.
-    pub fn record_edge(&mut self, caller: &str, callee: &str, ns: u64) {
-        *self
-            .edges
-            .entry((caller.to_string(), callee.to_string()))
-            .or_insert(0) += ns;
     }
 
     /// Total profiled time.
@@ -269,29 +228,10 @@ edge hot.Path warm.Path 10000
     }
 
     #[test]
-    fn roundtrip_text() {
-        let p = Profile::parse(TEXT).unwrap();
-        let p2 = Profile::parse(&p.to_text()).unwrap();
-        assert_eq!(p2.total_ns(), p.total_ns());
-        assert_eq!(p2.func("warm.Path"), p.func("warm.Path"));
-        assert_eq!(p2.edge("hot.Path", "warm.Path"), 10_000);
-    }
-
-    #[test]
     fn parse_errors() {
         assert!(Profile::parse("bogus line").is_err());
         assert!(Profile::parse("total abc").is_err());
         let err = Profile::parse("func onlyname").unwrap_err();
         assert_eq!(err.line, 1);
-    }
-
-    #[test]
-    fn builder_api() {
-        let mut p = Profile::with_total(100);
-        p.record_func("f", 10, 60);
-        p.record_func("f", 0, 10);
-        p.record_edge("main", "f", 70);
-        assert_eq!(p.func("f").unwrap().cum_ns, 70);
-        assert!(p.is_hot("f", 0.5));
     }
 }

@@ -12,6 +12,9 @@ use std::time::{Duration, Instant};
 use gocc_server::{spawn, ServerConfig};
 use gocc_wire::{Pipe, Request, Response};
 
+mod common;
+use common::server_threads;
+
 #[repr(C)]
 struct Rlimit {
     cur: u64,
@@ -30,20 +33,9 @@ extern "C" {
 fn acceptor_cpu_ns() -> u64 {
     let t0 = Instant::now();
     loop {
-        for task in std::fs::read_dir("/proc/self/task")
-            .expect("procfs")
-            .flatten()
-        {
-            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-            if comm.starts_with("goccd-acceptor") {
-                let schedstat = std::fs::read_to_string(task.path().join("schedstat")).unwrap();
-                return schedstat
-                    .split_whitespace()
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .unwrap();
-            }
+        let threads = server_threads();
+        if let Some(acceptor) = threads.iter().find(|t| t.name == "goccd-acceptor") {
+            return acceptor.cpu_ns();
         }
         assert!(
             t0.elapsed() < Duration::from_secs(2),

@@ -1,12 +1,15 @@
-//! The client the end-to-end tests share, and the rig for the tests that
-//! drive a worker's passes by hand on virtual time, over in-memory links
-//! with no socket (not every test binary does, hence the `allow`).
+//! The client the end-to-end tests share, the `/proc` reader that counts
+//! a server's threads, and the rig for the tests that drive a worker's
+//! passes by hand on virtual time, over in-memory links with no socket
+//! (not every test binary uses all of it, hence the `allow`).
 #![allow(dead_code)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fs;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +26,69 @@ pub fn connect(port: u16) -> Pipe<TcpStream> {
         .unwrap();
     stream.set_nodelay(true).unwrap();
     Pipe::new(stream)
+}
+
+/// One thread of this process, as `/proc/self/task` shows it, read the
+/// way `benchmark/src/procfs.rs` reads it.
+pub struct Thread {
+    /// Its name. `comm` keeps 15 bytes: `goccd-checkpoint` reads
+    /// `goccd-checkpoin`. Two servers in one process each own a
+    /// `goccd-worker-0`, so a name is not an identity; `tid` is.
+    pub name: String,
+    /// Its id, the directory's name under `/proc/self/task`.
+    pub tid: u64,
+    dir: PathBuf,
+}
+
+impl Thread {
+    fn field(&self, file: &str) -> String {
+        fs::read_to_string(self.dir.join(file)).unwrap_or_default()
+    }
+
+    /// Voluntary context switches so far: the thread's wake-ups.
+    pub fn switches(&self) -> u64 {
+        let status = self.field("status");
+        let count = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        count
+            .and_then(|v| v.trim().parse().ok())
+            .expect("voluntary_ctxt_switches")
+    }
+
+    /// CPU nanoseconds the thread has used so far.
+    pub fn cpu_ns(&self) -> u64 {
+        let schedstat = self.field("schedstat");
+        let ran = schedstat.split_whitespace().next();
+        ran.and_then(|v| v.parse().ok()).expect("schedstat")
+    }
+}
+
+/// Every thread of this process, sorted by name, then by id.
+pub fn threads() -> Vec<Thread> {
+    let mut threads: Vec<Thread> = fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .flatten()
+        .map(|task| {
+            let dir = task.path();
+            let comm = fs::read_to_string(dir.join("comm")).unwrap_or_default();
+            Thread {
+                name: comm.trim_end().to_string(),
+                tid: task.file_name().to_string_lossy().parse().expect("tid"),
+                dir,
+            }
+        })
+        .collect();
+    threads.sort_by(|a, b| (&a.name, a.tid).cmp(&(&b.name, b.tid)));
+    threads
+}
+
+/// The threads the servers in this process started: their `goccd-*`
+/// threads and their logs' `wal-syncer`s.
+pub fn server_threads() -> Vec<Thread> {
+    let mut threads = threads();
+    threads.retain(|t| t.name.starts_with("goccd-") || t.name == "wal-syncer");
+    threads
 }
 
 /// One direction of a [`Link`]: the bytes written and not read yet, at

@@ -7,14 +7,13 @@
 //! next tick: that wait lasts what it says, and the ticks come one per
 //! `IDLE_PASS` whatever each wake-up and pass took.
 //!
-//! Thread accounting comes from `/proc/self/task/*` by thread name, as
-//! `benchmark/src/procfs.rs` reads it, so the tests take turns: two live
-//! servers in this process would both own a `goccd-worker-0`. The tests
-//! that drive a `Worker` on virtual time take turns too, so their CPU is
-//! not spent beside a census.
+//! Thread accounting comes from `/proc/self/task/*` (`common::threads`),
+//! so the tests take turns: what one server's threads did must not be
+//! summed with another's. The tests that drive a `Worker` on virtual time
+//! take turns too, so their CPU is not spent beside a measurement. Every
+//! thread's idle wake-ups are bounded in one place, `surface.rs`.
 
-use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::{Mutex, MutexGuard};
@@ -24,10 +23,12 @@ use gocc_server::idle::{self, IDLE_PASS};
 use gocc_server::{
     spawn, BrownoutConfig, HealthState, Next, ServerConfig, ServerHandle, ServerState, Worker,
 };
-use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
+use gocc_wire::{encode_request_v2, Pipe, Request, Response};
 
 mod common;
-use common::{connect, hand_worker, steady_brownout, until_it_blocks, Hand, Link};
+use common::{
+    connect, hand_worker, server_threads, steady_brownout, until_it_blocks, Hand, Link, Thread,
+};
 
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -66,48 +67,12 @@ fn burst(c: &mut Pipe<TcpStream>, reqs: &[Request<'_>]) {
     }
 }
 
-/// The `/proc/self/task` directories of every thread the server in this
-/// process started, with their names.
-fn server_threads() -> Vec<(String, std::path::PathBuf)> {
-    let mut threads: Vec<_> = fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .flatten()
-        .map(|task| {
-            let dir = task.path();
-            let comm = fs::read_to_string(dir.join("comm")).unwrap_or_default();
-            (comm.trim_end().to_string(), dir)
-        })
-        .filter(|(comm, _)| comm.starts_with("goccd-"))
-        .collect();
-    threads.sort();
-    threads
-}
-
-/// Voluntary context switches of one thread: its wake-ups.
-fn switches(dir: &std::path::Path) -> u64 {
-    let status = fs::read_to_string(dir.join("status")).unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .expect("voluntary_ctxt_switches")
-}
-
 /// Voluntary context switches and CPU nanoseconds, summed over every
-/// thread the server in this process started: the workers and the
-/// acceptor.
+/// thread the server in this process started.
 fn server_thread_use() -> (u64, u64) {
-    let (mut wakeups, mut cpu_ns) = (0, 0);
-    for (_, dir) in server_threads() {
-        wakeups += switches(&dir);
-        let schedstat = fs::read_to_string(dir.join("schedstat")).unwrap_or_default();
-        cpu_ns += schedstat
-            .split_whitespace()
-            .next()
-            .and_then(|v| v.parse::<u64>().ok())
-            .expect("schedstat");
-    }
-    (wakeups, cpu_ns)
+    let threads = server_threads();
+    let wakeups = threads.iter().map(Thread::switches).sum();
+    (wakeups, threads.iter().map(Thread::cpu_ns).sum())
 }
 
 /// `(idle_blocks, coalesce_sleeps)` of worker 0 once it has stopped
@@ -135,196 +100,6 @@ fn settled_idle_counts(handle: &ServerHandle) -> (u64, u64) {
 fn shut_down(handle: ServerHandle) -> gocc_server::ServerSummary {
     handle.request_shutdown();
     handle.join()
-}
-
-#[test]
-fn an_idle_server_with_an_open_connection_stays_asleep() {
-    let _turn = take_turn();
-    // `repl_accept` adds no thread: a replica's stream would be pumped by
-    // the worker that accepts it.
-    for repl_accept in [false, true] {
-        let handle = spawn(ServerConfig {
-            repl_accept,
-            ..config(1)
-        })
-        .expect("spawn");
-        let mut c = connect(handle.port());
-        set(&mut c, b"k", 1);
-        settled_idle_counts(&handle);
-        let names: Vec<String> = server_threads().into_iter().map(|(name, _)| name).collect();
-        assert_eq!(
-            names,
-            ["goccd-acceptor", "goccd-worker-0"],
-            "repl_accept={repl_accept}"
-        );
-        let (switches0, cpu0) = server_thread_use();
-        std::thread::sleep(Duration::from_millis(300));
-        let (switches1, cpu1) = server_thread_use();
-        // A 200 µs poll-and-sleep made about 1 300 here, per thread that
-        // kept one.
-        assert!(
-            switches1 - switches0 < 20,
-            "repl_accept={repl_accept}: {} voluntary switches in 300 ms of idleness",
-            switches1 - switches0
-        );
-        assert!(cpu1 - cpu0 < 20_000_000, "idle threads burned CPU");
-        // Still there, still serving.
-        assert_eq!(
-            get(&mut c, b"k"),
-            Response::Value {
-                found: true,
-                value: 1
-            }
-        );
-        shut_down(handle);
-    }
-}
-
-/// A replica's end of one stream, raw: subscribes at version 0, then
-/// acks every batch it is sent, heartbeats included, until the server
-/// closes the stream.
-fn acking_subscriber(port: u16, shards: usize) -> std::thread::JoinHandle<()> {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    std::thread::spawn(move || {
-        let mut frame = Vec::new();
-        let hello = ReplRequest::Hello {
-            versions: vec![0; shards],
-        };
-        encode_request_v2(&Request::Repl(hello), None, &mut frame);
-        let mut alive = stream.write_all(&frame).is_ok();
-        let mut len = [0u8; 4];
-        while alive && stream.read_exact(&mut len).is_ok() {
-            let mut body = vec![0; u32::from_le_bytes(len) as usize];
-            if stream.read_exact(&mut body).is_err() {
-                return;
-            }
-            let Ok(Response::ReplBatch {
-                shard,
-                prev_version,
-                records,
-                ..
-            }) = decode_response(&body)
-            else {
-                continue;
-            };
-            let version = prev_version + records.len() as u64;
-            frame.clear();
-            let nak = false;
-            let ack = ReplRequest::Ack {
-                shard,
-                version,
-                nak,
-            };
-            encode_request_v2(&Request::Repl(ack), None, &mut frame);
-            alive = stream.write_all(&frame).is_ok();
-        }
-    })
-}
-
-#[test]
-fn subscribed_workers_wake_for_heartbeats_and_acks_only() {
-    let _turn = take_turn();
-    let dir = std::env::temp_dir().join(format!("gocc-census-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let mut cfg = ServerConfig {
-        repl_accept: true,
-        data_dir: Some(dir.clone()),
-        ..config(2)
-    };
-    cfg.wal.checkpoint_every = 100;
-    let handle = spawn(cfg).expect("spawn");
-    let feed = handle.state().repl_feed().expect("feed");
-    let subscribers: Vec<_> = (0..2)
-        .map(|_| acking_subscriber(handle.port(), 2))
-        .collect();
-    let t0 = Instant::now();
-    while feed.counters().acks() < 4 {
-        assert!(t0.elapsed() < Duration::from_secs(5), "no acks came");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(feed.subscriber_count(), 2);
-    // A heartbeat every `repl_lease / 4` (125 ms) per stream and shard,
-    // and the acks that answer them: tens a second per worker. Taking a
-    // pass every `IDLE_PASS` for a stream made ≈ 5 000 a second per
-    // subscribed worker.
-    let census = || -> Vec<(String, u64)> {
-        let threads = server_threads().into_iter();
-        threads.map(|(name, dir)| (name, switches(&dir))).collect()
-    };
-    let before = census();
-    std::thread::sleep(Duration::from_secs(1));
-    let after = census();
-    let per_thread: Vec<(String, u64)> = before
-        .iter()
-        .zip(&after)
-        .map(|((name, a), (_, b))| (name.clone(), b - a))
-        .collect();
-    println!("wake-ups in 1 s, two idle acking subscribers: {per_thread:?}");
-    let of = |prefix: &str| -> u64 {
-        let named = per_thread
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix));
-        named.map(|(_, n)| n).sum()
-    };
-    // `comm` keeps 15 bytes: "goccd-checkpoin".
-    assert!(per_thread
-        .iter()
-        .any(|(name, _)| name.starts_with("goccd-check")));
-    assert!(of("goccd-worker-") < 200, "{per_thread:?}");
-    assert!(of("goccd-check") < 5, "{per_thread:?}");
-    assert!(of("goccd-acceptor") < 5, "{per_thread:?}");
-    // Shutdown closes the streams, which ends the subscribers.
-    shut_down(handle);
-    for s in subscribers {
-        s.join().expect("subscriber");
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn an_idle_replica_sink_wakes_for_its_upstreams_heartbeats() {
-    let _turn = take_turn();
-    // With auto-promotion the sink's wait ends at the suspect deadline
-    // too, which the heartbeats keep pushing back.
-    for repl_auto_promote in [false, true] {
-        let primary = spawn(ServerConfig {
-            repl_accept: true,
-            ..config(1)
-        })
-        .expect("spawn primary");
-        let replica = spawn(ServerConfig {
-            replica_of: Some(format!("127.0.0.1:{}", primary.port())),
-            repl_auto_promote,
-            ..config(1)
-        })
-        .expect("spawn replica");
-        let feed = primary.state().repl_feed().expect("feed");
-        let t0 = Instant::now();
-        while feed.counters().acks() < 4 {
-            assert!(t0.elapsed() < Duration::from_secs(5), "no acks came");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let (_, sink) = server_threads()
-            .into_iter()
-            .find(|(name, _)| name == "goccd-replica")
-            .expect("the replica's sink thread");
-        let window = Duration::from_secs(2);
-        let before = switches(&sink);
-        std::thread::sleep(window);
-        let woken = switches(&sink) - before;
-        // One heartbeat write per `repl_lease / 4`, both shards' beats in
-        // it: 16 in the window. Reading with a 50 ms timeout, the sink
-        // woke 46–48 times.
-        let beat = ServerConfig::default().repl_lease / 4;
-        let beats = window.as_millis() / beat.as_millis();
-        println!("auto_promote={repl_auto_promote}: the sink woke {woken} times for {beats} beats");
-        assert!(
-            u128::from(woken) <= beats * 3 / 2,
-            "auto_promote={repl_auto_promote}: {woken} wake-ups for {beats} heartbeats in {window:?}"
-        );
-        shut_down(replica);
-        shut_down(primary);
-    }
 }
 
 #[test]

@@ -1,7 +1,5 @@
 //! Serializable snapshot of a [`crate::Telemetry`] bundle.
 
-use std::fmt::Write as _;
-
 use crate::events::{Event, EventOutcome};
 use crate::histogram::HistogramSnapshot;
 use crate::json::JsonWriter;
@@ -116,61 +114,6 @@ impl TelemetryReport {
         w.end_array().end_object();
         w.finish()
     }
-
-    /// Renders an aligned human-readable table (the `perf report` analog:
-    /// hottest sites first by total sections).
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<18} {:<18} {:>10} {:>10} {:>8} {:>8}  abort breakdown",
-            "site", "lock", "starts", "commits", "slow", "aborts"
-        );
-        let mut rows: Vec<&SiteRecord> = self.sites.iter().collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.commits + r.slow_sections));
-        for r in rows {
-            let mut causes = String::new();
-            for (name, &count) in ABORT_CAUSE_NAMES.iter().zip(&r.aborts) {
-                if count > 0 {
-                    let _ = write!(causes, "{name}={count} ");
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:<18} {:<18} {:>10} {:>10} {:>8} {:>8}  {}",
-                format!("0x{:x}", r.site),
-                format!("0x{:x}", r.lock),
-                r.starts,
-                r.commits,
-                r.slow_sections,
-                r.total_aborts(),
-                causes.trim_end()
-            );
-        }
-        for (label, h) in [
-            ("fast latency", &self.fast_latency),
-            ("slow latency", &self.slow_latency),
-        ] {
-            let _ = writeln!(
-                out,
-                "{label:<14} n={} mean={:.0}ns p50={}ns p99={}ns max={}ns",
-                h.count,
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-        if self.aliased_sites > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} updates hit aliased registry cells",
-                self.aliased_sites
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -234,12 +177,5 @@ mod tests {
                 .unwrap(),
             "conflict"
         );
-    }
-
-    #[test]
-    fn text_report_mentions_causes() {
-        let text = sample().to_text();
-        assert!(text.contains("conflict=4"), "{text}");
-        assert!(text.contains("0x1000"));
     }
 }

@@ -139,13 +139,6 @@ impl Scope {
         self.counter_allocation(engine, fnv1a(sanitized.as_bytes()))
     }
 
-    /// Updates the scope's gauge (a tiny write section).
-    pub fn gauge_update(&self, engine: &Engine<'_>, v: u64) {
-        engine.section(call_site!(), LockRef::Write(&self.gauges_lock), |tx| {
-            self.gauge_value.set(tx, v)
-        });
-    }
-
     /// A concurrency-non-sensitive benchmark body: pure name formatting,
     /// no locks (part of the "non sensitive" group of Figure 6).
     #[must_use]

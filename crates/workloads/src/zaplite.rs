@@ -13,12 +13,8 @@ use gocc_txds::{fnv1a, TxCounter, TxMap};
 
 use crate::engine::Engine;
 
-/// Log levels.
-pub const DEBUG: u64 = 0;
-/// Info level.
+/// The level the logger logs at, and the one `infow` checks.
 pub const INFO: u64 = 1;
-/// Error level.
-pub const ERROR: u64 = 2;
 
 /// The logger core: an atomic-ish level gate, a field registry and a
 /// buffered write path.
@@ -66,13 +62,6 @@ impl Logger {
         engine.section(call_site!(), LockRef::Read(&self.level_lock), |tx| {
             Ok(lvl >= self.level.get(tx)?)
         })
-    }
-
-    /// `SetLevel`: rare reconfiguration write.
-    pub fn set_level(&self, engine: &Engine<'_>, lvl: u64) {
-        engine.section(call_site!(), LockRef::Write(&self.level_lock), |tx| {
-            self.level.set(tx, lvl)
-        });
     }
 
     /// `FieldLookup`: resolve a structured field id.
@@ -132,14 +121,9 @@ mod tests {
             let rt = GoccRuntime::new_default();
             let log = Logger::new(rt.htm(), 8);
             let engine = Engine::new(&rt, mode);
-            assert!(log.enabled(&engine, ERROR));
-            assert!(!log.enabled(&engine, DEBUG));
+            assert!(log.enabled(&engine, INFO + 1));
+            assert!(!log.enabled(&engine, INFO - 1), "below INFO is off");
             assert!(log.infow(&engine, 2, 100));
-            log.set_level(&engine, ERROR);
-            assert!(
-                !log.infow(&engine, 2, 100),
-                "INFO suppressed at ERROR level"
-            );
             let (bytes, entries) = log.written(&engine);
             assert_eq!((bytes, entries), (100, 1), "mode {mode:?}");
         }

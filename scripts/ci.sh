@@ -395,6 +395,99 @@ for bin in crates/server/src/bin/*.rs crates/loadgen/src/bin/*.rs; do
 done
 echo "ok: $(echo "$rows" | wc -l) goccd flags, each in README and the parse test; every bin on Flags"
 
+echo "== no orphan pub item =="
+# A pub item outside tests that nothing outside tests names is surface
+# nobody uses: it goes, with the tests whose only subject it was. The
+# callers are the non-test code of crates/*/src (an in-file #[cfg(test)]
+# item is test code; so is alloc_budget.rs, a test module in its own
+# file), benchmark/src, src/ and examples/; a name in a comment or a
+# pub use is no caller. A name shared with another item hides it, so
+# this is a floor. What a test reads through (an observer, a fixture, a
+# reference the test compares against, a test's random draw) stays on
+# the list below, each with the test that reads through it.
+orphan_allow='
+Padded            crates/htm/tests/commit_gate.rs::elided_writers_never_tear_a_slow_path_read
+below_usize       crates/wire/tests/fuzz_decode.rs::v2_truncations_and_mutations_never_panic
+blobs             crates/txds/src/arena.rs::store_load_roundtrip
+commit_slot_usage crates/htm/tests/commit_gate.rs::thread_churn_does_not_grow_the_registry
+delete_seq        tests/cross_mode_prop.rs::batched_and_sequential_cache_agree_with_the_item_model_under_ttls
+drawn             crates/faultplane/src/seq.rs::per_key_sequences_are_independent
+flip              crates/wire/tests/fuzz_decode.rs::v2_truncations_and_mutations_never_panic
+incr_seq          tests/cross_mode_prop.rs::batched_and_sequential_cache_agree_with_the_item_model_under_ttls
+intersects        crates/pointsto/src/andersen.rs::distinct_struct_fields_do_not_alias
+is_starving       crates/gosync/tests/fairness.rs::long_holds_flip_to_starvation_and_hand_off
+is_write_held     crates/optilock/src/elidable.rs::mutex_word_tracks_pessimistic_ops
+obj_name          crates/pointsto/src/andersen.rs::global_and_local_mutexes_are_distinct
+reachable         crates/flowgraph/src/builder.rs::break_and_continue_edges
+retained          crates/telemetry/src/events.rs::ring_is_bounded
+set_seq           tests/cross_mode_prop.rs::batched_and_sequential_cache_agree_with_the_item_model_under_ttls
+slow_readers      crates/optilock/src/elidable.rs::rw_word_tracks_readers_and_writers
+tiny              crates/htm/tests/serializability_prop.rs::capacity_limits_are_exact
+try_lock          crates/gosync/tests/fairness.rs::try_lock_never_steals_from_starving_queue
+weight_sum        crates/optilock/tests/perceptron_props.rs::weight_sum_stays_bounded
+'
+# Prints "file:line:text" for every line of non-test code.
+non_test_lines() {
+  for f in $(find crates/*/src -name '*.rs' ! -path crates/server/src/alloc_budget.rs | sort); do
+    awk '
+      skip {
+        line = $0
+        gsub(/"([^"\\]|\\.)*"/, "", line); gsub(/\047.\047/, "", line)
+        o = gsub(/\{/, "{", line); c = gsub(/\}/, "}", line)
+        depth += o - c; if (o > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+        next
+      }
+      /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+      { print FILENAME ":" FNR ":" $0 }
+    ' "$f"
+  done
+  find benchmark/src src examples -name '*.rs' | sort | xargs awk '{ print FILENAME ":" FNR ":" $0 }'
+}
+orphans=$(non_test_lines | awk '
+  {
+    file = $0; sub(/:.*/, "", file)
+    text = $0; sub(/^[^:]*:[^:]*:/, "", text)
+    if (text ~ /^[[:space:]]*\/\//) next
+    sub(/[[:space:]]\/\/.*$/, "", text)
+    if (file ~ /^crates\// && match(text, /^[[:space:]]*pub (const |unsafe )?(fn|const|static|struct|enum|trait|type) [A-Za-z_][A-Za-z0-9_]*/)) {
+      n = split(substr(text, RSTART, RLENGTH), w, " "); defs[w[n]]++
+    }
+    if (text ~ /^[[:space:]]*pub use /) next
+    while (match(text, /[A-Za-z_][A-Za-z0-9_]*/)) {
+      seen[substr(text, RSTART, RLENGTH)]++
+      text = substr(text, RSTART + RLENGTH)
+    }
+  }
+  END { for (name in defs) if (seen[name] <= defs[name]) print name }
+' | sort)
+allowed=$(echo "$orphan_allow" | awk 'NF { print $1 }' | sort)
+bad=0
+for name in $orphans; do
+  if ! echo "$allowed" | grep -qx "$name"; then
+    echo "orphan pub item: $name (only tests name it: delete it, or list the test that reads through it)" >&2
+    bad=1
+  fi
+done
+echo "$orphan_allow" | while read -r name by; do
+  [ -n "$name" ] || continue
+  file=${by%%::*}
+  fn=${by#*::}
+  if ! echo "$orphans" | grep -qx "$name"; then
+    echo "allowlisted $name has a caller outside tests now: take it off the list" >&2
+    exit 1
+  fi
+  if ! grep -q "fn $fn[(<]" "$file" 2>/dev/null || ! grep -qw "$name" "$file"; then
+    echo "allowlisted $name: $by does not exist or does not read through it" >&2
+    exit 1
+  fi
+done || bad=1
+if [ "$bad" -ne 0 ]; then
+  echo "FAIL: a pub item has no caller outside tests, or the list of those a test reads through drifted" >&2
+  exit 1
+fi
+echo "ok: every pub item has a caller outside tests, or a test on the list reads through it ($(echo "$allowed" | wc -l) listed)"
+
 echo "== formatting =="
 cargo fmt --check
 

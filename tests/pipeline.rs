@@ -102,8 +102,7 @@ fn profile_filter_reduces_patch_size() {
     );
     assert_eq!(report.funnel.transformed, 3);
     assert_eq!(report.funnel.transformed_hot, 1, "only Get is hot");
-    let hot_plans: Vec<_> = report.plans.iter().filter(|p| p.hot).cloned().collect();
-    let transformed = transform_file(&pkg.files[0], &pkg.info, 0, &hot_plans);
+    let transformed = transform_file(&pkg.files[0], &pkg.info, 0, &report.hot_plans());
     let patched = print_file(&transformed);
     assert!(patched.contains("FastRLock"), "hot Get is rewritten");
     assert!(patched.contains("s.mu.Lock()"), "cold Put keeps its lock");
