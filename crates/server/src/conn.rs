@@ -51,8 +51,10 @@ const TRACE_DEFAULT_MAX: u32 = 4096;
 
 /// What one pump pass decided.
 pub(crate) enum PumpOutcome {
-    /// Keep the connection; `made_progress` gates the worker's idle decision.
-    Alive { made_progress: bool },
+    /// Keep the connection. `progressed`: the pass moved a byte or an
+    /// answer. `again`: another pass now would do more here; without it,
+    /// what is left is signalled by the socket, the waker or a deadline.
+    Alive { progressed: bool, again: bool },
     /// Remove the connection.
     Close,
 }
@@ -331,13 +333,21 @@ impl<S: Read + Write> Conn<S> {
         [beat, parked, evict].into_iter().flatten().min()
     }
 
-    /// One cooperative scheduling quantum for this connection, at `wctx.now`.
+    /// One cooperative scheduling quantum for this connection, at
+    /// `wctx.now`. It says whether another pass now would do more, which
+    /// is so only where this one stopped short of what it could see: the
+    /// read loop's cap, a read a fault plan cut, a whole frame left
+    /// buffered, a released park, output a slow-store draw held, a peer
+    /// that hung up or a connection turned closing, a replica stream that
+    /// moved. Otherwise a short read or `WouldBlock` drained the socket
+    /// and what was encoded went out or met `WouldBlock`.
     pub(crate) fn pump(
         &mut self,
         engine: &Engine<'_>,
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> PumpOutcome {
+        let was_closing = self.closing;
         // 1. Drain queued response bytes — a slow client must not hold
         //    buffered responses hostage while we keep reading. They were
         //    encoded by earlier passes, at earlier instants, so even a
@@ -361,19 +371,25 @@ impl<S: Read + Write> Conn<S> {
         // `min_acks` answer and closes whatever it still owes.
         let give_up = wctx.give_up_at.is_some_and(|at| wctx.now >= at);
         self.closing |= wctx.give_up_at.is_some();
-        progressed |= self.batch.release(state, wctx, &mut self.outbuf, give_up);
+        let released = self.batch.release(state, wctx, &mut self.outbuf, give_up);
+        progressed |= released;
 
         // 2. Ingest bytes — unless this connection already holds more
         //    unprocessed input than the high-water mark. Not reading is
         //    the memory bound: the kernel socket buffer fills and TCP
         //    pushes back on the client.
         let mut peer_eof = false;
+        let mut read_on = false;
         if self.reads() {
             let mut chunk = [0u8; 4096];
+            // Until the socket says it is drained, the loop's cap is what
+            // ends it, and the next pass reads on.
+            read_on = true;
             for _ in 0..16 {
                 match self.stream.read(&mut chunk) {
                     Ok(0) => {
                         peer_eof = true;
+                        read_on = false;
                         break;
                     }
                     Ok(n) => {
@@ -385,13 +401,16 @@ impl<S: Read + Write> Conn<S> {
                         // A short read emptied the socket: asking again
                         // would only buy the `WouldBlock`. What a seeded
                         // split left behind is read by the next pass,
-                        // which follows at once because this one
-                        // progressed.
+                        // which follows at once.
                         if n < chunk.len() {
+                            read_on = self.stream.cut_short();
                             break;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        read_on = false;
+                        break;
+                    }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => return PumpOutcome::Close,
                 }
@@ -409,12 +428,15 @@ impl<S: Read + Write> Conn<S> {
         // 3b. If this is a subscribed replication stream, drain the feed:
         // snapshot resyncs, incremental batches, heartbeats. A promoted-
         // away (replica) node stops pumping — its feed is a sink, not a
-        // source.
+        // source. It stops at its output high-water mark, so a stream
+        // that moved is looked at again.
+        let mut streamed = false;
         if !self.closing && !state.is_replica() {
             if let (Some(sub), Some(feed)) = (&mut self.repl, state.repl_feed()) {
-                progressed |= pump_repl_out(sub, feed, state, engine, &mut self.outbuf, wctx.now);
+                streamed = pump_repl_out(sub, feed, state, engine, &mut self.outbuf, wctx.now);
             }
         }
+        progressed |= streamed;
 
         // 4. Push out what this pass encoded, unless a slow-store draw
         //    moved the pass's instant past the one it was handed: then the
@@ -434,8 +456,13 @@ impl<S: Read + Write> Conn<S> {
             // Half-closed with responses still queued: flush, then close.
             self.closing = true;
         }
+        let reads_resume = released && !self.has_parked();
+        let held = wctx.held && self.has_pending_output();
+        let frame_left = !self.closing && !self.has_parked() && self.inbuf.ready();
+        let turned_closing = self.closing && !was_closing;
         PumpOutcome::Alive {
-            made_progress: progressed,
+            progressed,
+            again: read_on || reads_resume || held || frame_left || turned_closing || streamed,
         }
     }
 
@@ -487,7 +514,8 @@ impl<S: Read + Write> Conn<S> {
                     // per request, here at frame decode, and the id rides
                     // the worker's thread-local through admission, the
                     // engine, and the HTM session until the frame is done.
-                    let decode_t0 = if state.rt.tracer().sample_n() != 0 {
+                    // Only a request it will sample stamps its decode.
+                    let decode_t0 = if state.rt.tracer().next_is_sampled() {
                         trace::now_ns()
                     } else {
                         0
@@ -642,9 +670,9 @@ impl<S: AsRawFd> Conn<S> {
 /// ran out while it queued, as a zero one always has, never reaches the
 /// engine; the control plane is exempt), then the brownout decision on
 /// this pass's queue depth — so a batch never smuggles work past the
-/// controller. `Err` is the rejection's answer. The reject path is timed
-/// on the trace clock into the shed counters: the overload soak asserts
-/// its mean stays under 10 µs.
+/// controller. `Err` is the rejection's answer. Only the reject path reads
+/// a clock: it is timed on the trace clock from its verdict into the shed
+/// counters, and the overload soak asserts its mean stays under 10 µs.
 fn admit(
     state: &ServerState,
     wctx: &WorkerCtx,
@@ -652,25 +680,25 @@ fn admit(
     expires: Option<Instant>,
     trace_id: u64,
 ) -> Result<(), Response<'static>> {
-    let t0 = trace::now_ns();
     let class = classify(req);
     if class != VerbClass::Control && expires.is_some_and(|at| wctx.now >= at) {
         state.counters.note_deadline_pre();
         return Err(Response::DeadlineExceeded);
     }
     let limit = state.config.queue_limit;
-    if let Err(cause) = state
+    let verdict = state
         .brownout
-        .admit(class, wctx.frames_seen, limit, wctx.now)
-    {
-        let shed_ns = trace::now_ns().saturating_sub(t0);
-        state.counters.note_shed(wctx.worker, cause, shed_ns);
-        let health = state.brownout.state() as u8;
-        let (index, health_b) = (cause.index() as u64, u64::from(health));
-        span_since(state, trace_id, SpanKind::Shed, t0, index, health_b);
-        return Err(Response::Overloaded { state: health });
-    }
-    Ok(())
+        .admit(class, wctx.frames_seen, limit, wctx.now);
+    let Err(cause) = verdict else {
+        return Ok(());
+    };
+    let t0 = trace::now_ns();
+    let health = state.brownout.state() as u8;
+    let (index, health_b) = (cause.index() as u64, u64::from(health));
+    span_since(state, trace_id, SpanKind::Shed, t0, index, health_b);
+    let shed_ns = trace::now_ns().saturating_sub(t0);
+    state.counters.note_shed(wctx.worker, cause, shed_ns);
+    Err(Response::Overloaded { state: health })
 }
 
 /// Role checks for an admitted data verb, per request, at the point it
@@ -773,25 +801,27 @@ fn flush_batch<'a>(
                 // Engine latency only feeds the brownout EWMA (the barrier
                 // waits below are deliberate batching, not overload); the
                 // group's cost is attributed evenly across its requests so
-                // the controller sees the amortized per-request load.
+                // the controller sees the amortized per-request load, and
+                // is accounted once for all of them.
                 let per_req_ns = group_ns / n.max(1);
-                for &p in positions {
-                    let pr = &pending[exec_idx[p]];
-                    wctx.lat_sum_ns += per_req_ns;
-                    wctx.lat_count += 1;
-                    state.counters.note_executed(wctx.worker, per_req_ns);
-                    if pr.trace_id != 0 {
-                        state.rt.tracer().push(Span {
-                            trace_id: pr.trace_id,
-                            kind: SpanKind::StoreOp,
-                            start_ns: t0_ns,
-                            dur_ns: group_ns,
-                            a: pr.verb as u64,
-                            b: 1,
-                        });
-                    }
-                }
+                wctx.lat_sum_ns += per_req_ns * n;
+                wctx.lat_count += n;
+                state.counters.note_executed(wctx.worker, per_req_ns, n);
+                // No sampled request in the group: no span to push.
                 if parent != 0 {
+                    for &p in positions {
+                        let pr = &pending[exec_idx[p]];
+                        if pr.trace_id != 0 {
+                            state.rt.tracer().push(Span {
+                                trace_id: pr.trace_id,
+                                kind: SpanKind::StoreOp,
+                                start_ns: t0_ns,
+                                dur_ns: group_ns,
+                                a: pr.verb as u64,
+                                b: 1,
+                            });
+                        }
+                    }
                     state.rt.tracer().push(Span {
                         trace_id: parent,
                         kind: SpanKind::BatchExec,
@@ -850,7 +880,7 @@ fn flush_batch<'a>(
         }
     }
     if published {
-        state.wakeups.feed_moved(wctx.worker);
+        wctx.own_wake |= state.wakeups.feed_moved(wctx.worker);
     }
     if parked.is_empty() {
         outbuf
@@ -975,7 +1005,7 @@ fn execute_admitted(
             resp_t0 = span_since(state, trace_id, SpanKind::StoreOp, resp_t0, verb, 0);
             wctx.lat_sum_ns += exec_ns;
             wctx.lat_count += 1;
-            state.counters.note_executed(wctx.worker, exec_ns);
+            state.counters.note_executed(wctx.worker, exec_ns, 1);
             let entries = Response::Entries { pairs };
             encode_response(&unless_late(state, expires, wctx.now, entries), outbuf);
             true
@@ -1193,15 +1223,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let mut conn = Conn::new(stream, &state, Instant::now());
-        let mut wctx = WorkerCtx {
-            worker: 0,
-            now: Instant::now(),
-            held: false,
-            give_up_at: None,
-            frames_seen: 0,
-            lat_sum_ns: 0,
-            lat_count: 0,
-        };
+        let mut wctx = WorkerCtx::new(0, Instant::now());
 
         client.write_all(&frame).expect("send");
         let mut passes = 0;

@@ -340,13 +340,21 @@ impl Wakeups {
     }
 
     /// The feed took records: wakes every worker that owns a replica
-    /// stream but `awake`, which is the one publishing.
-    fn feed_moved(&self, awake: usize) {
+    /// stream but `awake`, which is the one publishing, and says whether
+    /// `awake` owns one too.
+    fn feed_moved(&self, awake: usize) -> bool {
+        let mut owns = false;
         for (w, (streams, waker)) in self.streams.iter().zip(&self.wakers).enumerate() {
-            if w != awake && streams.load(Ordering::Relaxed) > 0 {
+            if streams.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            if w == awake {
+                owns = true;
+            } else {
                 waker.wake();
             }
         }
+        owns
     }
 }
 
@@ -675,6 +683,50 @@ pub(crate) struct WorkerCtx {
     pub(crate) lat_sum_ns: u64,
     /// Requests executed this pass.
     pub(crate) lat_count: u64,
+    /// This pass gave another of the worker's connections work that no
+    /// waker signals, the worker being awake: it put records in the feed
+    /// one of its replica streams drains, or noted an ack one of its
+    /// parked writes may wait for.
+    pub(crate) own_wake: bool,
+}
+
+impl WorkerCtx {
+    /// Worker `worker`'s pass state, made at `now`.
+    pub(crate) fn new(worker: usize, now: Instant) -> Self {
+        WorkerCtx {
+            worker,
+            now,
+            held: false,
+            give_up_at: None,
+            frames_seen: 0,
+            lat_sum_ns: 0,
+            lat_count: 0,
+            own_wake: false,
+        }
+    }
+
+    /// What every pass that is not a drain pass ends with: publish its
+    /// queue depth, feed the brownout controller one observation (an idle
+    /// pass feeds zeros, which is what decays the EWMAs back to Healthy),
+    /// and take the load plan's stall draw.
+    fn account(&mut self, state: &ServerState) {
+        state
+            .counters
+            .set_queue_depth(self.worker, self.frames_seen);
+        let mean_lat_ns = if self.lat_count > 0 {
+            self.lat_sum_ns as f64 / self.lat_count as f64
+        } else {
+            0.0
+        };
+        state.brownout.observe(self.frames_seen as f64, mean_lat_ns);
+        self.frames_seen = 0;
+        self.lat_sum_ns = 0;
+        self.lat_count = 0;
+        let plan = state.config.load_plan.as_ref();
+        if let Some(LoadFault::Stall(d)) = plan.and_then(|p| p.draw_worker(self.worker as u64)) {
+            self.now += d;
+        }
+    }
 }
 
 /// `"lock"` / `"gocc"` — the CLI and STATS spelling of a [`Mode`].
@@ -989,15 +1041,7 @@ impl<'s, S: Read + Write> Worker<'s, S> {
             state,
             engine: Engine::new(&state.rt, state.config.mode),
             conns: Vec::new(),
-            wctx: WorkerCtx {
-                worker,
-                now,
-                held: false,
-                give_up_at: None,
-                frames_seen: 0,
-                lat_sum_ns: 0,
-                lat_count: 0,
-            },
+            wctx: WorkerCtx::new(worker, now),
             tick: idle::Tick::default(),
             last_frames: 0,
             blocked_at: None,
@@ -1009,11 +1053,17 @@ impl<'s, S: Read + Write> Worker<'s, S> {
         self.conns.push(Conn::new(stream, self.state, now));
     }
 
-    /// One pass over every connection at `now`, then, if nothing moved
-    /// and no shutdown is asked, the one idle decision. A seeded stall
-    /// moves the worker's instant on, and a pass handed an earlier one
-    /// pumps nothing: it waits, blind, until the worker's own. Once
-    /// shutdown is seen, every pass is one of the bounded drain: each
+    /// One pass over every connection at `now`, then, once the pass has
+    /// drained what it could and no shutdown is asked, the one idle
+    /// decision. A pass drained unless a connection says another pass now
+    /// would do more ([`Conn::pump`]'s `again`), it gave one of this
+    /// worker's connections work no waker signals, or a seeded draw moved
+    /// its instant on; then it asks for that pass. Otherwise it takes the
+    /// decision itself, after one more observation, the one the pass after
+    /// it would have made finding nothing: a window costs one pass. A
+    /// seeded stall moves the worker's instant on, and a pass handed an
+    /// earlier one pumps nothing: it waits, blind, until the worker's own.
+    /// Once shutdown is seen, every pass is one of the bounded drain: each
     /// connection answers what it parked and sends what it queued, and
     /// closes once it owes nothing, its peer is gone or the drain gives
     /// up. Two or more frames in the last pass that had any mean a peer
@@ -1036,6 +1086,7 @@ impl<'s, S: Read + Write> Worker<'s, S> {
         }
         wctx.now = now;
         wctx.held = false;
+        wctx.own_wake = false;
         if state.shutting_down() {
             wctx.give_up_at
                 .get_or_insert(now + state.config.drain_timeout);
@@ -1044,11 +1095,15 @@ impl<'s, S: Read + Write> Worker<'s, S> {
                 .brownout
                 .observe_idle(now.saturating_duration_since(blocked_at));
         }
-        let mut progressed = false;
+        let (mut progressed, mut again) = (false, false);
         self.conns
             .retain_mut(|c| match c.pump(engine, state, wctx) {
-                PumpOutcome::Alive { made_progress } => {
-                    progressed |= made_progress;
+                PumpOutcome::Alive {
+                    progressed: p,
+                    again: a,
+                } => {
+                    progressed |= p;
+                    again |= a;
                     true
                 }
                 PumpOutcome::Close => {
@@ -1072,27 +1127,18 @@ impl<'s, S: Read + Write> Worker<'s, S> {
         if wctx.frames_seen > 0 {
             self.last_frames = wctx.frames_seen;
         }
-        // Publish the pass's queue depth, feed the brownout controller one
-        // observation (idle passes feed zeros, which is what decays the
-        // EWMAs back to Healthy), and take the load plan's stall draw.
-        state
-            .counters
-            .set_queue_depth(wctx.worker, wctx.frames_seen);
-        let mean_lat_ns = if wctx.lat_count > 0 {
-            wctx.lat_sum_ns as f64 / wctx.lat_count as f64
-        } else {
-            0.0
-        };
-        state.brownout.observe(wctx.frames_seen as f64, mean_lat_ns);
-        wctx.frames_seen = 0;
-        wctx.lat_sum_ns = 0;
-        wctx.lat_count = 0;
-        let plan = state.config.load_plan.as_ref();
-        if let Some(LoadFault::Stall(d)) = plan.and_then(|p| p.draw_worker(wctx.worker as u64)) {
-            wctx.now += d;
-        }
-        if progressed || state.shutting_down() {
+        wctx.account(state);
+        if state.shutting_down() {
             return Next::Pass;
+        }
+        // A pass that moved something asks for the next only if that pass
+        // would do more; else it makes the observation an empty pass
+        // behind it would have made, and decides.
+        if progressed {
+            if again || wctx.own_wake || wctx.now != now {
+                return Next::Pass;
+            }
+            wctx.account(state);
         }
         let now = wctx.now;
         let clocked = state.brownout.state() != HealthState::Healthy

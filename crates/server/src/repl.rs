@@ -841,7 +841,7 @@ fn dial(addr: &str, timeout: Duration) -> Option<TcpStream> {
 pub(crate) fn handle_repl_frame(
     engine: &Engine<'_>,
     state: &ServerState,
-    wctx: &WorkerCtx,
+    wctx: &mut WorkerCtx,
     outbuf: &mut Vec<u8>,
     repl: &mut Option<ReplSub>,
     closing: &mut bool,
@@ -886,9 +886,11 @@ pub(crate) fn handle_repl_frame(
             // shard for snapshot resync inside the feed.
             if let (Some(sub), Some(feed)) = (repl.as_ref(), state.repl_feed()) {
                 feed.note_ack(sub.id, shard, version, nak, wctx.now);
-                // It may settle an answer another worker parked.
+                // It may settle an answer another worker parked, or one
+                // of this worker's, which takes its next pass at once.
                 if !nak && feed.config().min_acks > 0 {
                     state.wakeups.wake_workers_but(wctx.worker);
+                    wctx.own_wake = true;
                 }
             }
         }
@@ -1042,16 +1044,8 @@ mod tests {
     /// Runs `req` through `state`'s replication handler into `out`.
     fn handle(state: &ServerState, out: &mut Vec<u8>, req: ReplRequest<'_>) {
         let engine = Engine::new(&state.rt, state.config.mode);
-        let wctx = WorkerCtx {
-            worker: 0,
-            now: Instant::now(),
-            held: false,
-            give_up_at: None,
-            frames_seen: 0,
-            lat_sum_ns: 0,
-            lat_count: 0,
-        };
-        handle_repl_frame(&engine, state, &wctx, out, &mut None, &mut false, req);
+        let mut wctx = WorkerCtx::new(0, Instant::now());
+        handle_repl_frame(&engine, state, &mut wctx, out, &mut None, &mut false, req);
     }
 
     /// Hands `sink` at `t` its two peers' answers: `other`'s, and the

@@ -196,8 +196,10 @@ impl ServerCounters {
     }
 
     /// Accounts one shed request: its cause, the worker that shed it, and
-    /// the nanoseconds the whole reject path took (decision + response
-    /// encode) — the soak asserts this stays under 10 µs.
+    /// the nanoseconds its reject path took from the verdict on — the
+    /// brownout state read and the `Shed` span; the decision before it is
+    /// a few compares and untimed, so an admitted request reads no clock.
+    /// The soak asserts the mean stays under 10 µs.
     pub(crate) fn note_shed(&self, worker: usize, cause: ShedCause, ns: u64) {
         self.shed_by_cause[cause.index()].fetch_add(1, Ordering::Relaxed);
         self.shed_ns_total.fetch_add(ns, Ordering::Relaxed);
@@ -215,11 +217,13 @@ impl ServerCounters {
         self.deadline_post.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_executed(&self, worker: usize, ns: u64) {
+    /// Accounts `n` requests `worker` executed at `ns` each: a shard-group
+    /// shares its section's time evenly, so it is accounted once.
+    pub(crate) fn note_executed(&self, worker: usize, ns: u64, n: u64) {
         self.per_worker[worker % self.per_worker.len()]
             .executed
-            .fetch_add(1, Ordering::Relaxed);
-        self.request_latency.record(ns);
+            .fetch_add(n, Ordering::Relaxed);
+        self.request_latency.record_n(ns, n);
     }
 
     /// Accounts one executed shard-group of `len` requests.
@@ -577,7 +581,7 @@ mod tests {
         c.note_oversized();
         c.set_queue_depth(0, 12);
         c.set_queue_depth(0, 3);
-        c.note_executed(1, 2_000);
+        c.note_executed(1, 2_000, 1);
         c.note_accept_error();
         c.note_idle(1, true);
         c.note_idle(1, false);

@@ -92,12 +92,15 @@ pub fn server_threads() -> Vec<Thread> {
 }
 
 /// One direction of a [`Link`]: the bytes written and not read yet, at
-/// most `bound` of them, and whether either end is gone.
+/// most `bound` of them, whether either end is gone, and the `read` and
+/// `write` calls made on it.
 struct Lane {
     bytes: VecDeque<u8>,
     bound: usize,
     writer_gone: bool,
     reader_gone: bool,
+    reads: u64,
+    writes: u64,
 }
 
 /// One end of an in-memory, non-blocking byte stream, for a [`Worker`]
@@ -120,6 +123,8 @@ impl Link {
                 bound,
                 writer_gone: false,
                 reader_gone: false,
+                reads: 0,
+                writes: 0,
             }))
         };
         let (a, b) = (lane(), lane());
@@ -129,11 +134,17 @@ impl Link {
         };
         (near, Link { rx: b, tx: a })
     }
+
+    /// The `read` and `write` calls the other end has made so far.
+    pub fn peer_calls(&self) -> (u64, u64) {
+        (self.tx.borrow().reads, self.rx.borrow().writes)
+    }
 }
 
 impl Read for Link {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let mut rx = self.rx.borrow_mut();
+        rx.reads += 1;
         if rx.bytes.is_empty() && !rx.writer_gone {
             return Err(io::ErrorKind::WouldBlock.into());
         }
@@ -144,6 +155,7 @@ impl Read for Link {
 impl Write for Link {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let mut tx = self.tx.borrow_mut();
+        tx.writes += 1;
         if tx.reader_gone {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
@@ -199,6 +211,12 @@ impl Hand {
     /// whether there was any.
     pub fn received(&mut self) -> bool {
         self.client.pump().expect("recv")
+    }
+
+    /// The transport calls the worker made on this connection so far:
+    /// `(reads, writes)`.
+    pub fn served_calls(&self) -> (u64, u64) {
+        self.client.get_ref().peer_calls()
     }
 
     /// The next answer, which a pass already wrote.

@@ -605,7 +605,7 @@ fn a_parked_write_is_released_at_its_ack_timeout_not_before() {
         blind: false,
         until: Some(due),
     };
-    assert_eq!(w.pass(t0), Next::Pass);
+    // The pass that applies the write parks its answer and decides.
     assert_eq!(w.pass(t0), parked);
     let before = due - Duration::from_nanos(1);
     assert_eq!(w.pass(before), parked, "answered a nanosecond early");

@@ -30,6 +30,8 @@ pub struct FaultyStream<S> {
     inner: S,
     plan: Option<Arc<TransportFaultPlan>>,
     stream: u64,
+    /// The last read filled a buffer the plan had cut short.
+    cut: bool,
 }
 
 impl<S> FaultyStream<S> {
@@ -40,6 +42,7 @@ impl<S> FaultyStream<S> {
             inner,
             plan: Some(plan),
             stream,
+            cut: false,
         }
     }
 
@@ -49,6 +52,7 @@ impl<S> FaultyStream<S> {
             inner,
             plan: None,
             stream: 0,
+            cut: false,
         }
     }
 
@@ -65,6 +69,13 @@ impl<S> FaultyStream<S> {
     pub fn get_ref(&self) -> &S {
         &self.inner
     }
+
+    /// Whether the last read filled a buffer the plan had cut short: the
+    /// transport may hold more than that read took, so a reader that
+    /// stops at a short read must read on. Never true without a plan.
+    pub fn cut_short(&self) -> bool {
+        self.cut
+    }
 }
 
 fn injected(kind: io::ErrorKind, what: &'static str) -> io::Error {
@@ -76,6 +87,7 @@ impl<S: Read> Read for FaultyStream<S> {
         let Some(plan) = &self.plan else {
             return self.inner.read(buf);
         };
+        self.cut = false;
         match plan.draw_read(self.stream) {
             Some(TransportFault::Reset) => {
                 Err(injected(io::ErrorKind::ConnectionReset, "injected reset"))
@@ -85,7 +97,9 @@ impl<S: Read> Read for FaultyStream<S> {
             }
             Some(TransportFault::ShortRead) if buf.len() > 1 => {
                 let n = plan.chop(self.stream, buf.len());
-                self.inner.read(&mut buf[..n])
+                let read = self.inner.read(&mut buf[..n]);
+                self.cut = matches!(read, Ok(got) if got == n);
+                read
             }
             _ => self.inner.read(buf),
         }
@@ -155,6 +169,7 @@ mod tests {
         let mut fs = FaultyStream::passthrough(pipe);
         let mut buf = [0u8; 16];
         assert_eq!(fs.read(&mut buf).unwrap(), 5);
+        assert!(!fs.cut_short());
         assert_eq!(fs.write(b"world").unwrap(), 5);
         assert_eq!(fs.get_ref().output, b"world");
     }
@@ -183,6 +198,10 @@ mod tests {
                 Ok(n) => {
                     saw_partial |= n < 64;
                     got.extend_from_slice(&buf[..n]);
+                    // A short read that left bytes behind says so.
+                    if n < 64 && got.len() < payload.len() {
+                        assert!(fs.cut_short(), "a cut read after {} bytes", got.len());
+                    }
                 }
                 Err(e) => panic!("unexpected {e}"),
             }

@@ -98,7 +98,8 @@ impl FrameBuf {
 
     /// Whether [`FrameBuf::next_frame`] would return something other than
     /// `Ok(None)`: a whole frame, or a header it rejects.
-    pub(crate) fn ready(&self) -> bool {
+    #[must_use]
+    pub fn ready(&self) -> bool {
         let Some(avail) = self.buf[self.start..].get(self.skip..) else {
             return false;
         };
