@@ -53,7 +53,8 @@ const TRACE_DEFAULT_MAX: u32 = 4096;
 pub(crate) enum PumpOutcome {
     /// Keep the connection. `progressed`: the pass moved a byte or an
     /// answer. `again`: another pass now would do more here; without it,
-    /// what is left is signalled by the socket, the waker or a deadline.
+    /// what is left waits for the socket, the waker or a deadline, and in
+    /// a blind wait for the tick.
     Alive { progressed: bool, again: bool },
     /// Remove the connection.
     Close,
@@ -337,17 +338,16 @@ impl<S: Read + Write> Conn<S> {
     /// `wctx.now`. It says whether another pass now would do more, which
     /// is so only where this one stopped short of what it could see: the
     /// read loop's cap, a read a fault plan cut, a whole frame left
-    /// buffered, a released park, output a slow-store draw held, a peer
-    /// that hung up or a connection turned closing, a replica stream that
-    /// moved. Otherwise a short read or `WouldBlock` drained the socket
-    /// and what was encoded went out or met `WouldBlock`.
+    /// buffered, a released park, a replica stream that moved. Otherwise
+    /// a short read or `WouldBlock` drained the socket, and what was
+    /// encoded went out, met `WouldBlock` or was held by a slow-store draw
+    /// that moved the pass's instant on (the worker re-passes for that).
     pub(crate) fn pump(
         &mut self,
         engine: &Engine<'_>,
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> PumpOutcome {
-        let was_closing = self.closing;
         // 1. Drain queued response bytes — a slow client must not hold
         //    buffered responses hostage while we keep reading. They were
         //    encoded by earlier passes, at earlier instants, so even a
@@ -457,12 +457,10 @@ impl<S: Read + Write> Conn<S> {
             self.closing = true;
         }
         let reads_resume = released && !self.has_parked();
-        let held = wctx.held && self.has_pending_output();
         let frame_left = !self.closing && !self.has_parked() && self.inbuf.ready();
-        let turned_closing = self.closing && !was_closing;
         PumpOutcome::Alive {
             progressed,
-            again: read_on || reads_resume || held || frame_left || turned_closing || streamed,
+            again: read_on || reads_resume || frame_left || streamed,
         }
     }
 
@@ -514,8 +512,7 @@ impl<S: Read + Write> Conn<S> {
                     // per request, here at frame decode, and the id rides
                     // the worker's thread-local through admission, the
                     // engine, and the HTM session until the frame is done.
-                    // Only a request it will sample stamps its decode.
-                    let decode_t0 = if state.rt.tracer().next_is_sampled() {
+                    let decode_t0 = if state.rt.tracer().sample_n() != 0 {
                         trace::now_ns()
                     } else {
                         0
@@ -727,12 +724,14 @@ fn role_check(state: &ServerState, routed: Routed, now: Instant) -> PendingState
 
 /// Takes the load plan's SlowStore draw for one executed request: the
 /// stall moves the pass's instant on by as much, and holds what the pass
-/// writes from then on for the next pass.
+/// writes from then on for the next pass. A stall of zero holds nothing:
+/// output is held only when the instant moved, which is what makes the
+/// worker take that next pass at once.
 fn draw_slow_store(state: &ServerState, wctx: &mut WorkerCtx) {
     if let Some(plan) = &state.config.load_plan {
         if let Some(LoadFault::SlowStore(d)) = plan.draw_store(wctx.worker as u64) {
             wctx.now += d;
-            wctx.held = true;
+            wctx.held |= !d.is_zero();
         }
     }
 }

@@ -1057,8 +1057,11 @@ impl<'s, S: Read + Write> Worker<'s, S> {
     /// drained what it could and no shutdown is asked, the one idle
     /// decision. A pass drained unless a connection says another pass now
     /// would do more ([`Conn::pump`]'s `again`), it gave one of this
-    /// worker's connections work no waker signals, or a seeded draw moved
-    /// its instant on; then it asks for that pass. Otherwise it takes the
+    /// worker's connections work no waker signals, a seeded draw moved
+    /// its instant on, or the decision would be blind while the worker
+    /// holds more than one connection (bytes that reached one while the
+    /// pass served another are not in that pass and a blind wait does not
+    /// watch for them); then it asks for that pass. Otherwise it takes the
     /// decision itself, after one more observation, the one the pass after
     /// it would have made finding nothing: a window costs one pass. A
     /// seeded stall moves the worker's instant on, and a pass handed an
@@ -1133,20 +1136,21 @@ impl<'s, S: Read + Write> Worker<'s, S> {
         }
         // A pass that moved something asks for the next only if that pass
         // would do more; else it makes the observation an empty pass
-        // behind it would have made, and decides.
+        // behind it would have made, and decides. A blind wait watches no
+        // socket: beside another connection, bytes that reached it while
+        // this pass served the rest would wait out the tick, so a worker
+        // with more than one looks once more before it waits blind.
         if progressed {
-            if again || wctx.own_wake || wctx.now != now {
+            let owed = again || wctx.own_wake || wctx.now != now;
+            if owed || self.blind() && self.conns.len() > 1 {
                 return Next::Pass;
             }
-            wctx.account(state);
+            self.wctx.account(state);
         }
-        let now = wctx.now;
-        let clocked = state.brownout.state() != HealthState::Healthy
-            || state.config.load_plan.is_some()
-            || state.config.fault_plan.is_some();
-        let blind = self.last_frames >= 2 || clocked;
+        let blind = self.blind();
+        let now = self.wctx.now;
         self.last_frames = 0;
-        state.counters.note_idle(wctx.worker, !blind);
+        state.counters.note_idle(self.wctx.worker, !blind);
         let until = if blind {
             Some(self.tick.due(now))
         } else {
@@ -1156,6 +1160,17 @@ impl<'s, S: Read + Write> Worker<'s, S> {
             deadlines.min()
         };
         Next::Wait { blind, until }
+    }
+
+    /// Whether the idle decision now would be a timed pass: the last pass
+    /// that had frames had two or more, or work is on a clock (a brownout
+    /// state only idle passes walk back, or a seeded plan).
+    fn blind(&self) -> bool {
+        let state = self.state;
+        let clocked = state.brownout.state() != HealthState::Healthy
+            || state.config.load_plan.is_some()
+            || state.config.fault_plan.is_some();
+        self.last_frames >= 2 || clocked
     }
 }
 

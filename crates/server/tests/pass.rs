@@ -15,7 +15,7 @@ mod common;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{hand_worker, steady_brownout, until_it_blocks, Hand, Link};
+use common::{hand_worker, steady_brownout, until_it_blocks, Hand, Link, LINK_BOUND};
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
 use gocc_server::{Next, ServerConfig, ServerState, Worker};
 use gocc_telemetry::JsonValue;
@@ -107,6 +107,48 @@ fn a_window_costs_one_read_one_write_and_one_idle_decision() {
     // The brownout controller saw what it saw when each window was
     // followed by a pass that found nothing: a zero after every window.
     assert_eq!(state.counters().per_worker()[0].queue_depth(), 0);
+}
+
+#[test]
+fn a_second_connection_is_looked_at_again_before_a_blind_wait() {
+    let state = ServerState::new(config()).expect("state");
+    let t0 = Instant::now();
+    let mut w = Worker::new(&state, 0, t0);
+    // B is adopted first, so a pass pumps it before A.
+    let mut b = Hand::new(&mut w, t0, LINK_BOUND);
+    let mut a = Hand::new(&mut w, t0, LINK_BOUND);
+
+    // A's window makes the decision a timed pass, which watches no
+    // socket: with B beside it, the worker looks once more first.
+    gets(&mut a, b"k", 32);
+    assert_eq!(w.pass(t0), Next::Pass, "a blind wait beside B");
+    misses(&mut a, 32);
+    // Nothing reached B: that look is the one empty pass, and then the
+    // worker waits for its tick.
+    let Next::Wait {
+        blind: true,
+        until: Some(tick),
+    } = w.pass(t0)
+    else {
+        panic!("no timed pass behind the window");
+    };
+    assert_eq!(b.served_calls(), (2, 0));
+
+    // B's GET lands after B's turn in the pass that serves A's next
+    // window (the rig writes it once that pass returns, which the worker
+    // cannot tell apart): it is answered at that instant, not a tick on.
+    gets(&mut a, b"k", 32);
+    assert_eq!(w.pass(tick), Next::Pass);
+    gets(&mut b, b"k", 1);
+    let blocked = Next::Wait {
+        blind: false,
+        until: None,
+    };
+    assert_eq!(w.pass(tick), blocked, "B's lone GET: the worker blocks");
+    assert!(b.received(), "B answered at the window's instant");
+    misses(&mut b, 1);
+    misses(&mut a, 32);
+    assert_eq!(decisions(&state), 2);
 }
 
 /// Takes passes at `now` while they ask for one, and returns how many

@@ -312,22 +312,6 @@ impl TraceRecorder {
         CURRENT.with(Cell::get)
     }
 
-    /// Whether this thread's next [`TraceRecorder::begin_request`] will
-    /// sample, without taking the decision: lets a caller stamp work that
-    /// comes before the decision only for a request that will be traced.
-    #[inline]
-    #[must_use]
-    pub fn next_is_sampled(&self) -> bool {
-        if self.sample_n() == 0 {
-            return false;
-        }
-        let tag = std::ptr::from_ref(self) as usize;
-        SAMPLER.with(|s| {
-            let (seen, left) = s.get();
-            seen != tag || left <= 1
-        })
-    }
-
     /// Makes the once-per-request sampling decision. Returns the new
     /// trace id (nonzero) if this request is sampled, else 0. The first
     /// request each thread sees is sampled, then every N-th after — a
@@ -565,14 +549,7 @@ mod tests {
     fn sampling_is_deterministic_and_first_request_fires() {
         let rec = TraceRecorder::new();
         rec.configure(4, 0xDEAD_BEEF);
-        let ids: Vec<u64> = (0..9)
-            .map(|_| {
-                let foretold = rec.next_is_sampled();
-                let id = rec.begin_request();
-                assert_eq!(foretold, id != 0, "next_is_sampled foretells the decision");
-                id
-            })
-            .collect();
+        let ids: Vec<u64> = (0..9).map(|_| rec.begin_request()).collect();
         // First request sampled, then every 4th.
         assert_ne!(ids[0], 0);
         assert_eq!(&ids[1..4], &[0, 0, 0]);
@@ -596,7 +573,6 @@ mod tests {
     fn disabled_recorder_never_samples() {
         let rec = TraceRecorder::new();
         for _ in 0..100 {
-            assert!(!rec.next_is_sampled());
             assert_eq!(rec.begin_request(), 0);
         }
     }
