@@ -118,6 +118,17 @@ impl HtmRuntime {
         &self.config
     }
 
+    /// Prefetches the line at `addr` and the stripe word that guards it,
+    /// ahead of a transaction that will read that line: its misses are
+    /// then taken while the caller does other work, not one at a time
+    /// inside the section. A hint: no transaction records it, and no
+    /// result changes. Does nothing off x86-64.
+    #[inline]
+    pub fn prefetch_line(&self, addr: *const u8) {
+        crate::stripe::prefetch(addr);
+        self.table.prefetch_word(addr as usize);
+    }
+
     /// The per-attempt parameters derived from the configuration.
     pub(crate) fn attempt(&self) -> AttemptParams {
         self.attempt

@@ -140,6 +140,28 @@ impl StripeTable {
     pub fn validate(&self, id: StripeId, seen: StripeSnapshot) -> bool {
         self.word(id).load(Ordering::Acquire) == seen.0
     }
+
+    /// Prefetches the word of the stripe covering `addr`.
+    #[inline]
+    pub(crate) fn prefetch_word(&self, addr: usize) {
+        prefetch(self.word(self.stripe_of_addr(addr)).as_ptr().cast());
+    }
+}
+
+/// Asks the CPU to bring the line holding `ptr` into its caches. A hint:
+/// it never faults, reads nothing a program can see and writes nothing.
+/// Does nothing off x86-64.
+#[inline]
+pub(crate) fn prefetch(ptr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` takes any address, mapped or not, and has no
+    // architectural effect.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
 }
 
 #[cfg(test)]

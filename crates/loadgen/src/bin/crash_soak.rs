@@ -157,15 +157,13 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> SoakResult<bo
             let hist = oracle.entry(key.clone()).or_default();
             let req = issue_op(&mut rng, &key, hist, true);
             // The server's write path: a batch of one.
-            let routed = [store.route(&req).expect("write verbs route")];
-            let out =
-                &store.execute_batch(&engine, &routed, Some(&wal), &mut scratch, |_, _, run| {
-                    run()
-                })[0];
+            let mut routed = [store.route(&req).expect("write verbs route")];
+            store.execute_batch(&engine, &mut routed, &mut scratch, |_, _, _, run| run());
+            let [out] = routed;
             // Client-side Incr model must match the store's
             // post-image exactly, or the oracle is junk.
-            if let (Request::Incr { .. }, Response::Counter { value }) = (&req, &out.resp) {
-                if hist.current() != Some(*value) {
+            if let (Request::Incr { .. }, Response::Counter { value }) = (&req, out.response()) {
+                if hist.current() != Some(value) {
                     return Err(violation(format!(
                         "seed {seed} t{t} op {i}: incr oracle diverged \
                          ({:?} vs store {value})",
@@ -173,8 +171,8 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> SoakResult<bo
                     )));
                 }
             }
-            match out.ticket {
-                Some(ticket) => match wal.wait(ticket) {
+            match out.staged() {
+                Some(staged) => match wal.wait(wal.stage(staged)) {
                     Ok(()) => hist.ack_last(),
                     Err(_) => {
                         crashed = true;
@@ -213,14 +211,11 @@ fn sim_run(seed: u64, mode: Mode, args: &Args, live: &Liveness) -> SoakResult<bo
         let get = Request::Get {
             key: key.as_bytes(),
         };
-        let routed = [store2.route(&get).expect("GET routes")];
-        match store2.execute_batch(&engine2, &routed, None, &mut scratch, |_, _, run| {
-            run();
-        })[0]
-            .resp
-        {
+        let mut routed = [store2.route(&get).expect("GET routes")];
+        store2.execute_batch(&engine2, &mut routed, &mut scratch, |_, _, _, run| run());
+        match routed[0].response() {
             Response::Value { found, value } => Ok(found.then_some(value)),
-            ref other => Err(format!("seed {seed}: GET answered {other:?}")),
+            other => Err(format!("seed {seed}: GET answered {other:?}")),
         }
     })?;
     wal2.shutdown();

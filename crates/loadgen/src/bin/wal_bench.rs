@@ -176,13 +176,10 @@ fn measure_engine(mode: Mode, policy: Option<SyncPolicy>, args: &Args, dir: &Pat
             };
             // The server's write path: a batch of one, then the
             // ack-after-barrier wait.
-            let routed = [store.route(&req).expect("SET routes")];
-            let wal = wal.as_deref();
-            let out = store.execute_batch(&engine, &routed, wal, &mut scratch, |_, _, run| {
-                run();
-            });
-            if let (Some(ticket), Some(wal)) = (out[0].ticket, wal) {
-                wal.wait(ticket).expect("wal healthy");
+            let mut routed = [store.route(&req).expect("SET routes")];
+            store.execute_batch(&engine, &mut routed, &mut scratch, |_, _, _, run| run());
+            if let (Some(staged), Some(wal)) = (routed[0].staged(), wal.as_deref()) {
+                wal.wait(wal.stage(staged)).expect("wal healthy");
             }
             meter.done();
         }

@@ -32,7 +32,7 @@ use crate::idle::{POLLIN, POLLOUT};
 use crate::overload::{classify, VerbClass};
 use crate::repl::{handle_repl_frame, pump_repl_out, ReplSub};
 use crate::stats::verb_index;
-use crate::store::{BatchScratch, Routed};
+use crate::store::{BatchScratch, Pending, Routed};
 use crate::{ServerState, WorkerCtx};
 
 /// Cap on frames executed per pump so one pipelining client cannot starve
@@ -40,8 +40,10 @@ use crate::{ServerState, WorkerCtx};
 const MAX_FRAMES_PER_PUMP: usize = 256;
 
 /// Stop reading a connection holding this many unprocessed input bytes
-/// until it drains: the kernel socket buffer fills and TCP pushes back on
-/// the client (the per-connection memory bound).
+/// and a whole frame among them until it drains: the kernel socket buffer
+/// fills and TCP pushes back on the client. A frame longer than this is
+/// read on until it is whole, so the per-connection bound is one frame of
+/// [`MAX_FRAME`] and one read loop (64 KiB) past it.
 const RECV_HIGH_WATER: usize = 256 * 1024;
 
 /// Span cap applied when a TRACE request asks for `max: 0` ("everything"):
@@ -65,55 +67,81 @@ enum FlushState {
     Fatal,
 }
 
-/// One decoded-but-unanswered request, in the current decode batch or
-/// parked. Answers are encoded in arrival order when the batch flushes or
-/// the FIFO releases them — that is what keeps the wire strictly in order
-/// even though execution is grouped by shard.
+/// One decoded-but-unanswered request of the current decode batch, in
+/// one cache line from decode to encode: a data verb's [`Routed`] record
+/// is executed in place by the store and answered from its reply. Answers
+/// are encoded in arrival order when the batch flushes or the FIFO
+/// releases them — that is what keeps the wire strictly in order even
+/// though execution is grouped by shard. Aligned to its line, so the
+/// batch's records never straddle two.
+#[repr(align(64))]
 struct PendingReq {
     /// Flight-recorder id (0 = unsampled).
     trace_id: u64,
     /// When the client stops waiting, if it gave a budget: that long after
     /// the request's bytes arrived.
     expires: Option<Instant>,
-    /// Verb index, for the per-request `StoreOp` span payload.
-    verb: usize,
-    state: PendingState,
+    answer: Answer,
 }
 
-enum PendingState {
-    /// Execute through the store.
+/// What a pending request is answered with.
+enum Answer {
+    /// A data verb: executed through the store, answered from its reply.
     Exec(Routed),
-    /// Answer decided at admission (shed, expired deadline, fenced
-    /// primary); held unencoded until the batch flushes so it occupies
-    /// its in-order response slot.
-    Ready(Response<'static>),
-    /// Replica write redirect (the hint is read at encode time).
+    /// Shed at admission, in this health state.
+    Shed(u8),
+    /// Its budget ran out while it queued.
+    Expired,
+    /// A write refused by a primary without its live replicas.
+    Fenced,
+    /// A write sent to a replica (the hint is read at encode time).
     NotPrimary,
-    /// Executed: the store's answer, or the error that replaces it when
-    /// the applied write must not be acknowledged.
-    Executed(Response<'static>),
+    /// FLUSH with a log: answered once the barrier it asked for is done.
+    Flush(FlushToken),
+}
+
+impl Pending for PendingReq {
+    fn routed(&mut self) -> Option<&mut Routed> {
+        match &mut self.answer {
+            Answer::Exec(routed) => Some(routed),
+            _ => None,
+        }
+    }
+}
+
+/// An answer that waits — for its WAL record, for `min_acks` replicas, for
+/// a FLUSH barrier — or that is behind one that does, with what its wait
+/// needs beside the request's own record.
+struct Parked {
+    req: PendingReq,
+    wait: Wait,
+}
+
+enum Wait {
+    /// Settled: answered as the request says, or with this instead (a
+    /// FLUSH's answer, or the error of a write that must not be
+    /// acknowledged).
+    Settled(Option<Response<'static>>),
     /// Executed, and waiting for its WAL record to be durable; then for
     /// `min_acks` replicas too, when `replicate` names its shard and
     /// version. `since_ns` starts the `WalCommit` span.
     Durable {
-        resp: Response<'static>,
         ticket: WalTicket,
         replicate: Option<(u32, u64)>,
         since_ns: u64,
     },
-    /// FLUSH: answered once the barrier it asked for is done.
+    /// FLUSH: waiting for the barrier it asked for.
     Flush(FlushToken),
     /// Executed, and waiting for `min_acks` replicas to confirm `version`
     /// of `shard`, for at most `repl_ack_timeout` from `since`.
     Replicating {
-        resp: Response<'static>,
         shard: u32,
         version: u64,
         since: Instant,
     },
 }
 
-impl PendingReq {
+impl Parked {
     /// Settles this answer at the pass's instant if it can, and says whether
     /// it is final: all are but a write the log has not made durable, a
     /// FLUSH whose barrier is not done, and a write whose acks are not in,
@@ -125,74 +153,66 @@ impl PendingReq {
             state.wakeups.await_wal(wctx.worker);
             state.wal().expect("only a logged answer waits on the log")
         };
-        match &self.state {
-            &PendingState::Flush(token) => {
-                self.state = PendingState::Ready(match log().flush_state(token) {
+        match self.wait {
+            Wait::Settled(_) => return true,
+            Wait::Flush(token) => {
+                self.wait = Wait::Settled(Some(match log().flush_state(token) {
                     DurableState::Durable(durable_lsn) => Response::Flushed { durable_lsn },
                     DurableState::Failed => Response::Error {
                         message: "write-ahead log failed",
                     },
                     DurableState::Pending => return false,
-                });
+                }));
+                return true;
             }
-            PendingState::Durable {
-                resp,
+            Wait::Durable {
                 ticket,
                 replicate,
                 since_ns,
             } => {
-                let durable = log().durable_state(*ticket);
+                let durable = log().durable_state(ticket);
                 if durable == DurableState::Pending {
                     return false;
                 }
                 let number = ticket.number();
-                span_since(
-                    state,
-                    self.trace_id,
-                    SpanKind::WalCommit,
-                    *since_ns,
-                    number,
-                    0,
-                );
+                let trace_id = self.req.trace_id;
+                span_since(state, trace_id, SpanKind::WalCommit, since_ns, number, 0);
                 // The in-memory effect is applied; if the log died, say so
                 // instead of acknowledging a write that may not survive a
                 // crash.
-                self.state = match (durable, *replicate) {
-                    (DurableState::Failed, _) => PendingState::Executed(Response::Error {
+                self.wait = match (durable, replicate) {
+                    (DurableState::Failed, _) => Wait::Settled(Some(Response::Error {
                         message: "write-ahead log failed; write not durable",
-                    }),
-                    (_, Some((shard, version))) => PendingState::Replicating {
-                        resp: resp.clone(),
+                    })),
+                    (_, Some((shard, version))) => Wait::Replicating {
                         shard,
                         version,
                         since: wctx.now,
                     },
-                    (_, None) => PendingState::Executed(resp.clone()),
+                    (_, None) => Wait::Settled(None),
                 };
             }
-            _ => {}
+            Wait::Replicating { .. } => {}
         }
-        let PendingState::Replicating {
-            resp,
+        let Wait::Replicating {
             shard,
             version,
             since,
-        } = &self.state
+        } = self.wait
         else {
             return true;
         };
         let feed = state.repl_feed().expect("only a feed's writes replicate");
         // Applied locally but not acknowledged: not accepted, says the error.
-        let message = match feed.ack_state(*shard, *version, wctx.now) {
+        let message = match feed.ack_state(shard, version, wctx.now) {
             AckState::Acked => None,
             AckState::Fenced => Some("primary fenced: write not acknowledged"),
-            AckState::Pending if give_up || wctx.now >= *since + state.config.repl_ack_timeout => {
+            AckState::Pending if give_up || wctx.now >= since + state.config.repl_ack_timeout => {
                 Some("replication timed out: write not acknowledged")
             }
             AckState::Pending => return false,
         };
-        let resp = message.map_or_else(|| resp.clone(), |message| Response::Error { message });
-        self.state = PendingState::Executed(resp);
+        self.wait = Wait::Settled(message.map(|message| Response::Error { message }));
         true
     }
 
@@ -201,13 +221,21 @@ impl PendingReq {
     /// the feed's next lease expiry, whichever comes first — fencing has
     /// no event of its own.
     fn deadline(&self, state: &ServerState, now: Instant) -> Option<Instant> {
-        let PendingState::Replicating { since, .. } = self.state else {
+        let Wait::Replicating { since, .. } = self.wait else {
             return None;
         };
         let feed = state.repl_feed();
         let lease = feed.and_then(|feed| feed.next_lease_expiry(now));
         let timeout = since + state.config.repl_ack_timeout;
         Some(lease.map_or(timeout, |lease| lease.min(timeout)))
+    }
+
+    /// Encodes this answer, which [`Parked::settle`] has settled.
+    fn encode(self, state: &ServerState, now: Instant, outbuf: &mut Vec<u8>) {
+        let Wait::Settled(instead) = self.wait else {
+            unreachable!("only a settled answer is encoded");
+        };
+        encode_answer(state, &self.req, instead, now, outbuf);
     }
 }
 
@@ -217,14 +245,10 @@ impl PendingReq {
 struct BatchBufs {
     /// The current decode batch, in arrival order.
     pending: Vec<PendingReq>,
-    /// The batch's executable subset, as handed to the store…
-    routed: Vec<Routed>,
-    /// …and each routed entry's index in `pending`.
-    exec_idx: Vec<usize>,
     scratch: BatchScratch,
     /// Answers waiting for the log or replica acks, or behind one, in
     /// arrival order.
-    parked: VecDeque<PendingReq>,
+    parked: VecDeque<Parked>,
     /// The encoded answer of the unbatched frame whose flush parked: it
     /// goes out once `parked` drains.
     behind: Vec<u8>,
@@ -240,6 +264,9 @@ struct BatchBufs {
 pub(crate) struct Conn<S> {
     stream: FaultyStream<S>,
     inbuf: FrameBuf,
+    /// What one read takes in, before `inbuf` does: kept here, so a pass
+    /// does not zero 4 KiB of stack to read a window's few hundred bytes.
+    chunk: Box<[u8]>,
     outbuf: Vec<u8>,
     outpos: usize,
     last_write_progress: Instant,
@@ -264,6 +291,7 @@ impl<S: Read + Write> Conn<S> {
         Conn {
             stream: FaultyStream::maybe(stream, state.config.fault_plan.clone()),
             inbuf: FrameBuf::new(),
+            chunk: vec![0; 4096].into_boxed_slice(),
             outbuf: Vec::new(),
             outpos: 0,
             last_write_progress: now,
@@ -313,10 +341,12 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Whether [`Conn::pump`] reads the socket (step 2): not once closing,
-    /// nor while it holds [`RECV_HIGH_WATER`] unprocessed bytes or a
-    /// parked response.
+    /// nor while it holds a parked response, nor while it holds
+    /// [`RECV_HIGH_WATER`] unprocessed bytes with a whole frame among them
+    /// (short of one, only more bytes can make progress).
     fn reads(&self) -> bool {
-        !self.closing && self.inbuf.pending() < RECV_HIGH_WATER && !self.has_parked()
+        let full = self.inbuf.pending() >= RECV_HIGH_WATER && self.inbuf.ready();
+        !self.closing && !full && !self.has_parked()
     }
 
     /// When [`Conn::pump`] has work here that neither a descriptor nor
@@ -375,18 +405,17 @@ impl<S: Read + Write> Conn<S> {
         progressed |= released;
 
         // 2. Ingest bytes — unless this connection already holds more
-        //    unprocessed input than the high-water mark. Not reading is
-        //    the memory bound: the kernel socket buffer fills and TCP
-        //    pushes back on the client.
+        //    unprocessed input than the high-water mark and a whole frame
+        //    in it. Not reading is the memory bound: the kernel socket
+        //    buffer fills and TCP pushes back on the client.
         let mut peer_eof = false;
         let mut read_on = false;
         if self.reads() {
-            let mut chunk = [0u8; 4096];
             // Until the socket says it is drained, the loop's cap is what
             // ends it, and the next pass reads on.
             read_on = true;
             for _ in 0..16 {
-                match self.stream.read(&mut chunk) {
+                match self.stream.read(&mut self.chunk) {
                     Ok(0) => {
                         peer_eof = true;
                         read_on = false;
@@ -396,13 +425,13 @@ impl<S: Read + Write> Conn<S> {
                         if self.inbuf.pending() == 0 {
                             self.ingest_at = Some((wctx.now, trace::now_ns()));
                         }
-                        self.inbuf.extend(&chunk[..n]);
+                        self.inbuf.extend(&self.chunk[..n]);
                         progressed = true;
                         // A short read emptied the socket: asking again
                         // would only buy the `WouldBlock`. What a seeded
                         // split left behind is read by the next pass,
                         // which follows at once.
-                        if n < chunk.len() {
+                        if n < self.chunk.len() {
                             read_on = self.stream.cut_short();
                             break;
                         }
@@ -440,8 +469,11 @@ impl<S: Read + Write> Conn<S> {
 
         // 4. Push out what this pass encoded, unless a slow-store draw
         //    moved the pass's instant past the one it was handed: then the
-        //    next pass writes it, at that instant or later.
+        //    next pass writes it, at that instant or later. STATS counts
+        //    what the pass did first, so no client reads an answer that
+        //    its counters do not show yet.
         if !wctx.held {
+            wctx.publish(state);
             match self.flush_inner(wctx.now) {
                 FlushState::Clean { progressed: p } => progressed |= p,
                 FlushState::Fatal => return PumpOutcome::Close,
@@ -535,9 +567,9 @@ impl<S: Read + Write> Conn<S> {
                         Ok(frame) => {
                             let req = &frame.req;
                             wctx.frames_seen += 1;
-                            state.counters.note_request(req);
-                            let trace_id = state.rt.tracer().begin_request();
                             let verb = verb_index(req);
+                            wctx.tally.request(verb);
+                            let trace_id = state.rt.tracer().begin_request();
                             if trace_id != 0 {
                                 span_since(
                                     state,
@@ -560,23 +592,25 @@ impl<S: Read + Write> Conn<S> {
                             }
                             let budget = frame.deadline_us.map(u64::from);
                             let expires = budget.map(|us| arrival + Duration::from_micros(us));
-                            let pending = |decided| PendingReq {
+                            let pending = |answer| PendingReq {
                                 trace_id,
                                 expires,
-                                verb,
-                                state: decided,
+                                answer,
                             };
                             let admitted = admit(state, wctx, req, expires, trace_id)
                                 .map(|()| state.store.route(req));
                             match admitted {
                                 // Rejected: the answer rides the batch so
                                 // it keeps its in-order response slot.
-                                Err(resp) => {
-                                    batch.pending.push(pending(PendingState::Ready(resp)));
-                                }
+                                Err(answer) => batch.pending.push(pending(answer)),
+                                // The section reads the key's slot and its
+                                // stripe first: ask for both now, so the
+                                // window's misses are taken during its
+                                // decode, not one key at a time inside it.
                                 Ok(Some(routed)) => {
-                                    let decided = role_check(state, routed, wctx.now);
-                                    batch.pending.push(pending(decided));
+                                    state.store.prefetch(engine, &routed);
+                                    let answer = role_check(state, routed, wctx.now);
+                                    batch.pending.push(pending(answer));
                                 }
                                 // Control verb or SCAN: flush what is
                                 // pending (in-order responses), then run
@@ -587,9 +621,12 @@ impl<S: Read + Write> Conn<S> {
                                     let out = flush_batch(engine, state, wctx, outbuf, batch);
                                     if let (Request::Flush, Some(wal)) = (req, state.wal()) {
                                         let token = wal.request_flush();
-                                        batch.pending.push(pending(PendingState::Flush(token)));
+                                        batch.pending.push(pending(Answer::Flush(token)));
                                         continue;
                                     }
+                                    // A STATS answer counts every request
+                                    // ahead of it.
+                                    wctx.publish(state);
                                     trace::set_current(trace_id);
                                     if !execute_admitted(engine, state, wctx, out, req, expires) {
                                         *closing = true;
@@ -676,11 +713,11 @@ fn admit(
     req: &Request<'_>,
     expires: Option<Instant>,
     trace_id: u64,
-) -> Result<(), Response<'static>> {
+) -> Result<(), Answer> {
     let class = classify(req);
     if class != VerbClass::Control && expires.is_some_and(|at| wctx.now >= at) {
         state.counters.note_deadline_pre();
-        return Err(Response::DeadlineExceeded);
+        return Err(Answer::Expired);
     }
     let limit = state.config.queue_limit;
     let verdict = state
@@ -695,7 +732,7 @@ fn admit(
     span_since(state, trace_id, SpanKind::Shed, t0, index, health_b);
     let shed_ns = trace::now_ns().saturating_sub(t0);
     state.counters.note_shed(wctx.worker, cause, shed_ns);
-    Err(Response::Overloaded { state: health })
+    Err(Answer::Shed(health))
 }
 
 /// Role checks for an admitted data verb, per request, at the point it
@@ -705,21 +742,19 @@ fn admit(
 /// currently reach `min_acks` live replicas must not apply (much less
 /// ack) new writes, including ones arriving mid-pipeline — a partitioned
 /// old primary goes read-only instead of diverging, judged at `now`.
-fn role_check(state: &ServerState, routed: Routed, now: Instant) -> PendingState {
+fn role_check(state: &ServerState, routed: Routed, now: Instant) -> Answer {
     if routed.is_write() {
         if state.is_replica() {
-            return PendingState::NotPrimary;
+            return Answer::NotPrimary;
         }
         if let Some(feed) = state.repl_feed() {
             if feed.fenced(now) {
                 feed.counters().note_fenced_reject();
-                return PendingState::Ready(Response::Error {
-                    message: "primary fenced: insufficient live replicas",
-                });
+                return Answer::Fenced;
             }
         }
     }
-    PendingState::Exec(routed)
+    Answer::Exec(routed)
 }
 
 /// Takes the load plan's SlowStore draw for one executed request: the
@@ -739,11 +774,12 @@ fn draw_slow_store(state: &ServerState, wctx: &mut WorkerCtx) {
 /// Executes and answers the pending batch — the one place a data verb
 /// meets the store, the WAL and the replication gate. One critical
 /// section per shard-group via [`crate::ShardedStore::execute_batch`]
-/// (a `BatchExec` span per group, a `StoreOp` span per request), then per
-/// request, in arrival order: encode — or park, when it waits for its
-/// own WAL barrier or `min_acks`, or is behind an answer that does.
-/// Returns where the next answer goes: `outbuf`, or behind the parked
-/// ones. No-op on an empty batch.
+/// (a `BatchExec` span per group, a `StoreOp` span per request), each
+/// reply written into its request's record; then per request, in arrival
+/// order: stage a write's post-image if a log or a feed takes it, and
+/// encode — or park, when it waits for its own WAL barrier or `min_acks`,
+/// or is behind an answer that does. Returns where the next answer goes:
+/// `outbuf`, or behind the parked ones. No-op on an empty batch.
 fn flush_batch<'a>(
     engine: &Engine<'_>,
     state: &ServerState,
@@ -753,8 +789,6 @@ fn flush_batch<'a>(
 ) -> &'a mut Vec<u8> {
     let BatchBufs {
         pending,
-        routed,
-        exec_idx,
         scratch,
         parked,
         behind,
@@ -762,120 +796,131 @@ fn flush_batch<'a>(
     if pending.is_empty() {
         return if parked.is_empty() { outbuf } else { behind };
     }
-    // Route the executable subset; rejected entries keep their slot in
-    // `pending` and only participate in response encoding below.
-    routed.clear();
-    exec_idx.clear();
-    for (i, p) in pending.iter().enumerate() {
-        if let PendingState::Exec(r) = p.state {
-            routed.push(r);
-            exec_idx.push(i);
+    // One fault draw per executed request.
+    if state.config.load_plan.is_some() {
+        for _ in pending.iter_mut().filter_map(Pending::routed) {
+            draw_slow_store(state, wctx);
         }
     }
-    // One fault draw per executed request.
-    for _ in 0..routed.len() {
-        draw_slow_store(state, wctx);
-    }
-    let feed = state.repl_feed().filter(|_| !state.is_replica());
-    let wal = state.wal().map(|w| w.as_ref());
-    let outcomes =
-        state
-            .store
-            .execute_batch(engine, routed, wal, scratch, |shard, positions, run| {
-                // The group's engine section runs under the first sampled
-                // request's trace id, so Section/HtmAttempt spans attach
-                // to a real request; the BatchExec span marks the whole
-                // group and carries its size.
-                let parent = positions
-                    .iter()
-                    .map(|&p| pending[exec_idx[p]].trace_id)
-                    .find(|&id| id != 0)
-                    .unwrap_or(0);
-                let t0_ns = trace::now_ns();
-                trace::set_current(parent);
-                run();
-                trace::clear_current();
-                let group_ns = trace::now_ns().saturating_sub(t0_ns);
-                let n = positions.len() as u64;
-                // Engine latency only feeds the brownout EWMA (the barrier
-                // waits below are deliberate batching, not overload); the
-                // group's cost is attributed evenly across its requests so
-                // the controller sees the amortized per-request load, and
-                // is accounted once for all of them.
-                let per_req_ns = group_ns / n.max(1);
-                wctx.lat_sum_ns += per_req_ns * n;
-                wctx.lat_count += n;
-                state.counters.note_executed(wctx.worker, per_req_ns, n);
-                // No sampled request in the group: no span to push.
-                if parent != 0 {
-                    for &p in positions {
-                        let pr = &pending[exec_idx[p]];
-                        if pr.trace_id != 0 {
-                            state.rt.tracer().push(Span {
-                                trace_id: pr.trace_id,
-                                kind: SpanKind::StoreOp,
-                                start_ns: t0_ns,
-                                dur_ns: group_ns,
-                                a: pr.verb as u64,
-                                b: 1,
-                            });
-                        }
+    let tally = &mut wctx.tally;
+    let (lat_sum_ns, lat_count) = (&mut wctx.lat_sum_ns, &mut wctx.lat_count);
+    state.store.execute_batch(
+        engine,
+        pending,
+        scratch,
+        |shard, pending, positions, run| {
+            // The group's engine section runs under the first sampled
+            // request's trace id, so Section/HtmAttempt spans attach
+            // to a real request; the BatchExec span marks the whole
+            // group and carries its size.
+            let parent = positions
+                .iter()
+                .map(|&p| pending[p].trace_id)
+                .find(|&id| id != 0)
+                .unwrap_or(0);
+            let t0_ns = trace::now_ns();
+            trace::set_current(parent);
+            run();
+            trace::clear_current();
+            let group_ns = trace::now_ns().saturating_sub(t0_ns);
+            let n = positions.len() as u64;
+            // Engine latency only feeds the brownout EWMA (the barrier
+            // waits below are deliberate batching, not overload); the
+            // group's cost is attributed evenly across its requests so
+            // the controller sees the amortized per-request load, and
+            // is accounted once for all of them.
+            let per_req_ns = group_ns / n.max(1);
+            *lat_sum_ns += per_req_ns * n;
+            *lat_count += n;
+            tally.executed(n);
+            tally.batch(n);
+            state.counters.note_latency(per_req_ns, n);
+            state.counters.note_batch_size(n);
+            // No sampled request in the group: no span to push.
+            if parent != 0 {
+                for &p in positions {
+                    let pr = &pending[p];
+                    if let (Answer::Exec(r), true) = (&pr.answer, pr.trace_id != 0) {
+                        state.rt.tracer().push(Span {
+                            trace_id: pr.trace_id,
+                            kind: SpanKind::StoreOp,
+                            start_ns: t0_ns,
+                            dur_ns: group_ns,
+                            a: r.verb_index() as u64,
+                            b: 1,
+                        });
                     }
-                    state.rt.tracer().push(Span {
-                        trace_id: parent,
-                        kind: SpanKind::BatchExec,
-                        start_ns: t0_ns,
-                        dur_ns: group_ns,
-                        a: n,
-                        b: u64::from(shard),
-                    });
                 }
-                state.counters.note_batch(n);
-            });
+                state.rt.tracer().push(Span {
+                    trace_id: parent,
+                    kind: SpanKind::BatchExec,
+                    start_ns: t0_ns,
+                    dur_ns: group_ns,
+                    a: n,
+                    b: u64::from(shard),
+                });
+            }
+        },
+    );
     // Epilogue + response encode, in arrival order. The WAL barrier and
     // the replication gate stay per record: each mutation's ack waits for
     // exactly its own.
+    let wal = state.wal();
+    let feed = state.repl_feed().filter(|_| !state.is_replica());
+    // Replication gate: with `min_acks` configured, a write's ack is
+    // withheld until enough replicas confirmed its version, or the
+    // primary turns out to be fenced.
+    let gated = feed.filter(|feed| feed.config().min_acks > 0);
     let mut published = false;
-    let mut outcomes = outcomes.iter();
-    for mut p in pending.drain(..) {
-        if let PendingState::Exec(_) = p.state {
-            let out = outcomes.next().expect("one outcome per routed entry");
-            let resp = out.resp.clone();
-            // Replication gate: with `min_acks` configured, a write's ack
-            // is withheld until enough replicas confirmed its version, or
-            // the primary turns out to be fenced.
-            let gated = feed.filter(|feed| feed.config().min_acks > 0);
-            let replicate = gated.and(out.staged).map(|s| (s.shard, s.seq));
-            p.state = match (out.ticket, replicate) {
-                // Ack-after-barrier: the response for a logged write is
-                // not encoded until its record is inside an fsynced prefix.
-                (Some(ticket), _) => PendingState::Durable {
-                    resp,
-                    ticket,
-                    replicate,
-                    since_ns: stamp(p.trace_id),
-                },
-                (None, Some((shard, version))) => PendingState::Replicating {
-                    resp,
-                    shard,
-                    version,
-                    since: wctx.now,
-                },
-                (None, None) => PendingState::Executed(resp),
-            };
-            // No-WAL primary: the applied write is this deployment's
-            // durable prefix (there is nothing stronger to wait for), so
-            // it enters the feed here.
-            if let (None, Some(feed), Some(staged)) = (out.ticket, feed, &out.staged) {
-                feed.publish(staged.shard, std::slice::from_ref(staged));
-                published = true;
+    for p in pending.drain(..) {
+        let wait = match p.answer {
+            // Only a log or a feed takes a post-image.
+            Answer::Exec(routed) if wal.is_some() || feed.is_some() => {
+                let staged = routed.staged();
+                let replicate = gated.and(staged).map(|s| (s.shard, s.seq));
+                match (wal, feed, staged) {
+                    // Ack-after-barrier: the response for a logged write
+                    // is not encoded until its record is inside an
+                    // fsynced prefix.
+                    (Some(wal), _, Some(staged)) => Some(Wait::Durable {
+                        ticket: wal.stage(staged),
+                        replicate,
+                        since_ns: stamp(p.trace_id),
+                    }),
+                    // No-WAL primary: the applied write is this
+                    // deployment's durable prefix (there is nothing
+                    // stronger to wait for), so it enters the feed here.
+                    (None, Some(feed), Some(staged)) => {
+                        feed.publish(staged.shard, std::slice::from_ref(&staged));
+                        published = true;
+                        replicate.map(|(shard, version)| Wait::Replicating {
+                            shard,
+                            version,
+                            since: wctx.now,
+                        })
+                    }
+                    _ => None,
+                }
             }
-        }
+            Answer::Flush(token) => Some(Wait::Flush(token)),
+            _ => None,
+        };
         // Once one answer waits, every later one waits behind it.
-        if parked.is_empty() && p.settle(state, wctx, false) {
-            encode_answer(state, p, wctx.now, outbuf);
+        let mut held = match wait {
+            None if parked.is_empty() => {
+                encode_answer(state, &p, None, wctx.now, outbuf);
+                continue;
+            }
+            None => Parked {
+                req: p,
+                wait: Wait::Settled(None),
+            },
+            Some(wait) => Parked { req: p, wait },
+        };
+        if parked.is_empty() && held.settle(state, wctx, false) {
+            held.encode(state, wctx.now, outbuf);
         } else {
-            parked.push_back(p);
+            parked.push_back(held);
         }
     }
     if published {
@@ -906,7 +951,7 @@ impl BatchBufs {
             .take_while(|&settled| settled)
             .count();
         for p in self.parked.drain(..ready) {
-            encode_answer(state, p, wctx.now, outbuf);
+            p.encode(state, wctx.now, outbuf);
         }
         if self.parked.is_empty() {
             outbuf.append(&mut self.behind);
@@ -915,19 +960,33 @@ impl BatchBufs {
     }
 }
 
-/// Encodes one settled answer, an executed request's [`unless_late`].
-fn encode_answer(state: &ServerState, p: PendingReq, now: Instant, outbuf: &mut Vec<u8>) {
-    let resp = match p.state {
-        PendingState::Ready(resp) => return encode_response(&resp, outbuf),
-        PendingState::NotPrimary => {
+/// Encodes one settled answer: a rejection's, a FLUSH's, or an executed
+/// request's reply — or `instead`, the error that replaces it — each
+/// [`unless_late`].
+fn encode_answer(
+    state: &ServerState,
+    p: &PendingReq,
+    instead: Option<Response<'static>>,
+    now: Instant,
+    outbuf: &mut Vec<u8>,
+) {
+    let resp = match p.answer {
+        Answer::Exec(routed) => instead.unwrap_or_else(|| routed.response()),
+        Answer::Flush(_) => {
+            let resp = instead.expect("a FLUSH is answered once its barrier settles");
+            return encode_response(&resp, outbuf);
+        }
+        Answer::Shed(health) => {
+            return encode_response(&Response::Overloaded { state: health }, outbuf)
+        }
+        Answer::Expired => return encode_response(&Response::DeadlineExceeded, outbuf),
+        Answer::Fenced => {
+            return encode_error("primary fenced: insufficient live replicas", outbuf)
+        }
+        Answer::NotPrimary => {
             let hint = state.upstream_hint();
             return encode_response(&Response::NotPrimary { hint: &hint }, outbuf);
         }
-        PendingState::Executed(resp) => resp,
-        PendingState::Exec(_)
-        | PendingState::Durable { .. }
-        | PendingState::Flush(_)
-        | PendingState::Replicating { .. } => unreachable!("only a settled answer is encoded"),
     };
     let out_start = outbuf.len();
     let resp_t0 = stamp(p.trace_id);
@@ -1004,7 +1063,8 @@ fn execute_admitted(
             resp_t0 = span_since(state, trace_id, SpanKind::StoreOp, resp_t0, verb, 0);
             wctx.lat_sum_ns += exec_ns;
             wctx.lat_count += 1;
-            state.counters.note_executed(wctx.worker, exec_ns, 1);
+            wctx.tally.executed(1);
+            state.counters.note_latency(exec_ns, 1);
             let entries = Response::Entries { pairs };
             encode_response(&unless_late(state, expires, wctx.now, entries), outbuf);
             true
@@ -1103,6 +1163,15 @@ mod tests {
     use std::net::{Ipv4Addr, TcpListener, TcpStream};
     use std::sync::Arc;
 
+    /// A request's record from decode to encode is one cache line: the
+    /// store executes it in place and the encoder reads its reply.
+    #[test]
+    fn a_pending_request_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<PendingReq>(), 64);
+        assert_eq!(std::mem::align_of::<PendingReq>(), 64);
+        assert_eq!(std::mem::size_of::<Routed>(), 40);
+    }
+
     /// Every combination of the five facts [`Conn::interest`] and
     /// [`Conn::deadline`] read, against the events [`Conn::pump`] would
     /// act on in that state.
@@ -1121,18 +1190,25 @@ mod tests {
         let mut conn = Conn::new(stream, &state, now);
         let feed = state.repl_feed().expect("feed");
         let sub = feed.subscribe(&[0; 4], now);
+        let set = Request::Set {
+            key: b"k",
+            value: 1,
+            ttl: 0,
+        };
+        let routed = state.store.route(&set).expect("SET routes");
         for case in 0..32u32 {
             let [closing, at_high_water, pending_output, repl_sub, parked] =
                 [0, 1, 2, 3, 4].map(|bit| case & (1 << bit) != 0);
             conn.closing = closing;
             conn.batch.parked.clear();
             if parked {
-                conn.batch.parked.push_back(PendingReq {
-                    trace_id: 0,
-                    expires: None,
-                    verb: 0,
-                    state: PendingState::Replicating {
-                        resp: Response::Done,
+                conn.batch.parked.push_back(Parked {
+                    req: PendingReq {
+                        trace_id: 0,
+                        expires: None,
+                        answer: Answer::Exec(routed),
+                    },
+                    wait: Wait::Replicating {
                         shard: 0,
                         version: 1,
                         since: now,
@@ -1173,6 +1249,13 @@ mod tests {
         conn.outbuf.clear();
         conn.inbuf = FrameBuf::new();
         conn.inbuf.extend(&vec![0; RECV_HIGH_WATER - 1]);
+        assert_eq!(conn.interest(), POLLIN);
+        // So does the mark itself while no whole frame is buffered: the
+        // head frame is longer, and only more bytes complete it.
+        conn.inbuf = FrameBuf::new();
+        let declared = u32::try_from(MAX_FRAME).unwrap();
+        conn.inbuf.extend(&declared.to_le_bytes());
+        conn.inbuf.extend(&vec![0; RECV_HIGH_WATER]);
         assert_eq!(conn.interest(), POLLIN);
     }
 
@@ -1230,6 +1313,7 @@ mod tests {
             passes += 1;
             assert!(passes < 10_000, "the split frame was never completed");
             let outcome = conn.pump(engine, &state, &mut wctx);
+            wctx.publish(&state);
             assert!(matches!(outcome, PumpOutcome::Alive { .. }));
             assert_eq!(plan.counts()[0], passes, "one read per short pass");
         }
@@ -1252,6 +1336,7 @@ mod tests {
             passes += 1;
             assert!(passes < 10_000, "EOF after a short read was never seen");
         }
+        wctx.publish(&state);
         assert_eq!(state.counters.total_requests(), 2);
         drop(conn);
         got.clear();

@@ -64,8 +64,9 @@
 //! * **Brownout**: EWMAs of queue depth and request latency drive
 //!   `Healthy → Degraded → Shedding`; shed requests are answered with the
 //!   retriable `Overloaded` response on a connection that stays open.
-//! * **Memory bound**: a connection holding more than 256 KiB of
-//!   unprocessed bytes stops being read until it drains — TCP backpressure caps per-connection memory.
+//! * **Memory bound**: a connection holding 256 KiB of unprocessed bytes
+//!   and a whole frame among them stops being read until it drains — TCP
+//!   backpressure caps per-connection memory at about one frame's limit.
 //! * The **HEALTH** verb reports the brownout state plus shed and
 //!   deadline-miss counters, and is never shed.
 
@@ -104,7 +105,7 @@ pub use overload::{
     SHED_CAUSE_NAMES, TRANSITION_NAMES,
 };
 pub use stats::{ServerCounters, WorkerGauges};
-pub use store::{BatchOutcome, BatchScratch, Routed, Session, ShardedStore};
+pub use store::{BatchScratch, Pending, Routed, ShardedStore};
 
 use conn::{Conn, PumpOutcome};
 use idle::IDLE_PASS;
@@ -663,7 +664,7 @@ impl ServerState {
 }
 
 /// Per-worker pass state: the pass's instant and what the pumps read
-/// beside it, and the pass's counters, reset at the end of each pass.
+/// beside it, and the pass's counters, published or reset once a pass.
 pub(crate) struct WorkerCtx {
     /// This worker's index (stable across the server's lifetime).
     pub(crate) worker: usize,
@@ -683,6 +684,8 @@ pub(crate) struct WorkerCtx {
     pub(crate) lat_sum_ns: u64,
     /// Requests executed this pass.
     pub(crate) lat_count: u64,
+    /// What the pass counted for STATS and has not published yet.
+    pub(crate) tally: stats::Tally,
     /// This pass gave another of the worker's connections work that no
     /// waker signals, the worker being awake: it put records in the feed
     /// one of its replica streams drains, or noted an ack one of its
@@ -701,8 +704,14 @@ impl WorkerCtx {
             frames_seen: 0,
             lat_sum_ns: 0,
             lat_count: 0,
+            tally: stats::Tally::default(),
             own_wake: false,
         }
+    }
+
+    /// Publishes what the pass counted so far into STATS.
+    pub(crate) fn publish(&mut self, state: &ServerState) {
+        state.counters.publish(self.worker, &mut self.tally);
     }
 
     /// What every pass that is not a drain pass ends with: publish its
@@ -1114,6 +1123,8 @@ impl<'s, S: Read + Write> Worker<'s, S> {
                     false
                 }
             });
+        // What a held or closed connection counted.
+        wctx.publish(state);
         // A drain pass waits on the sockets that hold bytes, and one
         // `IDLE_PASS` at most while an answer is parked.
         if let Some(give_up_at) = wctx.give_up_at {

@@ -93,6 +93,36 @@ impl WorkerGauges {
     }
 }
 
+/// What a worker counts while a pass runs and publishes into
+/// [`ServerCounters`] once ([`ServerCounters::publish`]): at the pass's
+/// end, and before a control verb runs, so a STATS answer counts every
+/// request ahead of it.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    by_verb: [u64; 12],
+    executed: u64,
+    batches_executed: u64,
+    single_request_batches: u64,
+}
+
+impl Tally {
+    /// Counts one decoded request of verb index `verb`.
+    pub(crate) fn request(&mut self, verb: usize) {
+        self.by_verb[verb] += 1;
+    }
+
+    /// Counts `n` requests executed against the engine.
+    pub(crate) fn executed(&mut self, n: u64) {
+        self.executed += n;
+    }
+
+    /// Counts one executed shard-group of `len` requests.
+    pub(crate) fn batch(&mut self, len: u64) {
+        self.batches_executed += 1;
+        self.single_request_batches += u64::from(len == 1);
+    }
+}
+
 /// Relaxed atomic counters for everything the data plane touches.
 #[derive(Debug)]
 pub struct ServerCounters {
@@ -179,8 +209,22 @@ impl ServerCounters {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_request(&self, req: &Request<'_>) {
-        self.by_verb[verb_index(req)].fetch_add(1, Ordering::Relaxed);
+    /// Adds what `worker` counted since its last publication, and empties
+    /// `tally`.
+    pub(crate) fn publish(&self, worker: usize, tally: &mut Tally) {
+        let add = |counter: &AtomicU64, n: u64| {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        for (counter, &n) in self.by_verb.iter().zip(&tally.by_verb) {
+            add(counter, n);
+        }
+        let g = &self.per_worker[worker % self.per_worker.len()];
+        add(&g.executed, tally.executed);
+        add(&self.batches_executed, tally.batches_executed);
+        add(&self.single_request_batches, tally.single_request_batches);
+        *tally = Tally::default();
     }
 
     pub(crate) fn note_malformed(&self) {
@@ -217,21 +261,15 @@ impl ServerCounters {
         self.deadline_post.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accounts `n` requests `worker` executed at `ns` each: a shard-group
-    /// shares its section's time evenly, so it is accounted once.
-    pub(crate) fn note_executed(&self, worker: usize, ns: u64, n: u64) {
-        self.per_worker[worker % self.per_worker.len()]
-            .executed
-            .fetch_add(n, Ordering::Relaxed);
+    /// Records `n` executed requests at `ns` each in `request_latency`: a
+    /// shard-group shares its section's time evenly, so it is one record.
+    pub(crate) fn note_latency(&self, ns: u64, n: u64) {
         self.request_latency.record_n(ns, n);
     }
 
-    /// Accounts one executed shard-group of `len` requests.
-    pub(crate) fn note_batch(&self, len: u64) {
-        self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        if len == 1 {
-            self.single_request_batches.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Records one executed shard-group of `len` requests in
+    /// `requests_per_batch`.
+    pub(crate) fn note_batch_size(&self, len: u64) {
         self.requests_per_batch.record(len);
     }
 
@@ -496,16 +534,24 @@ mod tests {
         c.note_accept();
         c.note_accept();
         c.note_close();
-        c.note_request(&Request::Get { key: b"k" });
-        c.note_request(&Request::Set {
+        let mut tally = Tally::default();
+        tally.request(verb_index(&Request::Get { key: b"k" }));
+        tally.request(verb_index(&Request::Set {
             key: b"k",
             value: 1,
             ttl: 0,
-        });
-        c.note_request(&Request::Get { key: b"k" });
-        c.note_request(&Request::Health);
+        }));
+        tally.request(verb_index(&Request::Get { key: b"k" }));
+        tally.request(verb_index(&Request::Health));
         c.note_malformed();
-        c.note_request(&Request::Trace { max: 64 });
+        tally.request(verb_index(&Request::Trace { max: 64 }));
+        assert_eq!(
+            c.total_requests(),
+            0,
+            "nothing counts before it is published"
+        );
+        c.publish(0, &mut tally);
+        c.publish(0, &mut tally);
         let json = c.to_json(
             "gocc",
             "deadbeef",
@@ -550,10 +596,12 @@ mod tests {
     #[test]
     fn batch_counters_reconcile_in_the_document() {
         let c = ServerCounters::new(1);
-        c.note_batch(1);
-        c.note_batch(8);
-        c.note_batch(1);
-        c.note_batch(32);
+        let mut tally = Tally::default();
+        for len in [1, 8, 1, 32] {
+            tally.batch(len);
+            c.note_batch_size(len);
+        }
+        c.publish(0, &mut tally);
         assert_eq!(c.batches_executed(), 4);
         assert_eq!(c.single_request_batches(), 2);
         assert_eq!(c.requests_per_batch().snapshot().max, 32);
@@ -581,7 +629,10 @@ mod tests {
         c.note_oversized();
         c.set_queue_depth(0, 12);
         c.set_queue_depth(0, 3);
-        c.note_executed(1, 2_000, 1);
+        let mut tally = Tally::default();
+        tally.executed(1);
+        c.publish(1, &mut tally);
+        c.note_latency(2_000, 1);
         c.note_accept_error();
         c.note_idle(1, true);
         c.note_idle(1, false);

@@ -442,7 +442,7 @@ fn pipelined_session_writes_on_one_shard_run_as_one_section() {
             let get = Request::Get {
                 key: key.as_bytes(),
             };
-            router.route(&get).expect("GET routes").shard
+            router.route(&get).expect("GET routes").shard()
         };
         let keys: Vec<String> = (0..)
             .map(|i| format!("sess-{i}"))

@@ -12,6 +12,7 @@
 
 mod common;
 
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +20,7 @@ use common::{hand_worker, steady_brownout, until_it_blocks, Hand, Link, LINK_BOU
 use gocc_faultplane::{TransportFaultPlan, TransportMix};
 use gocc_server::{Next, ServerConfig, ServerState, Worker};
 use gocc_telemetry::JsonValue;
-use gocc_wire::{encode_request_v2, Request, Response};
+use gocc_wire::{decode_response, encode_request_v2, Request, Response};
 
 fn config() -> ServerConfig {
     ServerConfig {
@@ -328,14 +329,108 @@ fn request_latency_counts_every_executed_request_once() {
     assert_eq!(executed, 8 * 24 + 4, "every GET, SET and SCAN");
 }
 
+#[test]
+fn a_frame_longer_than_the_read_high_water_mark_is_read_whole() {
+    // 300 000 bytes: past the 256 KiB at which a connection holding a
+    // whole frame stops reading, within the 1 MiB frame limit. A pass
+    // reads 64 KiB, so five passes take it all; its body decodes as no
+    // request, which is answered `Error` and closes the connection.
+    let state = ServerState::new(config()).expect("state");
+    let t0 = Instant::now();
+    let mut w = Worker::new(&state, 0, t0);
+    let (mut client, served) = Link::pair(LINK_BOUND);
+    w.adopt(served, t0);
+    let body = vec![0xAB; 300_000 - 4];
+    let mut frame = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+    frame.extend(&body);
+    client.write_all(&frame).expect("the link takes the frame");
+    let mut passes = 0;
+    while w.pass(t0) == Next::Pass {
+        passes += 1;
+        assert!(passes < 6, "still reading after {passes} passes");
+    }
+    // One frame, then the end of the stream.
+    let mut got = Vec::new();
+    client
+        .read_to_end(&mut got)
+        .expect("an answer and a close within five passes");
+    let len = u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
+    assert_eq!(got.len(), 4 + len, "one frame, then the close");
+    let Ok(Response::Error { message }) = decode_response(&got[4..]) else {
+        panic!("not an error answer");
+    };
+    assert!(message.starts_with("malformed frame"), "{message}");
+    assert_eq!(state.counters().malformed(), 1);
+    assert_eq!(state.counters().closed(), 1);
+}
+
+/// Takes `worker`'s passes over one window the client has sent, at `now`,
+/// until the one that decides how to wait; reads the window's `depth`
+/// answers. Returns the time spent inside `Worker::pass` and the instant
+/// the next window starts at.
+fn serve_window(
+    w: &mut Worker<'_, Link>,
+    c: &mut Hand,
+    now: Instant,
+    depth: usize,
+) -> (Duration, Instant) {
+    let mut in_pass = Duration::ZERO;
+    let next = loop {
+        let start = Instant::now();
+        let next = w.pass(now);
+        in_pass += start.elapsed();
+        if let Next::Wait { until, .. } = next {
+            break until.unwrap_or(now + Duration::from_micros(50));
+        }
+    };
+    for _ in 0..depth {
+        c.answer();
+    }
+    (in_pass, next)
+}
+
+/// Nanoseconds the sections of `state` have taken so far: STATS
+/// `request_latency` records each shard-group's section, timed around it.
+fn section_ns(state: &ServerState) -> u64 {
+    state.counters().request_latency().snapshot().sum
+}
+
+/// Reads a buffer larger than a core's L2 line by line: what a window
+/// touched is then out of L1 and L2, as after the idle tick on a shared
+/// host.
+fn evict(sweep: &[u8]) -> u8 {
+    sweep.iter().step_by(64).fold(0, |acc, &b| acc ^ b)
+}
+
+/// Prints the median of `rounds` (ns per request) and its quartiles.
+fn report(name: &str, rounds: &mut [(f64, f64)]) {
+    let total = |r: &(f64, f64)| r.0 + r.1;
+    rounds.sort_by(|a, b| total(a).total_cmp(&total(b)));
+    let [q1, median, q3] = [2, 5, 8].map(|i| rounds[i]);
+    println!(
+        "{name:<24} {:>5.0} ns of pass per request (quartiles {:.0}–{:.0}): \
+         sections {:.0}, rest {:.0}",
+        total(&median),
+        total(&q1),
+        total(&q3),
+        median.0,
+        median.1
+    );
+}
+
 /// The worker's own cost per request, with no socket: only the time
-/// inside `Worker::pass` is counted, over windows of 1, 8 and 32 GETs
-/// and SETs the client sends between passes: the median of 11 rounds
-/// and their quartiles.
+/// inside `Worker::pass` is counted, split into the sections (as STATS
+/// `request_latency` times them) and the rest. Windows of 1, 8 and 32
+/// GETs and SETs over 64 keys; then windows of 32 of the `serve_d32` mix
+/// — 90 % GET, 10 % SET, uniform over 4 096 preloaded keys on a server
+/// of the benchmark's size — hot, and cold: an 8 MiB read sweep between
+/// windows evicts what the last one touched from L1 and L2. Each line is
+/// the median of 11 rounds and its quartiles (the first round warms up).
 #[test]
 #[ignore = "a probe, run by hand: --ignored --nocapture, in release"]
 fn pass_cost() {
-    const WINDOWS: u32 = 2000;
+    const WINDOWS: usize = 2000;
+    const COLD_WINDOWS: usize = 300;
     let state = ServerState::new(config()).expect("state");
     let t0 = Instant::now();
     let (mut w, mut c) = hand_worker(&state, t0);
@@ -344,8 +439,8 @@ fn pass_cost() {
     for depth in [1, 8, 32] {
         let mut rounds = Vec::new();
         for round in 0..12 {
-            let mut in_pass = Duration::ZERO;
-            for k in 0..WINDOWS as usize {
+            let (mut in_pass, sections) = (Duration::ZERO, section_ns(&state));
+            for k in 0..WINDOWS {
                 for i in 0..depth {
                     let key = keys[(k * depth + i) % keys.len()].as_bytes();
                     let req = if i % 2 == 0 {
@@ -360,31 +455,87 @@ fn pass_cost() {
                     c.client.submit(&req, None);
                 }
                 c.send();
-                loop {
-                    let start = Instant::now();
-                    let next = w.pass(now);
-                    in_pass += start.elapsed();
-                    match next {
-                        Next::Pass => {}
-                        Next::Wait { until, .. } => {
-                            now = until.unwrap_or(now + Duration::from_micros(50));
-                            break;
-                        }
-                    }
-                }
-                for _ in 0..depth {
-                    c.answer();
-                }
+                let (spent, next) = serve_window(&mut w, &mut c, now, depth);
+                (in_pass, now) = (in_pass + spent, next);
             }
-            // The first round warms the buffers up and is not counted.
             if round > 0 {
-                rounds.push(in_pass.as_nanos() as f64 / f64::from(WINDOWS) / depth as f64);
+                let per_req = |ns: f64| ns / (WINDOWS * depth) as f64;
+                let sections = per_req((section_ns(&state) - sections) as f64);
+                rounds.push((sections, per_req(in_pass.as_nanos() as f64) - sections));
             }
         }
-        rounds.sort_by(f64::total_cmp);
-        let [q1, median, q3] = [2, 5, 8].map(|i| rounds[i]);
-        println!(
-            "depth {depth:>2}: {median:.0} ns of pass per request (quartiles {q1:.0}–{q3:.0})"
-        );
+        report(&format!("depth {depth}"), &mut rounds);
     }
+
+    // The benchmark's window, on a server of its size.
+    let state = ServerState::new(ServerConfig {
+        capacity_per_shard: ServerConfig::default().capacity_per_shard,
+        ..config()
+    })
+    .expect("state");
+    let (mut w, mut c) = hand_worker(&state, t0);
+    let keys: Vec<String> = (0..4096).map(|i| format!("key-{i}")).collect();
+    let mut now = t0;
+    for chunk in keys.chunks(32) {
+        for key in chunk {
+            let key = key.as_bytes();
+            c.client.submit(
+                &Request::Set {
+                    key,
+                    value: 1,
+                    ttl: 0,
+                },
+                None,
+            );
+        }
+        c.send();
+        now = serve_window(&mut w, &mut c, now, chunk.len()).1;
+    }
+    let sweep = vec![1u8; 8 << 20];
+    let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+    let mut sink = 0;
+    for (name, windows) in [
+        ("serve_d32 mix, hot", WINDOWS),
+        ("serve_d32 mix, cold", COLD_WINDOWS),
+    ] {
+        let cold = windows == COLD_WINDOWS;
+        let mut rounds = Vec::new();
+        for round in 0..12 {
+            let (mut in_pass, mut sections) = (Duration::ZERO, 0);
+            for _ in 0..windows {
+                for _ in 0..32 {
+                    // xorshift64: a fixed, seeded stream.
+                    draw ^= draw << 13;
+                    draw ^= draw >> 7;
+                    draw ^= draw << 17;
+                    let key = keys[(draw >> 8) as usize % keys.len()].as_bytes();
+                    let req = if draw.is_multiple_of(10) {
+                        Request::Set {
+                            key,
+                            value: draw,
+                            ttl: 0,
+                        }
+                    } else {
+                        Request::Get { key }
+                    };
+                    c.client.submit(&req, None);
+                }
+                c.send();
+                if cold {
+                    sink ^= evict(std::hint::black_box(&sweep));
+                }
+                let before = section_ns(&state);
+                let (spent, next) = serve_window(&mut w, &mut c, now, 32);
+                sections += section_ns(&state) - before;
+                (in_pass, now) = (in_pass + spent, next);
+            }
+            if round > 0 {
+                let per_req = |ns: f64| ns / (windows * 32) as f64;
+                let sections = per_req(sections as f64);
+                rounds.push((sections, per_req(in_pass.as_nanos() as f64) - sections));
+            }
+        }
+        report(name, &mut rounds);
+    }
+    std::hint::black_box(sink);
 }

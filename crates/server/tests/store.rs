@@ -15,10 +15,10 @@ fn one(
     engine: &Engine<'_>,
     req: &Request<'_>,
 ) -> (Response<'static>, Option<Staged>) {
-    let routed = [store.route(req).expect("data verbs route")];
+    let mut routed = [store.route(req).expect("data verbs route")];
     let mut scratch = BatchScratch::default();
-    let out = &store.execute_batch(engine, &routed, None, &mut scratch, |_, _, run| run())[0];
-    (out.resp.clone(), out.staged)
+    store.execute_batch(engine, &mut routed, &mut scratch, |_, _, _, run| run());
+    (routed[0].response(), routed[0].staged())
 }
 
 #[test]
@@ -140,17 +140,16 @@ fn one_batch_matches_batches_of_one_and_groups_by_shard() {
             })
             .collect();
 
-        let routed: Vec<Routed> = reqs
+        let mut routed: Vec<Routed> = reqs
             .iter()
             .map(|r| batched.route(r).expect("data verbs route"))
             .collect();
         let mut groups = Vec::new();
         let mut scratch = BatchScratch::default();
-        let outcomes =
-            batched.execute_batch(&engine, &routed, None, &mut scratch, |shard, pos, run| {
-                groups.push((shard, pos.len()));
-                run();
-            });
+        batched.execute_batch(&engine, &mut routed, &mut scratch, |shard, _, pos, run| {
+            groups.push((shard, pos.len()));
+            run();
+        });
 
         // One group per shard touched, group sizes sum to the batch.
         assert_eq!(groups.iter().map(|&(_, n)| n).sum::<usize>(), reqs.len());
@@ -163,12 +162,11 @@ fn one_batch_matches_batches_of_one_and_groups_by_shard() {
         // The oracle executes the same requests as batches of one;
         // responses and staged records must agree.
         let mut behind = 0;
-        for (req, outcome) in reqs.iter().zip(outcomes) {
+        for (req, outcome) in reqs.iter().zip(&routed) {
             let (want, want_staged) = one(&oracle, &engine, req);
-            assert_eq!(outcome.resp, want, "{req:?} in {mode:?}");
-            behind += usize::from(matches!(outcome.resp, Response::Behind { .. }));
-            assert!(outcome.ticket.is_none(), "no WAL attached");
-            match (outcome.staged, want_staged) {
+            assert_eq!(outcome.response(), want, "{req:?} in {mode:?}");
+            behind += usize::from(matches!(outcome.response(), Response::Behind { .. }));
+            match (outcome.staged(), want_staged) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     assert_eq!(a.shard, b.shard);

@@ -5,7 +5,9 @@ use std::fmt;
 use std::ops::Deref;
 use std::ptr::NonNull;
 
-use gocc_htm::{Tx, TxResult, TxVar, CACHE_LINE, INLINE_VALUE_ALIGN, INLINE_VALUE_BYTES};
+use gocc_htm::{
+    HtmRuntime, Tx, TxResult, TxVar, CACHE_LINE, INLINE_VALUE_ALIGN, INLINE_VALUE_BYTES,
+};
 
 use crate::hash::mix64;
 
@@ -198,6 +200,15 @@ impl<V: Copy + Default> TxMap<V> {
                 return Ok(None);
             }
         }
+    }
+
+    /// Prefetches `key`'s home slot and the stripe word of `rt` that
+    /// guards it, ahead of a section that looks `key` up. A hint: nothing
+    /// is read transactionally and no result changes.
+    #[inline]
+    pub fn prefetch(&self, rt: &HtmRuntime, key: u64) {
+        let slot = &self.slots[(mix64(key) & self.mask) as usize];
+        rt.prefetch_line(std::ptr::from_ref(slot).cast());
     }
 
     /// Whether `key` is present.

@@ -8,7 +8,9 @@
 //!
 //! * responses come back strictly in submission order, byte-identical to
 //!   what the one-frame-at-a-time path produces (including a SCAN mid
-//!   stream, which flushes the pending batch before it runs);
+//!   stream, which flushes the pending batch before it runs), in memory
+//!   and with a write-ahead log under group commit, where each write's
+//!   answer parks until its record is durable;
 //! * a deadline that expires *mid-batch* — after admission but before the
 //!   response is encoded — replaces only the response; the write itself
 //!   stays applied (the WAL/replication pipeline already shipped it);
@@ -16,13 +18,14 @@
 //!   fallback unit), never yielding torn or reordered results.
 
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use gocc_faultplane::{AbortMix, HtmFaultPlan, LoadFaultPlan, LoadMix};
 use gocc_repro::optilock::{GoccConfig, GoccRuntime};
 use gocc_repro::workloads::{Engine, Mode};
-use gocc_server::{spawn, BatchScratch, ServerConfig, ShardedStore};
+use gocc_server::{spawn, BatchScratch, ServerConfig, ShardedStore, SyncPolicy, WalConfig};
 use gocc_wire::{decode_response, encode_response, Pipe, Request, Response};
 
 fn config(mode: Mode) -> ServerConfig {
@@ -108,13 +111,48 @@ fn request_for(key: &str, verb: u8, round: usize) -> Request<'_> {
     }
 }
 
+/// A fresh data directory for one server, removed when dropped.
+struct DataDir(PathBuf);
+
+impl DataDir {
+    fn new(name: &str) -> DataDir {
+        let dir = std::env::temp_dir().join(format!("gocc-oracle-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        DataDir(dir)
+    }
+}
+
+impl Drop for DataDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A server of `mode`, in memory or, when `logged`, with a write-ahead log
+/// in `dir` under group commit: every write's answer then parks until its
+/// record is durable, and is released by a later pass.
+fn oracle_config(mode: Mode, logged: bool, dir: &DataDir) -> ServerConfig {
+    ServerConfig {
+        data_dir: logged.then(|| dir.0.clone()),
+        wal: WalConfig {
+            sync: SyncPolicy::Group,
+            ..WalConfig::default()
+        },
+        ..config(mode)
+    }
+}
+
 #[test]
 fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
-    for mode in [Mode::Lock, Mode::Gocc] {
+    for (mode, logged) in [Mode::Lock, Mode::Gocc]
+        .map(|m| [(m, false), (m, true)])
+        .concat()
+    {
         let ops = script();
+        let dirs = [DataDir::new("sequential"), DataDir::new("pipelined")];
 
         // Sequential oracle: its own fresh server, one frame at a time.
-        let oracle = spawn(config(mode)).expect("spawn oracle");
+        let oracle = spawn(oracle_config(mode, logged, &dirs[0])).expect("spawn oracle");
         let mut pipe = connect(oracle.port());
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for (i, (key, verb)) in ops.iter().enumerate() {
@@ -127,7 +165,7 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
 
         // Pipelined run: fresh server, the same script in bursts of 32
         // frames written before any response is read.
-        let pipelined = spawn(config(mode)).expect("spawn pipelined");
+        let pipelined = spawn(oracle_config(mode, logged, &dirs[1])).expect("spawn pipelined");
         let mut pipe = connect(pipelined.port());
         let mut got: Vec<Vec<u8>> = Vec::new();
         for (chunk_idx, chunk) in ops.chunks(32).enumerate() {
@@ -154,13 +192,13 @@ fn pipelined_mixed_verbs_match_the_sequential_oracle_in_both_modes() {
                 .any(|e| matches!(decode_response(e), Ok(Response::DoneAt { .. })))
                 && near_floor.iter().any(|&i| behind(i))
                 && near_floor.iter().any(|&i| !behind(i)),
-            "[{mode:?}] script misses a session answer"
+            "[{mode:?} logged={logged}] script misses a session answer"
         );
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
                 g,
                 e,
-                "[{mode:?}] response {i} diverged: pipelined {:?} vs sequential {:?}",
+                "[{mode:?} logged={logged}] response {i} diverged: pipelined {:?} vs sequential {:?}",
                 decode_response(g),
                 decode_response(e)
             );
@@ -266,19 +304,16 @@ fn batched_groups_survive_injected_htm_aborts() {
                 .iter()
                 .map(|r| faulty_store.route(r).expect("data verbs route"))
                 .collect();
-            let outcomes =
-                faulty_store.execute_batch(&faulty, &routed, None, &mut scratch, |_, _, run| run());
+            let mut outcomes = routed.clone();
+            faulty_store.execute_batch(&faulty, &mut outcomes, &mut scratch, |_, _, _, run| run());
             // The clean store runs the same requests as batches of one.
-            for (one, outcome) in routed.iter().zip(outcomes) {
-                let want = clean_store.execute_batch(
-                    &clean,
-                    std::slice::from_ref(one),
-                    None,
-                    &mut clean_scratch,
-                    |_, _, run| run(),
-                );
+            for (one, outcome) in routed.iter().zip(&outcomes) {
+                let mut want = [*one];
+                clean_store
+                    .execute_batch(&clean, &mut want, &mut clean_scratch, |_, _, _, run| run());
                 assert_eq!(
-                    outcome.resp, want[0].resp,
+                    outcome.response(),
+                    want[0].response(),
                     "injected aborts must not change batch results"
                 );
             }

@@ -47,20 +47,17 @@ fn the_batch_site_at_the_write_set_cap() {
             .map(|r| store.route(r).expect("SET routes"))
             .collect();
         let before = (rt.htm().stats().snapshot(), rt.stats().snapshot());
-        let got: Vec<_> = store
-            .execute_batch(&engine, &routed, None, &mut scratch, |_, _, run| run())
-            .iter()
-            .map(|o| o.resp.clone())
-            .collect();
+        let mut got = routed.clone();
+        store.execute_batch(&engine, &mut got, &mut scratch, |_, _, _, run| run());
         for (one, got) in routed.iter().zip(&got) {
-            let want = oracle.execute_batch(
+            let mut want = [*one];
+            oracle.execute_batch(
                 &oracle_engine,
-                std::slice::from_ref(one),
-                None,
+                &mut want,
                 &mut oracle_scratch,
-                |_, _, run| run(),
+                |_, _, _, run| run(),
             );
-            assert_eq!(*got, want[0].resp);
+            assert_eq!(got.response(), want[0].response());
         }
         let after = (rt.htm().stats().snapshot(), rt.stats().snapshot());
         (
