@@ -147,6 +147,11 @@ fn elided_writers_never_tear_a_slow_path_read() {
     let snap = rt.stats().snapshot();
     let writing = snap.commits - snap.read_only_commits;
     assert_eq!(writing, WRITERS * COMMITS_PER_WRITER);
+    println!(
+        "{} slow sections, {} explicit aborts",
+        slow_sections.load(Ordering::Relaxed),
+        snap.aborts_explicit
+    );
     assert!(
         slow_sections.load(Ordering::Relaxed) > 100 && snap.aborts_explicit > 0,
         "the slow path never met a section: {} slow sections, {snap:?}",

@@ -942,18 +942,24 @@ mod tests {
 
     #[test]
     fn rw_write_elision_aborts_on_slow_readers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let rt = GoccRuntime::new_default();
         let rw = ElidableRwMutex::new();
         let v = TxVar::new(0u64);
         rw.rlock_raw();
-        // Release the read lock from another thread after a delay so the
-        // slow path can make progress.
+        // Another thread releases the read lock once the writer is seen on
+        // its slow path, waiting for the reader (or, had it elided past
+        // the reader, once it is done): no sleep decides the outcome.
+        let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                while !rw.is_write_locked() && !done.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
                 rw.runlock_raw();
             });
             critical_write(&rt, crate::call_site!(), &rw, |tx| tx.write(&v, 1));
+            done.store(true, Ordering::SeqCst);
         });
         let mut check = Tx::direct(rt.htm());
         assert_eq!(check.read(&v).unwrap(), 1);

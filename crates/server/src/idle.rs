@@ -8,8 +8,9 @@
 //! so the passes come one per [`IDLE_PASS`] however long each one took.
 //! Nothing here reads the clock: the caller hands its instant in.
 //!
-//! Public for `tests/idle_wait.rs`, which times the wait itself, and for
-//! `gocc-loadgen`'s load driver, whose connections wait here too.
+//! Public for `tests/idle_wait.rs`, which reads the timer slack of a
+//! thread that asked for exact timers and times sub-millisecond waits, and
+//! for `gocc-loadgen`'s load driver, whose connections wait here too.
 
 use std::ffi::{c_int, c_short, c_ulong, c_void};
 use std::io::{self, Read, Write};

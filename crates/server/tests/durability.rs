@@ -4,14 +4,14 @@
 //! STATS `"wal"` object.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use gocc_server::{spawn, Mode, ServerConfig, SyncPolicy};
+use gocc_server::{spawn, Mode, ServerConfig, ServerState, SyncPolicy, Worker};
 use gocc_telemetry::JsonValue;
 use gocc_wire::{Request, Response};
 
 mod common;
-use common::connect;
+use common::{connect, Hand, LINK_BOUND};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gocc-e2e-{name}-{}", std::process::id()));
@@ -216,12 +216,16 @@ fn a_held_barrier_parks_the_answer_not_the_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Eight connections on one worker, one SET outstanding on each, and a
-/// log on the checkout's disk that never lingers: the worker stages the
-/// others while the syncer fsyncs the first, so the next fsync covers
-/// them all. A worker that waited out each barrier in turn read 1.0 by
-/// construction, so a window this box slowed (a client slower to send
-/// the eight than the disk to sync one) is taken again.
+/// Eight connections on one worker, one SET on each, driven by hand, and
+/// a log whose syncer holds a group until it has eight records (its
+/// 5 s linger is a watchdog no pass comes near). The pass that reads the
+/// eight stages them all without waiting on a barrier, so the syncer
+/// writes and fsyncs them together. No answer leaves before that fsync —
+/// the first seven were staged before the group was full, so none of
+/// them can be durable when its connection's turn in the pass ends — and
+/// every answer leaves in the first pass after it. A worker that waited
+/// out each barrier in turn would have answered all eight, one fsync
+/// each, before this pass returned.
 #[test]
 fn writers_on_one_worker_share_an_fsync() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -229,50 +233,43 @@ fn writers_on_one_worker_share_an_fsync() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = config(Mode::Gocc, Some(dir.clone()), SyncPolicy::Group);
     cfg.workers = 1;
-    cfg.wal.fsync_wait_us = 0;
-    let handle = spawn(cfg).expect("spawn");
-    let keys: Vec<String> = (0..8).map(|i| format!("writer-{i}")).collect();
-    let mut conns: Vec<_> = keys.iter().map(|_| connect(handle.port())).collect();
-    for (c, key) in conns.iter_mut().zip(&keys) {
-        assert_eq!(c.call(&set(key.as_bytes())).unwrap(), Response::Done);
-        c.get_ref().set_nonblocking(true).unwrap();
+    cfg.wal.fsync_batch_size = 8;
+    cfg.wal.fsync_wait_us = 5_000_000;
+    let state = ServerState::new(cfg).expect("state with a data dir");
+    let wal = state.wal().expect("a data dir opens a log");
+    let t0 = Instant::now();
+    let mut w = Worker::new(&state, 0, t0);
+    let mut conns: Vec<Hand> = (0..8).map(|_| Hand::new(&mut w, t0, LINK_BOUND)).collect();
+    for (i, c) in conns.iter_mut().enumerate() {
+        let key = format!("writer-{i}");
+        c.client.submit(&set(key.as_bytes()), None);
+        c.send();
     }
-    let wal = handle.state().wal().expect("a data dir opens a log");
-    let mut windows = Vec::new();
-    let shared = (0..3).any(|_| {
-        let (appended0, fsyncs0) = (wal.appended(), wal.fsyncs());
-        for _ in 0..50 {
-            // Encode all eight first, so the sends follow each other.
-            for (c, key) in conns.iter_mut().zip(&keys) {
-                c.submit(&set(key.as_bytes()), None);
-            }
-            for c in &mut conns {
-                c.pump().expect("send");
-            }
-            for c in &mut conns {
-                while c.in_flight() > 0 {
-                    if !c.pump().expect("recv") {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    while let Some((_, resp)) = c.answer().expect("answer") {
-                        assert_eq!(resp, Response::Done);
-                    }
-                }
-            }
-        }
-        let appended = (wal.appended() - appended0) as f64;
-        let per_fsync = appended / (wal.fsyncs() - fsyncs0) as f64;
-        windows.push(format!("{per_fsync:.2}"));
-        per_fsync >= 3.0
-    });
-    println!("8 writers on one worker, records per fsync: {windows:?}");
-    assert!(
-        shared,
-        "{windows:?} records per fsync: the worker waited out each barrier"
+    let (durable0, appended0) = (wal.durable_lsn(), wal.appended());
+    let (writes0, fsyncs0) = (wal.writes(), wal.fsyncs());
+    w.pass(t0);
+    for (i, c) in conns.iter_mut().take(7).enumerate() {
+        assert!(!c.received(), "writer {i} answered before its fsync");
+    }
+    let waited = Instant::now();
+    while wal.durable_lsn() < durable0 + 8 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the eight never synced"
+        );
+        std::thread::yield_now();
+    }
+    let appended = wal.appended() - appended0;
+    assert_eq!(
+        (appended, wal.writes() - writes0, wal.fsyncs() - fsyncs0),
+        (8, 1, 1),
+        "the eight records went out in one append and one fsync"
     );
-    let mut c = connect(handle.port());
-    assert_eq!(c.call(&Request::Shutdown).unwrap(), Response::Bye);
-    let _ = handle.join();
+    w.pass(t0);
+    for c in &mut conns {
+        assert_eq!(c.answer(), Response::Done);
+    }
+    wal.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,9 +2,9 @@
 //! that serves a window is the one that decides how to wait, its
 //! connection costs one read and one write, and the conditions under
 //! which a pass stops short of what it can see still get the pass after
-//! it at once. Also the accounting that rides the pass (a shard-group's
-//! executions counted once), and `pass_cost`, an ignored probe of what a
-//! pass costs per request:
+//! it at once. Also the accounting that rides the pass (a window runs as
+//! one batch per shard, and a shard-group's executions are counted once),
+//! and `pass_cost`, an ignored probe of what a pass costs per request:
 //!
 //! ```console
 //! $ cargo test --release -p gocc-server --test pass -- --ignored --nocapture
@@ -89,10 +89,23 @@ fn a_window_costs_one_read_one_write_and_one_idle_decision() {
     assert_eq!(decisions(&state), 2);
     misses(&mut c, 32);
 
-    // Windows in step with the tick: each still one of each.
+    // Windows in step with the tick: each still one of each. A window of
+    // 32 keys, some on every shard, executes as one batch per shard.
+    let keys: Vec<String> = (0..32).map(|i| format!("key-{i}")).collect();
+    let counters = state.counters();
+    let worker = &counters.per_worker()[0];
     let mut now = tick;
     for k in 1..=10 {
-        gets(&mut c, b"k", 32);
+        let (executed, batches) = (worker.executed(), counters.batches_executed());
+        for key in &keys {
+            c.client.submit(
+                &Request::Get {
+                    key: key.as_bytes(),
+                },
+                None,
+            );
+        }
+        c.send();
         let Next::Wait {
             blind: true,
             until: Some(tick),
@@ -102,6 +115,8 @@ fn a_window_costs_one_read_one_write_and_one_idle_decision() {
         };
         assert_eq!(c.served_calls(), (2 + k, 2 + k));
         assert_eq!(decisions(&state), 2 + k);
+        assert_eq!(worker.executed() - executed, 32);
+        assert_eq!(counters.batches_executed() - batches, 4, "window {k}");
         misses(&mut c, 32);
         now = tick;
     }

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gocc_server::{spawn, Mode, Next, ServerConfig, ServerHandle, ServerState};
+use gocc_server::{spawn, Mode, Next, ServerConfig, ServerHandle, ServerState, Worker};
 use gocc_telemetry::JsonValue;
 use gocc_wire::{decode_response, encode_request_v2, Pipe, ReplRequest, Request, Response};
 
@@ -490,10 +490,10 @@ impl HandReplica {
 /// A `min_acks` write parks its response, not its worker. One worker
 /// owns the writer, a reader and the replica's stream; the replica acks
 /// heartbeats but withholds the write's version. A GET on the other
-/// connection is answered meanwhile (a worker blocked on the ack would
-/// answer it only after `repl_ack_timeout`); the ack releases the SET's
-/// `Done`; and with no ack the SET gets the timeout error, with the
-/// responses behind it in order.
+/// connection is answered meanwhile, and the SET still is not (a worker
+/// blocked on the ack would have answered the SET with the timeout error
+/// first); the ack releases the SET's `Done`; and with no ack the SET
+/// gets the timeout error, with the responses behind it in order.
 #[test]
 fn a_write_waiting_for_its_replica_parks_its_response_not_the_worker() {
     let ack_timeout = Duration::from_secs(1);
@@ -515,18 +515,12 @@ fn a_write_waiting_for_its_replica_parks_its_response_not_the_worker() {
     writer.submit(&set(b"k", 1), None);
     assert!(!writer.pump().unwrap());
     let version = replica.next_batch();
-    let t0 = Instant::now();
     assert_eq!(
         reader.call(&Request::Get { key: b"k" }).unwrap(),
         Response::Value {
             found: true,
             value: 1
         }
-    );
-    let took = t0.elapsed();
-    assert!(
-        took < ack_timeout / 2,
-        "a GET waited {took:?} behind a parked write"
     );
     assert!(
         !writer.pump().unwrap(),
@@ -672,6 +666,49 @@ fn the_drain_gives_up_on_a_parked_write_at_its_timeout_not_before() {
     };
     assert_eq!(writer.answer(), timed_out);
     assert_eq!(state.counters().closed(), 2);
+}
+
+/// A peer gone mid-drain does not hold the drain up: its connection owes
+/// answers its link cannot take, so the drain keeps it, until its client
+/// drops its end; then it closes at that pass's instant, not when the
+/// drain gives up.
+#[test]
+fn a_peer_gone_during_the_drain_is_closed_at_once_not_at_its_timeout() {
+    let drain_timeout = Duration::from_millis(200);
+    let state = ServerState::new(ServerConfig {
+        workers: 1,
+        drain_timeout,
+        brownout: steady_brownout(),
+        ..ServerConfig::default()
+    })
+    .expect("state");
+    let t0 = Instant::now();
+    let mut w = Worker::new(&state, 0, t0);
+    // 100 GETs fit a link of 1 KiB; their 1 400 bytes of answers do not.
+    let mut stalled = Hand::new(&mut w, t0, 1024);
+    for _ in 0..100 {
+        stalled.client.submit(&Request::Get { key: b"k" }, None);
+    }
+    stalled.send();
+    until_it_blocks(&mut w, t0);
+    let t1 = t0 + Duration::from_millis(3);
+    let mut admin = Hand::new(&mut w, t1, LINK_BOUND);
+    admin.client.submit(&Request::Shutdown, None);
+    admin.send();
+    assert_eq!(w.pass(t1), Next::Pass);
+    assert_eq!(admin.answer(), Response::Bye);
+    let gone = t1 + drain_timeout / 2;
+    let draining = Next::Wait {
+        blind: false,
+        until: Some(t1 + drain_timeout),
+    };
+    for now in [t1, gone] {
+        assert_eq!(w.pass(now), draining);
+        assert_eq!(state.counters().closed(), 1, "closed while it owed answers");
+    }
+    drop(stalled);
+    w.pass(gone);
+    assert_eq!(state.counters().closed(), 2, "held after its peer went");
 }
 
 /// REPL_PROMOTE with an empty upstream turns the replica into a primary:

@@ -74,17 +74,14 @@ echo "ok: every root example ran and exited 0"
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
-echo "== commit gate (release) =="
-# The torn-read stress needs optimised code to land a slow-path acquire
-# inside a write-back; the workspace pass above ran it unoptimised.
-cargo test -q --release --offline -p gocc-htm --test commit_gate
+echo "== commit gate =="
 # The gate is the per-arena commit slot: an elided section never writes
 # the lock's line, so the per-lock committer count must not come back.
 if grep -rnE 'committer_enter|committer_exit|CommitGate' crates/; then
   echo "FAIL: a per-lock committer count is back under crates/" >&2
   exit 1
 fi
-echo "ok: commit gate holds, LockWord carries no committer count"
+echo "ok: LockWord carries no committer count"
 
 echo "== one map of items =="
 # The go-cache model keeps value and expiration in one TxMap entry, as
@@ -170,8 +167,9 @@ echo "== one idle decision =="
 # idle decision, which only picks the set and the deadline (a timed one
 # from idle::Tick). A thread::sleep there is the 200 us poll-and-sleep, or
 # the coalescing sleep with its timer slack, coming back
-# (crates/server/tests/idle_wait.rs, in the workspace stage above, pins
-# the behaviour).
+# (crates/server/tests/idle_wait.rs and pass.rs, in the tests stage above,
+# pin the behaviour: the wake-ups on real sockets, the timer slack as the
+# thread's state, the decisions on virtual time).
 fn_body() { awk -v f="fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^}/ { exit }' \
   crates/server/src/lib.rs; }
 sleeps=$(fn_body worker_loop | grep -c 'thread::sleep' || true)
